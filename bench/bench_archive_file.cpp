@@ -1,13 +1,14 @@
-/// Streaming file transport vs. in-memory transport — throughput and memory
-/// of `fraz::archive`'s two write paths, plus positioned-read latency of the
-/// two file read modes (mmap vs. buffered fread).
+/// Path builds vs. Buffer builds — throughput and memory of ArchiveWriter's
+/// two transports, plus positioned-read latency of ArchiveReader's two file
+/// read modes (mmap vs. buffered pread).
 ///
 /// What this measures (no paper figure — the file layer is a scale-out
 /// extension in the C-Blosc2 frame tradition):
 ///
-///  - pack throughput of ArchiveWriter (whole archive resident) against
-///    ArchiveFileWriter (chunks streamed to disk as they finish), at several
-///    worker counts, asserting the two transports' bytes are identical;
+///  - pack throughput of ArchiveWriter into a Buffer (whole archive
+///    resident) against a path (chunks streamed to disk as they finish), at
+///    several worker counts, asserting the two transports' bytes are
+///    identical;
 ///  - the writer's peak buffered chunk payloads — the streaming memory
 ///    model says it never exceeds workers + 1;
 ///  - ranged-read latency through the file reader's mmap path and its
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "archive/archive.hpp"
-#include "archive/archive_file.hpp"
 #include "bench_common.hpp"
 #include "ndarray/io.hpp"
 
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
                 ratio, "-", "-");
 
     // Streaming file transport (same warm-up discipline, same data).
-    archive::ArchiveFileWriter file_writer(make_config(cli, threads));
+    archive::ArchiveWriter file_writer(make_config(cli, threads));
     if (!file_writer.write(path, series[0].view()).ok()) return 1;
     Timer file_timer;
     std::size_t peak = 0, window = 0;
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
   // Ranged reads: mmap vs buffered, one chunk-sized window per probe.
   double mmap_us = 0, buffered_us = 0;
   for (const auto mode : {archive::FileReadMode::kAuto, archive::FileReadMode::kBuffered}) {
-    auto reader = archive::ArchiveFileReader::open(path, mode);
+    auto reader = archive::ArchiveReader::open(path, mode);
     if (!reader.ok()) return 1;
     const std::size_t n0 = reader.value().info().shape[0];
     const std::size_t extent = reader.value().info().chunk_extent;
@@ -136,7 +136,8 @@ int main(int argc, char** argv) {
     Timer timer;
     for (int p = 0; p < kProbes; ++p) {
       const std::size_t first = (static_cast<std::size_t>(p) * 7) % (n0 - extent + 1);
-      if (!reader.value().read_range(first, extent).ok()) return 1;
+      if (!reader.value().read_range(archive::kDefaultFieldName, first, extent).ok())
+        return 1;
     }
     const double us = timer.seconds() * 1e6 / kProbes;
     (reader.value().mapped() ? mmap_us : buffered_us) = us;

@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
     {
       Timer timer;
       for (int s = 0; s <= steps; ++s) {
-        if (!push_writer.begin(push_bytes, archive::kFormatVersion).ok()) return 1;
+        if (!push_writer.begin(push_bytes).ok()) return 1;
         archive::FieldDesc desc;
         desc.dtype = temp.dtype();
         desc.shape = temp.shape();

@@ -7,7 +7,7 @@
 /// request mix (deterministic per-thread query streams):
 ///
 ///  - **cold**: a zero-budget cache — every request decodes its chunks,
-///    the decode-per-call floor ArchiveFileReader alone would pay;
+///    the decode-per-call floor ArchiveReader alone would pay;
 ///  - **warm**: the default cache, pre-touched once, so every request is a
 ///    cache hit plus a plane-window copy.
 ///
@@ -25,7 +25,7 @@
 #include <thread>
 #include <vector>
 
-#include "archive/archive_file.hpp"
+#include "archive/archive.hpp"
 #include "bench_common.hpp"
 #include "serve/reader_pool.hpp"
 #include "telemetry/telemetry.hpp"
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
   config.engine.tuner.target_ratio = cli.get_double("target");
   config.threads = 4;
   const std::string path = cli.get_string("path");
-  archive::ArchiveFileWriter writer(config);
+  archive::ArchiveWriter writer(config);
   auto written = writer.write(path, field.view());
   if (!written.ok()) {
     std::fprintf(stderr, "pack failed: %s\n", written.status().to_string().c_str());

@@ -52,7 +52,7 @@ int main() {
   const archive::ArchiveInfo& info = reader.value().info();
 
   // 1. Full decompression — the baseline.
-  auto full = reader.value().read_all();
+  auto full = reader.value().read_all(archive::kDefaultFieldName);
   if (!full.ok()) return 1;
   std::printf("\n%-28s %18s %12s\n", "access", "compressed bytes", "planes out");
   std::printf("%-28s %18zu %12zu\n", "read_all()", info.archive_bytes,
@@ -60,7 +60,7 @@ int main() {
 
   // 2. One chunk: exactly one index entry's bytes are touched.
   const std::size_t mid = info.chunk_count / 2;
-  auto chunk = reader.value().read_chunk(mid);
+  auto chunk = reader.value().read_chunk(archive::kDefaultFieldName, mid);
   if (!chunk.ok()) return 1;
   std::printf("%-28s %18zu %12zu\n",
               ("read_chunk(" + std::to_string(mid) + ")").c_str(), info.chunks[mid].size,
@@ -69,7 +69,7 @@ int main() {
   // 3. A plane range straddling a chunk boundary.
   const std::size_t first = info.chunk_extent - 1;
   const std::size_t count = 2;  // last plane of chunk 0, first of chunk 1
-  auto range = reader.value().read_range(first, count);
+  auto range = reader.value().read_range(archive::kDefaultFieldName, first, count);
   if (!range.ok()) return 1;
   std::size_t touched = 0;
   for (std::size_t c = first / info.chunk_extent; c <= (first + count - 1) / info.chunk_extent; ++c)

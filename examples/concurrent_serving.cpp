@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "archive/archive_file.hpp"
+#include "archive/archive.hpp"
 #include "data/datasets.hpp"
 #include "serve/reader_pool.hpp"
 #include "util/timer.hpp"
@@ -31,7 +31,7 @@ int main() {
   archive::ArchiveWriteConfig config;
   config.engine.compressor = "sz";
   config.engine.tuner.target_ratio = 8.0;
-  archive::ArchiveFileWriter writer(config);
+  archive::ArchiveWriter writer(config);
   const std::string path = "concurrent_serving.fraza";
   const auto written = writer.write(path, field.view());
   if (!written.ok()) {

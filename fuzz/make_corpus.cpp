@@ -49,33 +49,31 @@ NdArray smooth_field() {
   return field;
 }
 
+/// Writers emit only v3, so this writes archive_v3.fraz and its footer.  The
+/// older-format seeds in the same directory (archive_v1.fraz,
+/// archive_v2.fraz, footer_v2.bin and the golden_v2_*.fraz archives) are
+/// frozen: they were written while v1/v2 could still be written, tests pin
+/// their CRCs, and this generator never touches them.
 bool emit_archives(const fs::path& dir) {
   const NdArray field = smooth_field();
-  for (const std::uint8_t version : {std::uint8_t{2}, std::uint8_t{3}}) {
-    archive::ArchiveWriteConfig config;
-    config.engine.compressor = "truncate";
-    config.engine.tuner.target_ratio = 2.5;
-    config.engine.tuner.epsilon = 0.3;
-    config.chunk_extent = 3;
-    config.threads = 1;
-    config.format_version = version;
-    archive::ArchiveWriter writer(std::move(config));
-    Buffer bytes;
-    auto written = writer.write(field.view(), bytes);
-    if (!written.ok()) {
-      std::fprintf(stderr, "make_corpus: pack v%u failed: %s\n", version,
-                   written.status().to_string().c_str());
-      return false;
-    }
-    const std::string name = "archive_v" + std::to_string(version) + ".fraz";
-    if (!write_file(dir / name, bytes.data(), bytes.size())) return false;
-    // The bare footer is its own seed: the open path's first parse step.
-    const std::size_t tail = bytes.size() < 48 ? bytes.size() : 48;
-    if (!write_file(dir / ("footer_v" + std::to_string(version) + ".bin"),
-                    bytes.data() + bytes.size() - tail, tail))
-      return false;
+  archive::ArchiveWriteConfig config;
+  config.engine.compressor = "truncate";
+  config.engine.tuner.target_ratio = 2.5;
+  config.engine.tuner.epsilon = 0.3;
+  config.chunk_extent = 3;
+  config.threads = 1;
+  archive::ArchiveWriter writer(std::move(config));
+  Buffer bytes;
+  auto written = writer.write(field.view(), bytes);
+  if (!written.ok()) {
+    std::fprintf(stderr, "make_corpus: pack failed: %s\n",
+                 written.status().to_string().c_str());
+    return false;
   }
-  return true;
+  if (!write_file(dir / "archive_v3.fraz", bytes.data(), bytes.size())) return false;
+  // The bare footer is its own seed: the open path's first parse step.
+  const std::size_t tail = bytes.size() < 48 ? bytes.size() : 48;
+  return write_file(dir / "footer_v3.bin", bytes.data() + bytes.size() - tail, tail);
 }
 
 bool emit_bound_store(const fs::path& dir) {

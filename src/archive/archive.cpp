@@ -1,11 +1,159 @@
 #include "archive/archive.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
+#include <future>
+#include <thread>
+#include <utility>
 
+#include "archive/archive_file.hpp"
 #include "archive/pipeline.hpp"
+#include "codec/checksum.hpp"
+#include "opt/thread_pool.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 
 namespace fraz::archive {
+
+namespace {
+
+unsigned resolve_workers(unsigned requested, std::size_t tasks) {
+  unsigned w = requested == 0 ? std::thread::hardware_concurrency() : requested;
+  if (w == 0) w = 1;
+  return static_cast<unsigned>(std::min<std::size_t>(w, tasks));
+}
+
+/// Zero-copy source over bytes already in memory (not owned).
+class MemorySource final : public detail::ChunkSource {
+public:
+  MemorySource(const std::uint8_t* data, std::size_t size) noexcept
+      : data_(data), size_(size) {}
+
+  std::size_t size() const noexcept override { return size_; }
+  bool mapped() const noexcept override { return false; }
+
+  const std::uint8_t* fetch(std::size_t offset, std::size_t size,
+                            Buffer& /*scratch*/) const override {
+    if (offset > size_ || size > size_ - offset)
+      throw CorruptStream("archive: read beyond the end of the archive");
+    return data_ + offset;
+  }
+
+private:
+  const std::uint8_t* data_;
+  std::size_t size_;
+};
+
+/// Shape of chunk \p i of \p field ({extent_i, rest...}; last chunk short).
+Shape shape_of_chunk(const FieldInfo& field, std::size_t i) {
+  require(i < field.chunk_count, "archive: chunk index out of range");
+  Shape shape = field.shape;
+  shape[0] = std::min(field.chunk_extent, field.shape[0] - i * field.chunk_extent);
+  return shape;
+}
+
+/// Decode the slowest-axis planes [first, first + count) of \p field into
+/// \p out (whose shape must already be {count, rest...}), touching and
+/// validating only the chunks that cover the range.  \p threads > 1 decodes
+/// the touched chunks in parallel, one Engine per worker, each writing its
+/// disjoint plane window of \p out; \p serial_engine serves the
+/// single-threaded path.  Throws on the first failing chunk.
+void read_planes(const detail::ChunkSource& source, const FieldInfo& field,
+                 std::size_t chunk_region, Engine& serial_engine, Buffer& serial_scratch,
+                 std::size_t first, std::size_t count, unsigned threads, NdArray& out) {
+  const std::size_t n0 = field.shape[0];
+  const std::size_t plane_bytes =
+      (shape_elements(field.shape) / n0) * dtype_size(field.dtype);
+  const std::size_t extent = field.chunk_extent;
+  const std::size_t first_chunk = first / extent;
+  const std::size_t last_chunk = (first + count - 1) / extent;
+  const std::size_t touched = last_chunk - first_chunk + 1;
+
+  auto emplace = [&](Engine& engine, Buffer& scratch, std::size_t c) {
+    const NdArray chunk =
+        detail::decode_chunk(engine, source, field, chunk_region, c, scratch);
+    const std::size_t chunk_first = c * extent;
+    const std::size_t lo = std::max(first, chunk_first);
+    const std::size_t hi = std::min(first + count, chunk_first + chunk.shape()[0]);
+    std::memcpy(static_cast<std::uint8_t*>(out.data()) + (lo - first) * plane_bytes,
+                static_cast<const std::uint8_t*>(chunk.data()) +
+                    (lo - chunk_first) * plane_bytes,
+                (hi - lo) * plane_bytes);
+  };
+
+  const unsigned workers = resolve_workers(threads, touched);
+  if (threads == 1 || workers <= 1) {
+    for (std::size_t c = first_chunk; c <= last_chunk; ++c)
+      emplace(serial_engine, serial_scratch, c);
+    return;
+  }
+
+  // Parallel decode: touched chunks write disjoint plane windows of `out`,
+  // so the only coordination needed is the shared chunk counter.
+  std::vector<Status> statuses(touched);
+  std::atomic<std::size_t> next{0};
+  auto drain = [&] {
+    EngineConfig config;
+    config.compressor = field.compressor;
+    auto created = Engine::create(std::move(config));
+    std::size_t t;
+    if (!created.ok()) {
+      while ((t = next.fetch_add(1)) < touched) statuses[t] = created.status();
+      return;
+    }
+    Engine engine = std::move(created).value();
+    Buffer scratch;
+    while ((t = next.fetch_add(1)) < touched) {
+      try {
+        emplace(engine, scratch, first_chunk + t);
+      } catch (...) {
+        statuses[t] = status_from_current_exception();
+      }
+    }
+  };
+  {
+    ThreadPool pool(workers);
+    std::vector<std::future<void>> done;
+    done.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w) done.push_back(pool.submit(drain));
+    for (auto& f : done) f.get();
+  }
+  for (const Status& s : statuses)
+    if (!s.ok()) throw_status(s);
+}
+
+}  // namespace
+
+namespace detail {
+
+NdArray decode_chunk(Engine& engine, const ChunkSource& source, const FieldInfo& field,
+                     std::size_t chunk_region, std::size_t i, Buffer& scratch) {
+  const ChunkEntry& entry = field.chunks[i];
+  const std::uint8_t* chunk =
+      source.fetch(chunk_region + entry.offset, entry.size, scratch);
+  if (crc32(chunk, entry.size) != entry.crc)
+    throw CorruptStream("archive: chunk " + std::to_string(i) + " failed its checksum");
+  Result<NdArray> decoded = [&] {
+    // Per-backend decode latency, labelled like the tuner's probe spans
+    // (tune.probe_us.<backend>) so dashboards can line the two up.
+    const std::string span_name = "decode_us." + field.compressor;
+    telemetry::SpanTimer span(telemetry::global().histogram(span_name), span_name.c_str());
+    return engine.decompress(chunk, entry.size);
+  }();
+  if (!decoded.ok())
+    throw CorruptStream("archive: chunk " + std::to_string(i) + ": " +
+                        decoded.status().to_string());
+  if (decoded.value().dtype() != field.dtype ||
+      decoded.value().shape() != shape_of_chunk(field, i))
+    throw CorruptStream("archive: chunk " + std::to_string(i) +
+                        " decoded to an unexpected shape");
+  return std::move(decoded).value();
+}
+
+}  // namespace detail
 
 // ------------------------------------------------------------ field session
 
@@ -25,18 +173,73 @@ Result<FieldWriteReport> FieldSession::close() noexcept {
 
 // ------------------------------------------------------------------- writer
 
+/// One build: its sink, the shared assembler (shared so FieldSession handles
+/// can track it weakly) and, for a path build, the open file.  Destroying a
+/// build whose file is still open is abandonment — every teardown path
+/// (cancel, writer destruction, move-assignment over an active build) joins
+/// the pipeline, closes the handle and removes the partial file, so no path
+/// can leak the descriptor or strand a corrupt archive.
+struct ArchiveWriter::Build {
+  Build() = default;
+  Build(const Build&) = delete;
+  Build& operator=(const Build&) = delete;
+
+  std::string path;            ///< path builds only
+  std::FILE* file = nullptr;   ///< path builds only; null once closed
+  std::unique_ptr<detail::ByteSink> sink;
+  std::shared_ptr<detail::ArchiveAssembler> assembler;
+
+  ~Build() {
+    // Join the pipeline workers before the handle they emit through closes.
+    assembler.reset();
+    if (file) {
+      std::fclose(file);
+      std::remove(path.c_str());
+    }
+  }
+
+  /// Flush and close a path build's file; on failure remove it (its footer
+  /// chain would fail open() anyway, and a campaign retries by path).
+  Status close_file() noexcept {
+    assembler.reset();
+    if (!file) return Status();
+    std::FILE* handle = std::exchange(file, nullptr);
+    // Capture each failing call's errno immediately: a succeeding fclose
+    // after a failed fflush would otherwise clobber the detail worth
+    // reporting.
+    const bool flushed = std::fflush(handle) == 0;
+    const int flush_errno = flushed ? 0 : errno;
+    const bool closed = std::fclose(handle) == 0;
+    const int close_errno = closed ? 0 : errno;
+    if (flushed && closed) return Status();
+    std::remove(path.c_str());
+    return Status::io_error("archive: cannot finish '" + path + "': " +
+                            errno_detail(flushed ? close_errno : flush_errno));
+  }
+};
+
 ArchiveWriter::ArchiveWriter(ArchiveWriteConfig config)
     : config_(std::move(config)),
       state_(std::make_unique<WriterWarmState>(config_.engine)) {
-  // Fail construction, not the first write, on configs no write can accept
-  // (unknown format version, v1 with a backend the format cannot name).
-  const Status s = detail::validate_write_config(config_);
-  if (!s.ok()) throw_status(s);
+  // Fail construction, not the first write, on names no manifest can
+  // record: the manifest stores the backend's registry name in 1..256 bytes.
+  require(!config_.engine.compressor.empty() && config_.engine.compressor.size() <= 256,
+          "archive: compressor name must be 1..256 bytes to be recorded");
 }
 
 ArchiveWriter::ArchiveWriter(ArchiveWriter&&) noexcept = default;
-ArchiveWriter& ArchiveWriter::operator=(ArchiveWriter&&) noexcept = default;
-ArchiveWriter::~ArchiveWriter() = default;
+
+ArchiveWriter& ArchiveWriter::operator=(ArchiveWriter&& other) noexcept {
+  if (this != &other) {
+    cancel();  // the active build still references this writer's warm state
+    config_ = std::move(other.config_);
+    state_ = std::move(other.state_);
+    build_ = std::move(other.build_);
+  }
+  return *this;
+}
+
+ArchiveWriter::~ArchiveWriter() { cancel(); }
 
 Result<ArchiveWriter> ArchiveWriter::create(ArchiveWriteConfig config) noexcept {
   try {
@@ -46,30 +249,46 @@ Result<ArchiveWriter> ArchiveWriter::create(ArchiveWriteConfig config) noexcept 
   }
 }
 
-Result<ArchiveWriteResult> ArchiveWriter::write(const ArrayView& data,
-                                                Buffer& out) noexcept {
-  if (build_)
-    return Status::invalid_argument(
-        "archive: a multi-field build is in progress; finish() or cancel() first");
-  out.clear();
-  detail::BufferSink sink(out);
-  return detail::write_archive(config_, *state_, data, sink);
+Status ArchiveWriter::start(std::unique_ptr<Build> build) noexcept {
+  try {
+    build->assembler =
+        std::make_shared<detail::ArchiveAssembler>(config_, *state_, *build->sink);
+    build_ = std::move(build);
+    return Status();
+  } catch (...) {
+    return status_from_current_exception();
+  }
 }
 
-Status ArchiveWriter::begin(Buffer& out, std::uint8_t version) noexcept {
+Status ArchiveWriter::begin(Buffer& out) noexcept {
   try {
     if (build_)
       return Status::invalid_argument(
           "archive: a build is already in progress; finish() or cancel() first");
-    ArchiveWriteConfig versioned = config_;
-    versioned.format_version = version;
-    const Status s = detail::validate_write_config(versioned);
-    if (!s.ok()) return s;
+    auto build = std::make_unique<Build>();
+    build->sink = std::make_unique<detail::BufferSink>(out);
     out.clear();
-    build_sink_ = std::make_unique<detail::BufferSink>(out);
-    build_ = std::make_shared<detail::ArchiveAssembler>(config_, *state_, *build_sink_,
-                                                        version);
-    return Status();
+    return start(std::move(build));
+  } catch (...) {
+    return status_from_current_exception();
+  }
+}
+
+Status ArchiveWriter::begin(const std::string& path) noexcept {
+  try {
+    if (build_)
+      return Status::invalid_argument(
+          "archive: a build is already in progress; finish() or cancel() first");
+    auto build = std::make_unique<Build>();
+    build->path = path;
+    build->file = std::fopen(path.c_str(), "wb");
+    if (!build->file) {
+      const int open_errno = errno;
+      return Status::io_error("archive: cannot open '" + path + "': " +
+                              errno_detail(open_errno));
+    }
+    build->sink = std::make_unique<detail::FileSink>(build->file);
+    return start(std::move(build));
   } catch (...) {
     return status_from_current_exception();
   }
@@ -79,82 +298,168 @@ Result<FieldSession> ArchiveWriter::open_field(const std::string& name,
                                                const FieldDesc& desc) noexcept {
   if (!build_)
     return Status::invalid_argument("archive: no build in progress; call begin() first");
-  const Status s = build_->open_field(name, desc);
+  const Status s = build_->assembler->open_field(name, desc);
   if (!s.ok()) return s;
-  return FieldSession(std::weak_ptr<detail::ArchiveAssembler>(build_));
+  return FieldSession(std::weak_ptr<detail::ArchiveAssembler>(build_->assembler));
 }
 
 Result<ArchiveWriteResult> ArchiveWriter::finish() noexcept {
   if (!build_)
     return Status::invalid_argument("archive: no build in progress; call begin() first");
-  Result<ArchiveWriteResult> result = build_->finish();
-  if (result.ok()) {
-    build_.reset();
-    build_sink_.reset();
-  }
+  Result<ArchiveWriteResult> result = build_->assembler->finish();
+  // Assembler-level failure (field still open, sticky pipeline error): keep
+  // the build so the caller can close the field and retry, or cancel().
+  if (!result.ok()) return result;
+  const Status closed = build_->close_file();
+  build_.reset();
+  if (!closed.ok()) return closed;
   return result;
 }
 
-void ArchiveWriter::cancel() noexcept {
-  build_.reset();
-  build_sink_.reset();
+void ArchiveWriter::cancel() noexcept { build_.reset(); }
+
+Result<ArchiveWriteResult> ArchiveWriter::write(const ArrayView& data,
+                                                Buffer& out) noexcept {
+  const Status s = begin(out);
+  if (!s.ok()) return s;
+  return write_single(data);
+}
+
+Result<ArchiveWriteResult> ArchiveWriter::write(const std::string& path,
+                                                const ArrayView& data) noexcept {
+  const Status s = begin(path);
+  if (!s.ok()) return s;
+  return write_single(data);
+}
+
+Result<ArchiveWriteResult> ArchiveWriter::write_single(const ArrayView& data) noexcept {
+  // The whole array as one slab of one session: this stages one extra
+  // memcpy pass over the input (chunk rows are owned by the pipeline so
+  // pushed data never needs to outlive push()) — measured noise next to
+  // chunk compression (bench_archive_stream), and the price of having
+  // exactly one write path.
+  Result<ArchiveWriteResult> result = [&]() -> Result<ArchiveWriteResult> {
+    FieldDesc desc;
+    desc.dtype = data.dtype();
+    desc.shape = data.shape();
+    auto session = open_field(kDefaultFieldName, desc);
+    if (!session.ok()) return session.status();
+    const Status pushed = session.value().push(data);
+    if (!pushed.ok()) return pushed;
+    const auto closed = session.value().close();
+    if (!closed.ok()) return closed.status();
+    return finish();
+  }();
+  if (!result.ok()) cancel();
+  return result;
 }
 
 // ------------------------------------------------------------------- reader
 
+ArchiveReader::ArchiveReader(std::unique_ptr<detail::ChunkSource> source,
+                             ArchiveInfo info, std::vector<Engine> engines) noexcept
+    : source_(std::move(source)), info_(std::move(info)), engines_(std::move(engines)) {}
+
+ArchiveReader::ArchiveReader(ArchiveReader&&) noexcept = default;
+ArchiveReader& ArchiveReader::operator=(ArchiveReader&&) noexcept = default;
+ArchiveReader::~ArchiveReader() = default;
+
 Result<ArchiveReader> ArchiveReader::open(const std::uint8_t* data,
                                           std::size_t size) noexcept {
   try {
-    const std::size_t tail_size = std::min(size, kFooterBytes);
-    const Footer footer = parse_footer(data + (size - tail_size), tail_size, size);
-    ArchiveInfo info =
-        parse_manifest(data + footer.manifest_offset, footer.manifest_size, footer);
-
-    // ReaderCore creates one serial-path Engine per field eagerly, so an
-    // archive whose backend is not registered fails open(), not the first
-    // read.
-    auto core = detail::ReaderCore::create(std::move(info));
-    if (!core.ok()) return core.status();
-    return ArchiveReader(data, size, std::move(core).value());
+    return open_source(std::make_unique<MemorySource>(data, size));
   } catch (...) {
     return status_from_current_exception();
   }
 }
 
-Shape ArchiveReader::chunk_shape(std::size_t i) const {
-  return core_.shape_of_chunk(std::size_t{0}, i);
+Result<ArchiveReader> ArchiveReader::open(const std::string& path,
+                                          FileReadMode mode) noexcept {
+  try {
+    return open_source(detail::open_file_source(path, mode));
+  } catch (...) {
+    return status_from_current_exception();
+  }
+}
+
+Result<ArchiveReader> ArchiveReader::open_source(
+    std::unique_ptr<detail::ChunkSource> source) noexcept {
+  try {
+    // Validate only the trust anchors up front: footer, then manifest.
+    const std::size_t size = source->size();
+    const std::size_t tail_size = std::min(size, kFooterBytes);
+    Buffer scratch;
+    const std::uint8_t* tail = source->fetch(size - tail_size, tail_size, scratch);
+    const Footer footer = parse_footer(tail, tail_size, size);
+    Buffer manifest_scratch;
+    const std::uint8_t* manifest =
+        source->fetch(footer.manifest_offset, footer.manifest_size, manifest_scratch);
+    ArchiveInfo info = parse_manifest(manifest, footer.manifest_size, footer);
+
+    // One serial-path Engine per field, created eagerly so an archive whose
+    // backend is not registered fails open(), not the first read.
+    std::vector<Engine> engines;
+    engines.reserve(info.fields.size());
+    for (const FieldInfo& field : info.fields) {
+      EngineConfig engine_config;
+      engine_config.compressor = field.compressor;
+      auto engine = Engine::create(std::move(engine_config));
+      if (!engine.ok()) return engine.status();
+      engines.push_back(std::move(engine).value());
+    }
+    return ArchiveReader(std::move(source), std::move(info), std::move(engines));
+  } catch (...) {
+    return status_from_current_exception();
+  }
+}
+
+std::size_t ArchiveReader::field_index(const std::string& name) const {
+  const FieldInfo* field = find_field(info_, name);
+  require(field != nullptr, "archive: no field named '" + name + "'");
+  return static_cast<std::size_t>(field - info_.fields.data());
 }
 
 Shape ArchiveReader::chunk_shape(const std::string& field, std::size_t i) const {
-  return core_.shape_of_chunk(field, i);
-}
-
-Result<NdArray> ArchiveReader::read_chunk(std::size_t i) noexcept {
-  return core_.read_chunk(source_, std::size_t{0}, i);
+  return shape_of_chunk(info_.fields[field_index(field)], i);
 }
 
 Result<NdArray> ArchiveReader::read_chunk(const std::string& field,
                                           std::size_t i) noexcept {
-  return core_.read_chunk(source_, field, i);
-}
-
-Result<NdArray> ArchiveReader::read_range(std::size_t first, std::size_t count,
-                                          unsigned threads) noexcept {
-  return core_.read_range(source_, std::size_t{0}, first, count, threads);
+  try {
+    const std::size_t f = field_index(field);
+    if (i >= info_.fields[f].chunk_count)
+      return Status::invalid_argument("archive: chunk index out of range");
+    return detail::decode_chunk(engines_[f], *source_, info_.fields[f],
+                                info_.chunk_region, i, scratch_);
+  } catch (...) {
+    return status_from_current_exception();
+  }
 }
 
 Result<NdArray> ArchiveReader::read_range(const std::string& field, std::size_t first,
                                           std::size_t count, unsigned threads) noexcept {
-  return core_.read_range(source_, field, first, count, threads);
-}
-
-Result<NdArray> ArchiveReader::read_all(unsigned threads) noexcept {
-  return core_.read_all(source_, std::size_t{0}, threads);
+  try {
+    const std::size_t f = field_index(field);
+    const FieldInfo& info = info_.fields[f];
+    const std::size_t n0 = info.shape[0];
+    if (count == 0 || first >= n0 || count > n0 - first)
+      return Status::invalid_argument("archive: plane range out of bounds");
+    Shape out_shape = info.shape;
+    out_shape[0] = count;
+    NdArray out(info.dtype, std::move(out_shape));
+    read_planes(*source_, info, info_.chunk_region, engines_[f], scratch_, first, count,
+                threads, out);
+    return out;
+  } catch (...) {
+    return status_from_current_exception();
+  }
 }
 
 Result<NdArray> ArchiveReader::read_all(const std::string& field,
                                         unsigned threads) noexcept {
-  return core_.read_all(source_, field, threads);
+  const FieldInfo* info = find_field(info_, field);
+  if (!info) return Status::invalid_argument("archive: no field named '" + field + "'");
+  return read_range(field, 0, info->shape[0], threads);
 }
 
 }  // namespace fraz::archive

@@ -2,8 +2,8 @@
 #define FRAZ_ARCHIVE_ARCHIVE_HPP
 
 /// \file archive.hpp
-/// Chunked, seekable super-frame archive over the fixed-ratio pipeline —
-/// the in-memory transport.
+/// Chunked, seekable super-frame archive over the fixed-ratio pipeline: one
+/// writer and one reader, each over a Buffer or a file path.
 ///
 /// FRaZ's ratio guarantee is framed per whole field, but production stores
 /// (cf. C-Blosc2's super-chunk/frame design) shard data into independently
@@ -21,17 +21,23 @@
 /// simulation time steps, instrument planes — in any slab granularity.  The
 /// session assembles chunk rows and hands each completed row to the parallel
 /// chunk pipeline immediately, so writer *input* memory is O(chunk-row ×
-/// workers), never O(field).  `write(ArrayView)` remains as a thin
-/// compatibility wrapper: one session fed a single slab (byte-identical
-/// archives, gated by test).  A v3 archive holds any number of named fields;
-/// v1/v2 single-field archives remain fully readable and writable.
+/// workers), never O(field).  `write(ArrayView)` is begin → one
+/// kDefaultFieldName session fed the whole array → finish.
 ///
-/// The wire formats (v3 multi-field and v2 single-field chunks-first
-/// streaming layouts, v1 manifest-first legacy layout) are documented in
-/// `archive/format.hpp`; the file-backed transport that streams chunks to
-/// disk as they finish lives in `archive/archive_file.hpp`.  All transports
-/// share one chunk pipeline and one manifest codec, so in-memory and
-/// file-backed packs of the same data are byte-identical.
+/// **One writer, one reader, two transports.**  ArchiveWriter builds into a
+/// caller's Buffer or streams to a file path, appending each chunk the
+/// moment it is next in index order — output memory is O(largest chunk ×
+/// workers) either way, and Buffer and path builds of the same data are
+/// byte-identical.  ArchiveReader opens bytes in memory or a file (mmap
+/// where available, else positioned reads) and validates only the footer
+/// and manifest; chunk payloads are fetched and checked by exactly the reads
+/// that touch them, so peak reader memory is O(touched output + largest
+/// chunk × workers).
+///
+/// **Formats.**  Writers emit v3 (any number of named fields).  v1 and v2
+/// single-field archives stay readable and present their array as one field
+/// named kDefaultFieldName.  The wire layouts are documented in
+/// `archive/format.hpp`.
 ///
 /// Seekability: the manifest and footer carry their own CRCs, chunk CRCs live
 /// in the manifest, and chunk payloads are validated only when touched — a
@@ -50,7 +56,6 @@
 #include <vector>
 
 #include "archive/format.hpp"
-#include "archive/reader_core.hpp"
 #include "engine/engine.hpp"
 #include "ndarray/ndarray.hpp"
 #include "util/buffer.hpp"
@@ -59,12 +64,36 @@
 namespace fraz::archive {
 
 namespace detail {
+
 class ArchiveAssembler;
-class ByteSink;
-class BufferSink;
+
+/// Positioned-read abstraction of one archive's bytes (memory or file).
+class ChunkSource {
+public:
+  virtual ~ChunkSource() = default;
+  /// Total bytes of the archive.
+  virtual std::size_t size() const noexcept = 0;
+  /// True when fetches are views into an mmap'd file.
+  virtual bool mapped() const noexcept = 0;
+  /// Return a pointer to \p size bytes at absolute offset \p offset.
+  /// Zero-copy transports ignore \p scratch and return into their own
+  /// storage; buffered transports fill \p scratch and return its data.  The
+  /// pointer stays valid until the next fetch through the same scratch.
+  /// Throws CorruptStream (range) or IoError (transport failure).  Safe to
+  /// call from many threads at once.
+  virtual const std::uint8_t* fetch(std::size_t offset, std::size_t size,
+                                    Buffer& scratch) const = 0;
+};
+
+/// Validate chunk \p i's CRC and decode it (throwing).  \p chunk_region is
+/// the archive's chunk-region base offset; \p scratch backs the fetch for
+/// buffered transports.  The one chunk decode every read path runs.
+NdArray decode_chunk(Engine& engine, const ChunkSource& source, const FieldInfo& field,
+                     std::size_t chunk_region, std::size_t i, Buffer& scratch);
+
 }  // namespace detail
 
-/// Construction-time configuration of an archive writer (both transports).
+/// Construction-time configuration of an archive writer.
 struct ArchiveWriteConfig {
   /// Backend + tuning knobs; engine.tuner.target_ratio/epsilon define the
   /// archive-level acceptance band.  Tuner thread parallelism is forced to 1
@@ -79,13 +108,6 @@ struct ArchiveWriteConfig {
   /// Chunk-compression workers; 0 selects hardware concurrency.  Never
   /// affects the output bytes.
   unsigned threads = 0;
-  /// On-disk format write() emits.  v2 (default) is the chunks-first
-  /// streaming layout and records the backend by registry name, so user
-  /// plugins round-trip; v1 is the legacy manifest-first layout restricted
-  /// to the four built-in backends (and cannot stream — the whole chunk
-  /// region is buffered before the manifest is written).  Multi-field
-  /// builds started with begin() default to v3.
-  std::uint8_t format_version = kFormatVersion;
   /// When the backend is "zfp" and a chunk's accuracy-mode ratio misses the
   /// acceptance band (ZFP's bit-plane treads are too coarse on small chunks
   /// — the expressibility limit the paper reports in §VI-B.3), recompress
@@ -138,11 +160,11 @@ struct FieldWriteReport {
   std::vector<ChunkReport> chunks;  ///< offsets absolute within the chunk region
 };
 
-/// Outcome of one archive write (either transport).  The flat members mirror
+/// Outcome of one archive write.  The flat members mirror
 /// the archive totals (and fields[0]'s geometry), `fields` the per-field
 /// breakdown.
 struct ArchiveWriteResult {
-  std::uint8_t format_version = 0;
+  std::uint8_t format_version = kFormatVersionMultiField;
   std::size_t chunk_count = 0;      ///< fields[0]'s chunk count
   std::size_t chunk_extent = 0;     ///< fields[0]'s chunk extent
   std::size_t raw_bytes = 0;        ///< total across every field
@@ -159,7 +181,7 @@ struct ArchiveWriteResult {
   std::size_t probe_cache_hits = 0;
   /// Peak number of chunk payloads the writer held in memory at once
   /// (claimed-but-unemitted); bounded by workers + 1, which is what makes
-  /// the streaming transport's memory O(largest chunk × workers).
+  /// the writer's output memory O(largest chunk × workers).
   std::size_t peak_buffered_chunks = 0;
   /// Peak bytes of completed-but-unemitted chunk payloads.
   std::size_t peak_buffered_bytes = 0;
@@ -173,7 +195,7 @@ struct ArchiveWriteResult {
 };
 
 /// Warm-start state a writer carries across write() calls and field
-/// sessions, shared by the in-memory and file transports: the persistent
+/// sessions, whichever transport each build uses: the persistent
 /// chunk-0 tuning engine plus the thread-safe stores every per-worker chunk
 /// engine adopts — a BoundStore holding the freshest feasible bound under a
 /// deterministic per-(field, chunk) key (the time dimension of Algorithm 3;
@@ -230,7 +252,6 @@ public:
 
 private:
   friend class ArchiveWriter;
-  friend class ArchiveFileWriter;
   explicit FieldSession(std::weak_ptr<detail::ArchiveAssembler> assembler) noexcept
       : assembler_(std::move(assembler)) {}
 
@@ -238,14 +259,14 @@ private:
 };
 
 /// Shards fields along their slowest dimension and compresses the chunks in
-/// parallel, one Engine per worker.  Warm-starting is Algorithm 3's reuse
-/// applied twice: within a field, every chunk starts from the bound tuned on
-/// that field's chunk 0; across write() calls / sessions for the same field
-/// name (a time series packed through one writer), each chunk starts from
-/// the bound *it* used last step.  Both seeds depend only on (field, chunk)
-/// identity — never on which worker handles a chunk — so a whole campaign
-/// pays full ratio training roughly once per field and the archives stay
-/// byte-identical at any worker count.
+/// parallel, one Engine per worker, into a Buffer or a file.  Warm-starting
+/// is Algorithm 3's reuse applied twice: within a field, every chunk starts
+/// from the bound tuned on that field's chunk 0; across builds for the same
+/// field name (a time series packed through one writer), each chunk starts
+/// from the bound *it* used last step.  Both seeds depend only on (field,
+/// chunk) identity — never on which worker handles a chunk — so a whole
+/// campaign pays full ratio training roughly once per field and the archives
+/// stay byte-identical at any worker count and on either transport.
 class ArchiveWriter {
 public:
   /// Non-throwing factory; unknown backends / invalid tuner configs come
@@ -256,35 +277,41 @@ public:
   explicit ArchiveWriter(ArchiveWriteConfig config);
 
   ArchiveWriter(ArchiveWriter&&) noexcept;
-  ArchiveWriter& operator=(ArchiveWriter&&) noexcept;
+  ArchiveWriter& operator=(ArchiveWriter&& other) noexcept;
+  /// Abandons an active build (a path build's partial file is removed).
   ~ArchiveWriter();
 
   const ArchiveWriteConfig& config() const noexcept { return config_; }
 
-  /// Compress \p data into a complete single-field archive in the caller's
-  /// reusable \p out — a thin compatibility wrapper over one FieldSession
-  /// fed the whole array (same bytes, gated by test).  Non-throwing; on
-  /// failure \p out is unspecified.  Fails while a begin() build is active.
+  /// Compress \p data into a complete single-field archive: begin(), one
+  /// kDefaultFieldName session fed the whole array, finish().  Into the
+  /// caller's reusable \p out (unspecified on failure), or into a file at
+  /// \p path (created or truncated; removed on failure).  Fails while a
+  /// begin() build is active.
   Result<ArchiveWriteResult> write(const ArrayView& data, Buffer& out) noexcept;
+  Result<ArchiveWriteResult> write(const std::string& path, const ArrayView& data) noexcept;
 
-  /// Start a streaming multi-field build into \p out (cleared; it must
-  /// outlive the build).  \p version defaults to the v3 multi-field layout;
-  /// v2/v1 are accepted for single-field builds.  Fails if a build is
-  /// already in progress.
-  Status begin(Buffer& out, std::uint8_t version = kFormatVersionMultiField) noexcept;
+  /// Start a streaming build into \p out (cleared; it must outlive the
+  /// build) or into a file at \p path (created or truncated).  Fails if a
+  /// build is already in progress.
+  Status begin(Buffer& out) noexcept;
+  Status begin(const std::string& path) noexcept;
 
   /// Declare the next field of the current build and get its ingestion
   /// session.  One field is open at a time; names must be unique within the
   /// build (and are the warm-start namespace across builds).
   Result<FieldSession> open_field(const std::string& name, const FieldDesc& desc) noexcept;
 
-  /// Seal the build: write the field-table manifest and footer.  Every
-  /// opened field must have been closed.  On failure the build stays active
-  /// — close the offending field and retry, or cancel().
+  /// Seal the build: write the field-table manifest and footer (and flush
+  /// and close a path build's file).  Every opened field must have been
+  /// closed.  On an assembler failure (e.g. a field still open) the build
+  /// stays active — close the field and retry, or cancel(); on a filesystem
+  /// failure the partial file is removed.
   Result<ArchiveWriteResult> finish() noexcept;
 
-  /// Abandon an in-progress build (the output buffer is left holding a
-  /// partial, unreadable archive).  No-op when no build is active.
+  /// Abandon an in-progress build: a Buffer is left holding a partial,
+  /// unreadable archive; a path build's file is closed and removed.  No-op
+  /// when no build is active.
   void cancel() noexcept;
 
   /// The writer's persistent per-(field, chunk) warm-bound store — the state
@@ -292,41 +319,66 @@ public:
   const BoundStorePtr& bound_store() const noexcept { return state_->bounds; }
 
 private:
+  struct Build;
+
+  Status start(std::unique_ptr<Build> build) noexcept;
+  Result<ArchiveWriteResult> write_single(const ArrayView& data) noexcept;
+
   ArchiveWriteConfig config_;
   /// Heap-allocated so sessions and assemblers can hold stable references
   /// across writer moves.
   std::unique_ptr<WriterWarmState> state_;
-  std::unique_ptr<detail::BufferSink> build_sink_;     ///< active build only
-  std::shared_ptr<detail::ArchiveAssembler> build_;    ///< active build only
+  std::unique_ptr<Build> build_;  ///< active build only
 };
 
-/// Random-access reader over an archive held in memory.  The reader does not
-/// own the bytes; they must outlive it.  open() validates manifest and
-/// footer only — chunk payloads are checked (CRC + backend validation) by
-/// exactly the reads that touch them, so corruption in one chunk leaves
-/// every other chunk readable.  Reads all format versions; the unnamed
-/// read methods serve fields()[0] (the only field of a v1/v2 archive).
+/// How ArchiveReader::open(path) accesses the file's bytes.
+enum class FileReadMode {
+  kAuto,      ///< mmap where the platform supports it, else buffered reads
+  kBuffered,  ///< positioned reads (pread on POSIX), also exercised by tests
+};
+
+/// Random-access reader over an archive in memory or in a file.  open()
+/// validates manifest and footer only — chunk payloads are fetched and
+/// checked (CRC + backend validation) by exactly the reads that touch them,
+/// so corruption in one chunk leaves every other chunk readable.  Reads all
+/// format versions; every read names its field (v1/v2 archives hold one,
+/// named kDefaultFieldName).  Not thread-safe: one serial decode Engine per
+/// field and one fetch scratch (serve::ReaderPool is the concurrent front).
 class ArchiveReader {
 public:
-  /// Validate manifest + footer and build the chunk index.
+  /// Open bytes already in memory.  The reader does not own them; they must
+  /// outlive it.
   static Result<ArchiveReader> open(const std::uint8_t* data, std::size_t size) noexcept;
+  /// Open the archive file at \p path.
+  static Result<ArchiveReader> open(const std::string& path,
+                                    FileReadMode mode = FileReadMode::kAuto) noexcept;
 
-  const ArchiveInfo& info() const noexcept { return core_.info(); }
+  ArchiveReader(ArchiveReader&&) noexcept;
+  ArchiveReader& operator=(ArchiveReader&&) noexcept;
+  ~ArchiveReader();
+
+  const ArchiveInfo& info() const noexcept { return info_; }
 
   /// Field table of the archive (one synthesized entry for v1/v2).
-  const std::vector<FieldInfo>& fields() const noexcept { return core_.fields(); }
+  const std::vector<FieldInfo>& fields() const noexcept { return info_.fields; }
 
-  /// Shape of chunk \p i ({extent_i, rest...}; the last chunk may be short).
-  Shape chunk_shape(std::size_t i) const;
+  /// True when this reader serves fetches through an mmap'd file view.
+  bool mapped() const noexcept { return source_->mapped(); }
+
+  /// The reader's positioned-read source.  Thread-safe for concurrent
+  /// fetches; this is what lets serve::ReaderPool decode chunks from many
+  /// threads over one open archive.
+  const detail::ChunkSource& chunk_source() const noexcept { return *source_; }
+
+  /// Shape of chunk \p i of a field ({extent_i, rest...}; the last chunk may
+  /// be short).  Throws InvalidArgument on unknown names / bad indices.
   Shape chunk_shape(const std::string& field, std::size_t i) const;
 
   /// Decompress a whole field.  \p threads > 1 decodes chunks in parallel,
   /// one Engine per worker; 0 selects hardware concurrency.
-  Result<NdArray> read_all(unsigned threads = 1) noexcept;
   Result<NdArray> read_all(const std::string& field, unsigned threads = 1) noexcept;
 
   /// Decompress exactly chunk \p i of a field, validating only its bytes.
-  Result<NdArray> read_chunk(std::size_t i) noexcept;
   Result<NdArray> read_chunk(const std::string& field, std::size_t i) noexcept;
 
   /// Decompress the slowest-axis plane range [first, first + count) of a
@@ -334,18 +386,21 @@ public:
   /// ranges decode their chunks in parallel when \p threads allows (same
   /// semantics as read_all; output ordering and per-chunk CRC isolation
   /// preserved).
-  Result<NdArray> read_range(std::size_t first, std::size_t count,
-                             unsigned threads = 1) noexcept;
   Result<NdArray> read_range(const std::string& field, std::size_t first,
                              std::size_t count, unsigned threads = 1) noexcept;
 
 private:
-  ArchiveReader(const std::uint8_t* data, std::size_t size,
-                detail::ReaderCore core) noexcept
-      : source_(data, size), core_(std::move(core)) {}
+  ArchiveReader(std::unique_ptr<detail::ChunkSource> source, ArchiveInfo info,
+                std::vector<Engine> engines) noexcept;
 
-  detail::MemorySource source_;  ///< zero-copy view of the caller's bytes
-  detail::ReaderCore core_;      ///< shared per-field read dispatch
+  static Result<ArchiveReader> open_source(
+      std::unique_ptr<detail::ChunkSource> source) noexcept;
+  std::size_t field_index(const std::string& name) const;
+
+  std::unique_ptr<detail::ChunkSource> source_;  ///< memory, mmap or positioned reads
+  ArchiveInfo info_;
+  std::vector<Engine> engines_;  ///< serial decode path, one per field
+  Buffer scratch_;               ///< fetch scratch for the serial path
 };
 
 }  // namespace fraz::archive

@@ -1,13 +1,11 @@
 #include "archive/archive_file.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <mutex>
 
-#include "archive/pipeline.hpp"
 #include "util/error.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -93,8 +91,7 @@ public:
     // concurrent fetches need no coordination at all.
     return std::unique_ptr<FileSource>(new FileSource(fd, size));
 #else
-    if (mode == FileReadMode::kMmap)
-      throw Unsupported("archive: mmap is not available on this platform");
+    (void)mode;  // no mmap here: every mode reads through the FILE*
     std::FILE* file = std::fopen(path.c_str(), "rb");
     if (!file) throw IoError(errno_message("archive: cannot open", path));
     const std::int64_t end = size_of(file);
@@ -122,8 +119,8 @@ public:
   FileSource(const FileSource&) = delete;
   FileSource& operator=(const FileSource&) = delete;
 
-  std::size_t size() const noexcept { return size_; }
-  bool mapped() const noexcept { return map_ != nullptr; }
+  std::size_t size() const noexcept override { return size_; }
+  bool mapped() const noexcept override { return map_ != nullptr; }
 
   const std::uint8_t* fetch(std::size_t offset, std::size_t size,
                             Buffer& scratch) const override {
@@ -177,224 +174,10 @@ private:
 #endif
 };
 
+std::unique_ptr<ChunkSource> open_file_source(const std::string& path, FileReadMode mode) {
+  return FileSource::open(path, mode);
+}
+
 }  // namespace detail
-
-// ------------------------------------------------------------------- writer
-
-/// One streaming build: the open file, its sink, and the shared assembler
-/// (shared so FieldSession handles can track it weakly).  Destroying a
-/// build whose handle is still live is abandonment — every teardown path
-/// (cancel, writer destruction, move-assignment over an active build) joins
-/// the pipeline, closes the handle, and removes the partial file, so no
-/// path can leak the descriptor or strand a corrupt archive.
-struct ArchiveFileWriter::Build {
-  Build(std::FILE* handle, std::string file_path, const ArchiveWriteConfig& config,
-        WriterWarmState& state, std::uint8_t version)
-      : file(handle),
-        path(std::move(file_path)),
-        sink(handle),
-        assembler(std::make_shared<detail::ArchiveAssembler>(config, state, sink,
-                                                             version)) {}
-
-  ~Build() {
-    // Join the pipeline workers before the handle they emit through closes;
-    // a successful finish() nulls `file` first and skips this entirely.
-    assembler.reset();
-    if (file) {
-      std::fclose(file);
-      std::remove(path.c_str());
-    }
-  }
-
-  std::FILE* file;
-  std::string path;
-  detail::FileSink sink;
-  std::shared_ptr<detail::ArchiveAssembler> assembler;
-};
-
-ArchiveFileWriter::ArchiveFileWriter(ArchiveWriteConfig config)
-    : config_(std::move(config)),
-      state_(std::make_unique<WriterWarmState>(config_.engine)) {
-  const Status s = detail::validate_write_config(config_);
-  if (!s.ok()) throw_status(s);
-}
-
-ArchiveFileWriter::ArchiveFileWriter(ArchiveFileWriter&&) noexcept = default;
-ArchiveFileWriter& ArchiveFileWriter::operator=(ArchiveFileWriter&&) noexcept = default;
-
-ArchiveFileWriter::~ArchiveFileWriter() {
-  // An abandoned build must not leak its handle or leave a partial archive.
-  cancel();
-}
-
-Result<ArchiveFileWriter> ArchiveFileWriter::create(ArchiveWriteConfig config) noexcept {
-  try {
-    return ArchiveFileWriter(std::move(config));
-  } catch (...) {
-    return status_from_current_exception();
-  }
-}
-
-Result<ArchiveWriteResult> ArchiveFileWriter::write(const std::string& path,
-                                                    const ArrayView& data) noexcept {
-  if (build_)
-    return Status::invalid_argument(
-        "archive: a multi-field build is in progress; finish() or cancel() first");
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (!file)
-    return Status::io_error(detail::errno_message("archive: cannot open", path));
-  detail::FileSink sink(file);
-  Result<ArchiveWriteResult> result = detail::write_archive(config_, *state_, data, sink);
-  // Capture each failing call's errno immediately: a succeeding fclose after
-  // a failed fflush would otherwise clobber the detail worth reporting.
-  const bool flushed = std::fflush(file) == 0;
-  const int flush_errno = flushed ? 0 : errno;
-  const bool closed = std::fclose(file) == 0;
-  const int close_errno = closed ? 0 : errno;
-  if (result.ok() && !(flushed && closed))
-    result = Status::io_error("archive: cannot finish '" + path + "': " +
-                              errno_detail(flushed ? close_errno : flush_errno));
-  // Never leave a partial archive behind: its footer chain would fail open()
-  // anyway, and a campaign retries by path.
-  if (!result.ok()) std::remove(path.c_str());
-  return result;
-}
-
-Status ArchiveFileWriter::begin(const std::string& path, std::uint8_t version) noexcept {
-  try {
-    if (build_)
-      return Status::invalid_argument(
-          "archive: a build is already in progress; finish() or cancel() first");
-    ArchiveWriteConfig versioned = config_;
-    versioned.format_version = version;
-    const Status s = detail::validate_write_config(versioned);
-    if (!s.ok()) return s;
-    std::FILE* file = std::fopen(path.c_str(), "wb");
-    if (!file)
-      return Status::io_error(detail::errno_message("archive: cannot open", path));
-    build_ = std::make_unique<Build>(file, path, config_, *state_, version);
-    return Status();
-  } catch (...) {
-    return status_from_current_exception();
-  }
-}
-
-Result<FieldSession> ArchiveFileWriter::open_field(const std::string& name,
-                                                   const FieldDesc& desc) noexcept {
-  if (!build_)
-    return Status::invalid_argument("archive: no build in progress; call begin() first");
-  const Status s = build_->assembler->open_field(name, desc);
-  if (!s.ok()) return s;
-  return FieldSession(std::weak_ptr<detail::ArchiveAssembler>(build_->assembler));
-}
-
-Result<ArchiveWriteResult> ArchiveFileWriter::finish() noexcept {
-  if (!build_)
-    return Status::invalid_argument("archive: no build in progress; call begin() first");
-  Result<ArchiveWriteResult> result = build_->assembler->finish();
-  // Assembler-level failure (field still open, sticky pipeline error): keep
-  // the build so the caller can close the field and retry, or cancel().
-  if (!result.ok()) return result;
-  const std::string path = build_->path;
-  std::FILE* file = build_->file;
-  build_->file = nullptr;
-  build_.reset();
-  // Capture each failing call's errno immediately: a succeeding fclose after
-  // a failed fflush would otherwise clobber the detail worth reporting.
-  const bool flushed = std::fflush(file) == 0;
-  const int flush_errno = flushed ? 0 : errno;
-  const bool closed = std::fclose(file) == 0;
-  const int close_errno = closed ? 0 : errno;
-  if (!(flushed && closed)) {
-    std::remove(path.c_str());
-    return Status::io_error("archive: cannot finish '" + path + "': " +
-                            errno_detail(flushed ? close_errno : flush_errno));
-  }
-  return result;
-}
-
-void ArchiveFileWriter::cancel() noexcept {
-  build_.reset();  // ~Build joins the pipeline, closes, and removes the file
-}
-
-// ------------------------------------------------------------------- reader
-
-ArchiveFileReader::ArchiveFileReader(std::unique_ptr<detail::FileSource> source,
-                                     detail::ReaderCore core) noexcept
-    : source_(std::move(source)), core_(std::move(core)) {}
-
-ArchiveFileReader::ArchiveFileReader(ArchiveFileReader&&) noexcept = default;
-ArchiveFileReader& ArchiveFileReader::operator=(ArchiveFileReader&&) noexcept = default;
-ArchiveFileReader::~ArchiveFileReader() = default;
-
-Result<ArchiveFileReader> ArchiveFileReader::open(const std::string& path,
-                                                  FileReadMode mode) noexcept {
-  try {
-    std::unique_ptr<detail::FileSource> source = detail::FileSource::open(path, mode);
-    const std::size_t size = source->size();
-
-    // Validate only the trust anchors up front: footer, then manifest.
-    Buffer scratch;
-    const std::size_t tail_size = std::min(size, kFooterBytes);
-    const std::uint8_t* tail = source->fetch(size - tail_size, tail_size, scratch);
-    const Footer footer = parse_footer(tail, tail_size, size);
-    Buffer manifest_scratch;
-    const std::uint8_t* manifest =
-        source->fetch(footer.manifest_offset, footer.manifest_size, manifest_scratch);
-    ArchiveInfo info = parse_manifest(manifest, footer.manifest_size, footer);
-
-    // ReaderCore creates one serial-path Engine per field eagerly, so an
-    // archive whose backend is not registered fails open(), not the first
-    // read.
-    auto core = detail::ReaderCore::create(std::move(info));
-    if (!core.ok()) return core.status();
-    return ArchiveFileReader(std::move(source), std::move(core).value());
-  } catch (...) {
-    return status_from_current_exception();
-  }
-}
-
-bool ArchiveFileReader::mapped() const noexcept { return source_->mapped(); }
-
-const detail::ChunkSource& ArchiveFileReader::chunk_source() const noexcept {
-  return *source_;
-}
-
-Shape ArchiveFileReader::chunk_shape(std::size_t i) const {
-  return core_.shape_of_chunk(std::size_t{0}, i);
-}
-
-Shape ArchiveFileReader::chunk_shape(const std::string& field, std::size_t i) const {
-  return core_.shape_of_chunk(field, i);
-}
-
-Result<NdArray> ArchiveFileReader::read_chunk(std::size_t i) noexcept {
-  return core_.read_chunk(*source_, std::size_t{0}, i);
-}
-
-Result<NdArray> ArchiveFileReader::read_chunk(const std::string& field,
-                                              std::size_t i) noexcept {
-  return core_.read_chunk(*source_, field, i);
-}
-
-Result<NdArray> ArchiveFileReader::read_range(std::size_t first, std::size_t count,
-                                              unsigned threads) noexcept {
-  return core_.read_range(*source_, std::size_t{0}, first, count, threads);
-}
-
-Result<NdArray> ArchiveFileReader::read_range(const std::string& field,
-                                              std::size_t first, std::size_t count,
-                                              unsigned threads) noexcept {
-  return core_.read_range(*source_, field, first, count, threads);
-}
-
-Result<NdArray> ArchiveFileReader::read_all(unsigned threads) noexcept {
-  return core_.read_all(*source_, std::size_t{0}, threads);
-}
-
-Result<NdArray> ArchiveFileReader::read_all(const std::string& field,
-                                            unsigned threads) noexcept {
-  return core_.read_all(*source_, field, threads);
-}
 
 }  // namespace fraz::archive

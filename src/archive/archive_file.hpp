@@ -2,47 +2,32 @@
 #define FRAZ_ARCHIVE_ARCHIVE_FILE_HPP
 
 /// \file archive_file.hpp
-/// The streaming file transport of `fraz::archive`: archives that exceed RAM.
-///
-/// `ArchiveFileWriter` runs the same push-based assembler as the in-memory
-/// `ArchiveWriter` and appends each chunk to the file the moment it is the
-/// next one in index order.  Output memory is O(largest chunk × workers) —
-/// at most workers + 1 chunk payloads are ever held (the pipeline's bounded
-/// reorder window) — and with the FieldSession API the *input* side is just
-/// as streamed: planes pushed as they arrive, at most workers + 2 chunk rows
-/// resident, never O(field).  The v2/v3 chunks-first layouts (see
-/// format.hpp) are what make this append-only: the manifest and footer
-/// follow the chunk region, so nothing is back-patched.  File-backed and
-/// in-memory packs of the same data are byte-identical at any worker count.
-///
-/// `ArchiveFileReader` opens a file, reads and validates only the footer and
-/// manifest, and serves `read_chunk` / `read_range` / `read_all` (optionally
-/// per named field) through positioned reads of exactly the chunks a request
-/// touches: mmap where available (zero-copy, the default on POSIX), with a
-/// portable buffered fread fallback.  Peak reader memory is O(touched output
-/// + largest chunk × workers).
+/// The file transport behind ArchiveWriter's and ArchiveReader's path
+/// overloads: an append-only FILE* sink for writes and a positioned-read
+/// source (mmap, or pread on POSIX) for reads.  The writer and reader
+/// themselves live in `archive/archive.hpp`.
 
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "archive/archive.hpp"
 #include "archive/pipeline.hpp"
-#include "util/buffer.hpp"
 #include "util/status.hpp"
 
 namespace fraz::archive {
 
+/// Former names of the single writer and reader, kept for source
+/// compatibility.
+using ArchiveFileWriter = ArchiveWriter;
+using ArchiveFileReader = ArchiveReader;
+
 namespace detail {
 
-class FileSource;
-
-/// Append-only sink over a FILE* (the streaming write transport).  Failures
-/// capture errno at the failing call — fwrite for writes, fflush for the
-/// final flush — so the returned Status carries the OS error detail instead
-/// of whatever a later library call left behind.
+/// Append-only sink over a FILE* (not owned).  Failures capture errno at
+/// the failing fwrite, so the returned Status carries the OS error detail
+/// instead of whatever a later library call left behind.
 class FileSink final : public ByteSink {
 public:
   explicit FileSink(std::FILE* file) noexcept : file_(file) {}
@@ -56,133 +41,12 @@ private:
   std::size_t written_ = 0;
 };
 
+/// Open \p path as a positioned-read source: an mmap'd view under kAuto
+/// where the platform provides one, else positioned reads.  Throws IoError
+/// (open/stat/map failure) or CorruptStream (empty file).
+std::unique_ptr<ChunkSource> open_file_source(const std::string& path, FileReadMode mode);
+
 }  // namespace detail
-
-/// Streams a complete archive to a file as its chunks finish compressing.
-/// Carries the same Algorithm-3 warm-start state across write() calls and
-/// field sessions as ArchiveWriter, so a time-series campaign pays ratio
-/// training once per field.
-class ArchiveFileWriter {
-public:
-  /// Non-throwing factory; unknown backends / invalid configs come back as
-  /// a Status.
-  static Result<ArchiveFileWriter> create(ArchiveWriteConfig config) noexcept;
-
-  /// Throwing convenience constructor (setup code, tests).
-  explicit ArchiveFileWriter(ArchiveWriteConfig config);
-
-  ArchiveFileWriter(ArchiveFileWriter&&) noexcept;
-  ArchiveFileWriter& operator=(ArchiveFileWriter&&) noexcept;
-  ~ArchiveFileWriter();
-
-  const ArchiveWriteConfig& config() const noexcept { return config_; }
-
-  /// Compress \p data into a complete single-field archive at \p path
-  /// (created or truncated) — the compatibility wrapper over one field
-  /// session.  Format v2 streams chunk-by-chunk; format v1 buffers the
-  /// chunk region in memory first (its manifest precedes the chunks on the
-  /// wire).  On failure the partial file is removed.  Fails while a begin()
-  /// build is active.
-  Result<ArchiveWriteResult> write(const std::string& path,
-                                   const ArrayView& data) noexcept;
-
-  /// Start a streaming multi-field build at \p path (created or truncated).
-  /// \p version defaults to the v3 multi-field layout; v2/v1 are accepted
-  /// for single-field builds.  Fails if a build is already in progress.
-  Status begin(const std::string& path,
-               std::uint8_t version = kFormatVersionMultiField) noexcept;
-
-  /// Declare the next field of the current build and get its ingestion
-  /// session; push slabs as they arrive, then close().  One field is open
-  /// at a time.
-  Result<FieldSession> open_field(const std::string& name, const FieldDesc& desc) noexcept;
-
-  /// Seal the build: manifest + footer, flush, close.  On an assembler
-  /// failure (e.g. a field still open) the build stays active — close the
-  /// field and retry, or cancel(); on a filesystem failure the partial file
-  /// is removed (its footer chain would fail open() anyway).
-  Result<ArchiveWriteResult> finish() noexcept;
-
-  /// Abandon an in-progress build: close and remove the partial file.
-  /// No-op when no build is active.
-  void cancel() noexcept;
-
-  /// The writer's persistent per-(field, chunk) warm-bound store — the state
-  /// worth saving between tuning-campaign runs (see BoundStore::save/load).
-  const BoundStorePtr& bound_store() const noexcept { return state_->bounds; }
-
-private:
-  struct Build;
-
-  ArchiveWriteConfig config_;
-  /// Heap-allocated so sessions and assemblers can hold stable references
-  /// across writer moves.
-  std::unique_ptr<WriterWarmState> state_;
-  std::unique_ptr<Build> build_;  ///< active build only
-};
-
-/// How ArchiveFileReader accesses the file's bytes.
-enum class FileReadMode {
-  kAuto,      ///< mmap where the platform supports it, else buffered reads
-  kMmap,      ///< require mmap; open() fails where unavailable
-  kBuffered,  ///< portable positioned fread (also exercised by tests on POSIX)
-};
-
-/// Random-access reader over an archive file.  open() reads and validates
-/// only the footer and manifest; chunk payloads are fetched and validated by
-/// exactly the reads that touch them.  Reads all format versions; the
-/// unnamed read methods serve fields()[0] (the only field of a v1/v2
-/// archive).
-class ArchiveFileReader {
-public:
-  static Result<ArchiveFileReader> open(const std::string& path,
-                                        FileReadMode mode = FileReadMode::kAuto) noexcept;
-
-  ArchiveFileReader(ArchiveFileReader&&) noexcept;
-  ArchiveFileReader& operator=(ArchiveFileReader&&) noexcept;
-  ~ArchiveFileReader();
-
-  const ArchiveInfo& info() const noexcept { return core_.info(); }
-
-  /// Field table of the archive (one synthesized entry for v1/v2).
-  const std::vector<FieldInfo>& fields() const noexcept { return core_.fields(); }
-
-  /// True when this reader serves fetches through an mmap'd view.
-  bool mapped() const noexcept;
-
-  /// The reader's positioned-read source (mmap'd view or positioned reads).
-  /// Thread-safe for concurrent fetches; this is what lets serve::ReaderPool
-  /// decode chunks from many threads over one open file.
-  const detail::ChunkSource& chunk_source() const noexcept;
-
-  /// Shape of chunk \p i ({extent_i, rest...}; the last chunk may be short).
-  Shape chunk_shape(std::size_t i) const;
-  Shape chunk_shape(const std::string& field, std::size_t i) const;
-
-  /// Decompress a whole field; \p threads as in ArchiveReader.
-  Result<NdArray> read_all(unsigned threads = 1) noexcept;
-  Result<NdArray> read_all(const std::string& field, unsigned threads = 1) noexcept;
-
-  /// Decompress exactly chunk \p i of a field, fetching and validating only
-  /// its bytes.
-  Result<NdArray> read_chunk(std::size_t i) noexcept;
-  Result<NdArray> read_chunk(const std::string& field, std::size_t i) noexcept;
-
-  /// Decompress the slowest-axis plane range [first, first + count) of a
-  /// field; wide ranges decode touched chunks in parallel when \p threads
-  /// allows.
-  Result<NdArray> read_range(std::size_t first, std::size_t count,
-                             unsigned threads = 1) noexcept;
-  Result<NdArray> read_range(const std::string& field, std::size_t first,
-                             std::size_t count, unsigned threads = 1) noexcept;
-
-private:
-  ArchiveFileReader(std::unique_ptr<detail::FileSource> source,
-                    detail::ReaderCore core) noexcept;
-
-  std::unique_ptr<detail::FileSource> source_;  ///< mmap or positioned reads
-  detail::ReaderCore core_;                     ///< shared per-field read dispatch
-};
 
 }  // namespace fraz::archive
 

@@ -172,67 +172,13 @@ std::string backend_name(CompressorId id) {
   throw Unsupported("archive: unknown compressor id");
 }
 
-CompressorId backend_id(const std::string& name) {
-  if (name == "sz") return CompressorId::kSz;
-  if (name == "zfp") return CompressorId::kZfp;
-  if (name == "mgard") return CompressorId::kMgard;
-  if (name == "truncate") return CompressorId::kTruncate;
-  if (name == "szx") return CompressorId::kSzx;
-  if (name == "fpc") return CompressorId::kFpc;
-  throw Unsupported("archive: backend '" + name +
-                    "' has no container id (format v1 records the built-in backends; "
-                    "write format v2 to record plugins by name)");
-}
-
-void encode_manifest(std::uint8_t version, const std::string& compressor, DType dtype,
-                     const Shape& shape, double target_ratio, double epsilon,
-                     std::size_t chunk_extent, const std::vector<ChunkEntry>& chunks,
-                     Buffer& out) {
-  if (version == 1) {
-    // Legacy layout: the manifest is a Container frame over the full logical
-    // array, so the backend must have a built-in CompressorId.
-    Buffer payload;
-    put_u32(payload, kArchiveMagic);
-    payload.push_back(1);
-    put_f64(payload, target_ratio);
-    put_f64(payload, epsilon);
-    put_varint(payload, chunk_extent);
-    encode_chunk_index(chunks, payload);
-    seal_container_into(backend_id(compressor), dtype, shape, payload.data(),
-                        payload.size(), out);
-    return;
-  }
-  require(version == 2, "archive: unsupported format version");
-  out.clear();
-  put_u32(out, kManifestMagic);
-  out.push_back(2);
-  out.push_back(dtype == DType::kFloat32 ? 0 : 1);
-  put_varint(out, shape.size());
-  for (std::size_t d : shape) put_varint(out, d);
-  put_varint(out, compressor.size());
-  out.append(compressor.data(), compressor.size());
-  put_f64(out, target_ratio);
-  put_f64(out, epsilon);
-  put_varint(out, chunk_extent);
-  encode_chunk_index(chunks, out);
-  put_u32(out, crc32(out.data(), out.size()));
-}
-
-void encode_footer(std::uint8_t version, std::size_t manifest_offset,
-                   std::size_t manifest_size, std::uint64_t raw_bytes,
-                   std::uint64_t archive_bytes, double achieved_ratio, Buffer& out) {
+void encode_footer(std::size_t manifest_offset, std::size_t manifest_size,
+                   std::uint64_t raw_bytes, std::uint64_t archive_bytes,
+                   double achieved_ratio, Buffer& out) {
   const std::size_t base = out.size();
-  if (version == 1) {
-    put_u32(out, kFooterMagicV1);
-    put_u64(out, manifest_size);
-  } else {
-    // v2 and v3 share the FRz2 trailer; the manifest's version byte is what
-    // distinguishes the layouts.
-    require(version == 2 || version == 3, "archive: unsupported format version");
-    put_u32(out, kFooterMagicV2);
-    put_u64(out, manifest_offset);
-    put_u64(out, manifest_size);
-  }
+  put_u32(out, kFooterMagicV2);
+  put_u64(out, manifest_offset);
+  put_u64(out, manifest_size);
   put_u64(out, raw_bytes);
   put_u64(out, archive_bytes);
   put_f64(out, achieved_ratio);

@@ -3,9 +3,13 @@
 
 /// \file format.hpp
 /// The archive wire codec shared by every transport: manifest and footer
-/// encoding/parsing for both on-disk layouts.
+/// encoding for the written layout (v3) and parsing for all three.
 ///
-/// **Format v1** (PR 2, manifest-first):
+/// Writers emit only v3.  v1 and v2 are read-only: every reader still opens
+/// them (through the same parse_footer / parse_manifest path), and frozen
+/// fixtures under tests/corpus/archive_format/ keep that promise tested.
+///
+/// **Format v1** (read-only; manifest-first):
 ///
 ///   [manifest]   a standard Container frame (magic 'FRaZ', compressor id,
 ///                dtype, FULL logical shape, CRC-32) whose payload is:
@@ -19,7 +23,7 @@
 ///                u64 raw bytes, u64 archive bytes, f64 aggregate ratio,
 ///                u32 CRC-32 over the preceding 36 bytes
 ///
-/// **Format v2** (current, chunks-first — the streaming layout):
+/// **Format v2** (read-only; single-field, chunks-first):
 ///
 ///   [chunks]     concatenated chunk payloads, starting at offset 0.  A
 ///                streaming writer appends each chunk as it finishes; nothing
@@ -45,7 +49,7 @@
 ///                  f64  achieved aggregate ratio (raw / archive)
 ///                  u32  CRC-32 over the 44 footer bytes before it
 ///
-/// **Format v3** (multi-field, chunks-first — the streaming layout):
+/// **Format v3** (written; multi-field, chunks-first — the streaming layout):
 ///
 ///   [chunks]     concatenated chunk payloads of EVERY field, in field write
 ///                order, starting at offset 0.  Fields are ingested one at a
@@ -83,14 +87,11 @@
 
 namespace fraz::archive {
 
-/// Archive format version written by default (single-field packs).
-inline constexpr std::uint8_t kFormatVersion = 2;
-
-/// Format version of multi-field archives (the field-table manifest).
+/// Format version every writer emits (the multi-field field-table manifest).
 inline constexpr std::uint8_t kFormatVersionMultiField = 3;
 
 /// Field name single-field (v1/v2) archives are presented under, and the
-/// name the compatibility write(ArrayView) path ingests as.
+/// name the single-array write() ingests as.
 inline constexpr const char* kDefaultFieldName = "data";
 
 /// Maximum fields a v3 archive may hold — enforced symmetrically by the
@@ -168,20 +169,9 @@ struct Footer {
   double achieved_ratio = 0;
 };
 
-/// Registry name of a container CompressorId ("sz", "zfp", ...).
+/// Registry name of a container CompressorId ("sz", "zfp", ...) — how a v1
+/// manifest names its backend.
 std::string backend_name(CompressorId id);
-
-/// Inverse of backend_name; throws Unsupported for names outside the four
-/// built-in ids the v1 format can record (v2 records the name itself).
-CompressorId backend_id(const std::string& name);
-
-/// Encode the manifest block for \p version into \p out (cleared first).
-/// v1 seals a Container frame around the legacy payload and therefore
-/// requires a built-in backend; v2 is self-framed and accepts any name.
-void encode_manifest(std::uint8_t version, const std::string& compressor, DType dtype,
-                     const Shape& shape, double target_ratio, double epsilon,
-                     std::size_t chunk_extent, const std::vector<ChunkEntry>& chunks,
-                     Buffer& out);
 
 /// Encode the v3 multi-field manifest (field table) into \p out (cleared
 /// first).  Field names must be unique, 1..256 bytes; chunk offsets must be
@@ -191,12 +181,10 @@ void encode_manifest_fields(const std::vector<FieldInfo>& fields, Buffer& out);
 /// Field named \p name in \p info, or nullptr when absent.
 const FieldInfo* find_field(const ArchiveInfo& info, const std::string& name) noexcept;
 
-/// Append the fixed trailer for \p version to \p out.  For v1,
-/// \p manifest_offset is ignored (the manifest starts at 0 by construction
-/// and the footer records only its size).
-void encode_footer(std::uint8_t version, std::size_t manifest_offset,
-                   std::size_t manifest_size, std::uint64_t raw_bytes,
-                   std::uint64_t archive_bytes, double achieved_ratio, Buffer& out);
+/// Append the fixed 48-byte 'FRz2' trailer to \p out.
+void encode_footer(std::size_t manifest_offset, std::size_t manifest_size,
+                   std::uint64_t raw_bytes, std::uint64_t archive_bytes,
+                   double achieved_ratio, Buffer& out);
 
 /// Parse and validate the trailer from the archive's final bytes.  \p tail
 /// must hold the last min(kFooterBytes, total_size) bytes of the stream and

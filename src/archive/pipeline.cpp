@@ -466,23 +466,6 @@ EngineConfig serial_tuning(EngineConfig config) {
   return config;
 }
 
-Status validate_write_config(const ArchiveWriteConfig& config) noexcept {
-  try {
-    if (config.format_version < 1 || config.format_version > kFormatVersionMultiField)
-      return Status::invalid_argument("archive: unsupported format version " +
-                                      std::to_string(config.format_version));
-    // v1's manifest records the backend as a CompressorId (built-ins only);
-    // v2/v3 record the registry name, whose encoding caps it at 256 bytes.
-    if (config.format_version == 1) (void)backend_id(config.engine.compressor);
-    if (config.engine.compressor.empty() || config.engine.compressor.size() > 256)
-      return Status::invalid_argument(
-          "archive: compressor name must be 1..256 bytes to be recorded");
-    return Status();
-  } catch (...) {
-    return status_from_current_exception();
-  }
-}
-
 // ---------------------------------------------------------------- assembler
 
 /// One field mid-ingestion: its geometry, the single staged chunk row, and
@@ -505,18 +488,8 @@ struct ArchiveAssembler::OpenField {
 };
 
 ArchiveAssembler::ArchiveAssembler(const ArchiveWriteConfig& config,
-                                   WriterWarmState& state, ByteSink& sink,
-                                   std::uint8_t version)
-    : config_(config), state_(state), sink_(&sink), version_(version) {
-  if (version_ == 1) {
-    // Legacy manifest-first layout: the chunk region must be buffered
-    // because the manifest precedes it on the wire.
-    region_sink_ = std::make_unique<BufferSink>(region_);
-    chunk_sink_ = region_sink_.get();
-  } else {
-    chunk_sink_ = sink_;
-  }
-}
+                                   WriterWarmState& state, ByteSink& sink)
+    : config_(config), state_(state), sink_(sink) {}
 
 ArchiveAssembler::~ArchiveAssembler() = default;
 
@@ -537,10 +510,6 @@ Status ArchiveAssembler::open_field(const std::string& name,
     for (const FieldInfo& field : manifest_fields_)
       if (field.name == name)
         return Status::invalid_argument("archive: duplicate field name '" + name + "'");
-    if (version_ != kFormatVersionMultiField && !manifest_fields_.empty())
-      return Status::invalid_argument(
-          "archive: format v" + std::to_string(version_) +
-          " holds exactly one field (build with v3 for multi-field archives)");
     if (desc.shape.empty() || desc.shape.size() > 8)
       return Status::invalid_argument("archive: field rank must be 1..8");
     if (shape_elements(desc.shape) == 0)
@@ -665,7 +634,7 @@ Status ArchiveAssembler::submit_stage() noexcept {
       }
       field.pipeline = std::make_unique<ChunkPipeline>(
           config_, state_, field.name, field.shape, field.chunk_count,
-          chunk_bytes_emitted_, *chunk_sink_);
+          chunk_bytes_emitted_, sink_);
       field.tuned = true;
     }
 
@@ -775,37 +744,21 @@ Result<ArchiveWriteResult> ArchiveAssembler::finish() noexcept {
       return Status::invalid_argument("archive: build holds no fields");
 
     const auto append = [&](const Buffer& block) {
-      const Status s = sink_->append(block.data(), block.size());
+      const Status s = sink_.append(block.data(), block.size());
       if (!s.ok()) failed_ = s;
       return s;
     };
 
     Buffer manifest;
-    std::size_t manifest_offset = 0;
-    const FieldInfo& first = manifest_fields_.front();
-    if (version_ == 1) {
-      encode_manifest(1, first.compressor, first.dtype, first.shape, first.target_ratio,
-                      first.epsilon, first.chunk_extent, first.chunks, manifest);
-      if (!append(manifest).ok()) return failed_;
-      if (!append(region_).ok()) return failed_;
-    } else if (version_ == 2) {
-      manifest_offset = chunk_bytes_emitted_;
-      encode_manifest(2, first.compressor, first.dtype, first.shape, first.target_ratio,
-                      first.epsilon, first.chunk_extent, first.chunks, manifest);
-      if (!append(manifest).ok()) return failed_;
-    } else {
-      manifest_offset = chunk_bytes_emitted_;
-      encode_manifest_fields(manifest_fields_, manifest);
-      if (!append(manifest).ok()) return failed_;
-    }
+    encode_manifest_fields(manifest_fields_, manifest);
+    if (!append(manifest).ok()) return failed_;
 
     ArchiveWriteResult result;
-    result.format_version = version_;
+    const FieldInfo& first = manifest_fields_.front();
     result.chunk_count = first.chunk_count;
     result.chunk_extent = first.chunk_extent;
     result.raw_bytes = total_raw_bytes_;
-    const std::size_t footer_bytes = version_ == 1 ? kFooterBytesV1 : kFooterBytes;
-    result.archive_bytes = sink_->bytes_written() + footer_bytes;
+    result.archive_bytes = sink_.bytes_written() + kFooterBytes;
     result.achieved_ratio = static_cast<double>(result.raw_bytes) /
                             static_cast<double>(result.archive_bytes);
     result.in_band = ratio_acceptable(result.achieved_ratio,
@@ -825,46 +778,13 @@ Result<ArchiveWriteResult> ArchiveAssembler::finish() noexcept {
     result.fields = std::move(reports_);
 
     Buffer footer;
-    encode_footer(version_, manifest_offset, manifest.size(), result.raw_bytes,
+    encode_footer(chunk_bytes_emitted_, manifest.size(), result.raw_bytes,
                   result.archive_bytes, result.achieved_ratio, footer);
     if (!append(footer).ok()) return failed_;
 
     result.seconds = timer_.seconds();
     finished_ = true;
     return result;
-  } catch (...) {
-    return status_from_current_exception();
-  }
-}
-
-// ---------------------------------------------------- compatibility wrapper
-
-Result<ArchiveWriteResult> write_archive(const ArchiveWriteConfig& config,
-                                         WriterWarmState& state, const ArrayView& data,
-                                         ByteSink& sink) {
-  try {
-    if (data.dims() == 0 || data.elements() == 0)
-      return Status::invalid_argument("archive: cannot pack an empty array");
-    const Status config_status = validate_write_config(config);
-    if (!config_status.ok()) return config_status;
-    // The whole write path IS one field session: write(ArrayView) just
-    // pushes the entire array as a single slab.  This stages one extra
-    // memcpy pass over the input (chunk rows are owned by the pipeline so
-    // pushed data never needs to outlive push()) — measured noise next to
-    // chunk compression (bench_archive_stream), and the price of having
-    // exactly one write path to keep byte-identical.
-    ArchiveAssembler assembler(config, state, sink, config.format_version);
-    FieldDesc desc;
-    desc.dtype = data.dtype();
-    desc.shape = data.shape();
-    desc.chunk_extent = config.chunk_extent;
-    Status s = assembler.open_field(kDefaultFieldName, desc);
-    if (!s.ok()) return s;
-    s = assembler.push(data);
-    if (!s.ok()) return s;
-    const Result<FieldWriteReport> closed = assembler.close_field();
-    if (!closed.ok()) return closed.status();
-    return assembler.finish();
   } catch (...) {
     return status_from_current_exception();
   }

@@ -2,22 +2,20 @@
 #define FRAZ_ARCHIVE_PIPELINE_HPP
 
 /// \file pipeline.hpp
-/// The transport-independent write core of `fraz::archive`: the push-based
-/// archive assembler every writer shares.  Transports supply one small
-/// adapter — a `ByteSink` the writer appends the archive to (a growable
-/// Buffer for the in-memory transport, a FILE* for the streaming file
-/// transport).  The matching read-side core (`ChunkSource` + `ReaderCore`)
-/// lives in `archive/reader_core.hpp`.
+/// The write core of `fraz::archive`: the push-based archive assembler
+/// behind ArchiveWriter.  A build supplies one small adapter — a `ByteSink`
+/// the assembler appends the archive to (a growable Buffer, or a FILE* for a
+/// path build).
 ///
 /// The assembler is the engine behind both the push-based FieldSession API
-/// and the `write(ArrayView)` compatibility wrapper: callers push slabs, the
-/// assembler stages exactly one chunk row per open field and dispatches each
-/// completed row into the parallel chunk pipeline, which admits rows under a
-/// bounded window (submitted-but-unemitted ≤ workers + 1) and emits payloads
-/// to the sink strictly in index order — which is what lets a file be
-/// written append-only while keeping the bytes identical to an in-memory
-/// pack at any worker count, and what bounds writer input memory to
-/// O(chunk-row × workers) however the data arrives.
+/// and the single-array `write()`: callers push slabs, the assembler stages
+/// exactly one chunk row per open field and dispatches each completed row
+/// into the parallel chunk pipeline, which admits rows under a bounded
+/// window (submitted-but-unemitted ≤ workers + 1) and emits payloads to the
+/// sink strictly in index order — which is what lets a file be written
+/// append-only while keeping the bytes identical to a Buffer build at any
+/// worker count, and what bounds writer input memory to O(chunk-row ×
+/// workers) however the data arrives.
 
 #include <cstdint>
 #include <memory>
@@ -36,16 +34,8 @@ namespace fraz::archive::detail {
 
 /// Writer-internal engines tune single-threaded: archive parallelism comes
 /// from chunks, and region-level cancellation races would otherwise make the
-/// chosen bound (and therefore the archive bytes) timing-dependent.  The one
-/// definition every transport shares.
+/// chosen bound (and therefore the archive bytes) timing-dependent.
 EngineConfig serial_tuning(EngineConfig config);
-
-/// Everything a writer must refuse at construction: unknown format
-/// versions, v1 with a backend the v1 manifest cannot name, and compressor
-/// names the v2/v3 manifests cannot record.  Shared by both writer
-/// constructors and by write_archive (for configs that bypassed a
-/// constructor).
-Status validate_write_config(const ArchiveWriteConfig& config) noexcept;
 
 /// Append-only destination of one archive write.
 class ByteSink {
@@ -57,7 +47,7 @@ public:
   virtual std::size_t bytes_written() const noexcept = 0;
 };
 
-/// Sink over a caller-owned Buffer (the in-memory transport).
+/// Sink over a caller-owned Buffer.
 class BufferSink final : public ByteSink {
 public:
   explicit BufferSink(Buffer& out) noexcept : out_(out) {}
@@ -77,25 +67,22 @@ private:
 
 class ChunkPipeline;
 
-/// Transport-independent build of one complete archive (any format version)
-/// through a ByteSink.  Fields are ingested one at a time: open_field()
-/// declares the geometry (and invalidates stale per-chunk warm keys),
-/// push() stages planes into the current chunk row and dispatches completed
-/// rows to the parallel pipeline, close_field() drains the field, finish()
-/// seals manifest + footer.  v1/v2 accept exactly one field; v1 buffers the
-/// chunk region internally because its manifest precedes the chunks on the
-/// wire.
+/// Transport-independent build of one complete v3 archive through a
+/// ByteSink.  Fields are ingested one at a time: open_field() declares the
+/// geometry (and invalidates stale per-chunk warm keys), push() stages
+/// planes into the current chunk row and dispatches completed rows to the
+/// parallel pipeline, close_field() drains the field, finish() seals the
+/// field-table manifest + footer.
 ///
 /// \p state carries the persistent warm knowledge between builds: the
 /// per-field chunk-0 tuning engine, the shared BoundStore of per-(field,
 /// chunk) warm bounds (every worker engine adopts it, each chunk
 /// reading/writing only its own deterministic key), and the shared probe
-/// dedup cache.  This is the single write path behind ArchiveWriter
-/// (in-memory) and ArchiveFileWriter (streaming).
+/// dedup cache.  This is the single write path behind ArchiveWriter.
 class ArchiveAssembler {
 public:
   ArchiveAssembler(const ArchiveWriteConfig& config, WriterWarmState& state,
-                   ByteSink& sink, std::uint8_t version);
+                   ByteSink& sink);
   ~ArchiveAssembler();
 
   ArchiveAssembler(const ArchiveAssembler&) = delete;
@@ -117,11 +104,7 @@ private:
 
   const ArchiveWriteConfig config_;
   WriterWarmState& state_;
-  ByteSink* sink_;              ///< where the finished archive lands
-  ByteSink* chunk_sink_;        ///< where chunk payloads go (= sink_ except v1)
-  Buffer region_;               ///< v1 only: buffered chunk region
-  std::unique_ptr<BufferSink> region_sink_;
-  const std::uint8_t version_;
+  ByteSink& sink_;              ///< where the archive lands, chunks first
   Timer timer_;
 
   std::unique_ptr<OpenField> open_;
@@ -138,14 +121,6 @@ private:
   bool finished_ = false;
   Status failed_;               ///< sticky: first failure poisons the build
 };
-
-/// Shards, tunes, compresses, and assembles one complete single-field
-/// archive (any format version) through \p sink — the compatibility path
-/// behind write(ArrayView), implemented as one ArchiveAssembler session fed
-/// the whole array under the default field name.
-Result<ArchiveWriteResult> write_archive(const ArchiveWriteConfig& config,
-                                         WriterWarmState& state, const ArrayView& data,
-                                         ByteSink& sink);
 
 }  // namespace fraz::archive::detail
 

@@ -11,6 +11,11 @@ namespace fraz {
 namespace {
 
 constexpr std::size_t kMinMatch = 4;
+/// The decoder's up-front reserve is at most this many output bytes per
+/// input byte: the declared output size comes from the stream, so reserving
+/// it outright would let a few hostile bytes size an allocation.  Outputs
+/// that expand further just grow the vector as matches are copied.
+constexpr std::uint64_t kMaxReserveExpansion = 64;
 constexpr std::size_t kHashBits = 16;
 constexpr std::size_t kHashSize = 1u << kHashBits;
 
@@ -111,20 +116,26 @@ std::vector<std::uint8_t> lz_decompress(const std::uint8_t* data, std::size_t si
   std::size_t pos = 0;
   const std::uint64_t out_size = get_varint(data, size, pos);
   std::vector<std::uint8_t> out;
-  out.reserve(out_size);
+  out.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      out_size, static_cast<std::uint64_t>(size) * kMaxReserveExpansion)));
 
+  // Every length check below is `len > limit - used` (used <= limit always
+  // holds), which cannot wrap the way `used + len > limit` does.
   while (out.size() < out_size) {
     const std::uint64_t literal_count = get_varint(data, size, pos);
-    if (pos + literal_count > size) throw CorruptStream("lz: truncated literal run");
-    if (out.size() + literal_count > out_size) throw CorruptStream("lz: literal overrun");
+    if (literal_count > size - pos) throw CorruptStream("lz: truncated literal run");
+    if (literal_count > out_size - out.size()) throw CorruptStream("lz: literal overrun");
     out.insert(out.end(), data + pos, data + pos + literal_count);
     pos += literal_count;
     if (out.size() == out_size) break;
 
     const std::uint64_t offset = get_varint(data, size, pos);
-    const std::uint64_t length = get_varint(data, size, pos) + kMinMatch;
+    const std::uint64_t extra = get_varint(data, size, pos);
     if (offset == 0 || offset > out.size()) throw CorruptStream("lz: bad match offset");
-    if (out.size() + length > out_size) throw CorruptStream("lz: match overrun");
+    const std::uint64_t room = out_size - out.size();
+    if (room < kMinMatch || extra > room - kMinMatch)
+      throw CorruptStream("lz: match overrun");
+    const std::uint64_t length = extra + kMinMatch;
     // Byte-by-byte copy: overlapping matches (offset < length) are legal and
     // replicate the most recent bytes, as in every LZ77 family coder.
     std::size_t src = out.size() - offset;

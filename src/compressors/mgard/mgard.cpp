@@ -198,11 +198,11 @@ NdArray decompress_impl(const Container& c) {
   if (levels == 0 || levels > 20) throw CorruptStream("mgard: bad level count");
 
   const std::uint64_t huff_bytes = get_varint(p, size, pos);
-  if (pos + huff_bytes > size) throw CorruptStream("mgard: truncated code stream");
+  if (huff_bytes > size - pos) throw CorruptStream("mgard: truncated code stream");
   const std::vector<std::uint32_t> codes = huffman_decode(p + pos, huff_bytes);
   pos += huff_bytes;
   const std::uint64_t raw_bytes = get_varint(p, size, pos);
-  if (pos + raw_bytes > size) throw CorruptStream("mgard: truncated raw stream");
+  if (raw_bytes > size - pos) throw CorruptStream("mgard: truncated raw stream");
   const std::uint8_t* raw_stream = p + pos;
   std::size_t raw_pos = 0;
 

@@ -82,7 +82,7 @@ Status BoundStore::deserialize(const std::uint8_t* data, std::size_t size) noexc
       // must accept whatever save() wrote — the CRC plus this bounds check
       // are what guard against a malformed block.
       const std::uint64_t name_size = get_varint(data, size, pos);
-      if (pos + name_size > size)
+      if (name_size > size - pos)
         return Status::corrupt_stream("bound store: bad field name");
       std::string field(reinterpret_cast<const char*>(data) + pos,
                         static_cast<std::size_t>(name_size));

@@ -3,19 +3,18 @@
 #include <algorithm>
 #include <cstring>
 
-#include "archive/reader_core.hpp"
 #include "opt/thread_pool.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 
 namespace fraz::serve {
 
-using archive::ArchiveFileReader;
+using archive::ArchiveReader;
 using archive::FieldInfo;
 
 // --------------------------------------------------------------- ReaderPool
 
-ReaderPool::ReaderPool(ArchiveFileReader reader, ReaderPoolConfig config,
+ReaderPool::ReaderPool(ArchiveReader reader, ReaderPoolConfig config,
                        ChunkCachePtr cache)
     : reader_(std::move(reader)),
       config_(std::move(config)),
@@ -44,7 +43,7 @@ ReaderPool::~ReaderPool() {
 Result<std::shared_ptr<ReaderPool>> ReaderPool::open(const std::string& path,
                                                      ReaderPoolConfig config) noexcept {
   try {
-    auto reader = ArchiveFileReader::open(path, config.mode);
+    auto reader = ArchiveReader::open(path);
     if (!reader.ok()) return reader.status();
     ChunkCachePtr cache = config.cache;
     if (!cache) cache = std::make_shared<ChunkCache>(config.cache_bytes);

@@ -4,7 +4,7 @@
 /// \file reader_pool.hpp
 /// Concurrent read-side serving over one archive file.
 ///
-/// ArchiveFileReader is a serial random-access reader: one Engine per field,
+/// ArchiveReader is a serial random-access reader: one Engine per field,
 /// one scratch, no internal locking.  A serving workload is the opposite
 /// shape — many clients, one archive, heavy re-reads — so ReaderPool maps
 /// the file once and serves decoded chunks to any number of threads:
@@ -41,7 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "archive/archive_file.hpp"
+#include "archive/archive.hpp"
 #include "serve/chunk_cache.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -49,8 +49,6 @@ namespace fraz::serve {
 
 /// Construction-time configuration of a ReaderPool.
 struct ReaderPoolConfig {
-  /// How the archive file is accessed (mmap where available by default).
-  archive::FileReadMode mode = archive::FileReadMode::kAuto;
   /// Decoded-chunk cache to share; null creates a private cache of
   /// \p cache_bytes.  A zero-budget cache disables caching (every request
   /// decodes) — the bench's cold mode.
@@ -174,13 +172,13 @@ private:
     std::shared_ptr<const NdArray> value FRAZ_GUARDED_BY(mutex);
   };
 
-  ReaderPool(archive::ArchiveFileReader reader, ReaderPoolConfig config,
+  ReaderPool(archive::ArchiveReader reader, ReaderPoolConfig config,
              ChunkCachePtr cache);
 
   Result<std::unique_ptr<Context>> checkout_context(std::size_t field) noexcept;
   void checkin_context(std::size_t field, std::unique_ptr<Context> context) noexcept;
 
-  archive::ArchiveFileReader reader_;
+  archive::ArchiveReader reader_;
   const ReaderPoolConfig config_;
   const ChunkCachePtr cache_;
   const std::uint64_t archive_id_;

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "data/datasets.hpp"
+#include "archive_fixtures.hpp"
 #include "pressio/registry.hpp"
 #include "test_helpers.hpp"
 
@@ -16,6 +17,8 @@ using archive::ArchiveWriteConfig;
 using archive::ArchiveWriteResult;
 using archive::ArchiveWriter;
 using testhelpers::make_field;
+
+constexpr const char* kData = archive::kDefaultFieldName;
 
 ArchiveWriteConfig writer_config(const std::string& backend, double target, double epsilon,
                                  std::size_t chunk_extent = 0, unsigned threads = 1) {
@@ -42,7 +45,7 @@ ArchiveReader open_ok(const Buffer& bytes) {
   return std::move(reader).value();
 }
 
-/// Total bytes of the chunk region (== the v2 manifest offset).
+/// Total bytes of the chunk region (== the v3 manifest offset).
 std::size_t region_bytes(const archive::ArchiveInfo& info) {
   std::size_t payload = 0;
   for (const auto& chunk : info.chunks) payload += chunk.size;
@@ -70,7 +73,7 @@ TEST(Archive, RoundTripAllBackendsBothDtypes) {
       EXPECT_EQ(reader.info().dtype, dtype);
       EXPECT_EQ(reader.info().shape, field.shape());
 
-      auto decoded = reader.read_all();
+      auto decoded = reader.read_all(kData);
       ASSERT_TRUE(decoded.ok()) << backend << ": " << decoded.status().to_string();
       ASSERT_EQ(decoded.value().shape(), field.shape());
       ASSERT_EQ(decoded.value().dtype(), dtype);
@@ -129,13 +132,13 @@ TEST(Archive, ReadChunkEqualsSliceOfFullDecompression) {
   Buffer bytes;
   pack(field.view(), writer_config("sz", 6.0, 0.2, 2), bytes);
   ArchiveReader reader = open_ok(bytes);
-  auto full = reader.read_all();
+  auto full = reader.read_all(kData);
   ASSERT_TRUE(full.ok());
   const std::size_t plane_bytes = full.value().size_bytes() / 9;
   for (std::size_t i = 0; i < reader.info().chunk_count; ++i) {
-    auto chunk = reader.read_chunk(i);
+    auto chunk = reader.read_chunk(kData, i);
     ASSERT_TRUE(chunk.ok()) << i;
-    EXPECT_EQ(chunk.value().shape(), reader.chunk_shape(i));
+    EXPECT_EQ(chunk.value().shape(), reader.chunk_shape(kData, i));
     const auto* expected = static_cast<const std::uint8_t*>(full.value().data()) +
                            i * reader.info().chunk_extent * plane_bytes;
     EXPECT_EQ(std::memcmp(chunk.value().data(), expected, chunk.value().size_bytes()), 0)
@@ -148,13 +151,13 @@ TEST(Archive, RangeQueryMatchesFullDecompression) {
   Buffer bytes;
   pack(field.view(), writer_config("sz", 6.0, 0.2, 5), bytes);  // 12 = 5 + 5 + 2
   ArchiveReader reader = open_ok(bytes);
-  auto full = reader.read_all();
+  auto full = reader.read_all(kData);
   ASSERT_TRUE(full.ok());
   const std::size_t plane_bytes = full.value().size_bytes() / 12;
   // Every (first, count) window, including chunk-straddling and tail ones.
   for (std::size_t first = 0; first < 12; ++first) {
     for (std::size_t count = 1; first + count <= 12; ++count) {
-      auto range = reader.read_range(first, count);
+      auto range = reader.read_range(kData, first, count);
       ASSERT_TRUE(range.ok()) << first << "+" << count;
       ASSERT_EQ(range.value().shape()[0], count);
       EXPECT_EQ(std::memcmp(range.value().data(),
@@ -191,8 +194,8 @@ TEST(Archive, ParallelReadMatchesSerialRead) {
   Buffer bytes;
   pack(field.view(), writer_config("sz", 6.0, 0.2, 2, 4), bytes);
   ArchiveReader reader = open_ok(bytes);
-  auto serial = reader.read_all(1);
-  auto parallel = reader.read_all(4);
+  auto serial = reader.read_all(kData, 1);
+  auto parallel = reader.read_all(kData, 4);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
   ASSERT_EQ(serial.value().size_bytes(), parallel.value().size_bytes());
@@ -220,7 +223,7 @@ TEST(Archive, CorruptingOneChunkFailsOnlyReadsTouchingIt) {
     ASSERT_TRUE(reader.ok()) << reader.status().to_string();
 
     for (std::size_t i = 0; i < chunk_count; ++i) {
-      auto chunk = reader.value().read_chunk(i);
+      auto chunk = reader.value().read_chunk(kData, i);
       if (i == victim) {
         ASSERT_FALSE(chunk.ok()) << "corrupted chunk " << i << " decoded";
         EXPECT_EQ(chunk.status().code(), StatusCode::kCorruptStream);
@@ -230,10 +233,10 @@ TEST(Archive, CorruptingOneChunkFailsOnlyReadsTouchingIt) {
       }
     }
     // Whole-archive reads touch the victim and must fail...
-    EXPECT_FALSE(reader.value().read_all().ok());
+    EXPECT_FALSE(reader.value().read_all(kData).ok());
     // ...while a range confined to other chunks still succeeds.
     const std::size_t clean_chunk = victim == 0 ? 1 : 0;
-    auto range = reader.value().read_range(clean_chunk * 2, 2);
+    auto range = reader.value().read_range(kData, clean_chunk * 2, 2);
     EXPECT_TRUE(range.ok()) << range.status().to_string();
   }
 }
@@ -256,7 +259,7 @@ TEST(Archive, CorruptedManifestOrFooterFailsOpen) {
   Buffer bytes;
   pack(field.view(), writer_config("sz", 6.0, 0.2, 2), bytes);
   ArchiveReader pristine = open_ok(bytes);
-  // Manifest byte (v2: the manifest block follows the chunk region).
+  // Manifest byte (v3: the manifest block follows the chunk region).
   std::vector<std::uint8_t> bad(bytes.data(), bytes.data() + bytes.size());
   bad[region_bytes(pristine.info()) + 8] ^= 0x01;
   EXPECT_FALSE(ArchiveReader::open(bad.data(), bad.size()).ok());
@@ -273,7 +276,7 @@ TEST(Archive, SingleChunkAndOddShapes) {
   const ArchiveWriteResult one = pack(field.view(), writer_config("sz", 5.0, 0.3, 5), bytes);
   EXPECT_EQ(one.chunk_count, 1u);
   ArchiveReader reader = open_ok(bytes);
-  auto decoded = reader.read_all();
+  auto decoded = reader.read_all(kData);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().shape(), field.shape());
 
@@ -288,8 +291,8 @@ TEST(Archive, SingleChunkAndOddShapes) {
       pack(line.view(), writer_config("sz", 5.0, 0.3, 3000), line_bytes);
   EXPECT_EQ(odd.chunk_count, 3u);
   ArchiveReader line_reader = open_ok(line_bytes);
-  EXPECT_EQ(line_reader.chunk_shape(2), (Shape{1000}));
-  auto tail = line_reader.read_chunk(2);
+  EXPECT_EQ(line_reader.chunk_shape(kData, 2), (Shape{1000}));
+  auto tail = line_reader.read_chunk(kData, 2);
   ASSERT_TRUE(tail.ok());
   EXPECT_EQ(tail.value().elements(), 1000u);
 }
@@ -315,10 +318,10 @@ TEST(Archive, InvalidRequestsAreStatuses) {
   Buffer bytes;
   pack(field.view(), writer_config("sz", 5.0, 0.3, 2), bytes);
   ArchiveReader reader = open_ok(bytes);
-  EXPECT_EQ(reader.read_chunk(99).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(reader.read_range(0, 0).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(reader.read_range(5, 2).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(reader.read_range(6, 1).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reader.read_chunk(kData, 99).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reader.read_range(kData, 0, 0).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reader.read_range(kData, 5, 2).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reader.read_range(kData, 6, 1).status().code(), StatusCode::kInvalidArgument);
 
   // Backends the format cannot record are rejected at construction.
   EXPECT_FALSE(ArchiveWriter::create(writer_config("no-such-backend", 5.0, 0.3)).ok());
@@ -332,8 +335,8 @@ TEST(Archive, ParallelReadRangeMatchesSerial) {
   // Wide (all chunks), chunk-straddling, and single-chunk windows.
   for (const auto& [first, count] :
        {std::pair<std::size_t, std::size_t>{0, 16}, {1, 14}, {3, 7}, {4, 2}}) {
-    auto serial = reader.read_range(first, count, 1);
-    auto parallel = reader.read_range(first, count, 4);
+    auto serial = reader.read_range(kData, first, count, 1);
+    auto parallel = reader.read_range(kData, first, count, 4);
     ASSERT_TRUE(serial.ok()) << serial.status().to_string();
     ASSERT_TRUE(parallel.ok()) << parallel.status().to_string();
     ASSERT_EQ(serial.value().size_bytes(), parallel.value().size_bytes());
@@ -387,7 +390,7 @@ TEST(Archive, ZfpRateFallbackRescuesSmallChunkBand) {
 
   // Rate-mode chunks decode through the ordinary read path, and the rescue
   // stays deterministic across worker counts.
-  auto decoded = reader.read_all();
+  auto decoded = reader.read_all(kData);
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
   EXPECT_EQ(decoded.value().shape(), field.shape());
   Buffer parallel;
@@ -396,30 +399,38 @@ TEST(Archive, ZfpRateFallbackRescuesSmallChunkBand) {
   EXPECT_EQ(std::memcmp(rescued.data(), parallel.data(), rescued.size()), 0);
 }
 
-TEST(Archive, FormatV1StillWritableAndReadable) {
-  const NdArray field = make_field(DType::kFloat32, {8, 14, 10});
-  ArchiveWriteConfig v1 = writer_config("sz", 6.0, 0.2, 2);
-  v1.format_version = 1;
-  Buffer v1_bytes, v2_bytes;
-  pack(field.view(), v1, v1_bytes);
-  pack(field.view(), writer_config("sz", 6.0, 0.2, 2), v2_bytes);
-
-  ArchiveReader reader = open_ok(v1_bytes);
+TEST(Archive, FrozenV1FixtureReadsLikeAFreshV3Write) {
+  // v1 is read-only: the frozen fixture must open, and its chunks, bounds
+  // and reconstruction must equal a fresh v3 write of the same input — only
+  // the manifest/footer layout differs.
+  const std::vector<std::uint8_t> v1_bytes =
+      testhelpers::load_frozen(testhelpers::kFrozenV1);
+  auto opened = ArchiveReader::open(v1_bytes.data(), v1_bytes.size());
+  ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+  ArchiveReader& reader = opened.value();
   EXPECT_EQ(reader.info().version, 1);
   EXPECT_EQ(reader.info().compressor, "sz");
   // v1 layout: the chunk region follows the manifest.
   EXPECT_EQ(reader.info().chunk_region,
             v1_bytes.size() - archive::kFooterBytesV1 - region_bytes(reader.info()));
 
-  // Same chunks, same bounds, same reconstruction — only the layout differs.
-  ArchiveReader v2_reader = open_ok(v2_bytes);
-  EXPECT_EQ(v2_reader.info().version, 2);
-  auto from_v1 = reader.read_all(2);
-  auto from_v2 = v2_reader.read_all(2);
-  ASSERT_TRUE(from_v1.ok());
-  ASSERT_TRUE(from_v2.ok());
-  ASSERT_EQ(from_v1.value().size_bytes(), from_v2.value().size_bytes());
-  EXPECT_EQ(std::memcmp(from_v1.value().data(), from_v2.value().data(),
+  const NdArray field = make_field(DType::kFloat32, {8, 14, 10});
+  Buffer v3_bytes;
+  pack(field.view(), writer_config("sz", 6.0, 0.2, 2), v3_bytes);
+  ArchiveReader v3_reader = open_ok(v3_bytes);
+  EXPECT_EQ(v3_reader.info().version, 3);
+  EXPECT_EQ(testhelpers::chunk_region(v1_bytes.data(), reader.info()),
+            testhelpers::chunk_region(v3_bytes.data(), v3_reader.info()));
+  ASSERT_EQ(reader.info().chunks.size(), v3_reader.info().chunks.size());
+  for (std::size_t i = 0; i < reader.info().chunks.size(); ++i)
+    EXPECT_EQ(reader.info().chunks[i].error_bound, v3_reader.info().chunks[i].error_bound);
+
+  auto from_v1 = reader.read_all(kData, 2);
+  auto from_v3 = v3_reader.read_all(kData, 2);
+  ASSERT_TRUE(from_v1.ok()) << from_v1.status().to_string();
+  ASSERT_TRUE(from_v3.ok()) << from_v3.status().to_string();
+  ASSERT_EQ(from_v1.value().size_bytes(), from_v3.value().size_bytes());
+  EXPECT_EQ(std::memcmp(from_v1.value().data(), from_v3.value().data(),
                         from_v1.value().size_bytes()),
             0);
 }
@@ -468,18 +479,29 @@ TEST(Archive, PluginBackendRoundTripsByName) {
   pack(field.view(), writer_config("sz-echo", 6.0, 0.2, 2), bytes);
 
   ArchiveReader reader = open_ok(bytes);
-  EXPECT_EQ(reader.info().version, 2);
+  EXPECT_EQ(reader.info().version, 3);
   EXPECT_EQ(reader.info().compressor, "sz-echo");
-  auto decoded = reader.read_all(2);
+  auto decoded = reader.read_all(kData, 2);
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
   EXPECT_EQ(decoded.value().shape(), field.shape());
 
-  // The v1 format has no way to name a plugin: rejected at construction.
-  ArchiveWriteConfig v1 = writer_config("sz-echo", 6.0, 0.2, 2);
-  v1.format_version = 1;
-  auto v1_writer = ArchiveWriter::create(std::move(v1));
-  ASSERT_FALSE(v1_writer.ok());
-  EXPECT_EQ(v1_writer.status().code(), StatusCode::kUnsupported);
+  // v1 could only name the built-in backends: the frozen v1 fixture records
+  // "sz".  The plugin writes the same chunk bytes under its own name.
+  const std::vector<std::uint8_t> v1_bytes =
+      testhelpers::load_frozen(testhelpers::kFrozenV1);
+  ArchiveReader v1_reader = [&] {
+    auto opened = ArchiveReader::open(v1_bytes.data(), v1_bytes.size());
+    EXPECT_TRUE(opened.ok()) << opened.status().to_string();
+    return std::move(opened).value();
+  }();
+  EXPECT_EQ(v1_reader.info().compressor, "sz");
+  const NdArray v1_input = make_field(DType::kFloat32, {8, 14, 10});
+  Buffer plugin_bytes;
+  pack(v1_input.view(), writer_config("sz-echo", 6.0, 0.2, 2), plugin_bytes);
+  ArchiveReader plugin_reader = open_ok(plugin_bytes);
+  EXPECT_EQ(plugin_reader.info().compressor, "sz-echo");
+  EXPECT_EQ(testhelpers::chunk_region(plugin_bytes.data(), plugin_reader.info()),
+            testhelpers::chunk_region(v1_bytes.data(), v1_reader.info()));
 }
 
 }  // namespace

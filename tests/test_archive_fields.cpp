@@ -1,6 +1,7 @@
 /// Push-based ingestion sessions and v3 multi-field archives: the byte-
-/// identity gates (write(ArrayView) vs PR-4 golden CRCs, plane-by-plane push
-/// vs whole-array write at any worker count), the streamed-input memory
+/// identity gates (v3 writes vs the frozen v2 goldens' chunk regions,
+/// plane-by-plane push vs whole-array write at any worker count, Buffer vs
+/// path builds), the streamed-input memory
 /// bound, the v3 field table round trip (mixed dtypes, per-field reads,
 /// truncation at every boundary), and the session-misuse error surface.
 
@@ -12,15 +13,13 @@
 #include <vector>
 
 #include "archive/archive.hpp"
-#include "archive/archive_file.hpp"
+#include "archive_fixtures.hpp"
 #include "codec/checksum.hpp"
 #include "test_helpers.hpp"
 
 namespace fraz {
 namespace {
 
-using archive::ArchiveFileReader;
-using archive::ArchiveFileWriter;
 using archive::ArchiveReader;
 using archive::ArchiveWriteConfig;
 using archive::ArchiveWriteResult;
@@ -98,32 +97,82 @@ void dump(const std::string& path, const std::uint8_t* data, std::size_t size) {
   ASSERT_TRUE(os.good()) << path;
 }
 
-TEST(ArchiveFields, WriteMatchesPinnedPr4GoldenBytes) {
-  // The regression gate on the refactor: write(ArrayView) — now a thin
-  // wrapper over one push session — must produce byte-identical single-field
-  // v2 archives to the PR-4 pull-based pipeline.  The CRCs below were
-  // captured from the PR-4 build on these exact deterministic inputs.
-  {
-    const NdArray field = make_field(DType::kFloat32, {24, 16, 12});
-    ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 2, 2));
+/// One frozen v2 golden and the whole-file CRC a v3 write of the same input
+/// produces (the chunk region must equal the golden's).
+struct GoldenCase {
+  testhelpers::FrozenArchive golden;
+  std::uint32_t v3_file_crc;
+};
+
+/// Open \p bytes, returning its chunk region and decoded default field.
+void region_and_values(const std::uint8_t* bytes, std::size_t size,
+                       std::vector<std::uint8_t>& region, NdArray& values) {
+  auto reader = ArchiveReader::open(bytes, size);
+  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+  region = testhelpers::chunk_region(bytes, reader.value().info());
+  auto decoded = reader.value().read_all(archive::kDefaultFieldName);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+  values = std::move(decoded).value();
+}
+
+TEST(ArchiveFields, V3WritesReproduceTheFrozenV2GoldenChunks) {
+  // The regression gate on the write path: writers now emit only v3, and a
+  // v3 write of each golden input — through a Buffer and through a path, at
+  // 1, 2 and 4 workers — must reproduce the golden's chunk region byte for
+  // byte and decode to the same values.  The v3 whole-file CRCs are pinned
+  // too, so a manifest or footer change cannot slip through either.
+  TempFiles tmp;
+  const NdArray sz_step0 = make_field(DType::kFloat32, {24, 16, 12});
+  const NdArray sz_step1 = make_field(DType::kFloat32, {24, 16, 12}, 51.0);
+  const NdArray zfp_input = make_field(DType::kFloat64, {12, 20, 14});
+  const GoldenCase sz_cases[] = {{testhelpers::kGoldenV2SzStep0, 0x211e6bb9u},
+                                 {testhelpers::kGoldenV2SzStep1, 0x14595347u}};
+  const GoldenCase zfp_case{testhelpers::kGoldenV2Zfp, 0xed1c46a0u};
+
+  // Check one fresh v3 archive against its golden.
+  auto check = [&](const GoldenCase& c, const std::vector<std::uint8_t>& v3,
+                   const std::string& label) {
+    EXPECT_EQ(crc32(v3.data(), v3.size()), c.v3_file_crc) << label;
+    const std::vector<std::uint8_t> golden = testhelpers::load_frozen(c.golden);
+    std::vector<std::uint8_t> golden_region, v3_region;
+    NdArray golden_values, v3_values;
+    region_and_values(golden.data(), golden.size(), golden_region, golden_values);
+    region_and_values(v3.data(), v3.size(), v3_region, v3_values);
+    EXPECT_EQ(v3_region, golden_region) << label;
+    ASSERT_EQ(v3_values.size_bytes(), golden_values.size_bytes()) << label;
+    EXPECT_EQ(std::memcmp(v3_values.data(), golden_values.data(), v3_values.size_bytes()),
+              0)
+        << label;
+  };
+
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const std::string at = " at " + std::to_string(threads) + " workers";
+    {
+      // Both sz steps go through the SAME writer: step 1's chunks warm-start
+      // from step 0's bounds, so the cross-write warm path is pinned too.
+      ArchiveWriter memory_writer(writer_config("sz", 6.0, 0.2, 2, threads));
+      ArchiveWriter path_writer(writer_config("sz", 6.0, 0.2, 2, threads));
+      const NdArray* steps[] = {&sz_step0, &sz_step1};
+      for (std::size_t step = 0; step < 2; ++step) {
+        Buffer out;
+        ASSERT_TRUE(memory_writer.write(steps[step]->view(), out).ok());
+        const std::string label = "sz step " + std::to_string(step);
+        check(sz_cases[step], std::vector<std::uint8_t>(out.begin(), out.end()),
+              label + " (Buffer)" + at);
+        const std::string path = tmp.make("golden_sz_" + std::to_string(step));
+        ASSERT_TRUE(path_writer.write(path, steps[step]->view()).ok());
+        check(sz_cases[step], slurp(path), label + " (path)" + at);
+      }
+    }
+    ArchiveWriter zfp_writer(writer_config("zfp", 8.0, 0.2, 3, threads));
     Buffer out;
-    ASSERT_TRUE(writer.write(field.view(), out).ok());
-    EXPECT_EQ(out.size(), 3451u);
-    EXPECT_EQ(crc32(out.data(), out.size()), 0x8208fb7du);
-    // A drifted second step through the SAME writer exercises the carried
-    // warm bounds — the cross-write warm path must stay byte-identical too.
-    const NdArray step1 = make_field(DType::kFloat32, {24, 16, 12}, 51.0);
-    ASSERT_TRUE(writer.write(step1.view(), out).ok());
-    EXPECT_EQ(out.size(), 3424u);
-    EXPECT_EQ(crc32(out.data(), out.size()), 0xe1792933u);
-  }
-  {
-    const NdArray field = make_field(DType::kFloat64, {12, 20, 14});
-    ArchiveWriter writer(writer_config("zfp", 8.0, 0.2, 3, 1));
-    Buffer out;
-    ASSERT_TRUE(writer.write(field.view(), out).ok());
-    EXPECT_EQ(out.size(), 3520u);
-    EXPECT_EQ(crc32(out.data(), out.size()), 0xbf6d43ffu);
+    ASSERT_TRUE(zfp_writer.write(zfp_input.view(), out).ok());
+    check(zfp_case, std::vector<std::uint8_t>(out.begin(), out.end()), "zfp (Buffer)" + at);
+    const std::string path = tmp.make("golden_zfp");
+    ASSERT_TRUE(ArchiveWriter(writer_config("zfp", 8.0, 0.2, 3, threads))
+                    .write(path, zfp_input.view())
+                    .ok());
+    check(zfp_case, slurp(path), "zfp (path)" + at);
   }
 }
 
@@ -139,8 +188,7 @@ TEST(ArchiveFields, PlaneByPlanePushMatchesWholeArrayWrite) {
     for (const std::size_t slab_planes : {std::size_t{1}, std::size_t{3}, std::size_t{24}}) {
       ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 2, threads));
       Buffer pushed;
-      // Sessions default to v3; request v2 to compare against write().
-      ASSERT_TRUE(writer.begin(pushed, 2).ok());
+      ASSERT_TRUE(writer.begin(pushed).ok());
       auto session = writer.open_field(archive::kDefaultFieldName, desc_of(field, 2));
       ASSERT_TRUE(session.ok()) << session.status().to_string();
       push_all(session.value(), field, slab_planes);
@@ -162,9 +210,9 @@ TEST(ArchiveFields, StreamedInputResidencyIsChunkRowBounded) {
   const NdArray field = make_field(DType::kFloat32, {64, 24, 16});
   const std::size_t row_bytes = 2 * (field.size_bytes() / 64);  // extent 2
   for (const unsigned threads : {1u, 4u}) {
-    ArchiveFileWriter writer(writer_config("sz", 8.0, 0.2, 2, threads));
+    ArchiveWriter writer(writer_config("sz", 8.0, 0.2, 2, threads));
     const std::string path = tmp.make("residency_" + std::to_string(threads));
-    ASSERT_TRUE(writer.begin(path, 2).ok());
+    ASSERT_TRUE(writer.begin(path).ok());
     auto session = writer.open_field("stream", desc_of(field, 2));
     ASSERT_TRUE(session.ok()) << session.status().to_string();
     push_all(session.value(), field, 1);  // one plane at a time
@@ -179,9 +227,9 @@ TEST(ArchiveFields, StreamedInputResidencyIsChunkRowBounded) {
         << "input residency is not o(field)";
     EXPECT_LE(result.peak_buffered_chunks, static_cast<std::size_t>(threads) + 1);
     // And the streamed file is readable.
-    auto reader = ArchiveFileReader::open(path);
+    auto reader = ArchiveReader::open(path);
     ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader.value().read_all(threads).value().shape(), field.shape());
+    EXPECT_EQ(reader.value().read_all("stream", threads).value().shape(), field.shape());
   }
 }
 
@@ -221,10 +269,10 @@ TEST(ArchiveFields, MultiFieldMixedDtypeRoundTripBothTransports) {
   EXPECT_EQ(std::memcmp(bytes_1.data(), bytes_4.data(), bytes_1.size()), 0)
       << "worker count changed the v3 archive bytes";
 
-  // File transport: same fields pushed through ArchiveFileWriter sessions.
+  // Path builds: same fields pushed through path-build sessions.
   const std::string path = tmp.make("mixed");
   {
-    ArchiveFileWriter writer(writer_config("sz", 6.0, 0.2, 0, 4));
+    ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 0, 4));
     ASSERT_TRUE(writer.begin(path).ok());
     auto t = writer.open_field("temp", desc_of(temp, 2));
     ASSERT_TRUE(t.ok());
@@ -244,7 +292,7 @@ TEST(ArchiveFields, MultiFieldMixedDtypeRoundTripBothTransports) {
   // Per-field reads through both readers.
   auto memory_reader = ArchiveReader::open(bytes_1.data(), bytes_1.size());
   ASSERT_TRUE(memory_reader.ok()) << memory_reader.status().to_string();
-  auto file_reader = ArchiveFileReader::open(path);
+  auto file_reader = ArchiveReader::open(path);
   ASSERT_TRUE(file_reader.ok()) << file_reader.status().to_string();
 
   ASSERT_EQ(memory_reader.value().fields().size(), 2u);
@@ -286,10 +334,6 @@ TEST(ArchiveFields, MultiFieldMixedDtypeRoundTripBothTransports) {
   auto missing = memory_reader.value().read_all("vorticity");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
-
-  // A decode through the old unnamed API serves field 0.
-  const NdArray first = memory_reader.value().read_all().value();
-  EXPECT_EQ(std::memcmp(first.data(), temp_mem.data(), temp_mem.size_bytes()), 0);
 }
 
 TEST(ArchiveFields, MultiFieldTruncationAtEveryBoundaryFailsOpen) {
@@ -303,7 +347,7 @@ TEST(ArchiveFields, MultiFieldTruncationAtEveryBoundaryFailsOpen) {
   const std::string path = tmp.make("truncate");
   ArchiveWriteResult result;
   {
-    ArchiveFileWriter writer(writer_config("sz", 6.0, 0.2, 2, 2));
+    ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 2, 2));
     ASSERT_TRUE(writer.begin(path).ok());
     for (const NdArray* field : {&temp, &press}) {
       auto session = writer.open_field(field == &temp ? "temp" : "press",
@@ -333,7 +377,7 @@ TEST(ArchiveFields, MultiFieldTruncationAtEveryBoundaryFailsOpen) {
   for (const std::size_t keep : boundaries) {
     ASSERT_LT(keep, bytes.size());
     dump(cut, bytes.data(), keep);
-    auto reader = ArchiveFileReader::open(cut);
+    auto reader = ArchiveReader::open(cut);
     ASSERT_FALSE(reader.ok()) << "opened a " << keep << "-byte truncation";
     EXPECT_EQ(reader.status().code(), StatusCode::kCorruptStream) << keep;
   }
@@ -467,18 +511,6 @@ TEST(ArchiveFields, SessionMisuseSurfacesAsStatuses) {
   ASSERT_EQ(reader.value().fields().size(), 1u);
   EXPECT_EQ(reader.value().fields()[0].name, "x");
 
-  // A v2 build refuses a second field.
-  Buffer v2_out;
-  ASSERT_TRUE(writer.begin(v2_out, 2).ok());
-  auto first_v2 = writer.open_field("only", desc_of(field, 2));
-  ASSERT_TRUE(first_v2.ok());
-  push_all(first_v2.value(), field, 8);
-  ASSERT_TRUE(first_v2.value().close().ok());
-  auto second_v2 = writer.open_field("more", desc_of(field, 2));
-  ASSERT_FALSE(second_v2.ok());
-  EXPECT_NE(second_v2.status().message().find("exactly one field"), std::string::npos);
-  ASSERT_TRUE(writer.finish().ok());
-
   // A session outliving its build degrades to "closed" errors, not UB.
   Buffer abandoned;
   ASSERT_TRUE(writer.begin(abandoned).ok());
@@ -492,21 +524,30 @@ TEST(ArchiveFields, SessionMisuseSurfacesAsStatuses) {
 }
 
 TEST(ArchiveFields, V2ArchivesPresentOneSynthesizedField) {
-  // Old single-field archives surface through the new field API under the
-  // default name, so multi-field consumers need no version branches.
-  const NdArray field = make_field(DType::kFloat32, {8, 14, 10});
-  Buffer bytes;
-  ArchiveWriter(writer_config("sz", 6.0, 0.2, 2)).write(field.view(), bytes).value();
+  // Old single-field archives surface through the field API under the
+  // default name, so multi-field consumers need no version branches.  The
+  // frozen v2 golden decodes by that name to what a fresh v3 write of the
+  // same input decodes to.
+  const std::vector<std::uint8_t> bytes =
+      testhelpers::load_frozen(testhelpers::kGoldenV2SzStep0);
   auto reader = ArchiveReader::open(bytes.data(), bytes.size());
-  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+  EXPECT_EQ(reader.value().info().version, 2);
   ASSERT_EQ(reader.value().fields().size(), 1u);
   const archive::FieldInfo& info = reader.value().fields()[0];
+  const NdArray field = make_field(DType::kFloat32, {24, 16, 12});
   EXPECT_EQ(info.name, archive::kDefaultFieldName);
   EXPECT_EQ(info.shape, field.shape());
   EXPECT_GT(info.payload_ratio, 0.0);
   const NdArray by_name = reader.value().read_all(archive::kDefaultFieldName).value();
-  const NdArray by_index = reader.value().read_all().value();
-  EXPECT_EQ(std::memcmp(by_name.data(), by_index.data(), by_index.size_bytes()), 0);
+
+  Buffer v3_bytes;
+  ArchiveWriter(writer_config("sz", 6.0, 0.2, 2)).write(field.view(), v3_bytes).value();
+  auto v3_reader = ArchiveReader::open(v3_bytes.data(), v3_bytes.size());
+  ASSERT_TRUE(v3_reader.ok());
+  const NdArray fresh = v3_reader.value().read_all(archive::kDefaultFieldName).value();
+  ASSERT_EQ(by_name.size_bytes(), fresh.size_bytes());
+  EXPECT_EQ(std::memcmp(by_name.data(), fresh.data(), fresh.size_bytes()), 0);
 }
 
 }  // namespace

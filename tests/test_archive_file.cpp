@@ -9,19 +9,20 @@
 #include <vector>
 
 #include "archive/archive.hpp"
+#include "archive_fixtures.hpp"
 #include "test_helpers.hpp"
 
 namespace fraz {
 namespace {
 
-using archive::ArchiveFileReader;
-using archive::ArchiveFileWriter;
 using archive::ArchiveReader;
 using archive::ArchiveWriteConfig;
 using archive::ArchiveWriteResult;
 using archive::ArchiveWriter;
 using archive::FileReadMode;
 using testhelpers::make_field;
+
+constexpr const char* kData = archive::kDefaultFieldName;
 
 ArchiveWriteConfig writer_config(const std::string& backend, double target, double epsilon,
                                  std::size_t chunk_extent = 0, unsigned threads = 1) {
@@ -67,15 +68,15 @@ void dump(const std::string& path, const std::uint8_t* data, std::size_t size) {
 
 ArchiveWriteResult pack_file(const ArrayView& data, ArchiveWriteConfig config,
                              const std::string& path) {
-  ArchiveFileWriter writer(std::move(config));
+  ArchiveWriter writer(std::move(config));
   auto written = writer.write(path, data);
   EXPECT_TRUE(written.ok()) << written.status().to_string();
   return std::move(written).value();
 }
 
-ArchiveFileReader open_file_ok(const std::string& path,
-                               FileReadMode mode = FileReadMode::kAuto) {
-  auto reader = ArchiveFileReader::open(path, mode);
+ArchiveReader open_file_ok(const std::string& path,
+                           FileReadMode mode = FileReadMode::kAuto) {
+  auto reader = ArchiveReader::open(path, mode);
   EXPECT_TRUE(reader.ok()) << reader.status().to_string();
   return std::move(reader).value();
 }
@@ -115,10 +116,10 @@ TEST(ArchiveFile, RoundTripThroughMmapAndBufferedReads) {
   ArchiveWriter(writer_config("sz", 6.0, 0.2, 3, 2)).write(field.view(), memory_bytes).value();
   auto memory_reader = ArchiveReader::open(memory_bytes.data(), memory_bytes.size());
   ASSERT_TRUE(memory_reader.ok());
-  const NdArray expected = memory_reader.value().read_all().value();
+  const NdArray expected = memory_reader.value().read_all(kData).value();
 
   for (const FileReadMode mode : {FileReadMode::kAuto, FileReadMode::kBuffered}) {
-    ArchiveFileReader reader = open_file_ok(path, mode);
+    ArchiveReader reader = open_file_ok(path, mode);
     EXPECT_EQ(reader.info().compressor, "sz");
     EXPECT_EQ(reader.info().shape, field.shape());
 #if defined(__unix__) || defined(__APPLE__)
@@ -126,7 +127,7 @@ TEST(ArchiveFile, RoundTripThroughMmapAndBufferedReads) {
 #endif
     // Whole archive, serial and parallel.
     for (const unsigned threads : {1u, 4u}) {
-      auto all = reader.read_all(threads);
+      auto all = reader.read_all(kData, threads);
       ASSERT_TRUE(all.ok()) << all.status().to_string();
       ASSERT_EQ(all.value().size_bytes(), expected.size_bytes());
       EXPECT_EQ(std::memcmp(all.value().data(), expected.data(), expected.size_bytes()), 0);
@@ -134,11 +135,11 @@ TEST(ArchiveFile, RoundTripThroughMmapAndBufferedReads) {
     // Single chunks and plane ranges match the in-memory reconstruction.
     const std::size_t plane_bytes = expected.size_bytes() / 12;
     for (std::size_t i = 0; i < reader.info().chunk_count; ++i) {
-      auto chunk = reader.read_chunk(i);
+      auto chunk = reader.read_chunk(kData, i);
       ASSERT_TRUE(chunk.ok()) << chunk.status().to_string();
-      EXPECT_EQ(chunk.value().shape(), reader.chunk_shape(i));
+      EXPECT_EQ(chunk.value().shape(), reader.chunk_shape(kData, i));
     }
-    auto range = reader.read_range(2, 7, 2);
+    auto range = reader.read_range(kData, 2, 7, 2);
     ASSERT_TRUE(range.ok()) << range.status().to_string();
     EXPECT_EQ(std::memcmp(range.value().data(),
                           static_cast<const std::uint8_t*>(expected.data()) + 2 * plane_bytes,
@@ -170,7 +171,7 @@ TEST(ArchiveFile, TruncationAtEverySectionBoundaryFailsOpen) {
   for (const std::size_t keep : boundaries) {
     ASSERT_LT(keep, bytes.size());
     dump(cut, bytes.data(), keep);
-    auto reader = ArchiveFileReader::open(cut);
+    auto reader = ArchiveReader::open(cut);
     ASSERT_FALSE(reader.ok()) << "opened a " << keep << "-byte truncation";
     EXPECT_EQ(reader.status().code(), StatusCode::kCorruptStream) << keep;
   }
@@ -193,9 +194,9 @@ TEST(ArchiveFile, WriterBuffersAtMostWorkersPlusOneChunkPayloads) {
     // Buffered payload bytes stay a small fraction of the raw input (the
     // window times one compressed chunk), even though raw >> peak.
     EXPECT_LT(result.peak_buffered_bytes, result.raw_bytes / 4) << threads;
-    auto reader = ArchiveFileReader::open(path);
+    auto reader = ArchiveReader::open(path);
     ASSERT_TRUE(reader.ok()) << reader.status().to_string();
-    auto decoded = reader.value().read_all(threads);
+    auto decoded = reader.value().read_all(kData, threads);
     ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
     EXPECT_EQ(decoded.value().shape(), field.shape());
   }
@@ -216,33 +217,43 @@ TEST(ArchiveFile, CorruptChunkFailsOnlyReadsTouchingIt) {
   dump(bad, bytes.data(), bytes.size());
 
   for (const FileReadMode mode : {FileReadMode::kAuto, FileReadMode::kBuffered}) {
-    ArchiveFileReader reader = open_file_ok(bad, mode);
-    EXPECT_TRUE(reader.read_chunk(0).ok());
-    auto corrupted = reader.read_chunk(1);
+    ArchiveReader reader = open_file_ok(bad, mode);
+    EXPECT_TRUE(reader.read_chunk(kData, 0).ok());
+    auto corrupted = reader.read_chunk(kData, 1);
     ASSERT_FALSE(corrupted.ok());
     EXPECT_EQ(corrupted.status().code(), StatusCode::kCorruptStream);
-    EXPECT_TRUE(reader.read_chunk(2).ok());
-    EXPECT_FALSE(reader.read_all(2).ok());
-    EXPECT_TRUE(reader.read_range(4, 4, 2).ok());  // chunks 2..3 only
+    EXPECT_TRUE(reader.read_chunk(kData, 2).ok());
+    EXPECT_FALSE(reader.read_all(kData, 2).ok());
+    EXPECT_TRUE(reader.read_range(kData, 4, 4, 2).ok());  // chunks 2..3 only
   }
 }
 
 TEST(ArchiveFile, V1ArchivesReadableThroughTheFileReader) {
+  // The frozen v1 fixture opens straight from its file, through both the
+  // mmap and the positioned-read paths, and decodes to the same values as a
+  // fresh v3 file write of the same input, whose chunk region it shares.
   TempFiles tmp;
+  const std::string fixture = testhelpers::corpus_path(testhelpers::kFrozenV1.rel);
+  const std::vector<std::uint8_t> v1_bytes =
+      testhelpers::load_frozen(testhelpers::kFrozenV1);
   const NdArray field = make_field(DType::kFloat32, {8, 14, 10});
-  ArchiveWriteConfig v1 = writer_config("sz", 6.0, 0.2, 2);
-  v1.format_version = 1;
-  Buffer v1_bytes;
-  ArchiveWriter(v1).write(field.view(), v1_bytes).value();
-  const std::string path = tmp.make("v1");
-  dump(path, v1_bytes.data(), v1_bytes.size());
+  const std::string v3_path = tmp.make("v1_fresh_v3");
+  pack_file(field.view(), writer_config("sz", 6.0, 0.2, 2), v3_path);
+  const std::vector<std::uint8_t> v3_bytes = slurp(v3_path);
+  ArchiveReader v3_reader = open_file_ok(v3_path);
+  EXPECT_EQ(v3_reader.info().version, 3);
+  const NdArray expected = v3_reader.read_all(kData).value();
 
   for (const FileReadMode mode : {FileReadMode::kAuto, FileReadMode::kBuffered}) {
-    ArchiveFileReader reader = open_file_ok(path, mode);
+    ArchiveReader reader = open_file_ok(fixture, mode);
     EXPECT_EQ(reader.info().version, 1);
-    auto decoded = reader.read_all(2);
+    EXPECT_EQ(testhelpers::chunk_region(v1_bytes.data(), reader.info()),
+              testhelpers::chunk_region(v3_bytes.data(), v3_reader.info()));
+    auto decoded = reader.read_all(kData, 2);
     ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-    EXPECT_EQ(decoded.value().shape(), field.shape());
+    ASSERT_EQ(decoded.value().size_bytes(), expected.size_bytes());
+    EXPECT_EQ(std::memcmp(decoded.value().data(), expected.data(), expected.size_bytes()),
+              0);
   }
 }
 
@@ -268,13 +279,13 @@ TEST(ArchiveFile, SinkFailuresCarryTheOsErrorDetail) {
 
 TEST(ArchiveFile, WriteFailureLeavesNoPartialFile) {
   const NdArray field = make_field(DType::kFloat32, {6, 10, 8});
-  ArchiveFileWriter writer(writer_config("sz", 6.0, 0.2, 2));
+  ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 2));
   // A directory is not a writable file target.
   auto written = writer.write(".", field.view());
   ASSERT_FALSE(written.ok());
   EXPECT_EQ(written.status().code(), StatusCode::kIoError);
   // Opening a missing path reports IoError, not a crash or CorruptStream.
-  auto missing = ArchiveFileReader::open("fraz_test_definitely_missing.tmp");
+  auto missing = ArchiveReader::open("fraz_test_definitely_missing.tmp");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
 }
@@ -285,12 +296,12 @@ TEST(ArchiveFile, StreamedWriterWarmStartsAcrossWrites) {
   TempFiles tmp;
   const NdArray step0 = make_field(DType::kFloat32, {8, 16, 12}, 50.0);
   const NdArray step1 = make_field(DType::kFloat32, {8, 16, 12}, 51.0);
-  ArchiveFileWriter writer(writer_config("sz", 6.0, 0.2, 2));
+  ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 2));
   const std::string path0 = tmp.make("series_0");
   const std::string path1 = tmp.make("series_1");
   const ArchiveWriteResult first = pack_file(step0.view(), writer.config(), path0);
   (void)first;
-  ArchiveFileWriter series_writer(writer_config("sz", 6.0, 0.2, 2));
+  ArchiveWriter series_writer(writer_config("sz", 6.0, 0.2, 2));
   auto r0 = series_writer.write(path0, step0.view());
   ASSERT_TRUE(r0.ok());
   auto r1 = series_writer.write(path1, step1.view());

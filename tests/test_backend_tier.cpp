@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "archive/archive.hpp"
-#include "archive/archive_file.hpp"
 #include "core/loss.hpp"
 #include "data/datasets.hpp"
 #include "engine/engine.hpp"
@@ -21,7 +20,6 @@
 namespace fraz {
 namespace {
 
-using archive::ArchiveFileWriter;
 using archive::ArchiveWriteConfig;
 using archive::ArchiveWriter;
 using testhelpers::make_field;
@@ -120,7 +118,7 @@ void check_worker_invariance(const std::string& backend, double target) {
 
   // The streaming file transport shares the pipeline: same bytes again.
   const std::string path = tmp.make(backend);
-  ArchiveFileWriter file_writer(writer_config(backend, target, 0.2, 2, 4));
+  ArchiveWriter file_writer(writer_config(backend, target, 0.2, 2, 4));
   const auto written = file_writer.write(path, field.view());
   ASSERT_TRUE(written.ok()) << written.status().to_string();
   const auto file_bytes = slurp(path);
@@ -131,7 +129,7 @@ void check_worker_invariance(const std::string& backend, double target) {
   // And the archive round-trips through the normal reader.
   auto reader = archive::ArchiveReader::open(baseline.data(), baseline.size());
   ASSERT_TRUE(reader.ok()) << reader.status().to_string();
-  const NdArray decoded = reader.value().read_all().value();
+  const NdArray decoded = reader.value().read_all(archive::kDefaultFieldName).value();
   ASSERT_EQ(decoded.shape(), field.shape());
 }
 

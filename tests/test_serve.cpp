@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "archive/archive.hpp"
-#include "archive/archive_file.hpp"
 #include "serve/chunk_cache.hpp"
 #include "serve/reader_pool.hpp"
 #include "serve/server.hpp"
@@ -26,8 +25,8 @@
 namespace fraz {
 namespace {
 
-using archive::ArchiveFileReader;
-using archive::ArchiveFileWriter;
+using archive::ArchiveReader;
+using archive::ArchiveWriter;
 using archive::ArchiveWriteConfig;
 using archive::FieldDesc;
 using serve::ChunkCache;
@@ -67,7 +66,7 @@ ArchiveWriteConfig writer_config(const std::string& backend, double target,
 /// A single-field archive file: 32 planes of 16x16 f32 in chunks of 4.
 std::string pack_single(TempFiles& tmp, const std::string& name) {
   const NdArray field = make_field(DType::kFloat32, {32, 16, 16});
-  ArchiveFileWriter writer(writer_config("sz", 6.0, 0.2, 4));
+  ArchiveWriter writer(writer_config("sz", 6.0, 0.2, 4));
   const std::string path = tmp.make(name);
   auto written = writer.write(path, field.view());
   EXPECT_TRUE(written.ok()) << written.status().to_string();
@@ -78,7 +77,7 @@ std::string pack_single(TempFiles& tmp, const std::string& name) {
 std::string pack_multi(TempFiles& tmp, const std::string& name) {
   const NdArray temperature = make_field(DType::kFloat32, {24, 16, 16});
   const NdArray pressure = make_field(DType::kFloat64, {18, 12, 12}, 20.0);
-  ArchiveFileWriter writer(writer_config("sz", 5.0, 0.25, 4));
+  ArchiveWriter writer(writer_config("sz", 5.0, 0.25, 4));
   const std::string path = tmp.make(name);
   EXPECT_TRUE(writer.begin(path).ok());
   for (const auto& [field_name, field] :
@@ -202,7 +201,7 @@ TEST(ReaderPool, ConcurrentMissDecodesOnce) {
 TEST(ReaderPool, ConcurrentReadsMatchSerialGolden) {
   TempFiles tmp;
   const std::string path = pack_multi(tmp, "serve_golden");
-  auto golden_reader = ArchiveFileReader::open(path);
+  auto golden_reader = ArchiveReader::open(path);
   ASSERT_TRUE(golden_reader.ok());
   auto pool = ReaderPool::open(path, ReaderPoolConfig{});
   ASSERT_TRUE(pool.ok()) << pool.status().to_string();
@@ -337,9 +336,9 @@ TEST(Serve, ProtocolFramesRangesAndSurvivesErrors) {
   auto pool = ReaderPool::open(path, ReaderPoolConfig{});
   ASSERT_TRUE(pool.ok());
 
-  auto golden_reader = ArchiveFileReader::open(path);
+  auto golden_reader = ArchiveReader::open(path);
   ASSERT_TRUE(golden_reader.ok());
-  auto golden = golden_reader.value().read_range(0, 8, 1);
+  auto golden = golden_reader.value().read_range(archive::kDefaultFieldName, 0, 8, 1);
   ASSERT_TRUE(golden.ok());
 
   const std::string out = serve_session(
@@ -376,7 +375,7 @@ TEST(Serve, ChunkAndInfoRequests) {
   auto pool = ReaderPool::open(path, ReaderPoolConfig{});
   ASSERT_TRUE(pool.ok());
 
-  auto golden_reader = ArchiveFileReader::open(path);
+  auto golden_reader = ArchiveReader::open(path);
   ASSERT_TRUE(golden_reader.ok());
   auto golden = golden_reader.value().read_chunk("pressure", 1);
   ASSERT_TRUE(golden.ok());
@@ -442,7 +441,7 @@ TEST(BoundStoreRoundTrip, SavedCampaignRestoresExactly) {
   const std::string bounds_path = tmp.make("serve_bounds");
 
   // Campaign A: cold pack, then a warm pack, saving the store in between.
-  ArchiveFileWriter first(writer_config("sz", 6.0, 0.2, 4));
+  ArchiveWriter first(writer_config("sz", 6.0, 0.2, 4));
   const std::string cold_path = tmp.make("serve_bounds_cold");
   auto cold = first.write(cold_path, field.view());
   ASSERT_TRUE(cold.ok());
@@ -453,7 +452,7 @@ TEST(BoundStoreRoundTrip, SavedCampaignRestoresExactly) {
 
   // Campaign B: a fresh writer restoring the saved store must continue the
   // campaign exactly — same warm chunks, same bytes as A's second write.
-  ArchiveFileWriter second(writer_config("sz", 6.0, 0.2, 4));
+  ArchiveWriter second(writer_config("sz", 6.0, 0.2, 4));
   ASSERT_TRUE(second.bound_store()->load(bounds_path).ok());
   const std::string warm_b_path = tmp.make("serve_bounds_warm_b");
   auto warm_b = second.write(warm_b_path, field.view());

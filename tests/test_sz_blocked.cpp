@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "archive/archive.hpp"
-#include "archive/archive_file.hpp"
 #include "codec/checksum.hpp"
 #include "compressors/sz/sz.hpp"
 #include "pressio/registry.hpp"
@@ -254,7 +253,7 @@ TEST(SzBlocked, ArchiveBytesIdenticalAtEveryWorkerCount) {
   auto reader = archive::ArchiveReader::open(reference.data(), reference.size());
   ASSERT_TRUE(reader.ok()) << reader.status().to_string();
   for (const unsigned threads : {1u, 4u}) {
-    auto decoded = reader.value().read_all(threads);
+    auto decoded = reader.value().read_all(archive::kDefaultFieldName, threads);
     ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
     EXPECT_EQ(decoded.value().shape(), field.shape());
   }
@@ -268,7 +267,7 @@ TEST(SzBlocked, FileTransportMatchesBufferTransport) {
 
   const std::string path = "fraz_test_sz_blocked_transport.tmp";
   for (const unsigned threads : {1u, 4u}) {
-    archive::ArchiveFileWriter writer(blocked_writer_config(8.0, 3, threads));
+    archive::ArchiveWriter writer(blocked_writer_config(8.0, 3, threads));
     ASSERT_TRUE(writer.write(path, field.view()).ok());
     std::ifstream is(path, std::ios::binary | std::ios::ate);
     ASSERT_TRUE(is.good());

@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "archive/archive_file.hpp"
+#include "archive/archive.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/telemetry.hpp"
 #include "test_helpers.hpp"
@@ -22,7 +22,7 @@
 namespace fraz {
 namespace {
 
-using archive::ArchiveFileWriter;
+using archive::ArchiveWriter;
 using archive::ArchiveWriteConfig;
 using telemetry::Counter;
 using telemetry::Gauge;
@@ -344,12 +344,12 @@ TEST(Telemetry, PackIsByteIdenticalWithTelemetryOnAndOff) {
 
   telemetry::set_enabled(true);
   const std::string path_on = tmp.make("telemetry_on");
-  auto written_on = ArchiveFileWriter(config).write(path_on, field.view());
+  auto written_on = ArchiveWriter(config).write(path_on, field.view());
   ASSERT_TRUE(written_on.ok()) << written_on.status().to_string();
 
   telemetry::set_enabled(false);
   const std::string path_off = tmp.make("telemetry_off");
-  auto written_off = ArchiveFileWriter(config).write(path_off, field.view());
+  auto written_off = ArchiveWriter(config).write(path_off, field.view());
   ASSERT_TRUE(written_off.ok()) << written_off.status().to_string();
 
   const std::string bytes_on = slurp(path_on);

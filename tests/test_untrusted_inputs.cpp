@@ -19,7 +19,9 @@
 
 #include "archive/archive.hpp"
 #include "archive/format.hpp"
+#include "codec/checksum.hpp"
 #include "codec/huffman.hpp"
+#include "codec/lz.hpp"
 #include "codec/rans.hpp"
 #include "codec/rans_interleaved.hpp"
 #include "codec/varint.hpp"
@@ -114,6 +116,26 @@ TEST(UntrustedBoundStore, EverySingleBitFlipFailsAndLeavesStoreIntact) {
   }
 }
 
+TEST(UntrustedBoundStore, HostileNameLengthRejectedNotOverflowed) {
+  // Regression: the CRC is attacker-computable, so a name length near 2^64
+  // must be caught by the parser's own bounds check — the old
+  // `pos + len > size` form wrapped below `size` and passed, sizing a string
+  // from the hostile length.
+  Buffer block;
+  put_u32(block, 0x427a5246u);  // "FRzB"
+  block.push_back(1);           // version
+  put_varint(block, 1);         // one entry
+  put_varint(block, ~std::uint64_t{0});
+  put_f64(block, 10.0);
+  put_f64(block, 1e-3);
+  put_u32(block, crc32(block.data(), block.size()));
+  BoundStore store;
+  seed_sentinel(store);
+  const Status status = store.deserialize(block.data(), block.size());
+  EXPECT_EQ(status.code(), StatusCode::kCorruptStream) << status.to_string();
+  EXPECT_DOUBLE_EQ(store.get("sentinel", 4.0), 0.125);
+}
+
 // -------------------------------------------------- serve protocol parser
 
 TEST(UntrustedServeProtocol, CorpusReplayIsTotal) {
@@ -200,7 +222,6 @@ ParsedArchive build_v3_archive() {
   config.engine.tuner.epsilon = 0.3;
   config.chunk_extent = 3;
   config.threads = 1;
-  config.format_version = archive::kFormatVersionMultiField;
   archive::ArchiveWriter writer(std::move(config));
   Buffer packed;
   auto written = writer.write(field.view(), packed);
@@ -231,8 +252,7 @@ std::vector<std::uint8_t> splice_manifest(const ParsedArchive& parsed,
   Buffer footer;
   const std::uint64_t total = parsed.footer.manifest_offset + manifest.size() +
                               archive::kFooterBytes;
-  archive::encode_footer(archive::kFormatVersionMultiField,
-                         parsed.footer.manifest_offset, manifest.size(),
+  archive::encode_footer(parsed.footer.manifest_offset, manifest.size(),
                          parsed.footer.raw_bytes, total,
                          parsed.footer.achieved_ratio, footer);
   out.insert(out.end(), footer.begin(), footer.end());
@@ -287,7 +307,8 @@ TEST(UntrustedArchive, GapInChunkTilingRejectedAtOpen) {
 
 TEST(UntrustedArchive, CorpusArchivesOpenAndTruncationsFail) {
   for (const char* name :
-       {"archive_format/archive_v2.fraz", "archive_format/archive_v3.fraz"}) {
+       {"archive_format/archive_v1.fraz", "archive_format/archive_v2.fraz",
+        "archive_format/archive_v3.fraz"}) {
     const auto bytes = read_corpus_file(name);
     auto reader = archive::ArchiveReader::open(bytes.data(), bytes.size());
     ASSERT_TRUE(reader.ok()) << name << ": " << reader.status().to_string();
@@ -485,6 +506,58 @@ TEST(UntrustedBackends, SzHostileSymbolCountRejectedBeforeAllocation) {
   seal_container_into(CompressorId::kSz, DType::kFloat32, Shape{8}, payload.data(),
                       payload.size(), frame, 2);
   EXPECT_THROW((void)sz_decompress(frame.data(), frame.size()), CorruptStream);
+}
+
+TEST(UntrustedBackends, MgardHostileStreamLengthsRejectedNotOverflowed) {
+  // Regression: mgard's code- and raw-stream lengths are 64-bit varints
+  // inside an LZ-wrapped payload under an attacker-computable container
+  // CRC.  A length near 2^64 must be rejected by the decoder, not wrap the
+  // `pos + len > size` check and hand huffman_decode an out-of-bounds span.
+  std::vector<std::uint8_t> huge_varint;
+  put_varint(huge_varint, ~std::uint64_t{0});
+  const auto frame = [&](bool hostile_raw) {
+    Buffer assembled;
+    assembled.push_back(0);  // norm tag
+    put_f64(assembled, 1.0);  // tolerance
+    put_varint(assembled, 1);  // levels
+    if (hostile_raw) {
+      const std::vector<std::uint32_t> codes(16, 1);
+      const std::vector<std::uint8_t> huff = huffman_encode(codes);
+      put_varint(assembled, huff.size());
+      assembled.append(huff.data(), huff.size());
+    }
+    assembled.append(huge_varint.data(), huge_varint.size());
+    const std::vector<std::uint8_t> packed = lz_compress(assembled.data(), assembled.size());
+    Buffer sealed;
+    seal_container_into(CompressorId::kMgard, DType::kFloat32, Shape{4, 4}, packed.data(),
+                        packed.size(), sealed);
+    return sealed;
+  };
+  const auto mgard = pressio::registry().create("mgard");
+  for (const bool hostile_raw : {false, true}) {
+    const Buffer sealed = frame(hostile_raw);
+    NdArray out;
+    const Status status = mgard->decompress_into(sealed.data(), sealed.size(), out);
+    EXPECT_EQ(status.code(), StatusCode::kCorruptStream)
+        << (hostile_raw ? "raw" : "code") << " stream: " << status.to_string();
+  }
+}
+
+TEST(UntrustedCodecs, LzHostileLengthsRejectedBeforeAllocation) {
+  // The declared output size sizes no allocation beyond a small multiple of
+  // the input, and literal / match lengths near 2^64 cannot wrap the checks.
+  std::vector<std::uint8_t> literal;
+  put_varint(literal, std::uint64_t{1} << 62);  // declared output size
+  put_varint(literal, ~std::uint64_t{0});       // literal run
+  EXPECT_THROW((void)lz_decompress(literal), CorruptStream);
+
+  std::vector<std::uint8_t> match;
+  put_varint(match, ~std::uint64_t{0});  // declared output size
+  put_varint(match, 4);                  // literal run of 4 bytes
+  match.insert(match.end(), {1, 2, 3, 4});
+  put_varint(match, 1);                          // offset
+  put_varint(match, ~std::uint64_t{0} - 1);      // match length - 4: wraps
+  EXPECT_THROW((void)lz_decompress(match), CorruptStream);
 }
 
 TEST(UntrustedBackends, FpcCorpusDecodesAndTruncationsThrow) {

@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "archive/archive.hpp"
-#include "archive/archive_file.hpp"
 #include "core/quality_tuner.hpp"
 #include "core/serialize.hpp"
 #include "core/tuner.hpp"
@@ -357,8 +356,7 @@ archive::ArchiveWriteConfig pack_config(const Cli& cli) {
 /// store is a cold start, not an error — the first run of a campaign has
 /// nothing to restore; a *corrupt* store is a hard error (silently packing
 /// cold would waste the probes the caller tried to save).
-template <typename Writer>
-void load_bounds(const Cli& cli, const Writer& writer) {
+void load_bounds(const Cli& cli, const archive::ArchiveWriter& writer) {
   const std::string path = cli.get_string("bounds-in");
   if (path.empty()) return;
   const Status s = writer.bound_store()->load(path);
@@ -371,8 +369,7 @@ void load_bounds(const Cli& cli, const Writer& writer) {
   throw_status(s);
 }
 
-template <typename Writer>
-void save_bounds(const Cli& cli, const Writer& writer) {
+void save_bounds(const Cli& cli, const archive::ArchiveWriter& writer) {
   const std::string path = cli.get_string("bounds-out");
   if (path.empty()) return;
   const Status s = writer.bound_store()->save(path);
@@ -491,7 +488,7 @@ FieldSpec parse_field_spec(const std::string& spec, const Cli& cli) {
 /// chunk-row-sized slabs — no field is ever fully resident, in memory terms
 /// the pack is O(chunk-row x workers) end to end.
 int cmd_pack_fields(const Cli& cli, const std::vector<std::string>& specs) {
-  auto writer = archive::ArchiveFileWriter::create(pack_config(cli));
+  auto writer = archive::ArchiveWriter::create(pack_config(cli));
   if (!writer.ok()) throw_status(writer.status());
   load_bounds(cli, writer.value());
   Status s = writer.value().begin(cli.get_string("output"));
@@ -531,7 +528,7 @@ int cmd_pack(const Cli& cli) {
   // Stream the archive straight to disk: chunks are written as their
   // compression tasks finish, so peak memory is O(chunk x workers) — the
   // archive itself is never resident.
-  auto writer = archive::ArchiveFileWriter::create(pack_config(cli));
+  auto writer = archive::ArchiveWriter::create(pack_config(cli));
   if (!writer.ok()) throw_status(writer.status());
   load_bounds(cli, writer.value());
   const auto written = writer.value().write(cli.get_string("output"), field.view());
@@ -543,7 +540,7 @@ int cmd_pack(const Cli& cli) {
 int cmd_unpack(const Cli& cli) {
   // Positioned reads only: open() validates just the manifest and footer;
   // chunk payloads are fetched (mmap or buffered) as requests touch them.
-  auto reader = archive::ArchiveFileReader::open(cli.get_string("input"));
+  auto reader = archive::ArchiveReader::open(cli.get_string("input"));
   if (!reader.ok()) throw_status(reader.status());
   const auto threads = static_cast<unsigned>(cli.get_int("threads"));
 
@@ -633,63 +630,61 @@ int cmd_serve(const Cli& cli) {
 int cmd_info(const Cli& cli) {
   // Only the manifest and footer are read — info on a TB-scale archive
   // touches KBs of the file.
-  auto reader = archive::ArchiveFileReader::open(cli.get_string("input"));
+  auto reader = archive::ArchiveReader::open(cli.get_string("input"));
   if (!reader.ok()) throw_status(reader.status());
   const archive::ArchiveInfo& info = reader.value().info();
 
   if (cli.get_flag("json")) {
-    std::string out = "{";
-    out += "\"format_version\":" + std::to_string(info.version);
-    out += ",\"compressor\":" + json_escape(info.compressor);
-    out += ",\"dtype\":" + json_escape(dtype_name(info.dtype));
-    out += ",\"shape\":[";
-    for (std::size_t d = 0; d < info.shape.size(); ++d)
-      out += (d ? "," : "") + std::to_string(info.shape[d]);
-    out += "],\"chunk_extent\":" + std::to_string(info.chunk_extent);
-    out += ",\"chunk_count\":" + std::to_string(info.chunk_count);
-    out += ",\"target_ratio\":" + std::to_string(info.target_ratio);
-    out += ",\"epsilon\":" + std::to_string(info.epsilon);
-    out += ",\"raw_bytes\":" + std::to_string(info.raw_bytes);
-    out += ",\"archive_bytes\":" + std::to_string(info.archive_bytes);
-    out += ",\"achieved_ratio\":" + std::to_string(info.achieved_ratio);
-    out += ",\"field_count\":" + std::to_string(info.fields.size());
-    out += ",\"fields\":[";
-    for (std::size_t f = 0; f < info.fields.size(); ++f) {
-      const archive::FieldInfo& field = info.fields[f];
-      if (f) out += ",";
-      out += "{\"name\":" + json_escape(field.name);
-      out += ",\"compressor\":" + json_escape(field.compressor);
-      out += ",\"dtype\":" + json_escape(dtype_name(field.dtype));
-      out += ",\"shape\":[";
-      for (std::size_t d = 0; d < field.shape.size(); ++d)
-        out += (d ? "," : "") + std::to_string(field.shape[d]);
-      out += "],\"chunk_extent\":" + std::to_string(field.chunk_extent);
-      out += ",\"chunk_count\":" + std::to_string(field.chunk_count);
-      out += ",\"target_ratio\":" + std::to_string(field.target_ratio);
-      out += ",\"epsilon\":" + std::to_string(field.epsilon);
-      out += ",\"raw_bytes\":" + std::to_string(field.raw_bytes);
-      out += ",\"payload_bytes\":" + std::to_string(field.payload_bytes);
-      out += ",\"payload_ratio\":" + std::to_string(field.payload_ratio);
-      out += ",\"chunks\":[";
-      for (std::size_t i = 0; i < field.chunks.size(); ++i) {
-        const archive::ChunkEntry& c = field.chunks[i];
-        if (i) out += ",";
-        out += "{\"offset\":" + std::to_string(c.offset) +
-               ",\"size\":" + std::to_string(c.size) +
-               ",\"error_bound\":" + std::to_string(c.error_bound) + "}";
-      }
-      out += "]}";
+    const auto shape = [](JsonWriter& w, const Shape& extents) -> JsonWriter& {
+      w.key("shape").begin_array();
+      for (const std::size_t d : extents) w.value(d);
+      return w.end_array();
+    };
+    const auto chunks = [](JsonWriter& w, const std::vector<archive::ChunkEntry>& entries)
+        -> JsonWriter& {
+      w.key("chunks").begin_array();
+      for (const archive::ChunkEntry& c : entries)
+        w.begin_object()
+            .field("offset", c.offset)
+            .field("size", c.size)
+            .field("error_bound", c.error_bound)
+            .end_object();
+      return w.end_array();
+    };
+    JsonWriter w;
+    w.begin_object()
+        .field("format_version", info.version)
+        .field("compressor", info.compressor)
+        .field("dtype", dtype_name(info.dtype));
+    shape(w, info.shape)
+        .field("chunk_extent", info.chunk_extent)
+        .field("chunk_count", info.chunk_count)
+        .field("target_ratio", info.target_ratio)
+        .field("epsilon", info.epsilon)
+        .field("raw_bytes", info.raw_bytes)
+        .field("archive_bytes", info.archive_bytes)
+        .field("achieved_ratio", info.achieved_ratio)
+        .field("field_count", info.fields.size())
+        .key("fields")
+        .begin_array();
+    for (const archive::FieldInfo& field : info.fields) {
+      w.begin_object()
+          .field("name", field.name)
+          .field("compressor", field.compressor)
+          .field("dtype", dtype_name(field.dtype));
+      shape(w, field.shape)
+          .field("chunk_extent", field.chunk_extent)
+          .field("chunk_count", field.chunk_count)
+          .field("target_ratio", field.target_ratio)
+          .field("epsilon", field.epsilon)
+          .field("raw_bytes", field.raw_bytes)
+          .field("payload_bytes", field.payload_bytes)
+          .field("payload_ratio", field.payload_ratio);
+      chunks(w, field.chunks).end_object();
     }
-    out += "],\"chunks\":[";
-    for (std::size_t i = 0; i < info.chunks.size(); ++i) {
-      const archive::ChunkEntry& c = info.chunks[i];
-      if (i) out += ",";
-      out += "{\"offset\":" + std::to_string(c.offset) +
-             ",\"size\":" + std::to_string(c.size) +
-             ",\"error_bound\":" + std::to_string(c.error_bound) + "}";
-    }
-    out += "]}";
-    std::printf("%s\n", out.c_str());
+    w.end_array();
+    chunks(w, info.chunks).end_object();
+    std::printf("%s\n", w.str().c_str());
     return 0;
   }
 
