@@ -5,18 +5,20 @@
 /// registered backend on one smooth synthetic field (the shape the paper's
 /// Hurricane fields take locally).  The tentpole claim gated here: an szx
 /// probe costs an order of magnitude less than an sz probe, so the `--check`
-/// floor is szx compress bandwidth >= 5x sz compress bandwidth (§VI-B.3's
+/// floor is szx compress bandwidth >= 4.5x sz compress bandwidth (§VI-B.3's
 /// "ZFP compresses faster than SZ" observation stays visible alongside).
 ///
 /// Section 2 — blocked sz vs serial sz: the PR-10 tentpole gate.  The
 /// blocked v2 pipeline (block-local prediction, fused quantize+entropy,
 /// 8-way interleaved rANS) against the serial v1 chain on an L2-spilling 3D
 /// working set — the regime where the serial Lorenzo feedback and the
-/// single-state rANS chain dominate.  Output byte-identity across thread
-/// counts is asserted before timing (the gate must never reward a pipeline
-/// that trades determinism for speed), then `--check` enforces blocked
-/// compress >= 2.5x serial and blocked decompress >= 2x serial at 8
-/// threads.
+/// single-state rANS chain dominate.  Blocked runs at 1 thread and at
+/// N = min(8, hardware threads); output byte-identity across the two is
+/// asserted before timing (the gate must never reward a pipeline that
+/// trades determinism for speed).  Absolute MB/s of all three compress runs
+/// is printed; `--check` gates the 1-thread algorithmic speedup over
+/// serial, the N-thread scaling over 1 thread, and blocked decompress >= 2x
+/// serial at N threads.
 ///
 /// Section 3 — kernel speedups: each SIMD kernel against its scalar
 /// reference on identical inputs, with the bit-identity contract asserted
@@ -27,10 +29,12 @@
 ///
 /// Output ends with one JSON line; `--smoke` shrinks sizes for CI.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -127,8 +131,9 @@ int main(int argc, char** argv) {
   cli.add_int("cols", 512, "field columns");
   cli.add_int("reps", 9, "timed repetitions (best counts)");
   cli.add_flag("smoke", "tiny fast run for CI (overrides rows/cols/reps)");
-  cli.add_flag("check", "exit nonzero unless szx compresses >= 5x faster than sz, "
-                        "blocked sz clears 2.5x/2x serial sz compress/decompress, "
+  cli.add_flag("check", "exit nonzero unless szx compresses >= 4.5x faster than sz, "
+                        "blocked sz clears 2.2x serial compress at 1 thread, 0.85x its "
+                        "1-thread compress at N threads and 2x serial decompress, "
                         "and every active SIMD kernel clears 1.5x its scalar ref");
   if (!cli.parse(argc, argv)) return 0;
 
@@ -220,30 +225,33 @@ int main(int argc, char** argv) {
   serial_opt.error_bound = 1e-2;
   SzOptions blocked_opt = serial_opt;
   blocked_opt.mode = SzMode::kBlocked;
-  blocked_opt.threads = 8;
+  // Never more threads than the host has cores: an oversubscribed run
+  // measures the scheduler, not the pipeline.
+  blocked_opt.threads = std::min(8u, std::max(1u, std::thread::hardware_concurrency()));
+  SzOptions blocked_one = blocked_opt;
+  blocked_one.threads = 1;
 
   const auto serial_frame = sz_compress(cube.view(), serial_opt);
   const auto blocked_frame = sz_compress(cube.view(), blocked_opt);
-  // Determinism before speed: the 8-thread frame must match the 1-thread
-  // frame byte for byte, or the speedup below gates nothing.
+  // Determinism before speed: the N-thread frame must match the 1-thread
+  // frame byte for byte, or the speedups below gate nothing.
   {
-    SzOptions one_thread = blocked_opt;
-    one_thread.threads = 1;
-    const auto single = sz_compress(cube.view(), one_thread);
+    const auto single = sz_compress(cube.view(), blocked_one);
     if (single.size() != blocked_frame.size() ||
         std::memcmp(single.data(), blocked_frame.data(), single.size()) != 0) {
       std::fprintf(stderr, "FAIL: blocked sz output differs across thread counts\n");
       return 1;
     }
   }
-  const double serial_compress_mbps = cube_mb / best_seconds(reps, [&] {
-    auto b = sz_compress(cube.view(), serial_opt);
-    keep(b.data());
-  });
-  const double blocked_compress_mbps = cube_mb / best_seconds(reps, [&] {
-    auto b = sz_compress(cube.view(), blocked_opt);
-    keep(b.data());
-  });
+  const auto compress_mbps = [&](const SzOptions& opt) {
+    return cube_mb / best_seconds(reps, [&] {
+      auto b = sz_compress(cube.view(), opt);
+      keep(b.data());
+    });
+  };
+  const double serial_compress_mbps = compress_mbps(serial_opt);
+  const double blocked1_compress_mbps = compress_mbps(blocked_one);
+  const double blocked_compress_mbps = compress_mbps(blocked_opt);
   const double serial_decompress_mbps = cube_mb / best_seconds(reps, [&] {
     NdArray a = sz_decompress(serial_frame);
     keep(a.data());
@@ -252,17 +260,23 @@ int main(int argc, char** argv) {
     NdArray a = sz_decompress(blocked_frame, blocked_opt.threads);
     keep(a.data());
   });
-  const double blocked_compress_speedup =
-      serial_compress_mbps > 0 ? blocked_compress_mbps / serial_compress_mbps : 0;
+  const double algorithmic_speedup =
+      serial_compress_mbps > 0 ? blocked1_compress_mbps / serial_compress_mbps : 0;
+  const double scaling_speedup =
+      blocked1_compress_mbps > 0 ? blocked_compress_mbps / blocked1_compress_mbps : 0;
   const double blocked_decompress_speedup =
       serial_decompress_mbps > 0 ? blocked_decompress_mbps / serial_decompress_mbps : 0;
-  std::printf("%-12s %14s %16s\n", "sz mode", "compress_MB/s", "decompress_MB/s");
-  std::printf("%-12s %14.0f %16.0f\n", "serial", serial_compress_mbps,
+  std::printf("%-12s %7s %14s %16s\n", "sz mode", "threads", "compress_MB/s",
+              "decompress_MB/s");
+  std::printf("%-12s %7u %14.0f %16.0f\n", "serial", 1u, serial_compress_mbps,
               serial_decompress_mbps);
-  std::printf("%-12s %14.0f %16.0f\n", "blocked(8t)", blocked_compress_mbps,
-              blocked_decompress_mbps);
-  std::printf("blocked/serial speedup: compress %.2fx decompress %.2fx\n\n",
-              blocked_compress_speedup, blocked_decompress_speedup);
+  std::printf("%-12s %7u %14.0f %16s\n", "blocked", 1u, blocked1_compress_mbps, "-");
+  std::printf("%-12s %7u %14.0f %16.0f\n", "blocked", blocked_opt.threads,
+              blocked_compress_mbps, blocked_decompress_mbps);
+  std::printf("blocked compress: 1-thread/serial %.2fx, %u-thread/1-thread %.2fx; "
+              "blocked/serial decompress %.2fx\n\n",
+              algorithmic_speedup, blocked_opt.threads, scaling_speedup,
+              blocked_decompress_speedup);
 
   // -------------------------------------------------------------- kernels
   // Inputs sized in whole szx blocks / sz runs / zfp blocks; identical
@@ -491,11 +505,14 @@ int main(int argc, char** argv) {
   jw.key("sz_blocked")
       .begin_object()
       .field("cube_bytes", cube.size_bytes())
+      .field("threads", blocked_opt.threads)
       .field("serial_compress_mbps", serial_compress_mbps)
+      .field("blocked_1t_compress_mbps", blocked1_compress_mbps)
       .field("blocked_compress_mbps", blocked_compress_mbps)
       .field("serial_decompress_mbps", serial_decompress_mbps)
       .field("blocked_decompress_mbps", blocked_decompress_mbps)
-      .field("compress_speedup", blocked_compress_speedup)
+      .field("algorithmic_speedup", algorithmic_speedup)
+      .field("scaling_speedup", scaling_speedup)
       .field("decompress_speedup", blocked_decompress_speedup)
       .end_object();
   jw.key("kernels").begin_object();
@@ -511,20 +528,40 @@ int main(int argc, char** argv) {
   bench::json_line(jw);
 
   if (cli.get_flag("check")) {
+    constexpr double kAlgorithmicFloor = 2.2;
+    constexpr double kScalingFloor = 0.85;
     bool pass = true;
     // Measured 5.4-6.1x on an unloaded AVX2 host; the floor leaves margin
-    // for noisy shared CI runners while still pinning the ~5x claim.
+    // for noisy shared CI runners while still pinning the ~5x claim.  The
+    // divide-free serial rANS encoder made sz faster: 5.2-5.5x full and
+    // 4.7-4.8x smoke (was 6.6x / 5.7-5.9x) on a 4-vCPU Xeon VM.
     if (szx_vs_sz < 4.5) {
       std::fprintf(stderr, "FAIL: szx/sz compress speedup %.2f below the 4.5x floor\n",
                    szx_vs_sz);
       pass = false;
     }
-    // Measured ~3.0x / ~2.2x on an unloaded AVX2 host (best-of-reps on both
-    // sides); the floors are the PR-10 acceptance numbers.
-    if (blocked_compress_speedup < 2.5) {
+    // Blocked vs serial, split per ROADMAP §1 with N = min(8, cores).  The
+    // former gate, blocked at 8 threads / serial >= 2.5x, read 3.74x (267 vs
+    // 71 MB/s, 4-vCPU Xeon VM) until the serial encoder's rANS stage lost
+    // its std::map census and per-symbol divide: serial rose to 99-107 MB/s
+    // with blocked unchanged, and the ratio fell to ~2.5x.  It measured the
+    // serial encoder, and ran 8 threads on 4 cores.  Each floor below fails
+    // on a 20% loss of blocked's own MB/s:
+    //  - algorithmic, blocked 1-thread / serial: measured 2.47-2.57x
+    //    (251-267 vs 99-107 MB/s, full and smoke); floor 2.2x;
+    //  - scaling, blocked N-thread / 1-thread: measured 0.98-1.00x at N = 4
+    //    on that VM, where four busy threads get ~1.3 cores; floor 0.85x.
+    if (algorithmic_speedup < kAlgorithmicFloor) {
       std::fprintf(stderr,
-                   "FAIL: blocked sz compress speedup %.2f below the 2.5x floor\n",
-                   blocked_compress_speedup);
+                   "FAIL: blocked sz 1-thread compress at %.2fx serial, below the %.2fx floor\n",
+                   algorithmic_speedup, kAlgorithmicFloor);
+      pass = false;
+    }
+    if (blocked_opt.threads > 1 && scaling_speedup < kScalingFloor) {
+      std::fprintf(stderr,
+                   "FAIL: blocked sz %u-thread compress at %.2fx its 1-thread run, below the "
+                   "%.2fx floor\n",
+                   blocked_opt.threads, scaling_speedup, kScalingFloor);
       pass = false;
     }
     if (blocked_decompress_speedup < 2.0) {

@@ -1,8 +1,8 @@
 #include "codec/rans.hpp"
 
 #include <algorithm>
-#include <map>
 
+#include "codec/rans_table.hpp"
 #include "codec/varint.hpp"
 #include "util/error.hpp"
 
@@ -10,149 +10,42 @@ namespace fraz {
 
 namespace {
 
-constexpr unsigned kProbBits = 17;  // covers the full 2^16+1 SZ code alphabet
+using rans_detail::kStateLow;
+using rans_detail::SymbolStats;
+
+constexpr unsigned kProbBits = kRansProbBits;
 constexpr std::uint32_t kProbScale = 1u << kProbBits;
-/// Renormalization interval: state stays in [kStateLow, kStateLow * 256).
-constexpr std::uint32_t kStateLow = 1u << 23;
 
-struct SymbolStats {
-  std::uint32_t symbol;
-  std::uint32_t freq;  // normalized, >= 1
-  std::uint32_t cum;   // cumulative start
-};
-
-/// Normalize raw counts so they sum exactly to kProbScale with every present
-/// symbol keeping frequency >= 1.  Deterministic: rounding drift is absorbed
-/// by the symbols with the largest frequencies, visiting them in descending
-/// (frequency, symbol) order.
-std::vector<SymbolStats> normalize(const std::map<std::uint32_t, std::uint64_t>& census,
-                                   std::uint64_t total) {
-  require(census.size() <= kProbScale, "rans: alphabet exceeds the probability table");
-  std::vector<SymbolStats> stats;
-  stats.reserve(census.size());
-  std::int64_t assigned = 0;
-  for (const auto& [symbol, count] : census) {
-    auto freq = static_cast<std::uint32_t>(count * kProbScale / total);
-    if (freq == 0) freq = 1;
-    stats.push_back({symbol, freq, 0});
-    assigned += freq;
-  }
-  std::int64_t drift = static_cast<std::int64_t>(kProbScale) - assigned;
-  if (drift != 0) {
-    // Indices ordered by descending frequency; ties by symbol for determinism.
-    std::vector<std::size_t> order(stats.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return stats[a].freq != stats[b].freq ? stats[a].freq > stats[b].freq
-                                            : stats[a].symbol < stats[b].symbol;
-    });
-    for (std::size_t i = 0; drift != 0; i = (i + 1) % order.size()) {
-      SymbolStats& s = stats[order[i]];
-      if (drift > 0) {
-        // Surplus capacity: grow the big symbols first.
-        const auto add = static_cast<std::uint32_t>(drift);
-        s.freq += add;
-        drift = 0;
-      } else if (s.freq > 1) {
-        const auto take = static_cast<std::uint32_t>(
-            std::min<std::int64_t>(-drift, s.freq - 1));
-        s.freq -= take;
-        drift += take;
-      }
-    }
-  }
-
-  std::uint32_t cum = 0;
-  for (auto& s : stats) {
-    s.cum = cum;
-    cum += s.freq;
-  }
-  return stats;
+/// Parse the header shared by both decoders.  Returns false for the
+/// empty-alphabet degenerate case.
+bool parse_header(const std::uint8_t* data, std::size_t size, std::size_t& pos,
+                  std::uint64_t& symbol_count, std::vector<SymbolStats>& stats) {
+  symbol_count = get_varint(data, size, pos);
+  rans_detail::parse_alphabet(data, size, pos, kProbBits, stats);
+  if (!stats.empty()) return true;
+  if (symbol_count != 0) throw CorruptStream("rans: empty alphabet with symbols");
+  return false;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> rans_encode(const std::uint32_t* symbols, std::size_t n) {
-  std::map<std::uint32_t, std::uint64_t> census;
-  for (std::size_t i = 0; i < n; ++i) census[symbols[i]]++;
-
   std::vector<std::uint8_t> out;
   put_varint(out, n);
-  put_varint(out, census.size());
-  if (census.empty()) return out;
-
-  const std::vector<SymbolStats> stats = normalize(census, n);
-  std::uint32_t prev = 0;
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    put_varint(out, stats[i].symbol - (i == 0 ? 0 : prev));
-    put_varint(out, stats[i].freq);
-    prev = stats[i].symbol;
+  if (n == 0) {
+    put_varint(out, 0);  // empty alphabet
+    return out;
   }
-
-  // Symbol -> stats lookup (alphabet is sorted by construction).
-  std::map<std::uint32_t, const SymbolStats*> lookup;
-  for (const auto& s : stats) lookup[s.symbol] = &s;
-
-  // rANS encodes in reverse so the decoder emits in forward order.
-  std::vector<std::uint8_t> payload;
-  std::uint32_t state = kStateLow;
-  for (std::size_t i = n; i-- > 0;) {
-    const SymbolStats& s = *lookup.at(symbols[i]);
-    // Renormalize: stream out low bytes until the post-encode state fits.
-    const std::uint32_t x_max = ((kStateLow >> kProbBits) << 8) * s.freq;
-    while (state >= x_max) {
-      payload.push_back(static_cast<std::uint8_t>(state & 0xffu));
-      state >>= 8;
-    }
-    state = ((state / s.freq) << kProbBits) + (state % s.freq) + s.cum;
-  }
-  // Flush the final 32-bit state.
-  for (int b = 0; b < 4; ++b) {
-    payload.push_back(static_cast<std::uint8_t>(state & 0xffu));
-    state >>= 8;
-  }
-  std::reverse(payload.begin(), payload.end());
-  put_varint(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
+  require(rans_detail::encode_stream<kProbBits, 1>(symbols, n, out),
+          "rans: alphabet exceeds the probability table");
   return out;
 }
-
-namespace {
-
-/// Parse the alphabet header shared by both decoders.  Returns false for the
-/// empty-alphabet degenerate case.
-bool parse_alphabet(const std::uint8_t* data, std::size_t size, std::size_t& pos,
-                    std::uint64_t& symbol_count, std::vector<SymbolStats>& stats) {
-  symbol_count = get_varint(data, size, pos);
-  const std::uint64_t distinct = get_varint(data, size, pos);
-  if (distinct == 0) {
-    if (symbol_count != 0) throw CorruptStream("rans: empty alphabet with symbols");
-    return false;
-  }
-  if (distinct > kProbScale) throw CorruptStream("rans: alphabet too large");
-
-  stats.resize(distinct);
-  std::uint32_t symbol = 0, cum = 0;
-  for (std::uint64_t i = 0; i < distinct; ++i) {
-    const std::uint64_t delta = get_varint(data, size, pos);
-    const std::uint64_t freq = get_varint(data, size, pos);
-    if (freq == 0 || freq > kProbScale) throw CorruptStream("rans: bad frequency");
-    symbol = i == 0 ? static_cast<std::uint32_t>(delta)
-                    : symbol + static_cast<std::uint32_t>(delta);
-    stats[i] = {symbol, static_cast<std::uint32_t>(freq), cum};
-    cum += static_cast<std::uint32_t>(freq);
-  }
-  if (cum != kProbScale) throw CorruptStream("rans: frequencies do not sum to scale");
-  return true;
-}
-
-}  // namespace
 
 std::vector<std::uint32_t> rans_decode(const std::uint8_t* data, std::size_t size) {
   std::size_t pos = 0;
   std::uint64_t symbol_count = 0;
   std::vector<SymbolStats> stats;
-  if (!parse_alphabet(data, size, pos, symbol_count, stats)) return {};
+  if (!parse_header(data, size, pos, symbol_count, stats)) return {};
 
   // Slot -> symbol index lookup table, filled range-by-range (memset speed
   // instead of a per-slot loop; dominated by the biggest symbol's range on
@@ -217,7 +110,7 @@ std::vector<std::uint32_t> rans_decode_ref(const std::uint8_t* data, std::size_t
   std::size_t pos = 0;
   std::uint64_t symbol_count = 0;
   std::vector<SymbolStats> stats;
-  if (!parse_alphabet(data, size, pos, symbol_count, stats)) return {};
+  if (!parse_header(data, size, pos, symbol_count, stats)) return {};
 
   std::vector<std::uint32_t> slot_to_index(kProbScale);
   for (std::uint32_t i = 0; i < stats.size(); ++i)

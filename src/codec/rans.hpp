@@ -19,7 +19,7 @@
 ///   varint  distinct_count
 ///   repeated distinct_count times:
 ///     varint  symbol delta (ascending; first absolute)
-///     varint  normalized frequency (1..2^14, sums to 2^14)
+///     varint  normalized frequency (1..2^17, sums to 2^17)
 ///   varint  payload byte count, payload bytes (decoder reads forward)
 ///
 /// Deterministic: equal inputs produce equal bytes.
@@ -29,6 +29,10 @@
 #include <vector>
 
 namespace fraz {
+
+/// Probability resolution: 2^17 slots, enough for the full 2^16+1 SZ code
+/// alphabet to keep frequency >= 1 per code.
+constexpr unsigned kRansProbBits = 17;
 
 /// Encode \p n symbols.
 std::vector<std::uint8_t> rans_encode(const std::uint32_t* symbols, std::size_t n);

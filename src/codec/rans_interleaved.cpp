@@ -1,8 +1,8 @@
 #include "codec/rans_interleaved.hpp"
 
 #include <algorithm>
-#include <map>
 
+#include "codec/rans_table.hpp"
 #include "codec/varint.hpp"
 #include "util/error.hpp"
 #include "util/simd.hpp"
@@ -11,114 +11,15 @@ namespace fraz {
 
 namespace {
 
+using rans_detail::kStateLow;
+using rans_detail::SymbolStats;
+
 constexpr unsigned kProbBits = kRansInterleavedProbBits;
 constexpr std::uint32_t kProbScale = 1u << kProbBits;
-/// Renormalization interval: every state stays in [kStateLow, kStateLow*256).
-constexpr std::uint32_t kStateLow = 1u << 23;
 constexpr unsigned kWays = kRansWays;
 
 constexpr std::uint8_t kModeRans = 0;
 constexpr std::uint8_t kModeRaw = 1;
-
-struct SymbolStats {
-  std::uint32_t symbol;
-  std::uint32_t freq;  // normalized, >= 1
-  std::uint32_t cum;   // cumulative start
-};
-
-/// Normalize raw counts so they sum exactly to kProbScale with every present
-/// symbol keeping frequency >= 1.  Same deterministic drift policy as the
-/// single-state coder (rans.cpp): rounding drift is absorbed by the symbols
-/// with the largest frequencies, visited in descending (frequency, symbol)
-/// order.  \p census must be sorted by symbol.
-std::vector<SymbolStats> normalize(const std::vector<std::pair<std::uint32_t, std::uint64_t>>& census,
-                                   std::uint64_t total) {
-  std::vector<SymbolStats> stats;
-  stats.reserve(census.size());
-  std::int64_t assigned = 0;
-  for (const auto& [symbol, count] : census) {
-    auto freq = static_cast<std::uint32_t>(count * kProbScale / total);
-    if (freq == 0) freq = 1;
-    stats.push_back({symbol, freq, 0});
-    assigned += freq;
-  }
-  std::int64_t drift = static_cast<std::int64_t>(kProbScale) - assigned;
-  if (drift != 0) {
-    std::vector<std::size_t> order(stats.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return stats[a].freq != stats[b].freq ? stats[a].freq > stats[b].freq
-                                            : stats[a].symbol < stats[b].symbol;
-    });
-    for (std::size_t i = 0; drift != 0; i = (i + 1) % order.size()) {
-      SymbolStats& s = stats[order[i]];
-      if (drift > 0) {
-        const auto add = static_cast<std::uint32_t>(drift);
-        s.freq += add;
-        drift = 0;
-      } else if (s.freq > 1) {
-        const auto take =
-            static_cast<std::uint32_t>(std::min<std::int64_t>(-drift, s.freq - 1));
-        s.freq -= take;
-        drift += take;
-      }
-    }
-  }
-
-  std::uint32_t cum = 0;
-  for (auto& s : stats) {
-    s.cum = cum;
-    cum += s.freq;
-  }
-  return stats;
-}
-
-/// Sorted (symbol, count) census.  Quantization-code alphabets are dense
-/// around the radius, so a min..max flat array census replaces the std::map
-/// walk of the single-state encoder (the dominant cost of rans_encode on
-/// large streams); genuinely sparse alphabets fall back to the map.
-std::vector<std::pair<std::uint32_t, std::uint64_t>> build_census(const std::uint32_t* symbols,
-                                                                  std::size_t n) {
-  std::uint32_t lo = symbols[0], hi = symbols[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    lo = std::min(lo, symbols[i]);
-    hi = std::max(hi, symbols[i]);
-  }
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> census;
-  const std::uint64_t range = static_cast<std::uint64_t>(hi) - lo + 1;
-  if (range <= (std::uint64_t{1} << 20)) {
-    std::vector<std::uint64_t> counts(static_cast<std::size_t>(range), 0);
-    for (std::size_t i = 0; i < n; ++i) ++counts[symbols[i] - lo];
-    for (std::size_t v = 0; v < counts.size(); ++v)
-      if (counts[v] != 0) census.emplace_back(lo + static_cast<std::uint32_t>(v), counts[v]);
-  } else {
-    std::map<std::uint32_t, std::uint64_t> map_census;
-    for (std::size_t i = 0; i < n; ++i) ++map_census[symbols[i]];
-    census.assign(map_census.begin(), map_census.end());
-  }
-  return census;
-}
-
-/// Parse the alphabet section into stats; shared by both decoders.
-void parse_alphabet(const std::uint8_t* data, std::size_t size, std::size_t& pos,
-                    std::vector<SymbolStats>& stats) {
-  const std::uint64_t distinct = get_varint(data, size, pos);
-  if (distinct == 0 || distinct > kProbScale)
-    throw CorruptStream("rans_interleaved: bad alphabet size");
-  stats.resize(distinct);
-  std::uint32_t symbol = 0, cum = 0;
-  for (std::uint64_t i = 0; i < distinct; ++i) {
-    const std::uint64_t delta = get_varint(data, size, pos);
-    const std::uint64_t freq = get_varint(data, size, pos);
-    if (freq == 0 || freq > kProbScale) throw CorruptStream("rans_interleaved: bad frequency");
-    symbol = i == 0 ? static_cast<std::uint32_t>(delta)
-                    : symbol + static_cast<std::uint32_t>(delta);
-    stats[i] = {symbol, static_cast<std::uint32_t>(freq), cum};
-    cum += static_cast<std::uint32_t>(freq);
-  }
-  if (cum != kProbScale)
-    throw CorruptStream("rans_interleaved: frequencies do not sum to scale");
-}
 
 /// Shared front half of both decoders: header, mode routing, alphabet, and
 /// the eight big-endian initial states.  Returns false when the caller is
@@ -157,7 +58,8 @@ bool decode_prologue(const std::uint8_t* data, std::size_t size, std::size_t& po
   }
   if (mode != kModeRans) throw CorruptStream("rans_interleaved: unknown mode");
 
-  parse_alphabet(data, size, pos, stats);
+  rans_detail::parse_alphabet(data, size, pos, kProbBits, stats);
+  if (stats.empty()) throw CorruptStream("rans_interleaved: empty alphabet");
   payload_size = get_varint(data, size, pos);
   if (pos + payload_size != size) throw CorruptStream("rans_interleaved: payload size mismatch");
   payload = data + pos;
@@ -188,116 +90,12 @@ std::vector<std::uint8_t> rans_interleaved_encode(const std::uint32_t* symbols,
   out.push_back(static_cast<std::uint8_t>(kWays));
   if (n == 0) return out;
 
-  const auto census = build_census(symbols, n);
-  if (census.size() > kProbScale) {
-    // More distinct symbols than probability slots: the stream is close to
-    // incompressible, so store it verbatim instead of failing.
-    out.push_back(kModeRaw);
-    for (std::size_t i = 0; i < n; ++i) put_varint(out, symbols[i]);
-    return out;
-  }
-
   out.push_back(kModeRans);
-  const std::vector<SymbolStats> stats = normalize(census, n);
-  std::uint32_t prev = 0;
-  put_varint(out, stats.size());
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    put_varint(out, stats[i].symbol - (i == 0 ? 0 : prev));
-    put_varint(out, stats[i].freq);
-    prev = stats[i].symbol;
-  }
-
-  // Symbol -> encode-entry lookup mirroring the census layout: flat array
-  // over the dense min..max range, map fallback for sparse alphabets.  Each
-  // entry carries the renormalization threshold plus a fixed-point reciprocal
-  // of its frequency so the state update below needs no hardware divide:
-  // for every 32-bit x,  x / freq == ((x * rcp_freq) >> 32) >> rcp_shift,
-  // which turns  ((x / freq) << kProbBits) + (x % freq) + cum  into
-  // x + bias + (x / freq) * cmpl_freq — bit-identical to the division form.
-  struct EncSymbol {
-    std::uint32_t x_max;       // renormalize while x >= x_max
-    std::uint32_t rcp_freq;    // fixed-point 1/freq
-    std::uint32_t bias;
-    std::uint32_t cmpl_freq;   // (1 << kProbBits) - freq
-    std::uint32_t rcp_shift;
-  };
-  const auto make_enc = [](const SymbolStats& s) {
-    EncSymbol es{};
-    es.x_max = ((kStateLow >> kProbBits) << 8) * s.freq;
-    es.cmpl_freq = (1u << kProbBits) - s.freq;
-    if (s.freq < 2) {
-      // freq == 1: q == x, so fold the (x << kProbBits) expansion into bias.
-      es.rcp_freq = ~0u;
-      es.rcp_shift = 0;
-      es.bias = s.cum + (1u << kProbBits) - 1;
-    } else {
-      std::uint32_t shift = 0;
-      while (s.freq > (1u << shift)) ++shift;
-      es.rcp_freq = static_cast<std::uint32_t>(
-          ((std::uint64_t{1} << (shift + 31)) + s.freq - 1) / s.freq);
-      es.rcp_shift = shift - 1;
-      es.bias = s.cum;
-    }
-    return es;
-  };
-  const std::uint32_t lo = stats.front().symbol;
-  const std::uint64_t range = static_cast<std::uint64_t>(stats.back().symbol) - lo + 1;
-  std::vector<EncSymbol> flat;
-  std::map<std::uint32_t, EncSymbol> sparse;
-  const bool dense = range <= (std::uint64_t{1} << 20);
-  if (dense) {
-    flat.assign(static_cast<std::size_t>(range), EncSymbol{});
-    for (const auto& s : stats) flat[s.symbol - lo] = make_enc(s);
-  } else {
-    for (const auto& s : stats) sparse.emplace(s.symbol, make_enc(s));
-  }
-
-  // Encode in reverse with alternating states so the decoder emits forward:
-  // renormalization bytes are pushed before each encode step and the whole
-  // payload is reversed once, which makes every state's byte sequence exactly
-  // that of a single-state rANS over its own symbol subsequence.
-  //
-  // The renorm is branchless: a state needs at most two renormalization
-  // bytes per step (states live below kStateLow * 256 = 2^31 and
-  // x_max >= 2^17), so both candidate bytes are stored unconditionally and
-  // the write cursor advances by however many were actually needed — no
-  // data-dependent branch for the predictor to miss.  thread_local scratch:
-  // group encoders reuse the warm allocation; the 2n bound plus flush slack
-  // makes the stray second-byte store always in bounds.
-  thread_local std::vector<std::uint8_t> payload;
-  if (payload.size() < 2 * n + 8 * kWays) payload.resize(2 * n + 8 * kWays);
-  std::uint8_t* pp = payload.data();
-  std::uint32_t states[kWays];
-  for (auto& s : states) s = kStateLow;
-  for (std::size_t i = n; i-- > 0;) {
-    const EncSymbol es = dense ? flat[symbols[i] - lo] : sparse.find(symbols[i])->second;
-    std::uint32_t& x = states[i % kWays];
-    pp[0] = static_cast<std::uint8_t>(x & 0xffu);
-    pp[1] = static_cast<std::uint8_t>((x >> 8) & 0xffu);
-    const unsigned renorm =
-        static_cast<unsigned>(x >= es.x_max) +
-        static_cast<unsigned>(static_cast<std::uint64_t>(x) >=
-                              (static_cast<std::uint64_t>(es.x_max) << 8));
-    pp += renorm;
-    x >>= 8 * renorm;
-    const std::uint32_t q = static_cast<std::uint32_t>(
-                                (static_cast<std::uint64_t>(x) * es.rcp_freq) >> 32) >>
-                            es.rcp_shift;
-    x += es.bias + q * es.cmpl_freq;
-  }
-  // Flush states 7..0 LSB-first; after the reversal below the decoder reads
-  // state 0 first, each big-endian.
-  for (unsigned w = kWays; w-- > 0;) {
-    std::uint32_t x = states[w];
-    for (int b = 0; b < 4; ++b) {
-      *pp++ = static_cast<std::uint8_t>(x & 0xffu);
-      x >>= 8;
-    }
-  }
-  const std::size_t payload_size = static_cast<std::size_t>(pp - payload.data());
-  std::reverse(payload.data(), payload.data() + payload_size);
-  put_varint(out, payload_size);
-  out.insert(out.end(), payload.data(), payload.data() + payload_size);
+  if (rans_detail::encode_stream<kProbBits, kWays>(symbols, n, out)) return out;
+  // More distinct symbols than probability slots: the stream is close to
+  // incompressible, so store it verbatim instead of failing.
+  out.back() = kModeRaw;
+  for (std::size_t i = 0; i < n; ++i) put_varint(out, symbols[i]);
   return out;
 }
 

@@ -138,7 +138,9 @@ TEST_P(BackendSweep, CloneIsIndependent) {
   // The tight-bound archive must be strictly larger — shared state would
   // make the two calls produce identical output.  Lossless backends ignore
   // the bound entirely, so for them the bound values above are the check.
-  if (!original->capabilities().lossless) EXPECT_GT(b.size(), a.size()) << GetParam();
+  if (!original->capabilities().lossless) {
+    EXPECT_GT(b.size(), a.size()) << GetParam();
+  }
   // And the original still compresses at its own bound afterwards.
   EXPECT_DOUBLE_EQ(original->error_bound(), 0.5);
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 
+#include "codec/checksum.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -126,6 +127,76 @@ TEST(Rans, BadFrequencyTableThrows) {
   bogus.push_back(5);  // freq 5 (must sum to 2^14)
   bogus.push_back(0);  // payload size 0
   EXPECT_THROW(rans_decode(bogus), CorruptStream);
+}
+
+/// Byte pins for the encoder: size and CRC-32 of rans_encode output on
+/// streams that reach every branch of the table builder (dense and sparse
+/// census, the drift loop, freq == 1 and freq == 2^17 entries, empty and
+/// single-symbol streams).  The wire format is frozen by the sz goldens, so
+/// any encoder rewrite must reproduce these exactly.
+struct PinCase {
+  const char* name;
+  std::vector<std::uint32_t> (*make)();
+  std::size_t size;
+  std::uint32_t crc;
+};
+
+std::vector<std::uint32_t> pin_sz_like() {
+  // 2^20 quantization codes: ~0.1% escapes (code 0), the rest peaked at the
+  // radius 32768 with a triangular spread of +-16.
+  Rng rng(11);
+  std::vector<std::uint32_t> s(std::size_t{1} << 20);
+  for (auto& v : s)
+    v = rng.below(1000) == 0
+            ? 0u
+            : 32768u + static_cast<std::uint32_t>(rng.below(17) + rng.below(17)) - 16u;
+  return s;
+}
+std::vector<std::uint32_t> pin_one_symbol() { return std::vector<std::uint32_t>(5000, 77); }
+std::vector<std::uint32_t> pin_freq_one_tail() {
+  std::vector<std::uint32_t> s(1000000, 9);
+  for (std::uint32_t i = 0; i < 3000; ++i) s[i * 331] = 1000 + 7 * i;
+  return s;
+}
+std::vector<std::uint32_t> pin_range(std::uint32_t span) {
+  Rng rng(12);
+  std::vector<std::uint32_t> s;
+  for (int i = 0; i < 20000; ++i) s.push_back(100u + static_cast<std::uint32_t>(rng.below(64)));
+  s.push_back(100u + span - 1);  // max - min + 1 == span
+  return s;
+}
+std::vector<std::uint32_t> pin_range_dense_edge() { return pin_range(1u << 20); }
+std::vector<std::uint32_t> pin_range_sparse_edge() { return pin_range((1u << 20) + 1); }
+std::vector<std::uint32_t> pin_sparse_extremes() {
+  Rng rng(13);
+  const std::uint32_t alphabet[] = {0u, 3u, 0x10000u, 0x7fffffffu, 0xfffffff0u, 0xffffffffu};
+  std::vector<std::uint32_t> s;
+  for (int i = 0; i < 30000; ++i) s.push_back(alphabet[rng.below(i % 3 == 0 ? 6 : 2)]);
+  return s;
+}
+std::vector<std::uint32_t> pin_empty() { return {}; }
+std::vector<std::uint32_t> pin_single() { return {123456789u}; }
+
+TEST(Rans, EncoderBytesArePinned) {
+  const PinCase cases[] = {
+      {"sz_like_2^20", pin_sz_like, 630662, 0x19a57d4au},
+      {"one_symbol", pin_one_symbol, 12, 0x516d9a4eu},
+      {"freq_one_tail", pin_freq_one_tail, 16548, 0x4cbd5654u},
+      {"range_2^20", pin_range_dense_edge, 15202, 0xf9cd2e9du},
+      {"range_2^20+1", pin_range_sparse_edge, 15202, 0xfab9e2f5u},
+      {"sparse_extremes", pin_sparse_extremes, 7475, 0x72dd9383u},
+      {"n=0", pin_empty, 2, 0x41d912ffu},
+      {"n=1", pin_single, 14, 0x00db515du},
+  };
+  for (const PinCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<std::uint32_t> symbols = c.make();
+    const std::vector<std::uint8_t> encoded = rans_encode(symbols);
+    EXPECT_EQ(encoded.size(), c.size);
+    EXPECT_EQ(crc32(encoded), c.crc);
+    EXPECT_EQ(rans_decode(encoded), symbols);
+    EXPECT_EQ(rans_decode_ref(encoded.data(), encoded.size()), symbols);
+  }
 }
 
 /// Property sweep: roundtrip across alphabet sizes, skews, and lengths.

@@ -560,6 +560,24 @@ TEST(UntrustedCodecs, LzHostileLengthsRejectedBeforeAllocation) {
   EXPECT_THROW((void)lz_decompress(match), CorruptStream);
 }
 
+TEST(UntrustedCodecs, RansWrappingFrequencyTableRejected) {
+  // 2^15 + 1 frequencies of 2^17 sum to 2^32 + 2^17: a 32-bit running sum
+  // wraps back onto the 2^17 scale, and every cumulative start past the
+  // first would index beyond the slot table.  Rejected while parsing.
+  std::vector<std::uint8_t> bogus;
+  put_varint(bogus, 1);  // symbol count
+  const std::uint64_t distinct = (std::uint64_t{1} << 15) + 1;
+  put_varint(bogus, distinct);
+  for (std::uint64_t i = 0; i < distinct; ++i) {
+    put_varint(bogus, i == 0 ? 0 : 1);                      // symbol delta
+    put_varint(bogus, std::uint64_t{1} << kRansProbBits);  // frequency
+  }
+  put_varint(bogus, 4);                        // payload size
+  bogus.insert(bogus.end(), {0, 0x80, 0, 0});  // initial state 2^23
+  EXPECT_THROW((void)rans_decode(bogus), CorruptStream);
+  EXPECT_THROW((void)rans_decode_ref(bogus.data(), bogus.size()), CorruptStream);
+}
+
 TEST(UntrustedBackends, FpcCorpusDecodesAndTruncationsThrow) {
   for (const char* name : {"fpc/smooth_f32.fpc", "fpc/rough_f64.fpc"}) {
     const auto seed = read_corpus_file(name);
