@@ -20,7 +20,12 @@
 /// serial, the N-thread scaling over 1 thread, and blocked decompress >= 2x
 /// serial at N threads.
 ///
-/// Section 3 — kernel speedups: each SIMD kernel against its scalar
+/// Section 3 — probe regime: what the tuner actually runs.  Serial sz on one
+/// chunk-shaped 3D input (2 planes of the hurricane TCf field) at 24
+/// log-spaced bounds; MB/s over the sweep and the CRC of its frames are
+/// printed and recorded, not gated.
+///
+/// Section 4 — kernel speedups: each SIMD kernel against its scalar
 /// reference on identical inputs, with the bit-identity contract asserted
 /// before timing (a bench that gates speed on diverging outputs would gate
 /// nothing).  `--check` enforces >= 1.5x per kernel, only when the vector
@@ -38,6 +43,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "codec/checksum.hpp"
 #include "compressors/fpc/fpc.hpp"
 #include "compressors/mgard/mgard.hpp"
 #include "compressors/sz/sz.hpp"
@@ -132,7 +138,7 @@ int main(int argc, char** argv) {
   cli.add_int("reps", 9, "timed repetitions (best counts)");
   cli.add_flag("smoke", "tiny fast run for CI (overrides rows/cols/reps)");
   cli.add_flag("check", "exit nonzero unless szx compresses >= 4.5x faster than sz, "
-                        "blocked sz clears 2.2x serial compress at 1 thread, 0.85x its "
+                        "blocked sz clears 1.6x serial compress at 1 thread, 0.85x its "
                         "1-thread compress at N threads and 2x serial decompress, "
                         "and every active SIMD kernel clears 1.5x its scalar ref");
   if (!cli.parse(argc, argv)) return 0;
@@ -243,8 +249,11 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  // Both sides of each ratio gate are best-of at least 9: the blocked
+  // 1-thread run is the noisiest of the three on a shared host.
+  const unsigned cube_reps = std::max(reps, 9u);
   const auto compress_mbps = [&](const SzOptions& opt) {
-    return cube_mb / best_seconds(reps, [&] {
+    return cube_mb / best_seconds(cube_reps, [&] {
       auto b = sz_compress(cube.view(), opt);
       keep(b.data());
     });
@@ -252,11 +261,11 @@ int main(int argc, char** argv) {
   const double serial_compress_mbps = compress_mbps(serial_opt);
   const double blocked1_compress_mbps = compress_mbps(blocked_one);
   const double blocked_compress_mbps = compress_mbps(blocked_opt);
-  const double serial_decompress_mbps = cube_mb / best_seconds(reps, [&] {
+  const double serial_decompress_mbps = cube_mb / best_seconds(cube_reps, [&] {
     NdArray a = sz_decompress(serial_frame);
     keep(a.data());
   });
-  const double blocked_decompress_mbps = cube_mb / best_seconds(reps, [&] {
+  const double blocked_decompress_mbps = cube_mb / best_seconds(cube_reps, [&] {
     NdArray a = sz_decompress(blocked_frame, blocked_opt.threads);
     keep(a.data());
   });
@@ -277,6 +286,34 @@ int main(int argc, char** argv) {
               "blocked/serial decompress %.2fx\n\n",
               algorithmic_speedup, blocked_opt.threads, scaling_speedup,
               blocked_decompress_speedup);
+
+  // --------------------------------------------------------- probe regime
+  // The smooth 2D field above sits at ratio ~24, where prediction is cheap;
+  // a tuner probe is a small 3D chunk (the perfbench campaign packs 2-plane
+  // chunks of 128x128) compressed at whatever bound the search tries, from
+  // escape-heavy to near-constant code streams.  Same input in --smoke.
+  data::FieldSpec probe_spec =
+      data::field_by_name(data::dataset_by_name("hurricane"), "TCf");
+  probe_spec.shape = {2, 128, 128};
+  const NdArray probe_chunk = data::generate_field(probe_spec, 0);
+  const double probe_range = value_range(probe_chunk.view());
+  constexpr int kProbeBounds = 24;
+  std::vector<std::uint32_t> probe_crcs(kProbeBounds);
+  const double probe_mbps =
+      kProbeBounds * static_cast<double>(probe_chunk.size_bytes()) / 1e6 /
+      best_seconds(reps, [&] {
+        for (int b = 0; b < kProbeBounds; ++b) {
+          SzOptions opt;
+          opt.error_bound = probe_range * std::pow(10.0, -6.0 + 5.0 * b / (kProbeBounds - 1));
+          const auto frame = sz_compress(probe_chunk.view(), opt);
+          probe_crcs[static_cast<std::size_t>(b)] = crc32(frame);
+        }
+      });
+  const std::uint32_t probe_crc =
+      crc32(reinterpret_cast<const std::uint8_t*>(probe_crcs.data()), kProbeBounds * 4);
+  std::printf("probe regime: serial sz on a 2x128x128 hurricane chunk at %d bounds "
+              "(1e-6..1e-1 x range): %.0f MB/s, frames crc %08x\n\n",
+              kProbeBounds, probe_mbps, probe_crc);
 
   // -------------------------------------------------------------- kernels
   // Inputs sized in whole szx blocks / sz runs / zfp blocks; identical
@@ -515,6 +552,13 @@ int main(int argc, char** argv) {
       .field("scaling_speedup", scaling_speedup)
       .field("decompress_speedup", blocked_decompress_speedup)
       .end_object();
+  jw.key("sz_probe_regime")
+      .begin_object()
+      .field("chunk_bytes", probe_chunk.size_bytes())
+      .field("bounds", kProbeBounds)
+      .field("compress_mbps", probe_mbps)
+      .field("frames_crc", probe_crc)
+      .end_object();
   jw.key("kernels").begin_object();
   for (const Named& k : kernels)
     jw.key(k.name)
@@ -528,7 +572,7 @@ int main(int argc, char** argv) {
   bench::json_line(jw);
 
   if (cli.get_flag("check")) {
-    constexpr double kAlgorithmicFloor = 2.2;
+    constexpr double kAlgorithmicFloor = 1.6;
     constexpr double kScalingFloor = 0.85;
     bool pass = true;
     // Measured 5.4-6.1x on an unloaded AVX2 host; the floor leaves margin
@@ -545,10 +589,20 @@ int main(int argc, char** argv) {
     // 71 MB/s, 4-vCPU Xeon VM) until the serial encoder's rANS stage lost
     // its std::map census and per-symbol divide: serial rose to 99-107 MB/s
     // with blocked unchanged, and the ratio fell to ~2.5x.  It measured the
-    // serial encoder, and ran 8 threads on 4 cores.  Each floor below fails
-    // on a 20% loss of blocked's own MB/s:
+    // serial encoder, and ran 8 threads on 4 cores.  The floors below are
+    // set to fail on a 20% loss of blocked's own MB/s:
     //  - algorithmic, blocked 1-thread / serial: measured 2.47-2.57x
-    //    (251-267 vs 99-107 MB/s, full and smoke); floor 2.2x;
+    //    (251-267 vs 99-107 MB/s, full and smoke); floor then 2.2x.  The
+    //    serial encoder's row-pointer block loop, divide-free LZ match
+    //    finder and sort-free rANS normalize then lifted the serial cube
+    //    (smoke, shared 4-vCPU Xeon VM) from 42-64 to 61-94 MB/s with
+    //    blocked unchanged (106-178 MB/s), and the ratio fell from
+    //    2.50-3.32x to 1.59-2.00x, median ~1.8x.  Floor 1.6x.  A 20% loss
+    //    of blocked's MB/s fails it from the median (1.8x -> 1.44x) but
+    //    not from the top of that range (2.0x -> 1.60x), and the bottom of
+    //    the range already fails (1.59x, 1 of 21 runs).  On a noisy host
+    //    this ratio cannot both pass steadily and catch that loss; ROADMAP
+    //    §1 has re-anchoring it on blocked's own MB/s;
     //  - scaling, blocked N-thread / 1-thread: measured 0.98-1.00x at N = 4
     //    on that VM, where four busy threads get ~1.3 cores; floor 0.85x.
     if (algorithmic_speedup < kAlgorithmicFloor) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "codec/varint.hpp"
 #include "util/error.hpp"
@@ -25,34 +26,41 @@ std::uint32_t hash4(const std::uint8_t* p) noexcept {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
+/// Length of the common prefix of a and b, at most limit: 8 bytes per
+/// compare, the first differing byte located by counting zero bits.
 std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b, std::size_t limit) noexcept {
   std::size_t n = 0;
+  for (; n + 8 <= limit; n += 8) {
+    std::uint64_t x, y;
+    std::memcpy(&x, a + n, 8);
+    std::memcpy(&y, b + n, 8);
+    if (const std::uint64_t diff = x ^ y; diff != 0) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+      return n + static_cast<std::size_t>(__builtin_clzll(diff) >> 3);
+#else
+      return n + static_cast<std::size_t>(__builtin_ctzll(diff) >> 3);
+#endif
+    }
+  }
   while (n < limit && a[n] == b[n]) ++n;
   return n;
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> lz_compress(const std::uint8_t* data, std::size_t size,
-                                      const LzOptions& options) {
-  require(options.window > 0, "lz_compress: window must be positive");
-  std::vector<std::uint8_t> out;
-  out.reserve(size / 2 + 16);
-  put_varint(out, size);
-
-  if (size == 0) return out;
-
-  // Hash-chain match finder: head[h] = most recent position with hash h;
-  // prev[i % window] = previous position with the same hash as i.
-  std::vector<std::int64_t> head(kHashSize, -1);
-  std::vector<std::int64_t> prev(std::min(options.window, size), -1);
-  const std::size_t prev_size = prev.size();
+/// The sequence loop over chain tables of \p Index: head[h] = most recent
+/// position with hash h, prev[slot(i)] = the previous position with the
+/// same hash as i, -1 for none.  slot(i) is i % prev.size() in whatever
+/// form is cheapest for the window (see lz_compress).
+template <typename Index, typename Slot>
+void compress_sequences(const std::uint8_t* data, std::size_t size, const LzOptions& options,
+                        std::size_t prev_size, Slot slot, std::vector<std::uint8_t>& out) {
+  std::vector<Index> head(kHashSize, -1);
+  std::vector<Index> prev(prev_size, -1);
 
   auto insert = [&](std::size_t pos) {
     if (pos + 4 > size) return;
     const std::uint32_t h = hash4(data + pos);
-    prev[pos % prev_size] = head[h];
-    head[h] = static_cast<std::int64_t>(pos);
+    prev[slot(pos)] = head[h];
+    head[h] = static_cast<Index>(pos);
   };
 
   std::size_t pos = 0;
@@ -72,7 +80,7 @@ std::vector<std::uint8_t> lz_compress(const std::uint8_t* data, std::size_t size
     std::size_t best_off = 0;
     if (pos + kMinMatch <= size) {
       const std::size_t limit = size - pos;
-      std::int64_t candidate = head[hash4(data + pos)];
+      Index candidate = head[hash4(data + pos)];
       unsigned chain = options.max_chain;
       while (candidate >= 0 && chain-- > 0) {
         const auto cpos = static_cast<std::size_t>(candidate);
@@ -83,7 +91,7 @@ std::vector<std::uint8_t> lz_compress(const std::uint8_t* data, std::size_t size
           best_off = pos - cpos;
           if (len >= 1024) break;  // long enough; stop searching
         }
-        candidate = prev[cpos % prev_size];
+        candidate = prev[slot(cpos)];
       }
     }
 
@@ -100,15 +108,48 @@ std::vector<std::uint8_t> lz_compress(const std::uint8_t* data, std::size_t size
       ++pos;
     }
   }
-  if (literal_start < size || size == 0) {
-    // Trailing literals with no match.
+  if (literal_start < size) {
+    // Trailing literals with no match.  A stream that ends exactly on a
+    // match emits nothing more: the decoder already has every byte.
     put_varint(out, size - literal_start);
     out.insert(out.end(), data + literal_start, data + size);
-  } else if (literal_start == size) {
-    // Stream ended exactly on a match: emit an empty trailing literal run so
-    // the decoder's loop shape stays uniform only when bytes remain — here
-    // the decoder already has everything, so nothing to emit.
   }
+}
+
+/// Run compress_sequences with the narrowest chain index that holds every
+/// position.
+template <typename Slot>
+void compress_with_slot(const std::uint8_t* data, std::size_t size, const LzOptions& options,
+                        std::size_t prev_size, Slot slot, std::vector<std::uint8_t>& out) {
+  if (size <= static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()))
+    compress_sequences<std::int32_t>(data, size, options, prev_size, slot, out);
+  else
+    compress_sequences<std::int64_t>(data, size, options, prev_size, slot, out);
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> lz_compress(const std::uint8_t* data, std::size_t size,
+                                      const LzOptions& options) {
+  require(options.window > 0, "lz_compress: window must be positive");
+  std::vector<std::uint8_t> out;
+  out.reserve(size / 2 + 16);
+  put_varint(out, size);
+
+  if (size == 0) return out;
+
+  // prev holds one slot per position of the last min(window, size) bytes.
+  // The ring index pos % window is a mask for power-of-two windows (every
+  // production caller), and only other windows pay the divide.  While the
+  // input fits the window every pos < size <= window, so both forms are pos.
+  const std::size_t window = options.window;
+  const std::size_t prev_size = std::min(window, size);
+  if ((window & (window - 1)) == 0)
+    compress_with_slot(data, size, options, prev_size,
+                       [mask = window - 1](std::size_t pos) { return pos & mask; }, out);
+  else
+    compress_with_slot(data, size, options, prev_size,
+                       [window](std::size_t pos) { return pos % window; }, out);
   return out;
 }
 

@@ -35,7 +35,11 @@ struct LzOptions {
   std::size_t window = 1u << 16;
 };
 
-/// Compress \p data.
+/// Compress \p data.  The match finder keeps hash chains over the last
+/// min(window, size) positions: 32-bit chain tables while size < 2^31 (64-bit
+/// above), and each position's chain slot is pos & (window - 1) for a
+/// power-of-two window and pos % window only for other windows.  Table
+/// width and slot form change the cost, never the output.
 std::vector<std::uint8_t> lz_compress(const std::uint8_t* data, std::size_t size,
                                       const LzOptions& options = {});
 

@@ -58,35 +58,44 @@ Census take_census(const std::uint32_t* symbols, std::size_t n,
 /// Normalize a census sorted by symbol so the frequencies sum exactly to
 /// \p scale.  Deterministic: rounding drift is absorbed by the symbols with
 /// the largest frequencies, visiting them in descending (frequency, symbol)
-/// order.
+/// order.  The first symbol in that order takes a surplus whole, and almost
+/// always has room for an overshoot too, so it is found in one pass; only an
+/// overshoot it cannot absorb sorts the alphabet.
 std::vector<SymbolStats> normalize(const Census& census, std::uint64_t total,
                                    std::uint32_t scale) {
   std::vector<SymbolStats> stats;
   stats.reserve(census.size());
   std::int64_t assigned = 0;
+  std::size_t heaviest = 0;
   for (const auto& [symbol, count] : census) {
     auto freq = static_cast<std::uint32_t>(count * scale / total);
     if (freq == 0) freq = 1;
+    // The census ascends by symbol, so a tie keeps the smaller symbol.
+    if (stats.empty() || freq > stats[heaviest].freq) heaviest = stats.size();
     stats.push_back({symbol, freq, 0});
     assigned += freq;
   }
   std::int64_t drift = static_cast<std::int64_t>(scale) - assigned;
-  std::vector<std::size_t> order(stats.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return stats[a].freq != stats[b].freq ? stats[a].freq > stats[b].freq
-                                          : stats[a].symbol < stats[b].symbol;
-  });
-  for (std::size_t i = 0; drift != 0; i = (i + 1) % order.size()) {
-    SymbolStats& s = stats[order[i]];
-    if (drift > 0) {
-      // Surplus capacity: grow the big symbols first.
-      s.freq += static_cast<std::uint32_t>(drift);
-      drift = 0;
-    } else if (s.freq > 1) {
-      const auto take = static_cast<std::uint32_t>(std::min<std::int64_t>(-drift, s.freq - 1));
-      s.freq -= take;
-      drift += take;
+  SymbolStats& first = stats[heaviest];
+  if (drift > 0 || (drift < 0 && first.freq - 1 >= static_cast<std::uint64_t>(-drift))) {
+    first.freq = static_cast<std::uint32_t>(first.freq + drift);
+    drift = 0;
+  }
+  if (drift != 0) {
+    std::vector<std::size_t> order(stats.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return stats[a].freq != stats[b].freq ? stats[a].freq > stats[b].freq
+                                            : stats[a].symbol < stats[b].symbol;
+    });
+    for (std::size_t i = 0; drift != 0; i = (i + 1) % order.size()) {
+      SymbolStats& s = stats[order[i]];
+      if (s.freq > 1) {
+        const auto take =
+            static_cast<std::uint32_t>(std::min<std::int64_t>(-drift, s.freq - 1));
+        s.freq -= take;
+        drift += take;
+      }
     }
   }
   std::uint32_t cum = 0;

@@ -20,12 +20,10 @@ namespace {
 
 using szi::BlockGeom;
 using szi::CoeffSteps;
-using szi::fit_regression;
 using szi::get_scalar;
 using szi::kRadius;
+using szi::NormBlock;
 using szi::put_scalar;
-using szi::regression_predict;
-using szi::strides_of;
 
 /// Block edge per rank (SZ uses 6^3 blocks for 3D data).
 constexpr std::size_t block_edge(unsigned dims) noexcept {
@@ -34,34 +32,6 @@ constexpr std::size_t block_edge(unsigned dims) noexcept {
 
 CoeffSteps coeff_steps(double error_bound, unsigned dims) noexcept {
   return szi::coeff_steps(error_bound, static_cast<double>(block_edge(dims)));
-}
-
-/// 1-layer Lorenzo prediction at global coords from the reconstruction
-/// buffer.  Out-of-range neighbours contribute zero (SZ's convention).
-template <typename Scalar>
-double lorenzo_predict(const Scalar* recon, const std::size_t* coord, const Shape& shape,
-                       const std::array<std::size_t, 3>& stride) {
-  const unsigned dims = static_cast<unsigned>(shape.size());
-  auto sample = [&](int di, int dj, int dk) -> double {
-    std::ptrdiff_t c[3] = {static_cast<std::ptrdiff_t>(coord[0]) - di,
-                           static_cast<std::ptrdiff_t>(coord[1]) - dj,
-                           static_cast<std::ptrdiff_t>(coord[2]) - dk};
-    std::size_t idx = 0;
-    for (unsigned d = 0; d < dims; ++d) {
-      if (c[d] < 0) return 0.0;
-      idx += static_cast<std::size_t>(c[d]) * stride[d];
-    }
-    return static_cast<double>(recon[idx]);
-  };
-  switch (dims) {
-    case 1:
-      return sample(1, 0, 0);
-    case 2:
-      return sample(1, 0, 0) + sample(0, 1, 0) - sample(1, 1, 0);
-    default:  // 3
-      return sample(0, 0, 1) + sample(0, 1, 0) + sample(1, 0, 0) - sample(0, 1, 1) -
-             sample(1, 0, 1) - sample(1, 1, 0) + sample(1, 1, 1);
-  }
 }
 
 /// Visit blocks of the array in row-major block order (v1 block size).
@@ -74,143 +44,190 @@ std::size_t count_blocks(const Shape& shape, unsigned dims) {
   return szi::count_blocks(shape, dims, block_edge(dims));
 }
 
-template <typename Scalar>
+/// SZ's 1-layer Lorenzo stencil in the v1 format's fixed term order (see
+/// szi::Stencil for the names).  With s(di, dj, dk) the sample di planes,
+/// dj rows and dk columns back:
+///   3D  s(0,0,1) + s(0,1,0) + s(1,0,0) - s(0,1,1) - s(1,0,1) - s(1,1,0) + s(1,1,1)
+///   2D  s(1,0) + s(0,1) - s(1,1)
+///   1D  s(1)
+/// A reassociated sum, such as the blocked pipeline's lorenzo7, changes v1
+/// bytes.
+template <unsigned D>
+double lorenzo(double l, double n, double u, double nl, double ul, double un, double unl) {
+  if constexpr (D == 3) return l + n + u - nl - ul - un + unl;
+  if constexpr (D == 2) return n + l - nl;
+  return l;
+}
+
+/// Walk row (p, r) of block \p g with the v1 stencil.  \p row is that row
+/// inside the array the prediction reads: original values for the mode
+/// decision, the reconstruction for quantize and decode.  Neighbours outside
+/// the array are 0.0 (SZ's convention); inside it they may lie in earlier
+/// blocks.  step is as for szi::lorenzo_walk.
+template <unsigned D, typename Scalar, typename Step>
+void lorenzo_row(const Scalar* row, const BlockGeom& g, const NormBlock& nb, std::size_t p,
+                 std::size_t r, Step&& step) {
+  const Scalar* zeros = szi::zero_row<Scalar>();
+  bool has_north = false, has_up = false;
+  if constexpr (D >= 2) has_north = g.base[D - 2] + r > 0;
+  if constexpr (D == 3) has_up = g.base[0] + p > 0;
+  szi::LorenzoRows<Scalar> rows{
+      has_north ? row - nb.row_stride : zeros, has_up ? row - nb.plane_stride : zeros,
+      has_north && has_up ? row - nb.row_stride - nb.plane_stride : zeros};
+  if (g.base[D - 1] > 0) {
+    rows.l = static_cast<double>(row[-1]);
+    if (has_north) rows.nl = static_cast<double>(rows.north[-1]);
+    if (has_up) rows.ul = static_cast<double>(rows.up[-1]);
+    if (has_north && has_up) rows.unl = static_cast<double>(rows.upnorth[-1]);
+  }
+  szi::lorenzo_walk<lorenzo<D>>(rows, nb.inner, std::forward<Step>(step));
+}
+
+/// Separable least-squares fit of v ~ b0 + b1*x0 + b2*x1 + b3*x2 over the
+/// block, local coordinates slowest first (3D: plane, row, column; 2D: row,
+/// column, with b3 = 0).  The value sums run point by point in row-major
+/// order, the order the v1 bytes are pinned with.  Each coordinate's sum of
+/// squared deviations is n (len^2 - 1) / 12, a multiple of 1/4 that double
+/// holds exactly, so the closed form equals the point-by-point sum.
+template <unsigned D, typename Scalar>
+std::array<double, 4> fit_regression(const Scalar* data, const NormBlock& nb) {
+  const std::size_t len[3] = {D == 3 ? nb.planes : nb.rows, D == 3 ? nb.rows : nb.inner,
+                              D == 3 ? nb.inner : 1};
+  double mean_c[3];
+  for (unsigned d = 0; d < 3; ++d) mean_c[d] = (static_cast<double>(len[d]) - 1.0) / 2.0;
+  const auto n = static_cast<double>(len[0] * len[1] * len[2]);
+
+  double mean_v = 0;
+  for (std::size_t p = 0; p < nb.planes; ++p)
+    for (std::size_t r = 0; r < nb.rows; ++r) {
+      const Scalar* row = data + nb.row_index(p, r);
+      for (std::size_t c = 0; c < nb.inner; ++c) mean_v += static_cast<double>(row[c]);
+    }
+  mean_v /= n;
+
+  double num[3] = {0, 0, 0};
+  for (std::size_t p = 0; p < nb.planes; ++p)
+    for (std::size_t r = 0; r < nb.rows; ++r) {
+      const Scalar* row = data + nb.row_index(p, r);
+      const double d0 = static_cast<double>(D == 3 ? p : r) - mean_c[0];
+      const double d1 = static_cast<double>(r) - mean_c[1];  // 3D: the row coordinate
+      for (std::size_t c = 0; c < nb.inner; ++c) {
+        const double dv = static_cast<double>(row[c]) - mean_v;
+        num[0] += dv * d0;
+        if constexpr (D == 3) num[1] += dv * d1;
+        num[D - 1] += dv * (static_cast<double>(c) - mean_c[D - 1]);
+      }
+    }
+  std::array<double, 4> coeff{};
+  for (unsigned d = 0; d < 3; ++d) {
+    const double l = static_cast<double>(len[d]);
+    const double den = n * (l * l - 1.0) / 12.0;
+    coeff[d + 1] = den > 0 ? num[d] / den : 0.0;
+  }
+  coeff[0] = mean_v - coeff[1] * mean_c[0] - coeff[2] * mean_c[1] - coeff[3] * mean_c[2];
+  return coeff;
+}
+
+/// Encoder-side mode decision for one block (2D/3D): fit, quantize the
+/// coefficients into \p q / \p coeff (both sides predict from the rounded
+/// values), and compare per-point absolute residuals of both predictors on
+/// the original values.
+template <unsigned D, typename Scalar>
+bool decide_regression(const Scalar* data, const BlockGeom& g, const NormBlock& nb, double e,
+                       const CoeffSteps& steps, std::array<double, 4>& coeff,
+                       std::array<std::int64_t, 4>& q) {
+  if (!szi::quantize_coeffs(fit_regression<D>(data, nb), steps, coeff, q)) return false;
+  // The Lorenzo proxy uses original values, which hides the quantization
+  // noise the real predictor inherits from reconstructed neighbours (a
+  // 7-term 3D stencil feeds back ~1.5e of noise per point), so a
+  // bound-proportional penalty is added — the same correction SZ 2.x applies
+  // when arbitrating Lorenzo vs regression.  Expected |noise| scales with the
+  // stencil size: ~7 reconstructed neighbours in 3D, 3 in 2D.
+  const double lorenzo_noise = e * (D == 3 ? 1.5 : 0.6);
+  double cost_lorenzo = 0, cost_reg = 0;
+  for (std::size_t p = 0; p < nb.planes; ++p)
+    for (std::size_t r = 0; r < nb.rows; ++r) {
+      const Scalar* drow = data + nb.row_index(p, r);
+      const szi::RowPlane plane = szi::regression_row(coeff, D, p, r);
+      lorenzo_row<D>(drow, g, nb, p, r, [&](std::size_t c, double pred) {
+        const double v = static_cast<double>(drow[c]);
+        cost_lorenzo += std::abs(v - pred) + lorenzo_noise;
+        cost_reg += std::abs(v - (plane.base + plane.step * static_cast<double>(c)));
+        return v;
+      });
+    }
+  return cost_reg < cost_lorenzo;
+}
+
+template <typename Scalar, unsigned D>
 void compress_impl(const ArrayView& input, const SzOptions& opt, Buffer& out) {
-  const unsigned dims = static_cast<unsigned>(input.dims());
   const Shape& shape = input.shape();
-  const auto stride = strides_of(shape);
+  const auto stride = szi::strides_of(shape);
   const Scalar* data = input.typed<Scalar>();
   const double e = opt.error_bound;
   const double twoe = 2.0 * e;
-  const CoeffSteps steps = coeff_steps(e, dims);
-  const bool allow_regression = opt.regression && dims >= 2;
+  const CoeffSteps steps = coeff_steps(e, D);
+  const bool vec = szk::simd_active();
 
   std::vector<Scalar> recon(input.elements());
-  std::vector<std::uint32_t> codes;
-  codes.reserve(input.elements());
-  std::vector<std::uint8_t> flags((count_blocks(shape, dims) + 7) / 8, 0);
+  // Every element emits exactly one code (escapes emit code 0).
+  std::vector<std::uint32_t> codes(input.elements());
+  std::uint32_t* cp = codes.data();
+  std::vector<std::uint8_t> flags((count_blocks(shape, D) + 7) / 8, 0);
   std::vector<std::uint8_t> coeff_stream;
   std::vector<std::uint8_t> raw_stream;
   std::size_t block_index = 0;
 
-  for_each_block(shape, dims, [&](const BlockGeom& g) {
+  for_each_block(shape, D, [&](const BlockGeom& g) {
+    const NormBlock nb = szi::normalize_block(g, D, stride);
     // ---- mode decision (encoder-side heuristic on original values) ----
     bool use_regression = false;
     std::array<double, 4> coeff{};
-    if (allow_regression) {
-      const auto fitted = fit_regression(data, g, dims, stride);
-      // Quantize coefficients; both sides predict from the rounded values.
-      bool quantizable = true;
+    if constexpr (D >= 2) {
       std::array<std::int64_t, 4> q{};
-      for (unsigned i = 0; i < 4; ++i) {
-        const double step = i == 0 ? steps.intercept : steps.slope;
-        const double scaled = fitted[i] / step;
-        if (!(std::abs(scaled) < 4.5e15)) {  // keep exact in double & varint-friendly
-          quantizable = false;
-          break;
-        }
-        q[i] = static_cast<std::int64_t>(std::llround(scaled));
-        coeff[i] = static_cast<double>(q[i]) * step;
-      }
-      if (quantizable) {
-        // Compare per-point absolute residuals of both predictors.  The
-        // Lorenzo proxy uses original values, which hides the quantization
-        // noise the real predictor inherits from reconstructed neighbours
-        // (a 7-term 3D stencil feeds back ~1.5e of noise per point), so a
-        // bound-proportional penalty is added — the same correction SZ 2.x
-        // applies when arbitrating Lorenzo vs regression.
-        // Expected |noise| scales with the stencil size: ~7 reconstructed
-        // neighbours in 3D, 3 in 2D, 1 in 1D.
-        const double lorenzo_noise =
-            e * (dims == 3 ? 1.5 : dims == 2 ? 0.6 : 0.3);
-        double cost_lorenzo = 0, cost_reg = 0;
-        for (std::size_t a = 0; a < g.len[0]; ++a)
-          for (std::size_t b = 0; b < g.len[1]; ++b)
-            for (std::size_t c = 0; c < g.len[2]; ++c) {
-              std::size_t coord[3] = {g.base[0] + a, g.base[1] + b, g.base[2] + c};
-              std::size_t idx = coord[0] * stride[0];
-              if (dims > 1) idx += coord[1] * stride[1];
-              if (dims > 2) idx += coord[2] * stride[2];
-              const double v = static_cast<double>(data[idx]);
-              cost_lorenzo += std::abs(v - lorenzo_predict(data, coord, shape, stride)) +
-                              lorenzo_noise;
-              cost_reg += std::abs(v - regression_predict(coeff.data(), a, b, c));
-            }
-        if (cost_reg < cost_lorenzo) {
-          use_regression = true;
-          for (unsigned i = 0; i < 4; ++i) put_varint(coeff_stream, zigzag_encode(q[i]));
-        }
-      }
+      use_regression = opt.regression && decide_regression<D>(data, g, nb, e, steps, coeff, q);
+      if (use_regression)
+        for (const std::int64_t v : q) put_varint(coeff_stream, zigzag_encode(v));
     }
     if (use_regression) flags[block_index / 8] |= std::uint8_t(1u << (block_index % 8));
     ++block_index;
 
     // ---- residual quantization over the block ----
     if (use_regression) {
-      // Regression prediction has no serial dependence, so each contiguous
-      // inner-axis run goes through the (possibly vectorized) kernel.  The
-      // per-run pred_base keeps the reference expression's left-to-right
-      // association ((c0 + c1*a) + c2*b) + c3*c; see sz_kernels.hpp.
-      const bool vec = szk::simd_active();
-      const std::size_t run = g.len[dims - 1];
-      std::size_t code_base = codes.size();
-      codes.resize(code_base + g.len[0] * g.len[1] * g.len[2]);
-      std::uint32_t* cp = codes.data() + code_base;
-      const std::size_t outer1 = dims == 3 ? g.len[1] : 1;
-      for (std::size_t a = 0; a < g.len[0]; ++a)
-        for (std::size_t b = 0; b < outer1; ++b) {
-          double pred_base, pred_step;
-          std::size_t idx0;
-          if (dims == 3) {
-            pred_base = (coeff[0] + coeff[1] * static_cast<double>(a)) +
-                        coeff[2] * static_cast<double>(b);
-            pred_step = coeff[3];
-            idx0 = (g.base[0] + a) * stride[0] + (g.base[1] + b) * stride[1] + g.base[2];
-          } else {
-            pred_base = coeff[0] + coeff[1] * static_cast<double>(a);
-            pred_step = coeff[2];
-            idx0 = (g.base[0] + a) * stride[0] + g.base[1];
-          }
-          const std::uint32_t esc =
-              vec ? szk::quantize_run_vec(data + idx0, run, pred_base, pred_step, twoe, e,
-                                          cp, recon.data() + idx0)
-                  : szk::quantize_run_scalar(data + idx0, run, pred_base, pred_step, twoe,
-                                             e, cp, recon.data() + idx0);
-          cp += run;
-          for (std::uint32_t m = esc; m != 0; m &= m - 1)
-            put_scalar(raw_stream, data[idx0 + static_cast<unsigned>(__builtin_ctz(m))]);
-        }
-    } else {
-      for (std::size_t a = 0; a < g.len[0]; ++a)
-        for (std::size_t b = 0; b < g.len[1]; ++b)
-          for (std::size_t c = 0; c < g.len[2]; ++c) {
-            std::size_t coord[3] = {g.base[0] + a, g.base[1] + b, g.base[2] + c};
-            std::size_t idx = coord[0] * stride[0];
-            if (dims > 1) idx += coord[1] * stride[1];
-            if (dims > 2) idx += coord[2] * stride[2];
-            const double v = static_cast<double>(data[idx]);
-            const double pred = lorenzo_predict(recon.data(), coord, shape, stride);
-            const double qf = (v - pred) / twoe;
-            bool escaped = true;
-            if (std::abs(qf) < static_cast<double>(kRadius) - 1) {
-              const std::int64_t q = std::llround(qf);
-              const Scalar candidate =
-                  static_cast<Scalar>(pred + twoe * static_cast<double>(q));
-              // Validate after Scalar rounding so the bound holds exactly.
-              if (std::isfinite(static_cast<double>(candidate)) &&
-                  std::abs(static_cast<double>(candidate) - v) <= e) {
-                codes.push_back(static_cast<std::uint32_t>(kRadius + q));
-                recon[idx] = candidate;
-                escaped = false;
-              }
-            }
-            if (escaped) {
-              codes.push_back(0);
-              put_scalar(raw_stream, data[idx]);
-              recon[idx] = data[idx];
-            }
-          }
+      // Regression prediction has no serial dependence, so each row goes
+      // through the (possibly vectorized) kernel.
+      szi::quantize_regression_block(data, recon.data(), nb, coeff, D, twoe, e, vec, cp,
+                                     raw_stream);
+      return;
     }
+    for (std::size_t p = 0; p < nb.planes; ++p)
+      for (std::size_t r = 0; r < nb.rows; ++r) {
+        const std::size_t idx0 = nb.row_index(p, r);
+        const Scalar* drow = data + idx0;
+        Scalar* rrow = recon.data() + idx0;
+        lorenzo_row<D>(rrow, g, nb, p, r, [&](std::size_t c, double pred) {
+          const double v = static_cast<double>(drow[c]);
+          const double qf = (v - pred) / twoe;
+          if (std::abs(qf) < szk::kQfLimit) {
+            // Round half away from zero: llround(qf) on this range, see
+            // sz_kernels.hpp.
+            const double tr = std::trunc(qf);
+            const double rq = tr + std::trunc((qf - tr) * 2.0);
+            const Scalar candidate = static_cast<Scalar>(pred + twoe * rq);
+            // Validate after Scalar rounding so the bound holds exactly.
+            if (std::isfinite(static_cast<double>(candidate)) &&
+                std::abs(static_cast<double>(candidate) - v) <= e) {
+              *cp++ = static_cast<std::uint32_t>(kRadius + static_cast<std::int64_t>(rq));
+              rrow[c] = candidate;
+              return static_cast<double>(candidate);
+            }
+          }
+          *cp++ = 0;
+          put_scalar(raw_stream, drow[c]);
+          rrow[c] = drow[c];
+          return v;
+        });
+      }
   });
 
   // ---- stage 3: entropy coding of the quantization codes ----
@@ -236,7 +253,7 @@ void compress_impl(const ArrayView& input, const SzOptions& opt, Buffer& out) {
   seal_container_into(CompressorId::kSz, input.dtype(), input.shape(), packed, out);
 }
 
-template <typename Scalar>
+template <typename Scalar, unsigned D>
 NdArray decompress_impl(const Container& c) {
   const std::vector<std::uint8_t> assembled = lz_decompress(c.payload, c.payload_size);
   const std::uint8_t* p = assembled.data();
@@ -273,89 +290,49 @@ NdArray decompress_impl(const Container& c) {
   const std::uint8_t* raw_stream = p + pos;
   std::size_t raw_pos = 0;
 
-  const unsigned dims = static_cast<unsigned>(c.shape.size());
-  const auto stride = strides_of(c.shape);
-  const CoeffSteps steps = coeff_steps(e, dims);
+  const auto stride = szi::strides_of(c.shape);
+  const CoeffSteps steps = coeff_steps(e, D);
   NdArray out(c.dtype, c.shape);
   Scalar* recon = out.typed<Scalar>();
   if (codes.size() != out.elements()) throw CorruptStream("sz: code count mismatch");
-  if (flag_bytes != (count_blocks(c.shape, dims) + 7) / 8)
+  if (flag_bytes != (count_blocks(c.shape, D) + 7) / 8)
     throw CorruptStream("sz: flag size mismatch");
-  // The encoder only emits codes in [0, 2R-1]; rejecting anything larger up
-  // front both hardens decode and lets the reconstruct kernel assume its
-  // int32 lanes are non-negative.
-  for (const std::uint32_t code : codes)
-    if (code > 2 * static_cast<std::uint64_t>(kRadius) - 1)
-      throw CorruptStream("sz: quantization code out of range");
+  szi::check_codes(codes);
 
-  std::size_t code_index = 0;
+  const bool vec = szk::simd_active();
+  const std::uint32_t* cp = codes.data();
   std::size_t block_index = 0;
-  for_each_block(c.shape, dims, [&](const BlockGeom& g) {
+  for_each_block(c.shape, D, [&](const BlockGeom& g) {
+    const NormBlock nb = szi::normalize_block(g, D, stride);
     const bool use_regression = (flags[block_index / 8] >> (block_index % 8)) & 1u;
     ++block_index;
-    std::array<double, 4> coeff{};
-    if (use_regression) {
-      for (unsigned i = 0; i < 4; ++i) {
-        const double step = i == 0 ? steps.intercept : steps.slope;
-        coeff[i] = static_cast<double>(
-                       zigzag_decode(get_varint(coeff_stream, coeff_bytes, coeff_pos))) *
-                   step;
+    const std::array<double, 4> coeff =
+        use_regression ? szi::get_coeffs(coeff_stream, coeff_bytes, coeff_pos, steps)
+                       : std::array<double, 4>{};
+    if (use_regression && D >= 2) {
+      szi::reconstruct_regression_block(cp, nb, coeff, D, twoe, vec, recon, raw_stream,
+                                        raw_bytes, raw_pos);
+      return;
+    }
+    for (std::size_t pl = 0; pl < nb.planes; ++pl)
+      for (std::size_t r = 0; r < nb.rows; ++r) {
+        Scalar* rrow = recon + nb.row_index(pl, r);
+        lorenzo_row<D>(rrow, g, nb, pl, r, [&](std::size_t col, double pred) {
+          // 1D regression flags are never produced by the encoder, but a
+          // hostile stream may carry them: they predict point by point.
+          if (D == 1 && use_regression)
+            pred = coeff[0] + coeff[1] * static_cast<double>(col) + coeff[2] * 0.0 +
+                   coeff[3] * 0.0;
+          const std::uint32_t code = *cp++;
+          const Scalar v =
+              code == 0 ? get_scalar<Scalar>(raw_stream, raw_bytes, raw_pos)
+                        : static_cast<Scalar>(
+                              pred + twoe * static_cast<double>(
+                                                static_cast<std::int64_t>(code) - kRadius));
+          rrow[col] = v;
+          return static_cast<double>(v);
+        });
       }
-    }
-    if (use_regression && dims >= 2) {
-      // Mirror of the encoder's run decomposition (see compress_impl); the
-      // kernel reconstructs every lane and reports code-0 escapes for the
-      // raw-stream patch below.  1D regression flags (never produced by the
-      // encoder, but possible in a hostile stream) fall through to the
-      // scalar loop whose runs have no 32-element bound.
-      const bool vec = szk::simd_active();
-      const std::size_t run = g.len[dims - 1];
-      const std::size_t outer1 = dims == 3 ? g.len[1] : 1;
-      for (std::size_t a = 0; a < g.len[0]; ++a)
-        for (std::size_t b = 0; b < outer1; ++b) {
-          double pred_base, pred_step;
-          std::size_t idx0;
-          if (dims == 3) {
-            pred_base = (coeff[0] + coeff[1] * static_cast<double>(a)) +
-                        coeff[2] * static_cast<double>(b);
-            pred_step = coeff[3];
-            idx0 = (g.base[0] + a) * stride[0] + (g.base[1] + b) * stride[1] + g.base[2];
-          } else {
-            pred_base = coeff[0] + coeff[1] * static_cast<double>(a);
-            pred_step = coeff[2];
-            idx0 = (g.base[0] + a) * stride[0] + g.base[1];
-          }
-          const std::uint32_t* cp = codes.data() + code_index;
-          code_index += run;
-          const std::uint32_t esc =
-              vec ? szk::reconstruct_run_vec(cp, run, pred_base, pred_step, twoe,
-                                             recon + idx0)
-                  : szk::reconstruct_run_scalar(cp, run, pred_base, pred_step, twoe,
-                                                recon + idx0);
-          for (std::uint32_t m = esc; m != 0; m &= m - 1)
-            recon[idx0 + static_cast<unsigned>(__builtin_ctz(m))] =
-                get_scalar<Scalar>(raw_stream, raw_bytes, raw_pos);
-        }
-    } else {
-      for (std::size_t a = 0; a < g.len[0]; ++a)
-        for (std::size_t b = 0; b < g.len[1]; ++b)
-          for (std::size_t cc = 0; cc < g.len[2]; ++cc) {
-            std::size_t coord[3] = {g.base[0] + a, g.base[1] + b, g.base[2] + cc};
-            std::size_t idx = coord[0] * stride[0];
-            if (dims > 1) idx += coord[1] * stride[1];
-            if (dims > 2) idx += coord[2] * stride[2];
-            const std::uint32_t code = codes[code_index++];
-            if (code == 0) {
-              recon[idx] = get_scalar<Scalar>(raw_stream, raw_bytes, raw_pos);
-            } else {
-              const double pred = use_regression
-                                      ? regression_predict(coeff.data(), a, b, cc)
-                                      : lorenzo_predict(recon, coord, c.shape, stride);
-              const auto q = static_cast<std::int64_t>(code) - kRadius;
-              recon[idx] = static_cast<Scalar>(pred + twoe * static_cast<double>(q));
-            }
-          }
-    }
   });
   return out;
 }
@@ -381,10 +358,11 @@ void sz_compress_into(const ArrayView& input, const SzOptions& options, Buffer& 
     sz_blocked_compress_into(input, options, out);
     return;
   }
-  if (input.dtype() == DType::kFloat32)
-    compress_impl<float>(input, options, out);
-  else
-    compress_impl<double>(input, options, out);
+  using Encoder = void (*)(const ArrayView&, const SzOptions&, Buffer&);
+  static constexpr Encoder encoders[2][3] = {
+      {compress_impl<float, 1>, compress_impl<float, 2>, compress_impl<float, 3>},
+      {compress_impl<double, 1>, compress_impl<double, 2>, compress_impl<double, 3>}};
+  encoders[input.dtype() == DType::kFloat32 ? 0 : 1][input.dims() - 1](input, options, out);
 }
 
 NdArray sz_decompress(const std::uint8_t* data, std::size_t size, unsigned threads) {
@@ -393,7 +371,11 @@ NdArray sz_decompress(const std::uint8_t* data, std::size_t size, unsigned threa
   // The frame version, not the configured mode, selects the decoder: any sz
   // instance decodes both formats, so mixed archives always read back.
   if (c.version == 2) return sz_blocked_decompress(c, threads);
-  return c.dtype == DType::kFloat32 ? decompress_impl<float>(c) : decompress_impl<double>(c);
+  using Decoder = NdArray (*)(const Container&);
+  static constexpr Decoder decoders[2][3] = {
+      {decompress_impl<float, 1>, decompress_impl<float, 2>, decompress_impl<float, 3>},
+      {decompress_impl<double, 1>, decompress_impl<double, 2>, decompress_impl<double, 3>}};
+  return decoders[c.dtype == DType::kFloat32 ? 0 : 1][c.shape.size() - 1](c);
 }
 
 }  // namespace fraz

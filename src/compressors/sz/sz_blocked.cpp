@@ -1,6 +1,5 @@
 #include "compressors/sz/sz_blocked.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
@@ -19,6 +18,9 @@ namespace {
 using szi::BlockGeom;
 using szi::CoeffSteps;
 using szi::kRadius;
+using szi::NormBlock;
+using szi::normalize_block;
+using szi::zero_row;
 
 /// A run of consecutive row-major blocks coded as one independent unit.
 struct Group {
@@ -53,45 +55,24 @@ std::vector<Group> build_groups(const std::vector<BlockGeom>& blocks) {
   return groups;
 }
 
-/// Normalized block view: every block is (planes, rows, inner) with the
-/// inner axis contiguous (stride 1).  1D and 2D blocks degenerate to
-/// planes == 1 (and rows == 1 for 1D), which also collapses the 7-term
-/// Lorenzo stencil below to the 3-term (2D) and 1-term (1D) forms exactly.
-struct NormBlock {
-  std::size_t planes, rows, inner;
-  std::size_t base_idx;       // flat index of the block origin
-  std::size_t plane_stride;   // global stride between p and p+1 (0 when planes==1)
-  std::size_t row_stride;     // global stride between r and r+1 (0 when rows==1)
-};
-
-NormBlock normalize_block(const BlockGeom& g, unsigned dims,
-                          const std::array<std::size_t, 3>& stride) {
-  NormBlock nb{};
-  nb.planes = dims == 3 ? g.len[0] : 1;
-  nb.rows = dims == 3 ? g.len[1] : dims == 2 ? g.len[0] : 1;
-  nb.inner = g.len[dims - 1];
-  nb.base_idx = 0;
-  for (unsigned d = 0; d < dims; ++d) nb.base_idx += g.base[d] * stride[d];
-  nb.plane_stride = dims == 3 ? stride[0] : 0;
-  nb.row_stride = dims == 3 ? stride[1] : dims == 2 ? stride[0] : 0;
-  return nb;
-}
-
 /// The 7-term Lorenzo stencil over block-local reconstructed neighbours, in
-/// one fixed evaluation order.  Encoder and decoder call this identical
-/// expression so predictions agree bit-for-bit; out-of-block samples arrive
-/// as literal 0.0 (the zero row / zero-initialized carries below).
-inline double lorenzo7(double up, double north, double prev, double north_prev,
-                       double up_prev, double upnorth, double upnorth_prev) {
-  return up + north + prev - north_prev - up_prev - upnorth + upnorth_prev;
+/// one fixed evaluation order (names as for szi::Stencil).  Encoder and
+/// decoder call this identical expression so predictions agree bit-for-bit;
+/// out-of-block samples arrive as literal 0.0 (the zero row and zero
+/// carries of block_rows), which also collapses the stencil to its 3-term
+/// (2D) and 1-term (1D) forms.
+double lorenzo7(double l, double n, double u, double nl, double ul, double un, double unl) {
+  return u + n + l - nl - ul - un + unl;
 }
 
-/// Zero row standing in for out-of-block neighbour rows.  Sized for the
-/// largest inner edge (1D blocks); .bss, shared, read-only.
+/// Block-local neighbours of row (p, r) in the array at \p row: nothing
+/// outside the block is read.
 template <typename Scalar>
-const Scalar* zero_row() {
-  static const Scalar zeros[1024] = {};
-  return zeros;
+szi::LorenzoRows<Scalar> block_rows(const Scalar* row, const NormBlock& nb, std::size_t p,
+                                    std::size_t r) {
+  const Scalar* zeros = zero_row<Scalar>();
+  return {r > 0 ? row - nb.row_stride : zeros, p > 0 ? row - nb.plane_stride : zeros,
+          p > 0 && r > 0 ? row - nb.plane_stride - nb.row_stride : zeros};
 }
 
 // ---------------------------------------------------------------------------
@@ -106,7 +87,6 @@ template <typename Scalar>
 void encode_lorenzo_block(const Scalar* data, Scalar* recon, const NormBlock& nb, double e,
                           double twoe, std::uint32_t*& codes_out,
                           std::vector<std::uint8_t>& raws) {
-  const Scalar* zeros = zero_row<Scalar>();
   // Quantization is encoder-internal: the decoder only ever sees the emitted
   // code, so the reciprocal multiply and nearbyint (round-to-even, one
   // roundsd on the loop-carried chain instead of an int64 round trip) are
@@ -117,21 +97,13 @@ void encode_lorenzo_block(const Scalar* data, Scalar* recon, const NormBlock& nb
   std::uint32_t* cp = codes_out;
   for (std::size_t p = 0; p < nb.planes; ++p)
     for (std::size_t r = 0; r < nb.rows; ++r) {
-      const std::size_t row_idx = nb.base_idx + p * nb.plane_stride + r * nb.row_stride;
+      const std::size_t row_idx = nb.row_index(p, r);
       const Scalar* drow = data + row_idx;
       Scalar* rrow = recon + row_idx;
-      const Scalar* up = p > 0 ? rrow - nb.plane_stride : zeros;
-      const Scalar* north = r > 0 ? rrow - nb.row_stride : zeros;
-      const Scalar* upnorth = p > 0 && r > 0 ? rrow - nb.plane_stride - nb.row_stride : zeros;
-      double prev = 0.0, pn = 0.0, pu = 0.0, pun = 0.0;
-      for (std::size_t c = 0; c < nb.inner; ++c) {
-        const double cu = static_cast<double>(up[c]);
-        const double cn = static_cast<double>(north[c]);
-        const double cun = static_cast<double>(upnorth[c]);
-        const double pred = lorenzo7(cu, cn, prev, pn, pu, cun, pun);
+      szi::lorenzo_walk<lorenzo7>(block_rows<Scalar>(rrow, nb, p, r), nb.inner,
+                                  [&](std::size_t c, double pred) {
         const double v = static_cast<double>(drow[c]);
         const double qf = (v - pred) * inv_twoe;
-        bool escaped = true;
         if (std::abs(qf) < static_cast<double>(kRadius) - 1) {
           const double qd = std::nearbyint(qf);
           const Scalar candidate = static_cast<Scalar>(pred + twoe * qd);
@@ -140,19 +112,14 @@ void encode_lorenzo_block(const Scalar* data, Scalar* recon, const NormBlock& nb
               std::abs(static_cast<double>(candidate) - v) <= e) {
             *cp++ = static_cast<std::uint32_t>(kRadius + static_cast<std::int64_t>(qd));
             rrow[c] = candidate;
-            escaped = false;
+            return static_cast<double>(candidate);
           }
         }
-        if (escaped) {
-          *cp++ = 0;
-          szi::put_scalar(raws, drow[c]);
-          rrow[c] = drow[c];
-        }
-        prev = static_cast<double>(rrow[c]);
-        pn = cn;
-        pu = cu;
-        pun = cun;
-      }
+        *cp++ = 0;
+        szi::put_scalar(raws, drow[c]);
+        rrow[c] = drow[c];
+        return v;
+      });
     }
   codes_out = cp;
 }
@@ -160,10 +127,9 @@ void encode_lorenzo_block(const Scalar* data, Scalar* recon, const NormBlock& nb
 /// Sampled separable least-squares fit over the normalized block: one pass
 /// over every other plane/row (all of the contiguous inner axis, which keeps
 /// the accumulation vectorizable), coordinate moments computed in O(edge).
-/// Replaces szi::fit_regression on the blocked path only — the v1 pipeline's
-/// bytes are pinned by golden CRCs, while the v2 format treats the fit as an
-/// encoder-internal choice (any coefficients that win the cost comparison
-/// below are valid), so the cheaper fit is format-legal.
+/// The v1 pipeline's full fit is pinned by golden CRCs, while the v2 format
+/// treats the fit as an encoder-internal choice (any coefficients that win
+/// the cost comparison below are valid), so the cheaper fit is format-legal.
 template <typename Scalar>
 std::array<double, 4> fit_regression_sampled(const Scalar* data, const NormBlock& nb,
                                              unsigned dims) {
@@ -172,7 +138,7 @@ std::array<double, 4> fit_regression_sampled(const Scalar* data, const NormBlock
   double sum_v = 0, sum_vp = 0, sum_vr = 0, sum_vc = 0;
   for (std::size_t p = 0; p < nb.planes; p += pstep)
     for (std::size_t r = 0; r < nb.rows; r += rstep) {
-      const Scalar* drow = data + nb.base_idx + p * nb.plane_stride + r * nb.row_stride;
+      const Scalar* drow = data + nb.row_index(p, r);
       double s = 0, sc = 0;
       for (std::size_t c = 0; c < nb.inner; ++c) {
         const double v = static_cast<double>(drow[c]);
@@ -229,17 +195,10 @@ template <typename Scalar>
 bool decide_regression(const Scalar* data, const NormBlock& nb, unsigned dims, double e,
                        const CoeffSteps& steps, std::array<double, 4>& coeff,
                        std::array<std::int64_t, 4>& q) {
-  const auto fitted = fit_regression_sampled(data, nb, dims);
-  for (unsigned i = 0; i < 4; ++i) {
-    const double step = i == 0 ? steps.intercept : steps.slope;
-    const double scaled = fitted[i] / step;
-    if (!(std::abs(scaled) < 4.5e15)) return false;  // keep exact in double & varint-friendly
-    q[i] = static_cast<std::int64_t>(std::llround(scaled));
-    coeff[i] = static_cast<double>(q[i]) * step;
-  }
+  if (!szi::quantize_coeffs(fit_regression_sampled(data, nb, dims), steps, coeff, q))
+    return false;
 
   const double lorenzo_noise = e * (dims == 3 ? 1.5 : 0.6);
-  const Scalar* zeros = zero_row<Scalar>();
   double cost_lorenzo = 0, cost_reg = 0;
   // Stride-2 row/plane sampling: the decision only ranks the two predictors,
   // and the subset sees the same smoothness the full block does.  Encoder
@@ -250,30 +209,17 @@ bool decide_regression(const Scalar* data, const NormBlock& nb, unsigned dims, d
   std::size_t sampled = 0;
   for (std::size_t p = 0; p < nb.planes; p += pstep)
     for (std::size_t r = 0; r < nb.rows; r += rstep) {
-      const Scalar* drow = data + nb.base_idx + p * nb.plane_stride + r * nb.row_stride;
-      const Scalar* up = p > 0 ? drow - nb.plane_stride : zeros;
-      const Scalar* north = r > 0 ? drow - nb.row_stride : zeros;
-      const Scalar* upnorth = p > 0 && r > 0 ? drow - nb.plane_stride - nb.row_stride : zeros;
-      // Regression prediction along the row: base + step*c, same
-      // decomposition the quantize kernel uses.
-      const double pred_base =
-          dims == 3 ? (coeff[0] + coeff[1] * static_cast<double>(p)) +
-                          coeff[2] * static_cast<double>(r)
-                    : coeff[0] + coeff[1] * static_cast<double>(r);
-      const double pred_step = dims == 3 ? coeff[3] : coeff[2];
-      double prev = 0.0, pn = 0.0, pu = 0.0, pun = 0.0;
-      for (std::size_t c = 0; c < nb.inner; ++c) {
-        const double cu = static_cast<double>(up[c]);
-        const double cn = static_cast<double>(north[c]);
-        const double cun = static_cast<double>(upnorth[c]);
+      const Scalar* drow = data + nb.row_index(p, r);
+      // Regression prediction along the row, the decomposition the quantize
+      // kernel uses.
+      const szi::RowPlane plane = szi::regression_row(coeff, dims, p, r);
+      szi::lorenzo_walk<lorenzo7>(block_rows(drow, nb, p, r), nb.inner,
+                                  [&](std::size_t c, double pred) {
         const double v = static_cast<double>(drow[c]);
-        cost_lorenzo += std::abs(v - lorenzo7(cu, cn, prev, pn, pu, cun, pun));
-        cost_reg += std::abs(v - (pred_base + pred_step * static_cast<double>(c)));
-        prev = v;
-        pn = cn;
-        pu = cu;
-        pun = cun;
-      }
+        cost_lorenzo += std::abs(v - pred);
+        cost_reg += std::abs(v - (plane.base + plane.step * static_cast<double>(c)));
+        return v;
+      });
       sampled += nb.inner;
     }
   const double n = static_cast<double>(sampled);
@@ -311,24 +257,8 @@ std::vector<std::uint8_t> encode_group(const Scalar* data, Scalar* recon, unsign
         allow_regression && decide_regression(data, nb, dims, e, steps, coeff, cq);
     if (use_regression) {
       flags[bi / 8] |= static_cast<std::uint8_t>(1u << (bi % 8));
-      for (unsigned i = 0; i < 4; ++i) put_varint(coeffs, zigzag_encode(cq[i]));
-      for (std::size_t p = 0; p < nb.planes; ++p)
-        for (std::size_t r = 0; r < nb.rows; ++r) {
-          const double pred_base =
-              dims == 3 ? (coeff[0] + coeff[1] * static_cast<double>(p)) +
-                              coeff[2] * static_cast<double>(r)
-                        : coeff[0] + coeff[1] * static_cast<double>(r);
-          const double pred_step = dims == 3 ? coeff[3] : coeff[2];
-          const std::size_t idx0 = nb.base_idx + p * nb.plane_stride + r * nb.row_stride;
-          const std::uint32_t esc =
-              vec ? szk::quantize_run_vec(data + idx0, nb.inner, pred_base, pred_step, twoe,
-                                          e, cp, recon + idx0)
-                  : szk::quantize_run_scalar(data + idx0, nb.inner, pred_base, pred_step,
-                                             twoe, e, cp, recon + idx0);
-          cp += nb.inner;
-          for (std::uint32_t m = esc; m != 0; m &= m - 1)
-            szi::put_scalar(raws, data[idx0 + static_cast<unsigned>(__builtin_ctz(m))]);
-        }
+      for (const std::int64_t v : cq) put_varint(coeffs, zigzag_encode(v));
+      szi::quantize_regression_block(data, recon, nb, coeff, dims, twoe, e, vec, cp, raws);
     } else {
       encode_lorenzo_block(data, recon, nb, e, twoe, cp, raws);
     }
@@ -397,33 +327,20 @@ template <typename Scalar>
 void decode_lorenzo_block(Scalar* recon, const NormBlock& nb, double twoe,
                           const std::uint32_t*& cp, const std::uint8_t* raws,
                           std::size_t raw_size, std::size_t& raw_pos) {
-  const Scalar* zeros = zero_row<Scalar>();
   for (std::size_t p = 0; p < nb.planes; ++p)
     for (std::size_t r = 0; r < nb.rows; ++r) {
-      Scalar* rrow = recon + nb.base_idx + p * nb.plane_stride + r * nb.row_stride;
-      const Scalar* up = p > 0 ? rrow - nb.plane_stride : zeros;
-      const Scalar* north = r > 0 ? rrow - nb.row_stride : zeros;
-      const Scalar* upnorth = p > 0 && r > 0 ? rrow - nb.plane_stride - nb.row_stride : zeros;
-      double prev = 0.0, pn = 0.0, pu = 0.0, pun = 0.0;
-      for (std::size_t c = 0; c < nb.inner; ++c) {
-        const double cu = static_cast<double>(up[c]);
-        const double cn = static_cast<double>(north[c]);
-        const double cun = static_cast<double>(upnorth[c]);
+      Scalar* rrow = recon + nb.row_index(p, r);
+      szi::lorenzo_walk<lorenzo7>(block_rows<Scalar>(rrow, nb, p, r), nb.inner,
+                                  [&](std::size_t c, double pred) {
         const std::uint32_t code = *cp++;
-        Scalar v;
-        if (code == 0) {
-          v = szi::get_scalar<Scalar>(raws, raw_size, raw_pos);
-        } else {
-          const double pred = lorenzo7(cu, cn, prev, pn, pu, cun, pun);
-          const auto q = static_cast<std::int64_t>(code) - kRadius;
-          v = static_cast<Scalar>(pred + twoe * static_cast<double>(q));
-        }
+        const Scalar v =
+            code == 0 ? szi::get_scalar<Scalar>(raws, raw_size, raw_pos)
+                      : static_cast<Scalar>(
+                            pred + twoe * static_cast<double>(
+                                              static_cast<std::int64_t>(code) - kRadius));
         rrow[c] = v;
-        prev = static_cast<double>(v);
-        pn = cn;
-        pu = cu;
-        pun = cun;
-      }
+        return static_cast<double>(v);
+      });
     }
 }
 
@@ -467,14 +384,7 @@ void decode_group(Scalar* out, unsigned dims, const std::array<std::size_t, 3>& 
   const std::uint8_t* raws = blob + pos;
   std::size_t raw_pos = 0;
 
-  // The encoder only emits codes in [0, 2R-1]; rejecting anything larger up
-  // front both hardens decode and lets the reconstruct kernel assume its
-  // int32 lanes are non-negative.  Max-reduction instead of branch-per-code
-  // so the sweep vectorizes.
-  std::uint32_t max_code = 0;
-  for (const std::uint32_t code : codes) max_code = std::max(max_code, code);
-  if (max_code > 2 * static_cast<std::uint32_t>(kRadius) - 1)
-    throw CorruptStream("sz: quantization code out of range");
+  szi::check_codes(codes);
 
   const std::uint32_t* cp = codes.data();
   for (std::size_t bi = 0; bi < grp.block_count; ++bi) {
@@ -486,31 +396,10 @@ void decode_group(Scalar* out, unsigned dims, const std::array<std::size_t, 3>& 
       // hostile stream that does is rejected rather than fed to the 32-lane
       // kernels with an over-long run.
       if (dims < 2) throw CorruptStream("sz: regression flag on 1D block");
-      std::array<double, 4> coeff{};
-      for (unsigned i = 0; i < 4; ++i) {
-        const double step = i == 0 ? steps.intercept : steps.slope;
-        coeff[i] = static_cast<double>(
-                       zigzag_decode(get_varint(coeff_stream, coeff_bytes, coeff_pos))) *
-                   step;
-      }
-      for (std::size_t p = 0; p < nb.planes; ++p)
-        for (std::size_t r = 0; r < nb.rows; ++r) {
-          const double pred_base =
-              dims == 3 ? (coeff[0] + coeff[1] * static_cast<double>(p)) +
-                              coeff[2] * static_cast<double>(r)
-                        : coeff[0] + coeff[1] * static_cast<double>(r);
-          const double pred_step = dims == 3 ? coeff[3] : coeff[2];
-          const std::size_t idx0 = nb.base_idx + p * nb.plane_stride + r * nb.row_stride;
-          const std::uint32_t esc =
-              vec ? szk::reconstruct_run_vec(cp, nb.inner, pred_base, pred_step, twoe,
-                                             out + idx0)
-                  : szk::reconstruct_run_scalar(cp, nb.inner, pred_base, pred_step, twoe,
-                                                out + idx0);
-          cp += nb.inner;
-          for (std::uint32_t m = esc; m != 0; m &= m - 1)
-            out[idx0 + static_cast<unsigned>(__builtin_ctz(m))] =
-                szi::get_scalar<Scalar>(raws, raw_bytes, raw_pos);
-        }
+      const std::array<double, 4> coeff =
+          szi::get_coeffs(coeff_stream, coeff_bytes, coeff_pos, steps);
+      szi::reconstruct_regression_block(cp, nb, coeff, dims, twoe, vec, out, raws, raw_bytes,
+                                        raw_pos);
     } else {
       decode_lorenzo_block(out, nb, twoe, cp, raws, raw_bytes, raw_pos);
     }

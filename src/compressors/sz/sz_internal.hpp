@@ -3,26 +3,31 @@
 
 /// \file sz_internal.hpp
 /// Helpers shared by the serial (v1) and blocked (v2) sz pipelines: block
-/// geometry, the regression fit/predict pair, and raw-scalar wire helpers.
-/// Moved verbatim from sz.cpp when the blocked pipeline was added — the
-/// serial pipeline's bytes are pinned by golden CRCs, so behaviour here must
-/// not drift.  Internal to the sz backend; not part of any public API.
+/// geometry (BlockGeom, the row view NormBlock, the zero row) and the
+/// Lorenzo row walk both block loops use, the regression row decomposition
+/// and run wrappers, coefficient and raw-scalar wire helpers.  The
+/// regression fits are not shared: the serial one (sz.cpp) sums every point
+/// in a fixed order, the blocked one samples.  Nor are the Lorenzo term
+/// orders, which are part of each format.  The serial pipeline's bytes are
+/// pinned by golden CRCs, so behaviour here must not drift.  Internal to the
+/// sz backend; not part of any public API.
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
+#include "codec/varint.hpp"
+#include "compressors/sz/sz_kernels.hpp"
 #include "ndarray/ndarray.hpp"
 #include "util/error.hpp"
 
 namespace fraz {
 namespace szi {
 
-/// Quantization radius: codes live in [1, 2R-1], code 0 is the
-/// "unpredictable" escape (raw scalar stored verbatim).
-constexpr std::int64_t kRadius = 32768;
+using szk::kRadius;
 
 /// Regression slope/intercept quantization steps, derived from the error
 /// bound so coefficient rounding shifts predictions by at most ~e/2.  The
@@ -54,55 +59,194 @@ struct BlockGeom {
   std::size_t len[3];  // extent per (used) axis; 1 for unused axes
 };
 
-/// Evaluate the regression plane at local block coordinates.  Encoder and
-/// decoder must use this identical expression so predictions agree exactly.
-inline double regression_predict(const double* coeff, std::size_t lx, std::size_t ly,
-                                 std::size_t lz) {
-  return coeff[0] + coeff[1] * static_cast<double>(lx) + coeff[2] * static_cast<double>(ly) +
-         coeff[3] * static_cast<double>(lz);
+/// The regression plane c0 + c1*x0 + c2*x1 + c3*x2 (local coordinates,
+/// slowest first, summed left to right) along row (p, r) of a normalized
+/// block (see NormBlock), as pred(c) = base + step * c with base
+/// ((c0 + c1*p) + c2*r) in 3D and (c0 + c1*r) in 2D.  The 2D form drops the
+/// trailing + c3*0, an exact no-op because quantized coefficients are never
+/// -0.0 (see sz_kernels.hpp).  Encoder and decoder must use this identical
+/// decomposition so predictions agree exactly.
+struct RowPlane {
+  double base;
+  double step;
+};
+
+inline RowPlane regression_row(const std::array<double, 4>& coeff, unsigned dims,
+                               std::size_t p, std::size_t r) {
+  if (dims == 3)
+    return {(coeff[0] + coeff[1] * static_cast<double>(p)) + coeff[2] * static_cast<double>(r),
+            coeff[3]};
+  return {coeff[0] + coeff[1] * static_cast<double>(r), coeff[2]};
 }
 
-/// Separable least-squares fit of v ~ b0 + b1*l0 + b2*l1 + b3*l2 over the
-/// (rectangular) block.  Axes beyond `dims` get zero slope.  Local coords
-/// l0/l1/l2 follow the block's own axis order (l0 = slowest).
+/// Normalized block view: every block is (planes, rows, inner) with the
+/// inner axis contiguous (stride 1).  1D and 2D blocks degenerate to
+/// planes == 1 (and rows == 1 for 1D).
+struct NormBlock {
+  std::size_t planes, rows, inner;
+  std::size_t base_idx;       // flat index of the block origin
+  std::size_t plane_stride;   // global stride between p and p+1 (0 when planes==1)
+  std::size_t row_stride;     // global stride between r and r+1 (0 when rows==1)
+
+  /// Flat index of row (p, r) of the block.
+  std::size_t row_index(std::size_t p, std::size_t r) const noexcept {
+    return base_idx + p * plane_stride + r * row_stride;
+  }
+};
+
+inline NormBlock normalize_block(const BlockGeom& g, unsigned dims,
+                                 const std::array<std::size_t, 3>& stride) {
+  NormBlock nb{};
+  nb.planes = dims == 3 ? g.len[0] : 1;
+  nb.rows = dims == 3 ? g.len[1] : dims == 2 ? g.len[0] : 1;
+  nb.inner = g.len[dims - 1];
+  for (unsigned d = 0; d < dims; ++d) nb.base_idx += g.base[d] * stride[d];
+  nb.plane_stride = dims == 3 ? stride[0] : 0;
+  nb.row_stride = dims == 3 ? stride[1] : dims == 2 ? stride[0] : 0;
+  return nb;
+}
+
+/// Zero row standing in for absent neighbour rows, sized for the largest
+/// inner edge of either pipeline (1D blocks); .bss, shared, read-only.
 template <typename Scalar>
-std::array<double, 4> fit_regression(const Scalar* data, const BlockGeom& g, unsigned dims,
-                                     const std::array<std::size_t, 3>& stride) {
-  double mean_v = 0;
-  double mean_c[3] = {0, 0, 0};
-  const std::size_t n = g.len[0] * g.len[1] * g.len[2];
-  for (unsigned d = 0; d < 3; ++d) mean_c[d] = (static_cast<double>(g.len[d]) - 1.0) / 2.0;
+const Scalar* zero_row() {
+  static const Scalar zeros[1024] = {};
+  return zeros;
+}
 
-  for (std::size_t a = 0; a < g.len[0]; ++a)
-    for (std::size_t b = 0; b < g.len[1]; ++b)
-      for (std::size_t c = 0; c < g.len[2]; ++c) {
-        std::size_t idx = (g.base[0] + a) * stride[0];
-        if (dims > 1) idx += (g.base[1] + b) * stride[1];
-        if (dims > 2) idx += (g.base[2] + c) * stride[2];
-        mean_v += static_cast<double>(data[idx]);
-      }
-  mean_v /= static_cast<double>(n);
+/// A Lorenzo stencil over one row: l is the row's own previous sample; n, u
+/// and un the north (one row back), up (one plane back) and up-north samples
+/// in the same column; nl, ul and unl theirs one column back.  Each pipeline
+/// fixes its own term order, which is part of its format.
+using Stencil = double (*)(double l, double n, double u, double nl, double ul, double un,
+                           double unl);
 
-  double num[3] = {0, 0, 0}, den[3] = {0, 0, 0};
-  for (std::size_t a = 0; a < g.len[0]; ++a)
-    for (std::size_t b = 0; b < g.len[1]; ++b)
-      for (std::size_t c = 0; c < g.len[2]; ++c) {
-        std::size_t idx = (g.base[0] + a) * stride[0];
-        if (dims > 1) idx += (g.base[1] + b) * stride[1];
-        if (dims > 2) idx += (g.base[2] + c) * stride[2];
-        const double dv = static_cast<double>(data[idx]) - mean_v;
-        const double dc[3] = {static_cast<double>(a) - mean_c[0],
-                              static_cast<double>(b) - mean_c[1],
-                              static_cast<double>(c) - mean_c[2]};
-        for (unsigned d = 0; d < 3; ++d) {
-          num[d] += dv * dc[d];
-          den[d] += dc[d] * dc[d];
-        }
-      }
+/// One row's Lorenzo neighbours: the north, up and up-north rows (the zero
+/// row where the pipeline treats one as absent) and the samples one column
+/// before the row's first (0.0 where absent).
+template <typename Scalar>
+struct LorenzoRows {
+  const Scalar* north;
+  const Scalar* up;
+  const Scalar* upnorth;
+  double l = 0.0, nl = 0.0, ul = 0.0, unl = 0.0;
+};
+
+/// Walk n columns of a row: step(c, pred) gets Predict's prediction for
+/// column c and returns the value the row then holds there, carried as the
+/// next column's l (like the neighbour samples, each loaded once).
+template <Stencil Predict, typename Scalar, typename Step>
+void lorenzo_walk(LorenzoRows<Scalar> rows, std::size_t n, Step&& step) {
+  for (std::size_t c = 0; c < n; ++c) {
+    const double north = static_cast<double>(rows.north[c]);
+    const double up = static_cast<double>(rows.up[c]);
+    const double upnorth = static_cast<double>(rows.upnorth[c]);
+    rows.l = step(c, Predict(rows.l, north, up, rows.nl, rows.ul, upnorth, rows.unl));
+    rows.nl = north;
+    rows.ul = up;
+    rows.unl = upnorth;
+  }
+}
+
+/// Quantize fitted regression coefficients to multiples of their steps:
+/// \p q gets the integers the stream carries, \p coeff the values both sides
+/// predict from.  False when one is too large to stay exact in double (and
+/// varint-friendly); the block then uses Lorenzo.
+inline bool quantize_coeffs(const std::array<double, 4>& fitted, const CoeffSteps& steps,
+                            std::array<double, 4>& coeff, std::array<std::int64_t, 4>& q) {
+  for (unsigned i = 0; i < 4; ++i) {
+    const double step = i == 0 ? steps.intercept : steps.slope;
+    const double scaled = fitted[i] / step;
+    if (!(std::abs(scaled) < 4.5e15)) return false;
+    q[i] = static_cast<std::int64_t>(std::llround(scaled));
+    coeff[i] = static_cast<double>(q[i]) * step;
+  }
+  return true;
+}
+
+/// Read one regression block's coefficients: four zigzag varints of q.
+inline std::array<double, 4> get_coeffs(const std::uint8_t* data, std::size_t size,
+                                        std::size_t& pos, const CoeffSteps& steps) {
   std::array<double, 4> coeff{};
-  for (unsigned d = 0; d < 3; ++d) coeff[d + 1] = den[d] > 0 ? num[d] / den[d] : 0.0;
-  coeff[0] = mean_v - coeff[1] * mean_c[0] - coeff[2] * mean_c[1] - coeff[3] * mean_c[2];
+  for (unsigned i = 0; i < 4; ++i)
+    coeff[i] = static_cast<double>(zigzag_decode(get_varint(data, size, pos))) *
+               (i == 0 ? steps.intercept : steps.slope);
   return coeff;
+}
+
+/// Append an IEEE scalar verbatim (little endian).
+template <typename Scalar>
+void put_scalar(std::vector<std::uint8_t>& out, Scalar v) {
+  std::uint8_t bytes[sizeof(Scalar)];
+  std::memcpy(bytes, &v, sizeof(Scalar));
+  out.insert(out.end(), bytes, bytes + sizeof(Scalar));
+}
+
+template <typename Scalar>
+Scalar get_scalar(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
+  if (pos + sizeof(Scalar) > size) throw CorruptStream("sz: truncated raw scalar");
+  Scalar v;
+  std::memcpy(&v, data + pos, sizeof(Scalar));
+  pos += sizeof(Scalar);
+  return v;
+}
+
+/// The encoder only emits codes in [0, 2R-1]; rejecting anything larger up
+/// front both hardens decode and lets the reconstruct kernel assume its
+/// int32 lanes are non-negative.  Max-reduction instead of branch-per-code
+/// so the sweep vectorizes.
+inline void check_codes(const std::vector<std::uint32_t>& codes) {
+  std::uint32_t max_code = 0;
+  for (const std::uint32_t code : codes) max_code = std::max(max_code, code);
+  if (max_code > 2 * static_cast<std::uint32_t>(kRadius) - 1)
+    throw CorruptStream("sz: quantization code out of range");
+}
+
+/// Quantize a regression block row by row through the run kernel (rows
+/// of at most 32), the vector one when \p vec.  \p data and \p recon are
+/// the whole arrays; codes advances past the block's codes, and escaped
+/// originals are appended to \p raws in index order.
+template <typename Scalar>
+void quantize_regression_block(const Scalar* data, Scalar* recon, const NormBlock& nb,
+                               const std::array<double, 4>& coeff, unsigned dims, double twoe,
+                               double e, bool vec, std::uint32_t*& codes,
+                               std::vector<std::uint8_t>& raws) {
+  for (std::size_t p = 0; p < nb.planes; ++p)
+    for (std::size_t r = 0; r < nb.rows; ++r) {
+      const std::size_t idx0 = nb.row_index(p, r);
+      const RowPlane pl = regression_row(coeff, dims, p, r);
+      const std::uint32_t esc =
+          vec ? szk::quantize_run_vec(data + idx0, nb.inner, pl.base, pl.step, twoe, e, codes,
+                                      recon + idx0)
+              : szk::quantize_run_scalar(data + idx0, nb.inner, pl.base, pl.step, twoe, e,
+                                         codes, recon + idx0);
+      codes += nb.inner;
+      for (std::uint32_t m = esc; m != 0; m &= m - 1)
+        put_scalar(raws, data[idx0 + static_cast<unsigned>(__builtin_ctz(m))]);
+    }
+}
+
+/// Reconstruct a regression block row by row (the mirror of
+/// quantize_regression_block), patching escapes from the raw stream in
+/// index order.
+template <typename Scalar>
+void reconstruct_regression_block(const std::uint32_t*& codes, const NormBlock& nb,
+                                  const std::array<double, 4>& coeff, unsigned dims,
+                                  double twoe, bool vec, Scalar* recon,
+                                  const std::uint8_t* raws, std::size_t raw_size,
+                                  std::size_t& raw_pos) {
+  for (std::size_t p = 0; p < nb.planes; ++p)
+    for (std::size_t r = 0; r < nb.rows; ++r) {
+      Scalar* row = recon + nb.row_index(p, r);
+      const RowPlane pl = regression_row(coeff, dims, p, r);
+      const std::uint32_t esc =
+          vec ? szk::reconstruct_run_vec(codes, nb.inner, pl.base, pl.step, twoe, row)
+              : szk::reconstruct_run_scalar(codes, nb.inner, pl.base, pl.step, twoe, row);
+      codes += nb.inner;
+      for (std::uint32_t m = esc; m != 0; m &= m - 1)
+        row[static_cast<unsigned>(__builtin_ctz(m))] =
+            get_scalar<Scalar>(raws, raw_size, raw_pos);
+    }
 }
 
 /// Visit blocks of edge \p edge in row-major block order.
@@ -127,23 +271,6 @@ inline std::size_t count_blocks(const Shape& shape, unsigned dims, std::size_t e
   std::size_t total = 1;
   for (unsigned d = 0; d < dims; ++d) total *= (shape[d] + edge - 1) / edge;
   return total;
-}
-
-/// Append an IEEE scalar verbatim (little endian).
-template <typename Scalar>
-void put_scalar(std::vector<std::uint8_t>& out, Scalar v) {
-  std::uint8_t bytes[sizeof(Scalar)];
-  std::memcpy(bytes, &v, sizeof(Scalar));
-  out.insert(out.end(), bytes, bytes + sizeof(Scalar));
-}
-
-template <typename Scalar>
-Scalar get_scalar(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
-  if (pos + sizeof(Scalar) > size) throw CorruptStream("sz: truncated raw scalar");
-  Scalar v;
-  std::memcpy(&v, data + pos, sizeof(Scalar));
-  pos += sizeof(Scalar);
-  return v;
 }
 
 }  // namespace szi

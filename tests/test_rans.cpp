@@ -131,8 +131,10 @@ TEST(Rans, BadFrequencyTableThrows) {
 
 /// Byte pins for the encoder: size and CRC-32 of rans_encode output on
 /// streams that reach every branch of the table builder (dense and sparse
-/// census, the drift loop, freq == 1 and freq == 2^17 entries, empty and
-/// single-symbol streams).  The wire format is frozen by the sz goldens, so
+/// census, freq == 1 and freq == 2^17 entries, empty and single-symbol
+/// streams) and every drift case of normalize: a surplus, an overshoot the
+/// heaviest symbol absorbs, one it cannot (the sorted fallback), a tie for
+/// the heaviest frequency, and escape code 0 as the heaviest symbol.  The wire format is frozen by the sz goldens, so
 /// any encoder rewrite must reproduce these exactly.
 struct PinCase {
   const char* name;
@@ -174,6 +176,44 @@ std::vector<std::uint32_t> pin_sparse_extremes() {
   for (int i = 0; i < 30000; ++i) s.push_back(alphabet[rng.below(i % 3 == 0 ? 6 : 2)]);
   return s;
 }
+std::vector<std::uint32_t> pin_drift_positive() {
+  // Three symbols at 5:3:1: every frequency rounds down, so the surplus
+  // goes to the heaviest symbol.
+  std::vector<std::uint32_t> s;
+  for (int i = 0; i < 9000; ++i) s.push_back(i % 9 < 5 ? 40u : i % 9 < 8 ? 41u : 42u);
+  return s;
+}
+std::vector<std::uint32_t> pin_drift_absorbed() {
+  // One dominant symbol plus 5000 singletons lifted from 0 to 1 slot: the
+  // overshoot is taken from the dominant symbol alone.
+  std::vector<std::uint32_t> s(std::size_t{1} << 20, 32768u);
+  for (std::uint32_t i = 0; i < 5000; ++i) s[i * 200] = 40000u + i;
+  return s;
+}
+std::vector<std::uint32_t> pin_drift_spread() {
+  // 70000 singletons (1 slot each) and 1000 symbols of count 70 (65 slots
+  // each): the overshoot exceeds what the heaviest symbol can give, so it
+  // is spread over the alphabet in (frequency desc, symbol asc) order.
+  std::vector<std::uint32_t> s;
+  for (std::uint32_t i = 0; i < 70000; ++i) s.push_back(100000u + i);
+  for (std::uint32_t i = 0; i < 70000; ++i) s.push_back(i % 1000);
+  return s;
+}
+std::vector<std::uint32_t> pin_heaviest_tie() {
+  // Two symbols tie for the largest count; the smaller one absorbs drift.
+  std::vector<std::uint32_t> s;
+  for (int i = 0; i < 7000; ++i) s.push_back(i % 7 < 3 ? 9u : i % 7 < 6 ? 5u : 11u);
+  return s;
+}
+std::vector<std::uint32_t> pin_escape_heavy() {
+  // Escape code 0 is the heaviest symbol, beside codes within +-40 of the
+  // radius.
+  Rng rng(14);
+  std::vector<std::uint32_t> s(200000);
+  for (auto& v : s)
+    v = rng.below(10) < 4 ? 0u : 32768u + static_cast<std::uint32_t>(rng.below(81)) - 40u;
+  return s;
+}
 std::vector<std::uint32_t> pin_empty() { return {}; }
 std::vector<std::uint32_t> pin_single() { return {123456789u}; }
 
@@ -187,6 +227,11 @@ TEST(Rans, EncoderBytesArePinned) {
       {"sparse_extremes", pin_sparse_extremes, 7475, 0x72dd9383u},
       {"n=0", pin_empty, 2, 0x41d912ffu},
       {"n=1", pin_single, 14, 0x00db515du},
+      {"drift>0", pin_drift_positive, 1540, 0x4d3bbebfu},
+      {"drift<0_absorbed", pin_drift_absorbed, 27954, 0x533e5f60u},
+      {"drift<0_spread", pin_drift_spread, 390030, 0x4d71b8a1u},
+      {"heaviest_tie", pin_heaviest_tie, 1288, 0xb859737cu},
+      {"escape_heavy", pin_escape_heavy, 119707, 0xbeeb1c95u},
   };
   for (const PinCase& c : cases) {
     SCOPED_TRACE(c.name);

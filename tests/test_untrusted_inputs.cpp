@@ -10,6 +10,7 @@
 /// ArchiveReader::open — never UB, never a crash in a later read.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -506,6 +507,53 @@ TEST(UntrustedBackends, SzHostileSymbolCountRejectedBeforeAllocation) {
   seal_container_into(CompressorId::kSz, DType::kFloat32, Shape{8}, payload.data(),
                       payload.size(), frame, 2);
   EXPECT_THROW((void)sz_decompress(frame.data(), frame.size()), CorruptStream);
+}
+
+TEST(UntrustedBackends, SzV1RegressionFlagsOn1DDecodeAsPinned) {
+  // The v1 encoder never flags 1D blocks for regression, but a hostile frame
+  // may, and the decoder predicts those blocks point by point with the full
+  // plane c0 + c1*x + c2*0 + c3*0.  Block 0 carries ordinary coefficients;
+  // block 2's c2 overflows to +inf, so c2*0 makes its predictions NaN — a
+  // decoder that dropped the zero terms would decode finite values there.
+  // The decoded bytes are pinned by CRC-32.
+  constexpr std::size_t kN = 600;  // three 256-point v1 blocks
+  const double e = 1e300;
+  std::vector<std::uint32_t> codes(kN);
+  std::vector<std::uint8_t> raws;
+  for (std::size_t i = 0; i < kN; ++i) {
+    codes[i] = i % 50 == 7 ? 0u : 32768u + static_cast<std::uint32_t>(i % 3) - 1u;
+    if (codes[i] == 0) {
+      const double raw = 0.25 * static_cast<double>(i);
+      raws.insert(raws.end(), reinterpret_cast<const std::uint8_t*>(&raw),
+                  reinterpret_cast<const std::uint8_t*>(&raw) + sizeof raw);
+    }
+  }
+  std::vector<std::uint8_t> coeffs;
+  for (const std::int64_t q : {5, -3, 2, 1}) put_varint(coeffs, zigzag_encode(q));
+  for (const std::int64_t q : {std::int64_t{0}, std::int64_t{1}, std::int64_t{1} << 62,
+                               std::int64_t{0}})
+    put_varint(coeffs, zigzag_encode(q));
+  std::vector<std::uint8_t> entropy = rans_encode(codes);
+
+  std::vector<std::uint8_t> assembled(sizeof e);
+  std::memcpy(assembled.data(), &e, sizeof e);
+  assembled.push_back(1);     // regression enabled (informational)
+  put_varint(assembled, 1);   // flag bytes
+  assembled.push_back(0x5);   // blocks 0 and 2 flagged
+  for (const auto* section : {&coeffs, &entropy, &raws}) {
+    put_varint(assembled, section->size());
+    assembled.insert(assembled.end(), section->begin(), section->end());
+  }
+  const std::vector<std::uint8_t> payload = lz_compress(assembled);
+  Buffer frame;
+  seal_container_into(CompressorId::kSz, DType::kFloat64, Shape{kN}, payload.data(),
+                      payload.size(), frame, 1);
+  const NdArray decoded = sz_decompress(frame.data(), frame.size());
+  ASSERT_EQ(decoded.elements(), kN);
+  for (std::size_t i = 512; i < kN; ++i)
+    EXPECT_EQ(std::isnan(decoded.at_flat(i)), codes[i] != 0) << i;
+  EXPECT_EQ(crc32(static_cast<const std::uint8_t*>(decoded.data()), decoded.size_bytes()),
+            0x3431731au);
 }
 
 TEST(UntrustedBackends, MgardHostileStreamLengthsRejectedNotOverflowed) {
