@@ -218,13 +218,14 @@ struct ArchiveWriter::Build {
   }
 };
 
-ArchiveWriter::ArchiveWriter(ArchiveWriteConfig config)
-    : config_(std::move(config)),
-      state_(std::make_unique<WriterWarmState>(config_.engine)) {
+ArchiveWriter::ArchiveWriter(ArchiveWriteConfig config) : config_(std::move(config)) {
   // Fail construction, not the first write, on names no manifest can
   // record: the manifest stores the backend's registry name in 1..256 bytes.
   require(!config_.engine.compressor.empty() && config_.engine.compressor.size() <= 256,
           "archive: compressor name must be 1..256 bytes to be recorded");
+  // One set of threads: tuning fans out over the same workers that compress.
+  config_.engine.tuner.threads = config_.threads;
+  state_ = std::make_unique<WriterWarmState>(config_.engine);
 }
 
 ArchiveWriter::ArchiveWriter(ArchiveWriter&&) noexcept = default;

@@ -10,10 +10,10 @@
 /// compressed, checksummed chunks so large campaigns get parallel compression
 /// and random access without full decompression.  An archive shards each
 /// field along its slowest dimension, compresses every chunk through a
-/// `fraz::Engine` on the shared thread pool, and enforces the fixed ratio at
-/// the *archive* level: per-chunk ratios may drift inside (or even out of)
-/// the band, the aggregate raw/archive ratio is what must land in ρt(1±ε)
-/// and is recorded in the footer.
+/// `fraz::Engine` on the build's own worker pool, and enforces the fixed
+/// ratio at the *archive* level: per-chunk ratios may drift inside (or even
+/// out of) the band, the aggregate raw/archive ratio is what must land in
+/// ρt(1±ε) and is recorded in the footer.
 ///
 /// **Ingestion is push-based.**  Data enters through a FieldSession:
 /// `begin()` starts a build, `open_field(name, desc)` declares one field's
@@ -96,17 +96,19 @@ NdArray decode_chunk(Engine& engine, const ChunkSource& source, const FieldInfo&
 /// Construction-time configuration of an archive writer.
 struct ArchiveWriteConfig {
   /// Backend + tuning knobs; engine.tuner.target_ratio/epsilon define the
-  /// archive-level acceptance band.  Tuner thread parallelism is forced to 1
-  /// inside the writer — archive parallelism comes from chunks, and a
-  /// single-threaded tune keeps the chosen bounds (and therefore the archive
-  /// bytes) independent of worker count.
+  /// archive-level acceptance band.  engine.tuner.threads is replaced by
+  /// `threads`: the writer tunes on the same workers that compress, and the
+  /// lockstep search keeps the tuned bounds (and therefore the archive
+  /// bytes) independent of that count.
   EngineConfig engine;
   /// Slowest-axis planes per chunk; 0 picks a policy from the shape alone
   /// (~16 chunks, at least 4 KiB of raw data each).  Per-field overrides go
   /// through FieldDesc::chunk_extent.
   std::size_t chunk_extent = 0;
-  /// Chunk-compression workers; 0 selects hardware concurrency.  Never
-  /// affects the output bytes.
+  /// Workers of one build, capping both chunk compression and tuning
+  /// (chunk-0 training and every chunk's retrain rounds fan out over the
+  /// idle ones); 0 selects hardware concurrency.  Never affects the output
+  /// bytes.
   unsigned threads = 0;
   /// When the backend is "zfp" and a chunk's accuracy-mode ratio misses the
   /// acceptance band (ZFP's bit-plane treads are too coarse on small chunks

@@ -1,11 +1,11 @@
 #include "archive/pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <deque>
-#include <future>
+#include <optional>
 
 #include "codec/checksum.hpp"
 #include "core/loss.hpp"
@@ -174,43 +174,42 @@ struct PipelineOutcome {
 /// raw rows staged and the compressed payloads buffered) and the completion
 /// path drains ready chunks to the sink strictly in index order —
 /// append-only for the sink, bounded memory for the writer, bytes
-/// independent of worker count and transport.  Every worker engine adopts
-/// the warm state's BoundStore and ProbeCache; chunk i reads and commits
-/// only its own (field, i) key, pre-seeded by the assembler, so the shared
-/// stores never make bytes scheduling-dependent.
+/// independent of worker count and transport.  Rows are compressed by
+/// runner tasks on the build's pool: submit() starts one while fewer than
+/// `workers` are live, and a runner exits once the queue is empty, so the
+/// pool's other threads are free for the probe helpers of chunks still
+/// searching.  Every runner's engine adopts the warm state's BoundStore and
+/// ProbeCache; chunk i reads and commits only its own (field, i) key,
+/// pre-seeded by the assembler, so the shared stores never make bytes
+/// scheduling-dependent.
 class ChunkPipeline {
 public:
   ChunkPipeline(const ArchiveWriteConfig& config, const WriterWarmState& state,
                 std::string field_name, const Shape& field_shape,
-                std::size_t chunk_count, std::size_t base_offset, ByteSink& sink)
+                std::size_t chunk_count, std::size_t base_offset, ByteSink& sink,
+                ThreadPool& pool)
       : config_(config),
         state_(state),
         field_name_(std::move(field_name)),
         chunk_count_(chunk_count),
         base_offset_(base_offset),
         sink_(sink),
+        pool_(pool),
         workers_(resolve_workers(config.threads, chunk_count)),
         window_(static_cast<std::size_t>(workers_) + 1),
         try_rate_fallback_(config.zfp_rate_fallback && config.engine.compressor == "zfp"),
         overhead_(per_chunk_overhead(field_shape, chunk_count)) {
     slots_.resize(chunk_count_);
     outcome_.chunks.resize(chunk_count_);
-    pool_ = std::make_unique<ThreadPool>(workers_);
-    futures_.reserve(workers_);
-    for (unsigned w = 0; w < workers_; ++w)
-      futures_.push_back(pool_->submit([this] { worker(); }));
+    idle_lanes_.reserve(workers_);  // at most one lane per concurrent runner
   }
 
+  /// Abandoned or finished alike: poison the pipeline so runners drop the
+  /// backlog instead of compressing and emitting it, then wait them out.
   ~ChunkPipeline() {
-    if (!joined_) {
-      // Abandoned build: poison the pipeline so workers drop the backlog
-      // instead of compressing and emitting it, then join.
-      {
-        LockGuard lock(mutex_);
-        fail_locked(Status::internal("archive: build abandoned"));
-      }
-      (void)shut_down();
-    }
+    UniqueLock lock(mutex_);
+    fail_locked(Status::internal("archive: build abandoned"));
+    while (runners_ > 0) idle_cv_.wait(lock);
   }
 
   ChunkPipeline(const ChunkPipeline&) = delete;
@@ -225,31 +224,37 @@ public:
       if (failed_) return failure_;
       if (submit_next_ >= chunk_count_)
         return Status::internal("archive: more chunk rows than the field declared");
+      if (runners_ < workers_) {
+        // Counted only once queued: a runner cannot reach the lock (and
+        // find the queue) before this submit releases it.
+        pool_.submit([this] { run(); });
+        ++runners_;
+      }
       ++live_chunks_;
       outcome_.peak_buffered_chunks = std::max(outcome_.peak_buffered_chunks, live_chunks_);
       staged_bytes_ += row.size_bytes();
       outcome_.peak_staged_bytes = std::max(outcome_.peak_staged_bytes, staged_bytes_);
       staged_bytes_gauge().add(static_cast<std::int64_t>(row.size_bytes()));
       queue_.emplace_back(submit_next_++, std::move(row));
-      work_cv_.notify_one();
       return Status();
     } catch (...) {
       return status_from_current_exception();
     }
   }
 
-  /// Drain the pipeline and return the field's chunk reports.
+  /// Wait for the runners and return the field's chunk reports.
   Result<PipelineOutcome> finish() noexcept {
     try {
-      const Status join_status = shut_down();
-      if (!join_status.ok()) return join_status;
-      // Post-join the workers are gone, so the lock is uncontended — taking
-      // it anyway keeps the guarded-state contract uniform.
-      LockGuard lock(mutex_);
+      UniqueLock lock(mutex_);
+      while (runners_ > 0) idle_cv_.wait(lock);
       if (failed_) return failure_;
       if (write_head_ != chunk_count_)
         return Status::internal(
             "archive: chunk pipeline closed before every chunk was emitted");
+      for (const Lane& lane : idle_lanes_) {
+        outcome_.tuner_probe_calls += lane.engine.stats().tuner_probe_calls;
+        outcome_.probe_cache_hits += lane.engine.stats().probe_cache_hits;
+      }
       outcome_.region_bytes = emitted_bytes_;
       return std::move(outcome_);
     } catch (...) {
@@ -258,170 +263,166 @@ public:
   }
 
 private:
-  Status shut_down() noexcept {
-    if (joined_) return Status();
-    {
-      LockGuard lock(mutex_);
-      closed_ = true;
-    }
-    work_cv_.notify_all();
-    Status status;
-    for (auto& f : futures_) {
-      try {
-        f.get();
-      } catch (...) {
-        status = status_from_current_exception();
-      }
-    }
-    futures_.clear();
-    pool_.reset();
-    joined_ = true;
-    return status;
-  }
+  /// A runner's compression state, parked between runners so a field pays
+  /// at most `workers` engines however often runners come and go.
+  struct Lane {
+    Engine engine;
+    pressio::CompressorPtr rate_backend;  ///< lazy zfp rescue (not thread-safe)
+  };
 
   void fail_locked(Status status) FRAZ_REQUIRES(mutex_) {
     if (!failed_) {
       failed_ = true;
       failure_ = std::move(status);
     }
-    work_cv_.notify_all();
+    for (const auto& queued : queue_) {
+      staged_bytes_ -= queued.second.size_bytes();
+      staged_bytes_gauge().sub(static_cast<std::int64_t>(queued.second.size_bytes()));
+    }
+    queue_.clear();
     space_cv_.notify_all();
   }
 
-  /// Fold one engine's tuning spend into the pipeline totals — called
-  /// exactly once per worker exit path, always under the lock.
-  void account_tuning_locked(const Engine& engine) FRAZ_REQUIRES(mutex_) {
-    outcome_.tuner_probe_calls += engine.stats().tuner_probe_calls;
-    outcome_.probe_cache_hits += engine.stats().probe_cache_hits;
+  /// Reuse a parked lane or build one (throws when the engine cannot be).
+  Lane take_lane() {
+    {
+      LockGuard lock(mutex_);
+      if (!idle_lanes_.empty()) {
+        Lane lane = std::move(idle_lanes_.back());
+        idle_lanes_.pop_back();
+        return lane;
+      }
+    }
+    Lane lane{Engine(config_.engine), nullptr};
+    lane.engine.adopt_bound_store(state_.bounds);
+    lane.engine.adopt_probe_cache(state_.probes);
+    return lane;
   }
 
-  void worker() {
-    auto created = Engine::create(serial_tuning(config_.engine));
-    if (!created.ok()) {
-      LockGuard lock(mutex_);
-      fail_locked(created.status());
-      return;
-    }
-    Engine engine = std::move(created).value();
-    engine.adopt_bound_store(state_.bounds);
-    engine.adopt_probe_cache(state_.probes);
-    pressio::CompressorPtr rate_backend;  // lazy, per-worker (not thread-safe)
-    for (;;) {
-      std::size_t i = 0;
-      NdArray row;
-      {
-        UniqueLock lock(mutex_);
-        while (!failed_ && !closed_ && queue_.empty()) work_cv_.wait(lock);
-        if (failed_ || (queue_.empty() && closed_)) {
-          account_tuning_locked(engine);
-          return;
-        }
-        i = queue_.front().first;
-        row = std::move(queue_.front().second);
-        queue_.pop_front();
-      }
-
-      Timer chunk_timer;
-      const ArrayView slice = row.view();
-      const std::string chunk_key = chunk_field_key(field_name_, i);
-      Buffer bytes;
-      CompressOutcome chunk_outcome;
+  /// One runner task: compress queued rows until the queue is empty (or the
+  /// pipeline failed), then retire.
+  void run() noexcept {
+    std::optional<Lane> lane;  // taken with the first row
+    std::size_t i = 0;
+    NdArray row;
+    while (next_row(lane, i, row)) {
+      Slot slot;
       Status status;
-      bool fell_back = false;
-      {
-        TELEM_SPAN("pack.compress_us");
-        status = engine.compress(chunk_key, slice, bytes, &chunk_outcome);
-        if (status.ok() && try_rate_fallback_ && !chunk_outcome.in_band) {
-          // The rescue backend inherits the user's zfp options; the rate
-          // search overrides only zfp:mode / zfp:rate per probe.
-          try {
-            if (!rate_backend)
-              rate_backend =
-                  pressio::registry().create("zfp", config_.engine.compressor_options);
-            status =
-                zfp_rate_rescue(*rate_backend, slice, config_.engine.tuner.target_ratio,
-                                config_.engine.tuner.epsilon, overhead_, bytes, fell_back);
-          } catch (...) {
-            status = status_from_current_exception();
-          }
-        }
+      try {
+        if (!lane) lane = take_lane();
+        status = compress_row(*lane, i, row.view(), slot);
+      } catch (...) {
+        status = status_from_current_exception();
       }
-      // Checksum and ratio are per-payload and deterministic — compute them
-      // here so the lock below covers only ordering and emission.
-      const std::uint32_t crc = status.ok() ? crc32(bytes.data(), bytes.size()) : 0;
-      const double ratio = status.ok() && bytes.size() > 0
-                               ? static_cast<double>(slice.size_bytes()) /
-                                     static_cast<double>(bytes.size())
-                               : 0;
-      const double seconds = chunk_timer.seconds();
       const std::size_t row_bytes = row.size_bytes();
       row = NdArray();  // release the raw input row before taking the lock
-
       LockGuard lock(mutex_);
       staged_bytes_ -= row_bytes;
       staged_bytes_gauge().sub(static_cast<std::int64_t>(row_bytes));
-      if (!status.ok()) {
+      if (!status.ok())
         fail_locked(std::move(status));
-        account_tuning_locked(engine);
-        return;
-      }
-      if (failed_) {
-        account_tuning_locked(engine);
-        return;
-      }
-      Slot& slot = slots_[i];
-      slot.bytes = std::move(bytes);
-      slot.outcome = chunk_outcome;
-      slot.crc = crc;
-      slot.ratio = ratio;
-      slot.seconds = seconds;
-      slot.rate_fallback = fell_back;
-      slot.ready = true;
-      live_bytes_ += slot.bytes.size();
-      outcome_.peak_buffered_bytes = std::max(outcome_.peak_buffered_bytes, live_bytes_);
-      // Drain every ready chunk at the write head: emission is strictly in
-      // index order regardless of completion order.
-      while (write_head_ < chunk_count_ && slots_[write_head_].ready) {
-        Slot& head = slots_[write_head_];
-        const std::size_t head_size = head.bytes.size();
-        ChunkReport& report = outcome_.chunks[write_head_];
-        report.entry.offset = base_offset_ + emitted_bytes_;
-        report.entry.size = head_size;
-        // A rate-mode payload honours no pointwise bound — record 0 in the
-        // manifest so readers cannot mistake the abandoned accuracy bound
-        // for a guarantee; the tuned bound still seeds the next write.
-        report.entry.error_bound = head.rate_fallback ? 0 : head.outcome.error_bound;
-        report.tuned_bound = head.outcome.error_bound;
-        report.entry.crc = head.crc;
-        report.ratio = head.ratio;
-        report.seconds = head.seconds;
-        report.warm = head.outcome.warm;
-        report.retrained = head.outcome.retrained;
-        report.rate_fallback = head.rate_fallback;
-        report.in_band = ratio_acceptable(report.ratio, config_.engine.tuner.target_ratio,
-                                          config_.engine.tuner.epsilon);
-        chunks_counter().add();
-        if (report.warm) warm_chunks_counter().add();
-        if (report.retrained) retrained_chunks_counter().add();
-        if (report.rate_fallback) rate_fallback_counter().add();
-        Status sink_status;
-        {
-          TELEM_SPAN("pack.emit_us");
-          sink_status = sink_.append(head.bytes.data(), head_size);
-        }
-        if (!sink_status.ok()) {
-          fail_locked(sink_status);
-          account_tuning_locked(engine);
-          return;
-        }
-        emitted_bytes_ += head_size;
-        live_bytes_ -= head_size;
-        --live_chunks_;
-        Buffer().swap(head.bytes);  // release the payload's memory
-        ++write_head_;
-      }
-      space_cv_.notify_all();
+      else if (!failed_)
+        emit_locked(i, std::move(slot));
     }
+  }
+
+  /// Hand the runner its next row, or retire it: park its lane and drop
+  /// the runner count.  The emptiness check and the retirement share one
+  /// critical section, so submit() never leaves a row behind a runner that
+  /// is about to exit.
+  bool next_row(std::optional<Lane>& lane, std::size_t& i, NdArray& row) {
+    LockGuard lock(mutex_);
+    if (!failed_ && !queue_.empty()) {
+      i = queue_.front().first;
+      row = std::move(queue_.front().second);
+      queue_.pop_front();
+      return true;
+    }
+    if (lane) idle_lanes_.push_back(std::move(*lane));
+    if (--runners_ == 0) idle_cv_.notify_all();
+    return false;
+  }
+
+  /// Compress chunk \p i into \p slot, outside the lock.
+  Status compress_row(Lane& lane, std::size_t i, const ArrayView& slice, Slot& slot) {
+    Timer chunk_timer;
+    CompressOutcome chunk_outcome;
+    Status status;
+    {
+      TELEM_SPAN("pack.compress_us");
+      status = lane.engine.compress(chunk_field_key(field_name_, i), slice, slot.bytes,
+                                    &chunk_outcome);
+      if (status.ok() && try_rate_fallback_ && !chunk_outcome.in_band) {
+        // The rescue backend inherits the user's zfp options; the rate
+        // search overrides only zfp:mode / zfp:rate per probe.
+        if (!lane.rate_backend)
+          lane.rate_backend =
+              pressio::registry().create("zfp", config_.engine.compressor_options);
+        status = zfp_rate_rescue(*lane.rate_backend, slice,
+                                 config_.engine.tuner.target_ratio,
+                                 config_.engine.tuner.epsilon, overhead_, slot.bytes,
+                                 slot.rate_fallback);
+      }
+    }
+    if (!status.ok()) return status;
+    // Checksum and ratio are per-payload and deterministic — computed here
+    // so the lock covers only ordering and emission.
+    slot.outcome = chunk_outcome;
+    slot.crc = crc32(slot.bytes.data(), slot.bytes.size());
+    slot.ratio = slot.bytes.size() > 0 ? static_cast<double>(slice.size_bytes()) /
+                                             static_cast<double>(slot.bytes.size())
+                                       : 0;
+    slot.seconds = chunk_timer.seconds();
+    return status;
+  }
+
+  /// Park chunk \p i's payload and drain every ready chunk at the write
+  /// head: emission is strictly in index order regardless of completion
+  /// order.
+  void emit_locked(std::size_t i, Slot slot) FRAZ_REQUIRES(mutex_) {
+    slots_[i] = std::move(slot);
+    slots_[i].ready = true;
+    live_bytes_ += slots_[i].bytes.size();
+    outcome_.peak_buffered_bytes = std::max(outcome_.peak_buffered_bytes, live_bytes_);
+    while (write_head_ < chunk_count_ && slots_[write_head_].ready) {
+      Slot& head = slots_[write_head_];
+      const std::size_t head_size = head.bytes.size();
+      ChunkReport& report = outcome_.chunks[write_head_];
+      report.entry.offset = base_offset_ + emitted_bytes_;
+      report.entry.size = head_size;
+      // A rate-mode payload honours no pointwise bound — record 0 in the
+      // manifest so readers cannot mistake the abandoned accuracy bound
+      // for a guarantee; the tuned bound still seeds the next write.
+      report.entry.error_bound = head.rate_fallback ? 0 : head.outcome.error_bound;
+      report.tuned_bound = head.outcome.error_bound;
+      report.entry.crc = head.crc;
+      report.ratio = head.ratio;
+      report.seconds = head.seconds;
+      report.warm = head.outcome.warm;
+      report.retrained = head.outcome.retrained;
+      report.rate_fallback = head.rate_fallback;
+      report.in_band = ratio_acceptable(report.ratio, config_.engine.tuner.target_ratio,
+                                        config_.engine.tuner.epsilon);
+      chunks_counter().add();
+      if (report.warm) warm_chunks_counter().add();
+      if (report.retrained) retrained_chunks_counter().add();
+      if (report.rate_fallback) rate_fallback_counter().add();
+      Status sink_status;
+      {
+        TELEM_SPAN("pack.emit_us");
+        sink_status = sink_.append(head.bytes.data(), head_size);
+      }
+      if (!sink_status.ok()) {
+        fail_locked(sink_status);
+        return;
+      }
+      emitted_bytes_ += head_size;
+      live_bytes_ -= head_size;
+      --live_chunks_;
+      Buffer().swap(head.bytes);  // release the payload's memory
+      ++write_head_;
+    }
+    space_cv_.notify_all();
   }
 
   const ArchiveWriteConfig& config_;
@@ -430,19 +431,23 @@ private:
   const std::size_t chunk_count_;
   const std::size_t base_offset_;  ///< this field's base within the chunk region
   ByteSink& sink_;
+  ThreadPool& pool_;  ///< the build's pool; outlives this pipeline
   const unsigned workers_;
   const std::size_t window_;
   const bool try_rate_fallback_;
   const double overhead_;
 
   Mutex mutex_;
-  CondVar work_cv_;   ///< workers wait for queued rows
   CondVar space_cv_;  ///< submit waits for window space
+  CondVar idle_cv_;   ///< finish / destruction wait for the last runner
   std::deque<std::pair<std::size_t, NdArray>> queue_ FRAZ_GUARDED_BY(mutex_);
   std::vector<Slot> slots_ FRAZ_GUARDED_BY(mutex_);
+  std::vector<Lane> idle_lanes_ FRAZ_GUARDED_BY(mutex_);
   PipelineOutcome outcome_ FRAZ_GUARDED_BY(mutex_);
   std::size_t submit_next_ FRAZ_GUARDED_BY(mutex_) = 0;
   std::size_t write_head_ FRAZ_GUARDED_BY(mutex_) = 0;
+  /// runner tasks queued on or running in the pool
+  unsigned runners_ FRAZ_GUARDED_BY(mutex_) = 0;
   /// submitted but not yet emitted
   std::size_t live_chunks_ FRAZ_GUARDED_BY(mutex_) = 0;
   /// completed-but-unemitted payload bytes
@@ -450,21 +455,9 @@ private:
   /// queued + in-compression raw row bytes
   std::size_t staged_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
   std::size_t emitted_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
-  bool closed_ FRAZ_GUARDED_BY(mutex_) = false;
   bool failed_ FRAZ_GUARDED_BY(mutex_) = false;
   Status failure_ FRAZ_GUARDED_BY(mutex_);
-  /// Touched only by the owner thread (submit/finish caller), never by
-  /// workers — not lock-guarded.
-  bool joined_ = false;
-
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::future<void>> futures_;
 };
-
-EngineConfig serial_tuning(EngineConfig config) {
-  config.tuner.threads = 1;
-  return config;
-}
 
 // ---------------------------------------------------------------- assembler
 
@@ -546,6 +539,8 @@ Status ArchiveAssembler::open_field(const std::string& name,
     row_shape[0] = std::min(field->extent, n0);
     field->stage = NdArray(desc.dtype, std::move(row_shape));
     field->tune_stats_before = state_.tune_engine.stats();
+    if (!pool_)
+      pool_ = std::make_unique<ThreadPool>(resolve_workers(config_.threads, SIZE_MAX));
     open_ = std::move(field);
     return Status();
   } catch (...) {
@@ -621,9 +616,15 @@ Status ArchiveAssembler::submit_stage() noexcept {
       // previous-build bound when one is stored (the time dimension of
       // Algorithm 3), else the fresh chunk-0 bound.  Seeds depend only on
       // (field, chunk index), so the bytes a chunk compresses to cannot
-      // depend on which worker handled it or on how many workers ran.
+      // depend on which worker handled it or on how many workers ran.  The
+      // training is a pool task so its probe batches fan out over the
+      // build's idle workers; the tuned bound is the same at any count.
       Result<TuneResult> tuned =
-          state_.tune_engine.tune(field_tune_key(field.name), field.stage.view());
+          pool_->submit([&] {
+                 return state_.tune_engine.tune(field_tune_key(field.name),
+                                                field.stage.view());
+               })
+              .get();
       if (!tuned.ok()) return tuned.status();
       const double shared_bound = tuned.value().error_bound;
       const double target = config_.engine.tuner.target_ratio;
@@ -634,7 +635,7 @@ Status ArchiveAssembler::submit_stage() noexcept {
       }
       field.pipeline = std::make_unique<ChunkPipeline>(
           config_, state_, field.name, field.shape, field.chunk_count,
-          chunk_bytes_emitted_, sink_);
+          chunk_bytes_emitted_, sink_, *pool_);
       field.tuned = true;
     }
 
@@ -782,6 +783,7 @@ Result<ArchiveWriteResult> ArchiveAssembler::finish() noexcept {
                   result.archive_bytes, result.achieved_ratio, footer);
     if (!append(footer).ok()) return failed_;
 
+    pool_.reset();  // the build's threads end with the build
     result.seconds = timer_.seconds();
     finished_ = true;
     return result;
@@ -795,7 +797,7 @@ Result<ArchiveWriteResult> ArchiveAssembler::finish() noexcept {
 namespace fraz::archive {
 
 WriterWarmState::WriterWarmState(const EngineConfig& engine_config)
-    : tune_engine(detail::serial_tuning(engine_config)),
+    : tune_engine(engine_config),
       bounds(std::make_shared<BoundStore>()),
       probes(std::make_shared<ProbeCache>()) {
   tune_engine.adopt_bound_store(bounds);

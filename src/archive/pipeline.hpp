@@ -30,12 +30,11 @@
 #include "util/status.hpp"
 #include "util/timer.hpp"
 
-namespace fraz::archive::detail {
+namespace fraz {
+class ThreadPool;
+}  // namespace fraz
 
-/// Writer-internal engines tune single-threaded: archive parallelism comes
-/// from chunks, and region-level cancellation races would otherwise make the
-/// chosen bound (and therefore the archive bytes) timing-dependent.
-EngineConfig serial_tuning(EngineConfig config);
+namespace fraz::archive::detail {
 
 /// Append-only destination of one archive write.
 class ByteSink {
@@ -74,6 +73,12 @@ class ChunkPipeline;
 /// parallel pipeline, close_field() drains the field, finish() seals the
 /// field-table manifest + footer.
 ///
+/// A build runs on one pool of `threads` workers, made at the first field
+/// and joined with the build: chunk-0 training (the caller waits), chunk
+/// runners, and the probe helpers inside both, so idle workers join any
+/// search still running.  It must not outlive the build: a long-lived
+/// thread keeps its malloc arena, and later readers would open new ones.
+///
 /// \p state carries the persistent warm knowledge between builds: the
 /// per-field chunk-0 tuning engine, the shared BoundStore of per-(field,
 /// chunk) warm bounds (every worker engine adopts it, each chunk
@@ -99,7 +104,7 @@ private:
   struct OpenField;
 
   /// Dispatch the staged chunk row (tuning + seeding the field first when it
-  /// is chunk 0) and stage the next row.
+  /// is chunk 0, on the build pool) and stage the next row.
   Status submit_stage() noexcept;
 
   const ArchiveWriteConfig config_;
@@ -107,6 +112,7 @@ private:
   ByteSink& sink_;              ///< where the archive lands, chunks first
   Timer timer_;
 
+  std::unique_ptr<ThreadPool> pool_;  ///< before open_: outlives every pipeline
   std::unique_ptr<OpenField> open_;
   std::vector<FieldInfo> manifest_fields_;   ///< closed fields, write order
   std::vector<FieldWriteReport> reports_;

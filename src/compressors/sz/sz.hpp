@@ -57,8 +57,8 @@ struct SzOptions {
   /// version, so either instance decodes both formats).
   SzMode mode = SzMode::kSerial;
   /// Intra-chunk worker cap for blocked encode/decode (workers drawn from
-  /// shared_thread_pool(), caller included).  0 or 1 runs inline.  Output
-  /// bytes are identical at every setting.
+  /// the caller's pool via parallel_for_shared, caller included).  0 or 1
+  /// runs inline.  Output bytes are identical at every setting.
   unsigned threads = 0;
 };
 

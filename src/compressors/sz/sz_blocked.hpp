@@ -22,7 +22,7 @@
 ///
 /// Grouping is a pure function of the shape, so the payload is byte-identical
 /// at every thread count; groups touch disjoint output elements, so encode
-/// and decode parallelize freely over shared_thread_pool().
+/// and decode parallelize freely over the caller's pool (parallel_for_shared).
 ///
 /// v2 payload grammar (inside the standard container frame, version byte 2):
 ///   f64     error bound (IEEE bits, little endian)

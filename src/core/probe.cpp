@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <exception>
-#include <future>
 #include <thread>
 
 #include "metrics/error_stats.hpp"
@@ -257,42 +255,15 @@ std::vector<ProbeOutcome> ProbeExecutor::probe_ratios(const ArrayView& data,
   }
 
   if (!misses.empty()) {
+    // Claim-based fan-out: helpers join from the caller's pool, the caller
+    // claims misses too, and each record lands in its own slot — so the
+    // batch completes even when issued from a busy pool thread.
     std::vector<ProbeRecord> records(misses.size());
-    if (threads_ <= 1 || misses.size() == 1) {
+    parallel_for_shared(misses.size(), threads_, [&](std::size_t m) {
       auto worker = checkout();
-      for (std::size_t m = 0; m < misses.size(); ++m)
-        records[m] = execute_ratio(*worker, data, misses[m].bound);
+      records[m] = execute_ratio(*worker, data, misses[m].bound);
       checkin(std::move(worker));
-    } else {
-      // Contiguous groups capped at the executor's thread budget; group 0
-      // runs on the calling thread so a waiting caller always contributes.
-      const std::size_t groups =
-          std::min<std::size_t>(threads_, misses.size());
-      auto run_group = [&](std::size_t g) {
-        auto worker = checkout();
-        for (std::size_t m = g; m < misses.size(); m += groups)
-          records[m] = execute_ratio(*worker, data, misses[m].bound);
-        checkin(std::move(worker));
-      };
-      std::vector<std::future<void>> pending;
-      pending.reserve(groups - 1);
-      for (std::size_t g = 1; g < groups; ++g)
-        pending.push_back(shared_thread_pool().submit([&run_group, g] { run_group(g); }));
-      std::exception_ptr first_error;
-      try {
-        run_group(0);
-      } catch (...) {
-        first_error = std::current_exception();
-      }
-      for (auto& f : pending) {
-        try {
-          f.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
-    }
+    });
     for (std::size_t m = 0; m < misses.size(); ++m) {
       cache_->insert(context, misses[m].bound, records[m]);
       out[misses[m].index] = ProbeOutcome{records[m], false};

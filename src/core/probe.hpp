@@ -3,9 +3,9 @@
 
 /// \file probe.hpp
 /// The shared probe layer under every tuner: one place that spends
-/// compressor evaluations, batched onto the shared thread pool and
-/// deduplicated through a cache keyed by (data fingerprint, compressor
-/// configuration, error bound).
+/// compressor evaluations, fanned out on the caller's pool and deduplicated
+/// through a cache keyed by (data fingerprint, compressor configuration,
+/// error bound).
 ///
 /// The paper observes that probe evaluations dominate tuning cost and that
 /// overlapping regions re-evaluate the same bounds (§V-C).  Before this
@@ -127,9 +127,10 @@ struct ProbeOutcome {
 
 /// Executes probes for one compressor configuration: clones workers on
 /// demand (kept in an internal context pool so scratch buffers reach their
-/// zero-allocation steady state), batches misses onto the shared thread
-/// pool, and consults/feeds the shared ProbeCache.  Thread-safe; one
-/// executor may serve concurrent searches over different data.
+/// zero-allocation steady state), fans misses out with parallel_for_shared
+/// (helpers from the caller's pool, the caller claiming probes too), and
+/// consults/feeds the shared ProbeCache.  Thread-safe; one executor may
+/// serve concurrent searches, issued from any thread of any pool.
 class ProbeExecutor {
 public:
   /// \param prototype cloned once per worker context on demand.
@@ -145,7 +146,7 @@ public:
   /// Evaluate ratio probes for one batch of bounds (one search round).
   /// Results are positionally aligned with \p bounds.  Duplicate bounds in
   /// the batch and cache hits cost nothing; misses run concurrently up to
-  /// the thread cap on the shared pool.  Throws on compression failure.
+  /// the thread cap on the caller's pool.  Throws on compression failure.
   std::vector<ProbeOutcome> probe_ratios(const ArrayView& data, std::uint64_t context,
                                          const std::vector<double>& bounds);
 

@@ -104,11 +104,11 @@ TuneResult Tuner::train(const ArrayView& data, std::uint64_t context) const {
 
   // One ask/tell stepper per region (paper Alg. 2), all advancing in
   // lockstep: each round collects one proposal from every live region,
-  // evaluates the batch through the probe executor (dedup cache, shared
-  // pool), and feeds the observations back.  The round structure replaces
-  // the seed's one-blocked-thread-per-region layout and its racy
-  // cancellation: the winner's round is the last round, deterministically,
-  // so losing regions no longer drain their full budgets.
+  // evaluates the batch through the probe executor (dedup cache, fan-out on
+  // the caller's pool), and feeds the observations back.  The round
+  // structure replaces the seed's one-blocked-thread-per-region layout and
+  // its racy cancellation: the winner's round is the last round,
+  // deterministically, so losing regions no longer drain their full budgets.
   std::vector<opt::SearchState> states;
   states.reserve(regions.size());
   std::vector<RegionOutcome> outcomes(regions.size());
@@ -240,15 +240,12 @@ SeriesResult Tuner::tune_series(const std::vector<ArrayView>& steps) const {
 std::map<std::string, SeriesResult> Tuner::tune_fields(
     const std::map<std::string, std::vector<ArrayView>>& fields) const {
   require(!fields.empty(), "Tuner::tune_fields: no fields");
-  // Fields stay embarrassingly parallel (paper Alg. 3) on a dedicated pool;
-  // the probe batches they generate all funnel through the shared thread
-  // pool, so total probe concurrency is hardware-bounded instead of
-  // fields x regions.
-  ThreadPool pool(config_.threads == 0
-                      ? std::min<unsigned>(static_cast<unsigned>(fields.size()),
-                                           std::thread::hardware_concurrency())
-                      : std::min<unsigned>(config_.threads,
-                                           static_cast<unsigned>(fields.size())));
+  // Fields stay embarrassingly parallel (paper Alg. 3).  One pool of
+  // config_.threads workers runs both levels: each field is a task, and its
+  // probe batches send helpers to the same pool (the caller's-pool rule), so
+  // total concurrency stays at the thread cap and workers no field occupies
+  // pick up probes of the fields still searching.
+  ThreadPool pool(config_.threads);
   std::map<std::string, std::future<SeriesResult>> futures;
   for (const auto& [name, steps] : fields) {
     const auto* steps_ptr = &steps;

@@ -75,9 +75,11 @@ struct TunerConfig {
   /// Iteration cap per region (the paper bounds iterations, not time).
   int max_evals_per_region = 24;
   /// Worker threads for probe/field parallelism; 0 = hardware concurrency.
-  /// Probe batches run on the shared opt thread pool capped at this count;
-  /// the tuned bound is bit-identical at every thread count (the region
-  /// searches advance in deterministic lockstep rounds).
+  /// Probe batches fan out over the calling thread's pool (an archive
+  /// build's workers, tune_fields' pool, else shared_thread_pool()) capped
+  /// at this count, the caller included; the tuned bound is bit-identical
+  /// at every thread count (the region searches advance in deterministic
+  /// lockstep rounds).
   unsigned threads = 0;
   /// Deterministic seed.
   std::uint64_t seed = kDefaultSearchSeed;
@@ -136,8 +138,9 @@ struct SeriesResult {
 /// Since the ask/tell refactor the K region searches (paper Alg. 2) advance
 /// in deterministic lockstep rounds: each round asks every live region for
 /// its next proposal, evaluates the batch through a ProbeExecutor (dedup
-/// cache + shared thread pool), tells each region its observation, and
-/// cancels every region the moment one lands in the acceptance band.  The
+/// cache + fan-out on the caller's pool), tells each region its
+/// observation, and cancels every region the moment one lands in the
+/// acceptance band.  The
 /// tuned bound is therefore bit-identical at any thread count, and losing
 /// regions stop after the winner's round instead of draining their budgets.
 class Tuner {

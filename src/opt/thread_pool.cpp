@@ -5,6 +5,9 @@
 
 namespace fraz {
 
+/// The pool whose worker_loop runs on this thread; null on other threads.
+static thread_local ThreadPool* current_pool = nullptr;
+
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(threads);
@@ -30,7 +33,7 @@ ThreadPool& shared_thread_pool() {
 void parallel_for_shared(std::size_t n, unsigned threads,
                          const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  ThreadPool& pool = shared_thread_pool();
+  ThreadPool& pool = current_pool ? *current_pool : shared_thread_pool();
   const unsigned helpers = static_cast<unsigned>(
       std::min<std::size_t>({threads > 0 ? threads - 1 : 0, n - 1, pool.size()}));
   if (helpers == 0) {
@@ -85,6 +88,7 @@ void parallel_for_shared(std::size_t n, unsigned threads,
 }
 
 void ThreadPool::worker_loop() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {

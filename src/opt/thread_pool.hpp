@@ -6,6 +6,11 @@
 /// parallelism (see DESIGN.md §2): region searches, per-field tuning, and
 /// per-time-step work are all submitted here.  Tasks are plain callables;
 /// results travel through std::future.
+///
+/// A task must never block on another task of a pool it may run on.
+/// parallel_for_shared keeps nested fan-out on the caller's pool, so an
+/// archive build's chunk tasks, their probe batches and blocked sz's group
+/// fan-out inside them all stay on the build's threads.
 
 #include <deque>
 #include <functional>
@@ -57,26 +62,26 @@ private:
   bool stopping_ FRAZ_GUARDED_BY(mutex_) = false;
 };
 
-/// The process-wide pool probe batches share (hardware-sized, lazily
-/// created).  Orchestrators that must *cap* concurrency keep their own small
-/// pools; leaf work — batched compressor probes from any number of
-/// concurrent tuners — lands here so total probe concurrency is bounded by
-/// the hardware instead of multiplying per caller.  Tasks submitted here
-/// must never block on other shared-pool tasks.
+/// The process-wide pool (hardware-sized, lazily created): where
+/// parallel_for_shared sends helpers for callers that run on no pool, and
+/// where serve readahead lands.  Its threads live as long as the process —
+/// and each keeps its malloc arena — so work with a bounded role (an
+/// archive build) owns a pool of its own instead.
 ThreadPool& shared_thread_pool();
 
-/// Run fn(0..n-1) with up to \p threads workers drawn from
-/// shared_thread_pool(), the CALLER INCLUDED — the caller claims work too, so
-/// the loop completes even when every pool worker is busy (or when this is
-/// itself running on a pool worker), which keeps the never-block-on-pool-tasks
-/// rule intact for nested use.  Helpers claim indices from a shared atomic
+/// Run fn(0..n-1) with up to \p threads workers, the CALLER INCLUDED: the
+/// helpers go to the calling thread's pool (shared_thread_pool() when the
+/// caller runs on none), and the caller claims work too, so the loop
+/// completes even when every pool worker is busy (or when this is itself
+/// running on a pool worker), which keeps the never-block-on-pool-tasks rule
+/// intact for nested use.  Helpers claim indices from a shared atomic
 /// counter; the first exception is captured and rethrown on the caller after
 /// every index has finished.  threads <= 1 or n <= 1 runs inline.
 ///
 /// Index assignment is dynamic, so \p fn must not care which thread runs
 /// which index: writes for distinct indices must land in disjoint locations
-/// and results must depend only on the index (the blocked-sz determinism
-/// contract rides on this).
+/// and results must depend only on the index (the blocked-sz and probe-batch
+/// determinism contracts ride on this).
 void parallel_for_shared(std::size_t n, unsigned threads,
                          const std::function<void(std::size_t)>& fn);
 

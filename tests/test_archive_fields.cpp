@@ -1,9 +1,10 @@
 /// Push-based ingestion sessions and v3 multi-field archives: the byte-
 /// identity gates (v3 writes vs the frozen v2 goldens' chunk regions,
 /// plane-by-plane push vs whole-array write at any worker count, Buffer vs
-/// path builds), the streamed-input memory
-/// bound, the v3 field table round trip (mixed dtypes, per-field reads,
-/// truncation at every boundary), and the session-misuse error surface.
+/// path builds, a retraining multi-field campaign at 1/2/4 workers), the
+/// streamed-input memory bound, the v3 field table round trip (mixed dtypes,
+/// per-field reads, truncation at every boundary), and the session-misuse
+/// and cancellation surface.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 #include "archive/archive.hpp"
 #include "archive_fixtures.hpp"
 #include "codec/checksum.hpp"
+#include "data/datasets.hpp"
+#include "telemetry/telemetry.hpp"
 #include "test_helpers.hpp"
 
 namespace fraz {
@@ -521,6 +524,99 @@ TEST(ArchiveFields, SessionMisuseSurfacesAsStatuses) {
   EXPECT_EQ(stale.value().push(planes_of(field, 0, 1)).code(),
             StatusCode::kInvalidArgument);
   EXPECT_FALSE(stale.value().close().ok());
+}
+
+/// One build of a multi-field campaign step: its bytes, every chunk's tuned
+/// bound in write order, and how many chunks paid full training.
+struct CampaignBuild {
+  Buffer bytes;
+  std::vector<double> tuned_bounds;
+  std::size_t retrained_chunks = 0;
+};
+
+/// Pack \p steps (each a list of named fields) through one writer of
+/// \p workers workers, one FieldSession per field.
+void pack_campaign(const std::vector<std::vector<std::pair<std::string, NdArray>>>& steps,
+                   unsigned workers, std::vector<CampaignBuild>& builds) {
+  ArchiveWriter writer(writer_config("sz", 10.0, 0.1, 0, workers));
+  builds.clear();
+  builds.resize(steps.size());
+  for (std::size_t step = 0; step < steps.size(); ++step) {
+    CampaignBuild& build = builds[step];
+    ASSERT_TRUE(writer.begin(build.bytes).ok());
+    for (const auto& [name, field] : steps[step]) {
+      auto session = writer.open_field(name, desc_of(field));
+      ASSERT_TRUE(session.ok()) << session.status().to_string();
+      push_all(session.value(), field, 3);
+      auto report = session.value().close();
+      ASSERT_TRUE(report.ok()) << report.status().to_string();
+      for (const archive::ChunkReport& chunk : report.value().chunks)
+        build.tuned_bounds.push_back(chunk.tuned_bound);
+      build.retrained_chunks += report.value().retrained_chunks;
+    }
+    ASSERT_TRUE(writer.finish().ok());
+  }
+}
+
+TEST(ArchiveFields, WorkerCountDoesNotChangeRetrainingFieldBytesOrBounds) {
+  // TCf's chunks warm-start from chunk 0's bound; CLOUDf's sparse chunks
+  // miss it and retrain, so their retrain rounds (and chunk-0 training) fan
+  // out over whichever of the build's workers are idle.  Over a cold and a
+  // warm step, the bytes and every chunk's tuned bound must not depend on
+  // the worker count.
+  const auto hurricane = data::dataset_by_name("hurricane", data::SuiteScale::kSmall);
+  std::vector<std::vector<std::pair<std::string, NdArray>>> steps(2);
+  for (std::size_t step = 0; step < steps.size(); ++step)
+    for (const char* name : {"TCf", "CLOUDf"})
+      steps[step].emplace_back(
+          name, data::generate_field(data::field_by_name(hurricane, name), step));
+
+  std::vector<CampaignBuild> serial;
+  ASSERT_NO_FATAL_FAILURE(pack_campaign(steps, 1, serial));
+  std::size_t retrained = 0;
+  for (const CampaignBuild& build : serial) retrained += build.retrained_chunks;
+  EXPECT_GT(retrained, 0u) << "the campaign must exercise retraining chunks";
+  for (const unsigned workers : {2u, 4u}) {
+    std::vector<CampaignBuild> parallel;
+    ASSERT_NO_FATAL_FAILURE(pack_campaign(steps, workers, parallel));
+    for (std::size_t step = 0; step < steps.size(); ++step) {
+      const Buffer& want = serial[step].bytes;
+      const Buffer& got = parallel[step].bytes;
+      ASSERT_EQ(got.size(), want.size()) << workers << " workers, step " << step;
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
+          << workers << " workers, step " << step;
+      EXPECT_EQ(parallel[step].tuned_bounds, serial[step].tuned_bounds)
+          << workers << " workers, step " << step;
+      EXPECT_EQ(parallel[step].retrained_chunks, serial[step].retrained_chunks);
+    }
+  }
+}
+
+TEST(ArchiveFields, CancelWithRowsOnRunnersReturnsAndReleasesThem) {
+  // Abandon a field while runners hold chunk rows and one more row waits in
+  // the queue: cancel() must drop the backlog, wait out the running chunks
+  // and return, leaving the staged-bytes gauge where it started and the
+  // writer ready for its next build.
+  const NdArray field = make_field(DType::kFloat32, {32, 24, 20});
+  const telemetry::Gauge& staged = telemetry::global().gauge("pack.staged_bytes");
+  const std::int64_t staged_before = staged.value();
+  ArchiveWriter writer(writer_config("sz", 8.0, 0.2, 2, 2));
+  Buffer abandoned;
+  ASSERT_TRUE(writer.begin(abandoned).ok());
+  auto session = writer.open_field("x", desc_of(field, 2));
+  ASSERT_TRUE(session.ok());
+  // workers + 1 = 3 chunk rows fill the window without blocking push.
+  ASSERT_TRUE(session.value().push(planes_of(field, 0, 6)).ok());
+  writer.cancel();
+  EXPECT_FALSE(session.value().open());
+  EXPECT_EQ(staged.value(), staged_before);
+
+  Buffer again, fresh;
+  ASSERT_TRUE(writer.write(field.view(), again).ok());
+  ArchiveWriter fresh_writer(writer_config("sz", 8.0, 0.2, 2, 2));
+  ASSERT_TRUE(fresh_writer.write(field.view(), fresh).ok());
+  ASSERT_EQ(again.size(), fresh.size());
+  EXPECT_EQ(std::memcmp(again.data(), fresh.data(), fresh.size()), 0);
 }
 
 TEST(ArchiveFields, V2ArchivesPresentOneSynthesizedField) {

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -72,6 +74,44 @@ TEST(ThreadPool, DestructionDrainsQueue) {
       });
   }  // destructor must wait for queued work
   EXPECT_EQ(done.load(), 20);
+}
+
+TEST(ParallelForShared, NestedHelpersStayOnTheCallersPool) {
+  // Learn the pool's two worker ids: two tasks that each wait for the other
+  // must run on different workers.
+  ThreadPool pool(2);
+  std::atomic<int> started{0};
+  std::mutex ids_mutex;
+  std::set<std::thread::id> workers;
+  auto meet = [&] {
+    ++started;
+    while (started.load() < 2) std::this_thread::yield();
+    std::lock_guard<std::mutex> lock(ids_mutex);
+    workers.insert(std::this_thread::get_id());
+  };
+  auto a = pool.submit(meet);
+  auto b = pool.submit(meet);
+  a.get();
+  b.get();
+  ASSERT_EQ(workers.size(), 2u);
+
+  // A fan-out issued from a pool task asks for more helpers than the pool
+  // has; every index must still run on that pool's threads (the caller is
+  // one of them), never on shared_thread_pool().
+  std::set<std::thread::id> ran_on;
+  std::atomic<int> done{0};
+  pool.submit([&] {
+        parallel_for_shared(48, 8, [&](std::size_t) {
+          std::this_thread::sleep_for(std::chrono::microseconds(500));
+          ++done;
+          std::lock_guard<std::mutex> lock(ids_mutex);
+          ran_on.insert(std::this_thread::get_id());
+        });
+      })
+      .get();
+  EXPECT_EQ(done.load(), 48);
+  for (const std::thread::id& id : ran_on)
+    EXPECT_EQ(workers.count(id), 1u) << "an index ran outside the caller's pool";
 }
 
 TEST(CancelToken, SetOnceVisibleEverywhere) {

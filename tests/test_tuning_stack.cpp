@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <future>
 
 #include "core/probe.hpp"
 #include "core/tuner.hpp"
@@ -14,6 +16,7 @@
 #include "engine/bound_store.hpp"
 #include "engine/engine.hpp"
 #include "opt/global_search.hpp"
+#include "opt/thread_pool.hpp"
 #include "pressio/registry.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -165,6 +168,42 @@ TEST(ProbeExecutor, BatchDeduplicatesAndAlignsResults) {
   EXPECT_TRUE(outcomes[2].from_cache);
   EXPECT_TRUE(outcomes[4].from_cache);
   for (const auto& o : outcomes) EXPECT_GT(o.record.ratio, 0.0);
+}
+
+TEST(ProbeExecutor, BatchesFromEveryThreadOfABusyPoolComplete) {
+  // Every worker of a small pool issues a threads=4 batch at once.  The
+  // helpers go to that same (fully busy) pool, so each batch completes only
+  // because its caller claims probes itself — a fan-out that waited on
+  // futures from its own pool would hang here.  The ratios must equal a
+  // threads=1 executor's.
+  auto compressor = pressio::registry().create("sz");
+  const NdArray field = make_field(DType::kFloat32, {32, 32});
+  ProbeExecutor parallel(*compressor, std::make_shared<ProbeCache>(), 4);
+  ProbeExecutor serial(*compressor, std::make_shared<ProbeCache>(), 1);
+  const std::uint64_t context = parallel.context_key(field.view());
+  constexpr unsigned kThreads = 3;
+  std::vector<std::vector<double>> bounds(kThreads);
+  for (unsigned t = 0; t < kThreads; ++t)
+    for (unsigned k = 0; k < 6; ++k) bounds[t].push_back(0.005 * (1 + t + kThreads * k));
+
+  ThreadPool pool(kThreads);
+  std::atomic<unsigned> started{0};
+  std::vector<std::future<std::vector<ProbeOutcome>>> batches;
+  for (unsigned t = 0; t < kThreads; ++t)
+    batches.push_back(pool.submit([&, t] {
+      ++started;
+      while (started.load() < kThreads) std::this_thread::yield();
+      return parallel.probe_ratios(field.view(), context, bounds[t]);
+    }));
+  for (unsigned t = 0; t < kThreads; ++t) {
+    const std::vector<ProbeOutcome> got = batches[t].get();
+    const std::vector<ProbeOutcome> want =
+        serial.probe_ratios(field.view(), context, bounds[t]);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < got.size(); ++k)
+      EXPECT_EQ(got[k].record.ratio, want[k].record.ratio) << "thread " << t << ", probe " << k;
+  }
+  EXPECT_EQ(parallel.executed(), serial.executed());
 }
 
 TEST(ProbeExecutor, ConfigChangesTheKey) {
