@@ -13,43 +13,46 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/tuner.hpp"
+#include "engine/engine.hpp"
 
 namespace {
 
 using namespace fraz;
 
-void run_case(const char* label, double target, const std::vector<ArrayView>& views,
+void run_case(const char* label, double target, const std::vector<NdArray>& steps,
               double max_error_bound) {
-  auto compressor = pressio::registry().create("sz");
-  TunerConfig cfg;
+  EngineConfig config;
+  config.compressor = "sz";
+  TunerConfig& cfg = config.tuner;
   cfg.target_ratio = target;
   cfg.epsilon = 0.1;
   cfg.regions = 8;
   cfg.max_evals_per_region = 16;
   cfg.max_error_bound = max_error_bound;  // U in the paper's Eq. 2 (0 = auto)
-  const Tuner tuner(*compressor, cfg);
-  const SeriesResult series = tuner.tune_series(views);
+  // One field, its time steps warm-started from the last in-band bound
+  // (Algorithm 3's time dimension).
+  Engine engine(config);
 
   std::printf("\n[%s] target ratio %.1f, epsilon %.2f\n", label, target, cfg.epsilon);
   Table t({"step", "achieved_ratio", "in_band", "retrained", "compress_calls", "cache_hits"});
-  int in_band = 0;
-  for (std::size_t s = 0; s < series.steps.size(); ++s) {
-    const auto& step = series.steps[s];
-    const bool ok = step.result.feasible;
-    in_band += ok;
-    t.add_row({std::to_string(s), Table::num(step.result.achieved_ratio, 2), ok ? "yes" : "no",
-               step.retrained ? "yes" : "no", std::to_string(step.result.compress_calls),
-               std::to_string(step.result.probe_cache_hits)});
+  int in_band = 0, retrains = 0, calls = 0, hits = 0;
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    const TuneResult r = engine.tune("CLOUDf", steps[s].view()).value();
+    const bool retrained = !r.from_prediction;
+    in_band += r.feasible;
+    retrains += retrained;
+    calls += r.compress_calls;
+    hits += r.probe_cache_hits;
+    t.add_row({std::to_string(s), Table::num(r.achieved_ratio, 2), r.feasible ? "yes" : "no",
+               retrained ? "yes" : "no", std::to_string(r.compress_calls),
+               std::to_string(r.probe_cache_hits)});
   }
   t.print(std::cout);
   // "probes executed" is the cost the unified tuning stack minimizes: probes
   // the searches consumed minus those the dedup cache served for free.
   std::printf("steps in band: %d/%zu, retrains: %d, total compress calls: %d "
               "(%d cache hits, %d probes executed)\n",
-              in_band, series.steps.size(), series.retrain_count,
-              series.total_compress_calls, series.total_probe_cache_hits,
-              series.total_compress_calls - series.total_probe_cache_hits);
+              in_band, steps.size(), retrains, calls, hits, calls - hits);
 }
 
 }  // namespace
@@ -73,12 +76,10 @@ int main(int argc, char** argv) {
 
   const auto ds = data::dataset_by_name("hurricane", bench::parse_scale(cli.get_string("scale")));
   const auto spec = data::field_by_name(ds, "CLOUDf");
-  const auto arrays = data::generate_series(spec, static_cast<int>(cli.get_int("steps")));
-  std::vector<ArrayView> views;
-  for (const auto& a : arrays) views.push_back(a.view());
+  const auto steps = data::generate_series(spec, static_cast<int>(cli.get_int("steps")));
 
-  run_case("good convergence case (Fig. 6b)", cli.get_double("good-target"), views, 0.0);
-  run_case("bad convergence case (Fig. 6a)", cli.get_double("bad-target"), views,
+  run_case("good convergence case (Fig. 6b)", cli.get_double("good-target"), steps, 0.0);
+  run_case("bad convergence case (Fig. 6a)", cli.get_double("bad-target"), steps,
            cli.get_double("bad-max-bound"));
   return 0;
 }

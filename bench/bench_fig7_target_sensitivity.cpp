@@ -13,7 +13,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/tuner.hpp"
+#include "engine/engine.hpp"
 #include "util/timer.hpp"
 
 int main(int argc, char** argv) {
@@ -31,16 +31,15 @@ int main(int argc, char** argv) {
 
   const auto ds = data::dataset_by_name("hurricane", bench::parse_scale(cli.get_string("scale")));
   const auto spec = data::field_by_name(ds, "CLOUDf");
-  const auto arrays =
-      data::generate_series(spec, static_cast<int>(cli.get_int("steps")));
-  std::vector<ArrayView> views;
-  for (const auto& a : arrays) views.push_back(a.view());
+  const auto steps = data::generate_series(spec, static_cast<int>(cli.get_int("steps")));
 
   Table t({"target", "total_time_s", "compress_time_s", "compress_calls", "steps_in_band"});
   auto compressor = pressio::registry().create("sz");
   for (int target = static_cast<int>(cli.get_int("min-target"));
        target <= static_cast<int>(cli.get_int("max-target")); ++target) {
-    TunerConfig cfg;
+    EngineConfig config;
+    config.compressor = "sz";
+    TunerConfig& cfg = config.tuner;
     cfg.target_ratio = target;
     cfg.epsilon = 0.1;
     cfg.regions = 8;
@@ -51,28 +50,31 @@ int main(int argc, char** argv) {
     // compression time (as in the paper's single-node Fig. 7).
     cfg.log_scale_search = false;
     cfg.threads = 1;
-    const Tuner tuner(*compressor, cfg);
+    Engine engine(config);
 
     Timer timer;
-    const SeriesResult series = tuner.tune_series(views);
+    int calls = 0, in_band = 0;
+    double last_bound = 0;
+    for (const NdArray& step : steps) {
+      const TuneResult r = engine.tune("CLOUDf", step.view()).value();
+      calls += r.compress_calls;
+      in_band += r.feasible;
+      last_bound = r.error_bound;
+    }
     const double total = timer.seconds();
 
     // Estimate pure compression time: one timed compression at the tuned
     // bound scaled by call count (the loop outside compression is trivial).
-    auto probe_comp = compressor->clone();
-    probe_comp->set_error_bound(series.steps.back().result.error_bound > 0
-                                    ? series.steps.back().result.error_bound
-                                    : value_range(views[0]) * 0.01);
+    compressor->set_error_bound(last_bound > 0 ? last_bound
+                                               : value_range(steps[0].view()) * 0.01);
     Timer ctimer;
-    (void)probe_comp->compress(views[0]);
+    (void)compressor->compress(steps[0].view());
     const double one_compress = ctimer.seconds();
-    const double compress_time = one_compress * series.total_compress_calls;
+    const double compress_time = one_compress * calls;
 
-    int in_band = 0;
-    for (const auto& s : series.steps) in_band += s.result.feasible;
     t.add_row({std::to_string(target), Table::num(total, 3), Table::num(compress_time, 3),
-               std::to_string(series.total_compress_calls),
-               std::to_string(in_band) + "/" + std::to_string(series.steps.size())});
+               std::to_string(calls),
+               std::to_string(in_band) + "/" + std::to_string(steps.size())});
   }
   t.print(std::cout);
   std::printf("\nnote: targets below the SZ ratio floor on this field exhaust the\n"

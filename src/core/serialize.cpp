@@ -1,72 +1,57 @@
 #include "core/serialize.hpp"
 
-#include <sstream>
-
 namespace fraz {
 
 std::string to_json(const pressio::Options& options) {
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
+  JsonWriter w;
+  w.begin_object();
   for (const auto& [key, value] : options) {
-    if (!first) os << ",";
-    first = false;
-    os << json_escape(key) << ":";
+    w.key(key);
     if (const auto* b = std::get_if<bool>(&value))
-      os << (*b ? "true" : "false");
+      w.value(*b);
     else if (const auto* i = std::get_if<std::int64_t>(&value))
-      os << *i;
+      w.value(*i);
     else if (const auto* d = std::get_if<double>(&value))
-      os << json_number(*d);
+      w.value(*d);
     else
-      os << json_escape(std::get<std::string>(value));
+      w.value(std::get<std::string>(value));
   }
-  os << "}";
-  return os.str();
+  w.end_object();
+  return std::move(w).str();
+}
+
+void write_json_fields(JsonWriter& w, const TuneResult& result) {
+  w.field("error_bound", result.error_bound)
+      .field("achieved_ratio", result.achieved_ratio)
+      .field("feasible", result.feasible)
+      .field("from_prediction", result.from_prediction)
+      .field("compress_calls", result.compress_calls)
+      .field("probe_cache_hits", result.probe_cache_hits)
+      .field("probes_executed", result.compress_calls - result.probe_cache_hits)
+      .field("seconds", result.seconds);
+  if (result.regions.empty()) return;
+  w.key("regions").begin_array();
+  for (const RegionOutcome& r : result.regions) {
+    w.begin_object()
+        .field("lo", r.region.lo)
+        .field("hi", r.region.hi)
+        .field("best_bound", r.best_bound)
+        .field("best_ratio", r.best_ratio)
+        .field("compress_calls", r.compress_calls)
+        .field("cache_hits", r.cache_hits)
+        .field("hit_cutoff", r.hit_cutoff)
+        .field("cancelled", r.cancelled)
+        .end_object();
+  }
+  w.end_array();
 }
 
 std::string to_json(const TuneResult& result) {
-  std::ostringstream os;
-  os << "{\"error_bound\":" << json_number(result.error_bound)
-     << ",\"achieved_ratio\":" << json_number(result.achieved_ratio)
-     << ",\"feasible\":" << (result.feasible ? "true" : "false")
-     << ",\"from_prediction\":" << (result.from_prediction ? "true" : "false")
-     << ",\"compress_calls\":" << result.compress_calls
-     << ",\"probe_cache_hits\":" << result.probe_cache_hits
-     << ",\"probes_executed\":" << (result.compress_calls - result.probe_cache_hits)
-     << ",\"seconds\":" << json_number(result.seconds);
-  if (!result.regions.empty()) {
-    os << ",\"regions\":[";
-    for (std::size_t i = 0; i < result.regions.size(); ++i) {
-      const RegionOutcome& r = result.regions[i];
-      if (i) os << ",";
-      os << "{\"lo\":" << json_number(r.region.lo) << ",\"hi\":" << json_number(r.region.hi)
-         << ",\"best_bound\":" << json_number(r.best_bound)
-         << ",\"best_ratio\":" << json_number(r.best_ratio)
-         << ",\"compress_calls\":" << r.compress_calls
-         << ",\"cache_hits\":" << r.cache_hits
-         << ",\"hit_cutoff\":" << (r.hit_cutoff ? "true" : "false")
-         << ",\"cancelled\":" << (r.cancelled ? "true" : "false") << "}";
-    }
-    os << "]";
-  }
-  os << "}";
-  return os.str();
-}
-
-std::string to_json(const SeriesResult& series) {
-  std::ostringstream os;
-  os << "{\"retrain_count\":" << series.retrain_count
-     << ",\"total_compress_calls\":" << series.total_compress_calls
-     << ",\"total_probe_cache_hits\":" << series.total_probe_cache_hits
-     << ",\"seconds\":" << json_number(series.seconds) << ",\"steps\":[";
-  for (std::size_t i = 0; i < series.steps.size(); ++i) {
-    if (i) os << ",";
-    os << "{\"retrained\":" << (series.steps[i].retrained ? "true" : "false")
-       << ",\"result\":" << to_json(series.steps[i].result) << "}";
-  }
-  os << "]}";
-  return os.str();
+  JsonWriter w;
+  w.begin_object();
+  write_json_fields(w, result);
+  w.end_object();
+  return std::move(w).str();
 }
 
 }  // namespace fraz

@@ -21,8 +21,9 @@ std::string to_json(const pressio::Options& options);
 /// Render a TuneResult (region details included when present).
 std::string to_json(const TuneResult& result);
 
-/// Render a SeriesResult with per-step entries.
-std::string to_json(const SeriesResult& series);
+/// Write to_json(result)'s keys into the object \p w has open, so a caller
+/// can add its own keys to the same object before closing it.
+void write_json_fields(JsonWriter& w, const TuneResult& result);
 
 }  // namespace fraz
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 
 #include "opt/global_search.hpp"
-#include "opt/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -14,8 +12,8 @@ namespace fraz {
 
 namespace {
 
-/// Mix a stream index into the base seed (splitmix-style) so every region /
-/// field / step gets an independent but reproducible random stream.
+/// Mix a stream index into the base seed (splitmix-style) so every region
+/// gets an independent but reproducible random stream.
 std::uint64_t substream(std::uint64_t seed, std::uint64_t index) {
   std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (index + 1);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -24,21 +22,6 @@ std::uint64_t substream(std::uint64_t seed, std::uint64_t index) {
 }
 
 }  // namespace
-
-Status warm_archive_probe(pressio::Compressor& compressor, const ArrayView& data,
-                          double bound, double target_ratio, double epsilon, Buffer& out,
-                          WarmArchive& result) noexcept {
-  try {
-    compressor.set_error_bound(bound);
-  } catch (...) {
-    return status_from_current_exception();
-  }
-  const Status s = compressor.compress_into(data, out);
-  if (!s.ok()) return s;
-  result.ratio = static_cast<double>(data.size_bytes()) / static_cast<double>(out.size());
-  result.in_band = ratio_acceptable(result.ratio, target_ratio, epsilon);
-  return Status();
-}
 
 Tuner::Tuner(const pressio::Compressor& prototype, TunerConfig config)
     : Tuner(prototype, config, std::make_shared<ProbeCache>()) {}
@@ -214,46 +197,6 @@ TuneResult Tuner::tune_with_prediction(const ArrayView& data, double predicted_b
     return result;
   }
   return tune(data);
-}
-
-SeriesResult Tuner::tune_series(const std::vector<ArrayView>& steps) const {
-  require(!steps.empty(), "Tuner::tune_series: no time steps");
-  SeriesResult series;
-  Timer timer;
-  double prediction = 0;  // p in Algorithm 3; 0 = none yet
-  for (const ArrayView& step : steps) {
-    StepOutcome outcome;
-    outcome.result = tune_with_prediction(step, prediction);
-    outcome.retrained = !outcome.result.from_prediction;
-    if (outcome.retrained) ++series.retrain_count;
-    // Algorithm 3 line 5-7: carry the bound forward only when it satisfied
-    // the acceptance band.
-    if (outcome.result.feasible) prediction = outcome.result.error_bound;
-    series.total_compress_calls += outcome.result.compress_calls;
-    series.total_probe_cache_hits += outcome.result.probe_cache_hits;
-    series.steps.push_back(std::move(outcome));
-  }
-  series.seconds = timer.seconds();
-  return series;
-}
-
-std::map<std::string, SeriesResult> Tuner::tune_fields(
-    const std::map<std::string, std::vector<ArrayView>>& fields) const {
-  require(!fields.empty(), "Tuner::tune_fields: no fields");
-  // Fields stay embarrassingly parallel (paper Alg. 3).  One pool of
-  // config_.threads workers runs both levels: each field is a task, and its
-  // probe batches send helpers to the same pool (the caller's-pool rule), so
-  // total concurrency stays at the thread cap and workers no field occupies
-  // pick up probes of the fields still searching.
-  ThreadPool pool(config_.threads);
-  std::map<std::string, std::future<SeriesResult>> futures;
-  for (const auto& [name, steps] : fields) {
-    const auto* steps_ptr = &steps;
-    futures.emplace(name, pool.submit([this, steps_ptr] { return tune_series(*steps_ptr); }));
-  }
-  std::map<std::string, SeriesResult> results;
-  for (auto& [name, future] : futures) results.emplace(name, future.get());
-  return results;
 }
 
 }  // namespace fraz

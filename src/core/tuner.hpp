@@ -17,17 +17,14 @@
 ///   search them in parallel, cancel outstanding work as soon as any region
 ///   lands in the acceptance band, and fall back to the closest observed
 ///   ratio when the target is infeasible.
-/// - **Algorithm 3 (parallel by field / time-step reuse)**: tune the first
-///   time-step, then reuse the found bound for subsequent steps, retraining
-///   only when the reused bound drifts out of the band; fields are tuned in
-///   parallel.
+///
+/// Algorithm 3 (warm-start each field's time steps from the last in-band
+/// bound) lives in engine/engine.hpp: the Engine is its one home.
 ///
 /// All randomness is seeded; identical inputs and configuration produce
 /// identical tuned bounds.
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "core/loss.hpp"
@@ -35,26 +32,9 @@
 #include "core/regions.hpp"
 #include "ndarray/ndarray.hpp"
 #include "pressio/compressor.hpp"
-#include "util/buffer.hpp"
 #include "util/seed.hpp"
-#include "util/status.hpp"
 
 namespace fraz {
-
-/// Outcome of one archive-as-probe pass (see warm_archive_probe).
-struct WarmArchive {
-  double ratio = 0;     ///< achieved compression ratio of the archive in `out`
-  bool in_band = false; ///< ratio within the acceptance band of the target
-};
-
-/// Algorithm 3's warm path, shared by Engine::compress and
-/// OnlineTuner::push_into: compress \p data at \p bound into the caller's
-/// reusable \p out and check the achieved ratio against the acceptance band
-/// — the archive itself is the acceptance probe, so an in-band frame costs
-/// exactly one compression.  Non-throwing; on failure \p out is unspecified.
-Status warm_archive_probe(pressio::Compressor& compressor, const ArrayView& data,
-                          double bound, double target_ratio, double epsilon, Buffer& out,
-                          WarmArchive& result) noexcept;
 
 /// Tuning configuration (defaults follow the paper where it states one).
 struct TunerConfig {
@@ -74,12 +54,11 @@ struct TunerConfig {
   double overlap = 0.1;
   /// Iteration cap per region (the paper bounds iterations, not time).
   int max_evals_per_region = 24;
-  /// Worker threads for probe/field parallelism; 0 = hardware concurrency.
+  /// Worker threads for probe parallelism; 0 = hardware concurrency.
   /// Probe batches fan out over the calling thread's pool (an archive
-  /// build's workers, tune_fields' pool, else shared_thread_pool()) capped
-  /// at this count, the caller included; the tuned bound is bit-identical
-  /// at every thread count (the region searches advance in deterministic
-  /// lockstep rounds).
+  /// build's workers, else shared_thread_pool()) capped at this count, the
+  /// caller included; the tuned bound is bit-identical at every thread
+  /// count (the region searches advance in deterministic lockstep rounds).
   unsigned threads = 0;
   /// Deterministic seed.
   std::uint64_t seed = kDefaultSearchSeed;
@@ -116,21 +95,6 @@ struct TuneResult {
                                        ///< satisfied by prediction)
 };
 
-/// Per-time-step outcome within a series.
-struct StepOutcome {
-  TuneResult result;
-  bool retrained = false;  ///< true when the reused bound missed the band
-};
-
-/// Result of tuning a time series of one field.
-struct SeriesResult {
-  std::vector<StepOutcome> steps;
-  int retrain_count = 0;
-  int total_compress_calls = 0;      ///< probes consumed (cache hits included)
-  int total_probe_cache_hits = 0;    ///< of those, served by the probe cache
-  double seconds = 0;
-};
-
 /// The FRaZ autotuner.  Holds a prototype compressor (cloned per probe
 /// worker, see pressio::Compressor's thread-safety contract) and a
 /// configuration.
@@ -147,7 +111,7 @@ class Tuner {
 public:
   Tuner(const pressio::Compressor& prototype, TunerConfig config);
 
-  /// Share a probe cache with other consumers (an Engine, an OnlineTuner):
+  /// Share a probe cache with other consumers (Engines, archive workers):
   /// identical (data, config, bound) probes anywhere in the process are then
   /// paid once.  \p cache must not be null.
   Tuner(const pressio::Compressor& prototype, TunerConfig config, ProbeCachePtr cache);
@@ -161,16 +125,9 @@ public:
   TuneResult tune(const ArrayView& data) const;
 
   /// Algorithm 1 entry: probe \p predicted_bound first (0 = no prediction),
-  /// then fall back to full training.
+  /// then fall back to full training.  Engine::tune feeds it the carried
+  /// bound of Algorithm 3.
   TuneResult tune_with_prediction(const ArrayView& data, double predicted_bound) const;
-
-  /// Algorithm 3 (time dimension): warm-start successive steps with the
-  /// previous step's bound; retrain only on drift.
-  SeriesResult tune_series(const std::vector<ArrayView>& steps) const;
-
-  /// Algorithm 3 (field dimension): tune several fields' series in parallel.
-  std::map<std::string, SeriesResult> tune_fields(
-      const std::map<std::string, std::vector<ArrayView>>& fields) const;
 
 private:
   /// Resolve the [lo, hi] search range for \p data per config defaults.

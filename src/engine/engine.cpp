@@ -92,19 +92,20 @@ Result<TuneResult> Engine::tune(const std::string& field, const ArrayView& data,
 Status Engine::compress(const std::string& field, const ArrayView& data, Buffer& out,
                         CompressOutcome* outcome) noexcept {
   // Warm path: compress directly at the cached bound and let that archive
-  // double as the confirmation probe (warm_archive_probe).  Routing through
-  // tune() here would compress twice per steady-state frame — once for the
-  // probe, once for the archive — on identical bytes.
+  // double as the confirmation probe.  Routing through tune() here would
+  // compress twice per steady-state frame — once for the probe, once for the
+  // archive — on identical bytes.
   const double target = config_.tuner.target_ratio;
+  const auto archive_ratio = [&data, &out] {
+    return static_cast<double>(data.size_bytes()) / static_cast<double>(out.size());
+  };
   const double cached = bounds_->get(field, target);
   if (cached > 0) {
-    WarmArchive warm;
-    const Status s = warm_archive_probe(*compressor_, data, cached, target,
-                                        config_.tuner.epsilon, out, warm);
+    const Status s = compress_at(cached, data, out);
     if (!s.ok()) return s;
-    ++stats_.compress_calls;
     ++field_stats_[field].compress_calls;
-    if (warm.in_band) {
+    const double ratio = archive_ratio();
+    if (ratio_acceptable(ratio, target, config_.tuner.epsilon)) {
       ++stats_.tunes;
       ++stats_.warm_hits;
       tunes_counter().add();
@@ -112,7 +113,7 @@ Status Engine::compress(const std::string& field, const ArrayView& data, Buffer&
       EngineFieldStats& per_field = field_stats_[field];
       ++per_field.tunes;
       ++per_field.warm_hits;
-      if (outcome) *outcome = CompressOutcome{cached, warm.ratio, true, false, true};
+      if (outcome) *outcome = CompressOutcome{cached, ratio, true, false, true};
       return Status();
     }
     // Drift: the cached bound is proven stale — drop it so the retraining
@@ -126,8 +127,7 @@ Status Engine::compress(const std::string& field, const ArrayView& data, Buffer&
   if (!s.ok()) return s;
   ++field_stats_[field].compress_calls;
   if (outcome) {
-    const double ratio =
-        static_cast<double>(data.size_bytes()) / static_cast<double>(out.size());
+    const double ratio = archive_ratio();
     *outcome = CompressOutcome{tuned.value().error_bound, ratio, false,
                                !tuned.value().from_prediction,
                                ratio_acceptable(ratio, target, config_.tuner.epsilon)};

@@ -6,11 +6,21 @@
 /// pipeline — registry-constructed backend, tuner, and a bound cache — so
 /// consumers stop hand-wiring registry + Tuner + metrics for every use.
 ///
-/// The cache is the paper's Algorithm 3 time-step reuse promoted into the
-/// API: bounds are keyed by (field, target ratio), and every tune through
-/// the Engine warm-starts from the last feasible bound for that key.  A
-/// climate campaign that calls `compress("CLOUD", step_t)` per time step
-/// pays full training once and a single confirmation probe afterwards.
+/// The Engine is the one home of the paper's Algorithm 3 (parallel by field,
+/// time-step reuse).  Bounds are cached by (field, target ratio):
+///
+/// - **time dimension**: successive calls for one field warm-start from the
+///   last bound that landed in the acceptance band, and retrain only when
+///   that bound drifts out of it — a climate campaign that calls
+///   `compress("CLOUD", step_t)` per time step pays full training once and
+///   one compression per in-band step afterwards;
+/// - **field dimension**: every field name is its own cache key, so fields
+///   never disturb each other's bounds; fields run in parallel by giving
+///   each worker its own Engine over one shared BoundStore (what the archive
+///   writer does with its chunk workers).
+///
+/// Tuner supplies Algorithms 1 and 2 on one dataset; the Engine decides
+/// which bound to predict and which results to carry forward.
 ///
 /// All entry points are non-throwing (Status / Result), matching the
 /// CompressorV2 contract — an Engine is what a long-running service embeds,

@@ -127,11 +127,6 @@ bool SearchState::ask(double& x) {
     x = pending_x_;
     return true;
   }
-  if (options_.cancel != nullptr && options_.cancel->cancelled()) {
-    result_.cancelled = true;
-    done_ = true;
-    return false;
-  }
   pending_x_ = std::clamp(next_proposal(), lo_, hi_);
   pending_ = true;
   x = pending_x_;

@@ -35,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "opt/cancel.hpp"
 #include "util/rng.hpp"
 #include "util/seed.hpp"
 
@@ -51,8 +50,6 @@ struct SearchOptions {
   double cutoff = -1e300;
   /// Deterministic seed.
   std::uint64_t seed = kDefaultSearchSeed;
-  /// Optional cooperative cancellation (checked before every evaluation).
-  const CancelToken* cancel = nullptr;
   /// Candidate pool size per global step.
   int lipo_candidates = 128;
 };
@@ -63,7 +60,6 @@ struct SearchResult {
   double best_f = 0;
   int calls = 0;          ///< objective evaluations actually spent
   bool hit_cutoff = false;
-  bool cancelled = false;
   /// Full evaluation history in call order: (x, f(x)).
   std::vector<std::pair<double, double>> history;
 };
@@ -85,7 +81,7 @@ public:
 
   /// Propose the next x to evaluate.  Returns false — and leaves \p x
   /// untouched — once the search is finished: the evaluation budget is
-  /// spent, the cutoff was hit, or the cancel token tripped.
+  /// spent or the cutoff was hit.
   bool ask(double& x);
 
   /// Observe f(x) for the proposal most recently returned by ask().

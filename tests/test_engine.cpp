@@ -4,7 +4,6 @@
 
 #include <cstring>
 
-#include "core/online.hpp"
 #include "pressio/registry.hpp"
 #include "test_helpers.hpp"
 #include "util/buffer.hpp"
@@ -349,40 +348,30 @@ TEST(Engine, DecompressGarbageIsAStatus) {
 
 // ----------------------------------------------------- streaming fast path
 
-TEST(OnlineTunerV2, PushIntoWarmAndDriftPaths) {
-  auto c = pressio::registry().create("sz");
-  TunerConfig cfg;
-  cfg.target_ratio = 5.0;
-  cfg.epsilon = 0.1;
-  cfg.threads = 2;
-  OnlineTuner online(*c, cfg);
+TEST(Engine, CompressDriftRetrainsFromScratch) {
+  Engine engine(fast_config("sz"));
   const NdArray calm = test_field();
   Buffer out;
-
-  StepOutcome first;
-  ASSERT_TRUE(online.push_into(calm.view(), out, &first).ok());
+  CompressOutcome first;
+  ASSERT_TRUE(engine.compress("f", calm.view(), out, &first).ok());
   EXPECT_TRUE(first.retrained);
-  ASSERT_GT(online.carried_bound(), 0.0);
-  ASSERT_GT(out.size(), 0u);
-
-  // Warm frame: identical data — the archive doubles as the acceptance
-  // probe, so the frame costs exactly ONE compression.
-  StepOutcome warm;
-  ASSERT_TRUE(online.push_into(calm.view(), out, &warm).ok());
-  EXPECT_TRUE(warm.result.from_prediction);
-  EXPECT_FALSE(warm.retrained);
-  EXPECT_EQ(warm.result.compress_calls, 1);
+  CompressOutcome warm;
+  ASSERT_TRUE(engine.compress("f", calm.view(), out, &warm).ok());
+  ASSERT_TRUE(warm.warm);
+  const double carried = engine.cached_bound("f");
+  ASSERT_GT(carried, 0.0);
 
   // Regime change: 1000x the amplitude pushes the carried bound's achieved
-  // ratio out of the band — the stream must retrain, and the failed warm
-  // archive is counted as the prediction probe it effectively was.
+  // ratio out of the band — the warm archive measures the drift, and the
+  // frame retrains from scratch and carries a new bound.
   const NdArray wild = make_field(DType::kFloat32, {37, 41}, 50000.0);
-  StepOutcome drift;
-  ASSERT_TRUE(online.push_into(wild.view(), out, &drift).ok());
+  CompressOutcome drift;
+  ASSERT_TRUE(engine.compress("f", wild.view(), out, &drift).ok());
   EXPECT_TRUE(drift.retrained);
-  EXPECT_FALSE(drift.result.from_prediction);
-  EXPECT_GT(drift.result.compress_calls, 1);
+  EXPECT_FALSE(drift.warm);
   EXPECT_GT(out.size(), 0u);
+  EXPECT_GT(engine.cached_bound("f"), 0.0);
+  EXPECT_NE(engine.cached_bound("f"), carried);
 }
 
 // ------------------------------------------------ registry config creation

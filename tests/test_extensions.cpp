@@ -1,15 +1,16 @@
 #include <gtest/gtest.h>
 
-#include "core/online.hpp"
 #include "core/quality_tuner.hpp"
 #include "data/datasets.hpp"
+#include "engine/engine.hpp"
 #include "metrics/error_stats.hpp"
 #include "metrics/ssim.hpp"
 #include "pressio/registry.hpp"
 #include "test_helpers.hpp"
 
 /// Tests for the paper's §VII future-work features implemented as
-/// extensions: quality-target tuning and the online (in-situ) tuner.
+/// extensions: quality-target tuning and online (in-situ) fixed-ratio
+/// streaming through Engine::compress.
 
 namespace fraz {
 namespace {
@@ -104,102 +105,73 @@ TEST(QualityTuner, ConfigValidation) {
   EXPECT_THROW(tune_for_quality(*compressor, field.view(), cfg), InvalidArgument);
 }
 
-// --------------------------------------------------------- online tuner
+// ------------------------------------------ in-situ streaming (Engine)
 
-TunerConfig online_config(double target) {
-  TunerConfig cfg;
-  cfg.target_ratio = target;
-  cfg.epsilon = 0.1;
-  cfg.threads = 2;
-  return cfg;
+EngineConfig stream_config(double target) {
+  EngineConfig config;
+  config.compressor = "sz";
+  config.tuner.target_ratio = target;
+  config.tuner.epsilon = 0.1;
+  config.tuner.threads = 2;
+  return config;
 }
 
-TEST(OnlineTuner, FirstFrameTrainsLaterFramesReuse) {
-  auto compressor = pressio::registry().create("sz");
-  OnlineTuner online(*compressor, online_config(6.0));
+TEST(Engine, FirstFrameTrainsLaterFramesReuse) {
+  Engine engine(stream_config(6.0));
   const auto ds = data::dataset_by_name("cesm", data::SuiteScale::kTiny);
   const auto spec = data::field_by_name(ds, "CLOUD");
+  Buffer out;
 
   const NdArray f0 = data::generate_field(spec, 0);
-  const StepOutcome s0 = online.push(f0.view());
+  CompressOutcome s0;
+  ASSERT_TRUE(engine.compress("CLOUD", f0.view(), out, &s0).ok());
   EXPECT_TRUE(s0.retrained);
-  ASSERT_TRUE(s0.result.feasible);
-  EXPECT_GT(online.carried_bound(), 0.0);
+  ASSERT_TRUE(s0.in_band);
+  EXPECT_GT(engine.cached_bound("CLOUD"), 0.0);
 
   int reused = 0;
   for (int t = 1; t <= 4; ++t) {
     const NdArray f = data::generate_field(spec, t);
-    reused += !online.push(f.view()).retrained;
+    CompressOutcome outcome;
+    ASSERT_TRUE(engine.compress("CLOUD", f.view(), out, &outcome).ok()) << t;
+    reused += !outcome.retrained;
   }
   EXPECT_GE(reused, 3);  // slow drift: the bound survives most frames
-  EXPECT_EQ(online.stats().frames, 5u);
-  EXPECT_LE(online.stats().retrains, 2u);
+  EXPECT_EQ(engine.field_stats().at("CLOUD").tunes, 5u);
+  EXPECT_LE(engine.field_stats().at("CLOUD").retrains, 2u);
 }
 
-TEST(OnlineTuner, MatchesBatchSeriesBehaviour) {
-  const auto ds = data::dataset_by_name("cesm", data::SuiteScale::kTiny);
-  const auto spec = data::field_by_name(ds, "PHIS");
-  const auto arrays = data::generate_series(spec, 4);
-
-  auto compressor = pressio::registry().create("sz");
-  TunerConfig cfg = online_config(6.0);
-  cfg.threads = 1;  // serial for determinism
-
-  OnlineTuner online(*compressor, cfg);
-  std::vector<StepOutcome> streamed;
-  for (const auto& a : arrays) streamed.push_back(online.push(a.view()));
-
-  std::vector<ArrayView> views;
-  for (const auto& a : arrays) views.push_back(a.view());
-  const SeriesResult batch = Tuner(*compressor, cfg).tune_series(views);
-
-  ASSERT_EQ(streamed.size(), batch.steps.size());
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(streamed[i].retrained, batch.steps[i].retrained) << "step " << i;
-    EXPECT_DOUBLE_EQ(streamed[i].result.error_bound, batch.steps[i].result.error_bound)
-        << "step " << i;
-  }
-}
-
-TEST(OnlineTuner, StatsTrackRatios) {
-  auto compressor = pressio::registry().create("sz");
-  OnlineTuner online(*compressor, online_config(6.0));
+TEST(Engine, ClearCacheForgetsCarriedBound) {
+  Engine engine(stream_config(6.0));
   const NdArray f = cesm_field();
-  online.push(f.view());
-  const OnlineStats& stats = online.stats();
-  EXPECT_EQ(stats.frames, 1u);
-  EXPECT_GT(stats.last_ratio, 0.0);
-  EXPECT_DOUBLE_EQ(stats.ratio_ema, stats.last_ratio);
-  EXPECT_GT(stats.total_compress_calls, 0);
+  Buffer out;
+  ASSERT_TRUE(engine.compress("CLOUD", f.view(), out).ok());
+  ASSERT_GT(engine.cached_bound("CLOUD"), 0.0);
+  engine.clear_cache();
+  EXPECT_EQ(engine.cached_bound("CLOUD"), 0.0);
+  // Next frame trains from scratch again.
+  CompressOutcome outcome;
+  ASSERT_TRUE(engine.compress("CLOUD", f.view(), out, &outcome).ok());
+  EXPECT_TRUE(outcome.retrained);
 }
 
-TEST(OnlineTuner, ResetForgetsCarriedBound) {
-  auto compressor = pressio::registry().create("sz");
-  OnlineTuner online(*compressor, online_config(6.0));
-  online.push(cesm_field().view());
-  ASSERT_GT(online.carried_bound(), 0.0);
-  online.reset();
-  EXPECT_EQ(online.carried_bound(), 0.0);
-  EXPECT_EQ(online.stats().frames, 0u);
-  // Next push trains from scratch again.
-  EXPECT_TRUE(online.push(cesm_field().view()).retrained);
-}
-
-TEST(OnlineTuner, RegimeChangeTriggersRetrain) {
+TEST(Engine, RegimeChangeTriggersRetrain) {
   // Stream frames from one field, then switch to a very different field:
   // the carried bound must miss the band and trigger retraining.
-  auto compressor = pressio::registry().create("sz");
-  OnlineTuner online(*compressor, online_config(6.0));
+  Engine engine(stream_config(6.0));
   const auto ds = data::dataset_by_name("cesm", data::SuiteScale::kTiny);
   const NdArray calm = data::generate_field(data::field_by_name(ds, "PHIS"), 0);
-  online.push(calm.view());
-  ASSERT_TRUE(online.stats().frames_in_band == 1);
+  Buffer out;
+  CompressOutcome first;
+  ASSERT_TRUE(engine.compress("stream", calm.view(), out, &first).ok());
+  ASSERT_TRUE(first.in_band);
 
   // A field with a completely different amplitude/structure profile.
   const auto hur = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
   const NdArray wild = data::generate_field(data::field_by_name(hur, "QCLOUDf.log10"), 0)
                            .slice2d(4);
-  const StepOutcome jump = online.push(wild.view());
+  CompressOutcome jump;
+  ASSERT_TRUE(engine.compress("stream", wild.view(), out, &jump).ok());
   EXPECT_TRUE(jump.retrained);
 }
 

@@ -89,36 +89,6 @@ TEST(FindMinGlobal, DeterministicForSeed) {
   EXPECT_NE(a.history, c.history);  // different stream, different probes
 }
 
-TEST(FindMinGlobal, CancellationStopsSearch) {
-  CancelToken token;
-  token.cancel();
-  int calls = 0;
-  const auto f = [&calls](double) {
-    ++calls;
-    return 0.0;
-  };
-  SearchOptions opt;
-  opt.cancel = &token;
-  const auto r = find_min_global(f, 0, 1, opt);
-  EXPECT_TRUE(r.cancelled);
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(FindMinGlobal, MidSearchCancellation) {
-  CancelToken token;
-  int calls = 0;
-  const auto f = [&](double x) {
-    if (++calls == 5) token.cancel();
-    return x * x;
-  };
-  SearchOptions opt;
-  opt.max_calls = 1000;
-  opt.cancel = &token;
-  const auto r = find_min_global(f, -1, 1, opt);
-  EXPECT_TRUE(r.cancelled);
-  EXPECT_LE(calls, 6);
-}
-
 TEST(FindMinGlobal, HistoryWithinBounds) {
   const auto f = [](double x) { return std::abs(x - 0.25); };
   const auto r = find_min_global(f, 0.0, 1.0);

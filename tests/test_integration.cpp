@@ -6,6 +6,7 @@
 
 #include "core/tuner.hpp"
 #include "data/datasets.hpp"
+#include "engine/engine.hpp"
 #include "metrics/acf.hpp"
 #include "metrics/error_stats.hpp"
 #include "ndarray/io.hpp"
@@ -194,27 +195,22 @@ TEST(EvaluationConsistency, FidelityReportAgreesWithDirectMetrics) {
 
 TEST(EvaluationConsistency, SeriesTuningStableAcrossSuite) {
   // Tuning the whole CESM suite as a user would: every field, several steps,
-  // one target — everything must land in the band with few retrains.
+  // one target, one Engine keyed by field name — everything must land in the
+  // band with few retrains.
   const auto ds = data::dataset_by_name("cesm", data::SuiteScale::kTiny);
-  std::map<std::string, std::vector<NdArray>> storage;
-  std::map<std::string, std::vector<ArrayView>> fields;
+  EngineConfig config;
+  config.compressor = "sz";
+  config.tuner.target_ratio = 6.0;
+  config.tuner.threads = 2;
+  Engine engine(config);
   for (const auto& spec : ds.fields) {
-    storage[spec.name] = data::generate_series(spec, 3);
-    for (const auto& a : storage[spec.name]) fields[spec.name].push_back(a.view());
-  }
-  auto compressor = pressio::registry().create("sz");
-  TunerConfig cfg;
-  cfg.target_ratio = 6.0;
-  cfg.threads = 2;
-  const Tuner tuner(*compressor, cfg);
-  const auto results = tuner.tune_fields(fields);
-  ASSERT_EQ(results.size(), ds.fields.size());
-  for (const auto& [name, series] : results) {
     int in_band = 0;
-    for (const auto& step : series.steps) in_band += step.result.feasible;
-    EXPECT_GE(in_band, 2) << name;
-    EXPECT_LE(series.retrain_count, 2) << name;
+    for (const NdArray& a : data::generate_series(spec, 3))
+      in_band += engine.tune(spec.name, a.view()).value().feasible;
+    EXPECT_GE(in_band, 2) << spec.name;
+    EXPECT_LE(engine.field_stats().at(spec.name).retrains, 2u) << spec.name;
   }
+  EXPECT_EQ(engine.field_stats().size(), ds.fields.size());
 }
 
 }  // namespace

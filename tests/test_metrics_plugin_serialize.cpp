@@ -131,26 +131,51 @@ TEST(Json, TuneResultSerializes) {
   EXPECT_EQ(depth, 0);
 }
 
-TEST(Json, SeriesResultSerializes) {
-  const auto ds = data::dataset_by_name("cesm", data::SuiteScale::kTiny);
-  const auto arrays = data::generate_series(data::field_by_name(ds, "PHIS"), 3);
-  std::vector<ArrayView> views;
-  for (const auto& a : arrays) views.push_back(a.view());
-  auto compressor = pressio::registry().create("sz");
-  TunerConfig cfg;
-  cfg.target_ratio = 6.0;
-  cfg.threads = 1;
-  const SeriesResult series = Tuner(*compressor, cfg).tune_series(views);
-  const std::string json = to_json(series);
-  EXPECT_NE(json.find("\"retrain_count\":"), std::string::npos);
-  EXPECT_NE(json.find("\"steps\":["), std::string::npos);
-  // One entry per step.
-  std::size_t count = 0, pos = 0;
-  while ((pos = json.find("\"retrained\":", pos)) != std::string::npos) {
-    ++count;
-    pos += 12;
-  }
-  EXPECT_EQ(count, 3u);
+TEST(Json, TuneResultBytesArePinned) {
+  // Exact bytes of the rendering (key order, number format, region array,
+  // no regions key when there are none) — the CLI's `tune --json` extends
+  // this object, so downstream parsers see these keys verbatim.
+  TuneResult r;
+  r.error_bound = 0.1;
+  r.achieved_ratio = 6.25;
+  r.feasible = true;
+  r.compress_calls = 9;
+  r.probe_cache_hits = 2;
+  r.seconds = 0.125;
+  RegionOutcome a;
+  a.region = Region{1e-9, 0.5};
+  a.best_bound = 0.1;
+  a.best_ratio = 6.25;
+  a.compress_calls = 5;
+  a.cache_hits = 2;
+  a.hit_cutoff = true;
+  RegionOutcome b;
+  b.region = Region{0.45, 1.0};
+  b.best_bound = 0.7;
+  b.best_ratio = 19.5;
+  b.compress_calls = 4;
+  b.cancelled = true;
+  r.regions = {a, b};
+  EXPECT_EQ(to_json(r),
+            R"({"error_bound":0.10000000000000001,"achieved_ratio":6.25,"feasible":true,)"
+            R"("from_prediction":false,"compress_calls":9,"probe_cache_hits":2,)"
+            R"("probes_executed":7,"seconds":0.125,"regions":[)"
+            R"({"lo":1.0000000000000001e-09,"hi":0.5,"best_bound":0.10000000000000001,)"
+            R"("best_ratio":6.25,"compress_calls":5,"cache_hits":2,"hit_cutoff":true,)"
+            R"("cancelled":false},)"
+            R"({"lo":0.45000000000000001,"hi":1,"best_bound":0.69999999999999996,)"
+            R"("best_ratio":19.5,"compress_calls":4,"cache_hits":0,"hit_cutoff":false,)"
+            R"("cancelled":true}]})");
+
+  TuneResult bare;
+  bare.error_bound = 3.0;
+  bare.achieved_ratio = 1.0 / 3.0;
+  bare.from_prediction = true;
+  bare.compress_calls = 1;
+  EXPECT_EQ(to_json(bare),
+            R"({"error_bound":3,"achieved_ratio":0.33333333333333331,"feasible":false,)"
+            R"("from_prediction":true,"compress_calls":1,"probe_cache_hits":0,)"
+            R"("probes_executed":1,"seconds":0})");
 }
 
 }  // namespace

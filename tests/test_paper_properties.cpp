@@ -6,6 +6,7 @@
 #include "core/loss.hpp"
 #include "core/tuner.hpp"
 #include "data/datasets.hpp"
+#include "engine/engine.hpp"
 #include "opt/global_search.hpp"
 #include "pressio/registry.hpp"
 #include "test_helpers.hpp"
@@ -56,23 +57,25 @@ TEST(PaperProperties, SzExpressesManyMoreRatiosThanZfp) {
 
 TEST(PaperProperties, WarmStartSlashesSeriesCost) {
   // §VI-B.1: reusing the previous step's bound makes later steps nearly
-  // free.  Compare a warm-started series against cold per-step tuning.
+  // free.  Compare an Engine's warm-started series against cold per-step
+  // tuning.
   const auto ds = data::dataset_by_name("cesm", data::SuiteScale::kTiny);
   const auto arrays = data::generate_series(data::field_by_name(ds, "CLDHGH"), 5);
-  std::vector<ArrayView> views;
-  for (const auto& a : arrays) views.push_back(a.view());
+
+  EngineConfig config;
+  config.compressor = "sz";
+  config.tuner.target_ratio = 6.0;
+  config.tuner.threads = 1;
+  Engine engine(config);
+  int warm_calls = 0;
+  for (const NdArray& a : arrays)
+    warm_calls += engine.tune("CLDHGH", a.view()).value().compress_calls;
 
   auto compressor = pressio::registry().create("sz");
-  TunerConfig cfg;
-  cfg.target_ratio = 6.0;
-  cfg.threads = 1;
-  const Tuner tuner(*compressor, cfg);
-
-  const SeriesResult warm = tuner.tune_series(views);
+  const Tuner tuner(*compressor, config.tuner);
   int cold_calls = 0;
-  for (const ArrayView& v : views) cold_calls += tuner.tune(v).compress_calls;
-  EXPECT_LT(warm.total_compress_calls, cold_calls / 2)
-      << "warm " << warm.total_compress_calls << " vs cold " << cold_calls;
+  for (const NdArray& a : arrays) cold_calls += tuner.tune(a.view()).compress_calls;
+  EXPECT_LT(warm_calls, cold_calls / 2) << "warm " << warm_calls << " vs cold " << cold_calls;
 }
 
 TEST(PaperProperties, EarlyTerminationCutoffSavesCalls) {

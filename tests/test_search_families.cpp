@@ -85,24 +85,6 @@ TEST(FamilyCutoffs, StaircaseCutoffHitsAcceptableTread) {
   EXPECT_LT(r.calls, 100);
 }
 
-TEST(FamilyCutoffs, CancellationInterruptsEveryFamily) {
-  for (const Family& family : families()) {
-    CancelToken token;
-    int calls = 0;
-    SearchOptions opt;
-    opt.max_calls = 1000;
-    opt.cancel = &token;
-    const SearchResult r = find_min_global(
-        [&](double x) {
-          if (++calls == 7) token.cancel();
-          return family.f(x);
-        },
-        family.lo, family.hi, opt);
-    EXPECT_TRUE(r.cancelled) << family.name;
-    EXPECT_LE(calls, 8) << family.name;
-  }
-}
-
 TEST(FamilyBaselines, ClimbingFindsMonotoneTargetsSlowly) {
   // The climbing baseline reaches monotone targets but pays per decade.
   // Band wide enough (epsilon 0.2 -> ratio 1.5 > growth 1.3) that the

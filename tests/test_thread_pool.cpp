@@ -10,8 +10,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "opt/cancel.hpp"
-
 namespace fraz {
 namespace {
 
@@ -112,21 +110,6 @@ TEST(ParallelForShared, NestedHelpersStayOnTheCallersPool) {
   EXPECT_EQ(done.load(), 48);
   for (const std::thread::id& id : ran_on)
     EXPECT_EQ(workers.count(id), 1u) << "an index ran outside the caller's pool";
-}
-
-TEST(CancelToken, SetOnceVisibleEverywhere) {
-  CancelToken token;
-  EXPECT_FALSE(token.cancelled());
-  ThreadPool pool(2);
-  auto f = pool.submit([&token] {
-    while (!token.cancelled()) std::this_thread::yield();
-    return true;
-  });
-  token.cancel();
-  EXPECT_TRUE(f.get());
-  EXPECT_TRUE(token.cancelled());
-  token.cancel();  // idempotent
-  EXPECT_TRUE(token.cancelled());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/datasets.hpp"
+#include "engine/engine.hpp"
 #include "pressio/registry.hpp"
 #include "test_helpers.hpp"
 
@@ -188,69 +189,62 @@ TEST(Tuner, ZeroPredictionMeansNoProbe) {
   EXPECT_FALSE(via.from_prediction);
 }
 
-// ------------------------------------------------------------ time series
+// --------------------------------------- Algorithm 3 through the Engine
 
-TEST(Tuner, SeriesReusesBoundAcrossSteps) {
+/// Engine over \p backend with the same tuning knobs as fast_config.
+Engine series_engine(const char* backend, double target) {
+  EngineConfig config;
+  config.compressor = backend;
+  config.tuner = fast_config(target);
+  return Engine(config);
+}
+
+TEST(Algorithm3, SeriesReusesBoundAcrossSteps) {
   const auto ds = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
   const auto spec = data::field_by_name(ds, "TCf");
   const auto arrays = data::generate_series(spec, 6);
-  std::vector<ArrayView> views;
-  for (const auto& a : arrays) views.push_back(a.view());
 
-  auto compressor = pressio::registry().create("sz");
-  const Tuner tuner(*compressor, fast_config(8.0));
-  const SeriesResult series = tuner.tune_series(views);
-  ASSERT_EQ(series.steps.size(), 6u);
-  EXPECT_TRUE(series.steps[0].retrained);  // first step always trains
+  Engine engine = series_engine("sz", 8.0);
+  std::vector<TuneResult> steps;
+  for (const auto& a : arrays) steps.push_back(engine.tune("TCf", a.view()).value());
+  ASSERT_EQ(steps.size(), 6u);
+  EXPECT_FALSE(steps[0].from_prediction);  // first step always trains
   // Drift is slow: the majority of steps must reuse the previous bound
   // (paper: "we retrained only a small percentage of the time").
-  EXPECT_LE(series.retrain_count, 3);
-  int call_sum = 0;
-  for (const auto& s : series.steps) call_sum += s.result.compress_calls;
-  EXPECT_EQ(call_sum, series.total_compress_calls);
+  EXPECT_LE(engine.field_stats().at("TCf").retrains, 3u);
+  std::size_t call_sum = 0;
+  for (const auto& s : steps) call_sum += static_cast<std::size_t>(s.compress_calls);
+  EXPECT_EQ(call_sum, engine.stats().tuner_probe_calls + engine.stats().probe_cache_hits);
 }
 
-TEST(Tuner, SeriesEveryFeasibleStepInBand) {
+TEST(Algorithm3, SeriesEveryFeasibleStepInBand) {
   const auto ds = data::dataset_by_name("cesm", data::SuiteScale::kTiny);
   const auto spec = data::field_by_name(ds, "CLOUD");
   const auto arrays = data::generate_series(spec, 5);
-  std::vector<ArrayView> views;
-  for (const auto& a : arrays) views.push_back(a.view());
 
-  auto compressor = pressio::registry().create("zfp");
-  const Tuner tuner(*compressor, fast_config(6.0));
-  const SeriesResult series = tuner.tune_series(views);
-  for (const auto& s : series.steps) {
-    if (s.result.feasible) {
-      EXPECT_TRUE(ratio_acceptable(s.result.achieved_ratio, 6.0, 0.1));
+  Engine engine = series_engine("zfp", 6.0);
+  for (const auto& a : arrays) {
+    const TuneResult r = engine.tune("CLOUD", a.view()).value();
+    if (r.feasible) {
+      EXPECT_TRUE(ratio_acceptable(r.achieved_ratio, 6.0, 0.1));
     }
   }
 }
 
-TEST(Tuner, EmptySeriesThrows) {
-  auto compressor = pressio::registry().create("sz");
-  const Tuner tuner(*compressor, fast_config(8.0));
-  EXPECT_THROW(tuner.tune_series({}), InvalidArgument);
-}
-
-// ------------------------------------------------------------- by field
-
-TEST(Tuner, FieldsTunedIndependently) {
+TEST(Algorithm3, FieldsTunedIndependently) {
+  // One Engine, one cache key per field: each field trains on its own first
+  // step and carries its own bound.
   const auto ds = data::dataset_by_name("cesm", data::SuiteScale::kTiny);
-  std::map<std::string, std::vector<NdArray>> storage;
-  std::map<std::string, std::vector<ArrayView>> fields;
+  Engine engine = series_engine("sz", 6.0);
   for (const auto& f : {"CLDHGH", "CLDLOW"}) {
-    storage[f] = data::generate_series(data::field_by_name(ds, f), 3);
-    for (const auto& a : storage[f]) fields[f].push_back(a.view());
+    const auto arrays = data::generate_series(data::field_by_name(ds, f), 3);
+    std::vector<TuneResult> steps;
+    for (const auto& a : arrays) steps.push_back(engine.tune(f, a.view()).value());
+    ASSERT_EQ(steps.size(), 3u) << f;
+    EXPECT_TRUE(steps[0].feasible) << f;
+    EXPECT_FALSE(steps[0].from_prediction) << f;
   }
-  auto compressor = pressio::registry().create("sz");
-  const Tuner tuner(*compressor, fast_config(6.0));
-  const auto results = tuner.tune_fields(fields);
-  ASSERT_EQ(results.size(), 2u);
-  for (const auto& [name, series] : results) {
-    ASSERT_EQ(series.steps.size(), 3u) << name;
-    EXPECT_TRUE(series.steps[0].result.feasible) << name;
-  }
+  EXPECT_EQ(engine.field_stats().size(), 2u);
 }
 
 TEST(Tuner, RejectsUnsupportedRank) {

@@ -123,10 +123,9 @@ Engine make_engine(const Cli& cli) {
   return std::move(engine).value();
 }
 
-/// Render one backend's capability record as a JSON object.
-std::string capabilities_json(const pressio::Compressor& c) {
+/// Write one backend's capability record as a JSON object.
+void write_capabilities(JsonWriter& w, const pressio::Compressor& c) {
   const pressio::Capabilities caps = c.capabilities();
-  JsonWriter w;
   w.begin_object()
       .field("name", caps.name)
       .field("version", caps.version)
@@ -143,7 +142,6 @@ std::string capabilities_json(const pressio::Compressor& c) {
       .begin_array();
   for (const auto& key : c.get_options().keys()) w.value(key);
   w.end_array().end_object();
-  return std::move(w).str();
 }
 
 int cmd_backends(int argc, const char* const* argv) {
@@ -152,15 +150,12 @@ int cmd_backends(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   if (cli.get_flag("json")) {
-    std::string out = "[";
-    bool first = true;
-    for (const auto& name : pressio::registry().names()) {
-      if (!first) out += ",";
-      out += capabilities_json(*pressio::registry().create(name));
-      first = false;
-    }
-    out += "]";
-    std::printf("%s\n", out.c_str());
+    JsonWriter w;
+    w.begin_array();
+    for (const auto& name : pressio::registry().names())
+      write_capabilities(w, *pressio::registry().create(name));
+    w.end_array();
+    std::printf("%s\n", w.str().c_str());
     return 0;
   }
 
@@ -193,16 +188,16 @@ int cmd_tune(const Cli& cli) {
   const TuneResult& r = tuned.value();
 
   if (cli.get_flag("json")) {
-    // to_json(r) carries the per-tune probe counters; wrap it with the
-    // engine-level aggregates and the registry snapshot so bench
-    // trajectories can track tuning cost.
-    std::string out = to_json(r);
-    out.pop_back();  // strip the closing '}' to append engine counters
-    out += ",\"tuner_probe_calls\":" + std::to_string(engine.stats().tuner_probe_calls);
-    out += ",\"engine_probe_cache_hits\":" + std::to_string(engine.stats().probe_cache_hits);
-    out += ",\"telemetry\":" + telemetry::global().to_json();
-    out += "}";
-    std::printf("%s\n", out.c_str());
+    // The per-tune probe counters, extended with the engine-level aggregates
+    // and the registry snapshot so bench trajectories can track tuning cost.
+    JsonWriter w;
+    w.begin_object();
+    write_json_fields(w, r);
+    w.field("tuner_probe_calls", engine.stats().tuner_probe_calls)
+        .field("engine_probe_cache_hits", engine.stats().probe_cache_hits)
+        .field_raw("telemetry", telemetry::global().to_json())
+        .end_object();
+    std::printf("%s\n", w.str().c_str());
   } else {
     std::printf("compressor      %s\n", engine.compressor_name().c_str());
     std::printf("target ratio    %.3f (epsilon %.3f)\n", engine.config().tuner.target_ratio,
