@@ -115,7 +115,7 @@ bool emit_serve_protocol(const fs::path& dir) {
 
 bool emit_varint(const fs::path& dir) {
   Buffer bytes;
-  bytes.push_back(0);  // phase selector: start at get_varint
+  bytes.push_back(0);  // phase selector: start at ByteReader::varint
   for (const std::uint64_t v : {0ull, 1ull, 127ull, 128ull, 300ull, 1ull << 32,
                                 0xffffffffffffffffull})
     put_varint(bytes, v);

@@ -47,10 +47,9 @@ std::size_t checked_raw_bytes(const Shape& shape, DType dtype) {
 /// every entry against \p region_bytes so no chunk can point past the file's
 /// chunk region (the tiling invariant holds entry by entry, not just in the
 /// final total).
-void parse_field_chunk_index(const std::uint8_t* p, std::size_t size, std::size_t& pos,
-                             FieldInfo& field, std::size_t& running,
+void parse_field_chunk_index(ByteReader& in, FieldInfo& field, std::size_t& running,
                              std::size_t region_bytes) {
-  field.chunk_count = get_varint(p, size, pos);
+  field.chunk_count = in.varint();
   const std::size_t n0 = field.shape[0];
   if (field.chunk_extent == 0 || field.chunk_extent > n0)
     throw CorruptStream("archive: bad chunk extent");
@@ -62,15 +61,15 @@ void parse_field_chunk_index(const std::uint8_t* p, std::size_t size, std::size_
   // a u32): a count the remaining manifest cannot possibly hold is corrupt,
   // and rejecting it here keeps the reserve below proportional to the input
   // instead of attacker-chosen.
-  if (field.chunk_count > (size - pos) / 14)
+  if (field.chunk_count > in.remaining() / 14)
     throw CorruptStream("archive: chunk count exceeds manifest size");
   field.chunks.reserve(field.chunk_count);
   for (std::size_t i = 0; i < field.chunk_count; ++i) {
     ChunkEntry entry;
-    entry.offset = get_varint(p, size, pos);
-    entry.size = get_varint(p, size, pos);
-    entry.error_bound = get_f64(p, size, pos);
-    entry.crc = get_u32(p, size, pos);
+    entry.offset = in.varint();
+    entry.size = in.varint();
+    entry.error_bound = in.f64();
+    entry.crc = in.u32();
     if (entry.offset != running || entry.size == 0)
       throw CorruptStream("archive: chunk index is not contiguous");
     if (entry.size > region_bytes - running)
@@ -104,16 +103,15 @@ void finalize_fields(ArchiveInfo& info, const Footer& footer, std::size_t runnin
 bool try_parse_footer_v2(const std::uint8_t* tail, std::size_t tail_size,
                          std::uint64_t total_size, Footer& footer) {
   if (tail_size < kFooterBytes) return false;
-  std::size_t pos = tail_size - kFooterBytes;
-  const std::size_t base = pos;
-  if (get_u32(tail, tail_size, pos) != kFooterMagicV2) return false;
-  const std::uint64_t manifest_offset = get_u64(tail, tail_size, pos);
-  const std::uint64_t manifest_size = get_u64(tail, tail_size, pos);
-  const std::uint64_t raw_bytes = get_u64(tail, tail_size, pos);
-  const std::uint64_t archive_bytes = get_u64(tail, tail_size, pos);
-  const double achieved_ratio = get_f64(tail, tail_size, pos);
-  const std::uint32_t stored_crc = get_u32(tail, tail_size, pos);
-  if (crc32(tail + base, kFooterBytes - 4) != stored_crc) return false;
+  const std::uint8_t* base = tail + tail_size - kFooterBytes;
+  ByteReader in(base, kFooterBytes, "archive");
+  if (in.u32() != kFooterMagicV2) return false;
+  const std::uint64_t manifest_offset = in.u64();
+  const std::uint64_t manifest_size = in.u64();
+  const std::uint64_t raw_bytes = in.u64();
+  const std::uint64_t archive_bytes = in.u64();
+  const double achieved_ratio = in.f64();
+  if (crc32(base, kFooterBytes - 4) != in.u32()) return false;
   if (archive_bytes != total_size) throw CorruptStream("archive: size mismatch");
   if (manifest_offset > total_size || manifest_size > total_size - manifest_offset ||
       manifest_offset + manifest_size != total_size - kFooterBytes)
@@ -133,15 +131,14 @@ bool try_parse_footer_v2(const std::uint8_t* tail, std::size_t tail_size,
 bool try_parse_footer_v1(const std::uint8_t* tail, std::size_t tail_size,
                          std::uint64_t total_size, Footer& footer) {
   if (tail_size < kFooterBytesV1) return false;
-  std::size_t pos = tail_size - kFooterBytesV1;
-  const std::size_t base = pos;
-  if (get_u32(tail, tail_size, pos) != kFooterMagicV1) return false;
-  const std::uint64_t manifest_size = get_u64(tail, tail_size, pos);
-  const std::uint64_t raw_bytes = get_u64(tail, tail_size, pos);
-  const std::uint64_t archive_bytes = get_u64(tail, tail_size, pos);
-  const double achieved_ratio = get_f64(tail, tail_size, pos);
-  const std::uint32_t stored_crc = get_u32(tail, tail_size, pos);
-  if (crc32(tail + base, kFooterBytesV1 - 4) != stored_crc) return false;
+  const std::uint8_t* base = tail + tail_size - kFooterBytesV1;
+  ByteReader in(base, kFooterBytesV1, "archive");
+  if (in.u32() != kFooterMagicV1) return false;
+  const std::uint64_t manifest_size = in.u64();
+  const std::uint64_t raw_bytes = in.u64();
+  const std::uint64_t archive_bytes = in.u64();
+  const double achieved_ratio = in.f64();
+  if (crc32(base, kFooterBytesV1 - 4) != in.u32()) return false;
   if (archive_bytes != total_size) throw CorruptStream("archive: size mismatch");
   if (manifest_size < 12 || manifest_size > total_size - kFooterBytesV1)
     throw CorruptStream("archive: manifest size out of range");
@@ -199,15 +196,10 @@ namespace {
 
 /// Read a length-prefixed string (shared by the v2 compressor name and the
 /// v3 name fields).
-std::string parse_short_string(const std::uint8_t* p, std::size_t size, std::size_t& pos,
-                               const char* what) {
-  const std::uint64_t length = get_varint(p, size, pos);
-  if (length == 0 || length > 256 || pos + length > size)
-    throw CorruptStream(std::string("archive: bad ") + what);
-  std::string value(reinterpret_cast<const char*>(p) + pos,
-                    static_cast<std::size_t>(length));
-  pos += static_cast<std::size_t>(length);
-  return value;
+std::string parse_short_string(ByteReader& in, const char* what) {
+  const std::uint64_t length = in.varint();
+  if (length == 0 || length > 256) throw CorruptStream(std::string("archive: bad ") + what);
+  return {reinterpret_cast<const char*>(in.take(length)), static_cast<std::size_t>(length)};
 }
 
 DType parse_dtype_tag(std::uint8_t tag) {
@@ -215,13 +207,13 @@ DType parse_dtype_tag(std::uint8_t tag) {
   return tag == 0 ? DType::kFloat32 : DType::kFloat64;
 }
 
-Shape parse_shape(const std::uint8_t* p, std::size_t size, std::size_t& pos) {
-  const std::uint64_t ndims = get_varint(p, size, pos);
-  if (ndims == 0 || ndims > 8) throw CorruptStream("archive: bad rank");
+Shape parse_shape(ByteReader& in) {
+  const std::uint64_t ndims = in.varint();
+  if (ndims == 0 || ndims > 8) in.fail("bad rank");
   Shape shape(ndims);
   for (auto& d : shape) {
-    d = get_varint(p, size, pos);
-    if (d == 0) throw CorruptStream("archive: zero extent");
+    d = in.varint();
+    if (d == 0) in.fail("zero extent");
   }
   return shape;
 }
@@ -275,19 +267,15 @@ ArchiveInfo parse_manifest(const std::uint8_t* manifest, std::size_t size,
     field.compressor = backend_name(frame.id);
     field.dtype = frame.dtype;
     field.shape = frame.shape;
-    const std::uint8_t* p = frame.payload;
-    const std::size_t psize = frame.payload_size;
-    std::size_t pos = 0;
-    if (get_u32(p, psize, pos) != kArchiveMagic)
-      throw CorruptStream("archive: bad manifest magic");
-    if (pos >= psize) throw CorruptStream("archive: truncated manifest");
-    if (p[pos++] != 1) throw CorruptStream("archive: unsupported format version");
-    field.target_ratio = get_f64(p, psize, pos);
-    field.epsilon = get_f64(p, psize, pos);
-    field.chunk_extent = get_varint(p, psize, pos);
+    ByteReader in(frame.payload, frame.payload_size, "archive");
+    if (in.u32() != kArchiveMagic) in.fail("bad manifest magic");
+    if (in.u8() != 1) in.fail("unsupported format version");
+    field.target_ratio = in.f64();
+    field.epsilon = in.f64();
+    field.chunk_extent = in.varint();
     std::size_t running = 0;
-    parse_field_chunk_index(p, psize, pos, field, running, footer.region_bytes);
-    if (pos != psize) throw CorruptStream("archive: trailing manifest bytes");
+    parse_field_chunk_index(in, field, running, footer.region_bytes);
+    in.expect_end("trailing manifest bytes");
     field.payload_ratio = static_cast<double>(field.raw_bytes) /
                           static_cast<double>(field.payload_bytes);
     info.fields.push_back(std::move(field));
@@ -297,30 +285,25 @@ ArchiveInfo parse_manifest(const std::uint8_t* manifest, std::size_t size,
 
   // v2/v3: self-framed manifest block with its own trailing CRC; the version
   // byte after the magic selects the single-field or field-table body.
-  std::size_t pos = 0;
-  if (size < 16) throw CorruptStream("archive: truncated manifest");
-  if (get_u32(manifest, size, pos) != kManifestMagic)
-    throw CorruptStream("archive: bad manifest magic");
-  const std::uint32_t stored_crc = [&] {
-    std::size_t p = size - 4;
-    return get_u32(manifest, size, p);
-  }();
-  if (crc32(manifest, size - 4) != stored_crc)
-    throw CorruptStream("archive: manifest checksum mismatch");
-  info.version = manifest[pos++];
+  ByteReader in(manifest, size, "archive");
+  if (size < 16) in.fail("truncated manifest");
+  if (in.u32() != kManifestMagic) in.fail("bad manifest magic");
+  const std::uint32_t stored_crc = in.trailer(4).u32();
+  if (crc32(manifest, size - 4) != stored_crc) in.fail("manifest checksum mismatch");
+  info.version = in.u8();
 
   if (info.version == 2) {
     FieldInfo field;
     field.name = kDefaultFieldName;
-    field.dtype = parse_dtype_tag(manifest[pos++]);
-    field.shape = parse_shape(manifest, size, pos);
-    field.compressor = parse_short_string(manifest, size, pos, "compressor name");
-    field.target_ratio = get_f64(manifest, size, pos);
-    field.epsilon = get_f64(manifest, size, pos);
-    field.chunk_extent = get_varint(manifest, size, pos);
+    field.dtype = parse_dtype_tag(in.u8());
+    field.shape = parse_shape(in);
+    field.compressor = parse_short_string(in, "compressor name");
+    field.target_ratio = in.f64();
+    field.epsilon = in.f64();
+    field.chunk_extent = in.varint();
     std::size_t running = 0;
-    parse_field_chunk_index(manifest, size, pos, field, running, footer.region_bytes);
-    if (pos + 4 != size) throw CorruptStream("archive: trailing manifest bytes");
+    parse_field_chunk_index(in, field, running, footer.region_bytes);
+    in.expect_end("trailing manifest bytes");
     field.payload_ratio = static_cast<double>(field.raw_bytes) /
                           static_cast<double>(field.payload_bytes);
     info.fields.push_back(std::move(field));
@@ -329,28 +312,27 @@ ArchiveInfo parse_manifest(const std::uint8_t* manifest, std::size_t size,
   }
 
   if (info.version != 3) throw CorruptStream("archive: unsupported format version");
-  const std::uint64_t field_count = get_varint(manifest, size, pos);
+  const std::uint64_t field_count = in.varint();
   if (field_count == 0 || field_count > kMaxFields)
     throw CorruptStream("archive: bad field count");
   std::size_t running = 0;
   info.fields.reserve(static_cast<std::size_t>(field_count));
   for (std::uint64_t i = 0; i < field_count; ++i) {
     FieldInfo field;
-    field.name = parse_short_string(manifest, size, pos, "field name");
+    field.name = parse_short_string(in, "field name");
     if (find_field(info, field.name))
       throw CorruptStream("archive: duplicate field name '" + field.name + "'");
-    if (pos + 2 > size) throw CorruptStream("archive: truncated manifest");
-    field.dtype = parse_dtype_tag(manifest[pos++]);
-    field.shape = parse_shape(manifest, size, pos);
-    field.compressor = parse_short_string(manifest, size, pos, "compressor name");
-    field.target_ratio = get_f64(manifest, size, pos);
-    field.epsilon = get_f64(manifest, size, pos);
-    field.payload_ratio = get_f64(manifest, size, pos);
-    field.chunk_extent = get_varint(manifest, size, pos);
-    parse_field_chunk_index(manifest, size, pos, field, running, footer.region_bytes);
+    field.dtype = parse_dtype_tag(in.u8());
+    field.shape = parse_shape(in);
+    field.compressor = parse_short_string(in, "compressor name");
+    field.target_ratio = in.f64();
+    field.epsilon = in.f64();
+    field.payload_ratio = in.f64();
+    field.chunk_extent = in.varint();
+    parse_field_chunk_index(in, field, running, footer.region_bytes);
     info.fields.push_back(std::move(field));
   }
-  if (pos + 4 != size) throw CorruptStream("archive: trailing manifest bytes");
+  in.expect_end("trailing manifest bytes");
   finalize_fields(info, footer, running);
   return info;
 }

@@ -162,21 +162,20 @@ namespace {
 
 /// Parse the dictionary header shared by both decoders.  Returns false for
 /// the empty-dictionary degenerate case (out stays empty).
-bool parse_dictionary(const std::uint8_t* data, std::size_t size, std::size_t& pos,
-                      std::uint64_t& symbol_count, Canonical& canon) {
-  symbol_count = get_varint(data, size, pos);
-  const std::uint64_t distinct = get_varint(data, size, pos);
+bool parse_dictionary(ByteReader& in, std::uint64_t& symbol_count, Canonical& canon) {
+  symbol_count = in.varint();
+  const std::uint64_t distinct = in.varint();
   if (distinct == 0) {
-    if (symbol_count != 0) throw CorruptStream("huffman: empty dictionary with symbols");
+    if (symbol_count != 0) in.fail("empty dictionary with symbols");
     return false;
   }
   std::vector<SymbolLength> lengths;
   lengths.reserve(std::min<std::uint64_t>(distinct, std::uint64_t{1} << 20));
   std::uint32_t symbol = 0;
   for (std::uint64_t i = 0; i < distinct; ++i) {
-    const std::uint64_t delta = get_varint(data, size, pos);
-    const std::uint64_t length = get_varint(data, size, pos);
-    if (length == 0 || length > kMaxCodeLength) throw CorruptStream("huffman: bad code length");
+    const std::uint64_t delta = in.varint();
+    const std::uint64_t length = in.varint();
+    if (length == 0 || length > kMaxCodeLength) in.fail("bad code length");
     symbol = (i == 0) ? static_cast<std::uint32_t>(delta)
                       : symbol + static_cast<std::uint32_t>(delta);
     lengths.push_back({symbol, static_cast<unsigned>(length)});
@@ -206,10 +205,10 @@ constexpr unsigned kFastBits = 11;
 }  // namespace
 
 std::vector<std::uint32_t> huffman_decode(const std::uint8_t* data, std::size_t size) {
-  std::size_t pos = 0;
+  ByteReader in(data, size, "huffman");
   std::uint64_t symbol_count = 0;
   Canonical canon;
-  if (!parse_dictionary(data, size, pos, symbol_count, canon)) return {};
+  if (!parse_dictionary(in, symbol_count, canon)) return {};
 
   // The fast path assumes the canonical assignment is prefix-free, which
   // holds exactly when the Kraft sum does not exceed 1.  Encoder output
@@ -223,7 +222,7 @@ std::vector<std::uint32_t> huffman_decode(const std::uint8_t* data, std::size_t 
   out.reserve(std::min<std::uint64_t>(symbol_count, std::uint64_t{1} << 20));
 
   if (!fast_ok) {
-    BitReader reader(data + pos, size - pos);
+    BitReader reader(in.data(), in.remaining());
     for (std::uint64_t i = 0; i < symbol_count; ++i)
       out.push_back(decode_one_slow(reader, canon));
     return out;
@@ -245,8 +244,8 @@ std::vector<std::uint32_t> huffman_decode(const std::uint8_t* data, std::size_t 
       table[t] = entry;
   }
 
-  const std::uint8_t* payload = data + pos;
-  const std::size_t payload_size = size - pos;
+  const std::uint8_t* payload = in.data();
+  const std::size_t payload_size = in.remaining();
   std::uint64_t buf = 0;      // next stream bits, LSB first
   unsigned nbits = 0;         // valid bits in buf
   std::size_t byte_pos = 0;
@@ -293,12 +292,12 @@ std::vector<std::uint32_t> huffman_decode(const std::uint8_t* data, std::size_t 
 }
 
 std::vector<std::uint32_t> huffman_decode_ref(const std::uint8_t* data, std::size_t size) {
-  std::size_t pos = 0;
+  ByteReader in(data, size, "huffman");
   std::uint64_t symbol_count = 0;
   Canonical canon;
-  if (!parse_dictionary(data, size, pos, symbol_count, canon)) return {};
+  if (!parse_dictionary(in, symbol_count, canon)) return {};
 
-  BitReader reader(data + pos, size - pos);
+  BitReader reader(in.data(), in.remaining());
   std::vector<std::uint32_t> out;
   out.reserve(std::min<std::uint64_t>(symbol_count, std::uint64_t{1} << 20));
   for (std::uint64_t i = 0; i < symbol_count; ++i)

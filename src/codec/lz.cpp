@@ -154,28 +154,26 @@ std::vector<std::uint8_t> lz_compress(const std::uint8_t* data, std::size_t size
 }
 
 std::vector<std::uint8_t> lz_decompress(const std::uint8_t* data, std::size_t size) {
-  std::size_t pos = 0;
-  const std::uint64_t out_size = get_varint(data, size, pos);
+  ByteReader in(data, size, "lz");
+  const std::uint64_t out_size = in.varint();
   std::vector<std::uint8_t> out;
   out.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
       out_size, static_cast<std::uint64_t>(size) * kMaxReserveExpansion)));
 
-  // Every length check below is `len > limit - used` (used <= limit always
-  // holds), which cannot wrap the way `used + len > limit` does.
+  // Output room checks are `len > out_size - out.size()` (out.size() <=
+  // out_size always holds), which cannot wrap.
   while (out.size() < out_size) {
-    const std::uint64_t literal_count = get_varint(data, size, pos);
-    if (literal_count > size - pos) throw CorruptStream("lz: truncated literal run");
-    if (literal_count > out_size - out.size()) throw CorruptStream("lz: literal overrun");
-    out.insert(out.end(), data + pos, data + pos + literal_count);
-    pos += literal_count;
+    const std::uint64_t literal_count = in.varint();
+    if (literal_count > out_size - out.size()) in.fail("literal overrun");
+    const std::uint8_t* literals = in.take(literal_count, "truncated literal run");
+    out.insert(out.end(), literals, literals + literal_count);
     if (out.size() == out_size) break;
 
-    const std::uint64_t offset = get_varint(data, size, pos);
-    const std::uint64_t extra = get_varint(data, size, pos);
-    if (offset == 0 || offset > out.size()) throw CorruptStream("lz: bad match offset");
+    const std::uint64_t offset = in.varint();
+    const std::uint64_t extra = in.varint();
+    if (offset == 0 || offset > out.size()) in.fail("bad match offset");
     const std::uint64_t room = out_size - out.size();
-    if (room < kMinMatch || extra > room - kMinMatch)
-      throw CorruptStream("lz: match overrun");
+    if (room < kMinMatch || extra > room - kMinMatch) in.fail("match overrun");
     const std::uint64_t length = extra + kMinMatch;
     // Byte-by-byte copy: overlapping matches (offset < length) are legal and
     // replicate the most recent bytes, as in every LZ77 family coder.

@@ -16,15 +16,27 @@ using rans_detail::SymbolStats;
 constexpr unsigned kProbBits = kRansProbBits;
 constexpr std::uint32_t kProbScale = 1u << kProbBits;
 
-/// Parse the header shared by both decoders.  Returns false for the
-/// empty-alphabet degenerate case.
-bool parse_header(const std::uint8_t* data, std::size_t size, std::size_t& pos,
-                  std::uint64_t& symbol_count, std::vector<SymbolStats>& stats) {
-  symbol_count = get_varint(data, size, pos);
-  rans_detail::parse_alphabet(data, size, pos, kProbBits, stats);
+/// Parse the header shared by both decoders up to the payload section.
+/// Returns false for the empty-alphabet degenerate case.  A caller that
+/// knows the count passes \p expected_count, so a hostile header is rejected
+/// before the declared count sizes the output: a one-symbol alphabet decodes
+/// with zero payload bytes per symbol, so nothing else bounds the count.
+bool parse_header(ByteReader& in, std::uint64_t& symbol_count,
+                  std::vector<SymbolStats>& stats, const std::uint64_t* expected_count) {
+  symbol_count = in.varint();
+  if (expected_count && symbol_count != *expected_count) in.fail("symbol count mismatch");
+  rans_detail::parse_alphabet(in, kProbBits, stats);
   if (!stats.empty()) return true;
-  if (symbol_count != 0) throw CorruptStream("rans: empty alphabet with symbols");
+  if (symbol_count != 0) in.fail("empty alphabet with symbols");
   return false;
+}
+
+/// The payload section that ends the stream; at least the initial state.
+ByteReader payload_section(ByteReader& in) {
+  ByteReader payload = in.section();
+  in.expect_end("payload size mismatch");
+  if (payload.remaining() < 4) in.fail("payload too small");
+  return payload;
 }
 
 }  // namespace
@@ -41,11 +53,14 @@ std::vector<std::uint8_t> rans_encode(const std::uint32_t* symbols, std::size_t 
   return out;
 }
 
-std::vector<std::uint32_t> rans_decode(const std::uint8_t* data, std::size_t size) {
-  std::size_t pos = 0;
+namespace {
+
+std::vector<std::uint32_t> decode_impl(const std::uint8_t* data, std::size_t size,
+                                       const std::uint64_t* expected_count) {
+  ByteReader in(data, size, "rans");
   std::uint64_t symbol_count = 0;
   std::vector<SymbolStats> stats;
-  if (!parse_header(data, size, pos, symbol_count, stats)) return {};
+  if (!parse_header(in, symbol_count, stats, expected_count)) return {};
 
   // Slot -> symbol index lookup table, filled range-by-range (memset speed
   // instead of a per-slot loop; dominated by the biggest symbol's range on
@@ -55,11 +70,9 @@ std::vector<std::uint32_t> rans_decode(const std::uint8_t* data, std::size_t siz
     std::fill(slot_to_index.begin() + stats[i].cum,
               slot_to_index.begin() + stats[i].cum + stats[i].freq, i);
 
-  const std::uint64_t payload_size = get_varint(data, size, pos);
-  if (pos + payload_size != size) throw CorruptStream("rans: payload size mismatch");
-  const std::uint8_t* payload = data + pos;
-
-  if (payload_size < 4) throw CorruptStream("rans: payload too small");
+  const ByteReader section = payload_section(in);
+  const std::uint8_t* payload = section.data();
+  const std::size_t payload_size = section.remaining();
   std::uint32_t state = 0;
   std::size_t byte_pos = 0;
   for (int b = 0; b < 4; ++b) state = (state << 8) | payload[byte_pos++];
@@ -106,29 +119,31 @@ std::vector<std::uint32_t> rans_decode(const std::uint8_t* data, std::size_t siz
   return out;
 }
 
+}  // namespace
+
+std::vector<std::uint32_t> rans_decode(const std::uint8_t* data, std::size_t size) {
+  return decode_impl(data, size, nullptr);
+}
+
+std::vector<std::uint32_t> rans_decode(const std::uint8_t* data, std::size_t size,
+                                       std::uint64_t expected_count) {
+  return decode_impl(data, size, &expected_count);
+}
+
 std::vector<std::uint32_t> rans_decode_ref(const std::uint8_t* data, std::size_t size) {
-  std::size_t pos = 0;
+  ByteReader in(data, size, "rans");
   std::uint64_t symbol_count = 0;
   std::vector<SymbolStats> stats;
-  if (!parse_header(data, size, pos, symbol_count, stats)) return {};
+  if (!parse_header(in, symbol_count, stats, nullptr)) return {};
 
   std::vector<std::uint32_t> slot_to_index(kProbScale);
   for (std::uint32_t i = 0; i < stats.size(); ++i)
     for (std::uint32_t s = stats[i].cum; s < stats[i].cum + stats[i].freq; ++s)
       slot_to_index[s] = i;
 
-  const std::uint64_t payload_size = get_varint(data, size, pos);
-  if (pos + payload_size != size) throw CorruptStream("rans: payload size mismatch");
-  const std::uint8_t* payload = data + pos;
-  std::size_t byte_pos = 0;
-  auto next_byte = [&]() -> std::uint32_t {
-    if (byte_pos >= payload_size) throw CorruptStream("rans: truncated payload");
-    return payload[byte_pos++];
-  };
-
-  if (payload_size < 4) throw CorruptStream("rans: payload too small");
+  ByteReader payload = payload_section(in);
   std::uint32_t state = 0;
-  for (int b = 0; b < 4; ++b) state = (state << 8) | next_byte();
+  for (int b = 0; b < 4; ++b) state = (state << 8) | payload.u8();
 
   std::vector<std::uint32_t> out;
   out.reserve(std::min<std::uint64_t>(symbol_count, std::uint64_t{1} << 20));
@@ -137,10 +152,10 @@ std::vector<std::uint32_t> rans_decode_ref(const std::uint8_t* data, std::size_t
     const SymbolStats& s = stats[slot_to_index[slot]];
     out.push_back(s.symbol);
     state = s.freq * (state >> kProbBits) + slot - s.cum;
-    while (state < kStateLow) state = (state << 8) | next_byte();
+    while (state < kStateLow) state = (state << 8) | payload.u8();
   }
   if (state != kStateLow) throw CorruptStream("rans: final state mismatch");
-  if (byte_pos != payload_size) throw CorruptStream("rans: trailing payload bytes");
+  payload.expect_end("trailing payload bytes");
   return out;
 }
 

@@ -46,6 +46,14 @@ inline std::vector<std::uint8_t> rans_encode(const std::vector<std::uint32_t>& s
 /// renormalization bounds checks); bit-identical to rans_decode_ref.
 std::vector<std::uint32_t> rans_decode(const std::uint8_t* data, std::size_t size);
 
+/// Same decode, but the stream must declare exactly \p expected_count
+/// symbols.  Callers that know the count (the sz decoder: the frame's
+/// element count) must use this form: a one-symbol alphabet decodes with
+/// zero payload bytes per symbol, so only this check stops a 14-byte header
+/// from sizing the output.
+std::vector<std::uint32_t> rans_decode(const std::uint8_t* data, std::size_t size,
+                                       std::uint64_t expected_count);
+
 inline std::vector<std::uint32_t> rans_decode(const std::vector<std::uint8_t>& data) {
   return rans_decode(data.data(), data.size());
 }

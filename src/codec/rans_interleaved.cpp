@@ -24,51 +24,49 @@ constexpr std::uint8_t kModeRaw = 1;
 /// Shared front half of both decoders: header, mode routing, alphabet, and
 /// the eight big-endian initial states.  Returns false when the caller is
 /// already done (empty stream or raw mode, with \p out filled).
-bool decode_prologue(const std::uint8_t* data, std::size_t size, std::size_t& pos,
+bool decode_prologue(const std::uint8_t* data, std::size_t size,
                      std::uint64_t& symbol_count, std::vector<SymbolStats>& stats,
                      const std::uint8_t*& payload, std::size_t& payload_size,
                      std::size_t& byte_pos, std::uint32_t* states,
                      std::vector<std::uint32_t>& out,
                      const std::uint64_t* expected_count) {
-  symbol_count = get_varint(data, size, pos);
+  ByteReader in(data, size, "rans_interleaved");
+  symbol_count = in.varint();
   // Callers that know the count reject a hostile header here, before the
   // declared count sizes any allocation: a degenerate one-symbol alphabet
   // decodes with zero payload bytes per symbol, so nothing downstream bounds
   // symbol_count by the blob size.
-  if (expected_count && symbol_count != *expected_count)
-    throw CorruptStream("rans_interleaved: symbol count mismatch");
-  if (pos >= size) throw CorruptStream("rans_interleaved: truncated header");
-  const std::uint8_t ways = data[pos++];
-  if (ways != kWays) throw CorruptStream("rans_interleaved: unsupported way count");
+  if (expected_count && symbol_count != *expected_count) in.fail("symbol count mismatch");
+  if (in.u8() != kWays) in.fail("unsupported way count");
   if (symbol_count == 0) {
-    if (pos != size) throw CorruptStream("rans_interleaved: trailing bytes");
+    in.expect_end();
     return false;
   }
-  if (pos >= size) throw CorruptStream("rans_interleaved: truncated mode");
-  const std::uint8_t mode = data[pos++];
+  const std::uint8_t mode = in.u8();
   if (mode == kModeRaw) {
     out.reserve(std::min<std::uint64_t>(symbol_count, std::uint64_t{1} << 20));
     for (std::uint64_t i = 0; i < symbol_count; ++i) {
-      const std::uint64_t v = get_varint(data, size, pos);
-      if (v > 0xffffffffull) throw CorruptStream("rans_interleaved: raw symbol overflow");
+      const std::uint64_t v = in.varint();
+      if (v > 0xffffffffull) in.fail("raw symbol overflow");
       out.push_back(static_cast<std::uint32_t>(v));
     }
-    if (pos != size) throw CorruptStream("rans_interleaved: trailing bytes");
+    in.expect_end();
     return false;
   }
-  if (mode != kModeRans) throw CorruptStream("rans_interleaved: unknown mode");
+  if (mode != kModeRans) in.fail("unknown mode");
 
-  rans_detail::parse_alphabet(data, size, pos, kProbBits, stats);
-  if (stats.empty()) throw CorruptStream("rans_interleaved: empty alphabet");
-  payload_size = get_varint(data, size, pos);
-  if (pos + payload_size != size) throw CorruptStream("rans_interleaved: payload size mismatch");
-  payload = data + pos;
-  if (payload_size < 4 * kWays) throw CorruptStream("rans_interleaved: payload too small");
+  rans_detail::parse_alphabet(in, kProbBits, stats);
+  if (stats.empty()) in.fail("empty alphabet");
+  const ByteReader section = in.section();
+  in.expect_end("payload size mismatch");
+  payload = section.data();
+  payload_size = section.remaining();
+  if (payload_size < 4 * kWays) in.fail("payload too small");
   byte_pos = 0;
   for (unsigned w = 0; w < kWays; ++w) {
     std::uint32_t s = 0;
     for (int b = 0; b < 4; ++b) s = (s << 8) | payload[byte_pos++];
-    if (s < kStateLow) throw CorruptStream("rans_interleaved: bad initial state");
+    if (s < kStateLow) in.fail("bad initial state");
     states[w] = s;
   }
   return true;
@@ -101,14 +99,13 @@ std::vector<std::uint8_t> rans_interleaved_encode(const std::uint32_t* symbols,
 
 std::vector<std::uint32_t> rans_interleaved_decode_ref(const std::uint8_t* data,
                                                        std::size_t size) {
-  std::size_t pos = 0;
   std::uint64_t symbol_count = 0;
   std::vector<SymbolStats> stats;
   const std::uint8_t* payload = nullptr;
   std::size_t payload_size = 0, byte_pos = 0;
   std::uint32_t states[kWays];
   std::vector<std::uint32_t> out;
-  if (!decode_prologue(data, size, pos, symbol_count, stats, payload, payload_size,
+  if (!decode_prologue(data, size, symbol_count, stats, payload, payload_size,
                        byte_pos, states, out, nullptr))
     return out;
 
@@ -138,14 +135,13 @@ namespace {
 void decode_into_impl(const std::uint8_t* data, std::size_t size,
                       std::vector<std::uint32_t>& out,
                       const std::uint64_t* expected_count) {
-  std::size_t pos = 0;
   std::uint64_t symbol_count = 0;
   std::vector<SymbolStats> stats;
   const std::uint8_t* payload = nullptr;
   std::size_t payload_size = 0, byte_pos = 0;
   std::uint32_t states[kWays];
   out.clear();
-  if (!decode_prologue(data, size, pos, symbol_count, stats, payload, payload_size,
+  if (!decode_prologue(data, size, symbol_count, stats, payload, payload_size,
                        byte_pos, states, out, expected_count))
     return;
 

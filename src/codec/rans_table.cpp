@@ -239,26 +239,25 @@ template bool encode_stream<kRansInterleavedProbBits, kRansWays>(const std::uint
                                                                  std::size_t,
                                                                  std::vector<std::uint8_t>&);
 
-void parse_alphabet(const std::uint8_t* data, std::size_t size, std::size_t& pos,
-                    unsigned prob_bits, std::vector<SymbolStats>& stats) {
+void parse_alphabet(ByteReader& in, unsigned prob_bits, std::vector<SymbolStats>& stats) {
   const std::uint32_t scale = 1u << prob_bits;
-  const std::uint64_t distinct = get_varint(data, size, pos);
-  if (distinct > scale) throw CorruptStream("rans: alphabet too large");
+  const std::uint64_t distinct = in.varint();
+  if (distinct > scale) in.fail("alphabet too large");
   stats.resize(distinct);
   if (distinct == 0) return;
   std::uint32_t symbol = 0, cum = 0;
   for (std::uint64_t i = 0; i < distinct; ++i) {
-    const std::uint64_t delta = get_varint(data, size, pos);
-    const std::uint64_t freq = get_varint(data, size, pos);
+    const std::uint64_t delta = in.varint();
+    const std::uint64_t freq = in.varint();
     // freq <= scale - cum keeps every slot range inside the table, so a
     // hostile table cannot wrap the running sum back onto the scale.
-    if (freq == 0 || freq > scale - cum) throw CorruptStream("rans: bad frequency");
+    if (freq == 0 || freq > scale - cum) in.fail("bad frequency");
     symbol = i == 0 ? static_cast<std::uint32_t>(delta)
                     : symbol + static_cast<std::uint32_t>(delta);
     stats[i] = {symbol, static_cast<std::uint32_t>(freq), cum};
     cum += static_cast<std::uint32_t>(freq);
   }
-  if (cum != scale) throw CorruptStream("rans: frequencies do not sum to scale");
+  if (cum != scale) in.fail("frequencies do not sum to scale");
 }
 
 }  // namespace fraz::rans_detail

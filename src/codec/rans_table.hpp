@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "codec/varint.hpp"
+
 namespace fraz::rans_detail {
 
 /// Renormalization interval: every state stays in [kStateLow, kStateLow*256).
@@ -38,8 +40,7 @@ bool encode_stream(const std::uint32_t* symbols, std::size_t n, std::vector<std:
 /// empty when its distinct count is 0), assigning cumulative starts.  Throws
 /// CorruptStream on more than 2^prob_bits symbols, a frequency outside
 /// 1..2^prob_bits, or frequencies that do not sum to exactly 2^prob_bits.
-void parse_alphabet(const std::uint8_t* data, std::size_t size, std::size_t& pos,
-                    unsigned prob_bits, std::vector<SymbolStats>& stats);
+void parse_alphabet(ByteReader& in, unsigned prob_bits, std::vector<SymbolStats>& stats);
 
 }  // namespace fraz::rans_detail
 

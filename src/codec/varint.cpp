@@ -1,6 +1,7 @@
 #include "codec/varint.hpp"
 
 #include <cstring>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -38,40 +39,8 @@ void put_f64(Buffer& out, double value) {
   put_u64(out, bits);
 }
 
-std::uint32_t get_u32(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
-  if (pos + 4 > size) throw CorruptStream("get_u32: truncated u32");
-  std::uint32_t value = 0;
-  for (int shift = 0; shift < 32; shift += 8)
-    value |= static_cast<std::uint32_t>(data[pos++]) << shift;
-  return value;
-}
-
-std::uint64_t get_u64(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
-  if (pos + 8 > size) throw CorruptStream("get_u64: truncated u64");
-  std::uint64_t value = 0;
-  for (int shift = 0; shift < 64; shift += 8)
-    value |= static_cast<std::uint64_t>(data[pos++]) << shift;
-  return value;
-}
-
-double get_f64(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
-  const std::uint64_t bits = get_u64(data, size, pos);
-  double value;
-  std::memcpy(&value, &bits, 8);
-  return value;
-}
-
-std::uint64_t get_varint(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
-  std::uint64_t value = 0;
-  unsigned shift = 0;
-  for (;;) {
-    if (pos >= size) throw CorruptStream("get_varint: truncated varint");
-    if (shift >= 64) throw CorruptStream("get_varint: overlong varint");
-    const std::uint8_t byte = data[pos++];
-    value |= static_cast<std::uint64_t>(byte & 0x7fu) << shift;
-    if ((byte & 0x80u) == 0) return value;
-    shift += 7;
-  }
+void ByteReader::fail(const char* detail) const {
+  throw CorruptStream(std::string(what_) + ": " + detail);
 }
 
 }  // namespace fraz

@@ -1,6 +1,6 @@
 #include "compressors/container.hpp"
 
-#include <cstring>
+#include <limits>
 
 #include "codec/checksum.hpp"
 #include "codec/varint.hpp"
@@ -45,47 +45,48 @@ namespace {
 
 Container open_container_impl(const std::uint8_t* data, std::size_t size,
                               const CompressorId* expected) {
-  std::size_t pos = 0;
-  if (size < 12) throw CorruptStream("container: too small");
-  if (get_u32(data, size, pos) != kMagic) throw CorruptStream("container: bad magic");
-  const std::uint32_t stored_crc = [&] {
-    std::size_t p = size - 4;
-    return get_u32(data, size, p);
-  }();
-  if (crc32(data, size - 4) != stored_crc) throw CorruptStream("container: checksum mismatch");
+  ByteReader in(data, size, "container");
+  if (size < 12) in.fail("too small");
+  if (in.u32() != kMagic) in.fail("bad magic");
+  const std::uint32_t stored_crc = in.trailer(4).u32();
+  if (crc32(data, size - 4) != stored_crc) in.fail("checksum mismatch");
 
-  const std::uint8_t version = data[pos++];
-  const std::uint8_t id_tag = data[pos++];
-  const std::uint8_t dtype_tag = data[pos++];
+  const std::uint8_t version = in.u8();
+  const std::uint8_t id_tag = in.u8();
+  const std::uint8_t dtype_tag = in.u8();
   // Version 2 exists only for sz blocked payloads; every other backend is
   // pinned to version 1 so an unknown (version, id) pair fails loudly here
   // instead of misparsing downstream.
   if (version != kVersion &&
       !(version == 2 && id_tag == static_cast<std::uint8_t>(CompressorId::kSz)))
-    throw CorruptStream("container: unsupported version");
-  if (dtype_tag > 1) throw CorruptStream("container: bad dtype tag");
+    in.fail("unsupported version");
+  if (dtype_tag > 1) in.fail("bad dtype tag");
   if (id_tag < static_cast<std::uint8_t>(CompressorId::kSz) ||
       id_tag > static_cast<std::uint8_t>(CompressorId::kFpc))
-    throw CorruptStream("container: unknown compressor id");
-  const auto id = static_cast<CompressorId>(id_tag);
-  if (expected && id != *expected)
-    throw Unsupported("container: produced by a different compressor");
+    in.fail("unknown compressor id");
 
   Container c;
-  c.id = id;
+  c.id = static_cast<CompressorId>(id_tag);
   c.dtype = dtype_tag == 0 ? DType::kFloat32 : DType::kFloat64;
-  const std::uint64_t ndims = get_varint(data, size, pos);
-  if (ndims == 0 || ndims > 8) throw CorruptStream("container: bad rank");
+  const std::uint64_t ndims = in.varint();
+  if (ndims == 0 || ndims > 8) in.fail("bad rank");
   c.shape.resize(ndims);
+  std::size_t elements = 1;
   for (auto& d : c.shape) {
-    d = get_varint(data, size, pos);
-    if (d == 0) throw CorruptStream("container: zero extent");
+    d = in.varint();
+    if (d == 0) in.fail("zero extent");
+    // Decoders size their output from the shape: its f64 byte count must
+    // not wrap.
+    if (d > std::numeric_limits<std::size_t>::max() / 8 / elements) in.fail("shape overflows");
+    elements *= d;
   }
-  const std::uint64_t payload_size = get_varint(data, size, pos);
-  if (pos + payload_size + 4 != size) throw CorruptStream("container: payload size mismatch");
-  c.payload = data + pos;
-  c.payload_size = payload_size;
+  c.payload_size = in.varint();
+  c.payload = in.take(c.payload_size, "payload size mismatch");
+  in.expect_end("payload size mismatch");
   c.version = version;
+  // A frame is corrupt before it is foreign: the producer check comes last.
+  if (expected && c.id != *expected)
+    throw Unsupported("container: produced by a different compressor");
   return c;
 }
 

@@ -127,19 +127,12 @@ template <typename Scalar>
 void decode_payload(const Container& c, const std::size_t n, NdArray& out) {
   using Traits = FpcTraits<Scalar>;
   using UInt = typename Traits::UInt;
-  const std::uint8_t* payload = c.payload;
-  const std::size_t psize = c.payload_size;
-  std::size_t pos = 0;
-  if (psize < 2) throw CorruptStream("fpc: payload header truncated");
-  if (payload[pos++] != kPayloadVersion) throw CorruptStream("fpc: unknown payload version");
-  const unsigned table_bits = payload[pos++];
+  ByteReader in(c.payload, c.payload_size, "fpc");
+  if (in.u8() != kPayloadVersion) in.fail("unknown payload version");
+  const unsigned table_bits = in.u8();
   if (table_bits < kMinTableBits || table_bits > kMaxTableBits)
-    throw CorruptStream("fpc: table_bits out of range");
-
-  const std::size_t header_bytes = (n + 1) / 2;
-  if (psize - pos < header_bytes) throw CorruptStream("fpc: header stream truncated");
-  const std::uint8_t* headers = payload + pos;
-  pos += header_bytes;
+    in.fail("table_bits out of range");
+  const std::uint8_t* headers = in.take((n + 1) / 2, "header stream truncated");
 
   Predictors<Scalar> pred(table_bits);
   Scalar* outp = out.typed<Scalar>();
@@ -147,18 +140,16 @@ void decode_payload(const Container& c, const std::size_t n, NdArray& out) {
     const unsigned nibble = (headers[i >> 1] >> ((i & 1) * 4)) & 0xFu;
     const bool use_dfcm = (nibble >> 3) != 0;
     const unsigned lzb = Traits::lzb_of(nibble & 7u);
-    if (lzb > sizeof(Scalar)) throw CorruptStream("fpc: zero-byte code out of range");
+    if (lzb > sizeof(Scalar)) in.fail("zero-byte code out of range");
     const unsigned stored = sizeof(Scalar) - lzb;
-    if (psize - pos < stored) throw CorruptStream("fpc: residual stream truncated");
+    const std::uint8_t* residual = in.take(stored, "residual stream truncated");
     UInt x = 0;
-    for (unsigned b = 0; b < stored; ++b)
-      x |= static_cast<UInt>(payload[pos + b]) << (8 * b);
-    pos += stored;
+    for (unsigned b = 0; b < stored; ++b) x |= static_cast<UInt>(residual[b]) << (8 * b);
     const UInt v = x ^ (use_dfcm ? pred.predict_dfcm() : pred.predict_fcm());
     std::memcpy(outp + i, &v, sizeof(Scalar));
     pred.update(v);
   }
-  if (pos != psize) throw CorruptStream("fpc: trailing bytes after residuals");
+  in.expect_end("trailing bytes after residuals");
   // The unused high nibble of an odd-length header stream must be zero so
   // frames stay canonical (byte-identical re-encode).
   if ((n & 1) != 0 && (headers[n >> 1] >> 4) != 0)

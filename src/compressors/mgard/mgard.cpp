@@ -104,15 +104,6 @@ void put_scalar(std::vector<std::uint8_t>& out, Scalar v) {
   out.insert(out.end(), bytes, bytes + sizeof(Scalar));
 }
 
-template <typename Scalar>
-Scalar get_scalar(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
-  if (pos + sizeof(Scalar) > size) throw CorruptStream("mgard: truncated raw scalar");
-  Scalar v;
-  std::memcpy(&v, data + pos, sizeof(Scalar));
-  pos += sizeof(Scalar);
-  return v;
-}
-
 /// Convert flat index to coordinates (row-major).
 inline void unflatten(std::size_t idx, const Shape& shape, std::size_t* coord) {
   for (unsigned d = static_cast<unsigned>(shape.size()); d-- > 0;) {
@@ -182,29 +173,20 @@ void compress_impl(const ArrayView& input, const MgardOptions& opt, Buffer& out)
 template <typename Scalar>
 NdArray decompress_impl(const Container& c) {
   const std::vector<std::uint8_t> assembled = lz_decompress(c.payload, c.payload_size);
-  const std::uint8_t* p = assembled.data();
-  const std::size_t size = assembled.size();
-  std::size_t pos = 0;
-  if (size < 1) throw CorruptStream("mgard: empty payload");
-
+  ByteReader in(assembled.data(), assembled.size(), "mgard");
   MgardOptions opt;
-  const std::uint8_t norm_tag = p[pos++];
-  if (norm_tag > 1) throw CorruptStream("mgard: bad norm tag");
+  const std::uint8_t norm_tag = in.u8();
+  if (norm_tag > 1) in.fail("bad norm tag");
   opt.norm = static_cast<MgardNorm>(norm_tag);
-  opt.tolerance = get_scalar<double>(p, size, pos);
-  if (!(opt.tolerance > 0) || !std::isfinite(opt.tolerance))
-    throw CorruptStream("mgard: bad stored tolerance");
-  const auto levels = static_cast<unsigned>(get_varint(p, size, pos));
-  if (levels == 0 || levels > 20) throw CorruptStream("mgard: bad level count");
+  opt.tolerance = in.scalar<double>();
+  if (!(opt.tolerance > 0) || !std::isfinite(opt.tolerance)) in.fail("bad stored tolerance");
+  const auto levels = static_cast<unsigned>(in.varint());
+  if (levels == 0 || levels > 20) in.fail("bad level count");
 
-  const std::uint64_t huff_bytes = get_varint(p, size, pos);
-  if (huff_bytes > size - pos) throw CorruptStream("mgard: truncated code stream");
-  const std::vector<std::uint32_t> codes = huffman_decode(p + pos, huff_bytes);
-  pos += huff_bytes;
-  const std::uint64_t raw_bytes = get_varint(p, size, pos);
-  if (raw_bytes > size - pos) throw CorruptStream("mgard: truncated raw stream");
-  const std::uint8_t* raw_stream = p + pos;
-  std::size_t raw_pos = 0;
+  const ByteReader code_stream = in.section();
+  const std::vector<std::uint32_t> codes =
+      huffman_decode(code_stream.data(), code_stream.remaining());
+  ByteReader raw_stream = in.section();
 
   const Shape& shape = c.shape;
   const auto stride = strides_of(shape);
@@ -219,7 +201,7 @@ NdArray decompress_impl(const Container& c) {
       if (lvl[idx] != l) continue;
       const std::uint32_t code = codes[idx];
       if (code == 0) {
-        recon[idx] = get_scalar<Scalar>(raw_stream, raw_bytes, raw_pos);
+        recon[idx] = raw_stream.scalar<Scalar>();
         continue;
       }
       std::size_t coord[3] = {0, 0, 0};

@@ -20,7 +20,6 @@ namespace {
 
 using szi::BlockGeom;
 using szi::CoeffSteps;
-using szi::get_scalar;
 using szi::kRadius;
 using szi::NormBlock;
 using szi::put_scalar;
@@ -256,47 +255,25 @@ void compress_impl(const ArrayView& input, const SzOptions& opt, Buffer& out) {
 template <typename Scalar, unsigned D>
 NdArray decompress_impl(const Container& c) {
   const std::vector<std::uint8_t> assembled = lz_decompress(c.payload, c.payload_size);
-  const std::uint8_t* p = assembled.data();
-  const std::size_t size = assembled.size();
-  std::size_t pos = 0;
-
-  const double e = get_scalar<double>(p, size, pos);
-  if (!(e > 0) || !std::isfinite(e)) throw CorruptStream("sz: bad stored error bound");
-  if (pos >= size) throw CorruptStream("sz: truncated header");
-  pos += 1;  // regression enable flag (informational)
+  ByteReader in(assembled.data(), assembled.size(), "sz");
+  const double e = in.scalar<double>();
+  if (!(e > 0) || !std::isfinite(e)) in.fail("bad stored error bound");
+  in.u8();  // regression enable flag (informational)
   const double twoe = 2.0 * e;
 
-  // Section lengths are untrusted 64-bit varints: check with the subtraction
-  // form (get_varint leaves pos <= size) — `pos + len` wraps for hostile
-  // lengths and would pass.
-  const std::uint64_t flag_bytes = get_varint(p, size, pos);
-  if (flag_bytes > size - pos) throw CorruptStream("sz: truncated flags");
-  const std::uint8_t* flags = p + pos;
-  pos += flag_bytes;
-
-  const std::uint64_t coeff_bytes = get_varint(p, size, pos);
-  if (coeff_bytes > size - pos) throw CorruptStream("sz: truncated coefficients");
-  const std::uint8_t* coeff_stream = p + pos;
-  std::size_t coeff_pos = 0;
-  pos += coeff_bytes;
-
-  const std::uint64_t huff_bytes = get_varint(p, size, pos);
-  if (huff_bytes > size - pos) throw CorruptStream("sz: truncated code stream");
-  const std::vector<std::uint32_t> codes = rans_decode(p + pos, huff_bytes);
-  pos += huff_bytes;
-
-  const std::uint64_t raw_bytes = get_varint(p, size, pos);
-  if (raw_bytes > size - pos) throw CorruptStream("sz: truncated raw stream");
-  const std::uint8_t* raw_stream = p + pos;
-  std::size_t raw_pos = 0;
+  const std::uint64_t flag_bytes = in.varint();
+  if (flag_bytes != (count_blocks(c.shape, D) + 7) / 8) in.fail("flag size mismatch");
+  const std::uint8_t* flags = in.take(flag_bytes);
+  ByteReader coeff_stream = in.section();
+  const ByteReader code_stream = in.section();
+  const std::vector<std::uint32_t> codes =
+      rans_decode(code_stream.data(), code_stream.remaining(), shape_elements(c.shape));
+  ByteReader raw_stream = in.section();
 
   const auto stride = szi::strides_of(c.shape);
   const CoeffSteps steps = coeff_steps(e, D);
   NdArray out(c.dtype, c.shape);
   Scalar* recon = out.typed<Scalar>();
-  if (codes.size() != out.elements()) throw CorruptStream("sz: code count mismatch");
-  if (flag_bytes != (count_blocks(c.shape, D) + 7) / 8)
-    throw CorruptStream("sz: flag size mismatch");
   szi::check_codes(codes);
 
   const bool vec = szk::simd_active();
@@ -307,11 +284,10 @@ NdArray decompress_impl(const Container& c) {
     const bool use_regression = (flags[block_index / 8] >> (block_index % 8)) & 1u;
     ++block_index;
     const std::array<double, 4> coeff =
-        use_regression ? szi::get_coeffs(coeff_stream, coeff_bytes, coeff_pos, steps)
+        use_regression ? szi::read_coeffs(coeff_stream, steps)
                        : std::array<double, 4>{};
     if (use_regression && D >= 2) {
-      szi::reconstruct_regression_block(cp, nb, coeff, D, twoe, vec, recon, raw_stream,
-                                        raw_bytes, raw_pos);
+      szi::reconstruct_regression_block(cp, nb, coeff, D, twoe, vec, recon, raw_stream);
       return;
     }
     for (std::size_t pl = 0; pl < nb.planes; ++pl)
@@ -325,7 +301,7 @@ NdArray decompress_impl(const Container& c) {
                    coeff[3] * 0.0;
           const std::uint32_t code = *cp++;
           const Scalar v =
-              code == 0 ? get_scalar<Scalar>(raw_stream, raw_bytes, raw_pos)
+              code == 0 ? raw_stream.scalar<Scalar>()
                         : static_cast<Scalar>(
                               pred + twoe * static_cast<double>(
                                                 static_cast<std::int64_t>(code) - kRadius));

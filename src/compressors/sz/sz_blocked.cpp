@@ -325,8 +325,7 @@ void blocked_compress_impl(const ArrayView& input, const SzOptions& opt, Buffer&
 /// is why blocked decode beats the v1 chain even before thread scaling.
 template <typename Scalar>
 void decode_lorenzo_block(Scalar* recon, const NormBlock& nb, double twoe,
-                          const std::uint32_t*& cp, const std::uint8_t* raws,
-                          std::size_t raw_size, std::size_t& raw_pos) {
+                          const std::uint32_t*& cp, ByteReader& raws) {
   for (std::size_t p = 0; p < nb.planes; ++p)
     for (std::size_t r = 0; r < nb.rows; ++r) {
       Scalar* rrow = recon + nb.row_index(p, r);
@@ -334,7 +333,7 @@ void decode_lorenzo_block(Scalar* recon, const NormBlock& nb, double twoe,
                                   [&](std::size_t c, double pred) {
         const std::uint32_t code = *cp++;
         const Scalar v =
-            code == 0 ? szi::get_scalar<Scalar>(raws, raw_size, raw_pos)
+            code == 0 ? raws.scalar<Scalar>()
                       : static_cast<Scalar>(
                             pred + twoe * static_cast<double>(
                                               static_cast<std::int64_t>(code) - kRadius));
@@ -346,43 +345,24 @@ void decode_lorenzo_block(Scalar* recon, const NormBlock& nb, double twoe,
 
 template <typename Scalar>
 void decode_group(Scalar* out, unsigned dims, const std::array<std::size_t, 3>& stride,
-                  const BlockGeom* blocks, const Group& grp, double e,
-                  const std::uint8_t* blob, std::size_t blob_size) {
+                  const BlockGeom* blocks, const Group& grp, double e, ByteReader blob) {
   const double twoe = 2.0 * e;
   const CoeffSteps steps =
       szi::coeff_steps(e, static_cast<double>(szb::blocked_edge(dims)));
   const bool vec = szk::simd_active();
-  std::size_t pos = 0;
 
-  // Section lengths are untrusted 64-bit varints, so every bound below is the
-  // subtraction form `len > blob_size - pos` (get_varint leaves
-  // pos <= blob_size): the addition form `pos + len` would wrap for hostile
-  // lengths and pass the check.
-  const std::uint64_t flag_bytes = get_varint(blob, blob_size, pos);
-  if (flag_bytes != (grp.block_count + 7) / 8) throw CorruptStream("sz: flag size mismatch");
-  if (flag_bytes > blob_size - pos) throw CorruptStream("sz: truncated flags");
-  const std::uint8_t* flags = blob + pos;
-  pos += flag_bytes;
-
-  const std::uint64_t coeff_bytes = get_varint(blob, blob_size, pos);
-  if (coeff_bytes > blob_size - pos) throw CorruptStream("sz: truncated coefficients");
-  const std::uint8_t* coeff_stream = blob + pos;
-  std::size_t coeff_pos = 0;
-  pos += coeff_bytes;
-
-  const std::uint64_t entropy_bytes = get_varint(blob, blob_size, pos);
-  if (entropy_bytes > blob_size - pos) throw CorruptStream("sz: truncated code stream");
+  const std::uint64_t flag_bytes = blob.varint();
+  if (flag_bytes != (grp.block_count + 7) / 8) blob.fail("flag size mismatch");
+  const std::uint8_t* flags = blob.take(flag_bytes);
+  ByteReader coeffs = blob.section();
+  const ByteReader entropy = blob.section();
   // thread_local: one warm code buffer per worker across all its groups.
   // Passing grp.elems rejects a hostile declared symbol count before the
   // codec sizes its output, so codes.size() == grp.elems on return.
   thread_local std::vector<std::uint32_t> codes;
-  rans_interleaved_decode_into(blob + pos, entropy_bytes, codes, grp.elems);
-  pos += entropy_bytes;
-
-  const std::uint64_t raw_bytes = get_varint(blob, blob_size, pos);
-  if (raw_bytes != blob_size - pos) throw CorruptStream("sz: group blob size mismatch");
-  const std::uint8_t* raws = blob + pos;
-  std::size_t raw_pos = 0;
+  rans_interleaved_decode_into(entropy.data(), entropy.remaining(), codes, grp.elems);
+  ByteReader raws = blob.section();
+  blob.expect_end("group blob size mismatch");
 
   szi::check_codes(codes);
 
@@ -396,56 +376,38 @@ void decode_group(Scalar* out, unsigned dims, const std::array<std::size_t, 3>& 
       // hostile stream that does is rejected rather than fed to the 32-lane
       // kernels with an over-long run.
       if (dims < 2) throw CorruptStream("sz: regression flag on 1D block");
-      const std::array<double, 4> coeff =
-          szi::get_coeffs(coeff_stream, coeff_bytes, coeff_pos, steps);
-      szi::reconstruct_regression_block(cp, nb, coeff, dims, twoe, vec, out, raws, raw_bytes,
-                                        raw_pos);
+      const std::array<double, 4> coeff = szi::read_coeffs(coeffs, steps);
+      szi::reconstruct_regression_block(cp, nb, coeff, dims, twoe, vec, out, raws);
     } else {
-      decode_lorenzo_block(out, nb, twoe, cp, raws, raw_bytes, raw_pos);
+      decode_lorenzo_block(out, nb, twoe, cp, raws);
     }
   }
-  if (coeff_pos != coeff_bytes) throw CorruptStream("sz: trailing coefficient bytes");
-  if (raw_pos != raw_bytes) throw CorruptStream("sz: trailing raw bytes");
+  coeffs.expect_end("trailing coefficient bytes");
+  raws.expect_end("trailing raw bytes");
 }
 
 template <typename Scalar>
 NdArray blocked_decompress_impl(const Container& c, unsigned threads) {
-  const std::uint8_t* p = c.payload;
-  const std::size_t size = c.payload_size;
-  std::size_t pos = 0;
-
-  const double e = szi::get_scalar<double>(p, size, pos);
-  if (!(e > 0) || !std::isfinite(e)) throw CorruptStream("sz: bad stored error bound");
-  if (pos >= size) throw CorruptStream("sz: truncated header");
-  pos += 1;  // regression enable flag (informational)
+  ByteReader in(c.payload, c.payload_size, "sz");
+  const double e = in.scalar<double>();
+  if (!(e > 0) || !std::isfinite(e)) in.fail("bad stored error bound");
+  in.u8();  // regression enable flag (informational)
 
   const unsigned dims = static_cast<unsigned>(c.shape.size());
   const std::vector<BlockGeom> blocks = collect_blocks(c.shape, dims);
   const std::vector<Group> groups = build_groups(blocks);
 
-  const std::uint64_t group_count = get_varint(p, size, pos);
-  if (group_count != groups.size()) throw CorruptStream("sz: group count mismatch");
-
-  struct Span {
-    const std::uint8_t* data;
-    std::size_t size;
-  };
-  std::vector<Span> spans(groups.size());
-  for (auto& s : spans) {
-    const std::uint64_t blob_size = get_varint(p, size, pos);
-    // Subtraction form: `pos + blob_size` wraps for hostile 64-bit lengths.
-    if (blob_size > size - pos) throw CorruptStream("sz: truncated group blob");
-    s = {p + pos, static_cast<std::size_t>(blob_size)};
-    pos += blob_size;
-  }
-  if (pos != size) throw CorruptStream("sz: trailing payload bytes");
+  if (in.varint() != groups.size()) in.fail("group count mismatch");
+  std::vector<ByteReader> blobs;
+  blobs.reserve(groups.size());
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) blobs.push_back(in.section());
+  in.expect_end("trailing payload bytes");
 
   NdArray out(c.dtype, c.shape);
   const auto stride = szi::strides_of(c.shape);
   Scalar* recon = out.typed<Scalar>();
   parallel_for_shared(groups.size(), threads, [&](std::size_t gi) {
-    decode_group(recon, dims, stride, blocks.data(), groups[gi], e, spans[gi].data,
-                 spans[gi].size);
+    decode_group(recon, dims, stride, blocks.data(), groups[gi], e, blobs[gi]);
   });
   return out;
 }

@@ -165,30 +165,21 @@ inline bool quantize_coeffs(const std::array<double, 4>& fitted, const CoeffStep
 }
 
 /// Read one regression block's coefficients: four zigzag varints of q.
-inline std::array<double, 4> get_coeffs(const std::uint8_t* data, std::size_t size,
-                                        std::size_t& pos, const CoeffSteps& steps) {
+inline std::array<double, 4> read_coeffs(ByteReader& in, const CoeffSteps& steps) {
   std::array<double, 4> coeff{};
   for (unsigned i = 0; i < 4; ++i)
-    coeff[i] = static_cast<double>(zigzag_decode(get_varint(data, size, pos))) *
+    coeff[i] = static_cast<double>(zigzag_decode(in.varint())) *
                (i == 0 ? steps.intercept : steps.slope);
   return coeff;
 }
 
-/// Append an IEEE scalar verbatim (little endian).
+/// Append an IEEE scalar verbatim (host byte order; ByteReader::scalar
+/// reads it back).
 template <typename Scalar>
 void put_scalar(std::vector<std::uint8_t>& out, Scalar v) {
   std::uint8_t bytes[sizeof(Scalar)];
   std::memcpy(bytes, &v, sizeof(Scalar));
   out.insert(out.end(), bytes, bytes + sizeof(Scalar));
-}
-
-template <typename Scalar>
-Scalar get_scalar(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
-  if (pos + sizeof(Scalar) > size) throw CorruptStream("sz: truncated raw scalar");
-  Scalar v;
-  std::memcpy(&v, data + pos, sizeof(Scalar));
-  pos += sizeof(Scalar);
-  return v;
 }
 
 /// The encoder only emits codes in [0, 2R-1]; rejecting anything larger up
@@ -232,9 +223,7 @@ void quantize_regression_block(const Scalar* data, Scalar* recon, const NormBloc
 template <typename Scalar>
 void reconstruct_regression_block(const std::uint32_t*& codes, const NormBlock& nb,
                                   const std::array<double, 4>& coeff, unsigned dims,
-                                  double twoe, bool vec, Scalar* recon,
-                                  const std::uint8_t* raws, std::size_t raw_size,
-                                  std::size_t& raw_pos) {
+                                  double twoe, bool vec, Scalar* recon, ByteReader& raws) {
   for (std::size_t p = 0; p < nb.planes; ++p)
     for (std::size_t r = 0; r < nb.rows; ++r) {
       Scalar* row = recon + nb.row_index(p, r);
@@ -244,8 +233,7 @@ void reconstruct_regression_block(const std::uint32_t*& codes, const NormBlock& 
               : szk::reconstruct_run_scalar(codes, nb.inner, pl.base, pl.step, twoe, row);
       codes += nb.inner;
       for (std::uint32_t m = esc; m != 0; m &= m - 1)
-        row[static_cast<unsigned>(__builtin_ctz(m))] =
-            get_scalar<Scalar>(raws, raw_size, raw_pos);
+        row[static_cast<unsigned>(__builtin_ctz(m))] = raws.scalar<Scalar>();
     }
 }
 

@@ -48,13 +48,6 @@ void append_f64_bits(std::vector<std::uint8_t>& out, const double v) {
 }
 
 template <typename Scalar>
-Scalar read_scalar(const std::uint8_t* p) {
-  Scalar v;
-  std::memcpy(&v, p, sizeof(Scalar));
-  return v;
-}
-
-template <typename Scalar>
 void encode_payload(const ArrayView& input, const double e, std::vector<std::uint8_t>& payload) {
   const Scalar* p = input.typed<Scalar>();
   const std::size_t n = input.elements();
@@ -114,24 +107,17 @@ void encode_payload(const ArrayView& input, const double e, std::vector<std::uin
 
 template <typename Scalar>
 void decode_payload(const Container& c, const std::size_t n, NdArray& out) {
-  const std::uint8_t* payload = c.payload;
-  const std::size_t psize = c.payload_size;
-  std::size_t pos = 0;
-  if (psize < 2) throw CorruptStream("szx: payload header truncated");
-  if (payload[pos++] != kPayloadVersion) throw CorruptStream("szx: unknown payload version");
-  if (payload[pos++] != kBlockLog2) throw CorruptStream("szx: unsupported block size");
-  const double e = get_f64(payload, psize, pos);
-  if (!(std::isfinite(e) && e > 0.0)) throw CorruptStream("szx: bad error bound");
+  ByteReader in(c.payload, c.payload_size, "szx");
+  if (in.u8() != kPayloadVersion) in.fail("unknown payload version");
+  if (in.u8() != kBlockLog2) in.fail("unsupported block size");
+  const double e = in.f64();
+  if (!(std::isfinite(e) && e > 0.0)) in.fail("bad error bound");
   const double twoe = 2.0 * e;
 
   const std::size_t n_blocks = (n + szxk::kBlock - 1) / szxk::kBlock;
-  const std::uint64_t states_bytes = get_varint(payload, psize, pos);
-  if (states_bytes != (n_blocks + 3) / 4 || states_bytes > psize - pos)
-    throw CorruptStream("szx: state stream size mismatch");
-  const std::uint8_t* states = payload + pos;
-  pos += states_bytes;
-  const std::uint64_t data_bytes = get_varint(payload, psize, pos);
-  if (data_bytes != psize - pos) throw CorruptStream("szx: data stream size mismatch");
+  if (in.varint() != (n_blocks + 3) / 4) in.fail("state stream size mismatch");
+  const std::uint8_t* states = in.take((n_blocks + 3) / 4);
+  if (in.varint() != in.remaining()) in.fail("data stream size mismatch");
 
   Scalar* outp = out.typed<Scalar>();
   const bool vec = szxk::simd_active();
@@ -141,41 +127,28 @@ void decode_payload(const Container& c, const std::size_t n, NdArray& out) {
     const std::size_t bn = std::min(szxk::kBlock, n - off);
     const unsigned state = (states[b >> 2] >> ((b & 3) * 2)) & 3u;
     switch (state) {
-      case kConstant: {
-        if (psize - pos < sizeof(Scalar)) throw CorruptStream("szx: constant block truncated");
-        const Scalar mid = read_scalar<Scalar>(payload + pos);
-        pos += sizeof(Scalar);
-        std::fill(outp + off, outp + off + bn, mid);
+      case kConstant:
+        std::fill(outp + off, outp + off + bn, in.scalar<Scalar>());
         break;
-      }
       case kPacked: {
-        if (psize - pos < sizeof(Scalar) + 1) throw CorruptStream("szx: packed block truncated");
-        const auto base = static_cast<double>(read_scalar<Scalar>(payload + pos));
-        pos += sizeof(Scalar);
-        const unsigned bits = payload[pos++];
-        if (bits > szxk::kMaxQBits) throw CorruptStream("szx: packed bit width out of range");
-        const std::size_t nbytes = (bn * bits + 7) / 8;
-        if (psize - pos < nbytes) throw CorruptStream("szx: packed codes truncated");
-        szxk::unpack_bits(payload + pos, bn, bits, q);
-        pos += nbytes;
+        const auto base = static_cast<double>(in.scalar<Scalar>());
+        const unsigned bits = in.u8();
+        if (bits > szxk::kMaxQBits) in.fail("packed bit width out of range");
+        szxk::unpack_bits(in.take((bn * bits + 7) / 8), bn, bits, q);
         if (vec)
           szxk::dequantize_vec(q, bn, base, twoe, outp + off);
         else
           szxk::dequantize_scalar(q, bn, base, twoe, outp + off);
         break;
       }
-      case kRaw: {
-        const std::size_t nbytes = bn * sizeof(Scalar);
-        if (psize - pos < nbytes) throw CorruptStream("szx: raw block truncated");
-        std::memcpy(outp + off, payload + pos, nbytes);
-        pos += nbytes;
+      case kRaw:
+        std::memcpy(outp + off, in.take(bn * sizeof(Scalar)), bn * sizeof(Scalar));
         break;
-      }
       default:
         throw CorruptStream("szx: invalid block state");
     }
   }
-  if (pos != psize) throw CorruptStream("szx: trailing bytes after block data");
+  in.expect_end("trailing bytes after block data");
 }
 
 }  // namespace

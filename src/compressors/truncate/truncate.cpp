@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "codec/bitstream.hpp"
+#include "codec/varint.hpp"
 #include "compressors/container.hpp"
 #include "util/error.hpp"
 
@@ -29,11 +30,11 @@ void compress_impl(const ArrayView& input, unsigned bits, Buffer& out) {
 
 template <typename Scalar, typename UInt>
 void decompress_impl(const Container& c, NdArray& out) {
-  if (c.payload_size < 1) throw CorruptStream("truncate: empty payload");
+  ByteReader in(c.payload, c.payload_size, "truncate");
   const unsigned width = sizeof(Scalar) * 8;
-  const unsigned bits = c.payload[0];
-  if (bits < 1 || bits > width) throw CorruptStream("truncate: bad kept-bit count");
-  BitReader reader(c.payload + 1, c.payload_size - 1);
+  const unsigned bits = in.u8();
+  if (bits < 1 || bits > width) in.fail("bad kept-bit count");
+  BitReader reader(in.data(), in.remaining());
   Scalar* data = out.typed<Scalar>();
   // Midpoint refill: reconstruct dropped bits as 100...0, the centre of the
   // truncated interval (halves the worst-case mantissa error vs zeros).

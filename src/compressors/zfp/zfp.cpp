@@ -309,7 +309,8 @@ void compress_impl(const ArrayView& input, const ZfpOptions& opt, Buffer& out) {
 }
 
 template <typename Scalar>
-void decompress_impl(const Container& c, const ZfpOptions& opt, NdArray& out) {
+void decompress_impl(const Container& c, const ZfpOptions& opt, BitReader reader,
+                     NdArray& out) {
   using T = Traits<Scalar>;
   using Int = typename T::Int;
   using UInt = typename T::UInt;
@@ -321,7 +322,6 @@ void decompress_impl(const Container& c, const ZfpOptions& opt, NdArray& out) {
   const int emin = accuracy_emin(opt.tolerance);
   const std::int64_t budget = block_budget(opt, block_elems, T::kIntPrec, T::kExpBits);
 
-  BitReader reader(c.payload + 9, c.payload_size - 9);
   for_each_block(c.shape, dims, [&](const std::size_t* base) {
     const std::size_t block_start = reader.bit_position();
     Scalar block[64] = {};
@@ -354,17 +354,14 @@ void decompress_impl(const Container& c, const ZfpOptions& opt, NdArray& out) {
   });
 }
 
-ZfpOptions options_from_payload(const Container& c) {
-  if (c.payload_size < 9) throw CorruptStream("zfp: payload too small");
+/// The payload header: mode tag, then the mode parameter as an f64.
+ZfpOptions read_header(ByteReader& in) {
   ZfpOptions opt;
-  const std::uint8_t mode_tag = c.payload[0];
-  if (mode_tag > 1) throw CorruptStream("zfp: bad mode tag");
+  const std::uint8_t mode_tag = in.u8();
+  if (mode_tag > 1) in.fail("bad mode tag");
   opt.mode = static_cast<ZfpMode>(mode_tag);
-  std::uint64_t param_bits = 0;
-  for (int b = 0; b < 8; ++b) param_bits |= static_cast<std::uint64_t>(c.payload[1 + b]) << (8 * b);
-  double param;
-  std::memcpy(&param, &param_bits, 8);
-  if (!(param > 0) || !std::isfinite(param)) throw CorruptStream("zfp: bad mode parameter");
+  const double param = in.f64();
+  if (!(param > 0) || !std::isfinite(param)) in.fail("bad mode parameter");
   (opt.mode == ZfpMode::kAccuracy ? opt.tolerance : opt.rate) = param;
   return opt;
 }
@@ -398,12 +395,14 @@ void zfp_compress_into(const ArrayView& input, const ZfpOptions& options, Buffer
 NdArray zfp_decompress(const std::uint8_t* data, std::size_t size) {
   const Container c = open_container(data, size, CompressorId::kZfp);
   require(c.shape.size() >= 1 && c.shape.size() <= 3, "zfp: container rank unsupported");
-  const ZfpOptions opt = options_from_payload(c);
+  ByteReader in(c.payload, c.payload_size, "zfp");
+  const ZfpOptions opt = read_header(in);
+  const BitReader planes(in.data(), in.remaining());
   NdArray out(c.dtype, c.shape);
   if (c.dtype == DType::kFloat32)
-    decompress_impl<float>(c, opt, out);
+    decompress_impl<float>(c, opt, planes, out);
   else
-    decompress_impl<double>(c, opt, out);
+    decompress_impl<double>(c, opt, planes, out);
   return out;
 }
 

@@ -64,35 +64,27 @@ Status BoundStore::deserialize(const std::uint8_t* data, std::size_t size) noexc
     // store half-replaced.  Minimum block: magic + version + varint(0) + CRC
     // — an empty store is a valid checkpoint.
     if (size < 10) return Status::corrupt_stream("bound store: block too small");
-    std::size_t pos = 0;
-    if (get_u32(data, size, pos) != kBoundStoreMagic)
-      return Status::corrupt_stream("bound store: bad magic");
-    const std::uint32_t stored_crc = [&] {
-      std::size_t p = size - 4;
-      return get_u32(data, size, p);
-    }();
-    if (crc32(data, size - 4) != stored_crc)
+    ByteReader in(data, size, "bound store");
+    if (in.u32() != kBoundStoreMagic) return Status::corrupt_stream("bound store: bad magic");
+    if (crc32(data, size - 4) != in.trailer(4).u32())
       return Status::corrupt_stream("bound store: checksum mismatch");
-    if (data[pos++] != kBoundStoreVersion)
+    if (in.u8() != kBoundStoreVersion)
       return Status::corrupt_stream("bound store: unsupported version");
-    const std::uint64_t count = get_varint(data, size, pos);
+    const std::uint64_t count = in.varint();
     std::map<Key, double> parsed;
     for (std::uint64_t i = 0; i < count; ++i) {
       // No arbitrary length cap: put() accepts any field key, so load()
-      // must accept whatever save() wrote — the CRC plus this bounds check
-      // are what guard against a malformed block.
-      const std::uint64_t name_size = get_varint(data, size, pos);
-      if (name_size > size - pos)
-        return Status::corrupt_stream("bound store: bad field name");
-      std::string field(reinterpret_cast<const char*>(data) + pos,
+      // must accept whatever save() wrote — the CRC plus the reader's
+      // bounds check are what guard against a malformed block.
+      const std::uint64_t name_size = in.varint();
+      std::string field(reinterpret_cast<const char*>(in.take(name_size, "bad field name")),
                         static_cast<std::size_t>(name_size));
-      pos += static_cast<std::size_t>(name_size);
-      const double target = get_f64(data, size, pos);
-      const double bound = get_f64(data, size, pos);
+      const double target = in.f64();
+      const double bound = in.f64();
       if (!(bound > 0)) return Status::corrupt_stream("bound store: non-positive bound");
       parsed[Key{std::move(field), target}] = bound;
     }
-    if (pos + 4 != size) return Status::corrupt_stream("bound store: trailing bytes");
+    if (in.remaining() != 0) return Status::corrupt_stream("bound store: trailing bytes");
     LockGuard lock(mutex_);
     bounds_ = std::move(parsed);
     return Status();

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "codec/checksum.hpp"
+#include "codec/varint.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -127,6 +128,33 @@ TEST(Rans, BadFrequencyTableThrows) {
   bogus.push_back(5);  // freq 5 (must sum to 2^14)
   bogus.push_back(0);  // payload size 0
   EXPECT_THROW(rans_decode(bogus), CorruptStream);
+}
+
+/// A 14-byte stream declaring \p count symbols of a one-symbol alphabet at
+/// full frequency: every decode step leaves the state at 2^23, so it
+/// consumes no payload bytes and any declared count decodes.
+std::vector<std::uint8_t> one_symbol_stream(std::uint64_t count) {
+  std::vector<std::uint8_t> stream;
+  put_varint(stream, count);
+  put_varint(stream, 1);                                // distinct
+  put_varint(stream, 0);                                // symbol 0
+  put_varint(stream, std::uint64_t{1} << kRansProbBits);  // frequency: the whole scale
+  put_varint(stream, 4);                                // payload size
+  stream.insert(stream.end(), {0, 0x80, 0, 0});         // initial state 2^23
+  return stream;
+}
+
+TEST(Rans, ExpectedCountRejectsDeclaredCountBeforeDecoding) {
+  // The declared count alone sizes the output: 2^24 symbols would be 64 MiB
+  // from 14 bytes.  With the caller's count the header is rejected first.
+  const std::vector<std::uint8_t> hostile = one_symbol_stream(std::uint64_t{1} << 24);
+  ASSERT_EQ(hostile.size(), 14u);
+  EXPECT_THROW((void)rans_decode(hostile.data(), hostile.size(), 8), CorruptStream);
+
+  // The same framing at the expected count decodes.
+  const std::vector<std::uint8_t> honest = one_symbol_stream(8);
+  EXPECT_EQ(rans_decode(honest.data(), honest.size(), 8), std::vector<std::uint32_t>(8, 0));
+  EXPECT_EQ(rans_decode(honest), std::vector<std::uint32_t>(8, 0));
 }
 
 /// Byte pins for the encoder: size and CRC-32 of rans_encode output on

@@ -332,14 +332,13 @@ TEST(UntrustedCodecs, VarintTruncationThrowsCorruptStream) {
   put_u32(bytes, 0xdeadbeefu);
   put_f64(bytes, 2.5);
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    std::size_t pos = 0;
+    ByteReader in(bytes.data(), len, "test");
     if (len < 10) {
-      EXPECT_THROW(get_varint(bytes.data(), len, pos), CorruptStream);
+      EXPECT_THROW(in.varint(), CorruptStream);
     } else {
-      pos = 0;
-      EXPECT_NO_THROW(get_varint(bytes.data(), len, pos));
+      EXPECT_NO_THROW(in.varint());
       if (len < 14) {
-        EXPECT_THROW(get_u32(bytes.data(), len, pos), CorruptStream);
+        EXPECT_THROW(in.u32(), CorruptStream);
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "codec/checksum.hpp"
 #include "codec/varint.hpp"
@@ -17,9 +19,9 @@ TEST(Varint, RoundtripsBoundaryValues) {
   for (std::uint64_t v : values) {
     std::vector<std::uint8_t> buf;
     put_varint(buf, v);
-    std::size_t pos = 0;
-    EXPECT_EQ(get_varint(buf.data(), buf.size(), pos), v);
-    EXPECT_EQ(pos, buf.size());
+    ByteReader in(buf.data(), buf.size(), "test");
+    EXPECT_EQ(in.varint(), v);
+    EXPECT_EQ(in.remaining(), 0u);
   }
 }
 
@@ -35,25 +37,75 @@ TEST(Varint, SmallValuesAreOneByte) {
 TEST(Varint, SequencesDecodeInOrder) {
   std::vector<std::uint8_t> buf;
   for (std::uint64_t v = 0; v < 1000; v += 7) put_varint(buf, v * v);
-  std::size_t pos = 0;
-  for (std::uint64_t v = 0; v < 1000; v += 7)
-    ASSERT_EQ(get_varint(buf.data(), buf.size(), pos), v * v);
+  ByteReader in(buf.data(), buf.size(), "test");
+  for (std::uint64_t v = 0; v < 1000; v += 7) ASSERT_EQ(in.varint(), v * v);
 }
 
 TEST(Varint, TruncationThrows) {
   std::vector<std::uint8_t> buf;
   put_varint(buf, 1ull << 40);
   buf.pop_back();
-  std::size_t pos = 0;
-  EXPECT_THROW(get_varint(buf.data(), buf.size(), pos), CorruptStream);
+  ByteReader in(buf.data(), buf.size(), "test");
+  EXPECT_THROW(in.varint(), CorruptStream);
 }
 
 TEST(Varint, OverlongEncodingThrows) {
   // 11 continuation bytes exceed the 64-bit shift budget.
   std::vector<std::uint8_t> buf(11, 0x80);
   buf.push_back(0x01);
-  std::size_t pos = 0;
-  EXPECT_THROW(get_varint(buf.data(), buf.size(), pos), CorruptStream);
+  ByteReader in(buf.data(), buf.size(), "test");
+  EXPECT_THROW(in.varint(), CorruptStream);
+}
+
+TEST(ByteReader, FixedWidthRoundTripLittleEndian) {
+  Buffer buf;
+  put_u32(buf, 0xdeadbeefu);
+  put_u64(buf, 0x0123456789abcdefull);
+  put_f64(buf, -2.5);
+  EXPECT_EQ(buf.data()[0], 0xefu);
+  ByteReader in(buf.data(), buf.size(), "test");
+  EXPECT_EQ(in.u32(), 0xdeadbeefu);
+  EXPECT_EQ(in.u64(), 0x0123456789abcdefull);
+  EXPECT_EQ(in.f64(), -2.5);
+  EXPECT_NO_THROW(in.expect_end());
+  EXPECT_THROW(in.u8(), CorruptStream);
+}
+
+TEST(ByteReader, HostileLengthsCannotWrap) {
+  // Every length near 2^64 fails from any position: the check is
+  // `n > remaining()`, never `pos + n > size`.
+  const std::vector<std::uint8_t> buf(16, 0);
+  for (const std::uint64_t n : {~std::uint64_t{0}, ~std::uint64_t{0} - 3, std::uint64_t{17}}) {
+    ByteReader in(buf.data(), buf.size(), "test");
+    in.take(4);
+    EXPECT_THROW(in.take(n), CorruptStream) << n;
+    EXPECT_THROW(in.section(n), CorruptStream) << n;
+    EXPECT_EQ(in.remaining(), 12u) << "a failed read must not move the cursor";
+  }
+}
+
+TEST(ByteReader, SectionsAndTrailerSplitTheSpan) {
+  std::vector<std::uint8_t> buf;
+  put_varint(buf, 3);
+  buf.insert(buf.end(), {7, 8, 9, 0xaa, 0xbb, 0xcc, 0xdd});
+  ByteReader in(buf.data(), buf.size(), "test");
+  EXPECT_EQ(in.trailer(4).u32(), 0xddccbbaau);
+  ByteReader section = in.section();
+  EXPECT_EQ(section.remaining(), 3u);
+  EXPECT_EQ(section.u8(), 7u);
+  EXPECT_THROW(section.expect_end(), CorruptStream);
+  EXPECT_NO_THROW(in.expect_end());  // the trailer is no longer part of the body
+}
+
+TEST(ByteReader, ErrorsNameTheDecoder) {
+  const std::uint8_t byte = 0x80;
+  ByteReader in(&byte, 1, "mydecoder");
+  try {
+    in.varint();
+    FAIL() << "truncated varint accepted";
+  } catch (const CorruptStream& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("mydecoder: ", 0), 0u) << e.what();
+  }
 }
 
 TEST(Zigzag, MapsSignedToCompactUnsigned) {
