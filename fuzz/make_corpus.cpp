@@ -6,7 +6,7 @@
 ///     fraz_make_corpus <output-dir>
 ///
 /// writes one subdirectory per fuzz target (archive_format/, bound_store/,
-/// serve_protocol/, varint/, entropy/, szx/, fpc/, sz2/).  The checked-in copy
+/// serve_protocol/, varint/, entropy/, szx/, fpc/, sz2/, container/).  The checked-in copy
 /// lives at tests/corpus/ and doubles as the negative-path unit-test input
 /// set.
 #include <cmath>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "archive/archive.hpp"
+#include "codec/checksum.hpp"
 #include "codec/huffman.hpp"
 #include "codec/rans.hpp"
 #include "codec/varint.hpp"
@@ -25,6 +26,7 @@
 #include "compressors/szx/szx.hpp"
 #include "engine/bound_store.hpp"
 #include "ndarray/ndarray.hpp"
+#include "pressio/registry.hpp"
 
 namespace fs = std::filesystem;
 using namespace fraz;
@@ -224,6 +226,40 @@ bool emit_sz2(const fs::path& dir) {
          write_file(dir / "serial_v1.sz2", frame_v1.data(), frame_v1.size());
 }
 
+/// One valid frame per registered backend, plus the forged frame whose
+/// payload-size varint (9 x 0xFF, then the CRC's low byte 0x01) runs into
+/// its own CRC and so declares 2^64 - 1 payload bytes.  The extent is
+/// scanned until the CRC over the first 19 bytes ends in 0x01.
+bool emit_container(const fs::path& dir) {
+  const NdArray field = smooth_field();
+  for (const std::string& name : pressio::registry().names()) {
+    const auto backend = pressio::registry().create(name);
+    backend->set_error_bound(1e-2);
+    Buffer frame;
+    const Status status = backend->compress_into(field.view(), frame);
+    if (!status.ok()) {
+      std::fprintf(stderr, "make_corpus: %s failed: %s\n", name.c_str(),
+                   status.to_string().c_str());
+      return false;
+    }
+    if (!write_file(dir / (name + ".frame"), frame.data(), frame.size())) return false;
+  }
+  for (std::uint64_t extent = 128;; ++extent) {
+    Buffer forged;
+    put_u32(forged, 0x5a615246u);  // "FRaZ"
+    forged.push_back(1);           // version
+    forged.push_back(static_cast<std::uint8_t>(CompressorId::kSz));
+    forged.push_back(0);  // f32
+    put_varint(forged, 1);
+    put_varint(forged, extent);
+    for (int i = 0; i < 9; ++i) forged.push_back(0xff);
+    const std::uint32_t crc = crc32(forged.data(), forged.size());
+    if ((crc & 0xffu) != 0x01u) continue;
+    put_u32(forged, crc);
+    return write_file(dir / "forged_payload_size.frame", forged.data(), forged.size());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -241,6 +277,7 @@ int main(int argc, char** argv) {
       {"serve_protocol", emit_serve_protocol}, {"varint", emit_varint},
       {"entropy", emit_entropy},           {"szx", emit_szx},
       {"fpc", emit_fpc},                   {"sz2", emit_sz2},
+      {"container", emit_container},
   };
   for (const auto& target : targets) {
     const fs::path dir = root / target.name;

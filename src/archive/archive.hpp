@@ -45,9 +45,10 @@
 ///
 /// Determinism: chunk boundaries depend only on (shape, dtype, chunk_extent),
 /// every chunk warm-starts from the same chunk-0 bound, and tuning inside the
-/// writer is forced single-threaded — so packing with 1 worker and N workers
-/// yields byte-identical archives, whether the data arrived as one array or
-/// plane by plane.
+/// writer fans its probes out over the build's workers in lockstep rounds
+/// whose bounds do not depend on the worker count — so packing with 1 worker
+/// and N workers yields byte-identical archives, whether the data arrived as
+/// one array or plane by plane.
 
 #include <cstdint>
 #include <map>

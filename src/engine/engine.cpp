@@ -169,12 +169,6 @@ Result<pressio::FidelityReport> Engine::evaluate(const std::string& field,
   }
 }
 
-void Engine::seed_bound(const std::string& field, double target_ratio,
-                        double bound) noexcept {
-  if (!(bound > 0)) return;
-  bounds_->put(field, target_ratio, bound);
-}
-
 double Engine::cached_bound(const std::string& field, double target_ratio) const noexcept {
   return bounds_->get(field, target_ratio);
 }

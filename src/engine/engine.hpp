@@ -143,15 +143,6 @@ public:
   }
   double cached_bound(const std::string& field, double target_ratio) const noexcept;
 
-  /// Inject a known-good bound into the cache (e.g. a bound tuned on a
-  /// sibling chunk or restored from a previous run), so the next call for
-  /// \p field warm-starts from it instead of paying full training.  A
-  /// non-positive \p bound is ignored.
-  void seed_bound(const std::string& field, double bound) noexcept {
-    seed_bound(field, config_.tuner.target_ratio, bound);
-  }
-  void seed_bound(const std::string& field, double target_ratio, double bound) noexcept;
-
   /// Drop every cached bound (e.g. at a simulation restart).  Affects the
   /// adopted store — siblings sharing it forget too.
   void clear_cache() noexcept { bounds_->clear(); }

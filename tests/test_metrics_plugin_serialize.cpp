@@ -1,83 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/serialize.hpp"
 #include "core/tuner.hpp"
 #include "data/datasets.hpp"
-#include "pressio/metrics_plugin.hpp"
 #include "pressio/registry.hpp"
-#include "test_helpers.hpp"
 
 namespace fraz {
 namespace {
-
-using testhelpers::make_field;
-
-// --------------------------------------------------------- metrics plugins
-
-TEST(MetricsPlugins, SizePluginMeasuresArchive) {
-  auto c = pressio::registry().create("sz");
-  c->set_error_bound(0.05);
-  const NdArray field = make_field(DType::kFloat32, {32, 32});
-  auto size = pressio::make_size_metrics();
-  const auto merged = pressio::run_with_metrics(*c, field.view(), {size.get()});
-  EXPECT_EQ(merged.get<std::int64_t>("size:uncompressed_bytes"),
-            static_cast<std::int64_t>(field.size_bytes()));
-  EXPECT_GT(merged.get<std::int64_t>("size:compressed_bytes"), 0);
-  EXPECT_GT(merged.get<double>("size:compression_ratio"), 1.0);
-  EXPECT_GT(merged.get<double>("size:bit_rate"), 0.0);
-}
-
-TEST(MetricsPlugins, TimePluginMeasuresBothPhases) {
-  auto c = pressio::registry().create("zfp");
-  c->set_error_bound(0.05);
-  const NdArray field = make_field(DType::kFloat32, {32, 32});
-  auto time = pressio::make_time_metrics();
-  const auto merged = pressio::run_with_metrics(*c, field.view(), {time.get()});
-  EXPECT_GE(merged.get<double>("time:compress_seconds"), 0.0);
-  EXPECT_GE(merged.get<double>("time:decompress_seconds"), 0.0);
-}
-
-TEST(MetricsPlugins, ErrorPluginHonoursBound) {
-  auto c = pressio::registry().create("sz");
-  c->set_error_bound(0.05);
-  const NdArray field = make_field(DType::kFloat32, {32, 32});
-  auto error = pressio::make_error_metrics();
-  const auto merged = pressio::run_with_metrics(*c, field.view(), {error.get()});
-  EXPECT_LE(merged.get<double>("error:max_abs"), 0.05);
-  EXPECT_GT(merged.get<double>("error:psnr_db"), 20.0);
-  EXPECT_LE(merged.get<double>("error:ssim"), 1.0);
-}
-
-TEST(MetricsPlugins, ErrorPluginSkipsSsimOn1d) {
-  auto c = pressio::registry().create("sz");
-  c->set_error_bound(0.05);
-  const NdArray field = make_field(DType::kFloat32, {512});
-  auto error = pressio::make_error_metrics();
-  const auto merged = pressio::run_with_metrics(*c, field.view(), {error.get()});
-  EXPECT_FALSE(merged.contains("error:ssim"));
-  EXPECT_TRUE(merged.contains("error:psnr_db"));
-}
-
-TEST(MetricsPlugins, ChainMergesAllNamespaces) {
-  auto c = pressio::registry().create("mgard");
-  c->set_error_bound(0.05);
-  const NdArray field = make_field(DType::kFloat32, {24, 24});
-  auto size = pressio::make_size_metrics();
-  auto time = pressio::make_time_metrics();
-  auto error = pressio::make_error_metrics();
-  const auto merged =
-      pressio::run_with_metrics(*c, field.view(), {size.get(), time.get(), error.get()});
-  EXPECT_TRUE(merged.contains("size:compression_ratio"));
-  EXPECT_TRUE(merged.contains("time:compress_seconds"));
-  EXPECT_TRUE(merged.contains("error:max_abs"));
-}
-
-TEST(MetricsPlugins, FactoryByName) {
-  EXPECT_EQ(pressio::make_metrics("size")->name(), "size");
-  EXPECT_EQ(pressio::make_metrics("time")->name(), "time");
-  EXPECT_EQ(pressio::make_metrics("error")->name(), "error");
-  EXPECT_THROW(pressio::make_metrics("entropy"), Unsupported);
-}
 
 // -------------------------------------------------------------- serialize
 

@@ -636,4 +636,70 @@ TEST(UntrustedBackends, FpcCorpusDecodesAndTruncationsThrow) {
   }
 }
 
+// ------------------------------------------------- container, every backend
+
+/// The 23-byte frame whose payload-size varint (9 x 0xFF, then the CRC's low
+/// byte 0x01) runs into its own CRC, declaring 2^64 - 1 payload bytes.  The
+/// extent is scanned until the CRC over the first 19 bytes ends in 0x01.
+std::vector<std::uint8_t> forged_payload_size_frame(CompressorId id) {
+  for (std::uint64_t extent = 128;; ++extent) {  // two-byte varint extents
+    Buffer frame;
+    put_u32(frame, 0x5a615246u);  // "FRaZ"
+    frame.push_back(1);           // version
+    frame.push_back(static_cast<std::uint8_t>(id));
+    frame.push_back(0);  // f32
+    put_varint(frame, 1);
+    put_varint(frame, extent);
+    for (int i = 0; i < 9; ++i) frame.push_back(0xff);
+    const std::uint32_t crc = crc32(frame.data(), frame.size());
+    if ((crc & 0xffu) != 0x01u) continue;
+    put_u32(frame, crc);
+    return {frame.begin(), frame.end()};
+  }
+}
+
+TEST(UntrustedBackends, PayloadSizeRunningIntoTheCrcIsCorruptOnEveryBackend) {
+  // Regression: open_container checked `pos + payload_size + 4 != size`,
+  // which wraps: this frame opened with payload_size = 2^64 - 1 and the sz
+  // decoder then read past the buffer inside lz_decompress.
+  const auto pinned = read_corpus_file("container/forged_payload_size.frame");
+  EXPECT_EQ(pinned, forged_payload_size_frame(CompressorId::kSz));
+  ASSERT_EQ(pinned.size(), 23u);
+  for (std::uint8_t tag = 1; tag <= static_cast<std::uint8_t>(CompressorId::kFpc); ++tag) {
+    const auto id = static_cast<CompressorId>(tag);
+    const auto frame = forged_payload_size_frame(id);
+    EXPECT_THROW((void)open_container(frame.data(), frame.size()), CorruptStream);
+    for (const std::string& name : pressio::registry().names()) {
+      NdArray out;
+      const Status status =
+          pressio::registry().create(name)->decompress_into(frame.data(), frame.size(), out);
+      EXPECT_EQ(status.code(), StatusCode::kCorruptStream)
+          << name << " on a forged " << archive::backend_name(id)
+          << " frame: " << status.to_string();
+    }
+  }
+}
+
+TEST(UntrustedBackends, ContainerCorpusReplaysThroughItsBackend) {
+  // The fuzz_container seeds: one valid frame per backend decodes through
+  // the backend its container id names, and every truncation is rejected.
+  const fs::path dir = fs::path(FRAZ_TEST_CORPUS_DIR) / "container";
+  std::size_t valid = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string rel = "container/" + entry.path().filename().string();
+    const auto frame = read_corpus_file(rel);
+    if (rel == "container/forged_payload_size.frame") continue;  // pinned above
+    const Container c = open_container(frame.data(), frame.size());
+    const auto backend = pressio::registry().create(archive::backend_name(c.id));
+    NdArray out;
+    EXPECT_TRUE(backend->decompress_into(frame.data(), frame.size(), out).ok()) << rel;
+    EXPECT_EQ(out.shape(), c.shape) << rel;
+    for (std::size_t len = 0; len < frame.size(); ++len)
+      EXPECT_FALSE(backend->decompress_into(frame.data(), len, out).ok())
+          << rel << " truncated to " << len;
+    ++valid;
+  }
+  EXPECT_EQ(valid, pressio::registry().names().size());
+}
+
 }  // namespace
