@@ -39,8 +39,8 @@ void put_f64(Buffer& out, double value) {
   put_u64(out, bits);
 }
 
-void ByteReader::fail(const char* detail) const {
-  throw CorruptStream(std::string(what_) + ": " + detail);
+void ByteReader::throw_corrupt(const char* what, const char* detail) {
+  throw CorruptStream(std::string(what) + ": " + detail);
 }
 
 }  // namespace fraz

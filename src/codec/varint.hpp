@@ -41,7 +41,7 @@ public:
   std::size_t remaining() const noexcept { return size_ - pos_; }
 
   /// Throw CorruptStream("<what>: <detail>").
-  [[noreturn]] void fail(const char* detail) const;
+  [[noreturn]] void fail(const char* detail) const { throw_corrupt(what_, detail); }
 
   /// Consume \p n bytes and return a pointer to the first.
   const std::uint8_t* take(std::uint64_t n, const char* detail = "truncated stream") {
@@ -105,6 +105,10 @@ public:
   }
 
 private:
+  // Static and out of line: the reader's address never escapes, so its
+  // position stays in a register inside the decoders' loops.
+  [[noreturn]] static void throw_corrupt(const char* what, const char* detail);
+
   static std::uint64_t little_endian(const std::uint8_t* p, unsigned bytes) noexcept {
     std::uint64_t value = 0;
     for (unsigned i = 0; i < bytes; ++i) value |= static_cast<std::uint64_t>(p[i]) << (8 * i);
