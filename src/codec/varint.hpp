@@ -51,14 +51,12 @@ public:
     return p;
   }
 
-  /// Consume \p n bytes as a reader of their own.
-  ByteReader section(std::uint64_t n, const char* detail = "truncated section") {
-    const std::uint8_t* p = take(n, detail);
-    return {p, static_cast<std::size_t>(n), what_};
+  /// Consume a length-prefixed section (a varint byte count, then the
+  /// bytes) as a reader of its own.
+  ByteReader section() {
+    const std::uint64_t n = varint();
+    return {take(n, "truncated section"), static_cast<std::size_t>(n), what_};
   }
-
-  /// Consume a length-prefixed section: a varint byte count, then the bytes.
-  ByteReader section() { return section(varint()); }
 
   /// Split off the last \p n bytes (a trailer such as a CRC) as a reader of
   /// their own; this reader then ends where the trailer starts.
@@ -92,7 +90,7 @@ public:
     return value;
   }
 
-  /// Unsigned LEB128; truncation and encodings past 64 bits throw.
+  /// Unsigned LEB128; truncation and encodings longer than ten bytes throw.
   std::uint64_t varint() {
     std::uint64_t value = 0;
     for (unsigned shift = 0;; shift += 7) {
