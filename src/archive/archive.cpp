@@ -5,8 +5,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <future>
-#include <thread>
 #include <utility>
 
 #include "archive/archive_file.hpp"
@@ -19,12 +19,6 @@
 namespace fraz::archive {
 
 namespace {
-
-unsigned resolve_workers(unsigned requested, std::size_t tasks) {
-  unsigned w = requested == 0 ? std::thread::hardware_concurrency() : requested;
-  if (w == 0) w = 1;
-  return static_cast<unsigned>(std::min<std::size_t>(w, tasks));
-}
 
 /// Zero-copy source over bytes already in memory (not owned).
 class MemorySource final : public detail::ChunkSource {
@@ -60,7 +54,7 @@ Shape shape_of_chunk(const FieldInfo& field, std::size_t i) {
 /// validating only the chunks that cover the range.  \p threads > 1 decodes
 /// the touched chunks in parallel, one Engine per worker, each writing its
 /// disjoint plane window of \p out; \p serial_engine serves the
-/// single-threaded path.  Throws on the first failing chunk.
+/// single-threaded path.  Throws the failure of the lowest failing chunk.
 void read_planes(const detail::ChunkSource& source, const FieldInfo& field,
                  std::size_t chunk_region, Engine& serial_engine, Buffer& serial_scratch,
                  std::size_t first, std::size_t count, unsigned threads, NdArray& out) {
@@ -84,7 +78,7 @@ void read_planes(const detail::ChunkSource& source, const FieldInfo& field,
                 (hi - lo) * plane_bytes);
   };
 
-  const unsigned workers = resolve_workers(threads, touched);
+  const unsigned workers = detail::resolve_workers(threads, touched);
   if (threads == 1 || workers <= 1) {
     for (std::size_t c = first_chunk; c <= last_chunk; ++c)
       emplace(serial_engine, serial_scratch, c);
@@ -92,25 +86,22 @@ void read_planes(const detail::ChunkSource& source, const FieldInfo& field,
   }
 
   // Parallel decode: touched chunks write disjoint plane windows of `out`,
-  // so the only coordination needed is the shared chunk counter.
-  std::vector<Status> statuses(touched);
+  // so the only coordination needed is the shared chunk counter.  Workers
+  // meet failing chunks in any order; each chunk keeps its own failure so
+  // the lowest one is reported, as the serial path would.
+  std::vector<std::exception_ptr> failures(touched);
   std::atomic<std::size_t> next{0};
   auto drain = [&] {
     EngineConfig config;
     config.compressor = field.compressor;
-    auto created = Engine::create(std::move(config));
-    std::size_t t;
-    if (!created.ok()) {
-      while ((t = next.fetch_add(1)) < touched) statuses[t] = created.status();
-      return;
-    }
-    Engine engine = std::move(created).value();
+    Engine engine(std::move(config));
     Buffer scratch;
+    std::size_t t;
     while ((t = next.fetch_add(1)) < touched) {
       try {
         emplace(engine, scratch, first_chunk + t);
       } catch (...) {
-        statuses[t] = status_from_current_exception();
+        failures[t] = std::current_exception();
       }
     }
   };
@@ -121,8 +112,8 @@ void read_planes(const detail::ChunkSource& source, const FieldInfo& field,
     for (unsigned w = 0; w < workers; ++w) done.push_back(pool.submit(drain));
     for (auto& f : done) f.get();
   }
-  for (const Status& s : statuses)
-    if (!s.ok()) throw_status(s);
+  for (const std::exception_ptr& failure : failures)
+    if (failure) std::rethrow_exception(failure);
 }
 
 }  // namespace
@@ -157,18 +148,22 @@ NdArray decode_chunk(Engine& engine, const ChunkSource& source, const FieldInfo&
 
 // ------------------------------------------------------------ field session
 
+std::shared_ptr<detail::ArchiveAssembler> FieldSession::live_assembler() const {
+  std::shared_ptr<detail::ArchiveAssembler> assembler = assembler_.lock();
+  if (!assembler) throw InvalidArgument("archive: field session is closed");
+  return assembler;
+}
+
 Status FieldSession::push(const ArrayView& slab) noexcept {
-  const std::shared_ptr<detail::ArchiveAssembler> assembler = assembler_.lock();
-  if (!assembler) return Status::invalid_argument("archive: field session is closed");
-  return assembler->push(slab);
+  return guarded([&] { live_assembler()->push(slab); });
 }
 
 Result<FieldWriteReport> FieldSession::close() noexcept {
-  const std::shared_ptr<detail::ArchiveAssembler> assembler = assembler_.lock();
-  if (!assembler) return Status::invalid_argument("archive: field session is closed");
-  Result<FieldWriteReport> report = assembler->close_field();
-  if (report.ok()) assembler_.reset();
-  return report;
+  return guarded([&] {
+    FieldWriteReport report = live_assembler()->close_field();
+    assembler_.reset();
+    return report;
+  });
 }
 
 // ------------------------------------------------------------------- writer
@@ -199,10 +194,11 @@ struct ArchiveWriter::Build {
   }
 
   /// Flush and close a path build's file; on failure remove it (its footer
-  /// chain would fail open() anyway, and a campaign retries by path).
-  Status close_file() noexcept {
+  /// chain would fail open() anyway, and a campaign retries by path) and
+  /// throw IoError.
+  void close_file() {
     assembler.reset();
-    if (!file) return Status();
+    if (!file) return;
     std::FILE* handle = std::exchange(file, nullptr);
     // Capture each failing call's errno immediately: a succeeding fclose
     // after a failed fflush would otherwise clobber the detail worth
@@ -211,10 +207,10 @@ struct ArchiveWriter::Build {
     const int flush_errno = flushed ? 0 : errno;
     const bool closed = std::fclose(handle) == 0;
     const int close_errno = closed ? 0 : errno;
-    if (flushed && closed) return Status();
+    if (flushed && closed) return;
     std::remove(path.c_str());
-    return Status::io_error("archive: cannot finish '" + path + "': " +
-                            errno_detail(flushed ? close_errno : flush_errno));
+    throw IoError("archive: cannot finish '" + path + "': " +
+                  errno_detail(flushed ? close_errno : flush_errno));
   }
 };
 
@@ -243,78 +239,68 @@ ArchiveWriter& ArchiveWriter::operator=(ArchiveWriter&& other) noexcept {
 ArchiveWriter::~ArchiveWriter() { cancel(); }
 
 Result<ArchiveWriter> ArchiveWriter::create(ArchiveWriteConfig config) noexcept {
-  try {
-    return ArchiveWriter(std::move(config));
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  return guarded([&] { return ArchiveWriter(std::move(config)); });
 }
 
-Status ArchiveWriter::start(std::unique_ptr<Build> build) noexcept {
-  try {
-    build->assembler =
-        std::make_shared<detail::ArchiveAssembler>(config_, *state_, *build->sink);
-    build_ = std::move(build);
-    return Status();
-  } catch (...) {
-    return status_from_current_exception();
-  }
+std::unique_ptr<ArchiveWriter::Build> ArchiveWriter::new_build() const {
+  if (build_)
+    throw InvalidArgument(
+        "archive: a build is already in progress; finish() or cancel() first");
+  return std::make_unique<Build>();
+}
+
+void ArchiveWriter::start(std::unique_ptr<Build> build) {
+  build->assembler =
+      std::make_shared<detail::ArchiveAssembler>(config_, *state_, *build->sink);
+  build_ = std::move(build);
+}
+
+detail::ArchiveAssembler& ArchiveWriter::active_assembler() {
+  if (!build_) throw InvalidArgument("archive: no build in progress; call begin() first");
+  return *build_->assembler;
 }
 
 Status ArchiveWriter::begin(Buffer& out) noexcept {
-  try {
-    if (build_)
-      return Status::invalid_argument(
-          "archive: a build is already in progress; finish() or cancel() first");
-    auto build = std::make_unique<Build>();
+  return guarded([&] {
+    std::unique_ptr<Build> build = new_build();
     build->sink = std::make_unique<detail::BufferSink>(out);
     out.clear();
-    return start(std::move(build));
-  } catch (...) {
-    return status_from_current_exception();
-  }
+    start(std::move(build));
+  });
 }
 
 Status ArchiveWriter::begin(const std::string& path) noexcept {
-  try {
-    if (build_)
-      return Status::invalid_argument(
-          "archive: a build is already in progress; finish() or cancel() first");
-    auto build = std::make_unique<Build>();
+  return guarded([&] {
+    std::unique_ptr<Build> build = new_build();
     build->path = path;
     build->file = std::fopen(path.c_str(), "wb");
     if (!build->file) {
       const int open_errno = errno;
-      return Status::io_error("archive: cannot open '" + path + "': " +
-                              errno_detail(open_errno));
+      throw IoError("archive: cannot open '" + path + "': " + errno_detail(open_errno));
     }
     build->sink = std::make_unique<detail::FileSink>(build->file);
-    return start(std::move(build));
-  } catch (...) {
-    return status_from_current_exception();
-  }
+    start(std::move(build));
+  });
 }
 
 Result<FieldSession> ArchiveWriter::open_field(const std::string& name,
                                                const FieldDesc& desc) noexcept {
-  if (!build_)
-    return Status::invalid_argument("archive: no build in progress; call begin() first");
-  const Status s = build_->assembler->open_field(name, desc);
-  if (!s.ok()) return s;
-  return FieldSession(std::weak_ptr<detail::ArchiveAssembler>(build_->assembler));
+  return guarded([&] {
+    active_assembler().open_field(name, desc);
+    return FieldSession(std::weak_ptr<detail::ArchiveAssembler>(build_->assembler));
+  });
 }
 
 Result<ArchiveWriteResult> ArchiveWriter::finish() noexcept {
-  if (!build_)
-    return Status::invalid_argument("archive: no build in progress; call begin() first");
-  Result<ArchiveWriteResult> result = build_->assembler->finish();
-  // Assembler-level failure (field still open, sticky pipeline error): keep
-  // the build so the caller can close the field and retry, or cancel().
-  if (!result.ok()) return result;
-  const Status closed = build_->close_file();
-  build_.reset();
-  if (!closed.ok()) return closed;
-  return result;
+  return guarded([&] {
+    // An assembler failure (field still open, sticky pipeline error) throws
+    // here and keeps the build, so the caller can close the field and retry,
+    // or cancel().
+    ArchiveWriteResult result = active_assembler().finish();
+    const std::unique_ptr<Build> build = std::move(build_);
+    build->close_file();
+    return result;
+  });
 }
 
 void ArchiveWriter::cancel() noexcept { build_.reset(); }
@@ -367,51 +353,36 @@ ArchiveReader::~ArchiveReader() = default;
 
 Result<ArchiveReader> ArchiveReader::open(const std::uint8_t* data,
                                           std::size_t size) noexcept {
-  try {
-    return open_source(std::make_unique<MemorySource>(data, size));
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  return guarded([&] { return open_source(std::make_unique<MemorySource>(data, size)); });
 }
 
 Result<ArchiveReader> ArchiveReader::open(const std::string& path,
                                           FileReadMode mode) noexcept {
-  try {
-    return open_source(detail::open_file_source(path, mode));
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  return guarded([&] { return open_source(detail::open_file_source(path, mode)); });
 }
 
-Result<ArchiveReader> ArchiveReader::open_source(
-    std::unique_ptr<detail::ChunkSource> source) noexcept {
-  try {
-    // Validate only the trust anchors up front: footer, then manifest.
-    const std::size_t size = source->size();
-    const std::size_t tail_size = std::min(size, kFooterBytes);
-    Buffer scratch;
-    const std::uint8_t* tail = source->fetch(size - tail_size, tail_size, scratch);
-    const Footer footer = parse_footer(tail, tail_size, size);
-    Buffer manifest_scratch;
-    const std::uint8_t* manifest =
-        source->fetch(footer.manifest_offset, footer.manifest_size, manifest_scratch);
-    ArchiveInfo info = parse_manifest(manifest, footer.manifest_size, footer);
+ArchiveReader ArchiveReader::open_source(std::unique_ptr<detail::ChunkSource> source) {
+  // Validate only the trust anchors up front: footer, then manifest.
+  const std::size_t size = source->size();
+  const std::size_t tail_size = std::min(size, kFooterBytes);
+  Buffer scratch;
+  const std::uint8_t* tail = source->fetch(size - tail_size, tail_size, scratch);
+  const Footer footer = parse_footer(tail, tail_size, size);
+  Buffer manifest_scratch;
+  const std::uint8_t* manifest =
+      source->fetch(footer.manifest_offset, footer.manifest_size, manifest_scratch);
+  ArchiveInfo info = parse_manifest(manifest, footer.manifest_size, footer);
 
-    // One serial-path Engine per field, created eagerly so an archive whose
-    // backend is not registered fails open(), not the first read.
-    std::vector<Engine> engines;
-    engines.reserve(info.fields.size());
-    for (const FieldInfo& field : info.fields) {
-      EngineConfig engine_config;
-      engine_config.compressor = field.compressor;
-      auto engine = Engine::create(std::move(engine_config));
-      if (!engine.ok()) return engine.status();
-      engines.push_back(std::move(engine).value());
-    }
-    return ArchiveReader(std::move(source), std::move(info), std::move(engines));
-  } catch (...) {
-    return status_from_current_exception();
+  // One serial-path Engine per field, created eagerly so an archive whose
+  // backend is not registered fails open(), not the first read.
+  std::vector<Engine> engines;
+  engines.reserve(info.fields.size());
+  for (const FieldInfo& field : info.fields) {
+    EngineConfig engine_config;
+    engine_config.compressor = field.compressor;
+    engines.emplace_back(std::move(engine_config));
   }
+  return ArchiveReader(std::move(source), std::move(info), std::move(engines));
 }
 
 std::size_t ArchiveReader::field_index(const std::string& name) const {
@@ -426,34 +397,30 @@ Shape ArchiveReader::chunk_shape(const std::string& field, std::size_t i) const 
 
 Result<NdArray> ArchiveReader::read_chunk(const std::string& field,
                                           std::size_t i) noexcept {
-  try {
+  return guarded([&] {
     const std::size_t f = field_index(field);
     if (i >= info_.fields[f].chunk_count)
-      return Status::invalid_argument("archive: chunk index out of range");
+      throw InvalidArgument("archive: chunk index out of range");
     return detail::decode_chunk(engines_[f], *source_, info_.fields[f],
                                 info_.chunk_region, i, scratch_);
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 Result<NdArray> ArchiveReader::read_range(const std::string& field, std::size_t first,
                                           std::size_t count, unsigned threads) noexcept {
-  try {
+  return guarded([&] {
     const std::size_t f = field_index(field);
     const FieldInfo& info = info_.fields[f];
     const std::size_t n0 = info.shape[0];
     if (count == 0 || first >= n0 || count > n0 - first)
-      return Status::invalid_argument("archive: plane range out of bounds");
+      throw InvalidArgument("archive: plane range out of bounds");
     Shape out_shape = info.shape;
     out_shape[0] = count;
     NdArray out(info.dtype, std::move(out_shape));
     read_planes(*source_, info, info_.chunk_region, engines_[f], scratch_, first, count,
                 threads, out);
     return out;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 Result<NdArray> ArchiveReader::read_all(const std::string& field,

@@ -257,6 +257,8 @@ private:
   friend class ArchiveWriter;
   explicit FieldSession(std::weak_ptr<detail::ArchiveAssembler> assembler) noexcept
       : assembler_(std::move(assembler)) {}
+  /// The build's assembler; throws InvalidArgument once the session closed.
+  std::shared_ptr<detail::ArchiveAssembler> live_assembler() const;
 
   std::weak_ptr<detail::ArchiveAssembler> assembler_;
 };
@@ -314,7 +316,9 @@ public:
 
   /// Abandon an in-progress build: a Buffer is left holding a partial,
   /// unreadable archive; a path build's file is closed and removed.  No-op
-  /// when no build is active.
+  /// when no build is active.  A failed tune, chunk compression or write
+  /// poisons the build: the call that reports it and every later push,
+  /// close and finish return that same Status until cancel().
   void cancel() noexcept;
 
   /// The writer's persistent per-(field, chunk) warm-bound store — the state
@@ -324,7 +328,12 @@ public:
 private:
   struct Build;
 
-  Status start(std::unique_ptr<Build> build) noexcept;
+  /// A fresh Build; throws while one is active.
+  std::unique_ptr<Build> new_build() const;
+  /// Make \p build (its sink set) the active build.
+  void start(std::unique_ptr<Build> build);
+  /// The active build's assembler; throws when there is none.
+  detail::ArchiveAssembler& active_assembler();
   Result<ArchiveWriteResult> write_single(const ArrayView& data) noexcept;
 
   ArchiveWriteConfig config_;
@@ -396,8 +405,7 @@ private:
   ArchiveReader(std::unique_ptr<detail::ChunkSource> source, ArchiveInfo info,
                 std::vector<Engine> engines) noexcept;
 
-  static Result<ArchiveReader> open_source(
-      std::unique_ptr<detail::ChunkSource> source) noexcept;
+  static ArchiveReader open_source(std::unique_ptr<detail::ChunkSource> source);
   std::size_t field_index(const std::string& name) const;
 
   std::unique_ptr<detail::ChunkSource> source_;  ///< memory, mmap or positioned reads

@@ -46,17 +46,16 @@ std::int64_t size_of(std::FILE* file) {
 
 }  // namespace
 
-Status FileSink::append(const std::uint8_t* data, std::size_t size) noexcept {
+void FileSink::append(const std::uint8_t* data, std::size_t size) {
   if (size != 0 && std::fwrite(data, 1, size, file_) != size) {
     // Capture errno at the failing fwrite — before any other call can
-    // clobber it — so the Status carries the real OS detail (ENOSPC, EIO,
+    // clobber it — so the error carries the real OS detail (ENOSPC, EIO,
     // EBADF, ...), not a stale or reset value.
     const int write_errno = errno;
-    return Status::io_error("archive: write failed after " + std::to_string(written_) +
-                            " bytes: " + errno_detail(write_errno));
+    throw IoError("archive: write failed after " + std::to_string(written_) +
+                  " bytes: " + errno_detail(write_errno));
   }
   written_ += size;
-  return Status();
 }
 
 /// Positioned-read source over an archive file: an mmap'd view where the

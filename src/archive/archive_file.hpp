@@ -14,7 +14,6 @@
 
 #include "archive/archive.hpp"
 #include "archive/pipeline.hpp"
-#include "util/status.hpp"
 
 namespace fraz::archive {
 
@@ -25,14 +24,14 @@ using ArchiveFileReader = ArchiveReader;
 
 namespace detail {
 
-/// Append-only sink over a FILE* (not owned).  Failures capture errno at
-/// the failing fwrite, so the returned Status carries the OS error detail
-/// instead of whatever a later library call left behind.
+/// Append-only sink over a FILE* (not owned).  A failed fwrite throws
+/// IoError carrying the errno captured at that call, not whatever a later
+/// library call left behind.
 class FileSink final : public ByteSink {
 public:
   explicit FileSink(std::FILE* file) noexcept : file_(file) {}
 
-  Status append(const std::uint8_t* data, std::size_t size) noexcept override;
+  void append(const std::uint8_t* data, std::size_t size) override;
 
   std::size_t bytes_written() const noexcept override { return written_; }
 

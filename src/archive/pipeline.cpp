@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <optional>
+#include <thread>
 
 #include "codec/checksum.hpp"
 #include "core/loss.hpp"
@@ -17,6 +19,12 @@
 #include "util/timer.hpp"
 
 namespace fraz::archive::detail {
+
+unsigned resolve_workers(unsigned requested, std::size_t tasks) {
+  unsigned w = requested == 0 ? std::thread::hardware_concurrency() : requested;
+  if (w == 0) w = 1;
+  return static_cast<unsigned>(std::min<std::size_t>(w, tasks));
+}
 
 namespace {
 
@@ -75,10 +83,16 @@ std::size_t auto_chunk_extent(std::size_t n0, std::size_t plane_bytes) {
   return std::min(std::max<std::size_t>(extent, 1), n0);
 }
 
-unsigned resolve_workers(unsigned requested, std::size_t tasks) {
-  unsigned w = requested == 0 ? std::thread::hardware_concurrency() : requested;
-  if (w == 0) w = 1;
-  return static_cast<unsigned>(std::min<std::size_t>(w, tasks));
+/// Run \p step and return what it threw, or null: the write core's one
+/// catch, shared by the chunk runners and the assembler's poisoning steps.
+template <typename Fn>
+std::exception_ptr failure_of(Fn&& step) noexcept {
+  try {
+    step();
+    return nullptr;
+  } catch (...) {
+    return std::current_exception();
+  }
 }
 
 /// Deterministic estimate of the non-chunk archive bytes one chunk is
@@ -95,52 +109,46 @@ double per_chunk_overhead(const Shape& shape, std::size_t chunk_count) {
 /// in fixed-rate mode, where the output size is a near-linear function of
 /// the rate and any ratio is expressible.  Deterministic secant iteration on
 /// the rate; keeps whichever archive (accuracy or best rate) lands closest
-/// to the chunk's target bytes.  On success with a closer rate-mode archive,
-/// \p out is replaced and \p fell_back set.
-Status zfp_rate_rescue(pressio::Compressor& rate_backend, const ArrayView& slice,
-                       double target_ratio, double epsilon, double overhead_bytes,
-                       Buffer& out, bool& fell_back) noexcept {
-  try {
-    const double raw = static_cast<double>(slice.size_bytes());
-    const double target = std::max(raw / target_ratio - overhead_bytes, 24.0);
-    const double elements = static_cast<double>(slice.elements());
-    const double max_rate = static_cast<double>(dtype_size(slice.dtype())) * 8.0;
-    const double min_rate = 1.0 / 16.0;
-    double best_diff = std::abs(static_cast<double>(out.size()) - target);
-    Buffer trial, best;
-    bool improved = false;
-    double rate = std::clamp((target - 40.0) * 8.0 / elements, min_rate, max_rate);
-    double prev_rate = 0, prev_size = 0;
-    for (int iter = 0; iter < 6; ++iter) {
-      rate_backend.set_options(
-          pressio::Options{{"zfp:mode", std::string("rate")}, {"zfp:rate", rate}});
-      const Status s = rate_backend.compress_into(slice, trial);
-      if (!s.ok()) return s;
-      const double size = static_cast<double>(trial.size());
-      const double diff = std::abs(size - target);
-      if (diff < best_diff) {
-        best_diff = diff;
-        best.swap(trial);
-        improved = true;
-      }
-      if (ratio_acceptable(raw / (size + overhead_bytes), target_ratio, epsilon)) break;
-      double next;
-      if (prev_size > 0 && size != prev_size)
-        next = rate + (target - size) * (rate - prev_rate) / (size - prev_size);
-      else
-        next = rate * (target / std::max(size, 1.0));
-      prev_rate = rate;
-      prev_size = size;
-      rate = std::clamp(next, min_rate, max_rate);
-      if (rate == prev_rate) break;
+/// to the chunk's target bytes.  With a closer rate-mode archive, \p out is
+/// replaced and \p fell_back set.
+void zfp_rate_rescue(pressio::Compressor& rate_backend, const ArrayView& slice,
+                     double target_ratio, double epsilon, double overhead_bytes,
+                     Buffer& out, bool& fell_back) {
+  const double raw = static_cast<double>(slice.size_bytes());
+  const double target = std::max(raw / target_ratio - overhead_bytes, 24.0);
+  const double elements = static_cast<double>(slice.elements());
+  const double max_rate = static_cast<double>(dtype_size(slice.dtype())) * 8.0;
+  const double min_rate = 1.0 / 16.0;
+  double best_diff = std::abs(static_cast<double>(out.size()) - target);
+  Buffer trial, best;
+  bool improved = false;
+  double rate = std::clamp((target - 40.0) * 8.0 / elements, min_rate, max_rate);
+  double prev_rate = 0, prev_size = 0;
+  for (int iter = 0; iter < 6; ++iter) {
+    rate_backend.set_options(
+        pressio::Options{{"zfp:mode", std::string("rate")}, {"zfp:rate", rate}});
+    rate_backend.compress_into(slice, trial).throw_if_error();
+    const double size = static_cast<double>(trial.size());
+    const double diff = std::abs(size - target);
+    if (diff < best_diff) {
+      best_diff = diff;
+      best.swap(trial);
+      improved = true;
     }
-    if (improved) {
-      out.swap(best);
-      fell_back = true;
-    }
-    return Status();
-  } catch (...) {
-    return status_from_current_exception();
+    if (ratio_acceptable(raw / (size + overhead_bytes), target_ratio, epsilon)) break;
+    double next;
+    if (prev_size > 0 && size != prev_size)
+      next = rate + (target - size) * (rate - prev_rate) / (size - prev_size);
+    else
+      next = rate * (target / std::max(size, 1.0));
+    prev_rate = rate;
+    prev_size = size;
+    rate = std::clamp(next, min_rate, max_rate);
+    if (rate == prev_rate) break;
+  }
+  if (improved) {
+    out.swap(best);
+    fell_back = true;
   }
 }
 
@@ -208,7 +216,7 @@ public:
   /// backlog instead of compressing and emitting it, then wait them out.
   ~ChunkPipeline() {
     UniqueLock lock(mutex_);
-    fail_locked(Status::internal("archive: build abandoned"));
+    fail_locked(std::make_exception_ptr(Error("archive: build abandoned")));
     while (runners_ > 0) idle_cv_.wait(lock);
   }
 
@@ -216,50 +224,42 @@ public:
   ChunkPipeline& operator=(const ChunkPipeline&) = delete;
 
   /// Take ownership of the next chunk row.  Blocks while the window is full
-  /// — this back-pressure is the writer's input-memory bound.
-  Status submit(NdArray row) noexcept {
-    try {
-      UniqueLock lock(mutex_);
-      while (!failed_ && live_chunks_ >= window_) space_cv_.wait(lock);
-      if (failed_) return failure_;
-      if (submit_next_ >= chunk_count_)
-        return Status::internal("archive: more chunk rows than the field declared");
-      if (runners_ < workers_) {
-        // Counted only once queued: a runner cannot reach the lock (and
-        // find the queue) before this submit releases it.
-        pool_.submit([this] { run(); });
-        ++runners_;
-      }
-      ++live_chunks_;
-      outcome_.peak_buffered_chunks = std::max(outcome_.peak_buffered_chunks, live_chunks_);
-      staged_bytes_ += row.size_bytes();
-      outcome_.peak_staged_bytes = std::max(outcome_.peak_staged_bytes, staged_bytes_);
-      staged_bytes_gauge().add(static_cast<std::int64_t>(row.size_bytes()));
-      queue_.emplace_back(submit_next_++, std::move(row));
-      return Status();
-    } catch (...) {
-      return status_from_current_exception();
+  /// — this back-pressure is the writer's input-memory bound.  Rethrows the
+  /// pipeline's failure.
+  void submit(NdArray row) {
+    UniqueLock lock(mutex_);
+    while (!failed_ && live_chunks_ >= window_) space_cv_.wait(lock);
+    if (failed_) std::rethrow_exception(failed_);
+    if (submit_next_ >= chunk_count_)
+      throw Error("archive: more chunk rows than the field declared");
+    if (runners_ < workers_) {
+      // Counted only once queued: a runner cannot reach the lock (and find
+      // the queue) before this submit releases it.
+      pool_.submit([this] { run(); });
+      ++runners_;
     }
+    ++live_chunks_;
+    outcome_.peak_buffered_chunks = std::max(outcome_.peak_buffered_chunks, live_chunks_);
+    staged_bytes_ += row.size_bytes();
+    outcome_.peak_staged_bytes = std::max(outcome_.peak_staged_bytes, staged_bytes_);
+    staged_bytes_gauge().add(static_cast<std::int64_t>(row.size_bytes()));
+    queue_.emplace_back(submit_next_++, std::move(row));
   }
 
-  /// Wait for the runners and return the field's chunk reports.
-  Result<PipelineOutcome> finish() noexcept {
-    try {
-      UniqueLock lock(mutex_);
-      while (runners_ > 0) idle_cv_.wait(lock);
-      if (failed_) return failure_;
-      if (write_head_ != chunk_count_)
-        return Status::internal(
-            "archive: chunk pipeline closed before every chunk was emitted");
-      for (const Lane& lane : idle_lanes_) {
-        outcome_.tuner_probe_calls += lane.engine.stats().tuner_probe_calls;
-        outcome_.probe_cache_hits += lane.engine.stats().probe_cache_hits;
-      }
-      outcome_.region_bytes = emitted_bytes_;
-      return std::move(outcome_);
-    } catch (...) {
-      return status_from_current_exception();
+  /// Wait for the runners and return the field's chunk reports; rethrows
+  /// the pipeline's failure.
+  PipelineOutcome finish() {
+    UniqueLock lock(mutex_);
+    while (runners_ > 0) idle_cv_.wait(lock);
+    if (failed_) std::rethrow_exception(failed_);
+    if (write_head_ != chunk_count_)
+      throw Error("archive: chunk pipeline closed before every chunk was emitted");
+    for (const Lane& lane : idle_lanes_) {
+      outcome_.tuner_probe_calls += lane.engine.stats().tuner_probe_calls;
+      outcome_.probe_cache_hits += lane.engine.stats().probe_cache_hits;
     }
+    outcome_.region_bytes = emitted_bytes_;
+    return std::move(outcome_);
   }
 
 private:
@@ -270,11 +270,8 @@ private:
     pressio::CompressorPtr rate_backend;  ///< lazy zfp rescue (not thread-safe)
   };
 
-  void fail_locked(Status status) FRAZ_REQUIRES(mutex_) {
-    if (!failed_) {
-      failed_ = true;
-      failure_ = std::move(status);
-    }
+  void fail_locked(std::exception_ptr failure) FRAZ_REQUIRES(mutex_) {
+    if (!failed_) failed_ = std::move(failure);
     for (const auto& queued : queue_) {
       staged_bytes_ -= queued.second.size_bytes();
       staged_bytes_gauge().sub(static_cast<std::int64_t>(queued.second.size_bytes()));
@@ -300,27 +297,25 @@ private:
   }
 
   /// One runner task: compress queued rows until the queue is empty (or the
-  /// pipeline failed), then retire.
+  /// pipeline failed), then retire.  A failed compression poisons the
+  /// pipeline.
   void run() noexcept {
     std::optional<Lane> lane;  // taken with the first row
     std::size_t i = 0;
     NdArray row;
     while (next_row(lane, i, row)) {
       Slot slot;
-      Status status;
-      try {
+      std::exception_ptr failure = failure_of([&] {
         if (!lane) lane = take_lane();
-        status = compress_row(*lane, i, row.view(), slot);
-      } catch (...) {
-        status = status_from_current_exception();
-      }
+        compress_row(*lane, i, row.view(), slot);
+      });
       const std::size_t row_bytes = row.size_bytes();
       row = NdArray();  // release the raw input row before taking the lock
       LockGuard lock(mutex_);
       staged_bytes_ -= row_bytes;
       staged_bytes_gauge().sub(static_cast<std::int64_t>(row_bytes));
-      if (!status.ok())
-        fail_locked(std::move(status));
+      if (failure)
+        fail_locked(std::move(failure));
       else if (!failed_)
         emit_locked(i, std::move(slot));
     }
@@ -344,36 +339,30 @@ private:
   }
 
   /// Compress chunk \p i into \p slot, outside the lock.
-  Status compress_row(Lane& lane, std::size_t i, const ArrayView& slice, Slot& slot) {
+  void compress_row(Lane& lane, std::size_t i, const ArrayView& slice, Slot& slot) {
     Timer chunk_timer;
-    CompressOutcome chunk_outcome;
-    Status status;
     {
       TELEM_SPAN("pack.compress_us");
-      status = lane.engine.compress(chunk_field_key(field_name_, i), slice, slot.bytes,
-                                    &chunk_outcome);
-      if (status.ok() && try_rate_fallback_ && !chunk_outcome.in_band) {
+      lane.engine.compress(chunk_field_key(field_name_, i), slice, slot.bytes, &slot.outcome)
+          .throw_if_error();
+      if (try_rate_fallback_ && !slot.outcome.in_band) {
         // The rescue backend inherits the user's zfp options; the rate
         // search overrides only zfp:mode / zfp:rate per probe.
         if (!lane.rate_backend)
           lane.rate_backend =
               pressio::registry().create("zfp", config_.engine.compressor_options);
-        status = zfp_rate_rescue(*lane.rate_backend, slice,
-                                 config_.engine.tuner.target_ratio,
-                                 config_.engine.tuner.epsilon, overhead_, slot.bytes,
-                                 slot.rate_fallback);
+        zfp_rate_rescue(*lane.rate_backend, slice, config_.engine.tuner.target_ratio,
+                        config_.engine.tuner.epsilon, overhead_, slot.bytes,
+                        slot.rate_fallback);
       }
     }
-    if (!status.ok()) return status;
     // Checksum and ratio are per-payload and deterministic — computed here
     // so the lock covers only ordering and emission.
-    slot.outcome = chunk_outcome;
     slot.crc = crc32(slot.bytes.data(), slot.bytes.size());
     slot.ratio = slot.bytes.size() > 0 ? static_cast<double>(slice.size_bytes()) /
                                              static_cast<double>(slot.bytes.size())
                                        : 0;
     slot.seconds = chunk_timer.seconds();
-    return status;
   }
 
   /// Park chunk \p i's payload and drain every ready chunk at the write
@@ -407,13 +396,13 @@ private:
       if (report.warm) warm_chunks_counter().add();
       if (report.retrained) retrained_chunks_counter().add();
       if (report.rate_fallback) rate_fallback_counter().add();
-      Status sink_status;
+      std::exception_ptr failure;
       {
         TELEM_SPAN("pack.emit_us");
-        sink_status = sink_.append(head.bytes.data(), head_size);
+        failure = failure_of([&] { sink_.append(head.bytes.data(), head_size); });
       }
-      if (!sink_status.ok()) {
-        fail_locked(sink_status);
+      if (failure) {  // under the same lock: no runner emits past a failed append
+        fail_locked(std::move(failure));
         return;
       }
       emitted_bytes_ += head_size;
@@ -455,8 +444,8 @@ private:
   /// queued + in-compression raw row bytes
   std::size_t staged_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
   std::size_t emitted_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
-  bool failed_ FRAZ_GUARDED_BY(mutex_) = false;
-  Status failure_ FRAZ_GUARDED_BY(mutex_);
+  /// first compress or sink failure; poisons the pipeline
+  std::exception_ptr failed_ FRAZ_GUARDED_BY(mutex_);
 };
 
 // ---------------------------------------------------------------- assembler
@@ -486,310 +475,279 @@ ArchiveAssembler::ArchiveAssembler(const ArchiveWriteConfig& config,
 
 ArchiveAssembler::~ArchiveAssembler() = default;
 
-Status ArchiveAssembler::open_field(const std::string& name,
-                                    const FieldDesc& desc) noexcept {
-  try {
-    if (!failed_.ok()) return failed_;
-    if (finished_) return Status::invalid_argument("archive: build already finished");
-    if (open_)
-      return Status::invalid_argument("archive: field '" + open_->name +
-                                      "' is still open; close it first");
-    if (name.empty() || name.size() > 256)
-      return Status::invalid_argument("archive: field name must be 1..256 bytes");
-    if (manifest_fields_.size() >= kMaxFields)
-      return Status::invalid_argument("archive: at most " +
-                                      std::to_string(kMaxFields) +
-                                      " fields per archive");
-    for (const FieldInfo& field : manifest_fields_)
-      if (field.name == name)
-        return Status::invalid_argument("archive: duplicate field name '" + name + "'");
-    if (desc.shape.empty() || desc.shape.size() > 8)
-      return Status::invalid_argument("archive: field rank must be 1..8");
-    if (shape_elements(desc.shape) == 0)
-      return Status::invalid_argument("archive: cannot pack an empty array");
+template <typename Fn>
+void ArchiveAssembler::poisoning(Fn&& step) {
+  if (std::exception_ptr failure = failure_of(step)) {
+    failed_ = failure;
+    std::rethrow_exception(std::move(failure));
+  }
+}
 
-    auto field = std::make_unique<OpenField>();
-    field->name = name;
-    field->dtype = desc.dtype;
-    field->shape = desc.shape;
-    const std::size_t n0 = desc.shape[0];
-    field->plane_bytes =
-        (shape_elements(desc.shape) / n0) * dtype_size(desc.dtype);
-    const std::size_t requested =
-        desc.chunk_extent > 0 ? desc.chunk_extent : config_.chunk_extent;
-    field->extent = requested > 0 ? std::min(requested, n0)
-                                  : auto_chunk_extent(n0, field->plane_bytes);
-    field->chunk_count = (n0 + field->extent - 1) / field->extent;
-    field->stage_row_bytes = std::min(field->extent, n0) * field->plane_bytes;
+void ArchiveAssembler::rethrow_if_failed() const {
+  if (failed_) std::rethrow_exception(failed_);
+}
 
-    // A geometry change re-maps chunk indices onto different planes, so the
-    // per-chunk warm keys of the previous geometry are meaningless — drop
-    // them (the chunk-0 tune key survives: it tracks the field, not a chunk).
+void ArchiveAssembler::open_field(const std::string& name, const FieldDesc& desc) {
+  rethrow_if_failed();
+  if (finished_) throw InvalidArgument("archive: build already finished");
+  if (open_)
+    throw InvalidArgument("archive: field '" + open_->name +
+                          "' is still open; close it first");
+  if (name.empty() || name.size() > 256)
+    throw InvalidArgument("archive: field name must be 1..256 bytes");
+  if (manifest_fields_.size() >= kMaxFields)
+    throw InvalidArgument("archive: at most " + std::to_string(kMaxFields) +
+                          " fields per archive");
+  for (const FieldInfo& field : manifest_fields_)
+    if (field.name == name)
+      throw InvalidArgument("archive: duplicate field name '" + name + "'");
+  if (desc.shape.empty() || desc.shape.size() > 8)
+    throw InvalidArgument("archive: field rank must be 1..8");
+  if (shape_elements(desc.shape) == 0)
+    throw InvalidArgument("archive: cannot pack an empty array");
+
+  auto field = std::make_unique<OpenField>();
+  field->name = name;
+  field->dtype = desc.dtype;
+  field->shape = desc.shape;
+  const std::size_t n0 = desc.shape[0];
+  field->plane_bytes = (shape_elements(desc.shape) / n0) * dtype_size(desc.dtype);
+  const std::size_t requested =
+      desc.chunk_extent > 0 ? desc.chunk_extent : config_.chunk_extent;
+  field->extent = requested > 0 ? std::min(requested, n0)
+                                : auto_chunk_extent(n0, field->plane_bytes);
+  field->chunk_count = (n0 + field->extent - 1) / field->extent;
+  field->stage_row_bytes = std::min(field->extent, n0) * field->plane_bytes;
+
+  // A geometry change re-maps chunk indices onto different planes, so the
+  // per-chunk warm keys of the previous geometry are meaningless — drop them
+  // (the chunk-0 tune key survives: it tracks the field, not a chunk).
+  const double target = config_.engine.tuner.target_ratio;
+  WriterWarmState::FieldGeometry& geometry = state_.fields[name];
+  if (geometry.shape != desc.shape || geometry.extent != field->extent) {
+    for (std::size_t i = 0; i < geometry.chunk_count; ++i)
+      state_.bounds->erase(chunk_field_key(name, i), target);
+    geometry.shape = desc.shape;
+    geometry.extent = field->extent;
+    geometry.chunk_count = field->chunk_count;
+  }
+
+  Shape row_shape = desc.shape;
+  row_shape[0] = std::min(field->extent, n0);
+  field->stage = NdArray(desc.dtype, std::move(row_shape));
+  field->tune_stats_before = state_.tune_engine.stats();
+  if (!pool_)
+    pool_ = std::make_unique<ThreadPool>(resolve_workers(config_.threads, SIZE_MAX));
+  open_ = std::move(field);
+}
+
+void ArchiveAssembler::push(const ArrayView& slab) {
+  rethrow_if_failed();
+  if (!open_) throw InvalidArgument("archive: no field session is open");
+  OpenField& field = *open_;
+  if (slab.dtype() != field.dtype)
+    throw InvalidArgument("archive: slab dtype does not match field '" + field.name + "'");
+  if (slab.dims() != field.shape.size())
+    throw InvalidArgument("archive: slab rank does not match field '" + field.name + "'");
+  for (std::size_t d = 1; d < field.shape.size(); ++d)
+    if (slab.shape()[d] != field.shape[d])
+      throw InvalidArgument("archive: slab plane shape does not match field '" +
+                            field.name + "'");
+  const std::size_t planes = slab.shape()[0];
+  if (planes == 0) throw InvalidArgument("archive: slab must hold at least one plane");
+  if (field.pushed_planes + planes > field.shape[0])
+    throw InvalidArgument("archive: field '" + field.name + "' overflows its declared " +
+                          std::to_string(field.shape[0]) + " planes");
+
+  // Stage planes into the current chunk row; dispatch each row the moment it
+  // completes.  The slab is copied, so the caller's buffer is free for the
+  // next acquisition as soon as push returns.
+  const auto* src = static_cast<const std::uint8_t*>(slab.data());
+  std::size_t remaining = planes;
+  while (remaining > 0) {
+    const std::size_t room = field.stage.shape()[0] - field.staged_planes;
+    const std::size_t take = std::min(room, remaining);
+    {
+      // Only the staging copy — submit_stage (tuning + pipeline hand-off) is
+      // accounted by the compress/emit spans downstream.
+      TELEM_SPAN("pack.stage_us");
+      std::memcpy(static_cast<std::uint8_t*>(field.stage.data()) +
+                      field.staged_planes * field.plane_bytes,
+                  src, take * field.plane_bytes);
+    }
+    src += take * field.plane_bytes;
+    field.staged_planes += take;
+    field.pushed_planes += take;
+    remaining -= take;
+    if (field.staged_planes == field.stage.shape()[0]) poisoning([&] { submit_stage(); });
+  }
+}
+
+void ArchiveAssembler::submit_stage() {
+  OpenField& field = *open_;
+  if (!field.tuned) {
+    // Chunk 0 is complete: run the field's shared ratio training (or its
+    // warm confirmation) and seed every chunk key BEFORE any worker
+    // compresses.  Deterministic per-chunk snapshot: each key holds
+    // exactly the bound its compression will warm-start from — its own
+    // previous-build bound when one is stored (the time dimension of
+    // Algorithm 3), else the fresh chunk-0 bound.  Seeds depend only on
+    // (field, chunk index), so the bytes a chunk compresses to cannot
+    // depend on which worker handled it or on how many workers ran.  The
+    // training is a pool task so its probe batches fan out over the
+    // build's idle workers; the tuned bound is the same at any count.
+    const double shared_bound =
+        pool_->submit([&] {
+               return state_.tune_engine.tune(field_tune_key(field.name),
+                                              field.stage.view());
+             })
+            .get()
+            .value()
+            .error_bound;
     const double target = config_.engine.tuner.target_ratio;
-    WriterWarmState::FieldGeometry& geometry = state_.fields[name];
-    if (geometry.shape != desc.shape || geometry.extent != field->extent) {
-      for (std::size_t i = 0; i < geometry.chunk_count; ++i)
-        state_.bounds->erase(chunk_field_key(name, i), target);
-      geometry.shape = desc.shape;
-      geometry.extent = field->extent;
-      geometry.chunk_count = field->chunk_count;
+    for (std::size_t i = 0; i < field.chunk_count; ++i) {
+      const std::string key = chunk_field_key(field.name, i);
+      if (state_.bounds->get(key, target) <= 0)
+        state_.bounds->put(key, target, shared_bound);
     }
-
-    Shape row_shape = desc.shape;
-    row_shape[0] = std::min(field->extent, n0);
-    field->stage = NdArray(desc.dtype, std::move(row_shape));
-    field->tune_stats_before = state_.tune_engine.stats();
-    if (!pool_)
-      pool_ = std::make_unique<ThreadPool>(resolve_workers(config_.threads, SIZE_MAX));
-    open_ = std::move(field);
-    return Status();
-  } catch (...) {
-    return status_from_current_exception();
+    field.pipeline = std::make_unique<ChunkPipeline>(
+        config_, state_, field.name, field.shape, field.chunk_count,
+        chunk_bytes_emitted_, sink_, *pool_);
+    field.tuned = true;
   }
+
+  NdArray row = std::move(field.stage);
+  ++field.next_chunk;
+  field.staged_planes = 0;
+  if (field.next_chunk < field.chunk_count) {
+    Shape row_shape = field.shape;
+    row_shape[0] = std::min(field.extent,
+                            field.shape[0] - field.next_chunk * field.extent);
+    field.stage = NdArray(field.dtype, std::move(row_shape));
+  } else {
+    field.stage = NdArray();
+  }
+  field.pipeline->submit(std::move(row));
 }
 
-Status ArchiveAssembler::push(const ArrayView& slab) noexcept {
-  try {
-    if (!failed_.ok()) return failed_;
-    if (!open_) return Status::invalid_argument("archive: no field session is open");
-    OpenField& field = *open_;
-    if (slab.dtype() != field.dtype)
-      return Status::invalid_argument("archive: slab dtype does not match field '" +
-                                      field.name + "'");
-    if (slab.dims() != field.shape.size())
-      return Status::invalid_argument("archive: slab rank does not match field '" +
-                                      field.name + "'");
-    for (std::size_t d = 1; d < field.shape.size(); ++d)
-      if (slab.shape()[d] != field.shape[d])
-        return Status::invalid_argument(
-            "archive: slab plane shape does not match field '" + field.name + "'");
-    const std::size_t planes = slab.shape()[0];
-    if (planes == 0)
-      return Status::invalid_argument("archive: slab must hold at least one plane");
-    if (field.pushed_planes + planes > field.shape[0])
-      return Status::invalid_argument(
-          "archive: field '" + field.name + "' overflows its declared " +
-          std::to_string(field.shape[0]) + " planes");
+FieldWriteReport ArchiveAssembler::close_field() {
+  rethrow_if_failed();
+  if (!open_) throw InvalidArgument("archive: no field session is open");
+  OpenField& field = *open_;
+  if (field.pushed_planes != field.shape[0])
+    throw InvalidArgument("archive: field '" + field.name + "' is incomplete: " +
+                          std::to_string(field.pushed_planes) + " of " +
+                          std::to_string(field.shape[0]) + " planes pushed");
 
-    // Stage planes into the current chunk row; dispatch each row the moment
-    // it completes.  The slab is copied, so the caller's buffer is free for
-    // the next acquisition as soon as push returns.
-    const auto* src = static_cast<const std::uint8_t*>(slab.data());
-    std::size_t remaining = planes;
-    while (remaining > 0) {
-      const std::size_t room = field.stage.shape()[0] - field.staged_planes;
-      const std::size_t take = std::min(room, remaining);
-      {
-        // Only the staging copy — submit_stage (tuning + pipeline hand-off)
-        // is accounted by the compress/emit spans downstream.
-        TELEM_SPAN("pack.stage_us");
-        std::memcpy(static_cast<std::uint8_t*>(field.stage.data()) +
-                        field.staged_planes * field.plane_bytes,
-                    src, take * field.plane_bytes);
-      }
-      src += take * field.plane_bytes;
-      field.staged_planes += take;
-      field.pushed_planes += take;
-      remaining -= take;
-      if (field.staged_planes == field.stage.shape()[0]) {
-        const Status s = submit_stage();
-        if (!s.ok()) {
-          failed_ = s;
-          return s;
-        }
-      }
-    }
-    return Status();
-  } catch (...) {
-    return status_from_current_exception();
+  PipelineOutcome outcome;
+  poisoning([&] { outcome = field.pipeline->finish(); });
+
+  FieldInfo manifest_field;
+  manifest_field.name = field.name;
+  manifest_field.compressor = config_.engine.compressor;
+  manifest_field.dtype = field.dtype;
+  manifest_field.shape = field.shape;
+  manifest_field.chunk_extent = field.extent;
+  manifest_field.chunk_count = field.chunk_count;
+  manifest_field.target_ratio = config_.engine.tuner.target_ratio;
+  manifest_field.epsilon = config_.engine.tuner.epsilon;
+  manifest_field.raw_bytes = shape_elements(field.shape) * dtype_size(field.dtype);
+  manifest_field.payload_bytes = outcome.region_bytes;
+  manifest_field.payload_ratio = static_cast<double>(manifest_field.raw_bytes) /
+                                 static_cast<double>(manifest_field.payload_bytes);
+  manifest_field.chunks.reserve(outcome.chunks.size());
+  for (const ChunkReport& report : outcome.chunks)
+    manifest_field.chunks.push_back(report.entry);
+
+  FieldWriteReport report;
+  report.name = field.name;
+  report.dtype = field.dtype;
+  report.shape = field.shape;
+  report.chunk_extent = field.extent;
+  report.chunk_count = field.chunk_count;
+  report.raw_bytes = manifest_field.raw_bytes;
+  report.payload_bytes = manifest_field.payload_bytes;
+  report.payload_ratio = manifest_field.payload_ratio;
+  report.in_band = ratio_acceptable(report.payload_ratio,
+                                    config_.engine.tuner.target_ratio,
+                                    config_.engine.tuner.epsilon);
+  for (const ChunkReport& chunk : outcome.chunks) {
+    report.warm_chunks += chunk.warm;
+    report.retrained_chunks += chunk.retrained;
+    report.rate_fallback_chunks += chunk.rate_fallback;
   }
+  report.chunks = std::move(outcome.chunks);
+  all_chunks_.insert(all_chunks_.end(), report.chunks.begin(), report.chunks.end());
+
+  const EngineStats& tune_after = state_.tune_engine.stats();
+  tuner_probe_calls_ += outcome.tuner_probe_calls +
+                        (tune_after.tuner_probe_calls -
+                         field.tune_stats_before.tuner_probe_calls);
+  probe_cache_hits_ += outcome.probe_cache_hits +
+                       (tune_after.probe_cache_hits -
+                        field.tune_stats_before.probe_cache_hits);
+  peak_buffered_chunks_ = std::max(peak_buffered_chunks_, outcome.peak_buffered_chunks);
+  peak_buffered_bytes_ = std::max(peak_buffered_bytes_, outcome.peak_buffered_bytes);
+  peak_staged_bytes_ = std::max(peak_staged_bytes_,
+                                outcome.peak_staged_bytes + field.stage_row_bytes);
+  chunk_bytes_emitted_ += manifest_field.payload_bytes;
+  total_raw_bytes_ += manifest_field.raw_bytes;
+
+  manifest_fields_.push_back(std::move(manifest_field));
+  reports_.push_back(std::move(report));
+  open_.reset();
+  return reports_.back();
 }
 
-Status ArchiveAssembler::submit_stage() noexcept {
-  try {
-    OpenField& field = *open_;
-    if (!field.tuned) {
-      // Chunk 0 is complete: run the field's shared ratio training (or its
-      // warm confirmation) and seed every chunk key BEFORE any worker
-      // compresses.  Deterministic per-chunk snapshot: each key holds
-      // exactly the bound its compression will warm-start from — its own
-      // previous-build bound when one is stored (the time dimension of
-      // Algorithm 3), else the fresh chunk-0 bound.  Seeds depend only on
-      // (field, chunk index), so the bytes a chunk compresses to cannot
-      // depend on which worker handled it or on how many workers ran.  The
-      // training is a pool task so its probe batches fan out over the
-      // build's idle workers; the tuned bound is the same at any count.
-      Result<TuneResult> tuned =
-          pool_->submit([&] {
-                 return state_.tune_engine.tune(field_tune_key(field.name),
-                                                field.stage.view());
-               })
-              .get();
-      if (!tuned.ok()) return tuned.status();
-      const double shared_bound = tuned.value().error_bound;
-      const double target = config_.engine.tuner.target_ratio;
-      for (std::size_t i = 0; i < field.chunk_count; ++i) {
-        const std::string key = chunk_field_key(field.name, i);
-        if (state_.bounds->get(key, target) <= 0)
-          state_.bounds->put(key, target, shared_bound);
-      }
-      field.pipeline = std::make_unique<ChunkPipeline>(
-          config_, state_, field.name, field.shape, field.chunk_count,
-          chunk_bytes_emitted_, sink_, *pool_);
-      field.tuned = true;
-    }
+ArchiveWriteResult ArchiveAssembler::finish() {
+  rethrow_if_failed();
+  if (finished_) throw InvalidArgument("archive: build already finished");
+  if (open_)
+    throw InvalidArgument("archive: field '" + open_->name +
+                          "' is still open; close it before finish");
+  if (manifest_fields_.empty()) throw InvalidArgument("archive: build holds no fields");
 
-    NdArray row = std::move(field.stage);
-    ++field.next_chunk;
-    field.staged_planes = 0;
-    if (field.next_chunk < field.chunk_count) {
-      Shape row_shape = field.shape;
-      row_shape[0] = std::min(field.extent,
-                              field.shape[0] - field.next_chunk * field.extent);
-      field.stage = NdArray(field.dtype, std::move(row_shape));
-    } else {
-      field.stage = NdArray();
-    }
-    return field.pipeline->submit(std::move(row));
-  } catch (...) {
-    return status_from_current_exception();
+  const auto append = [&](const Buffer& block) {
+    poisoning([&] { sink_.append(block.data(), block.size()); });
+  };
+
+  Buffer manifest;
+  encode_manifest_fields(manifest_fields_, manifest);
+  append(manifest);
+
+  ArchiveWriteResult result;
+  const FieldInfo& first = manifest_fields_.front();
+  result.chunk_count = first.chunk_count;
+  result.chunk_extent = first.chunk_extent;
+  result.raw_bytes = total_raw_bytes_;
+  result.archive_bytes = sink_.bytes_written() + kFooterBytes;
+  result.achieved_ratio = static_cast<double>(result.raw_bytes) /
+                          static_cast<double>(result.archive_bytes);
+  result.in_band = ratio_acceptable(result.achieved_ratio,
+                                    config_.engine.tuner.target_ratio,
+                                    config_.engine.tuner.epsilon);
+  for (const FieldWriteReport& report : reports_) {
+    result.warm_chunks += report.warm_chunks;
+    result.retrained_chunks += report.retrained_chunks;
+    result.rate_fallback_chunks += report.rate_fallback_chunks;
   }
-}
+  result.tuner_probe_calls = tuner_probe_calls_;
+  result.probe_cache_hits = probe_cache_hits_;
+  result.peak_buffered_chunks = peak_buffered_chunks_;
+  result.peak_buffered_bytes = peak_buffered_bytes_;
+  result.peak_staged_bytes = peak_staged_bytes_;
+  result.chunks = std::move(all_chunks_);
+  result.fields = std::move(reports_);
 
-Result<FieldWriteReport> ArchiveAssembler::close_field() noexcept {
-  try {
-    if (!failed_.ok()) return failed_;
-    if (!open_) return Status::invalid_argument("archive: no field session is open");
-    OpenField& field = *open_;
-    if (field.pushed_planes != field.shape[0])
-      return Status::invalid_argument(
-          "archive: field '" + field.name + "' is incomplete: " +
-          std::to_string(field.pushed_planes) + " of " +
-          std::to_string(field.shape[0]) + " planes pushed");
+  Buffer footer;
+  encode_footer(chunk_bytes_emitted_, manifest.size(), result.raw_bytes,
+                result.archive_bytes, result.achieved_ratio, footer);
+  append(footer);
 
-    Result<PipelineOutcome> piped = field.pipeline->finish();
-    if (!piped.ok()) {
-      failed_ = piped.status();
-      return failed_;
-    }
-    PipelineOutcome outcome = std::move(piped).value();
-
-    FieldInfo manifest_field;
-    manifest_field.name = field.name;
-    manifest_field.compressor = config_.engine.compressor;
-    manifest_field.dtype = field.dtype;
-    manifest_field.shape = field.shape;
-    manifest_field.chunk_extent = field.extent;
-    manifest_field.chunk_count = field.chunk_count;
-    manifest_field.target_ratio = config_.engine.tuner.target_ratio;
-    manifest_field.epsilon = config_.engine.tuner.epsilon;
-    manifest_field.raw_bytes = shape_elements(field.shape) * dtype_size(field.dtype);
-    manifest_field.payload_bytes = outcome.region_bytes;
-    manifest_field.payload_ratio = static_cast<double>(manifest_field.raw_bytes) /
-                                   static_cast<double>(manifest_field.payload_bytes);
-    manifest_field.chunks.reserve(outcome.chunks.size());
-    for (const ChunkReport& report : outcome.chunks)
-      manifest_field.chunks.push_back(report.entry);
-
-    FieldWriteReport report;
-    report.name = field.name;
-    report.dtype = field.dtype;
-    report.shape = field.shape;
-    report.chunk_extent = field.extent;
-    report.chunk_count = field.chunk_count;
-    report.raw_bytes = manifest_field.raw_bytes;
-    report.payload_bytes = manifest_field.payload_bytes;
-    report.payload_ratio = manifest_field.payload_ratio;
-    report.in_band = ratio_acceptable(report.payload_ratio,
-                                      config_.engine.tuner.target_ratio,
-                                      config_.engine.tuner.epsilon);
-    for (const ChunkReport& chunk : outcome.chunks) {
-      report.warm_chunks += chunk.warm;
-      report.retrained_chunks += chunk.retrained;
-      report.rate_fallback_chunks += chunk.rate_fallback;
-    }
-    report.chunks = std::move(outcome.chunks);
-    all_chunks_.insert(all_chunks_.end(), report.chunks.begin(), report.chunks.end());
-
-    const EngineStats& tune_after = state_.tune_engine.stats();
-    tuner_probe_calls_ += outcome.tuner_probe_calls +
-                          (tune_after.tuner_probe_calls -
-                           field.tune_stats_before.tuner_probe_calls);
-    probe_cache_hits_ += outcome.probe_cache_hits +
-                         (tune_after.probe_cache_hits -
-                          field.tune_stats_before.probe_cache_hits);
-    peak_buffered_chunks_ = std::max(peak_buffered_chunks_, outcome.peak_buffered_chunks);
-    peak_buffered_bytes_ = std::max(peak_buffered_bytes_, outcome.peak_buffered_bytes);
-    peak_staged_bytes_ = std::max(peak_staged_bytes_,
-                                  outcome.peak_staged_bytes + field.stage_row_bytes);
-    chunk_bytes_emitted_ += manifest_field.payload_bytes;
-    total_raw_bytes_ += manifest_field.raw_bytes;
-
-    manifest_fields_.push_back(std::move(manifest_field));
-    reports_.push_back(std::move(report));
-    open_.reset();
-    return reports_.back();
-  } catch (...) {
-    return status_from_current_exception();
-  }
-}
-
-Result<ArchiveWriteResult> ArchiveAssembler::finish() noexcept {
-  try {
-    if (!failed_.ok()) return failed_;
-    if (finished_) return Status::invalid_argument("archive: build already finished");
-    if (open_)
-      return Status::invalid_argument("archive: field '" + open_->name +
-                                      "' is still open; close it before finish");
-    if (manifest_fields_.empty())
-      return Status::invalid_argument("archive: build holds no fields");
-
-    const auto append = [&](const Buffer& block) {
-      const Status s = sink_.append(block.data(), block.size());
-      if (!s.ok()) failed_ = s;
-      return s;
-    };
-
-    Buffer manifest;
-    encode_manifest_fields(manifest_fields_, manifest);
-    if (!append(manifest).ok()) return failed_;
-
-    ArchiveWriteResult result;
-    const FieldInfo& first = manifest_fields_.front();
-    result.chunk_count = first.chunk_count;
-    result.chunk_extent = first.chunk_extent;
-    result.raw_bytes = total_raw_bytes_;
-    result.archive_bytes = sink_.bytes_written() + kFooterBytes;
-    result.achieved_ratio = static_cast<double>(result.raw_bytes) /
-                            static_cast<double>(result.archive_bytes);
-    result.in_band = ratio_acceptable(result.achieved_ratio,
-                                      config_.engine.tuner.target_ratio,
-                                      config_.engine.tuner.epsilon);
-    for (const FieldWriteReport& report : reports_) {
-      result.warm_chunks += report.warm_chunks;
-      result.retrained_chunks += report.retrained_chunks;
-      result.rate_fallback_chunks += report.rate_fallback_chunks;
-    }
-    result.tuner_probe_calls = tuner_probe_calls_;
-    result.probe_cache_hits = probe_cache_hits_;
-    result.peak_buffered_chunks = peak_buffered_chunks_;
-    result.peak_buffered_bytes = peak_buffered_bytes_;
-    result.peak_staged_bytes = peak_staged_bytes_;
-    result.chunks = std::move(all_chunks_);
-    result.fields = std::move(reports_);
-
-    Buffer footer;
-    encode_footer(chunk_bytes_emitted_, manifest.size(), result.raw_bytes,
-                  result.archive_bytes, result.achieved_ratio, footer);
-    if (!append(footer).ok()) return failed_;
-
-    pool_.reset();  // the build's threads end with the build
-    result.seconds = timer_.seconds();
-    finished_ = true;
-    return result;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  pool_.reset();  // the build's threads end with the build
+  result.seconds = timer_.seconds();
+  finished_ = true;
+  return result;
 }
 
 }  // namespace fraz::archive::detail

@@ -18,6 +18,7 @@
 /// workers) however the data arrives.
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,7 +28,6 @@
 #include "engine/engine.hpp"
 #include "ndarray/ndarray.hpp"
 #include "util/buffer.hpp"
-#include "util/status.hpp"
 #include "util/timer.hpp"
 
 namespace fraz {
@@ -40,8 +40,9 @@ namespace fraz::archive::detail {
 class ByteSink {
 public:
   virtual ~ByteSink() = default;
-  /// Append \p size bytes; a non-ok Status aborts the write.
-  virtual Status append(const std::uint8_t* data, std::size_t size) noexcept = 0;
+  /// Append \p size bytes; throws when they cannot be written, which
+  /// poisons the build.
+  virtual void append(const std::uint8_t* data, std::size_t size) = 0;
   /// Total bytes appended so far.
   virtual std::size_t bytes_written() const noexcept = 0;
 };
@@ -50,19 +51,18 @@ public:
 class BufferSink final : public ByteSink {
 public:
   explicit BufferSink(Buffer& out) noexcept : out_(out) {}
-  Status append(const std::uint8_t* data, std::size_t size) noexcept override {
-    try {
-      out_.append(data, size);
-      return Status();
-    } catch (...) {
-      return status_from_current_exception();
-    }
+  void append(const std::uint8_t* data, std::size_t size) override {
+    out_.append(data, size);
   }
   std::size_t bytes_written() const noexcept override { return out_.size(); }
 
 private:
   Buffer& out_;
 };
+
+/// Workers for \p tasks tasks: \p requested (0 = hardware concurrency, at
+/// least 1), never more than there are tasks.
+unsigned resolve_workers(unsigned requested, std::size_t tasks);
 
 class ChunkPipeline;
 
@@ -72,6 +72,10 @@ class ChunkPipeline;
 /// planes into the current chunk row and dispatches completed rows to the
 /// parallel pipeline, close_field() drains the field, finish() seals the
 /// field-table manifest + footer.
+///
+/// Every call throws on failure.  Argument misuse leaves the build as it
+/// was; a failed tune, chunk compression or sink append poisons it, and
+/// every later call rethrows that first failure until the build is dropped.
 ///
 /// A build runs on one pool of `threads` workers, made at the first field
 /// and joined with the build: chunk-0 training (the caller waits), chunk
@@ -93,10 +97,10 @@ public:
   ArchiveAssembler(const ArchiveAssembler&) = delete;
   ArchiveAssembler& operator=(const ArchiveAssembler&) = delete;
 
-  Status open_field(const std::string& name, const FieldDesc& desc) noexcept;
-  Status push(const ArrayView& slab) noexcept;
-  Result<FieldWriteReport> close_field() noexcept;
-  Result<ArchiveWriteResult> finish() noexcept;
+  void open_field(const std::string& name, const FieldDesc& desc);
+  void push(const ArrayView& slab);
+  FieldWriteReport close_field();
+  ArchiveWriteResult finish();
 
   bool field_open() const noexcept { return open_ != nullptr; }
 
@@ -105,7 +109,11 @@ private:
 
   /// Dispatch the staged chunk row (tuning + seeding the field first when it
   /// is chunk 0, on the build pool) and stage the next row.
-  Status submit_stage() noexcept;
+  void submit_stage();
+  /// Run \p step; a failure it throws poisons the build before propagating.
+  template <typename Fn>
+  void poisoning(Fn&& step);
+  void rethrow_if_failed() const;
 
   const ArchiveWriteConfig config_;
   WriterWarmState& state_;
@@ -125,7 +133,7 @@ private:
   std::size_t peak_buffered_bytes_ = 0;
   std::size_t peak_staged_bytes_ = 0;
   bool finished_ = false;
-  Status failed_;               ///< sticky: first failure poisons the build
+  std::exception_ptr failed_;   ///< sticky: first failure poisons the build
 };
 
 }  // namespace fraz::archive::detail

@@ -12,24 +12,13 @@
 #include "util/error.hpp"
 
 /// \file plugins.cpp
-/// Built-in compressor plugins bridging the three from-scratch codecs to the
-/// uniform pressio interface, plus the process-wide registry.
+/// Built-in compressor plugins bridging the from-scratch codecs to the uniform
+/// pressio interface, plus the process-wide registry.  Each V2 entry point
+/// runs its validating, throwing codec through guarded() (util/status.hpp).
 
 namespace fraz::pressio {
 
 namespace {
-
-/// Shared implementation of the non-throwing V2 entry points: every built-in
-/// backend funnels its (validating, throwing) codec through these bridges.
-template <typename Fn>
-Status guarded(Fn&& fn) noexcept {
-  try {
-    fn();
-    return Status();
-  } catch (...) {
-    return status_from_current_exception();
-  }
-}
 
 // ---------------------------------------------------------------- SZ plugin
 class SzPlugin final : public Compressor {
@@ -433,11 +422,7 @@ CompressorPtr Registry::create(const std::string& name, const Options& options) 
 
 Result<CompressorPtr> Registry::try_create(const std::string& name,
                                            const Options& options) const noexcept {
-  try {
-    return create(name, options);
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  return guarded([&] { return create(name, options); });
 }
 
 bool Registry::contains(const std::string& name) const { return factories_.count(name) != 0; }

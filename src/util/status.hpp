@@ -2,18 +2,22 @@
 #define FRAZ_UTIL_STATUS_HPP
 
 /// \file status.hpp
-/// Non-throwing error model for the hot paths of the compression stack.
+/// The library's error model: internals throw; `Status` appears only at
+/// public entry points.
 ///
-/// The original seed API threw on every failure, which is fine for setup code
-/// but wrong for FRaZ's inner search loop: a tune performs dozens of compress
-/// calls and a production service performs millions, so failure must be a
-/// value, not a stack unwind.  `Status` carries (code, message); `Result<T>`
-/// is either a value or a non-ok Status.  The exception hierarchy in
-/// error.hpp remains the currency of the legacy wrappers — the two bridges at
-/// the bottom convert losslessly in both directions.
+/// Inside the library a failure is an exception from the hierarchy in
+/// error.hpp, thrown where it is found and caught only at a thread boundary
+/// or a public entry point.  A public entry point (a Compressor's V2 calls,
+/// ArchiveWriter / FieldSession / ArchiveReader, Engine's calls) returns a
+/// `Status` (code, message) or a `Result<T>` (a value or a non-ok Status),
+/// so a caller that compresses millions of times never unwinds a stack.
+/// `guarded()` is the bridge from a throwing body to such a value.  The way
+/// back, for internals that consume a Status API, is `Result<T>::value()`
+/// and `Status::throw_if_error()`; both throw the matching exception.
 
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "util/error.hpp"
@@ -53,6 +57,10 @@ public:
   bool ok() const noexcept { return code_ == StatusCode::kOk; }
   StatusCode code() const noexcept { return code_; }
   const std::string& message() const noexcept { return message_; }
+
+  /// Throw the matching exception when not ok (what Result<T>::value() does
+  /// for a value).
+  void throw_if_error() const;
 
   /// "invalid_argument: sz: error bound must be positive" (or "ok").
   std::string to_string() const {
@@ -121,7 +129,7 @@ inline Status status_from_current_exception() noexcept {
   }
 }
 
-/// Rethrow a non-ok Status as the matching fraz exception (legacy wrappers).
+/// Rethrow a non-ok Status as the matching fraz exception.
 [[noreturn]] inline void throw_status(const Status& status) {
   switch (status.code()) {
     case StatusCode::kInvalidArgument: throw InvalidArgument(status.message());
@@ -130,6 +138,33 @@ inline Status status_from_current_exception() noexcept {
     case StatusCode::kIoError: throw IoError(status.message());
     default: throw Error(status.to_string());
   }
+}
+
+/// What guarded() returns for a body returning R: Status for void, else
+/// Result<R>.
+template <typename R>
+using Guarded = std::conditional_t<std::is_void_v<R>, Status, Result<R>>;
+
+/// Run the throwing \p body and return its outcome as a value: a void body
+/// yields a Status, one returning T a Result<T>, and an exception the Status
+/// status_from_current_exception() maps it to.  Public entry points wrap
+/// their bodies in this.
+template <typename Fn>
+Guarded<std::invoke_result_t<Fn&>> guarded(Fn&& body) noexcept {
+  try {
+    if constexpr (std::is_void_v<std::invoke_result_t<Fn&>>) {
+      body();
+      return Status();
+    } else {
+      return body();
+    }
+  } catch (...) {
+    return status_from_current_exception();
+  }
+}
+
+inline void Status::throw_if_error() const {
+  if (!ok()) throw_status(*this);
 }
 
 template <typename T>

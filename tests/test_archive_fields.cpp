@@ -8,15 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 #include "archive/archive.hpp"
 #include "archive_fixtures.hpp"
 #include "codec/checksum.hpp"
 #include "data/datasets.hpp"
+#include "pressio/registry.hpp"
 #include "telemetry/telemetry.hpp"
 #include "test_helpers.hpp"
 
@@ -617,6 +620,136 @@ TEST(ArchiveFields, CancelWithRowsOnRunnersReturnsAndReleasesThem) {
   ASSERT_TRUE(fresh_writer.write(field.view(), fresh).ok());
   ASSERT_EQ(again.size(), fresh.size());
   EXPECT_EQ(std::memcmp(again.data(), fresh.data(), fresh.size()), 0);
+}
+
+/// Compressions every "sz-fail-after" instance (and clone) has run, and how
+/// many may succeed before compress_into fails with kUnsupported.
+std::atomic<std::size_t> g_fail_after_calls{0};
+std::atomic<std::size_t> g_fail_after_limit{std::numeric_limits<std::size_t>::max()};
+
+/// sz with an injected compress failure once the shared call counter passes
+/// the limit: a backend that breaks mid-build, on whichever thread runs it.
+class SzFailAfterPlugin final : public pressio::Compressor {
+public:
+  SzFailAfterPlugin() : inner_(pressio::registry().create("sz")) {}
+  SzFailAfterPlugin(const SzFailAfterPlugin& other) : inner_(other.inner_->clone()) {}
+
+  std::string name() const override { return "sz-fail-after"; }
+  pressio::Capabilities capabilities() const override {
+    pressio::Capabilities c = inner_->capabilities();
+    c.name = "sz-fail-after";
+    return c;
+  }
+  pressio::Options get_options() const override { return inner_->get_options(); }
+  void set_options(const pressio::Options& options) override { inner_->set_options(options); }
+  void set_error_bound(double bound) override { inner_->set_error_bound(bound); }
+  double error_bound() const override { return inner_->error_bound(); }
+  Status compress_into(const ArrayView& input, Buffer& out) const noexcept override {
+    if (++g_fail_after_calls > g_fail_after_limit)
+      return Status::unsupported("sz-fail-after: injected compress failure");
+    return inner_->compress_into(input, out);
+  }
+  Status decompress_into(const std::uint8_t* data, std::size_t size,
+                         NdArray& out) const noexcept override {
+    return inner_->decompress_into(data, size, out);
+  }
+  pressio::CompressorPtr clone() const override {
+    return std::make_unique<SzFailAfterPlugin>(*this);
+  }
+
+private:
+  pressio::CompressorPtr inner_;
+};
+
+TEST(ArchiveFields, RunnerFailureIsStickyUntilCancel) {
+  // A chunk runner's compress failure poisons the build: the call that
+  // surfaces it and every later push/close/finish report the same code and
+  // message, until cancel() drops the build and the writer starts clean.
+  if (!pressio::registry().contains("sz-fail-after"))
+    pressio::registry().register_factory(
+        "sz-fail-after", [] { return std::make_unique<SzFailAfterPlugin>(); });
+  const NdArray field = make_field(DType::kFloat32, {16, 12, 10});
+  for (const unsigned workers : {1u, 4u}) {
+    // A clean build counts the compressions; the failing build lets all but
+    // the last two succeed, so chunk-0 training passes and a runner fails.
+    g_fail_after_limit = std::numeric_limits<std::size_t>::max();
+    g_fail_after_calls = 0;
+    {
+      Buffer clean;
+      ArchiveWriter counting(writer_config("sz-fail-after", 6.0, 0.2, 2, workers));
+      ASSERT_TRUE(counting.write(field.view(), clean).ok());
+    }
+    const std::size_t total = g_fail_after_calls;
+    ASSERT_GT(total, 2u);
+    g_fail_after_calls = 0;
+    g_fail_after_limit = total - 2;
+
+    ArchiveWriter writer(writer_config("sz-fail-after", 6.0, 0.2, 2, workers));
+    Buffer out;
+    ASSERT_TRUE(writer.begin(out).ok());
+    auto session = writer.open_field("x", desc_of(field, 2));
+    ASSERT_TRUE(session.ok()) << session.status().to_string();
+    Status failure;
+    for (std::size_t first = 0; first < field.shape()[0] && failure.ok(); first += 2)
+      failure = session.value().push(planes_of(field, first, 2));
+    if (failure.ok()) {
+      auto closed = session.value().close();
+      ASSERT_FALSE(closed.ok()) << workers << " workers: the injected failure vanished";
+      failure = closed.status();
+    }
+    EXPECT_EQ(failure.code(), StatusCode::kUnsupported) << failure.to_string();
+    EXPECT_NE(failure.message().find("injected"), std::string::npos) << failure.message();
+
+    const auto expect_same = [&](const Status& later, const char* call) {
+      EXPECT_EQ(later.code(), failure.code()) << workers << " workers, " << call;
+      EXPECT_EQ(later.message(), failure.message()) << workers << " workers, " << call;
+    };
+    expect_same(session.value().push(planes_of(field, 0, 1)), "push");
+    expect_same(session.value().close().status(), "close");
+    expect_same(writer.finish().status(), "finish");
+    expect_same(session.value().close().status(), "second close");
+
+    writer.cancel();
+    g_fail_after_limit = std::numeric_limits<std::size_t>::max();
+    Buffer again;
+    ASSERT_TRUE(writer.begin(again).ok());
+    auto fresh = writer.open_field("x", desc_of(field, 2));
+    ASSERT_TRUE(fresh.ok()) << fresh.status().to_string();
+    push_all(fresh.value(), field, 4);
+    ASSERT_TRUE(fresh.value().close().ok());
+    auto finished = writer.finish();
+    ASSERT_TRUE(finished.ok()) << finished.status().to_string();
+    auto reader = ArchiveReader::open(again.data(), again.size());
+    ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+    auto decoded = reader.value().read_all("x", workers);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+    EXPECT_EQ(decoded.value().shape(), field.shape());
+  }
+}
+
+TEST(ArchiveFields, ParallelReadReportsTheLowestCorruptChunk) {
+  // Two corrupt chunks in one field: the serial read stops at the first,
+  // and the parallel read, whose workers may meet them in either order,
+  // must report that same lowest chunk.
+  const NdArray field = make_field(DType::kFloat32, {12, 12, 10});
+  Buffer bytes;
+  ArchiveWriteResult result =
+      ArchiveWriter(writer_config("sz", 6.0, 0.2, 2)).write(field.view(), bytes).value();
+  ASSERT_GE(result.chunks.size(), 4u);
+  for (const std::size_t victim : {1u, 3u}) {
+    const archive::ChunkEntry& entry = result.chunks[victim].entry;
+    bytes.data()[entry.offset + entry.size / 2] ^= 0x40;
+  }
+  auto reader = ArchiveReader::open(bytes.data(), bytes.size());
+  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+  for (const unsigned threads : {1u, 4u}) {
+    auto decoded = reader.value().read_all(archive::kDefaultFieldName, threads);
+    ASSERT_FALSE(decoded.ok()) << threads << " threads";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruptStream) << threads;
+    const std::string& message = decoded.status().message();
+    EXPECT_NE(message.find("chunk 1 "), std::string::npos) << threads << ": " << message;
+    EXPECT_EQ(message.find("chunk 3"), std::string::npos) << threads << ": " << message;
+  }
 }
 
 TEST(ArchiveFields, V2ArchivesPresentOneSynthesizedField) {

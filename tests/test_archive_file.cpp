@@ -258,9 +258,10 @@ TEST(ArchiveFile, V1ArchivesReadableThroughTheFileReader) {
 }
 
 TEST(ArchiveFile, SinkFailuresCarryTheOsErrorDetail) {
-  // The fwrite path must map errno into the Status message at the failing
-  // call, not whatever a later library call left behind.  A stream opened
-  // read-only makes fwrite fail deterministically with EBADF.
+  // The fwrite path must put the errno of the failing call into the IoError
+  // it throws, not whatever a later library call left behind; the public
+  // Status a build reports is that error's.  A stream opened read-only makes
+  // fwrite fail deterministically with EBADF.
   TempFiles tmp;
   const std::string path = tmp.make("sink_errno");
   dump(path, reinterpret_cast<const std::uint8_t*>("seed"), 4);
@@ -268,7 +269,8 @@ TEST(ArchiveFile, SinkFailuresCarryTheOsErrorDetail) {
   ASSERT_NE(readonly, nullptr);
   archive::detail::FileSink sink(readonly);
   const std::uint8_t byte = 0x42;
-  const Status s = sink.append(&byte, 1);
+  EXPECT_THROW(sink.append(&byte, 1), IoError);
+  const Status s = guarded([&] { sink.append(&byte, 1); });
   std::fclose(readonly);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIoError);

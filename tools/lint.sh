@@ -2,7 +2,9 @@
 # Static-analysis entry point — the CI lint job runs this file verbatim, so
 # local `tools/lint.sh` reproduces the gate exactly.
 #
-# Stages (default: all three clang gates):
+# Stages (default: the error-model grep and all three clang gates):
+#   error-model    the archive layer converts between exceptions and Status
+#                  only through guarded() (plain grep, no compiler needed)
 #   thread-safety  clang build with -Wthread-safety as errors
 #   tidy           run-clang-tidy over src/ using .clang-tidy
 #   fuzz           ~60s sanitized libFuzzer smoke per harness, seeded from
@@ -25,6 +27,23 @@ need() {
     echo "lint: required tool '$1' not found" >&2
     exit 1
   }
+}
+
+# Internals throw and Status appears only at public entry points, through
+# guarded() (docs/API.md, "The error model").  The archive layer follows the
+# rule, so a hand-written bridge there is a regression.
+stage_error_model() {
+  echo "== error-model: no hand-written Status bridges under src/archive/ =="
+  local found=0
+  grep -rnE 'status_from_current_exception|throw_status' src/archive || found=$?
+  case "$found" in
+    0)
+      echo "lint: src/archive/ converts only through guarded(), Result::value() and Status::throw_if_error()" >&2
+      exit 1
+      ;;
+    1) ;;  # no match
+    *) exit 1 ;;  # grep itself failed (its message is above)
+  esac
 }
 
 stage_thread_safety() {
@@ -120,15 +139,16 @@ stage_fuzz_replay() {
 }
 
 stages=("$@")
-[ ${#stages[@]} -eq 0 ] && stages=(thread-safety tidy fuzz)
+[ ${#stages[@]} -eq 0 ] && stages=(error-model thread-safety tidy fuzz)
 for stage in "${stages[@]}"; do
   case "$stage" in
+    error-model) stage_error_model ;;
     thread-safety) stage_thread_safety ;;
     tidy) stage_tidy ;;
     fuzz) stage_fuzz ;;
     fuzz-replay) stage_fuzz_replay ;;
     *)
-      echo "lint: unknown stage '$stage' (thread-safety|tidy|fuzz|fuzz-replay)" >&2
+      echo "lint: unknown stage '$stage' (error-model|thread-safety|tidy|fuzz|fuzz-replay)" >&2
       exit 2
       ;;
   esac
