@@ -52,12 +52,13 @@ Shape shape_of_chunk(const FieldInfo& field, std::size_t i) {
 /// Decode the slowest-axis planes [first, first + count) of \p field into
 /// \p out (whose shape must already be {count, rest...}), touching and
 /// validating only the chunks that cover the range.  \p threads > 1 decodes
-/// the touched chunks in parallel, one Engine per worker, each writing its
-/// disjoint plane window of \p out; \p serial_engine serves the
+/// the touched chunks in parallel, one decoder per worker, each writing its
+/// disjoint plane window of \p out; \p serial_decoder serves the
 /// single-threaded path.  Throws the failure of the lowest failing chunk.
 void read_planes(const detail::ChunkSource& source, const FieldInfo& field,
-                 std::size_t chunk_region, Engine& serial_engine, Buffer& serial_scratch,
-                 std::size_t first, std::size_t count, unsigned threads, NdArray& out) {
+                 std::size_t chunk_region, detail::ChunkDecoder& serial_decoder,
+                 Buffer& serial_scratch, std::size_t first, std::size_t count,
+                 unsigned threads, NdArray& out) {
   const std::size_t n0 = field.shape[0];
   const std::size_t plane_bytes =
       (shape_elements(field.shape) / n0) * dtype_size(field.dtype);
@@ -66,9 +67,8 @@ void read_planes(const detail::ChunkSource& source, const FieldInfo& field,
   const std::size_t last_chunk = (first + count - 1) / extent;
   const std::size_t touched = last_chunk - first_chunk + 1;
 
-  auto emplace = [&](Engine& engine, Buffer& scratch, std::size_t c) {
-    const NdArray chunk =
-        detail::decode_chunk(engine, source, field, chunk_region, c, scratch);
+  auto emplace = [&](detail::ChunkDecoder& decoder, Buffer& scratch, std::size_t c) {
+    const NdArray chunk = decoder.decode(source, field, chunk_region, c, scratch);
     const std::size_t chunk_first = c * extent;
     const std::size_t lo = std::max(first, chunk_first);
     const std::size_t hi = std::min(first + count, chunk_first + chunk.shape()[0]);
@@ -81,7 +81,7 @@ void read_planes(const detail::ChunkSource& source, const FieldInfo& field,
   const unsigned workers = detail::resolve_workers(threads, touched);
   if (threads == 1 || workers <= 1) {
     for (std::size_t c = first_chunk; c <= last_chunk; ++c)
-      emplace(serial_engine, serial_scratch, c);
+      emplace(serial_decoder, serial_scratch, c);
     return;
   }
 
@@ -92,14 +92,12 @@ void read_planes(const detail::ChunkSource& source, const FieldInfo& field,
   std::vector<std::exception_ptr> failures(touched);
   std::atomic<std::size_t> next{0};
   auto drain = [&] {
-    EngineConfig config;
-    config.compressor = field.compressor;
-    Engine engine(std::move(config));
+    detail::ChunkDecoder decoder(field.compressor);
     Buffer scratch;
     std::size_t t;
     while ((t = next.fetch_add(1)) < touched) {
       try {
-        emplace(engine, scratch, first_chunk + t);
+        emplace(decoder, scratch, first_chunk + t);
       } catch (...) {
         failures[t] = std::current_exception();
       }
@@ -120,19 +118,25 @@ void read_planes(const detail::ChunkSource& source, const FieldInfo& field,
 
 namespace detail {
 
-NdArray decode_chunk(Engine& engine, const ChunkSource& source, const FieldInfo& field,
-                     std::size_t chunk_region, std::size_t i, Buffer& scratch) {
+ChunkDecoder::ChunkDecoder(const std::string& compressor)
+    : engine_([&] {
+        EngineConfig config;
+        config.compressor = compressor;
+        return config;
+      }()),
+      span_name_("decode_us." + compressor),
+      span_(&telemetry::global().histogram(span_name_)) {}
+
+NdArray ChunkDecoder::decode(const ChunkSource& source, const FieldInfo& field,
+                             std::size_t chunk_region, std::size_t i, Buffer& scratch) {
   const ChunkEntry& entry = field.chunks[i];
   const std::uint8_t* chunk =
       source.fetch(chunk_region + entry.offset, entry.size, scratch);
   if (crc32(chunk, entry.size) != entry.crc)
     throw CorruptStream("archive: chunk " + std::to_string(i) + " failed its checksum");
   Result<NdArray> decoded = [&] {
-    // Per-backend decode latency, labelled like the tuner's probe spans
-    // (tune.probe_us.<backend>) so dashboards can line the two up.
-    const std::string span_name = "decode_us." + field.compressor;
-    telemetry::SpanTimer span(telemetry::global().histogram(span_name), span_name.c_str());
-    return engine.decompress(chunk, entry.size);
+    telemetry::SpanTimer span(*span_, span_name_.c_str());
+    return engine_.decompress(chunk, entry.size);
   }();
   if (!decoded.ok())
     throw CorruptStream("archive: chunk " + std::to_string(i) + ": " +
@@ -344,8 +348,9 @@ Result<ArchiveWriteResult> ArchiveWriter::write_single(const ArrayView& data) no
 // ------------------------------------------------------------------- reader
 
 ArchiveReader::ArchiveReader(std::unique_ptr<detail::ChunkSource> source,
-                             ArchiveInfo info, std::vector<Engine> engines) noexcept
-    : source_(std::move(source)), info_(std::move(info)), engines_(std::move(engines)) {}
+                             ArchiveInfo info,
+                             std::vector<detail::ChunkDecoder> decoders) noexcept
+    : source_(std::move(source)), info_(std::move(info)), decoders_(std::move(decoders)) {}
 
 ArchiveReader::ArchiveReader(ArchiveReader&&) noexcept = default;
 ArchiveReader& ArchiveReader::operator=(ArchiveReader&&) noexcept = default;
@@ -373,16 +378,12 @@ ArchiveReader ArchiveReader::open_source(std::unique_ptr<detail::ChunkSource> so
       source->fetch(footer.manifest_offset, footer.manifest_size, manifest_scratch);
   ArchiveInfo info = parse_manifest(manifest, footer.manifest_size, footer);
 
-  // One serial-path Engine per field, created eagerly so an archive whose
+  // One serial-path decoder per field, created eagerly so an archive whose
   // backend is not registered fails open(), not the first read.
-  std::vector<Engine> engines;
-  engines.reserve(info.fields.size());
-  for (const FieldInfo& field : info.fields) {
-    EngineConfig engine_config;
-    engine_config.compressor = field.compressor;
-    engines.emplace_back(std::move(engine_config));
-  }
-  return ArchiveReader(std::move(source), std::move(info), std::move(engines));
+  std::vector<detail::ChunkDecoder> decoders;
+  decoders.reserve(info.fields.size());
+  for (const FieldInfo& field : info.fields) decoders.emplace_back(field.compressor);
+  return ArchiveReader(std::move(source), std::move(info), std::move(decoders));
 }
 
 std::size_t ArchiveReader::field_index(const std::string& name) const {
@@ -401,8 +402,7 @@ Result<NdArray> ArchiveReader::read_chunk(const std::string& field,
     const std::size_t f = field_index(field);
     if (i >= info_.fields[f].chunk_count)
       throw InvalidArgument("archive: chunk index out of range");
-    return detail::decode_chunk(engines_[f], *source_, info_.fields[f],
-                                info_.chunk_region, i, scratch_);
+    return decoders_[f].decode(*source_, info_.fields[f], info_.chunk_region, i, scratch_);
   });
 }
 
@@ -417,7 +417,7 @@ Result<NdArray> ArchiveReader::read_range(const std::string& field, std::size_t 
     Shape out_shape = info.shape;
     out_shape[0] = count;
     NdArray out(info.dtype, std::move(out_shape));
-    read_planes(*source_, info, info_.chunk_region, engines_[f], scratch_, first, count,
+    read_planes(*source_, info, info_.chunk_region, decoders_[f], scratch_, first, count,
                 threads, out);
     return out;
   });

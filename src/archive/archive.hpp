@@ -62,6 +62,10 @@
 #include "util/buffer.hpp"
 #include "util/status.hpp"
 
+namespace fraz::telemetry {
+class Histogram;
+}  // namespace fraz::telemetry
+
 namespace fraz::archive {
 
 namespace detail {
@@ -86,11 +90,26 @@ public:
                                     Buffer& scratch) const = 0;
 };
 
-/// Validate chunk \p i's CRC and decode it (throwing).  \p chunk_region is
-/// the archive's chunk-region base offset; \p scratch backs the fetch for
-/// buffered transports.  The one chunk decode every read path runs.
-NdArray decode_chunk(Engine& engine, const ChunkSource& source, const FieldInfo& field,
-                     std::size_t chunk_region, std::size_t i, Buffer& scratch);
+/// The one chunk decode every read path runs: a field's backend Engine plus
+/// its per-backend latency histogram "decode_us.<compressor>", labelled like
+/// the tuner's probe spans (tune.probe_us.<backend>) and looked up once here
+/// rather than once per chunk.  Not thread-safe; one per decoding thread.
+class ChunkDecoder {
+public:
+  /// Throws when \p compressor is not registered.
+  explicit ChunkDecoder(const std::string& compressor);
+
+  /// Validate chunk \p i's CRC and decode it (throwing).  \p chunk_region
+  /// is the archive's chunk-region base offset; \p scratch backs the fetch
+  /// for buffered transports.
+  NdArray decode(const ChunkSource& source, const FieldInfo& field, std::size_t chunk_region,
+                 std::size_t i, Buffer& scratch);
+
+private:
+  Engine engine_;
+  std::string span_name_;
+  telemetry::Histogram* span_;
+};
 
 }  // namespace detail
 
@@ -403,15 +422,15 @@ public:
 
 private:
   ArchiveReader(std::unique_ptr<detail::ChunkSource> source, ArchiveInfo info,
-                std::vector<Engine> engines) noexcept;
+                std::vector<detail::ChunkDecoder> decoders) noexcept;
 
   static ArchiveReader open_source(std::unique_ptr<detail::ChunkSource> source);
   std::size_t field_index(const std::string& name) const;
 
   std::unique_ptr<detail::ChunkSource> source_;  ///< memory, mmap or positioned reads
   ArchiveInfo info_;
-  std::vector<Engine> engines_;  ///< serial decode path, one per field
-  Buffer scratch_;               ///< fetch scratch for the serial path
+  std::vector<detail::ChunkDecoder> decoders_;   ///< serial decode path, one per field
+  Buffer scratch_;                               ///< fetch scratch for the serial path
 };
 
 }  // namespace fraz::archive

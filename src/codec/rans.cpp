@@ -1,6 +1,7 @@
 #include "codec/rans.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "codec/rans_table.hpp"
 #include "codec/varint.hpp"
@@ -15,6 +16,9 @@ using rans_detail::SymbolStats;
 
 constexpr unsigned kProbBits = kRansProbBits;
 constexpr std::uint32_t kProbScale = 1u << kProbBits;
+/// Smallest slot-lookup bucket table (2^10 entries of 2^7 slots each);
+/// larger alphabets get more buckets, up to one per slot.
+constexpr unsigned kMinBucketBits = 10;
 
 /// Parse the header shared by both decoders up to the payload section.
 /// Returns false for the empty-alphabet degenerate case.  A caller that
@@ -62,13 +66,23 @@ std::vector<std::uint32_t> decode_impl(const std::uint8_t* data, std::size_t siz
   std::vector<SymbolStats> stats;
   if (!parse_header(in, symbol_count, stats, expected_count)) return {};
 
-  // Slot -> symbol index lookup table, filled range-by-range (memset speed
-  // instead of a per-slot loop; dominated by the biggest symbol's range on
-  // the nearly-constant code streams SZ produces).
-  std::vector<std::uint32_t> slot_to_index(kProbScale);
-  for (std::uint32_t i = 0; i < stats.size(); ++i)
-    std::fill(slot_to_index.begin() + stats[i].cum,
-              slot_to_index.begin() + stats[i].cum + stats[i].freq, i);
+  // Slot -> symbol lookup: a bucket table over the slot range names the
+  // symbol owning each bucket's first slot, and a short forward scan over
+  // the cumulative ranges finishes the search.  The ranges tile the scale
+  // exactly, so every bucket start is written once and nothing is zeroed;
+  // with at least two buckets per symbol the setup is O(alphabet), not the
+  // 2^17-slot table the reference fills per call.
+  unsigned bucket_bits = kMinBucketBits;
+  while (bucket_bits < kProbBits && (std::size_t{1} << bucket_bits) < 2 * stats.size())
+    ++bucket_bits;
+  const unsigned bucket_shift = kProbBits - bucket_bits;
+  const std::unique_ptr<std::uint32_t[]> bucket(new std::uint32_t[std::size_t{1} << bucket_bits]);
+  for (std::uint32_t i = 0; i < stats.size(); ++i) {
+    const std::uint32_t end = stats[i].cum + stats[i].freq;
+    for (std::uint32_t b = (stats[i].cum + (1u << bucket_shift) - 1) >> bucket_shift;
+         (b << bucket_shift) < end; ++b)
+      bucket[b] = i;
+  }
 
   const ByteReader section = payload_section(in);
   const std::uint8_t* payload = section.data();
@@ -77,27 +91,38 @@ std::vector<std::uint32_t> decode_impl(const std::uint8_t* data, std::size_t siz
   std::size_t byte_pos = 0;
   for (int b = 0; b < 4; ++b) state = (state << 8) | payload[byte_pos++];
 
-  // The decode chain is slot -> slot_to_index load -> stats load -> state
-  // update, and the 512 KiB slot table is indexed by an effectively random
-  // slot — a cache miss on the critical path.  SZ code streams are sharply
-  // peaked, so the most frequent symbol owns most of the slot range: a
-  // register-only range check answers those iterations without touching the
-  // table, and only the tail of the distribution pays the indirection.
+  // The decode chain is slot -> bucket load -> stats scan -> state update.
+  // A register-only range check answers the most frequent symbol's slots
+  // without touching the tables, and a predicted branch lets the state
+  // update run ahead of the loads.  It pays even on the sz chunks where
+  // that symbol holds only a fifth of the slots.
   const SymbolStats* dom = &stats[0];
   for (const SymbolStats& s : stats)
     if (s.freq > dom->freq) dom = &s;
   const std::uint32_t dom_cum = dom->cum;
   const std::uint32_t dom_freq = dom->freq;
 
-  std::vector<std::uint32_t> out;
-  out.reserve(std::min<std::uint64_t>(symbol_count, std::uint64_t{1} << 20));
+  // Symbols are stored through a raw cursor; push_back's bookkeeping cost
+  // ~15% of this loop.  The declared count is not trusted to size the
+  // output (see parse_header), so it grows from a capped start.
+  std::vector<std::uint32_t> out(std::min<std::uint64_t>(symbol_count, std::uint64_t{1} << 20));
+  std::uint32_t* cursor = out.data();
+  std::uint32_t* limit = cursor + out.size();
   for (std::uint64_t i = 0; i < symbol_count; ++i) {
+    if (cursor == limit) {
+      out.resize(std::min<std::uint64_t>(symbol_count, 2 * out.size()));
+      cursor = out.data() + i;
+      limit = out.data() + out.size();
+    }
     const std::uint32_t slot = state & (kProbScale - 1);
     // Unsigned wrap makes one compare of slot - cum cover both range ends.
-    const SymbolStats& s =
-        slot - dom_cum < dom_freq ? *dom : stats[slot_to_index[slot]];
-    out.push_back(s.symbol);
-    state = s.freq * (state >> kProbBits) + slot - s.cum;
+    const SymbolStats* s = dom;
+    if (slot - dom_cum >= dom_freq) {
+      s = &stats[bucket[slot >> bucket_shift]];
+      while (slot - s->cum >= s->freq) ++s;
+    }
+    *cursor++ = s->symbol;
+    state = s->freq * (state >> kProbBits) + slot - s->cum;
     if (state < kStateLow) {
       // Renormalization needs at most 3 bytes once state >= 1 (state == 0
       // only reachable from a corrupt initial state), so the common case

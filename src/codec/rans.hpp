@@ -42,8 +42,9 @@ inline std::vector<std::uint8_t> rans_encode(const std::vector<std::uint32_t>& s
 }
 
 /// Decode a buffer produced by rans_encode; throws CorruptStream on any
-/// malformed input.  Uses a flattened decode loop (bulk table fill, hoisted
-/// renormalization bounds checks); bit-identical to rans_decode_ref.
+/// malformed input.  Uses a flattened decode loop (a dominant-symbol range
+/// check, a slot lookup sized by the alphabet rather than the 2^17 scale,
+/// hoisted renormalization bounds checks); bit-identical to rans_decode_ref.
 std::vector<std::uint32_t> rans_decode(const std::uint8_t* data, std::size_t size);
 
 /// Same decode, but the stream must declare exactly \p expected_count

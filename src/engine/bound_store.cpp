@@ -59,17 +59,15 @@ void BoundStore::serialize(Buffer& out) const {
 }
 
 Status BoundStore::deserialize(const std::uint8_t* data, std::size_t size) noexcept {
-  try {
+  return guarded([&] {
     // Parse into a scratch map first: a corrupt block must never leave the
     // store half-replaced.  Minimum block: magic + version + varint(0) + CRC
     // — an empty store is a valid checkpoint.
-    if (size < 10) return Status::corrupt_stream("bound store: block too small");
     ByteReader in(data, size, "bound store");
-    if (in.u32() != kBoundStoreMagic) return Status::corrupt_stream("bound store: bad magic");
-    if (crc32(data, size - 4) != in.trailer(4).u32())
-      return Status::corrupt_stream("bound store: checksum mismatch");
-    if (in.u8() != kBoundStoreVersion)
-      return Status::corrupt_stream("bound store: unsupported version");
+    if (size < 10) in.fail("block too small");
+    if (in.u32() != kBoundStoreMagic) in.fail("bad magic");
+    if (crc32(data, size - 4) != in.trailer(4).u32()) in.fail("checksum mismatch");
+    if (in.u8() != kBoundStoreVersion) in.fail("unsupported version");
     const std::uint64_t count = in.varint();
     std::map<Key, double> parsed;
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -81,59 +79,50 @@ Status BoundStore::deserialize(const std::uint8_t* data, std::size_t size) noexc
                         static_cast<std::size_t>(name_size));
       const double target = in.f64();
       const double bound = in.f64();
-      if (!(bound > 0)) return Status::corrupt_stream("bound store: non-positive bound");
+      if (!(bound > 0)) in.fail("non-positive bound");
       parsed[Key{std::move(field), target}] = bound;
     }
-    if (in.remaining() != 0) return Status::corrupt_stream("bound store: trailing bytes");
+    in.expect_end("trailing bytes");
     LockGuard lock(mutex_);
     bounds_ = std::move(parsed);
-    return Status();
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 Status BoundStore::save(const std::string& path) const noexcept {
-  try {
+  return guarded([&] {
     Buffer block;
     serialize(block);
     std::FILE* file = std::fopen(path.c_str(), "wb");
     if (!file)
-      return Status::io_error("bound store: cannot open '" + path +
-                              "': " + errno_detail(errno));
+      throw IoError("bound store: cannot open '" + path + "': " + errno_detail(errno));
     const bool wrote =
         block.size() == 0 || std::fwrite(block.data(), 1, block.size(), file) == block.size();
     const int write_errno = wrote ? 0 : errno;
     const bool closed = std::fclose(file) == 0;
     const int close_errno = closed ? 0 : errno;
-    if (wrote && closed) return Status();
+    if (wrote && closed) return;
     std::remove(path.c_str());
-    return Status::io_error("bound store: cannot write '" + path +
-                            "': " + errno_detail(wrote ? close_errno : write_errno));
-  } catch (...) {
-    return status_from_current_exception();
-  }
+    throw IoError("bound store: cannot write '" + path +
+                  "': " + errno_detail(wrote ? close_errno : write_errno));
+  });
 }
 
 Status BoundStore::load(const std::string& path) noexcept {
-  try {
+  std::vector<std::uint8_t> bytes;
+  const Status read = guarded([&] {
     std::FILE* file = std::fopen(path.c_str(), "rb");
     if (!file)
-      return Status::io_error("bound store: cannot open '" + path +
-                              "': " + errno_detail(errno));
-    std::vector<std::uint8_t> bytes;
+      throw IoError("bound store: cannot open '" + path + "': " + errno_detail(errno));
     std::uint8_t chunk[4096];
     std::size_t got;
     while ((got = std::fread(chunk, 1, sizeof chunk, file)) > 0)
       bytes.insert(bytes.end(), chunk, chunk + got);
     const bool read_ok = std::ferror(file) == 0;
     std::fclose(file);
-    if (!read_ok)
-      return Status::io_error("bound store: cannot read '" + path + "'");
-    return deserialize(bytes.data(), bytes.size());
-  } catch (...) {
-    return status_from_current_exception();
-  }
+    if (!read_ok) throw IoError("bound store: cannot read '" + path + "'");
+  });
+  if (!read.ok()) return read;
+  return deserialize(bytes.data(), bytes.size());
 }
 
 }  // namespace fraz

@@ -39,11 +39,7 @@ Engine::Engine(EngineConfig config)
 }
 
 Result<Engine> Engine::create(EngineConfig config) noexcept {
-  try {
-    return Engine(std::move(config));
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  return guarded([&] { return Engine(std::move(config)); });
 }
 
 void Engine::adopt_bound_store(BoundStorePtr store) noexcept {
@@ -56,7 +52,7 @@ void Engine::adopt_probe_cache(ProbeCachePtr cache) noexcept {
 
 Result<TuneResult> Engine::tune(const std::string& field, const ArrayView& data,
                                 double target_ratio) noexcept {
-  try {
+  return guarded([&] {
     TunerConfig cfg = config_.tuner;
     cfg.target_ratio = target_ratio;
     const Tuner tuner(*compressor_, cfg, probe_cache_);
@@ -84,9 +80,7 @@ Result<TuneResult> Engine::tune(const std::string& field, const ArrayView& data,
     // band is worth warm-starting the next call with.
     if (result.feasible) bounds_->put(field, target_ratio, result.error_bound);
     return result;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 Status Engine::compress(const std::string& field, const ArrayView& data, Buffer& out,
@@ -136,11 +130,8 @@ Status Engine::compress(const std::string& field, const ArrayView& data, Buffer&
 }
 
 Status Engine::compress_at(double error_bound, const ArrayView& data, Buffer& out) noexcept {
-  try {
-    compressor_->set_error_bound(error_bound);
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  const Status bound = guarded([&] { compressor_->set_error_bound(error_bound); });
+  if (!bound.ok()) return bound;
   const Status s = compressor_->compress_into(data, out);
   if (s.ok()) ++stats_.compress_calls;
   return s;
@@ -158,15 +149,13 @@ Result<pressio::FidelityReport> Engine::evaluate(const std::string& field,
                                                  const ArrayView& data) noexcept {
   Result<TuneResult> tuned = tune(field, data);
   if (!tuned.ok()) return tuned.status();
-  try {
+  return guarded([&] {
     compressor_->set_error_bound(tuned.value().error_bound);
     pressio::FidelityReport report = pressio::evaluate_fidelity(*compressor_, data);
     ++stats_.compress_calls;
     ++stats_.decompress_calls;
     return report;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 double Engine::cached_bound(const std::string& field, double target_ratio) const noexcept {

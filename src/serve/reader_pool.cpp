@@ -71,15 +71,10 @@ Result<std::unique_ptr<ReaderPool::Context>> ReaderPool::checkout_context(
       return context;
     }
   }
-  try {
-    EngineConfig engine_config;
-    engine_config.compressor = reader_.fields()[field].compressor;
-    auto engine = Engine::create(std::move(engine_config));
-    if (!engine.ok()) return engine.status();
-    return std::make_unique<Context>(Context{std::move(engine).value(), Buffer()});
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  return guarded([&] {
+    return std::make_unique<Context>(
+        Context{archive::detail::ChunkDecoder(reader_.fields()[field].compressor), Buffer()});
+  });
 }
 
 void ReaderPool::checkin_context(std::size_t field,
@@ -146,9 +141,9 @@ Result<std::shared_ptr<const NdArray>> ReaderPool::chunk(std::size_t field,
       } else {
         try {
           TELEM_SPAN("serve.decode_us");
-          NdArray decoded = archive::detail::decode_chunk(
-              context.value()->engine, reader_.chunk_source(), fields[field],
-              reader_.info().chunk_region, i, context.value()->scratch);
+          NdArray decoded = context.value()->decoder.decode(
+              reader_.chunk_source(), fields[field], reader_.info().chunk_region, i,
+              context.value()->scratch);
           value = std::make_shared<const NdArray>(std::move(decoded));
         } catch (...) {
           status = status_from_current_exception();

@@ -4,7 +4,7 @@
 /// \file reader_pool.hpp
 /// Concurrent read-side serving over one archive file.
 ///
-/// ArchiveReader is a serial random-access reader: one Engine per field,
+/// ArchiveReader is a serial random-access reader: one decoder per field,
 /// one scratch, no internal locking.  A serving workload is the opposite
 /// shape — many clients, one archive, heavy re-reads — so ReaderPool maps
 /// the file once and serves decoded chunks to any number of threads:
@@ -16,7 +16,7 @@
 ///    result.  The owner re-checks the cache after registering, so a decode
 ///    can never race a just-completed insert — each resident chunk is
 ///    decoded exactly once per cache lifetime (pinned by test).
-///  - **Per-decode engine contexts.**  Decodes check an (Engine, scratch)
+///  - **Per-decode contexts.**  Decodes check a (ChunkDecoder, scratch)
 ///    context out of a per-field free list and return it after — concurrent
 ///    decodes of different chunks genuinely overlap, and steady-state
 ///    serving allocates no new engines.
@@ -156,10 +156,10 @@ public:
   Stats stats() const noexcept;
 
 private:
-  /// One decode's working set: a backend Engine plus fetch scratch, checked
-  /// out of the per-field free list for the duration of one decode.
+  /// One decode's working set: a field's chunk decoder plus fetch scratch,
+  /// checked out of the per-field free list for the duration of one decode.
   struct Context {
-    Engine engine;
+    archive::detail::ChunkDecoder decoder;
     Buffer scratch;
   };
 

@@ -7,6 +7,7 @@
 #include "data/datasets.hpp"
 #include "archive_fixtures.hpp"
 #include "pressio/registry.hpp"
+#include "telemetry/telemetry.hpp"
 #include "test_helpers.hpp"
 
 namespace fraz {
@@ -144,6 +145,25 @@ TEST(Archive, ReadChunkEqualsSliceOfFullDecompression) {
     EXPECT_EQ(std::memcmp(chunk.value().data(), expected, chunk.value().size_bytes()), 0)
         << "chunk " << i << " differs from the corresponding slice";
   }
+}
+
+TEST(Archive, EveryChunkDecodeRecordsItsBackendLatency) {
+  // The decode_us.<backend> histogram (docs/API.md) counts one sample per
+  // chunk decode on the serial and the parallel read paths.
+  const NdArray field = make_field(DType::kFloat32, {9, 20, 14});
+  Buffer bytes;
+  pack(field.view(), writer_config("sz", 6.0, 0.2, 2), bytes);
+  ArchiveReader reader = open_ok(bytes);
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  const telemetry::Histogram& decode_us = telemetry::global().histogram("decode_us.sz");
+  const std::uint64_t before = decode_us.snapshot().count;
+  ASSERT_TRUE(reader.read_chunk(kData, 1).ok());
+  ASSERT_TRUE(reader.read_all(kData, 1).ok());
+  ASSERT_TRUE(reader.read_all(kData, 3).ok());
+  const std::uint64_t decodes = 1 + 2 * reader.info().chunk_count;
+  EXPECT_EQ(decode_us.snapshot().count - before, decodes);
+  telemetry::set_enabled(was_enabled);
 }
 
 TEST(Archive, RangeQueryMatchesFullDecompression) {

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
+#include <utility>
 
 #include "codec/checksum.hpp"
+#include "codec/lz.hpp"
 #include "codec/varint.hpp"
+#include "compressors/container.hpp"
+#include "compressors/sz/sz.hpp"
+#include "data/datasets.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -269,6 +276,133 @@ TEST(Rans, EncoderBytesArePinned) {
     EXPECT_EQ(crc32(encoded), c.crc);
     EXPECT_EQ(rans_decode(encoded), symbols);
     EXPECT_EQ(rans_decode_ref(encoded.data(), encoded.size()), symbols);
+  }
+}
+
+/// Symbols with exactly the given counts, deterministically shuffled.  When
+/// the counts sum to the 2^17 scale every normalized frequency equals its
+/// count, so a test places each symbol's slot range exactly: ranges follow
+/// ascending symbol order from slot 0.
+std::vector<std::uint32_t> with_counts(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& counts) {
+  std::vector<std::uint32_t> symbols;
+  for (const auto& [symbol, count] : counts) symbols.insert(symbols.end(), count, symbol);
+  Rng rng(21);
+  for (std::size_t i = symbols.size(); i > 1; --i)
+    std::swap(symbols[i - 1], symbols[rng.below(i)]);
+  return symbols;
+}
+
+/// An alphabet over the whole scale: freq-1 singletons at the given slot
+/// runs [first, first + length), one heavy filler symbol between runs.
+std::vector<std::uint32_t> singleton_runs(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& runs) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> counts;
+  std::uint32_t slot = 0, symbol = 0;
+  for (const auto& [first, length] : runs) {
+    if (first > slot) counts.emplace_back(symbol++, first - slot);
+    for (std::uint32_t i = 0; i < length; ++i) counts.emplace_back(symbol++, 1);
+    slot = first + length;
+  }
+  if (slot < (1u << kRansProbBits)) counts.emplace_back(symbol, (1u << kRansProbBits) - slot);
+  return with_counts(counts);
+}
+
+void expect_fast_matches_ref(const std::vector<std::uint32_t>& symbols) {
+  const auto encoded = rans_encode(symbols);
+  const auto fast = rans_decode(encoded.data(), encoded.size(), symbols.size());
+  EXPECT_EQ(fast, rans_decode_ref(encoded.data(), encoded.size()));
+  EXPECT_EQ(fast, symbols);
+}
+
+TEST(Rans, FastDecodeMatchesReferenceOnLookupStressAlphabets) {
+  {
+    SCOPED_TRACE("2^17 distinct freq-1 symbols: no slot range spans two slots");
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> counts;
+    for (std::uint32_t v = 0; v < (1u << kRansProbBits); ++v) counts.emplace_back(v * 3, 1);
+    expect_fast_matches_ref(with_counts(counts));
+  }
+  {
+    // Small alphabets look up through 2^10 buckets of 128 slots: runs cross
+    // the first, a middle and the last bucket edge, and fill whole buckets.
+    SCOPED_TRACE("freq-1 runs straddling 128-slot bucket edges");
+    expect_fast_matches_ref(singleton_runs({{120, 20}, {64 * 128 - 3, 6}, {130944 - 100, 200}}));
+    expect_fast_matches_ref(singleton_runs({{0, 130}, {5 * 128, 256}}));
+    expect_fast_matches_ref(singleton_runs({{127, 2}, {255, 1}, {1023 * 128 - 1, 2}}));
+  }
+  {
+    // 600 symbols take 2^11 buckets of 64 slots; 1100 take 2^12 of 32.
+    SCOPED_TRACE("freq-1 runs at finer bucket sizes");
+    expect_fast_matches_ref(singleton_runs({{60, 300}, {70000 - 10, 297}}));
+    expect_fast_matches_ref(singleton_runs({{31, 1097}}));
+  }
+  {
+    SCOPED_TRACE("dominant symbol first, in the middle and last");
+    const std::uint32_t dominant = (1u << kRansProbBits) - 1000;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> first = {{10, dominant}},
+                                                         middle, last;
+    for (std::uint32_t v = 0; v < 500; ++v) {
+      first.emplace_back(100 + v, 2);
+      middle.emplace_back(v < 250 ? v : 1000 + v, 2);
+      last.emplace_back(v, 2);
+    }
+    middle.emplace_back(500, dominant);
+    last.emplace_back(5000, dominant);
+    expect_fast_matches_ref(with_counts(first));
+    expect_fast_matches_ref(with_counts(middle));
+    expect_fast_matches_ref(with_counts(last));
+  }
+  {
+    SCOPED_TRACE("one-symbol alphabet through the expected-count overload");
+    const std::vector<std::uint8_t> stream = one_symbol_stream(1000);
+    EXPECT_EQ(rans_decode(stream.data(), stream.size(), 1000),
+              rans_decode_ref(stream.data(), stream.size()));
+    const auto encoded = rans_encode(std::vector<std::uint32_t>(23000, 32768));
+    EXPECT_EQ(rans_decode(encoded.data(), encoded.size(), 23000),
+              rans_decode_ref(encoded.data(), encoded.size()));
+  }
+}
+
+/// The rANS code stream of one sz (v1) frame: the quantization codes the
+/// archive's chunk decode spends most of its time on.
+std::vector<std::uint8_t> sz_code_stream(const std::vector<std::uint8_t>& frame,
+                                         std::uint64_t& count) {
+  const Container c = open_container(frame.data(), frame.size(), CompressorId::kSz);
+  count = shape_elements(c.shape);
+  const std::vector<std::uint8_t> assembled = lz_decompress(c.payload, c.payload_size);
+  ByteReader in(assembled.data(), assembled.size(), "test");
+  in.scalar<double>();  // error bound
+  in.u8();              // regression flag
+  in.take(in.varint());  // block flags
+  in.section();          // regression coefficients
+  const ByteReader codes = in.section();
+  return std::vector<std::uint8_t>(codes.data(), codes.data() + codes.remaining());
+}
+
+TEST(Rans, FastDecodeMatchesReferenceOnChunkSizedSzStreams) {
+  // ~23k codes, an archive chunk's count, from each synthetic field family
+  // at a tight and a loose bound.
+  const data::FieldSpec fields[] = {
+      {"cosmo", data::FieldKind::kCosmoField3d, {16, 36, 40}, 1},
+      {"plume", data::FieldKind::kLogSparsePlume3d, {16, 36, 40}, 2},
+      {"cloud", data::FieldKind::kCloudField3d, {16, 36, 40}, 3},
+      {"smooth", data::FieldKind::kSmooth2d, {144, 160}, 4},
+      {"velocity", data::FieldKind::kParticleVel1d, {23040}, 5},
+  };
+  for (const data::FieldSpec& spec : fields) {
+    const NdArray field = data::generate_field(spec, 0);
+    const float* v = field.typed<float>();
+    const auto [lo, hi] = std::minmax_element(v, v + shape_elements(field.shape()));
+    for (const double relative : {1e-4, 1e-2}) {
+      SCOPED_TRACE(spec.name + " at " + std::to_string(relative));
+      SzOptions options;
+      options.error_bound = relative * (*hi - *lo);
+      std::uint64_t count = 0;
+      const auto stream = sz_code_stream(sz_compress(field, options), count);
+      const auto fast = rans_decode(stream.data(), stream.size(), count);
+      EXPECT_EQ(fast.size(), 23040u);
+      EXPECT_EQ(fast, rans_decode_ref(stream.data(), stream.size()));
+    }
   }
 }
 
