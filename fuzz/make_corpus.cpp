@@ -136,8 +136,20 @@ bool emit_entropy(const fs::path& dir) {
   huff_seed.insert(huff_seed.end(), huff.begin(), huff.end());
   std::vector<std::uint8_t> rans_seed{0x01};  // router byte: rans
   rans_seed.insert(rans_seed.end(), rans.begin(), rans.end());
+  // A one-symbol alphabet at the whole 2^17 scale leaves the state at 2^23
+  // after every symbol, so its 2^24 declared symbols (64 MiB) consume no
+  // payload byte; the harness must reject it from the count alone.
+  std::vector<std::uint8_t> declared_count_seed{0x01};
+  put_varint(declared_count_seed, std::uint64_t{1} << 24);  // symbol count
+  put_varint(declared_count_seed, 1);                        // distinct
+  put_varint(declared_count_seed, 0);                        // symbol 0
+  put_varint(declared_count_seed, std::uint64_t{1} << 17);   // frequency
+  put_varint(declared_count_seed, 4);                        // payload size
+  declared_count_seed.insert(declared_count_seed.end(), {0, 0x80, 0, 0});  // state 2^23
   return write_file(dir / "huffman.bin", huff_seed.data(), huff_seed.size()) &&
-         write_file(dir / "rans.bin", rans_seed.data(), rans_seed.size());
+         write_file(dir / "rans.bin", rans_seed.data(), rans_seed.size()) &&
+         write_file(dir / "rans_declared_count.bin", declared_count_seed.data(),
+                    declared_count_seed.size());
 }
 
 bool emit_szx(const fs::path& dir) {

@@ -1,6 +1,7 @@
 #include "serve/chunk_cache.hpp"
 
 #include <atomic>
+#include <iterator>
 
 namespace fraz::serve {
 
@@ -16,10 +17,9 @@ telemetry::Gauge& resident_bytes_gauge() {
 
 ChunkCache::ChunkCache(std::size_t byte_budget)
     : byte_budget_(byte_budget),
-      generation_budget_(byte_budget / 2),
       hits_(telemetry::global().instanced_counter("serve.cache.hits")),
       misses_(telemetry::global().instanced_counter("serve.cache.misses")),
-      rotations_(telemetry::global().instanced_counter("serve.cache.rotations")),
+      evictions_(telemetry::global().instanced_counter("serve.cache.evictions")),
       uncacheable_(telemetry::global().instanced_counter("serve.cache.uncacheable")) {}
 
 ChunkCache::~ChunkCache() {
@@ -33,117 +33,94 @@ std::uint64_t ChunkCache::next_archive_id() noexcept {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-void ChunkCache::sync_resident_locked() const {
+void ChunkCache::sync_resident_locked() {
   if (!telemetry::enabled()) return;
-  const auto total =
-      static_cast<std::int64_t>(current_bytes_ + previous_bytes_);
+  const auto total = static_cast<std::int64_t>(resident_bytes_);
   resident_bytes_gauge().add(total - published_resident_);
   published_resident_ = total;
 }
 
-std::size_t ChunkCache::bytes_of(const Generation& generation) noexcept {
-  std::size_t total = 0;
-  for (const auto& [key, chunk] : generation) total += chunk->size_bytes();
-  return total;
-}
-
-void ChunkCache::rotate_if_full_locked(std::size_t incoming_bytes) const {
-  if (current_bytes_ + incoming_bytes <= generation_budget_) return;
-  previous_ = std::move(current_);
-  previous_bytes_ = current_bytes_;
-  current_.clear();
-  current_bytes_ = 0;
-  rotations_.add();
-}
-
-std::shared_ptr<const NdArray> ChunkCache::lookup(const ChunkKey& key) const noexcept {
+std::shared_ptr<const NdArray> ChunkCache::lookup(const ChunkKey& key) noexcept {
   // Counters are bumped after the mutex is released: at warm saturation the
-  // lock is the throughput bound, so the critical section stays map-only.
+  // lock is the throughput bound, so the critical section stays map-and-list
+  // only.  A hit moves no bytes, so it never touches the shared gauge.
   std::shared_ptr<const NdArray> result;
   {
     LockGuard lock(mutex_);
-    auto it = current_.find(key);
-    if (it == current_.end()) {
-      const auto prev = previous_.find(key);
-      if (prev == previous_.end()) {
-        misses_.add();
-        return nullptr;
-      }
-      // Hot again — promote so the next rotation cannot drop it.
-      std::shared_ptr<const NdArray> chunk = prev->second;
-      previous_bytes_ -= chunk->size_bytes();
-      previous_.erase(prev);
-      rotate_if_full_locked(chunk->size_bytes());
-      it = current_.emplace(key, std::move(chunk)).first;
-      current_bytes_ += it->second->size_bytes();
-      // The rotation above can drop a whole generation; publish the change.
-      // A plain current-generation hit never moves bytes, so the warm hot
-      // path never touches the shared gauge.
-      sync_resident_locked();
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      recency_.splice(recency_.begin(), recency_, it->second);
+      result = it->second->second;
     }
-    result = it->second;
   }
-  hits_.add();
+  (result ? hits_ : misses_).add();
   return result;
 }
 
 bool ChunkCache::contains(const ChunkKey& key) const noexcept {
   LockGuard lock(mutex_);
-  return current_.count(key) != 0 || previous_.count(key) != 0;
+  return index_.count(key) != 0;
 }
 
 void ChunkCache::insert(const ChunkKey& key, std::shared_ptr<const NdArray> chunk) {
   if (!chunk) return;
   const std::size_t bytes = chunk->size_bytes();
-  LockGuard lock(mutex_);
-  // A chunk that alone overflows a generation would evict everything and
-  // then be dropped on the next rotation anyway; skip it outright (and a
-  // zero budget makes every chunk uncacheable — caching disabled).
-  if (bytes > generation_budget_) {
+  // A chunk above half the budget would flush most of the cache to make
+  // room for itself; skip it outright (and a zero budget makes every chunk
+  // uncacheable — caching disabled).
+  if (bytes > byte_budget_ / 2) {
     uncacheable_.add();
     return;
   }
-  // Rotate first, then purge: one key must never live in both generations
-  // (a rotation could carry a stale copy into previous_, where it would
-  // shadow a fresh decode after the next rotation).
-  rotate_if_full_locked(bytes);
-  const auto prev = previous_.find(key);
-  if (prev != previous_.end()) {
-    previous_bytes_ -= prev->second->size_bytes();
-    previous_.erase(prev);
+  // The new node is built, and the dropped ones freed, outside the lock.
+  Recency fresh;
+  fresh.emplace_front(key, std::move(chunk));
+  Recency dropped;
+  std::size_t evicted = 0;
+  {
+    LockGuard lock(mutex_);
+    if (const auto it = index_.find(key); it != index_.end()) {
+      resident_bytes_ -= it->second->second->size_bytes();
+      dropped.splice(dropped.end(), recency_, it->second);
+      index_.erase(it);
+    }
+    // resident_bytes_ > 0 here, so the list is not empty.
+    while (resident_bytes_ + bytes > byte_budget_) {
+      const auto victim = std::prev(recency_.end());
+      resident_bytes_ -= victim->second->size_bytes();
+      index_.erase(victim->first);
+      dropped.splice(dropped.end(), recency_, victim);
+      ++evicted;
+    }
+    recency_.splice(recency_.begin(), fresh);
+    index_.emplace(key, recency_.begin());
+    resident_bytes_ += bytes;
+    sync_resident_locked();
   }
-  const auto cur = current_.find(key);
-  if (cur != current_.end()) {
-    current_bytes_ -= cur->second->size_bytes();
-    cur->second = std::move(chunk);
-  } else {
-    current_.emplace(key, std::move(chunk));
-  }
-  current_bytes_ += bytes;
-  sync_resident_locked();
+  if (evicted != 0) evictions_.add(evicted);
 }
 
 void ChunkCache::erase_archive(std::uint64_t archive) noexcept {
+  Recency dropped;
   LockGuard lock(mutex_);
-  for (Generation* generation : {&current_, &previous_}) {
-    for (auto it = generation->begin(); it != generation->end();) {
-      if (it->first.archive == archive)
-        it = generation->erase(it);
-      else
-        ++it;
+  for (auto it = recency_.begin(); it != recency_.end();) {
+    const auto next = std::next(it);
+    if (it->first.archive == archive) {
+      resident_bytes_ -= it->second->size_bytes();
+      index_.erase(it->first);
+      dropped.splice(dropped.end(), recency_, it);
     }
+    it = next;
   }
-  current_bytes_ = bytes_of(current_);
-  previous_bytes_ = bytes_of(previous_);
   sync_resident_locked();
 }
 
 void ChunkCache::clear() noexcept {
+  Recency dropped;
   LockGuard lock(mutex_);
-  current_.clear();
-  previous_.clear();
-  current_bytes_ = 0;
-  previous_bytes_ = 0;
+  dropped.swap(recency_);
+  index_.clear();
+  resident_bytes_ = 0;
   sync_resident_locked();
 }
 
@@ -152,9 +129,9 @@ ChunkCache::Stats ChunkCache::stats() const noexcept {
   Stats stats;
   stats.hits = static_cast<std::size_t>(hits_.value());
   stats.misses = static_cast<std::size_t>(misses_.value());
-  stats.entries = current_.size() + previous_.size();
-  stats.resident_bytes = current_bytes_ + previous_bytes_;
-  stats.rotations = static_cast<std::size_t>(rotations_.value());
+  stats.entries = index_.size();
+  stats.resident_bytes = resident_bytes_;
+  stats.evictions = static_cast<std::size_t>(evictions_.value());
   stats.uncacheable = static_cast<std::size_t>(uncacheable_.value());
   return stats;
 }

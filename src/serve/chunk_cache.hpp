@@ -8,23 +8,23 @@
 /// slice the same archive, the first-order win is paying each chunk's
 /// decompression once and handing every later reader the decoded planes.
 /// ChunkCache holds decoded chunks as shared immutable arrays keyed by
-/// (archive-id, field, chunk), bounded by a byte budget under the same
-/// deterministic two-generation scheme ProbeCache uses for probe records:
-/// entries land in a *current* generation; when that generation reaches half
-/// the budget it becomes the *previous* generation (dropping whatever the old
-/// previous one held), and a hit in the previous generation promotes the
-/// entry back into the current one.  A chunk touched at least once per
-/// generation survives indefinitely; cold chunks age out two generations
-/// after their last touch.  Eviction is driven purely by the insert/promote
-/// sequence — never by wall-clock time — so a replayed request sequence
-/// evicts identically, which is what makes cache behaviour testable.
+/// (archive-id, field, chunk), bounded by a byte budget under an exact
+/// least-recently-used policy: a hit moves the entry to the front of one
+/// recency list, and an insert evicts from the back until the new chunk
+/// fits.  The whole budget holds the hot set, whatever order it is touched
+/// in.  Eviction is driven purely by the lookup/insert sequence — never by
+/// wall-clock time — so a replayed request sequence evicts identically,
+/// which is what makes cache behaviour testable.
 ///
 /// Entries are `shared_ptr<const NdArray>`: eviction never invalidates a
-/// reader mid-copy, it only drops the cache's reference.
+/// reader mid-copy, it only drops the cache's reference, and the cache drops
+/// it after releasing its lock.
 
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "ndarray/ndarray.hpp"
 #include "telemetry/telemetry.hpp"
@@ -57,16 +57,15 @@ struct ChunkKeyHash {
   }
 };
 
-/// Thread-safe byte-budgeted cache of decoded chunks (see file comment for
-/// the two-generation eviction contract).  A byte budget of 0 disables
-/// caching entirely — every lookup misses, every insert is dropped — which
-/// is how the bench measures the cold decode-per-call floor.
+/// Thread-safe byte-budgeted LRU cache of decoded chunks (see file
+/// comment).  A byte budget of 0 disables caching entirely — every lookup
+/// misses, every insert is dropped — which is how the bench measures the
+/// cold decode-per-call floor.
 class ChunkCache {
 public:
-  /// \param byte_budget total decoded bytes the cache may hold (both
-  /// generations together).  Each generation holds half; a single chunk
-  /// larger than half the budget is uncacheable and silently skipped
-  /// (counted in stats().uncacheable).
+  /// \param byte_budget total decoded bytes the cache may hold.  A single
+  /// chunk larger than half the budget is uncacheable and silently skipped
+  /// (counted in stats().uncacheable), so one chunk cannot flush the cache.
   explicit ChunkCache(std::size_t byte_budget = kDefaultByteBudget);
   ~ChunkCache();
 
@@ -75,17 +74,18 @@ public:
   /// Process-unique archive id for a new ReaderPool.
   static std::uint64_t next_archive_id() noexcept;
 
-  /// The decoded chunk for \p key, or nullptr on miss.  A hit in the
-  /// previous generation promotes the entry into the current one.
-  std::shared_ptr<const NdArray> lookup(const ChunkKey& key) const noexcept;
+  /// The decoded chunk for \p key, or nullptr on miss.  A hit makes the
+  /// entry the most recently used.
+  std::shared_ptr<const NdArray> lookup(const ChunkKey& key) noexcept;
 
-  /// True when \p key is resident (either generation).  A pure peek: no
-  /// promotion, no hit/miss accounting — prefetchers use this to skip work
-  /// without skewing stats or pinning entries.
+  /// True when \p key is resident.  A pure peek: no recency update, no
+  /// hit/miss accounting — prefetchers use this to skip work without
+  /// skewing stats or pinning entries.
   bool contains(const ChunkKey& key) const noexcept;
 
-  /// Insert a decoded chunk (overwrites an identical key).  Chunks at or
-  /// above the per-generation budget are not cached.
+  /// Insert a decoded chunk as the most recently used, replacing any entry
+  /// with the same key, then evict least-recently-used entries until the
+  /// budget holds.  Chunks above half the budget are not cached.
   void insert(const ChunkKey& key, std::shared_ptr<const NdArray> chunk);
 
   /// Drop every entry of \p archive (a ReaderPool closing).
@@ -102,40 +102,34 @@ public:
   struct Stats {
     std::size_t hits = 0;
     std::size_t misses = 0;
-    std::size_t entries = 0;         ///< resident chunks, both generations
-    std::size_t resident_bytes = 0;  ///< decoded bytes held, both generations
-    std::size_t rotations = 0;       ///< generation turnovers so far
-    std::size_t uncacheable = 0;     ///< inserts skipped as larger than a generation
+    std::size_t entries = 0;         ///< resident chunks
+    std::size_t resident_bytes = 0;  ///< decoded bytes held
+    std::size_t evictions = 0;       ///< entries dropped to fit the budget
+    std::size_t uncacheable = 0;     ///< inserts skipped as larger than half the budget
   };
   Stats stats() const noexcept;
 
 private:
-  using Generation =
-      std::unordered_map<ChunkKey, std::shared_ptr<const NdArray>, ChunkKeyHash>;
+  /// Most recently used first.  Evicted and replaced entries are spliced
+  /// into a local list and freed after the mutex is released.
+  using Recency = std::list<std::pair<ChunkKey, std::shared_ptr<const NdArray>>>;
 
-  /// Rotate once current_ has filled its half-budget: current_ becomes
-  /// previous_ (dropping the old previous_ and its bytes).
-  void rotate_if_full_locked(std::size_t incoming_bytes) const FRAZ_REQUIRES(mutex_);
-  static std::size_t bytes_of(const Generation& generation) noexcept;
   /// Publish the resident-bytes level to the serve.cache.resident_bytes
   /// gauge as a delta from the last published value.
-  void sync_resident_locked() const FRAZ_REQUIRES(mutex_);
+  void sync_resident_locked() FRAZ_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
-  // lookup() promotes hot entries, so both generations mutate under a const
-  // interface; the mutex makes that promotion safe.
-  mutable Generation current_ FRAZ_GUARDED_BY(mutex_);
-  mutable Generation previous_ FRAZ_GUARDED_BY(mutex_);
-  mutable std::size_t current_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
-  mutable std::size_t previous_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
-  std::size_t byte_budget_;
-  std::size_t generation_budget_;  ///< max bytes per generation (half the total)
+  Recency recency_ FRAZ_GUARDED_BY(mutex_);
+  std::unordered_map<ChunkKey, Recency::iterator, ChunkKeyHash> index_
+      FRAZ_GUARDED_BY(mutex_);
+  std::size_t resident_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
+  const std::size_t byte_budget_;
   telemetry::Counter& hits_;
   telemetry::Counter& misses_;
-  telemetry::Counter& rotations_;
+  telemetry::Counter& evictions_;
   telemetry::Counter& uncacheable_;
   /// The gauge's view of this cache.
-  mutable std::int64_t published_resident_ FRAZ_GUARDED_BY(mutex_) = 0;
+  std::int64_t published_resident_ FRAZ_GUARDED_BY(mutex_) = 0;
 };
 
 using ChunkCachePtr = std::shared_ptr<ChunkCache>;

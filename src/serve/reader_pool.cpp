@@ -5,7 +5,7 @@
 
 #include "opt/thread_pool.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/error.hpp"
+#include "util/status.hpp"
 
 namespace fraz::serve {
 
@@ -42,16 +42,14 @@ ReaderPool::~ReaderPool() {
 
 Result<std::shared_ptr<ReaderPool>> ReaderPool::open(const std::string& path,
                                                      ReaderPoolConfig config) noexcept {
-  try {
+  return guarded([&]() -> Result<std::shared_ptr<ReaderPool>> {
     auto reader = ArchiveReader::open(path);
     if (!reader.ok()) return reader.status();
     ChunkCachePtr cache = config.cache;
     if (!cache) cache = std::make_shared<ChunkCache>(config.cache_bytes);
     return std::shared_ptr<ReaderPool>(
         new ReaderPool(std::move(reader).value(), std::move(config), std::move(cache)));
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 Result<std::size_t> ReaderPool::field_index(const std::string& name) const noexcept {
@@ -89,7 +87,7 @@ void ReaderPool::checkin_context(std::size_t field,
 
 Result<std::shared_ptr<const NdArray>> ReaderPool::chunk(std::size_t field,
                                                          std::size_t i) noexcept {
-  try {
+  return guarded([&]() -> Result<std::shared_ptr<const NdArray>> {
     const std::vector<FieldInfo>& fields = reader_.fields();
     if (field >= fields.size())
       return Status::invalid_argument("serve: field index out of range");
@@ -136,27 +134,25 @@ Result<std::shared_ptr<const NdArray>> ReaderPool::chunk(std::size_t field,
       cache_hits_.add();
     } else {
       auto context = checkout_context(field);
-      if (!context.ok()) {
-        status = context.status();
-      } else {
-        try {
+      status = context.status();
+      if (context.ok()) {
+        // A failed decode's Status goes to every waiter below.
+        status = guarded([&] {
           TELEM_SPAN("serve.decode_us");
-          NdArray decoded = context.value()->decoder.decode(
+          value = std::make_shared<const NdArray>(context.value()->decoder.decode(
               reader_.chunk_source(), fields[field], reader_.info().chunk_region, i,
-              context.value()->scratch);
-          value = std::make_shared<const NdArray>(std::move(decoded));
-        } catch (...) {
-          status = status_from_current_exception();
-        }
+              context.value()->scratch));
+        });
         checkin_context(field, std::move(context).value());
       }
-      if (value) decoded_chunks_.add();
+      // Publish to the cache before retiring the in-flight entry, so a
+      // thread that misses the retired entry finds the chunk resident
+      // instead of starting a second decode.
+      if (value) {
+        decoded_chunks_.add();
+        cache_->insert(key, value);
+      }
     }
-
-    // Publish to the cache before retiring the in-flight entry, so a thread
-    // that misses the retired entry finds the chunk resident instead of
-    // starting a second decode.
-    if (value) cache_->insert(key, value);
     {
       LockGuard lock(inflight_mutex_);
       inflight_.erase(key);
@@ -171,9 +167,7 @@ Result<std::shared_ptr<const NdArray>> ReaderPool::chunk(std::size_t field,
 
     if (!status.ok()) return status;
     return value;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 void ReaderPool::prefetch(std::size_t field, std::size_t i) noexcept {
@@ -234,7 +228,7 @@ const std::vector<FieldInfo>& ReaderHandle::fields() const noexcept {
 
 Result<NdArray> ReaderHandle::read_range(std::size_t field, std::size_t first,
                                          std::size_t count) noexcept {
-  try {
+  return guarded([&]() -> Result<NdArray> {
     const std::vector<FieldInfo>& fields = pool_->fields();
     if (field >= fields.size())
       return Status::invalid_argument("serve: field index out of range");
@@ -278,9 +272,7 @@ Result<NdArray> ReaderHandle::read_range(std::size_t field, std::size_t first,
       pool_->prefetch(field, last_chunk + 1);
 
     return out;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 Result<NdArray> ReaderHandle::read_range(const std::string& field, std::size_t first,
@@ -291,13 +283,11 @@ Result<NdArray> ReaderHandle::read_range(const std::string& field, std::size_t f
 }
 
 Result<NdArray> ReaderHandle::read_chunk(std::size_t field, std::size_t i) noexcept {
-  try {
+  return guarded([&]() -> Result<NdArray> {
     auto chunk = pool_->chunk(field, i);
     if (!chunk.ok()) return chunk.status();
     return NdArray(*chunk.value());  // owned copy; the cache keeps the shared one
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 Result<NdArray> ReaderHandle::read_chunk(const std::string& field,

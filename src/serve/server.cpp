@@ -9,8 +9,8 @@
 #include "ndarray/dtype.hpp"
 #include "serve/protocol.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/error.hpp"
 #include "util/json_writer.hpp"
+#include "util/status.hpp"
 #include "util/thread_annotations.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -69,7 +69,7 @@ std::string stats_json(const ReaderPool& pool, const ServeStats& session) {
       .field("misses", cs.misses)
       .field("entries", cs.entries)
       .field("resident_bytes", cs.resident_bytes)
-      .field("rotations", cs.rotations)
+      .field("evictions", cs.evictions)
       .end_object()
       .end_object();
   return std::move(w).str();
@@ -139,13 +139,11 @@ Status send_array(Transport& transport, const NdArray& array, ServeStats& sessio
 // ---------------------------------------------------------------- transport
 
 Status Transport::write_line(const std::string& line) noexcept {
-  try {
+  return guarded([&] {
     std::string framed = line;
     framed += '\n';
     return write_bytes(framed.data(), framed.size());
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 bool StreamTransport::read_line(std::string& line) {
@@ -168,7 +166,7 @@ Status StreamTransport::flush() noexcept {
 
 Status serve_connection(const std::shared_ptr<ReaderPool>& pool, Transport& transport,
                         ServeStats* stats) noexcept {
-  try {
+  return guarded([&] {
     ReaderHandle handle = pool->handle();
     SessionScope scope(stats);
     ServeStats& session = scope.session;
@@ -251,9 +249,7 @@ Status serve_connection(const std::shared_ptr<ReaderPool>& pool, Transport& tran
     }
 
     return transport_status;  // SessionScope folds session into *stats
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 // ---------------------------------------------------------------------- tcp
@@ -328,7 +324,7 @@ private:
 Status serve_tcp(const std::shared_ptr<ReaderPool>& pool, std::uint16_t port,
                  ServeStats* stats,
                  const std::function<void(std::uint16_t)>& on_listening) noexcept {
-  try {
+  return guarded([&]() -> Status {
     const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listener < 0)
       return Status::io_error("serve: cannot create socket: " +
@@ -370,9 +366,7 @@ Status serve_tcp(const std::shared_ptr<ReaderPool>& pool, std::uint16_t port,
     ::close(listener);
     for (std::thread& connection : connections) connection.join();
     return Status();
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 #else  // !FRAZ_SERVE_HAS_SOCKETS

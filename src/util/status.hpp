@@ -140,15 +140,31 @@ inline Status status_from_current_exception() noexcept {
   }
 }
 
-/// What guarded() returns for a body returning R: Status for void, else
-/// Result<R>.
+namespace detail {
 template <typename R>
-using Guarded = std::conditional_t<std::is_void_v<R>, Status, Result<R>>;
+struct GuardedOf {
+  using type = std::conditional_t<std::is_void_v<R>, Status, Result<R>>;
+};
+template <>
+struct GuardedOf<Status> {
+  using type = Status;
+};
+template <typename T>
+struct GuardedOf<Result<T>> {
+  using type = Result<T>;
+};
+}  // namespace detail
+
+/// What guarded() returns for a body returning R: Status for void, else
+/// Result<R>; a body that already returns a Status or Result<T> keeps it.
+template <typename R>
+using Guarded = typename detail::GuardedOf<R>::type;
 
 /// Run the throwing \p body and return its outcome as a value: a void body
 /// yields a Status, one returning T a Result<T>, and an exception the Status
-/// status_from_current_exception() maps it to.  Public entry points wrap
-/// their bodies in this.
+/// status_from_current_exception() maps it to.  A body may also return a
+/// Status or Result<T> itself, to report a failure it found without
+/// throwing.  Public entry points wrap their bodies in this.
 template <typename Fn>
 Guarded<std::invoke_result_t<Fn&>> guarded(Fn&& body) noexcept {
   try {

@@ -7,6 +7,7 @@
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/pgm.hpp"
+#include "util/status.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -140,6 +141,27 @@ TEST(Timer, MeasuresNonNegativeMonotoneTime) {
   EXPECT_GE(b, a);
   t.reset();
   EXPECT_LT(t.seconds(), 1.0);
+}
+
+// -------------------------------------------------------------- guarded
+
+TEST(Guarded, MapsThrownErrorsAndPassesReturnedStatusesThrough) {
+  const Result<int> value = guarded([] { return 7; });
+  EXPECT_EQ(value.value(), 7);
+  const Status thrown = guarded([] { throw CorruptStream("bad bytes"); });
+  EXPECT_EQ(thrown.code(), StatusCode::kCorruptStream);
+  EXPECT_EQ(thrown.message(), "bad bytes");
+
+  // A body that returns its own failure keeps code and message as they are,
+  // kInternal included (a throw/convert round trip would prefix it).
+  const Status returned = guarded([] { return Status::internal("lost lock"); });
+  EXPECT_EQ(returned.code(), StatusCode::kInternal);
+  EXPECT_EQ(returned.message(), "lost lock");
+  const Result<int> failed =
+      guarded([]() -> Result<int> { return Status::io_error("short read"); });
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(failed.status().message(), "short read");
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 # local `tools/lint.sh` reproduces the gate exactly.
 #
 # Stages (default: the error-model grep and all three clang gates):
-#   error-model    the archive and engine layers convert between exceptions
-#                  and Status only through guarded() (plain grep, no
-#                  compiler needed)
+#   error-model    the archive, engine and serve layers convert between
+#                  exceptions and Status only through guarded() (plain grep,
+#                  no compiler needed)
 #   thread-safety  clang build with -Wthread-safety as errors
 #   tidy           run-clang-tidy over src/ using .clang-tidy
 #   fuzz           ~60s sanitized libFuzzer smoke per harness, seeded from
@@ -31,15 +31,15 @@ need() {
 }
 
 # Internals throw and Status appears only at public entry points, through
-# guarded() (docs/API.md, "The error model").  The archive and engine layers
-# follow the rule, so a hand-written bridge there is a regression.
+# guarded() (docs/API.md, "The error model").  The archive, engine and serve
+# layers follow the rule, so a hand-written bridge there is a regression.
 stage_error_model() {
-  echo "== error-model: no hand-written Status bridges under src/archive/ or src/engine/ =="
+  echo "== error-model: no hand-written Status bridges under src/archive/, src/engine/ or src/serve/ =="
   local found=0
-  grep -rnE 'status_from_current_exception|throw_status' src/archive src/engine || found=$?
+  grep -rnE 'status_from_current_exception|throw_status' src/archive src/engine src/serve || found=$?
   case "$found" in
     0)
-      echo "lint: src/archive/ and src/engine/ convert only through guarded(), Result::value() and Status::throw_if_error()" >&2
+      echo "lint: src/archive/, src/engine/ and src/serve/ convert only through guarded(), Result::value() and Status::throw_if_error()" >&2
       exit 1
       ;;
     1) ;;  # no match
