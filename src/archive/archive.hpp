@@ -219,7 +219,7 @@ struct ArchiveWriteResult {
 /// Warm-start state a writer carries across write() calls and field
 /// sessions, whichever transport each build uses: the persistent
 /// chunk-0 tuning engine plus the thread-safe stores every per-worker chunk
-/// engine adopts — a BoundStore holding the freshest feasible bound under a
+/// engine adopts — a BoundStore holding the freshest carried bound under a
 /// deterministic per-(field, chunk) key (the time dimension of Algorithm 3;
 /// one key per chunk so worker scheduling can never change which bound a
 /// chunk sees, one namespace per field so fields warm-start independently),

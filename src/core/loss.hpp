@@ -41,6 +41,12 @@ inline bool ratio_acceptable(double achieved_ratio, double target_ratio,
          achieved_ratio <= target_ratio * (1.0 + epsilon);
 }
 
+/// ρr > ρt(1+ε): the bound compresses more than the band allows.
+inline bool ratio_above_band(double achieved_ratio, double target_ratio,
+                             double epsilon) noexcept {
+  return achieved_ratio > target_ratio * (1.0 + epsilon);
+}
+
 }  // namespace fraz
 
 #endif  // FRAZ_CORE_LOSS_HPP

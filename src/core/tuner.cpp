@@ -173,17 +173,21 @@ TuneResult Tuner::train(const ArrayView& data, std::uint64_t context) const {
   return result;
 }
 
-TuneResult Tuner::tune_with_prediction(const ArrayView& data, double predicted_bound) const {
+TuneResult Tuner::tune_with_prediction(const ArrayView& data, double predicted_bound,
+                                       bool keep_above_band) const {
   // Algorithm 1: when a prediction is available, try it before any training.
   if (predicted_bound > 0) {
     Timer timer;
     const std::uint64_t context = executor_.context_key(data);
     const ProbeOutcome probe = executor_.probe_ratio(data, context, predicted_bound);
-    if (ratio_acceptable(probe.record.ratio, config_.target_ratio, config_.epsilon)) {
+    const double ratio = probe.record.ratio;
+    const bool feasible = ratio_acceptable(ratio, config_.target_ratio, config_.epsilon);
+    if (feasible ||
+        (keep_above_band && ratio_above_band(ratio, config_.target_ratio, config_.epsilon))) {
       TuneResult result;
       result.error_bound = predicted_bound;
-      result.achieved_ratio = probe.record.ratio;
-      result.feasible = true;
+      result.achieved_ratio = ratio;
+      result.feasible = feasible;
       result.from_prediction = true;
       result.compress_calls = 1;
       result.probe_cache_hits = probe.from_cache ? 1 : 0;

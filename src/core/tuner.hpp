@@ -87,12 +87,12 @@ struct TuneResult {
   double error_bound = 0;    ///< recommended error bound e
   double achieved_ratio = 0; ///< ρr(e)
   bool feasible = false;     ///< true when inside the acceptance band
-  bool from_prediction = false;  ///< satisfied by the warm-start probe alone
+  bool from_prediction = false;  ///< settled by the warm-start probe alone
   int compress_calls = 0;    ///< probes the search consumed (cache hits included)
   int probe_cache_hits = 0;  ///< probes served without a compressor invocation
   double seconds = 0;        ///< wall time of the tuning
   std::vector<RegionOutcome> regions;  ///< per-region detail (empty when
-                                       ///< satisfied by prediction)
+                                       ///< settled by prediction)
 };
 
 /// The FRaZ autotuner.  Holds a prototype compressor (cloned per probe
@@ -125,9 +125,12 @@ public:
   TuneResult tune(const ArrayView& data) const;
 
   /// Algorithm 1 entry: probe \p predicted_bound first (0 = no prediction),
-  /// then fall back to full training.  Engine::tune feeds it the carried
-  /// bound of Algorithm 3.
-  TuneResult tune_with_prediction(const ArrayView& data, double predicted_bound) const;
+  /// then fall back to full training.  The prediction is accepted when it
+  /// lands in the band, or, with \p keep_above_band, above it (the result is
+  /// then from_prediction but not feasible).  Engine::tune feeds it the
+  /// carried bound of Algorithm 3 and that bound's above-band flag.
+  TuneResult tune_with_prediction(const ArrayView& data, double predicted_bound,
+                                  bool keep_above_band = false) const;
 
 private:
   /// Resolve the [lo, hi] search range for \p data per config defaults.

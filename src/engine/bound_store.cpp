@@ -17,15 +17,20 @@ constexpr std::uint8_t kBoundStoreVersion = 1;
 }  // namespace
 
 double BoundStore::get(const std::string& field, double target_ratio) const noexcept {
-  LockGuard lock(mutex_);
-  const auto it = bounds_.find(Key{field, target_ratio});
-  return it != bounds_.end() ? it->second : 0.0;
+  return carried(field, target_ratio).bound;
 }
 
-void BoundStore::put(const std::string& field, double target_ratio, double bound) {
+CarriedBound BoundStore::carried(const std::string& field, double target_ratio) const noexcept {
+  LockGuard lock(mutex_);
+  const auto it = bounds_.find(Key{field, target_ratio});
+  return it != bounds_.end() ? it->second : CarriedBound{};
+}
+
+void BoundStore::put(const std::string& field, double target_ratio, double bound,
+                     bool above_band) {
   if (!(bound > 0)) return;
   LockGuard lock(mutex_);
-  bounds_[Key{field, target_ratio}] = bound;
+  bounds_[Key{field, target_ratio}] = CarriedBound{bound, above_band};
 }
 
 void BoundStore::erase(const std::string& field, double target_ratio) noexcept {
@@ -48,12 +53,15 @@ void BoundStore::serialize(Buffer& out) const {
   out.clear();
   put_u32(out, kBoundStoreMagic);
   out.push_back(kBoundStoreVersion);
-  put_varint(out, bounds_.size());
-  for (const auto& [key, bound] : bounds_) {
+  std::size_t in_band = 0;
+  for (const auto& entry : bounds_) in_band += !entry.second.above_band;
+  put_varint(out, in_band);
+  for (const auto& [key, entry] : bounds_) {
+    if (entry.above_band) continue;
     put_varint(out, key.first.size());
     out.append(key.first.data(), key.first.size());
     put_f64(out, key.second);
-    put_f64(out, bound);
+    put_f64(out, entry.bound);
   }
   put_u32(out, crc32(out.data(), out.size()));
 }
@@ -69,7 +77,7 @@ Status BoundStore::deserialize(const std::uint8_t* data, std::size_t size) noexc
     if (crc32(data, size - 4) != in.trailer(4).u32()) in.fail("checksum mismatch");
     if (in.u8() != kBoundStoreVersion) in.fail("unsupported version");
     const std::uint64_t count = in.varint();
-    std::map<Key, double> parsed;
+    std::map<Key, CarriedBound> parsed;
     for (std::uint64_t i = 0; i < count; ++i) {
       // No arbitrary length cap: put() accepts any field key, so load()
       // must accept whatever save() wrote — the CRC plus the reader's
@@ -80,7 +88,7 @@ Status BoundStore::deserialize(const std::uint8_t* data, std::size_t size) noexc
       const double target = in.f64();
       const double bound = in.f64();
       if (!(bound > 0)) in.fail("non-positive bound");
-      parsed[Key{std::move(field), target}] = bound;
+      parsed[Key{std::move(field), target}] = CarriedBound{bound, false};
     }
     in.expect_end("trailing bytes");
     LockGuard lock(mutex_);

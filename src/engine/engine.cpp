@@ -26,6 +26,11 @@ telemetry::Counter& retrains_counter() {
   return c;
 }
 
+telemetry::Counter& above_band_keeps_counter() {
+  static telemetry::Counter& c = telemetry::global().counter("engine.above_band_keeps");
+  return c;
+}
+
 }  // namespace
 
 Engine::Engine(EngineConfig config)
@@ -57,9 +62,9 @@ Result<TuneResult> Engine::tune(const std::string& field, const ArrayView& data,
     cfg.target_ratio = target_ratio;
     const Tuner tuner(*compressor_, cfg, probe_cache_);
 
-    const double prediction = bounds_->get(field, target_ratio);
+    const CarriedBound carried = bounds_->carried(field, target_ratio);
 
-    TuneResult result = tuner.tune_with_prediction(data, prediction);
+    TuneResult result = tuner.tune_with_prediction(data, carried.bound, carried.above_band);
     ++stats_.tunes;
     tunes_counter().add();
     stats_.tuner_probe_calls +=
@@ -71,14 +76,20 @@ Result<TuneResult> Engine::tune(const std::string& field, const ArrayView& data,
       ++stats_.warm_hits;
       ++per_field.warm_hits;
       warm_hits_counter().add();
+      if (!result.feasible) above_band_keeps_counter().add();
     } else {
       ++stats_.retrains;
       ++per_field.retrains;
       retrains_counter().add();
     }
-    // Algorithm 3's carry rule: only a bound that satisfied the acceptance
-    // band is worth warm-starting the next call with.
-    if (result.feasible) bounds_->put(field, target_ratio, result.error_bound);
+    // Algorithm 3's carry rule: carry an in-band bound, or an above-band one
+    // flagged as such; a flagged bound that lands below the band is dropped.
+    const bool above_band =
+        ratio_above_band(result.achieved_ratio, target_ratio, config_.tuner.epsilon);
+    if (result.feasible || above_band)
+      bounds_->put(field, target_ratio, result.error_bound, above_band);
+    else if (carried.above_band)
+      bounds_->erase(field, target_ratio);
     return result;
   });
 }
@@ -93,21 +104,28 @@ Status Engine::compress(const std::string& field, const ArrayView& data, Buffer&
   const auto archive_ratio = [&data, &out] {
     return static_cast<double>(data.size_bytes()) / static_cast<double>(out.size());
   };
-  const double cached = bounds_->get(field, target);
-  if (cached > 0) {
-    const Status s = compress_at(cached, data, out);
+  const CarriedBound carried = bounds_->carried(field, target);
+  if (carried.bound > 0) {
+    const Status s = compress_at(carried.bound, data, out);
     if (!s.ok()) return s;
     ++field_stats_[field].compress_calls;
     const double ratio = archive_ratio();
-    if (ratio_acceptable(ratio, target, config_.tuner.epsilon)) {
+    const bool in_band = ratio_acceptable(ratio, target, config_.tuner.epsilon);
+    // A bound whose search ended above the band is kept while it still
+    // lands above it: no bound that search tried reached the band.
+    const bool keep =
+        carried.above_band && ratio_above_band(ratio, target, config_.tuner.epsilon);
+    if (in_band || keep) {
+      if (in_band && carried.above_band) bounds_->put(field, target, carried.bound);
       ++stats_.tunes;
       ++stats_.warm_hits;
       tunes_counter().add();
       warm_hits_counter().add();
+      if (keep) above_band_keeps_counter().add();
       EngineFieldStats& per_field = field_stats_[field];
       ++per_field.tunes;
       ++per_field.warm_hits;
-      if (outcome) *outcome = CompressOutcome{cached, ratio, true, false, true};
+      if (outcome) *outcome = CompressOutcome{carried.bound, ratio, true, false, in_band};
       return Status();
     }
     // Drift: the cached bound is proven stale — drop it so the retraining

@@ -13,7 +13,11 @@
 ///   last bound that landed in the acceptance band, and retrain only when
 ///   that bound drifts out of it — a climate campaign that calls
 ///   `compress("CLOUD", step_t)` per time step pays full training once and
-///   one compression per in-band step afterwards;
+///   one compression per in-band step afterwards.  A search that ends above
+///   the band (no bound it tried compressed little enough) carries its bound
+///   flagged above-band; later calls keep that bound without a search while
+///   it still lands above the band, take it as a plain warm hit once it lands
+///   in band, and drop it and retrain once it lands below;
 /// - **field dimension**: every field name is its own cache key, so fields
 ///   never disturb each other's bounds; fields run in parallel by giving
 ///   each worker its own Engine over one shared BoundStore (what the archive
@@ -56,7 +60,7 @@ struct EngineConfig {
 /// Aggregate counters of one Engine's lifetime.
 struct EngineStats {
   std::size_t tunes = 0;            ///< tune() / compress() tuning passes
-  std::size_t warm_hits = 0;        ///< satisfied by the cached bound alone
+  std::size_t warm_hits = 0;        ///< settled by the cached bound alone
   std::size_t retrains = 0;         ///< fell back to full training
   std::size_t compress_calls = 0;   ///< archive-producing compressions
   std::size_t decompress_calls = 0;
@@ -83,7 +87,8 @@ struct EngineFieldStats {
 struct CompressOutcome {
   double error_bound = 0;     ///< bound the archive was produced at
   double achieved_ratio = 0;  ///< raw bytes / archive bytes of this call
-  bool warm = false;          ///< served by the cached bound (archive-as-probe)
+  bool warm = false;          ///< served by the cached bound (archive-as-probe),
+                              ///< in band or kept above it
   bool retrained = false;     ///< full training ran for this call
   bool in_band = false;       ///< achieved ratio within the acceptance band
 };
@@ -92,7 +97,7 @@ struct CompressOutcome {
 /// worker its own Engine.  The two caches — the warm BoundStore and the
 /// dedup ProbeCache — ARE thread-safe and are meant to be shared: sibling
 /// worker Engines adopt one store so every worker warm-starts from the
-/// freshest feasible bounds and identical probes are paid once
+/// freshest carried bounds and identical probes are paid once
 /// (adopt_bound_store / adopt_probe_cache).
 class Engine {
 public:
@@ -122,8 +127,10 @@ public:
   /// Tune (cached) then compress \p data into the caller's reusable \p out.
   /// On the warm path the archive itself is the acceptance probe, so an
   /// in-band frame costs exactly one compression; retraining happens only
-  /// when the cached bound's achieved ratio drifts out of the band.  When
-  /// \p outcome is non-null it receives the bound/ratio/path of this call.
+  /// when the cached bound's achieved ratio drifts out of the band.  An
+  /// above-band bound that still lands above the band is kept, also at one
+  /// compression.  When \p outcome is non-null it receives the
+  /// bound/ratio/path of this call.
   Status compress(const std::string& field, const ArrayView& data, Buffer& out,
                   CompressOutcome* outcome = nullptr) noexcept;
 
@@ -137,7 +144,8 @@ public:
   Result<pressio::FidelityReport> evaluate(const std::string& field,
                                            const ArrayView& data) noexcept;
 
-  /// Last feasible bound cached for (field, default target); 0 when none.
+  /// Bound carried for (field, default target), in band or above-band;
+  /// 0 when none.
   double cached_bound(const std::string& field) const noexcept {
     return cached_bound(field, config_.tuner.target_ratio);
   }
@@ -168,7 +176,7 @@ public:
 private:
   EngineConfig config_;
   pressio::CompressorPtr compressor_;
-  BoundStorePtr bounds_;        ///< last feasible bound per (field, target)
+  BoundStorePtr bounds_;        ///< carried bound per (field, target)
   ProbeCachePtr probe_cache_;   ///< dedup cache fed to every tuning pass
   EngineStats stats_;
   std::map<std::string, EngineFieldStats> field_stats_;

@@ -529,18 +529,23 @@ TEST(ArchiveFields, SessionMisuseSurfacesAsStatuses) {
   EXPECT_FALSE(stale.value().close().ok());
 }
 
-/// One build of a multi-field campaign step: its bytes, every chunk's tuned
-/// bound in write order, and how many chunks paid full training.
+/// One build of a multi-field campaign step: its bytes, every chunk's report
+/// in write order, how many chunks paid full training and how many probes
+/// the build's tuning executed.
 struct CampaignBuild {
   Buffer bytes;
+  std::vector<archive::ChunkReport> chunks;
   std::vector<double> tuned_bounds;
   std::size_t retrained_chunks = 0;
+  std::size_t tuner_probe_calls = 0;
 };
 
 /// Pack \p steps (each a list of named fields) through one writer of
-/// \p workers workers, one FieldSession per field.
+/// \p workers workers, one FieldSession per field, step s with chunk extent
+/// \p extents[s] (0 or absent: the writer's auto policy).
 void pack_campaign(const std::vector<std::vector<std::pair<std::string, NdArray>>>& steps,
-                   unsigned workers, std::vector<CampaignBuild>& builds) {
+                   unsigned workers, std::vector<CampaignBuild>& builds,
+                   const std::vector<std::size_t>& extents = {}) {
   ArchiveWriter writer(writer_config("sz", 10.0, 0.1, 0, workers));
   builds.clear();
   builds.resize(steps.size());
@@ -548,27 +553,36 @@ void pack_campaign(const std::vector<std::vector<std::pair<std::string, NdArray>
     CampaignBuild& build = builds[step];
     ASSERT_TRUE(writer.begin(build.bytes).ok());
     for (const auto& [name, field] : steps[step]) {
-      auto session = writer.open_field(name, desc_of(field));
+      auto session =
+          writer.open_field(name, desc_of(field, step < extents.size() ? extents[step] : 0));
       ASSERT_TRUE(session.ok()) << session.status().to_string();
       push_all(session.value(), field, 3);
       auto report = session.value().close();
       ASSERT_TRUE(report.ok()) << report.status().to_string();
-      for (const archive::ChunkReport& chunk : report.value().chunks)
-        build.tuned_bounds.push_back(chunk.tuned_bound);
       build.retrained_chunks += report.value().retrained_chunks;
     }
-    ASSERT_TRUE(writer.finish().ok());
+    auto finished = writer.finish();
+    ASSERT_TRUE(finished.ok()) << finished.status().to_string();
+    build.chunks = finished.value().chunks;
+    for (const archive::ChunkReport& chunk : build.chunks)
+      build.tuned_bounds.push_back(chunk.tuned_bound);
+    build.tuner_probe_calls = finished.value().tuner_probe_calls;
   }
+}
+
+bool above_band(const archive::ChunkReport& chunk) {
+  return chunk.ratio > 10.0 * (1 + 0.1);
 }
 
 TEST(ArchiveFields, WorkerCountDoesNotChangeRetrainingFieldBytesOrBounds) {
   // TCf's chunks warm-start from chunk 0's bound; CLOUDf's sparse chunks
   // miss it and retrain, so their retrain rounds (and chunk-0 training) fan
-  // out over whichever of the build's workers are idle.  Over a cold and a
-  // warm step, the bytes and every chunk's tuned bound must not depend on
-  // the worker count.
+  // out over whichever of the build's workers are idle.  Over a cold and two
+  // warm steps, the bytes and every chunk's tuned bound must not depend on
+  // the worker count.  Chunks whose search ends above the band carry their
+  // bound: on the warm steps they stay above it without a search.
   const auto hurricane = data::dataset_by_name("hurricane", data::SuiteScale::kSmall);
-  std::vector<std::vector<std::pair<std::string, NdArray>>> steps(2);
+  std::vector<std::vector<std::pair<std::string, NdArray>>> steps(3);
   for (std::size_t step = 0; step < steps.size(); ++step)
     for (const char* name : {"TCf", "CLOUDf"})
       steps[step].emplace_back(
@@ -579,6 +593,18 @@ TEST(ArchiveFields, WorkerCountDoesNotChangeRetrainingFieldBytesOrBounds) {
   std::size_t retrained = 0;
   for (const CampaignBuild& build : serial) retrained += build.retrained_chunks;
   EXPECT_GT(retrained, 0u) << "the campaign must exercise retraining chunks";
+  std::size_t kept = 0;
+  for (std::size_t step = 1; step < steps.size(); ++step) {
+    const CampaignBuild& build = serial[step];
+    for (std::size_t i = 0; i < build.chunks.size(); ++i) {
+      if (!above_band(serial[step - 1].chunks[i]) || !above_band(build.chunks[i])) continue;
+      EXPECT_FALSE(build.chunks[i].retrained) << "step " << step << ", chunk " << i;
+      EXPECT_TRUE(build.chunks[i].warm) << "step " << step << ", chunk " << i;
+      ++kept;
+    }
+    EXPECT_LT(build.tuner_probe_calls, serial[0].tuner_probe_calls) << "step " << step;
+  }
+  EXPECT_GT(kept, 0u) << "the campaign must carry above-band chunks";
   for (const unsigned workers : {2u, 4u}) {
     std::vector<CampaignBuild> parallel;
     ASSERT_NO_FATAL_FAILURE(pack_campaign(steps, workers, parallel));
@@ -593,6 +619,32 @@ TEST(ArchiveFields, WorkerCountDoesNotChangeRetrainingFieldBytesOrBounds) {
       EXPECT_EQ(parallel[step].retrained_chunks, serial[step].retrained_chunks);
     }
   }
+}
+
+TEST(ArchiveFields, GeometryChangeDropsAboveBandBoundsWithTheirKeys) {
+  // A new field shape re-maps chunk indices onto other planes, so the writer
+  // forgets every per-chunk bound of the old geometry, above-band ones
+  // included.  CLOUDf's first plane compresses above the band at any bound:
+  // the same geometry keeps its bound without a search, while the field cut
+  // to its first half (same planes in chunk 0, new shape) searches again.
+  const auto hurricane = data::dataset_by_name("hurricane", data::SuiteScale::kSmall);
+  const NdArray cloud = data::generate_field(data::field_by_name(hurricane, "CLOUDf"), 0);
+  Shape half_shape = cloud.shape();
+  half_shape[0] /= 2;
+  NdArray half(cloud.dtype(), half_shape);
+  std::memcpy(half.data(), cloud.data(), half.size_bytes());
+  std::vector<CampaignBuild> builds;
+  ASSERT_NO_FATAL_FAILURE(pack_campaign(
+      {{{"CLOUDf", cloud}}, {{"CLOUDf", cloud}}, {{"CLOUDf", half}}}, 2, builds, {1, 1, 1}));
+
+  ASSERT_TRUE(above_band(builds[0].chunks[0]));
+  EXPECT_TRUE(builds[0].chunks[0].retrained);
+  ASSERT_TRUE(above_band(builds[1].chunks[0]));
+  EXPECT_TRUE(builds[1].chunks[0].warm);
+  EXPECT_FALSE(builds[1].chunks[0].retrained);
+  ASSERT_TRUE(above_band(builds[2].chunks[0]));
+  EXPECT_TRUE(builds[2].chunks[0].retrained);
+  EXPECT_FALSE(builds[2].chunks[0].warm);
 }
 
 TEST(ArchiveFields, CancelWithRowsOnRunnersReturnsAndReleasesThem) {

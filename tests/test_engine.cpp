@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "pressio/registry.hpp"
+#include "telemetry/telemetry.hpp"
 #include "test_helpers.hpp"
 #include "util/buffer.hpp"
 #include "util/status.hpp"
@@ -372,6 +373,145 @@ TEST(Engine, CompressDriftRetrainsFromScratch) {
   EXPECT_GT(out.size(), 0u);
   EXPECT_GT(engine.cached_bound("f"), 0.0);
   EXPECT_NE(engine.cached_bound("f"), carried);
+}
+
+// ------------------------------------------------- above-band carried bounds
+
+/// A constant frame compresses to the same ratio at every bound — far above
+/// ρt(1+ε) — so every search on it ends above the band.
+NdArray constant_frame(float value) {
+  NdArray frame(DType::kFloat32, {37, 41});
+  for (std::size_t i = 0; i < frame.elements(); ++i) frame.set_flat(i, value);
+  return frame;
+}
+
+std::uint64_t above_band_keeps() {
+  return telemetry::global().counter("engine.above_band_keeps").value();
+}
+
+TEST(Engine, AboveBandBoundIsKeptWithoutASearch) {
+  const EngineConfig config = fast_config("sz");
+  Engine engine(config);
+  Buffer out;
+  CompressOutcome first;
+  ASSERT_TRUE(engine.compress("f", constant_frame(1.0f).view(), out, &first).ok());
+  ASSERT_TRUE(first.retrained);
+  ASSERT_GT(first.achieved_ratio, config.tuner.target_ratio * (1 + config.tuner.epsilon));
+  const CarriedBound carried = engine.bound_store()->carried("f", config.tuner.target_ratio);
+  EXPECT_TRUE(carried.above_band);
+  EXPECT_EQ(carried.bound, first.error_bound);
+
+  // Step 2: one compression at the carried bound, no search.
+  const std::size_t probes = engine.stats().tuner_probe_calls;
+  const std::size_t compressions = engine.stats().compress_calls;
+  const std::uint64_t keeps = above_band_keeps();
+  CompressOutcome second;
+  ASSERT_TRUE(engine.compress("f", constant_frame(2.0f).view(), out, &second).ok());
+  EXPECT_EQ(engine.stats().compress_calls, compressions + 1);
+  EXPECT_EQ(engine.stats().tuner_probe_calls, probes);
+  EXPECT_TRUE(second.warm);
+  EXPECT_FALSE(second.retrained);
+  EXPECT_FALSE(second.in_band);
+  EXPECT_EQ(second.error_bound, first.error_bound);
+  EXPECT_EQ(engine.stats().retrains, 1u);
+  if (telemetry::enabled()) {
+    EXPECT_EQ(above_band_keeps(), keeps + 1);
+  }
+  EXPECT_TRUE(engine.bound_store()->carried("f", config.tuner.target_ratio).above_band);
+}
+
+TEST(Engine, AboveBandTuneIsOneProbe) {
+  Engine engine(fast_config("sz"));
+  const auto first = engine.tune("f", constant_frame(1.0f).view());
+  ASSERT_TRUE(first.ok());
+  ASSERT_FALSE(first.value().feasible);
+  ASSERT_FALSE(first.value().from_prediction);
+
+  const std::size_t probes = engine.stats().tuner_probe_calls;
+  const auto second = engine.tune("f", constant_frame(2.0f).view());
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second.value().from_prediction);
+  EXPECT_FALSE(second.value().feasible);
+  EXPECT_EQ(second.value().compress_calls, 1);
+  EXPECT_EQ(engine.stats().tuner_probe_calls, probes + 1);
+  EXPECT_EQ(second.value().error_bound, first.value().error_bound);
+  EXPECT_EQ(engine.stats().retrains, 1u);
+}
+
+/// In-band bound of test_field() at \p config's target, from its own Engine.
+double in_band_bound(const EngineConfig& config) {
+  Engine probe(config);
+  const auto tuned = probe.tune("x", test_field().view());
+  EXPECT_TRUE(tuned.ok() && tuned.value().feasible);
+  return tuned.ok() ? tuned.value().error_bound : 0;
+}
+
+TEST(Engine, AboveBandBoundLandingInBandIsAPlainWarmHit) {
+  const EngineConfig config = fast_config("sz");
+  const double target = config.tuner.target_ratio;
+  const double bound = in_band_bound(config);
+  ASSERT_GT(bound, 0.0);
+  for (const bool through_tune : {false, true}) {
+    Engine engine(config);
+    engine.bound_store()->put("f", target, bound, /*above_band=*/true);
+    if (through_tune) {
+      const auto tuned = engine.tune("f", test_field().view());
+      ASSERT_TRUE(tuned.ok());
+      EXPECT_TRUE(tuned.value().from_prediction);
+      EXPECT_TRUE(tuned.value().feasible);
+    } else {
+      Buffer out;
+      CompressOutcome outcome;
+      ASSERT_TRUE(engine.compress("f", test_field().view(), out, &outcome).ok());
+      EXPECT_TRUE(outcome.warm);
+      EXPECT_FALSE(outcome.retrained);
+      EXPECT_TRUE(outcome.in_band);
+      EXPECT_EQ(engine.stats().compress_calls, 1u);
+    }
+    EXPECT_EQ(engine.stats().warm_hits, 1u);
+    const CarriedBound carried = engine.bound_store()->carried("f", target);
+    EXPECT_EQ(carried.bound, bound) << through_tune;
+    EXPECT_FALSE(carried.above_band) << through_tune;
+  }
+}
+
+TEST(Engine, AboveBandBoundLandingBelowBandRetrainsAndClearsTheFlag) {
+  const EngineConfig config = fast_config("sz");
+  const double target = config.tuner.target_ratio;
+  const double bound = in_band_bound(config);
+  ASSERT_GT(bound, 0.0);
+  for (const bool through_tune : {false, true}) {
+    Engine engine(config);
+    // Far below the in-band bound, the ratio falls below ρt(1−ε).
+    engine.bound_store()->put("f", target, bound * 1e-6, /*above_band=*/true);
+    if (through_tune) {
+      const auto tuned = engine.tune("f", test_field().view());
+      ASSERT_TRUE(tuned.ok());
+      EXPECT_FALSE(tuned.value().from_prediction);
+      EXPECT_TRUE(tuned.value().feasible);
+    } else {
+      Buffer out;
+      CompressOutcome outcome;
+      ASSERT_TRUE(engine.compress("f", test_field().view(), out, &outcome).ok());
+      EXPECT_FALSE(outcome.warm);
+      EXPECT_TRUE(outcome.retrained);
+      EXPECT_TRUE(outcome.in_band);
+    }
+    EXPECT_EQ(engine.stats().retrains, 1u);
+    const CarriedBound carried = engine.bound_store()->carried("f", target);
+    EXPECT_GT(carried.bound, bound * 1e-6) << through_tune;
+    EXPECT_FALSE(carried.above_band) << through_tune;
+  }
+
+  // When the retraining cannot reach the band either (no bound compresses
+  // this field 1000×), the flagged bound is dropped, not kept.
+  Engine hopeless(fast_config("sz", 1000.0));
+  hopeless.bound_store()->put("f", 1000.0, bound, /*above_band=*/true);
+  const auto tuned = hopeless.tune("f", test_field().view());
+  ASSERT_TRUE(tuned.ok());
+  EXPECT_FALSE(tuned.value().from_prediction);
+  EXPECT_LT(tuned.value().achieved_ratio, 1000.0 * 0.9);
+  EXPECT_EQ(hopeless.cached_bound("f", 1000.0), 0.0);
 }
 
 // ------------------------------------------------ registry config creation

@@ -8,7 +8,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <future>
+#include <iterator>
 
 #include "core/probe.hpp"
 #include "core/tuner.hpp"
@@ -448,6 +451,51 @@ TEST(BoundStore, SaveLoadRoundTripsBitExactly) {
   EXPECT_EQ(restored.get("CLOUD", 10.0), 1.25e-3);
   EXPECT_EQ(restored.get("CLOUD", 20.0), 7.5e-4);
   EXPECT_EQ(restored.get("archive:data:chunk:3", 10.0), 0x1.fff3p-11);
+}
+
+TEST(BoundStore, AboveBandEntriesAreCarriedButNotSaved) {
+  BoundStore store;
+  store.put("CLOUD", 10.0, 1.25e-3);
+  store.put("archive:CLOUDf:chunk:0", 10.0, 4.5e-10, /*above_band=*/true);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.get("archive:CLOUDf:chunk:0", 10.0), 4.5e-10);
+  EXPECT_TRUE(store.carried("archive:CLOUDf:chunk:0", 10.0).above_band);
+  EXPECT_FALSE(store.carried("CLOUD", 10.0).above_band);
+
+  // The 'FRzB' v1 block carries in-band bounds only: the block is the one a
+  // store without the above-band entry writes, so a restored campaign
+  // searches that key once and carries its bound from then on.
+  BoundStore in_band_only;
+  in_band_only.put("CLOUD", 10.0, 1.25e-3);
+  Buffer block;
+  Buffer want;
+  store.serialize(block);
+  in_band_only.serialize(want);
+  ASSERT_EQ(block.size(), want.size());
+  EXPECT_EQ(std::memcmp(block.data(), want.data(), want.size()), 0);
+  BoundStore restored;
+  ASSERT_TRUE(restored.deserialize(block.data(), block.size()).ok());
+  EXPECT_EQ(restored.size(), 1u);
+  EXPECT_EQ(restored.get("archive:CLOUDf:chunk:0", 10.0), 0.0);
+  EXPECT_EQ(restored.get("CLOUD", 10.0), 1.25e-3);
+
+  // A plain put clears the flag.
+  store.put("archive:CLOUDf:chunk:0", 10.0, 4.5e-10);
+  EXPECT_FALSE(store.carried("archive:CLOUDf:chunk:0", 10.0).above_band);
+
+  // The checked-in fuzz corpus block still loads and writes back bit-exactly.
+  std::ifstream in(std::string(FRAZ_TEST_CORPUS_DIR) + "/bound_store/bounds.frzb",
+                   std::ios::binary);
+  const std::vector<std::uint8_t> corpus{std::istreambuf_iterator<char>(in),
+                                         std::istreambuf_iterator<char>()};
+  ASSERT_FALSE(corpus.empty());
+  BoundStore loaded;
+  ASSERT_TRUE(loaded.deserialize(corpus.data(), corpus.size()).ok());
+  EXPECT_EQ(loaded.size(), 3u);
+  Buffer again;
+  loaded.serialize(again);
+  ASSERT_EQ(again.size(), corpus.size());
+  EXPECT_EQ(std::memcmp(again.data(), corpus.data(), corpus.size()), 0);
 }
 
 TEST(BoundStore, EmptyStoreRoundTrips) {
