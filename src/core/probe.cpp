@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 
 #include "metrics/error_stats.hpp"
 #include "metrics/ssim.hpp"
@@ -110,61 +112,46 @@ std::uint64_t compressor_fingerprint(const pressio::Compressor& compressor) {
 // -------------------------------------------------------------- ProbeCache
 
 ProbeCache::ProbeCache(std::size_t max_entries)
-    : generation_budget_(std::max<std::size_t>(max_entries / 2, 1)) {}
+    : index_(std::max<std::size_t>(max_entries, 1)),
+      evictions_counter_(telemetry::global().counter("tune.probe_cache.evictions")) {}
 
 std::uint64_t ProbeCache::slot(std::uint64_t context, double bound) noexcept {
   return mix64(context ^ double_bits(bound));
 }
 
-void ProbeCache::rotate_if_full_locked() const {
-  if (current_.size() < generation_budget_) return;
-  previous_ = std::move(current_);
-  current_.clear();
-}
-
 bool ProbeCache::lookup(std::uint64_t context, double bound, ProbeRecord& out) const noexcept {
   LockGuard lock(mutex_);
-  const std::uint64_t key = slot(context, bound);
-  auto it = current_.find(key);
-  if (it == current_.end()) {
-    const auto prev = previous_.find(key);
-    if (prev == previous_.end()) {
-      ++misses_;
-      return false;
-    }
-    // A hit in the old generation means the entry is hot again — promote it
-    // so the next rotation cannot drop it.
-    const ProbeRecord record = prev->second;
-    previous_.erase(prev);
-    rotate_if_full_locked();
-    it = current_.emplace(key, record).first;
+  const ProbeRecord* hit = index_.touch(slot(context, bound));
+  if (hit == nullptr) {
+    ++misses_;
+    return false;
   }
   ++hits_;
-  out = it->second;
+  out = *hit;
   return true;
 }
 
 void ProbeCache::insert(std::uint64_t context, double bound, const ProbeRecord& record) {
-  LockGuard lock(mutex_);
-  const std::uint64_t key = slot(context, bound);
-  // Rotate first, then purge: one key must never live in both generations
-  // (a rotation could carry a stale copy of this key into previous_, where
-  // it would shadow the fresh observation after the next rotation and
-  // double-count in stats).
-  rotate_if_full_locked();
-  previous_.erase(key);
-  current_[key] = record;
+  Index::Nodes fresh = Index::stage(slot(context, bound), record, 1);
+  Index::Nodes dropped;
+  std::size_t evicted = 0;
+  {
+    LockGuard lock(mutex_);
+    evicted = index_.insert(std::move(fresh), dropped);
+    evictions_ += evicted;
+  }
+  if (evicted != 0) evictions_counter_.add(evicted);
 }
 
 ProbeCache::Stats ProbeCache::stats() const noexcept {
   LockGuard lock(mutex_);
-  return Stats{hits_, misses_, current_.size() + previous_.size()};
+  return Stats{hits_, misses_, index_.size(), evictions_};
 }
 
 void ProbeCache::clear() noexcept {
+  Index::Nodes dropped;
   LockGuard lock(mutex_);
-  current_.clear();
-  previous_.clear();
+  index_.clear(dropped);
 }
 
 // ----------------------------------------------------------- ProbeExecutor

@@ -21,12 +21,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ndarray/ndarray.hpp"
 #include "pressio/compressor.hpp"
 #include "util/buffer.hpp"
+#include "util/lfu_index.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace fraz {
@@ -71,22 +71,22 @@ struct ProbeRecord {
   double quality = 0;     ///< metric value (quality probes only; else 0)
 };
 
-/// Thread-safe dedup cache of probe observations.  Bounded by a
-/// two-generation scheme: entries live in a *current* generation; when that
-/// generation reaches half the budget it becomes the *previous* generation
-/// (dropping whatever the old previous one still held), and a hit in the
-/// previous generation promotes the entry back into the current one.  An
-/// entry touched at least once per generation therefore survives
-/// indefinitely, while cold entries age out — long multi-field campaigns
-/// keep their hot probes instead of losing everything to a wholesale clear.
-/// Eviction is deterministic (driven purely by the insert sequence) and can
-/// never change a tuned bound, only the number of compressions spent.
+/// Thread-safe dedup cache of probe observations, bounded to \p max_entries
+/// records under the least-frequently-used-with-aging policy of
+/// util/lfu_index.hpp (each record costs 1): a record's rank is the floor
+/// at its admission plus its hits since then, an insert evicts the lowest
+/// rank first (equal ranks least recently touched first), and each eviction
+/// raises the floor to the victim's rank.  Probes a long multi-field
+/// campaign keeps hitting outlive one-off probes; a record no longer hit
+/// leaves once the floor reaches its rank.  Eviction is deterministic
+/// (driven purely by the lookup/insert sequence) and can never change a
+/// tuned bound, only the number of compressions spent.
 class ProbeCache {
 public:
   explicit ProbeCache(std::size_t max_entries = 1u << 16);
 
   /// Look up the record for (context key, bound[, metric tag]); true on hit.
-  /// A hit in the previous generation promotes the entry.
+  /// A hit raises the record's rank.
   bool lookup(std::uint64_t context, double bound, ProbeRecord& out) const noexcept;
   /// Insert an observation (overwrites an identical key).
   void insert(std::uint64_t context, double bound, const ProbeRecord& record);
@@ -95,25 +95,25 @@ public:
     std::size_t hits = 0;
     std::size_t misses = 0;
     std::size_t entries = 0;
+    std::size_t evictions = 0;  ///< records dropped to fit max_entries
   };
   Stats stats() const noexcept;
   void clear() noexcept;
 
 private:
+  using Index = LfuIndex<std::uint64_t, ProbeRecord>;
+
   static std::uint64_t slot(std::uint64_t context, double bound) noexcept;
-  /// Rotate generations once the current one fills its half-budget.
-  void rotate_if_full_locked() const FRAZ_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
-  // lookup() promotes hot entries, so both generations mutate under a const
-  // interface; the mutex makes that promotion safe.
-  mutable std::unordered_map<std::uint64_t, ProbeRecord> current_
-      FRAZ_GUARDED_BY(mutex_);
-  mutable std::unordered_map<std::uint64_t, ProbeRecord> previous_
-      FRAZ_GUARDED_BY(mutex_);
-  std::size_t generation_budget_;  ///< max entries per generation (half the total)
+  // lookup() re-ranks hot records, so the index mutates under a const
+  // interface; the mutex makes that safe.
+  mutable Index index_ FRAZ_GUARDED_BY(mutex_);
   mutable std::size_t hits_ FRAZ_GUARDED_BY(mutex_) = 0;
   mutable std::size_t misses_ FRAZ_GUARDED_BY(mutex_) = 0;
+  std::size_t evictions_ FRAZ_GUARDED_BY(mutex_) = 0;
+  /// tune.probe_cache.evictions, summed over every cache in the process.
+  telemetry::Counter& evictions_counter_;
 };
 
 using ProbeCachePtr = std::shared_ptr<ProbeCache>;

@@ -1,7 +1,7 @@
 #include "serve/chunk_cache.hpp"
 
 #include <atomic>
-#include <iterator>
+#include <utility>
 
 namespace fraz::serve {
 
@@ -16,7 +16,7 @@ telemetry::Gauge& resident_bytes_gauge() {
 }  // namespace
 
 ChunkCache::ChunkCache(std::size_t byte_budget)
-    : byte_budget_(byte_budget),
+    : index_(byte_budget),
       hits_(telemetry::global().instanced_counter("serve.cache.hits")),
       misses_(telemetry::global().instanced_counter("serve.cache.misses")),
       evictions_(telemetry::global().instanced_counter("serve.cache.evictions")),
@@ -35,23 +35,20 @@ std::uint64_t ChunkCache::next_archive_id() noexcept {
 
 void ChunkCache::sync_resident_locked() {
   if (!telemetry::enabled()) return;
-  const auto total = static_cast<std::int64_t>(resident_bytes_);
+  const auto total = static_cast<std::int64_t>(index_.cost());
   resident_bytes_gauge().add(total - published_resident_);
   published_resident_ = total;
 }
 
 std::shared_ptr<const NdArray> ChunkCache::lookup(const ChunkKey& key) noexcept {
   // Counters are bumped after the mutex is released: at warm saturation the
-  // lock is the throughput bound, so the critical section stays map-and-list
-  // only.  A hit moves no bytes, so it never touches the shared gauge.
+  // lock is the throughput bound, so the critical section stays index-only
+  // and allocation-free.  A hit moves no bytes, so it never touches the
+  // shared gauge.
   std::shared_ptr<const NdArray> result;
   {
     LockGuard lock(mutex_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      recency_.splice(recency_.begin(), recency_, it->second);
-      result = it->second->second;
-    }
+    if (const auto* hit = index_.touch(key)) result = *hit;
   }
   (result ? hits_ : misses_).add();
   return result;
@@ -59,68 +56,44 @@ std::shared_ptr<const NdArray> ChunkCache::lookup(const ChunkKey& key) noexcept 
 
 bool ChunkCache::contains(const ChunkKey& key) const noexcept {
   LockGuard lock(mutex_);
-  return index_.count(key) != 0;
+  return index_.contains(key);
 }
 
 void ChunkCache::insert(const ChunkKey& key, std::shared_ptr<const NdArray> chunk) {
   if (!chunk) return;
   const std::size_t bytes = chunk->size_bytes();
-  // A chunk above half the budget would flush most of the cache to make
-  // room for itself; skip it outright (and a zero budget makes every chunk
-  // uncacheable — caching disabled).
-  if (bytes > byte_budget_ / 2) {
-    uncacheable_.add();
-    return;
-  }
-  // The new node is built, and the dropped ones freed, outside the lock.
-  Recency fresh;
-  fresh.emplace_front(key, std::move(chunk));
-  Recency dropped;
+  // The new nodes are built, and the dropped ones freed, outside the lock.
+  Index::Nodes fresh = Index::stage(key, std::move(chunk), bytes);
+  Index::Nodes dropped;
   std::size_t evicted = 0;
+  bool cacheable = false;
   {
     LockGuard lock(mutex_);
-    if (const auto it = index_.find(key); it != index_.end()) {
-      resident_bytes_ -= it->second->second->size_bytes();
-      dropped.splice(dropped.end(), recency_, it->second);
-      index_.erase(it);
+    // A chunk above half the budget would flush most of the cache to make
+    // room for itself; skip it outright (and a zero budget makes every chunk
+    // uncacheable — caching disabled).
+    cacheable = bytes <= index_.budget() / 2;
+    if (cacheable) {
+      evicted = index_.insert(std::move(fresh), dropped);
+      sync_resident_locked();
     }
-    // resident_bytes_ > 0 here, so the list is not empty.
-    while (resident_bytes_ + bytes > byte_budget_) {
-      const auto victim = std::prev(recency_.end());
-      resident_bytes_ -= victim->second->size_bytes();
-      index_.erase(victim->first);
-      dropped.splice(dropped.end(), recency_, victim);
-      ++evicted;
-    }
-    recency_.splice(recency_.begin(), fresh);
-    index_.emplace(key, recency_.begin());
-    resident_bytes_ += bytes;
-    sync_resident_locked();
   }
+  if (!cacheable) uncacheable_.add();
   if (evicted != 0) evictions_.add(evicted);
 }
 
 void ChunkCache::erase_archive(std::uint64_t archive) noexcept {
-  Recency dropped;
+  Index::Nodes dropped;
   LockGuard lock(mutex_);
-  for (auto it = recency_.begin(); it != recency_.end();) {
-    const auto next = std::next(it);
-    if (it->first.archive == archive) {
-      resident_bytes_ -= it->second->size_bytes();
-      index_.erase(it->first);
-      dropped.splice(dropped.end(), recency_, it);
-    }
-    it = next;
-  }
+  index_.erase_if([archive](const ChunkKey& key) { return key.archive == archive; },
+                  dropped);
   sync_resident_locked();
 }
 
 void ChunkCache::clear() noexcept {
-  Recency dropped;
+  Index::Nodes dropped;
   LockGuard lock(mutex_);
-  dropped.swap(recency_);
-  index_.clear();
-  resident_bytes_ = 0;
+  index_.clear(dropped);
   sync_resident_locked();
 }
 
@@ -130,7 +103,7 @@ ChunkCache::Stats ChunkCache::stats() const noexcept {
   stats.hits = static_cast<std::size_t>(hits_.value());
   stats.misses = static_cast<std::size_t>(misses_.value());
   stats.entries = index_.size();
-  stats.resident_bytes = resident_bytes_;
+  stats.resident_bytes = index_.cost();
   stats.evictions = static_cast<std::size_t>(evictions_.value());
   stats.uncacheable = static_cast<std::size_t>(uncacheable_.value());
   return stats;

@@ -8,26 +8,30 @@
 /// slice the same archive, the first-order win is paying each chunk's
 /// decompression once and handing every later reader the decoded planes.
 /// ChunkCache holds decoded chunks as shared immutable arrays keyed by
-/// (archive-id, field, chunk), bounded by a byte budget under an exact
-/// least-recently-used policy: a hit moves the entry to the front of one
-/// recency list, and an insert evicts from the back until the new chunk
-/// fits.  The whole budget holds the hot set, whatever order it is touched
-/// in.  Eviction is driven purely by the lookup/insert sequence — never by
-/// wall-clock time — so a replayed request sequence evicts identically,
-/// which is what makes cache behaviour testable.
+/// (archive-id, field, chunk), bounded by a byte budget under the
+/// least-frequently-used-with-aging policy of util/lfu_index.hpp: a chunk's
+/// rank is the floor at its admission plus its hits since then, an insert
+/// evicts the lowest rank first (equal ranks least recently touched first,
+/// so equal-use chunks leave in LRU order), and each eviction raises the
+/// floor to the victim's rank, so a chunk that stops being hit leaves once
+/// the floor reaches its rank.  A chunk read many times outlives a stream
+/// of chunks read once — a
+/// sequential scan or readahead cannot flush the hot set — and every
+/// admission, demand or prefetch, starts at the floor.  Eviction is driven
+/// purely by the lookup/insert sequence — never by wall-clock time — so a
+/// replayed request sequence evicts identically, which is what makes cache
+/// behaviour testable.
 ///
 /// Entries are `shared_ptr<const NdArray>`: eviction never invalidates a
 /// reader mid-copy, it only drops the cache's reference, and the cache drops
 /// it after releasing its lock.
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
-#include <utility>
 
 #include "ndarray/ndarray.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/lfu_index.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace fraz::serve {
@@ -57,7 +61,7 @@ struct ChunkKeyHash {
   }
 };
 
-/// Thread-safe byte-budgeted LRU cache of decoded chunks (see file
+/// Thread-safe byte-budgeted cache of decoded chunks (see file
 /// comment).  A byte budget of 0 disables caching entirely — every lookup
 /// misses, every insert is dropped — which is how the bench measures the
 /// cold decode-per-call floor.
@@ -74,26 +78,25 @@ public:
   /// Process-unique archive id for a new ReaderPool.
   static std::uint64_t next_archive_id() noexcept;
 
-  /// The decoded chunk for \p key, or nullptr on miss.  A hit makes the
-  /// entry the most recently used.
+  /// The decoded chunk for \p key, or nullptr on miss.  A hit raises the
+  /// entry's rank by one and makes it the most recently touched.
   std::shared_ptr<const NdArray> lookup(const ChunkKey& key) noexcept;
 
-  /// True when \p key is resident.  A pure peek: no recency update, no
+  /// True when \p key is resident.  A pure peek: no rank update, no
   /// hit/miss accounting — prefetchers use this to skip work without
   /// skewing stats or pinning entries.
   bool contains(const ChunkKey& key) const noexcept;
 
-  /// Insert a decoded chunk as the most recently used, replacing any entry
-  /// with the same key, then evict least-recently-used entries until the
-  /// budget holds.  Chunks above half the budget are not cached.
+  /// Insert a decoded chunk at the floor rank as the most recently touched,
+  /// replacing any entry with the same key, after evicting the lowest-ranked
+  /// entries until it fits the budget.  Chunks above half the budget are not
+  /// cached.
   void insert(const ChunkKey& key, std::shared_ptr<const NdArray> chunk);
 
   /// Drop every entry of \p archive (a ReaderPool closing).
   void erase_archive(std::uint64_t archive) noexcept;
 
   void clear() noexcept;
-
-  std::size_t byte_budget() const noexcept { return byte_budget_; }
 
   /// Counter values come from the telemetry layer (instanced registry
   /// counters: this cache's own instances of the serve.cache.* names, which
@@ -110,20 +113,18 @@ public:
   Stats stats() const noexcept;
 
 private:
-  /// Most recently used first.  Evicted and replaced entries are spliced
-  /// into a local list and freed after the mutex is released.
-  using Recency = std::list<std::pair<ChunkKey, std::shared_ptr<const NdArray>>>;
+  /// Inserted entries are built in a local Index::Nodes before the mutex is
+  /// taken; evicted and replaced ones leave in another and are freed after
+  /// it is released.
+  using Index = LfuIndex<ChunkKey, std::shared_ptr<const NdArray>, ChunkKeyHash>;
 
   /// Publish the resident-bytes level to the serve.cache.resident_bytes
   /// gauge as a delta from the last published value.
   void sync_resident_locked() FRAZ_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
-  Recency recency_ FRAZ_GUARDED_BY(mutex_);
-  std::unordered_map<ChunkKey, Recency::iterator, ChunkKeyHash> index_
-      FRAZ_GUARDED_BY(mutex_);
-  std::size_t resident_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
-  const std::size_t byte_budget_;
+  /// Costs are decoded bytes.
+  Index index_ FRAZ_GUARDED_BY(mutex_);
   telemetry::Counter& hits_;
   telemetry::Counter& misses_;
   telemetry::Counter& evictions_;

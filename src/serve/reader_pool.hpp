@@ -10,8 +10,8 @@
 /// the file once and serves decoded chunks to any number of threads:
 ///
 ///  - **Cache first.**  Every chunk request consults the shared ChunkCache;
-///    a hit costs a hash lookup, a recency-list splice and a shared_ptr
-///    copy, no decode, no I/O.
+///    a hit costs a hash lookup, a re-rank in the cache's LFU index and a
+///    shared_ptr copy, no decode, no I/O.
 ///  - **Decode once.**  Concurrent misses on the same chunk collapse onto a
 ///    per-chunk in-flight guard: one thread decodes, the rest wait on its
 ///    result.  The owner re-checks the cache after registering, so a decode

@@ -140,8 +140,9 @@ TEST(ChunkCache, EvictionIsDeterministic) {
 }
 
 TEST(ChunkCache, LeastRecentlyUsedIsEvictedFirst) {
-  // Four 256 B entries fill the 1 KiB budget; A's lookup makes B the least
-  // recently used, so E evicts B, and then F evicts C.
+  // Equal ranks fall back to recency: four 256 B entries fill the 1 KiB
+  // budget at the floor rank, and A's lookup lifts A above them, so E evicts
+  // B (the least recently touched of the lowest rank), and then F evicts C.
   ChunkCache cache(1024);
   const ChunkKey a{1, 0, 0}, b{1, 0, 1}, c{1, 0, 2}, d{1, 0, 3}, e{1, 0, 4}, f{1, 0, 5};
   for (const ChunkKey& key : {a, b, c, d}) cache.insert(key, planes(64));
@@ -156,6 +157,58 @@ TEST(ChunkCache, LeastRecentlyUsedIsEvictedFirst) {
   for (const ChunkKey& key : {d, a, e, f}) EXPECT_TRUE(cache.contains(key)) << key.chunk;
   EXPECT_EQ(cache.stats().evictions, 2u);
   EXPECT_EQ(cache.stats().resident_bytes, 1024u);
+}
+
+TEST(ChunkCache, ChunkHitTwiceOutlivesOneHitInserts) {
+  // H is read three times (a miss and two hits); then a stream of chunks
+  // each read once.  Under LRU the fourth insert would evict H; here every
+  // one-read chunk enters and leaves at the floor, below H's rank.
+  ChunkCache cache(1024);
+  const ChunkKey h{1, 0, 0};
+  cache.insert(h, planes(64));
+  ASSERT_NE(cache.lookup(h), nullptr);
+  ASSERT_NE(cache.lookup(h), nullptr);
+  for (std::uint64_t i = 1; i <= 50; ++i) {
+    cache.insert(ChunkKey{1, 0, i}, planes(64));
+    ASSERT_TRUE(cache.contains(h)) << "evicted by one-read chunk " << i;
+  }
+  EXPECT_EQ(cache.stats().evictions, 47u);  // every one-read chunk but the last three
+  EXPECT_TRUE(cache.contains(ChunkKey{1, 0, 50}));
+}
+
+TEST(ChunkCache, IdleHotChunkAgesOutOnceTheFloorPassesIt) {
+  // H earns rank 2 and goes idle; every later chunk is read twice (rank
+  // floor + 1).  Each eviction lifts the floor to the victim's rank, so the
+  // newcomers climb to rank 2 and H, the least recently touched of them,
+  // leaves — frequency without aging would keep it forever.
+  ChunkCache cache(1024);
+  const ChunkKey h{1, 0, 0};
+  cache.insert(h, planes(64));
+  ASSERT_NE(cache.lookup(h), nullptr);
+  ASSERT_NE(cache.lookup(h), nullptr);
+  std::uint64_t evicted_at = 0;
+  for (std::uint64_t i = 1; i <= 16 && evicted_at == 0; ++i) {
+    const ChunkKey key{1, 0, i};
+    cache.insert(key, planes(64));
+    ASSERT_NE(cache.lookup(key), nullptr);
+    if (!cache.contains(h)) evicted_at = i;
+  }
+  // Chunks 4-6 evict chunks 1-3 at rank 1 and reach rank 2 themselves;
+  // chunk 7 finds H the oldest entry at rank 2.
+  EXPECT_EQ(evicted_at, 7u);
+}
+
+TEST(ChunkCache, ContainsDoesNotChangeRank) {
+  // A peek must not protect A: with four equal entries, E evicts A, the
+  // least recently touched, however often A was peeked at.
+  ChunkCache cache(1024);
+  const ChunkKey a{1, 0, 0}, b{1, 0, 1}, c{1, 0, 2}, d{1, 0, 3}, e{1, 0, 4};
+  for (const ChunkKey& key : {a, b, c, d}) cache.insert(key, planes(64));
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(cache.contains(a));
+  cache.insert(e, planes(64));
+  EXPECT_FALSE(cache.contains(a));
+  for (const ChunkKey& key : {b, c, d, e}) EXPECT_TRUE(cache.contains(key)) << key.chunk;
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
 }
 
 TEST(ChunkCache, WorkingSetWithinBudgetStaysResident) {
@@ -177,8 +230,9 @@ TEST(ChunkCache, WorkingSetWithinBudgetStaysResident) {
 TEST(ChunkCache, SkewedReplayUsesTheWholeBudget) {
   // The serving benchmark's shape: 96 chunks of 18-128 KiB, Zipf(1.1)
   // popularity over a fixed shuffle of them, a cache of half the decoded
-  // bytes, decode-and-insert on every miss.  An LRU over the whole budget
-  // keeps the hot set resident.
+  // bytes, decode-and-insert on every miss.  Ranking by hits keeps the
+  // popular chunks resident over the whole budget: this replay reads 0.880
+  // (an exact LRU read 0.842).
   constexpr std::size_t kChunks = 96;
   constexpr std::size_t kRequests = 20000;
   std::mt19937_64 rng(0x5e12e5eedull);
@@ -211,7 +265,7 @@ TEST(ChunkCache, SkewedReplayUsesTheWholeBudget) {
   }
   const double hit_ratio = static_cast<double>(hits) / kRequests;
   RecordProperty("hit_ratio", std::to_string(hit_ratio));
-  EXPECT_GE(hit_ratio, 0.80);
+  EXPECT_GE(hit_ratio, 0.86);
   EXPECT_LE(cache.stats().resident_bytes, total_bytes / 2);
 }
 
@@ -325,7 +379,7 @@ TEST(ReaderPool, ConcurrentReadsMatchSerialGolden) {
 
 TEST(ReaderPool, ConcurrentReadsUnderEvictionMatchGolden) {
   // A cache that holds about three chunks, read by eight handles in random
-  // order: lookups, splices, evictions and in-flight decodes all overlap.
+  // order: lookups, re-ranks, evictions and in-flight decodes all overlap.
   TempFiles tmp;
   const std::string path = pack_multi(tmp, "serve_evicting");
   auto golden_reader = ArchiveReader::open(path);
@@ -405,6 +459,35 @@ TEST(ReaderPool, SequentialScanPrefetchesNextChunk) {
   stats = pool.value()->stats();
   EXPECT_EQ(stats.prefetch_issued, 2u);
   EXPECT_EQ(stats.decoded_chunks, 4u);  // chunks 0-3, each once
+}
+
+TEST(ReaderPool, ReadaheadDoesNotEvictHotChunks) {
+  // A cache of about three chunks.  Pressure chunk 0 is read four times;
+  // then a sequential scan of all six temperature chunks arms readahead.
+  // Prefetched and scanned chunks enter at the floor rank and evict each
+  // other, so the hot chunk stays resident (LRU would evict it at the
+  // first prefetch).
+  TempFiles tmp;
+  const std::string path = pack_multi(tmp, "serve_scan_resistance");
+  ReaderPoolConfig config;
+  config.cache_bytes = 14000;  // pressure 4608 B + two temperature 4096 B chunks
+  auto pool = ReaderPool::open(path, config);
+  ASSERT_TRUE(pool.ok()) << pool.status().to_string();
+  ReaderHandle handle = pool.value()->handle();
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(handle.read_chunk(1, 0).ok());
+
+  for (std::size_t first = 0; first < 24; first += 4) {
+    ASSERT_TRUE(handle.read_range(0, first, 4).ok());
+    pool.value()->drain_prefetches();  // one deterministic insert order
+  }
+  ReaderPool::Stats stats = pool.value()->stats();
+  EXPECT_EQ(stats.prefetch_issued, 4u);  // temperature chunks 2-5
+  EXPECT_EQ(stats.decoded_chunks, 7u);
+  EXPECT_GT(pool.value()->cache()->stats().evictions, 0u);
+  EXPECT_TRUE(pool.value()->cache()->contains(ChunkKey{pool.value()->archive_id(), 1, 0}));
+
+  ASSERT_TRUE(handle.read_chunk(1, 0).ok());
+  EXPECT_EQ(pool.value()->stats().decoded_chunks, 7u);  // served from the cache
 }
 
 TEST(ReaderPool, PrefetchDisabledIssuesNothing) {

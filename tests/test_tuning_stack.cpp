@@ -21,6 +21,7 @@
 #include "opt/global_search.hpp"
 #include "opt/thread_pool.hpp"
 #include "pressio/registry.hpp"
+#include "telemetry/telemetry.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/seed.hpp"
@@ -404,10 +405,12 @@ TEST(DataFingerprint, LargeBuffersKeyOnLengthAndSampledWindows) {
   EXPECT_NE(data_fingerprint(bytes_view(a)), data_fingerprint(bytes_view(e)));
 }
 
-TEST(ProbeCache, GenerationalEvictionRetainsHotEntries) {
-  // The clear-when-full policy dropped a long campaign's whole working set;
-  // the generational scheme must keep entries that are touched at least once
-  // per generation while still bounding the total.
+TEST(ProbeCache, HotEntriesOutliveOneOffInserts) {
+  // A long campaign must keep the probes it keeps hitting while the total
+  // stays bounded: a record hit on every round outranks 200 one-off
+  // records, which evict each other at the floor.
+  const telemetry::Counter& evicted = telemetry::global().counter("tune.probe_cache.evictions");
+  const std::uint64_t evicted_before = evicted.value();
   ProbeCache cache(8);
   cache.insert(1, 0.5, ProbeRecord{42.0, 0});
   ProbeRecord out;
@@ -416,22 +419,32 @@ TEST(ProbeCache, GenerationalEvictionRetainsHotEntries) {
     ASSERT_TRUE(cache.lookup(1, 0.5, out)) << "hot entry evicted after insert " << i;
     EXPECT_EQ(out.ratio, 42.0);
   }
-  EXPECT_LE(cache.stats().entries, 8u);
+  const ProbeCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 8u);
+  EXPECT_EQ(stats.evictions, 193u);  // 201 inserts into 8 slots
+  if (telemetry::enabled()) {
+    EXPECT_EQ(evicted.value() - evicted_before, 193u);
+  }
   // A cold early entry aged out; the most recent inserts are still present.
   EXPECT_FALSE(cache.lookup(1000, 0.5, out));
   EXPECT_TRUE(cache.lookup(1000 + 199, 0.5, out));
 }
 
-TEST(ProbeCache, OverwriteWinsAcrossGenerations) {
-  // An insert must shadow any stale copy of the same key that survived in
-  // the previous generation.
+TEST(ProbeCache, OverwriteReplacesTheRecordAfterEvictions) {
+  // An insert must replace the resident record of its key, never sit beside
+  // it: the new ratio is served and the key is counted once.
   ProbeCache cache(4);
   cache.insert(7, 1.0, ProbeRecord{1.0, 0});
-  for (int i = 0; i < 3; ++i) cache.insert(100 + i, 1.0, ProbeRecord{0.0, 0});
-  cache.insert(7, 1.0, ProbeRecord{2.0, 0});  // overwrite after a rotation
   ProbeRecord out;
+  ASSERT_TRUE(cache.lookup(7, 1.0, out));  // hot: survives the inserts below
+  for (int i = 0; i < 6; ++i) cache.insert(100 + i, 1.0, ProbeRecord{0.0, 0});
+  ASSERT_EQ(cache.stats().evictions, 3u);
+  cache.insert(7, 1.0, ProbeRecord{2.0, 0});
   ASSERT_TRUE(cache.lookup(7, 1.0, out));
   EXPECT_EQ(out.ratio, 2.0);
+  const ProbeCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 4u);
+  EXPECT_EQ(stats.evictions, 3u);  // a replacement is not an eviction
 }
 
 TEST(BoundStore, SaveLoadRoundTripsBitExactly) {
