@@ -13,6 +13,7 @@
 #include "archive/pipeline.hpp"
 #include "codec/checksum.hpp"
 #include "opt/thread_pool.hpp"
+#include "pressio/registry.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 
@@ -119,13 +120,8 @@ void read_planes(const detail::ChunkSource& source, const FieldInfo& field,
 namespace detail {
 
 ChunkDecoder::ChunkDecoder(const std::string& compressor)
-    : engine_([&] {
-        EngineConfig config;
-        config.compressor = compressor;
-        return config;
-      }()),
-      span_name_("decode_us." + compressor),
-      span_(&telemetry::global().histogram(span_name_)) {}
+    : compressor_(pressio::registry().create(compressor)),
+      span_(&telemetry::global().histogram("decode_us." + compressor)) {}
 
 NdArray ChunkDecoder::decode(const ChunkSource& source, const FieldInfo& field,
                              std::size_t chunk_region, std::size_t i, Buffer& scratch) {
@@ -134,18 +130,17 @@ NdArray ChunkDecoder::decode(const ChunkSource& source, const FieldInfo& field,
       source.fetch(chunk_region + entry.offset, entry.size, scratch);
   if (crc32(chunk, entry.size) != entry.crc)
     throw CorruptStream("archive: chunk " + std::to_string(i) + " failed its checksum");
-  Result<NdArray> decoded = [&] {
-    telemetry::SpanTimer span(*span_, span_name_.c_str());
-    return engine_.decompress(chunk, entry.size);
+  NdArray decoded;
+  const Status s = [&] {
+    telemetry::SpanTimer span(*span_);
+    return compressor_->decompress_into(chunk, entry.size, decoded);
   }();
-  if (!decoded.ok())
-    throw CorruptStream("archive: chunk " + std::to_string(i) + ": " +
-                        decoded.status().to_string());
-  if (decoded.value().dtype() != field.dtype ||
-      decoded.value().shape() != shape_of_chunk(field, i))
+  if (!s.ok())
+    throw CorruptStream("archive: chunk " + std::to_string(i) + ": " + s.to_string());
+  if (decoded.dtype() != field.dtype || decoded.shape() != shape_of_chunk(field, i))
     throw CorruptStream("archive: chunk " + std::to_string(i) +
                         " decoded to an unexpected shape");
-  return std::move(decoded).value();
+  return decoded;
 }
 
 }  // namespace detail

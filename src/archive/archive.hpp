@@ -90,9 +90,9 @@ public:
                                     Buffer& scratch) const = 0;
 };
 
-/// The one chunk decode every read path runs: a field's backend Engine plus
-/// its per-backend latency histogram "decode_us.<compressor>", labelled like
-/// the tuner's probe spans (tune.probe_us.<backend>) and looked up once here
+/// The one chunk decode every read path runs: a field's backend plus its
+/// per-backend latency histogram "decode_us.<compressor>", labelled like the
+/// tuner's probe spans (tune.probe_us.<backend>) and looked up once here
 /// rather than once per chunk.  Not thread-safe; one per decoding thread.
 class ChunkDecoder {
 public:
@@ -106,8 +106,7 @@ public:
                  std::size_t i, Buffer& scratch);
 
 private:
-  Engine engine_;
-  std::string span_name_;
+  pressio::CompressorPtr compressor_;
   telemetry::Histogram* span_;
 };
 
@@ -373,8 +372,8 @@ enum class FileReadMode {
 /// checked (CRC + backend validation) by exactly the reads that touch them,
 /// so corruption in one chunk leaves every other chunk readable.  Reads all
 /// format versions; every read names its field (v1/v2 archives hold one,
-/// named kDefaultFieldName).  Not thread-safe: one serial decode Engine per
-/// field and one fetch scratch (serve::ReaderPool is the concurrent front).
+/// named kDefaultFieldName).  Not thread-safe: one serial chunk decoder
+/// per field and one fetch scratch (serve::ReaderPool is the concurrent front).
 class ArchiveReader {
 public:
   /// Open bytes already in memory.  The reader does not own them; they must
@@ -406,7 +405,7 @@ public:
   Shape chunk_shape(const std::string& field, std::size_t i) const;
 
   /// Decompress a whole field.  \p threads > 1 decodes chunks in parallel,
-  /// one Engine per worker; 0 selects hardware concurrency.
+  /// one chunk decoder per worker; 0 selects hardware concurrency.
   Result<NdArray> read_all(const std::string& field, unsigned threads = 1) noexcept;
 
   /// Decompress exactly chunk \p i of a field, validating only its bytes.

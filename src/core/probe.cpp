@@ -162,8 +162,7 @@ ProbeExecutor::ProbeExecutor(const pressio::Compressor& prototype, ProbeCachePtr
       config_fingerprint_(compressor_fingerprint(prototype)),
       cache_(std::move(cache)),
       threads_(threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads),
-      probe_span_name_("tune.probe_us." + prototype.name()),
-      probe_hist_backend_(&telemetry::global().histogram(probe_span_name_)),
+      probe_hist_backend_(&telemetry::global().histogram("tune.probe_us." + prototype.name())),
       probes_executed_backend_(
           &telemetry::global().counter("tune.probes_executed." + prototype.name())),
       cache_hits_backend_(
@@ -175,43 +174,50 @@ std::uint64_t ProbeExecutor::context_key(const ArrayView& data) const noexcept {
   return mix64(config_fingerprint_ ^ data_fingerprint(data));
 }
 
-std::unique_ptr<ProbeExecutor::Context> ProbeExecutor::checkout() {
+ProbeExecutor::Lease::Lease(ProbeExecutor& owner) : owner_(owner) {
   {
-    LockGuard lock(mutex_);
-    if (!idle_.empty()) {
-      auto context = std::move(idle_.back());
-      idle_.pop_back();
-      return context;
+    LockGuard lock(owner_.mutex_);
+    if (!owner_.idle_.empty()) {
+      context_ = std::move(owner_.idle_.back());
+      owner_.idle_.pop_back();
+      return;
     }
   }
-  auto context = std::make_unique<Context>();
-  context->compressor = prototype_->clone();
-  return context;
+  context_ = std::make_unique<Context>();
+  context_->compressor = owner_.prototype_->clone();
 }
 
-void ProbeExecutor::checkin(std::unique_ptr<Context> context) {
-  LockGuard lock(mutex_);
-  idle_.push_back(std::move(context));
+ProbeExecutor::Lease::~Lease() {
+  LockGuard lock(owner_.mutex_);
+  owner_.idle_.push_back(std::move(context_));
 }
 
-ProbeRecord ProbeExecutor::execute_ratio(Context& context, const ArrayView& data,
-                                         double bound) {
+ProbeRecord ProbeExecutor::execute(Context& context, const ArrayView& data, double bound,
+                                   const QualityMetric* metric) {
   TELEM_SPAN("tune.probe_us");
-  telemetry::SpanTimer backend_span(*probe_hist_backend_, probe_span_name_.c_str());
+  telemetry::SpanTimer backend_span(*probe_hist_backend_);
   context.compressor->set_error_bound(bound);
-  const Status s = context.compressor->compress_into(data, context.scratch);
+  Status s = context.compressor->compress_into(data, context.scratch);
   if (!s.ok()) throw_status(s);
   ProbeRecord record;
   record.ratio = static_cast<double>(data.size_bytes()) /
                  static_cast<double>(context.scratch.size());
+  if (metric != nullptr) {
+    s = context.compressor->decompress_into(context.scratch.data(), context.scratch.size(),
+                                            context.decoded);
+    if (!s.ok()) throw_status(s);
+    record.quality = *metric == QualityMetric::kPsnrDb
+                         ? error_stats(data, context.decoded.view()).psnr_db
+                         : ssim(data, context.decoded.view());
+  }
   probes_executed_counter().add();
   probes_executed_backend_->add();
   return record;
 }
 
-std::vector<ProbeOutcome> ProbeExecutor::probe_ratios(const ArrayView& data,
-                                                      std::uint64_t context,
-                                                      const std::vector<double>& bounds) {
+std::vector<ProbeOutcome> ProbeExecutor::run(const ArrayView& data, std::uint64_t key,
+                                             const std::vector<double>& bounds,
+                                             const QualityMetric* metric) {
   std::vector<ProbeOutcome> out(bounds.size());
 
   // Partition the batch: cache hits are answered immediately; the first
@@ -227,7 +233,7 @@ std::vector<ProbeOutcome> ProbeExecutor::probe_ratios(const ArrayView& data,
   std::size_t hits = 0;
   for (std::size_t i = 0; i < bounds.size(); ++i) {
     ProbeRecord cached;
-    if (cache_->lookup(context, bounds[i], cached)) {
+    if (cache_->lookup(key, bounds[i], cached)) {
       out[i] = ProbeOutcome{cached, true};
       ++hits;
       continue;
@@ -247,12 +253,11 @@ std::vector<ProbeOutcome> ProbeExecutor::probe_ratios(const ArrayView& data,
     // batch completes even when issued from a busy pool thread.
     std::vector<ProbeRecord> records(misses.size());
     parallel_for_shared(misses.size(), threads_, [&](std::size_t m) {
-      auto worker = checkout();
-      records[m] = execute_ratio(*worker, data, misses[m].bound);
-      checkin(std::move(worker));
+      const Lease worker(*this);
+      records[m] = execute(*worker, data, misses[m].bound, metric);
     });
     for (std::size_t m = 0; m < misses.size(); ++m) {
-      cache_->insert(context, misses[m].bound, records[m]);
+      cache_->insert(key, misses[m].bound, records[m]);
       out[misses[m].index] = ProbeOutcome{records[m], false};
     }
   }
@@ -272,29 +277,15 @@ std::vector<ProbeOutcome> ProbeExecutor::probe_ratios(const ArrayView& data,
   return out;
 }
 
+std::vector<ProbeOutcome> ProbeExecutor::probe_ratios(const ArrayView& data,
+                                                      std::uint64_t context,
+                                                      const std::vector<double>& bounds) {
+  return run(data, context, bounds, nullptr);
+}
+
 ProbeOutcome ProbeExecutor::probe_ratio(const ArrayView& data, std::uint64_t context,
                                         double bound) {
-  ProbeRecord cached;
-  if (cache_->lookup(context, bound, cached)) {
-    probe_cache_hits_counter().add();
-    cache_hits_backend_->add();
-    LockGuard lock(mutex_);
-    ++cache_hits_;
-    return ProbeOutcome{cached, true};
-  }
-  auto worker = checkout();
-  ProbeRecord record;
-  try {
-    record = execute_ratio(*worker, data, bound);
-  } catch (...) {
-    checkin(std::move(worker));
-    throw;
-  }
-  checkin(std::move(worker));
-  cache_->insert(context, bound, record);
-  LockGuard lock(mutex_);
-  ++executed_;
-  return ProbeOutcome{record, false};
+  return run(data, context, {bound}, nullptr).front();
 }
 
 ProbeOutcome ProbeExecutor::probe_quality(const ArrayView& data, std::uint64_t context,
@@ -303,41 +294,7 @@ ProbeOutcome ProbeExecutor::probe_quality(const ArrayView& data, std::uint64_t c
   // the same bound can never masquerade as a quality measurement.
   const std::uint64_t tagged =
       mix64(context ^ (0x7175616cull + static_cast<std::uint64_t>(metric)));
-  ProbeRecord cached;
-  if (cache_->lookup(tagged, bound, cached)) {
-    probe_cache_hits_counter().add();
-    cache_hits_backend_->add();
-    LockGuard lock(mutex_);
-    ++cache_hits_;
-    return ProbeOutcome{cached, true};
-  }
-  auto worker = checkout();
-  ProbeRecord record;
-  try {
-    TELEM_SPAN("tune.probe_us");
-    telemetry::SpanTimer backend_span(*probe_hist_backend_, probe_span_name_.c_str());
-    worker->compressor->set_error_bound(bound);
-    Status s = worker->compressor->compress_into(data, worker->scratch);
-    if (!s.ok()) throw_status(s);
-    s = worker->compressor->decompress_into(worker->scratch.data(), worker->scratch.size(),
-                                            worker->decoded);
-    if (!s.ok()) throw_status(s);
-    record.ratio = static_cast<double>(data.size_bytes()) /
-                   static_cast<double>(worker->scratch.size());
-    record.quality = metric == QualityMetric::kPsnrDb
-                         ? error_stats(data, worker->decoded.view()).psnr_db
-                         : ssim(data, worker->decoded.view());
-  } catch (...) {
-    checkin(std::move(worker));
-    throw;
-  }
-  checkin(std::move(worker));
-  cache_->insert(tagged, bound, record);
-  probes_executed_counter().add();
-  probes_executed_backend_->add();
-  LockGuard lock(mutex_);
-  ++executed_;
-  return ProbeOutcome{record, false};
+  return run(data, tagged, {bound}, &metric).front();
 }
 
 std::size_t ProbeExecutor::executed() const noexcept {

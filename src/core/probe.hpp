@@ -173,9 +173,32 @@ private:
     NdArray decoded;
   };
 
-  std::unique_ptr<Context> checkout();
-  void checkin(std::unique_ptr<Context> context);
-  ProbeRecord execute_ratio(Context& context, const ArrayView& data, double bound);
+  /// One worker context, checked out of the idle pool (a fresh clone when
+  /// none is idle) and returned to it when the lease ends, also when the
+  /// probe it ran threw.
+  class Lease {
+  public:
+    explicit Lease(ProbeExecutor& owner);
+    ~Lease();
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    Context& operator*() const noexcept { return *context_; }
+
+  private:
+    ProbeExecutor& owner_;
+    std::unique_ptr<Context> context_;
+  };
+
+  /// The one probe sequence under every entry point: look each bound up
+  /// under \p key, execute the first occurrence of each miss on a leased
+  /// context (concurrently up to the thread cap), insert what ran.  A null
+  /// \p metric measures ratio only; otherwise the pass also decodes and
+  /// measures that metric.
+  std::vector<ProbeOutcome> run(const ArrayView& data, std::uint64_t key,
+                                const std::vector<double>& bounds,
+                                const QualityMetric* metric);
+  ProbeRecord execute(Context& context, const ArrayView& data, double bound,
+                      const QualityMetric* metric);
 
   pressio::CompressorPtr prototype_;
   std::uint64_t config_fingerprint_;
@@ -186,9 +209,7 @@ private:
   // the prototype's name ("tune.probe_us.sz", "tune.probes_executed.szx",
   // ...).  These add a per-backend dimension so probe cost is attributable
   // to the compressor that paid it; the generic unlabeled metrics stay — CI
-  // asserts them.  The span name string must outlive every SpanTimer that
-  // borrows its c_str(), hence the owned member.
-  std::string probe_span_name_;
+  // asserts them.
   telemetry::Histogram* probe_hist_backend_;
   telemetry::Counter* probes_executed_backend_;
   telemetry::Counter* cache_hits_backend_;

@@ -51,10 +51,10 @@ Region Tuner::search_range(const ArrayView& data) const {
 }
 
 TuneResult Tuner::tune(const ArrayView& data) const {
-  return train(data, executor_.context_key(data));
+  return tune(data, executor_.context_key(data));
 }
 
-TuneResult Tuner::train(const ArrayView& data, std::uint64_t context) const {
+TuneResult Tuner::tune(const ArrayView& data, std::uint64_t context) const {
   require(prototype_->supports_dims(data.dims()),
           "Tuner: compressor '" + prototype_->name() + "' does not support this rank");
   Timer timer;
@@ -171,36 +171,6 @@ TuneResult Tuner::train(const ArrayView& data, std::uint64_t context) const {
       ratio_acceptable(result.achieved_ratio, config_.target_ratio, config_.epsilon);
   result.seconds = timer.seconds();
   return result;
-}
-
-TuneResult Tuner::tune_with_prediction(const ArrayView& data, double predicted_bound,
-                                       bool keep_above_band) const {
-  // Algorithm 1: when a prediction is available, try it before any training.
-  if (predicted_bound > 0) {
-    Timer timer;
-    const std::uint64_t context = executor_.context_key(data);
-    const ProbeOutcome probe = executor_.probe_ratio(data, context, predicted_bound);
-    const double ratio = probe.record.ratio;
-    const bool feasible = ratio_acceptable(ratio, config_.target_ratio, config_.epsilon);
-    if (feasible ||
-        (keep_above_band && ratio_above_band(ratio, config_.target_ratio, config_.epsilon))) {
-      TuneResult result;
-      result.error_bound = predicted_bound;
-      result.achieved_ratio = ratio;
-      result.feasible = feasible;
-      result.from_prediction = true;
-      result.compress_calls = 1;
-      result.probe_cache_hits = probe.from_cache ? 1 : 0;
-      result.seconds = timer.seconds();
-      return result;
-    }
-    TuneResult result = train(data, context);
-    result.compress_calls += 1;       // account for the failed prediction probe
-    result.probe_cache_hits += probe.from_cache ? 1 : 0;
-    result.seconds = timer.seconds();  // total including the probe
-    return result;
-  }
-  return tune(data);
 }
 
 }  // namespace fraz

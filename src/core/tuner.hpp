@@ -10,16 +10,14 @@
 /// ρt(1−ε) <= ρr(e) <= ρt(1+ε), subject to an optional maximum allowed error
 /// bound U.  It implements:
 ///
-/// - **Algorithm 1 (worker task)**: probe a predicted bound first; if it is
-///   already acceptable, stop; otherwise run the cutoff-modified global
-///   search on the worker's error-bound region.
-/// - **Algorithm 2 (training)**: split [lo, U] into K overlapping regions,
-///   search them in parallel, cancel outstanding work as soon as any region
-///   lands in the acceptance band, and fall back to the closest observed
-///   ratio when the target is infeasible.
+/// **Algorithm 2 (training)**: split [lo, U] into K overlapping regions,
+/// run the cutoff-modified global search on each, cancel outstanding work as
+/// soon as any region lands in the acceptance band, and fall back to the
+/// closest observed ratio when the target is infeasible.
 ///
-/// Algorithm 3 (warm-start each field's time steps from the last in-band
-/// bound) lives in engine/engine.hpp: the Engine is its one home.
+/// Algorithm 1's prediction (probe a carried bound first and stop when it is
+/// acceptable) and Algorithm 3's carry rule (warm-start each field's time
+/// steps) live in engine/engine.hpp: the Engine is their one home.
 ///
 /// All randomness is seeded; identical inputs and configuration produce
 /// identical tuned bounds.
@@ -87,7 +85,7 @@ struct TuneResult {
   double error_bound = 0;    ///< recommended error bound e
   double achieved_ratio = 0; ///< ρr(e)
   bool feasible = false;     ///< true when inside the acceptance band
-  bool from_prediction = false;  ///< settled by the warm-start probe alone
+  bool from_prediction = false;  ///< settled by the carried bound alone (Engine)
   int compress_calls = 0;    ///< probes the search consumed (cache hits included)
   int probe_cache_hits = 0;  ///< probes served without a compressor invocation
   double seconds = 0;        ///< wall time of the tuning
@@ -121,25 +119,22 @@ public:
   /// The dedup cache this tuner consults and feeds.
   const ProbeCachePtr& probe_cache() const noexcept { return cache_; }
 
-  /// Algorithms 1+2: full parallel training on a single dataset.
+  /// The probe front end the search spends its probes through.  A caller
+  /// that probes \p data itself first (Engine's prediction probe) shares it,
+  /// and with it the cache and the worker contexts.
+  ProbeExecutor& executor() const noexcept { return executor_; }
+
+  /// Algorithm 2: full parallel training on a single dataset.
   TuneResult tune(const ArrayView& data) const;
 
-  /// Algorithm 1 entry: probe \p predicted_bound first (0 = no prediction),
-  /// then fall back to full training.  The prediction is accepted when it
-  /// lands in the band, or, with \p keep_above_band, above it (the result is
-  /// then from_prediction but not feasible).  Engine::tune feeds it the
-  /// carried bound of Algorithm 3 and that bound's above-band flag.
-  TuneResult tune_with_prediction(const ArrayView& data, double predicted_bound,
-                                  bool keep_above_band = false) const;
+  /// Same, with the probe-cache context of \p data already computed by
+  /// executor().context_key (a context is a pass over the data — a caller
+  /// that probed first hands its own down instead of paying it twice).
+  TuneResult tune(const ArrayView& data, std::uint64_t context) const;
 
 private:
   /// Resolve the [lo, hi] search range for \p data per config defaults.
   Region search_range(const ArrayView& data) const;
-
-  /// Full lockstep training with the probe-cache context already computed
-  /// (a context is a full pass over the data — callers that probed first
-  /// hand theirs down instead of paying the fingerprint twice).
-  TuneResult train(const ArrayView& data, std::uint64_t context) const;
 
   pressio::CompressorPtr prototype_;
   TunerConfig config_;

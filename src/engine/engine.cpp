@@ -3,6 +3,7 @@
 #include "core/loss.hpp"
 #include "pressio/registry.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/timer.hpp"
 
 namespace fraz {
 
@@ -58,93 +59,116 @@ void Engine::adopt_probe_cache(ProbeCachePtr cache) noexcept {
 Result<TuneResult> Engine::tune(const std::string& field, const ArrayView& data,
                                 double target_ratio) noexcept {
   return guarded([&] {
+    Timer timer;
     TunerConfig cfg = config_.tuner;
     cfg.target_ratio = target_ratio;
     const Tuner tuner(*compressor_, cfg, probe_cache_);
-
+    const std::uint64_t context = tuner.executor().context_key(data);
     const CarriedBound carried = bounds_->carried(field, target_ratio);
-
-    TuneResult result = tuner.tune_with_prediction(data, carried.bound, carried.above_band);
-    ++stats_.tunes;
-    tunes_counter().add();
-    stats_.tuner_probe_calls +=
-        static_cast<std::size_t>(result.compress_calls - result.probe_cache_hits);
-    stats_.probe_cache_hits += static_cast<std::size_t>(result.probe_cache_hits);
-    EngineFieldStats& per_field = field_stats_[field];
-    ++per_field.tunes;
-    if (result.from_prediction) {
-      ++stats_.warm_hits;
-      ++per_field.warm_hits;
-      warm_hits_counter().add();
-      if (!result.feasible) above_band_keeps_counter().add();
-    } else {
-      ++stats_.retrains;
-      ++per_field.retrains;
-      retrains_counter().add();
+    TuneResult at_carried;
+    if (carried.bound > 0) {
+      const ProbeOutcome probe = tuner.executor().probe_ratio(data, context, carried.bound);
+      at_carried.error_bound = carried.bound;
+      at_carried.achieved_ratio = probe.record.ratio;
+      at_carried.compress_calls = 1;
+      at_carried.probe_cache_hits = probe.from_cache ? 1 : 0;
     }
-    // Algorithm 3's carry rule: carry an in-band bound, or an above-band one
-    // flagged as such; a flagged bound that lands below the band is dropped.
-    const bool above_band =
-        ratio_above_band(result.achieved_ratio, target_ratio, config_.tuner.epsilon);
-    if (result.feasible || above_band)
-      bounds_->put(field, target_ratio, result.error_bound, above_band);
-    else if (carried.above_band)
-      bounds_->erase(field, target_ratio);
+    TuneResult result = settle(field, target_ratio, carried, at_carried,
+                               [&] { return tuner.tune(data, context); });
+    result.seconds = timer.seconds();
     return result;
   });
 }
 
 Status Engine::compress(const std::string& field, const ArrayView& data, Buffer& out,
                         CompressOutcome* outcome) noexcept {
-  // Warm path: compress directly at the cached bound and let that archive
-  // double as the confirmation probe.  Routing through tune() here would
-  // compress twice per steady-state frame — once for the probe, once for the
-  // archive — on identical bytes.
+  // Warm path: compress directly at the carried bound and let that archive
+  // double as the measurement settle() judges.  Probing first would compress
+  // twice per steady-state frame — once for the probe, once for the archive
+  // — on identical bytes.
   const double target = config_.tuner.target_ratio;
   const auto archive_ratio = [&data, &out] {
     return static_cast<double>(data.size_bytes()) / static_cast<double>(out.size());
   };
   const CarriedBound carried = bounds_->carried(field, target);
+  TuneResult at_carried;
   if (carried.bound > 0) {
     const Status s = compress_at(carried.bound, data, out);
     if (!s.ok()) return s;
     ++field_stats_[field].compress_calls;
-    const double ratio = archive_ratio();
-    const bool in_band = ratio_acceptable(ratio, target, config_.tuner.epsilon);
-    // A bound whose search ended above the band is kept while it still
-    // lands above it: no bound that search tried reached the band.
-    const bool keep =
-        carried.above_band && ratio_above_band(ratio, target, config_.tuner.epsilon);
-    if (in_band || keep) {
-      if (in_band && carried.above_band) bounds_->put(field, target, carried.bound);
-      ++stats_.tunes;
-      ++stats_.warm_hits;
-      tunes_counter().add();
-      warm_hits_counter().add();
-      if (keep) above_band_keeps_counter().add();
-      EngineFieldStats& per_field = field_stats_[field];
-      ++per_field.tunes;
-      ++per_field.warm_hits;
-      if (outcome) *outcome = CompressOutcome{carried.bound, ratio, true, false, in_band};
-      return Status();
-    }
-    // Drift: the cached bound is proven stale — drop it so the retraining
-    // tune() below goes straight to full training instead of re-probing the
-    // very bound this archive just measured out-of-band.
-    bounds_->erase(field, target);
+    at_carried.error_bound = carried.bound;
+    at_carried.achieved_ratio = archive_ratio();
   }
-  Result<TuneResult> tuned = tune(field, data);
+  const Result<TuneResult> tuned = guarded([&] {
+    return settle(field, target, carried, at_carried, [&] {
+      return Tuner(*compressor_, config_.tuner, probe_cache_).tune(data);
+    });
+  });
   if (!tuned.ok()) return tuned.status();
-  const Status s = compress_at(tuned.value().error_bound, data, out);
-  if (!s.ok()) return s;
-  ++field_stats_[field].compress_calls;
+  const bool warm = tuned.value().from_prediction;
+  if (!warm) {
+    const Status s = compress_at(tuned.value().error_bound, data, out);
+    if (!s.ok()) return s;
+    ++field_stats_[field].compress_calls;
+  }
   if (outcome) {
     const double ratio = archive_ratio();
-    *outcome = CompressOutcome{tuned.value().error_bound, ratio, false,
-                               !tuned.value().from_prediction,
+    *outcome = CompressOutcome{tuned.value().error_bound, ratio, warm, !warm,
                                ratio_acceptable(ratio, target, config_.tuner.epsilon)};
   }
   return Status();
+}
+
+TuneResult Engine::settle(const std::string& field, double target, const CarriedBound& carried,
+                          const TuneResult& at_carried,
+                          const std::function<TuneResult()>& train) {
+  const double epsilon = config_.tuner.epsilon;
+  TuneResult result;
+  if (carried.bound > 0) {
+    const bool in_band = ratio_acceptable(at_carried.achieved_ratio, target, epsilon);
+    // A bound whose search ended above the band is kept while it still
+    // lands above it: no bound that search tried reached the band.
+    if (in_band ||
+        (carried.above_band && ratio_above_band(at_carried.achieved_ratio, target, epsilon))) {
+      if (in_band && carried.above_band) bounds_->put(field, target, carried.bound);
+      result = at_carried;
+      result.feasible = in_band;
+      result.from_prediction = true;
+    } else {
+      // Drift: the carried bound is proven stale, whatever the retrain
+      // below finds.
+      bounds_->erase(field, target);
+    }
+  }
+  if (!result.from_prediction) {
+    result = train();
+    result.compress_calls += at_carried.compress_calls;
+    result.probe_cache_hits += at_carried.probe_cache_hits;
+    // Carry an in-band result, or an above-band one flagged as such; a
+    // search that ends below the band carries nothing.
+    const bool above_band = ratio_above_band(result.achieved_ratio, target, epsilon);
+    if (result.feasible || above_band)
+      bounds_->put(field, target, result.error_bound, above_band);
+  }
+
+  ++stats_.tunes;
+  tunes_counter().add();
+  stats_.tuner_probe_calls +=
+      static_cast<std::size_t>(result.compress_calls - result.probe_cache_hits);
+  stats_.probe_cache_hits += static_cast<std::size_t>(result.probe_cache_hits);
+  EngineFieldStats& per_field = field_stats_[field];
+  ++per_field.tunes;
+  if (result.from_prediction) {
+    ++stats_.warm_hits;
+    ++per_field.warm_hits;
+    warm_hits_counter().add();
+    if (!result.feasible) above_band_keeps_counter().add();
+  } else {
+    ++stats_.retrains;
+    ++per_field.retrains;
+    retrains_counter().add();
+  }
+  return result;
 }
 
 Status Engine::compress_at(double error_bound, const ArrayView& data, Buffer& out) noexcept {

@@ -17,20 +17,24 @@
 ///   the band (no bound it tried compressed little enough) carries its bound
 ///   flagged above-band; later calls keep that bound without a search while
 ///   it still lands above the band, take it as a plain warm hit once it lands
-///   in band, and drop it and retrain once it lands below;
+///   in band, and drop it and retrain once it lands below.  A search that
+///   ends below the band carries nothing, so the next call searches afresh.
+///   tune() and compress() follow this one rule;
 /// - **field dimension**: every field name is its own cache key, so fields
 ///   never disturb each other's bounds; fields run in parallel by giving
 ///   each worker its own Engine over one shared BoundStore (what the archive
 ///   writer does with its chunk workers).
 ///
-/// Tuner supplies Algorithms 1 and 2 on one dataset; the Engine decides
-/// which bound to predict and which results to carry forward.
+/// Tuner is Algorithm 2 (the region search) on one dataset; the Engine holds
+/// Algorithm 1's prediction (measure the carried bound first, search only
+/// when it misses) and Algorithm 3's carry rule, both in one private step.
 ///
 /// All entry points are non-throwing (Status / Result), matching the
 /// CompressorV2 contract — an Engine is what a long-running service embeds,
 /// and a service treats failure as data, not as control flow.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -174,6 +178,20 @@ public:
   }
 
 private:
+  /// Algorithm 1's acceptance test and Algorithm 3's carry rule: the one
+  /// place either is decided, and the one place a tuning pass is booked in
+  /// the stats.  \p at_carried holds \p carried.bound's ratio on this call's
+  /// data (ignored when none is carried) and what measuring it cost the
+  /// tuner: one probe for tune(), nothing when compress()'s archive was the
+  /// measurement.  In band, the call is a plain warm hit and an above-band
+  /// flag is cleared; flagged and still above the band, the bound is kept.
+  /// Otherwise the bound is dropped and \p train searches: an in-band result
+  /// is carried, an above-band one carried flagged, one below carries
+  /// nothing.  Returns the settled result (from_prediction when no search
+  /// ran).
+  TuneResult settle(const std::string& field, double target, const CarriedBound& carried,
+                    const TuneResult& at_carried, const std::function<TuneResult()>& train);
+
   EngineConfig config_;
   pressio::CompressorPtr compressor_;
   BoundStorePtr bounds_;        ///< carried bound per (field, target)

@@ -102,16 +102,6 @@ std::uint64_t now_us() noexcept {
           .count());
 }
 
-std::string trace_event_json(const TraceEvent& event) {
-  JsonWriter w;
-  w.begin_object()
-      .field("span", std::string_view(event.name))
-      .field("start_us", event.start_us)
-      .field("duration_us", event.duration_us)
-      .end_object();
-  return std::move(w).str();
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
   LockGuard lock(mutex_);
   return counters_[name];
@@ -202,22 +192,6 @@ std::string MetricsRegistry::to_prometheus() const {
     out += p + "_count " + std::to_string(s.count) + "\n";
   }
   return out;
-}
-
-void MetricsRegistry::set_trace_sink(std::function<void(const TraceEvent&)> sink) {
-  LockGuard lock(sink_mutex_);
-  sink_ = std::move(sink);
-  tracing_.store(static_cast<bool>(sink_), std::memory_order_relaxed);
-}
-
-void MetricsRegistry::trace(const TraceEvent& event) noexcept {
-  LockGuard lock(sink_mutex_);
-  if (!sink_) return;
-  try {
-    sink_(event);
-  } catch (...) {
-    // A throwing sink must not take down instrumented code.
-  }
 }
 
 void MetricsRegistry::reset_values() {

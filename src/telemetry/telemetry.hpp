@@ -19,9 +19,7 @@
 ///    resident cache bytes), so concurrent writers compose by summation.
 ///  - **Histogram** — log2-bucketed latency with p50/p95/p99 extraction
 ///    (telemetry/histogram.hpp).
-///  - **SpanTimer / TELEM_SPAN** — RAII scope timers that feed a histogram
-///    and, when a trace sink is installed, emit one structured JSON event
-///    per span for request-lifecycle tracing.
+///  - **SpanTimer / TELEM_SPAN** — RAII scope timers that feed a histogram.
 ///
 /// The registry is the process-wide source of truth for totals; per-object
 /// stats structs (ReaderPool::Stats, ChunkCache::Stats) are views over
@@ -41,7 +39,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -174,17 +171,6 @@ private:
   std::atomic<std::int64_t> value_{0};
 };
 
-
-/// One span's trace record, handed to the installed sink at span end.
-struct TraceEvent {
-  const char* name = "";           ///< span name (= histogram name)
-  std::uint64_t start_us = 0;      ///< steady-clock microseconds at entry
-  std::uint64_t duration_us = 0;
-};
-
-/// Render a TraceEvent as one JSON object line (the standard sink format).
-std::string trace_event_json(const TraceEvent& event);
-
 /// Thread-safe named-metric registry.  Metric references returned by
 /// counter()/gauge()/histogram() are stable for the registry's lifetime, so
 /// hot paths look a metric up once (static local) and then touch only
@@ -222,15 +208,6 @@ public:
   /// `fraz_` namespace prefix.
   std::string to_prometheus() const;
 
-  /// Install (or clear, with nullptr) the structured trace sink invoked at
-  /// every span end.  The sink runs on the instrumented thread under a
-  /// mutex — keep it cheap (append to a log, push to a queue).
-  void set_trace_sink(std::function<void(const TraceEvent&)> sink);
-  /// Hand one event to the sink if installed (span layer internal).
-  void trace(const TraceEvent& event) noexcept;
-  /// Cheap pre-check so spans skip event assembly with no sink installed.
-  bool tracing() const noexcept { return tracing_.load(std::memory_order_relaxed); }
-
   /// Zero every registered metric (test support; registration survives).
   void reset_values();
 
@@ -248,10 +225,6 @@ private:
   /// Totals per counter name: counters_ plus the instanced_ sums.
   std::map<std::string, std::uint64_t> counter_totals_locked() const
       FRAZ_REQUIRES(mutex_);
-
-  Mutex sink_mutex_;
-  std::function<void(const TraceEvent&)> sink_ FRAZ_GUARDED_BY(sink_mutex_);
-  std::atomic<bool> tracing_{false};
 };
 
 /// The process-wide registry every instrumentation site feeds.
@@ -261,20 +234,17 @@ MetricsRegistry& global() noexcept;
 std::uint64_t now_us() noexcept;
 
 /// RAII scope timer: entry stamps the clock, exit records the elapsed
-/// microseconds into the bound histogram and traces the span if a sink is
-/// installed.  When telemetry is disabled at entry the span does nothing —
-/// not even clock reads.
+/// microseconds into the bound histogram.  When telemetry is disabled at
+/// entry the span does nothing — not even clock reads.
 class SpanTimer {
 public:
-  SpanTimer(Histogram& sink, const char* name) noexcept
-      : sink_(&sink), name_(name), armed_(enabled()) {
+  explicit SpanTimer(Histogram& sink) noexcept : sink_(&sink), armed_(enabled()) {
     if (armed_) start_us_ = now_us();
   }
   ~SpanTimer() {
     if (!armed_) return;
     const std::uint64_t duration = now_us() - start_us_;
     sink_->record(duration);
-    if (global().tracing()) global().trace(TraceEvent{name_, start_us_, duration});
   }
 
   SpanTimer(const SpanTimer&) = delete;
@@ -282,7 +252,6 @@ public:
 
 private:
   Histogram* sink_;
-  const char* name_;
   const bool armed_;
   std::uint64_t start_us_ = 0;
 };
@@ -304,7 +273,6 @@ private:
         static ::fraz::telemetry::Histogram& memoized =                       \
             ::fraz::telemetry::global().histogram(name_literal);              \
         return memoized;                                                      \
-      }(),                                                                    \
-      name_literal)
+      }())
 
 #endif  // FRAZ_TELEMETRY_TELEMETRY_HPP

@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "data/datasets.hpp"
 #include "pressio/registry.hpp"
 #include "telemetry/telemetry.hpp"
 #include "test_helpers.hpp"
@@ -512,6 +513,65 @@ TEST(Engine, AboveBandBoundLandingBelowBandRetrainsAndClearsTheFlag) {
   EXPECT_FALSE(tuned.value().from_prediction);
   EXPECT_LT(tuned.value().achieved_ratio, 1000.0 * 0.9);
   EXPECT_EQ(hopeless.cached_bound("f", 1000.0), 0.0);
+}
+
+TEST(Engine, TuneDropsABoundWhoseRetrainEndsBelowTheBand) {
+  // Fig. 6a (bench_fig6_convergence's bad case): CLOUDf's ratio drifts down
+  // until step 4's carried bound lands below the band and no bound under U
+  // reaches it again.  Step 4's retrain ends below the band, so it carries
+  // nothing, through tune() and through compress() alike; step 5 then
+  // searches without first re-measuring step 0's stale bound.
+  const auto ds = data::dataset_by_name("hurricane", data::SuiteScale::kSmall);
+  const auto steps = data::generate_series(data::field_by_name(ds, "CLOUDf"), 6);
+  EngineConfig config;
+  config.compressor = "sz";
+  config.tuner.target_ratio = 15.0;
+  config.tuner.epsilon = 0.1;
+  config.tuner.regions = 8;
+  config.tuner.max_evals_per_region = 16;
+  config.tuner.max_error_bound = 1.0e-5;
+  // What a search alone spends on step 5 (cache hits included).
+  auto sz = pressio::registry().create("sz");
+  const int step5_search = Tuner(*sz, config.tuner).tune(steps[5].view()).compress_calls;
+
+  for (const bool through_tune : {true, false}) {
+    Engine engine(config);
+    Buffer out;
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+      const std::size_t compressions = engine.stats().compress_calls;
+      const std::size_t probes =
+          engine.stats().tuner_probe_calls + engine.stats().probe_cache_hits;
+      bool retrained = false;
+      if (through_tune) {
+        const auto tuned = engine.tune("CLOUDf", steps[s].view());
+        ASSERT_TRUE(tuned.ok()) << tuned.status().to_string();
+        retrained = !tuned.value().from_prediction;
+        if (s == 4) {
+          EXPECT_LT(tuned.value().achieved_ratio, 15.0 * 0.9);
+        }
+      } else {
+        CompressOutcome outcome;
+        ASSERT_TRUE(engine.compress("CLOUDf", steps[s].view(), out, &outcome).ok());
+        retrained = outcome.retrained;
+        if (s == 4) {
+          EXPECT_FALSE(outcome.in_band);
+        }
+        if (s == 5) {
+          EXPECT_EQ(engine.stats().compress_calls, compressions + 1) << "no warm archive";
+        }
+      }
+      if (s == 4) {
+        EXPECT_TRUE(retrained) << through_tune;
+        EXPECT_EQ(engine.cached_bound("CLOUDf"), 0.0) << through_tune;
+      }
+      if (s == 5) {
+        EXPECT_TRUE(retrained) << through_tune;
+        const std::size_t spent =
+            engine.stats().tuner_probe_calls + engine.stats().probe_cache_hits - probes;
+        EXPECT_EQ(spent, static_cast<std::size_t>(step5_search)) << through_tune;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------ registry config creation

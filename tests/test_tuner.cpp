@@ -152,44 +152,7 @@ TEST(Tuner, RegionReportsPopulated) {
   EXPECT_GE(touched, 1);
 }
 
-// ------------------------------------------------------------- prediction
-
-TEST(Tuner, PredictionShortCircuits) {
-  const NdArray field = hurricane_field();
-  auto compressor = pressio::registry().create("sz");
-  const Tuner tuner(*compressor, fast_config(8.0));
-  const TuneResult trained = tuner.tune(field.view());
-  ASSERT_TRUE(trained.feasible);
-  const TuneResult reused = tuner.tune_with_prediction(field.view(), trained.error_bound);
-  EXPECT_TRUE(reused.from_prediction);
-  EXPECT_EQ(reused.compress_calls, 1);
-  EXPECT_DOUBLE_EQ(reused.error_bound, trained.error_bound);
-}
-
-TEST(Tuner, BadPredictionFallsBackToTraining) {
-  const NdArray field = hurricane_field();
-  auto compressor = pressio::registry().create("sz");
-  const Tuner tuner(*compressor, fast_config(8.0));
-  const double hopeless = value_range(field.view());  // gives a huge ratio
-  const TuneResult r = tuner.tune_with_prediction(field.view(), hopeless);
-  EXPECT_FALSE(r.from_prediction);
-  EXPECT_TRUE(r.feasible);
-  EXPECT_GT(r.compress_calls, 1);
-}
-
-TEST(Tuner, ZeroPredictionMeansNoProbe) {
-  const NdArray field = hurricane_field();
-  auto compressor = pressio::registry().create("sz");
-  TunerConfig cfg = fast_config(8.0);
-  cfg.threads = 1;  // serial so both runs are bit-identical
-  const Tuner tuner(*compressor, cfg);
-  const TuneResult direct = tuner.tune(field.view());
-  const TuneResult via = tuner.tune_with_prediction(field.view(), 0.0);
-  EXPECT_EQ(direct.compress_calls, via.compress_calls);
-  EXPECT_FALSE(via.from_prediction);
-}
-
-// --------------------------------------- Algorithm 3 through the Engine
+// -------------------------------- Algorithms 1 and 3 through the Engine
 
 /// Engine over \p backend with the same tuning knobs as fast_config.
 Engine series_engine(const char* backend, double target) {
@@ -197,6 +160,46 @@ Engine series_engine(const char* backend, double target) {
   config.compressor = backend;
   config.tuner = fast_config(target);
   return Engine(config);
+}
+
+TEST(Algorithm1, PredictionShortCircuits) {
+  const NdArray field = hurricane_field();
+  auto compressor = pressio::registry().create("sz");
+  const TuneResult trained = Tuner(*compressor, fast_config(8.0)).tune(field.view());
+  ASSERT_TRUE(trained.feasible);
+  Engine engine = series_engine("sz", 8.0);
+  engine.bound_store()->put("TCf", 8.0, trained.error_bound);
+  const TuneResult reused = engine.tune("TCf", field.view()).value();
+  EXPECT_TRUE(reused.from_prediction);
+  EXPECT_EQ(reused.compress_calls, 1);
+  EXPECT_DOUBLE_EQ(reused.error_bound, trained.error_bound);
+}
+
+TEST(Algorithm1, BadPredictionFallsBackToTraining) {
+  const NdArray field = hurricane_field();
+  Engine engine = series_engine("sz", 8.0);
+  const double hopeless = value_range(field.view());  // gives a huge ratio
+  engine.bound_store()->put("TCf", 8.0, hopeless);
+  const TuneResult r = engine.tune("TCf", field.view()).value();
+  EXPECT_FALSE(r.from_prediction);
+  EXPECT_TRUE(r.feasible);
+  EXPECT_GT(r.compress_calls, 1);
+}
+
+TEST(Algorithm1, ZeroPredictionMeansNoProbe) {
+  const NdArray field = hurricane_field();
+  auto compressor = pressio::registry().create("sz");
+  TunerConfig cfg = fast_config(8.0);
+  cfg.threads = 1;  // serial so both runs are bit-identical
+  const TuneResult direct = Tuner(*compressor, cfg).tune(field.view());
+  EngineConfig config;
+  config.compressor = "sz";
+  config.tuner = cfg;
+  Engine engine(config);
+  engine.bound_store()->put("TCf", 8.0, 0.0);
+  const TuneResult via = engine.tune("TCf", field.view()).value();
+  EXPECT_EQ(direct.compress_calls, via.compress_calls);
+  EXPECT_FALSE(via.from_prediction);
 }
 
 TEST(Algorithm3, SeriesReusesBoundAcrossSteps) {

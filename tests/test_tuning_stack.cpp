@@ -157,6 +157,60 @@ TEST(ProbeExecutor, IdenticalBoundsProbedOncePerDataAndConfig) {
   EXPECT_FALSE(executor.probe_ratio(other.view(), other_context, 0.5).from_cache);
 }
 
+/// Clones every CloneCountingSz instance has made.
+std::atomic<int> g_sz_clones{0};
+/// While set, every CloneCountingSz compression fails.
+std::atomic<bool> g_sz_fail{false};
+
+/// sz that counts its clones and fails on demand: probes that throw must
+/// still return their worker context to the executor's idle pool.
+class CloneCountingSz final : public pressio::Compressor {
+public:
+  CloneCountingSz() : inner_(pressio::registry().create("sz")) {}
+  CloneCountingSz(const CloneCountingSz& other) : inner_(other.inner_->clone()) {}
+
+  std::string name() const override { return "sz-clone-counting"; }
+  pressio::Capabilities capabilities() const override { return inner_->capabilities(); }
+  pressio::Options get_options() const override { return inner_->get_options(); }
+  void set_options(const pressio::Options& options) override { inner_->set_options(options); }
+  void set_error_bound(double bound) override { inner_->set_error_bound(bound); }
+  double error_bound() const override { return inner_->error_bound(); }
+  Status compress_into(const ArrayView& input, Buffer& out) const noexcept override {
+    if (g_sz_fail) return Status::unsupported("sz-clone-counting: injected failure");
+    return inner_->compress_into(input, out);
+  }
+  Status decompress_into(const std::uint8_t* data, std::size_t size,
+                         NdArray& out) const noexcept override {
+    return inner_->decompress_into(data, size, out);
+  }
+  pressio::CompressorPtr clone() const override {
+    ++g_sz_clones;
+    return std::make_unique<CloneCountingSz>(*this);
+  }
+
+private:
+  pressio::CompressorPtr inner_;
+};
+
+TEST(ProbeExecutor, AThrowingProbeReturnsItsContext) {
+  const CloneCountingSz prototype;
+  const NdArray field = make_field(DType::kFloat32, {32, 32});
+  ProbeExecutor executor(prototype, std::make_shared<ProbeCache>(), 1);
+  const std::uint64_t context = executor.context_key(field.view());
+
+  g_sz_fail = true;
+  const int before = g_sz_clones;
+  EXPECT_ANY_THROW(executor.probe_ratio(field.view(), context, 0.5));
+  EXPECT_EQ(g_sz_clones, before + 1);  // the one worker context
+  EXPECT_ANY_THROW(executor.probe_ratios(field.view(), context, {0.25, 0.125}));
+  EXPECT_ANY_THROW(
+      executor.probe_quality(field.view(), context, 0.5, QualityMetric::kPsnrDb));
+  g_sz_fail = false;
+  EXPECT_FALSE(executor.probe_ratio(field.view(), context, 0.5).from_cache);
+  EXPECT_EQ(g_sz_clones, before + 1) << "a failed probe leaked its worker context";
+  EXPECT_EQ(executor.executed(), 1u);
+}
+
 TEST(ProbeExecutor, BatchDeduplicatesAndAlignsResults) {
   auto compressor = pressio::registry().create("sz");
   const NdArray field = make_field(DType::kFloat32, {32, 32});
