@@ -1,11 +1,9 @@
 #include "archive/archive.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <exception>
 #include <future>
 #include <utility>
 
@@ -16,6 +14,7 @@
 #include "pressio/registry.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace fraz::archive {
 
@@ -50,100 +49,59 @@ Shape shape_of_chunk(const FieldInfo& field, std::size_t i) {
   return shape;
 }
 
-/// Decode the slowest-axis planes [first, first + count) of \p field into
-/// \p out (whose shape must already be {count, rest...}), touching and
-/// validating only the chunks that cover the range.  \p threads > 1 decodes
-/// the touched chunks in parallel, one decoder per worker, each writing its
-/// disjoint plane window of \p out; \p serial_decoder serves the
-/// single-threaded path.  Throws the failure of the lowest failing chunk.
-void read_planes(const detail::ChunkSource& source, const FieldInfo& field,
-                 std::size_t chunk_region, detail::ChunkDecoder& serial_decoder,
-                 Buffer& serial_scratch, std::size_t first, std::size_t count,
-                 unsigned threads, NdArray& out) {
-  const std::size_t n0 = field.shape[0];
-  const std::size_t plane_bytes =
-      (shape_elements(field.shape) / n0) * dtype_size(field.dtype);
-  const std::size_t extent = field.chunk_extent;
-  const std::size_t first_chunk = first / extent;
-  const std::size_t last_chunk = (first + count - 1) / extent;
-  const std::size_t touched = last_chunk - first_chunk + 1;
+/// The one chunk decode every read runs: a field's backend, its per-backend
+/// latency histogram "decode_us.<compressor>" (labelled like the tuner's
+/// probe spans, tune.probe_us.<backend>, and looked up once here rather than
+/// once per chunk) and the fetch scratch of buffered transports.  Not
+/// thread-safe; ArchiveReader leases each to one read at a time.
+class ChunkDecoder {
+public:
+  /// Throws when \p compressor is not registered.
+  explicit ChunkDecoder(const std::string& compressor)
+      : compressor_(pressio::registry().create(compressor)),
+        span_(&telemetry::global().histogram("decode_us." + compressor)) {}
 
-  auto emplace = [&](detail::ChunkDecoder& decoder, Buffer& scratch, std::size_t c) {
-    const NdArray chunk = decoder.decode(source, field, chunk_region, c, scratch);
-    const std::size_t chunk_first = c * extent;
-    const std::size_t lo = std::max(first, chunk_first);
-    const std::size_t hi = std::min(first + count, chunk_first + chunk.shape()[0]);
-    std::memcpy(static_cast<std::uint8_t*>(out.data()) + (lo - first) * plane_bytes,
-                static_cast<const std::uint8_t*>(chunk.data()) +
-                    (lo - chunk_first) * plane_bytes,
-                (hi - lo) * plane_bytes);
-  };
-
-  const unsigned workers = detail::resolve_workers(threads, touched);
-  if (threads == 1 || workers <= 1) {
-    for (std::size_t c = first_chunk; c <= last_chunk; ++c)
-      emplace(serial_decoder, serial_scratch, c);
-    return;
+  /// Validate chunk \p i's CRC and decode it (throwing).  \p chunk_region
+  /// is the archive's chunk-region base offset.
+  NdArray decode(const detail::ChunkSource& source, const FieldInfo& field,
+                 std::size_t chunk_region, std::size_t i) {
+    const ChunkEntry& entry = field.chunks[i];
+    const std::uint8_t* chunk =
+        source.fetch(chunk_region + entry.offset, entry.size, scratch_);
+    if (crc32(chunk, entry.size) != entry.crc)
+      throw CorruptStream("archive: chunk " + std::to_string(i) + " failed its checksum");
+    NdArray decoded;
+    const Status s = [&] {
+      telemetry::SpanTimer span(*span_);
+      return compressor_->decompress_into(chunk, entry.size, decoded);
+    }();
+    if (!s.ok())
+      throw CorruptStream("archive: chunk " + std::to_string(i) + ": " + s.to_string());
+    if (decoded.dtype() != field.dtype || decoded.shape() != shape_of_chunk(field, i))
+      throw CorruptStream("archive: chunk " + std::to_string(i) +
+                          " decoded to an unexpected shape");
+    return decoded;
   }
 
-  // Parallel decode: touched chunks write disjoint plane windows of `out`,
-  // so the only coordination needed is the shared chunk counter.  Workers
-  // meet failing chunks in any order; each chunk keeps its own failure so
-  // the lowest one is reported, as the serial path would.
-  std::vector<std::exception_ptr> failures(touched);
-  std::atomic<std::size_t> next{0};
-  auto drain = [&] {
-    detail::ChunkDecoder decoder(field.compressor);
-    Buffer scratch;
-    std::size_t t;
-    while ((t = next.fetch_add(1)) < touched) {
-      try {
-        emplace(decoder, scratch, first_chunk + t);
-      } catch (...) {
-        failures[t] = std::current_exception();
-      }
-    }
-  };
-  {
-    ThreadPool pool(workers);
-    std::vector<std::future<void>> done;
-    done.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) done.push_back(pool.submit(drain));
-    for (auto& f : done) f.get();
-  }
-  for (const std::exception_ptr& failure : failures)
-    if (failure) std::rethrow_exception(failure);
-}
+private:
+  pressio::CompressorPtr compressor_;
+  telemetry::Histogram* span_;
+  Buffer scratch_;
+};
 
 }  // namespace
 
-namespace detail {
-
-ChunkDecoder::ChunkDecoder(const std::string& compressor)
-    : compressor_(pressio::registry().create(compressor)),
-      span_(&telemetry::global().histogram("decode_us." + compressor)) {}
-
-NdArray ChunkDecoder::decode(const ChunkSource& source, const FieldInfo& field,
-                             std::size_t chunk_region, std::size_t i, Buffer& scratch) {
-  const ChunkEntry& entry = field.chunks[i];
-  const std::uint8_t* chunk =
-      source.fetch(chunk_region + entry.offset, entry.size, scratch);
-  if (crc32(chunk, entry.size) != entry.crc)
-    throw CorruptStream("archive: chunk " + std::to_string(i) + " failed its checksum");
-  NdArray decoded;
-  const Status s = [&] {
-    telemetry::SpanTimer span(*span_);
-    return compressor_->decompress_into(chunk, entry.size, decoded);
-  }();
-  if (!s.ok())
-    throw CorruptStream("archive: chunk " + std::to_string(i) + ": " + s.to_string());
-  if (decoded.dtype() != field.dtype || decoded.shape() != shape_of_chunk(field, i))
-    throw CorruptStream("archive: chunk " + std::to_string(i) +
-                        " decoded to an unexpected shape");
-  return decoded;
+void copy_chunk_planes(const FieldInfo& field, std::size_t c, const NdArray& chunk,
+                       std::size_t first, std::size_t count, NdArray& out) noexcept {
+  const std::size_t plane_bytes =
+      (shape_elements(field.shape) / field.shape[0]) * dtype_size(field.dtype);
+  const std::size_t chunk_first = c * field.chunk_extent;
+  const std::size_t lo = std::max(first, chunk_first);
+  const std::size_t hi = std::min(first + count, chunk_first + chunk.shape()[0]);
+  std::memcpy(static_cast<std::uint8_t*>(out.data()) + (lo - first) * plane_bytes,
+              static_cast<const std::uint8_t*>(chunk.data()) + (lo - chunk_first) * plane_bytes,
+              (hi - lo) * plane_bytes);
 }
-
-}  // namespace detail
 
 // ------------------------------------------------------------ field session
 
@@ -342,9 +300,52 @@ Result<ArchiveWriteResult> ArchiveWriter::write_single(const ArrayView& data) no
 
 // ------------------------------------------------------------------- reader
 
+/// Per-field free lists of chunk decoders.  A read leases one for each chunk
+/// it decodes — the idle one when there is one, else a new one — and the
+/// lease returns it when the decode ends, also when it threw.
+struct ArchiveReader::Decoders {
+  /// Builds and parks each field's first decoder, so an archive whose
+  /// backend is not registered fails open(), not the first read.
+  explicit Decoders(const std::vector<FieldInfo>& fields) : idle(fields.size()) {
+    for (std::size_t f = 0; f < fields.size(); ++f)
+      idle[f].push_back(std::make_unique<ChunkDecoder>(fields[f].compressor));
+  }
+
+  class Lease {
+  public:
+    Lease(Decoders& owner, std::size_t field, const std::string& compressor)
+        : owner_(owner), field_(field) {
+      {
+        LockGuard lock(owner_.mutex);
+        std::vector<std::unique_ptr<ChunkDecoder>>& idle = owner_.idle[field_];
+        if (!idle.empty()) {
+          decoder_ = std::move(idle.back());
+          idle.pop_back();
+          return;
+        }
+      }
+      decoder_ = std::make_unique<ChunkDecoder>(compressor);
+    }
+    ~Lease() {
+      LockGuard lock(owner_.mutex);
+      owner_.idle[field_].push_back(std::move(decoder_));
+    }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ChunkDecoder* operator->() const noexcept { return decoder_.get(); }
+
+  private:
+    Decoders& owner_;
+    std::size_t field_;
+    std::unique_ptr<ChunkDecoder> decoder_;
+  };
+
+  Mutex mutex;
+  std::vector<std::vector<std::unique_ptr<ChunkDecoder>>> idle FRAZ_GUARDED_BY(mutex);
+};
+
 ArchiveReader::ArchiveReader(std::unique_ptr<detail::ChunkSource> source,
-                             ArchiveInfo info,
-                             std::vector<detail::ChunkDecoder> decoders) noexcept
+                             ArchiveInfo info, std::unique_ptr<Decoders> decoders) noexcept
     : source_(std::move(source)), info_(std::move(info)), decoders_(std::move(decoders)) {}
 
 ArchiveReader::ArchiveReader(ArchiveReader&&) noexcept = default;
@@ -372,14 +373,11 @@ ArchiveReader ArchiveReader::open_source(std::unique_ptr<detail::ChunkSource> so
   const std::uint8_t* manifest =
       source->fetch(footer.manifest_offset, footer.manifest_size, manifest_scratch);
   ArchiveInfo info = parse_manifest(manifest, footer.manifest_size, footer);
-
-  // One serial-path decoder per field, created eagerly so an archive whose
-  // backend is not registered fails open(), not the first read.
-  std::vector<detail::ChunkDecoder> decoders;
-  decoders.reserve(info.fields.size());
-  for (const FieldInfo& field : info.fields) decoders.emplace_back(field.compressor);
+  auto decoders = std::make_unique<Decoders>(info.fields);
   return ArchiveReader(std::move(source), std::move(info), std::move(decoders));
 }
+
+bool ArchiveReader::mapped() const noexcept { return source_->mapped(); }
 
 std::size_t ArchiveReader::field_index(const std::string& name) const {
   const FieldInfo* field = find_field(info_, name);
@@ -391,13 +389,45 @@ Shape ArchiveReader::chunk_shape(const std::string& field, std::size_t i) const 
   return shape_of_chunk(info_.fields[field_index(field)], i);
 }
 
+NdArray ArchiveReader::decode(std::size_t f, std::size_t i) const {
+  const FieldInfo& field = info_.fields[f];
+  const Decoders::Lease decoder(*decoders_, f, field.compressor);
+  return decoder->decode(*source_, field, info_.chunk_region, i);
+}
+
+void ArchiveReader::read_planes(std::size_t f, std::size_t first, std::size_t count,
+                                unsigned threads, NdArray& out) const {
+  const FieldInfo& field = info_.fields[f];
+  const std::size_t first_chunk = first / field.chunk_extent;
+  const std::size_t last_chunk = (first + count - 1) / field.chunk_extent;
+  auto emplace = [&](std::size_t c) {
+    copy_chunk_planes(field, c, decode(f, c), first, count, out);
+  };
+
+  const unsigned workers = detail::resolve_workers(threads, last_chunk - first_chunk + 1);
+  if (workers <= 1) {
+    for (std::size_t c = first_chunk; c <= last_chunk; ++c) emplace(c);
+    return;
+  }
+  // One task per touched chunk, each writing its disjoint plane window of
+  // `out`.  Taking the results in chunk order rethrows the lowest failing
+  // chunk's failure, as the serial loop would; the pool's destructor lets
+  // the tasks still queued behind it finish before `out` can go away.
+  ThreadPool pool(workers);
+  std::vector<std::future<void>> done;
+  done.reserve(last_chunk - first_chunk + 1);
+  for (std::size_t c = first_chunk; c <= last_chunk; ++c)
+    done.push_back(pool.submit([&emplace, c] { emplace(c); }));
+  for (std::future<void>& chunk : done) chunk.get();
+}
+
 Result<NdArray> ArchiveReader::read_chunk(const std::string& field,
                                           std::size_t i) noexcept {
   return guarded([&] {
     const std::size_t f = field_index(field);
     if (i >= info_.fields[f].chunk_count)
       throw InvalidArgument("archive: chunk index out of range");
-    return decoders_[f].decode(*source_, info_.fields[f], info_.chunk_region, i, scratch_);
+    return decode(f, i);
   });
 }
 
@@ -412,8 +442,7 @@ Result<NdArray> ArchiveReader::read_range(const std::string& field, std::size_t 
     Shape out_shape = info.shape;
     out_shape[0] = count;
     NdArray out(info.dtype, std::move(out_shape));
-    read_planes(*source_, info, info_.chunk_region, decoders_[f], scratch_, first, count,
-                threads, out);
+    read_planes(f, first, count, threads, out);
     return out;
   });
 }

@@ -62,54 +62,11 @@
 #include "util/buffer.hpp"
 #include "util/status.hpp"
 
-namespace fraz::telemetry {
-class Histogram;
-}  // namespace fraz::telemetry
-
 namespace fraz::archive {
 
 namespace detail {
-
 class ArchiveAssembler;
-
-/// Positioned-read abstraction of one archive's bytes (memory or file).
-class ChunkSource {
-public:
-  virtual ~ChunkSource() = default;
-  /// Total bytes of the archive.
-  virtual std::size_t size() const noexcept = 0;
-  /// True when fetches are views into an mmap'd file.
-  virtual bool mapped() const noexcept = 0;
-  /// Return a pointer to \p size bytes at absolute offset \p offset.
-  /// Zero-copy transports ignore \p scratch and return into their own
-  /// storage; buffered transports fill \p scratch and return its data.  The
-  /// pointer stays valid until the next fetch through the same scratch.
-  /// Throws CorruptStream (range) or IoError (transport failure).  Safe to
-  /// call from many threads at once.
-  virtual const std::uint8_t* fetch(std::size_t offset, std::size_t size,
-                                    Buffer& scratch) const = 0;
-};
-
-/// The one chunk decode every read path runs: a field's backend plus its
-/// per-backend latency histogram "decode_us.<compressor>", labelled like the
-/// tuner's probe spans (tune.probe_us.<backend>) and looked up once here
-/// rather than once per chunk.  Not thread-safe; one per decoding thread.
-class ChunkDecoder {
-public:
-  /// Throws when \p compressor is not registered.
-  explicit ChunkDecoder(const std::string& compressor);
-
-  /// Validate chunk \p i's CRC and decode it (throwing).  \p chunk_region
-  /// is the archive's chunk-region base offset; \p scratch backs the fetch
-  /// for buffered transports.
-  NdArray decode(const ChunkSource& source, const FieldInfo& field, std::size_t chunk_region,
-                 std::size_t i, Buffer& scratch);
-
-private:
-  pressio::CompressorPtr compressor_;
-  telemetry::Histogram* span_;
-};
-
+class ChunkSource;
 }  // namespace detail
 
 /// Construction-time configuration of an archive writer.
@@ -367,13 +324,23 @@ enum class FileReadMode {
   kBuffered,  ///< positioned reads (pread on POSIX), also exercised by tests
 };
 
+/// Copy the planes of \p chunk (decoded chunk \p c of \p field) that fall in
+/// the slowest-axis range [first, first + count) into \p out, the
+/// {count, rest...} array of that range.  The one plane copy under
+/// ArchiveReader::read_range and serve::ReaderHandle::read_range.
+void copy_chunk_planes(const FieldInfo& field, std::size_t c, const NdArray& chunk,
+                       std::size_t first, std::size_t count, NdArray& out) noexcept;
+
 /// Random-access reader over an archive in memory or in a file.  open()
 /// validates manifest and footer only — chunk payloads are fetched and
 /// checked (CRC + backend validation) by exactly the reads that touch them,
 /// so corruption in one chunk leaves every other chunk readable.  Reads all
 /// format versions; every read names its field (v1/v2 archives hold one,
-/// named kDefaultFieldName).  Not thread-safe: one serial chunk decoder
-/// per field and one fetch scratch (serve::ReaderPool is the concurrent front).
+/// named kDefaultFieldName).  Reads are thread-safe: each one leases a chunk
+/// decoder (backend, histogram, fetch scratch) from the reader's per-field
+/// free list and returns it after, so concurrent reads overlap and a
+/// long-lived reader builds no more decoders per field than it has ever run
+/// decodes at once.
 class ArchiveReader {
 public:
   /// Open bytes already in memory.  The reader does not own them; they must
@@ -393,19 +360,14 @@ public:
   const std::vector<FieldInfo>& fields() const noexcept { return info_.fields; }
 
   /// True when this reader serves fetches through an mmap'd file view.
-  bool mapped() const noexcept { return source_->mapped(); }
-
-  /// The reader's positioned-read source.  Thread-safe for concurrent
-  /// fetches; this is what lets serve::ReaderPool decode chunks from many
-  /// threads over one open archive.
-  const detail::ChunkSource& chunk_source() const noexcept { return *source_; }
+  bool mapped() const noexcept;
 
   /// Shape of chunk \p i of a field ({extent_i, rest...}; the last chunk may
   /// be short).  Throws InvalidArgument on unknown names / bad indices.
   Shape chunk_shape(const std::string& field, std::size_t i) const;
 
   /// Decompress a whole field.  \p threads > 1 decodes chunks in parallel,
-  /// one chunk decoder per worker; 0 selects hardware concurrency.
+  /// one task per chunk; 0 selects hardware concurrency.
   Result<NdArray> read_all(const std::string& field, unsigned threads = 1) noexcept;
 
   /// Decompress exactly chunk \p i of a field, validating only its bytes.
@@ -420,16 +382,22 @@ public:
                              std::size_t count, unsigned threads = 1) noexcept;
 
 private:
+  struct Decoders;  ///< per-field free lists of chunk decoders (archive.cpp)
+
   ArchiveReader(std::unique_ptr<detail::ChunkSource> source, ArchiveInfo info,
-                std::vector<detail::ChunkDecoder> decoders) noexcept;
+                std::unique_ptr<Decoders> decoders) noexcept;
 
   static ArchiveReader open_source(std::unique_ptr<detail::ChunkSource> source);
   std::size_t field_index(const std::string& name) const;
+  /// Validate and decode chunk \p i of field \p f on a leased decoder.
+  NdArray decode(std::size_t f, std::size_t i) const;
+  /// Decode planes [first, first + count) of field \p f into \p out.
+  void read_planes(std::size_t f, std::size_t first, std::size_t count, unsigned threads,
+                   NdArray& out) const;
 
   std::unique_ptr<detail::ChunkSource> source_;  ///< memory, mmap or positioned reads
   ArchiveInfo info_;
-  std::vector<detail::ChunkDecoder> decoders_;   ///< serial decode path, one per field
-  Buffer scratch_;                               ///< fetch scratch for the serial path
+  std::unique_ptr<Decoders> decoders_;
 };
 
 }  // namespace fraz::archive

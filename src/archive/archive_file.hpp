@@ -2,10 +2,11 @@
 #define FRAZ_ARCHIVE_ARCHIVE_FILE_HPP
 
 /// \file archive_file.hpp
-/// The file transport behind ArchiveWriter's and ArchiveReader's path
-/// overloads: an append-only FILE* sink for writes and a positioned-read
-/// source (mmap, or pread on POSIX) for reads.  The writer and reader
-/// themselves live in `archive/archive.hpp`.
+/// The transports behind ArchiveWriter and ArchiveReader: the positioned-read
+/// ChunkSource every reader fetches through, the file source behind its path
+/// overload (mmap, or pread on POSIX), and the append-only FILE* sink behind
+/// the writer's.  The writer and reader themselves live in
+/// `archive/archive.hpp`.
 
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +24,24 @@ using ArchiveFileWriter = ArchiveWriter;
 using ArchiveFileReader = ArchiveReader;
 
 namespace detail {
+
+/// Positioned-read abstraction of one archive's bytes (memory or file).
+class ChunkSource {
+public:
+  virtual ~ChunkSource() = default;
+  /// Total bytes of the archive.
+  virtual std::size_t size() const noexcept = 0;
+  /// True when fetches are views into an mmap'd file.
+  virtual bool mapped() const noexcept = 0;
+  /// Return a pointer to \p size bytes at absolute offset \p offset.
+  /// Zero-copy transports ignore \p scratch and return into their own
+  /// storage; buffered transports fill \p scratch and return its data.  The
+  /// pointer stays valid until the next fetch through the same scratch.
+  /// Throws CorruptStream (range) or IoError (transport failure).  Safe to
+  /// call from many threads at once.
+  virtual const std::uint8_t* fetch(std::size_t offset, std::size_t size,
+                                    Buffer& scratch) const = 0;
+};
 
 /// Append-only sink over a FILE* (not owned).  A failed fwrite throws
 /// IoError carrying the errno captured at that call, not whatever a later

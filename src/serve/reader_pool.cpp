@@ -1,8 +1,5 @@
 #include "serve/reader_pool.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 #include "opt/thread_pool.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/status.hpp"
@@ -20,7 +17,6 @@ ReaderPool::ReaderPool(ArchiveReader reader, ReaderPoolConfig config,
       config_(std::move(config)),
       cache_(std::move(cache)),
       archive_id_(ChunkCache::next_archive_id()),
-      free_contexts_(reader_.fields().size()),
       requests_(telemetry::global().instanced_counter("serve.pool.requests")),
       cache_hits_(telemetry::global().instanced_counter("serve.pool.cache_hits")),
       wait_hits_(telemetry::global().instanced_counter("serve.pool.wait_hits")),
@@ -57,32 +53,6 @@ Result<std::size_t> ReaderPool::field_index(const std::string& name) const noexc
   for (std::size_t i = 0; i < fields.size(); ++i)
     if (fields[i].name == name) return i;
   return Status::invalid_argument("serve: no field named '" + name + "'");
-}
-
-Result<std::unique_ptr<ReaderPool::Context>> ReaderPool::checkout_context(
-    std::size_t field) noexcept {
-  {
-    LockGuard lock(context_mutex_);
-    if (!free_contexts_[field].empty()) {
-      std::unique_ptr<Context> context = std::move(free_contexts_[field].back());
-      free_contexts_[field].pop_back();
-      return context;
-    }
-  }
-  return guarded([&] {
-    return std::make_unique<Context>(
-        Context{archive::detail::ChunkDecoder(reader_.fields()[field].compressor), Buffer()});
-  });
-}
-
-void ReaderPool::checkin_context(std::size_t field,
-                                 std::unique_ptr<Context> context) noexcept {
-  try {
-    LockGuard lock(context_mutex_);
-    free_contexts_[field].push_back(std::move(context));
-  } catch (...) {
-    // Dropping the context is safe — the next decode just rebuilds one.
-  }
 }
 
 Result<std::shared_ptr<const NdArray>> ReaderPool::chunk(std::size_t field,
@@ -133,18 +103,13 @@ Result<std::shared_ptr<const NdArray>> ReaderPool::chunk(std::size_t field,
     if (value) {
       cache_hits_.add();
     } else {
-      auto context = checkout_context(field);
-      status = context.status();
-      if (context.ok()) {
-        // A failed decode's Status goes to every waiter below.
-        status = guarded([&] {
-          TELEM_SPAN("serve.decode_us");
-          value = std::make_shared<const NdArray>(context.value()->decoder.decode(
-              reader_.chunk_source(), fields[field], reader_.info().chunk_region, i,
-              context.value()->scratch));
-        });
-        checkin_context(field, std::move(context).value());
-      }
+      // A failed decode's Status goes to every waiter below.
+      status = guarded([&] {
+        TELEM_SPAN("serve.decode_us");
+        Result<NdArray> decoded = reader_.read_chunk(fields[field].name, i);
+        if (decoded.ok()) value = std::make_shared<const NdArray>(std::move(decoded).value());
+        return decoded.status();
+      });
       // Publish to the cache before retiring the in-flight entry, so a
       // thread that misses the retired entry finds the chunk resident
       // instead of starting a second decode.
@@ -240,23 +205,11 @@ Result<NdArray> ReaderHandle::read_range(std::size_t field, std::size_t first,
     Shape out_shape = f.shape;
     out_shape[0] = count;
     NdArray out(f.dtype, std::move(out_shape));
-    const std::size_t plane_bytes =
-        (shape_elements(f.shape) / n0) * dtype_size(f.dtype);
-    const std::size_t extent = f.chunk_extent;
-    const std::size_t first_chunk = first / extent;
-    const std::size_t last_chunk = (first + count - 1) / extent;
-
-    for (std::size_t c = first_chunk; c <= last_chunk; ++c) {
+    const std::size_t last_chunk = (first + count - 1) / f.chunk_extent;
+    for (std::size_t c = first / f.chunk_extent; c <= last_chunk; ++c) {
       auto chunk = pool_->chunk(field, c);
       if (!chunk.ok()) return chunk.status();
-      const NdArray& decoded = *chunk.value();
-      const std::size_t chunk_first = c * extent;
-      const std::size_t lo = std::max(first, chunk_first);
-      const std::size_t hi = std::min(first + count, chunk_first + decoded.shape()[0]);
-      std::memcpy(static_cast<std::uint8_t*>(out.data()) + (lo - first) * plane_bytes,
-                  static_cast<const std::uint8_t*>(decoded.data()) +
-                      (lo - chunk_first) * plane_bytes,
-                  (hi - lo) * plane_bytes);
+      archive::copy_chunk_planes(f, c, *chunk.value(), first, count, out);
     }
 
     // Sequential-scan readahead: the second consecutive read that starts

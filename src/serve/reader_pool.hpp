@@ -4,10 +4,10 @@
 /// \file reader_pool.hpp
 /// Concurrent read-side serving over one archive file.
 ///
-/// ArchiveReader is a serial random-access reader: one decoder per field,
-/// one scratch, no internal locking.  A serving workload is the opposite
-/// shape — many clients, one archive, heavy re-reads — so ReaderPool maps
-/// the file once and serves decoded chunks to any number of threads:
+/// ArchiveReader decodes: any thread may read through it, each decode on a
+/// chunk decoder leased from the reader's per-field free list.  A serving
+/// workload adds heavy re-reads of the same hot chunks, so ReaderPool maps
+/// the file once and keeps what it decodes in a shared cache:
 ///
 ///  - **Cache first.**  Every chunk request consults the shared ChunkCache;
 ///    a hit costs a hash lookup, a re-rank in the cache's LFU index and a
@@ -16,11 +16,10 @@
 ///    per-chunk in-flight guard: one thread decodes, the rest wait on its
 ///    result.  The owner re-checks the cache after registering, so a decode
 ///    can never race a just-completed insert — each resident chunk is
-///    decoded exactly once per cache lifetime (pinned by test).
-///  - **Per-decode contexts.**  Decodes check a (ChunkDecoder, scratch)
-///    context out of a per-field free list and return it after — concurrent
-///    decodes of different chunks genuinely overlap, and steady-state
-///    serving allocates no new engines.
+///    decoded exactly once per cache lifetime (pinned by test).  The owner
+///    decodes through ArchiveReader::read_chunk, so concurrent decodes of
+///    different chunks overlap and steady-state serving builds no new
+///    decoders.
 ///
 /// ReaderHandle is the per-client view: cheap to create (a shared_ptr and a
 /// few counters), single-threaded like a file descriptor, holding the pool
@@ -157,13 +156,6 @@ public:
   Stats stats() const noexcept;
 
 private:
-  /// One decode's working set: a field's chunk decoder plus fetch scratch,
-  /// checked out of the per-field free list for the duration of one decode.
-  struct Context {
-    archive::detail::ChunkDecoder decoder;
-    Buffer scratch;
-  };
-
   /// Result slot N threads missing the same chunk converge on.
   struct InFlight {
     Mutex mutex;
@@ -176,18 +168,10 @@ private:
   ReaderPool(archive::ArchiveReader reader, ReaderPoolConfig config,
              ChunkCachePtr cache);
 
-  Result<std::unique_ptr<Context>> checkout_context(std::size_t field) noexcept;
-  void checkin_context(std::size_t field, std::unique_ptr<Context> context) noexcept;
-
   archive::ArchiveReader reader_;
   const ReaderPoolConfig config_;
   const ChunkCachePtr cache_;
   const std::uint64_t archive_id_;
-
-  Mutex context_mutex_;
-  /// Per-field free lists of decode contexts.
-  std::vector<std::vector<std::unique_ptr<Context>>> free_contexts_
-      FRAZ_GUARDED_BY(context_mutex_);
 
   Mutex inflight_mutex_;
   std::unordered_map<ChunkKey, std::shared_ptr<InFlight>, ChunkKeyHash> inflight_

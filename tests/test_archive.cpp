@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <thread>
 
 #include "data/datasets.hpp"
 #include "archive_fixtures.hpp"
@@ -456,10 +459,13 @@ TEST(Archive, FrozenV1FixtureReadsLikeAFreshV3Write) {
 }
 
 // A user plugin delegating to sz under a name the v1 format cannot record.
+// It counts its instances, so tests can see how many backends a read builds.
 class SzEchoPlugin final : public pressio::Compressor {
 public:
-  SzEchoPlugin() : inner_(pressio::registry().create("sz")) {}
-  SzEchoPlugin(const SzEchoPlugin& other) : inner_(other.inner_->clone()) {}
+  static inline std::atomic<int> instances{0};
+
+  SzEchoPlugin() : inner_(pressio::registry().create("sz")) { ++instances; }
+  SzEchoPlugin(const SzEchoPlugin& other) : inner_(other.inner_->clone()) { ++instances; }
 
   std::string name() const override { return "sz-echo"; }
   pressio::Capabilities capabilities() const override {
@@ -522,6 +528,76 @@ TEST(Archive, PluginBackendRoundTripsByName) {
   EXPECT_EQ(plugin_reader.info().compressor, "sz-echo");
   EXPECT_EQ(testhelpers::chunk_region(plugin_bytes.data(), plugin_reader.info()),
             testhelpers::chunk_region(v1_bytes.data(), v1_reader.info()));
+}
+
+TEST(Archive, ParallelReadsReuseTheReadersDecoders) {
+  // A reader keeps the decoders its reads build: ten 4-thread read_all calls
+  // on one reader build at most 4 backends for the field, not 4 per call.
+  register_sz_echo();
+  const NdArray field = make_field(DType::kFloat32, {12, 12, 10});
+  Buffer bytes;
+  const ArchiveWriteResult result =
+      pack(field.view(), writer_config("sz-echo", 6.0, 0.2, 2), bytes);
+  ASSERT_GE(result.chunk_count, 6u);
+
+  SzEchoPlugin::instances = 0;
+  ArchiveReader reader = open_ok(bytes);
+  auto first = reader.read_all(kData, 4);
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  for (int call = 1; call < 10; ++call) {
+    auto decoded = reader.read_all(kData, 4);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+    ASSERT_EQ(std::memcmp(decoded.value().data(), first.value().data(),
+                          first.value().size_bytes()),
+              0);
+  }
+  EXPECT_LE(SzEchoPlugin::instances.load(), 4);
+}
+
+TEST(Archive, ConcurrentReadsOnOneReaderMatchSerialReads) {
+  // Eight threads share one reader, mixing read_chunk with 1-thread
+  // read_range over the same chunks; every result equals the serial read.
+  // The buffered file transport fetches through the decoder's scratch, so
+  // two reads sharing one decoder would corrupt each other's chunk bytes.
+  const NdArray field = make_field(DType::kFloat32, {16, 12, 10});
+  struct RemoveOnExit {
+    std::string path;
+    ~RemoveOnExit() { std::remove(path.c_str()); }
+  } const file{"fraz_test_concurrent_reads.tmp"};
+  auto written =
+      ArchiveWriter(writer_config("sz", 6.0, 0.2, 2)).write(file.path, field.view());
+  ASSERT_TRUE(written.ok()) << written.status().to_string();
+  auto opened = ArchiveReader::open(file.path, archive::FileReadMode::kBuffered);
+  ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+  ArchiveReader& reader = opened.value();
+  ASSERT_FALSE(reader.mapped());
+  const std::size_t chunks = reader.fields()[0].chunk_count;
+  const std::size_t extent = reader.fields()[0].chunk_extent;
+  ASSERT_EQ(chunks, 8u);
+
+  std::vector<NdArray> serial;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    auto chunk = reader.read_chunk(kData, c);
+    ASSERT_TRUE(chunk.ok()) << chunk.status().to_string();
+    serial.push_back(std::move(chunk).value());
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 8; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < 4 * chunks; ++k) {
+        const std::size_t c = (t + k) % chunks;
+        auto read = (t + k) % 2 == 0 ? reader.read_chunk(kData, c)
+                                     : reader.read_range(kData, c * extent, extent, 1);
+        const NdArray& expected = serial[c];
+        if (!read.ok() || read.value().shape() != expected.shape() ||
+            std::memcmp(read.value().data(), expected.data(), expected.size_bytes()) != 0)
+          ++mismatches;
+      }
+    });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

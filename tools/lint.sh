@@ -2,10 +2,12 @@
 # Static-analysis entry point — the CI lint job runs this file verbatim, so
 # local `tools/lint.sh` reproduces the gate exactly.
 #
-# Stages (default: the error-model grep and all three clang gates):
+# Stages (default: the two grep gates and all three clang gates):
 #   error-model    the archive, engine and serve layers convert between
 #                  exceptions and Status only through guarded() (plain grep,
 #                  no compiler needed)
+#   layering       archive::detail is named only under src/archive/ (plain
+#                  grep, no compiler needed)
 #   thread-safety  clang build with -Wthread-safety as errors
 #   tidy           run-clang-tidy over src/ using .clang-tidy
 #   fuzz           ~60s sanitized libFuzzer smoke per harness, seeded from
@@ -40,6 +42,24 @@ stage_error_model() {
   case "$found" in
     0)
       echo "lint: src/archive/, src/engine/ and src/serve/ convert only through guarded(), Result::value() and Status::throw_if_error()" >&2
+      exit 1
+      ;;
+    1) ;;  # no match
+    *) exit 1 ;;  # grep itself failed (its message is above)
+  esac
+}
+
+# The archive layer's detail namespace (transports, pipeline internals) is
+# its own: serve, engine, core, the CLI and the examples reach the archive
+# only through its public API (docs/API.md, "Read-side serving").
+stage_layering() {
+  echo "== layering: no archive internals named outside src/archive/ =="
+  local found=0
+  grep -rn --exclude=lint.sh 'archive::detail' src/serve src/engine src/core tools examples ||
+    found=$?
+  case "$found" in
+    0)
+      echo "lint: only src/archive/ may name archive::detail; use the public archive API" >&2
       exit 1
       ;;
     1) ;;  # no match
@@ -140,16 +160,17 @@ stage_fuzz_replay() {
 }
 
 stages=("$@")
-[ ${#stages[@]} -eq 0 ] && stages=(error-model thread-safety tidy fuzz)
+[ ${#stages[@]} -eq 0 ] && stages=(error-model layering thread-safety tidy fuzz)
 for stage in "${stages[@]}"; do
   case "$stage" in
     error-model) stage_error_model ;;
+    layering) stage_layering ;;
     thread-safety) stage_thread_safety ;;
     tidy) stage_tidy ;;
     fuzz) stage_fuzz ;;
     fuzz-replay) stage_fuzz_replay ;;
     *)
-      echo "lint: unknown stage '$stage' (error-model|thread-safety|tidy|fuzz|fuzz-replay)" >&2
+      echo "lint: unknown stage '$stage' (error-model|layering|thread-safety|tidy|fuzz|fuzz-replay)" >&2
       exit 2
       ;;
   esac
