@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <exception>
 #include <optional>
 #include <thread>
@@ -152,312 +151,18 @@ void zfp_rate_rescue(pressio::Compressor& rate_backend, const ArrayView& slice,
   }
 }
 
-/// Everything the pipeline tracks per chunk before emission.
-struct Slot {
-  Buffer bytes;
-  CompressOutcome outcome;
-  std::uint32_t crc = 0;  ///< computed by the worker, outside the lock
-  double ratio = 0;
-  double seconds = 0;
-  bool rate_fallback = false;
-  bool ready = false;
-};
-
-/// What one field's pipeline hands back to the assembler at close.
-struct PipelineOutcome {
-  std::vector<ChunkReport> chunks;
-  std::size_t region_bytes = 0;       ///< compressed bytes this field emitted
-  std::size_t peak_buffered_chunks = 0;
-  std::size_t peak_buffered_bytes = 0;
-  std::size_t peak_staged_bytes = 0;  ///< peak raw chunk-row bytes held at once
-  std::size_t tuner_probe_calls = 0;  ///< summed over the worker engines
-  std::size_t probe_cache_hits = 0;
-};
-
 }  // namespace
 
-/// The shared parallel chunk pipeline, push mode: the assembler submits
-/// owned chunk rows in index order; submit() admits rows under a bounded
-/// window (submitted-but-unemitted ≤ workers + 1 — which bounds both the
-/// raw rows staged and the compressed payloads buffered) and the completion
-/// path drains ready chunks to the sink strictly in index order —
-/// append-only for the sink, bounded memory for the writer, bytes
-/// independent of worker count and transport.  Rows are compressed by
-/// runner tasks on the build's pool: submit() starts one while fewer than
-/// `workers` are live, and a runner exits once the queue is empty, so the
-/// pool's other threads are free for the probe helpers of chunks still
-/// searching.  Every runner's engine adopts the warm state's BoundStore and
-/// ProbeCache; chunk i reads and commits only its own (field, i) key,
-/// pre-seeded by the assembler, so the shared stores never make bytes
-/// scheduling-dependent.
-class ChunkPipeline {
-public:
-  ChunkPipeline(const ArchiveWriteConfig& config, const WriterWarmState& state,
-                std::string field_name, const Shape& field_shape,
-                std::size_t chunk_count, std::size_t base_offset, ByteSink& sink,
-                ThreadPool& pool)
-      : config_(config),
-        state_(state),
-        field_name_(std::move(field_name)),
-        chunk_count_(chunk_count),
-        base_offset_(base_offset),
-        sink_(sink),
-        pool_(pool),
-        workers_(resolve_workers(config.threads, chunk_count)),
-        window_(static_cast<std::size_t>(workers_) + 1),
-        try_rate_fallback_(config.zfp_rate_fallback && config.engine.compressor == "zfp"),
-        overhead_(per_chunk_overhead(field_shape, chunk_count)) {
-    slots_.resize(chunk_count_);
-    outcome_.chunks.resize(chunk_count_);
-    idle_lanes_.reserve(workers_);  // at most one lane per concurrent runner
-  }
-
-  /// Abandoned or finished alike: poison the pipeline so runners drop the
-  /// backlog instead of compressing and emitting it, then wait them out.
-  ~ChunkPipeline() {
-    UniqueLock lock(mutex_);
-    fail_locked(std::make_exception_ptr(Error("archive: build abandoned")));
-    while (runners_ > 0) idle_cv_.wait(lock);
-  }
-
-  ChunkPipeline(const ChunkPipeline&) = delete;
-  ChunkPipeline& operator=(const ChunkPipeline&) = delete;
-
-  /// Take ownership of the next chunk row.  Blocks while the window is full
-  /// — this back-pressure is the writer's input-memory bound.  Rethrows the
-  /// pipeline's failure.
-  void submit(NdArray row) {
-    UniqueLock lock(mutex_);
-    while (!failed_ && live_chunks_ >= window_) space_cv_.wait(lock);
-    if (failed_) std::rethrow_exception(failed_);
-    if (submit_next_ >= chunk_count_)
-      throw Error("archive: more chunk rows than the field declared");
-    if (runners_ < workers_) {
-      // Counted only once queued: a runner cannot reach the lock (and find
-      // the queue) before this submit releases it.
-      pool_.submit([this] { run(); });
-      ++runners_;
-    }
-    ++live_chunks_;
-    outcome_.peak_buffered_chunks = std::max(outcome_.peak_buffered_chunks, live_chunks_);
-    staged_bytes_ += row.size_bytes();
-    outcome_.peak_staged_bytes = std::max(outcome_.peak_staged_bytes, staged_bytes_);
-    staged_bytes_gauge().add(static_cast<std::int64_t>(row.size_bytes()));
-    queue_.emplace_back(submit_next_++, std::move(row));
-  }
-
-  /// Wait for the runners and return the field's chunk reports; rethrows
-  /// the pipeline's failure.
-  PipelineOutcome finish() {
-    UniqueLock lock(mutex_);
-    while (runners_ > 0) idle_cv_.wait(lock);
-    if (failed_) std::rethrow_exception(failed_);
-    if (write_head_ != chunk_count_)
-      throw Error("archive: chunk pipeline closed before every chunk was emitted");
-    for (const Lane& lane : idle_lanes_) {
-      outcome_.tuner_probe_calls += lane.engine.stats().tuner_probe_calls;
-      outcome_.probe_cache_hits += lane.engine.stats().probe_cache_hits;
-    }
-    outcome_.region_bytes = emitted_bytes_;
-    return std::move(outcome_);
-  }
-
-private:
-  /// A runner's compression state, parked between runners so a field pays
-  /// at most `workers` engines however often runners come and go.
-  struct Lane {
-    Engine engine;
-    pressio::CompressorPtr rate_backend;  ///< lazy zfp rescue (not thread-safe)
-  };
-
-  void fail_locked(std::exception_ptr failure) FRAZ_REQUIRES(mutex_) {
-    if (!failed_) failed_ = std::move(failure);
-    for (const auto& queued : queue_) {
-      staged_bytes_ -= queued.second.size_bytes();
-      staged_bytes_gauge().sub(static_cast<std::int64_t>(queued.second.size_bytes()));
-    }
-    queue_.clear();
-    space_cv_.notify_all();
-  }
-
-  /// Reuse a parked lane or build one (throws when the engine cannot be).
-  Lane take_lane() {
-    {
-      LockGuard lock(mutex_);
-      if (!idle_lanes_.empty()) {
-        Lane lane = std::move(idle_lanes_.back());
-        idle_lanes_.pop_back();
-        return lane;
-      }
-    }
-    Lane lane{Engine(config_.engine), nullptr};
-    lane.engine.adopt_bound_store(state_.bounds);
-    lane.engine.adopt_probe_cache(state_.probes);
-    return lane;
-  }
-
-  /// One runner task: compress queued rows until the queue is empty (or the
-  /// pipeline failed), then retire.  A failed compression poisons the
-  /// pipeline.
-  void run() noexcept {
-    std::optional<Lane> lane;  // taken with the first row
-    std::size_t i = 0;
-    NdArray row;
-    while (next_row(lane, i, row)) {
-      Slot slot;
-      std::exception_ptr failure = failure_of([&] {
-        if (!lane) lane = take_lane();
-        compress_row(*lane, i, row.view(), slot);
-      });
-      const std::size_t row_bytes = row.size_bytes();
-      row = NdArray();  // release the raw input row before taking the lock
-      LockGuard lock(mutex_);
-      staged_bytes_ -= row_bytes;
-      staged_bytes_gauge().sub(static_cast<std::int64_t>(row_bytes));
-      if (failure)
-        fail_locked(std::move(failure));
-      else if (!failed_)
-        emit_locked(i, std::move(slot));
-    }
-  }
-
-  /// Hand the runner its next row, or retire it: park its lane and drop
-  /// the runner count.  The emptiness check and the retirement share one
-  /// critical section, so submit() never leaves a row behind a runner that
-  /// is about to exit.
-  bool next_row(std::optional<Lane>& lane, std::size_t& i, NdArray& row) {
-    LockGuard lock(mutex_);
-    if (!failed_ && !queue_.empty()) {
-      i = queue_.front().first;
-      row = std::move(queue_.front().second);
-      queue_.pop_front();
-      return true;
-    }
-    if (lane) idle_lanes_.push_back(std::move(*lane));
-    if (--runners_ == 0) idle_cv_.notify_all();
-    return false;
-  }
-
-  /// Compress chunk \p i into \p slot, outside the lock.
-  void compress_row(Lane& lane, std::size_t i, const ArrayView& slice, Slot& slot) {
-    Timer chunk_timer;
-    {
-      TELEM_SPAN("pack.compress_us");
-      lane.engine.compress(chunk_field_key(field_name_, i), slice, slot.bytes, &slot.outcome)
-          .throw_if_error();
-      if (try_rate_fallback_ && !slot.outcome.in_band) {
-        // The rescue backend inherits the user's zfp options; the rate
-        // search overrides only zfp:mode / zfp:rate per probe.
-        if (!lane.rate_backend)
-          lane.rate_backend =
-              pressio::registry().create("zfp", config_.engine.compressor_options);
-        zfp_rate_rescue(*lane.rate_backend, slice, config_.engine.tuner.target_ratio,
-                        config_.engine.tuner.epsilon, overhead_, slot.bytes,
-                        slot.rate_fallback);
-      }
-    }
-    // Checksum and ratio are per-payload and deterministic — computed here
-    // so the lock covers only ordering and emission.
-    slot.crc = crc32(slot.bytes.data(), slot.bytes.size());
-    slot.ratio = slot.bytes.size() > 0 ? static_cast<double>(slice.size_bytes()) /
-                                             static_cast<double>(slot.bytes.size())
-                                       : 0;
-    slot.seconds = chunk_timer.seconds();
-  }
-
-  /// Park chunk \p i's payload and drain every ready chunk at the write
-  /// head: emission is strictly in index order regardless of completion
-  /// order.
-  void emit_locked(std::size_t i, Slot slot) FRAZ_REQUIRES(mutex_) {
-    slots_[i] = std::move(slot);
-    slots_[i].ready = true;
-    live_bytes_ += slots_[i].bytes.size();
-    outcome_.peak_buffered_bytes = std::max(outcome_.peak_buffered_bytes, live_bytes_);
-    while (write_head_ < chunk_count_ && slots_[write_head_].ready) {
-      Slot& head = slots_[write_head_];
-      const std::size_t head_size = head.bytes.size();
-      ChunkReport& report = outcome_.chunks[write_head_];
-      report.entry.offset = base_offset_ + emitted_bytes_;
-      report.entry.size = head_size;
-      // A rate-mode payload honours no pointwise bound — record 0 in the
-      // manifest so readers cannot mistake the abandoned accuracy bound
-      // for a guarantee; the tuned bound still seeds the next write.
-      report.entry.error_bound = head.rate_fallback ? 0 : head.outcome.error_bound;
-      report.tuned_bound = head.outcome.error_bound;
-      report.entry.crc = head.crc;
-      report.ratio = head.ratio;
-      report.seconds = head.seconds;
-      report.warm = head.outcome.warm;
-      report.retrained = head.outcome.retrained;
-      report.rate_fallback = head.rate_fallback;
-      report.in_band = ratio_acceptable(report.ratio, config_.engine.tuner.target_ratio,
-                                        config_.engine.tuner.epsilon);
-      chunks_counter().add();
-      if (report.warm) warm_chunks_counter().add();
-      if (report.retrained) retrained_chunks_counter().add();
-      if (report.rate_fallback) rate_fallback_counter().add();
-      std::exception_ptr failure;
-      {
-        TELEM_SPAN("pack.emit_us");
-        failure = failure_of([&] { sink_.append(head.bytes.data(), head_size); });
-      }
-      if (failure) {  // under the same lock: no runner emits past a failed append
-        fail_locked(std::move(failure));
-        return;
-      }
-      emitted_bytes_ += head_size;
-      live_bytes_ -= head_size;
-      --live_chunks_;
-      Buffer().swap(head.bytes);  // release the payload's memory
-      ++write_head_;
-    }
-    space_cv_.notify_all();
-  }
-
-  const ArchiveWriteConfig& config_;
-  const WriterWarmState& state_;
-  const std::string field_name_;
-  const std::size_t chunk_count_;
-  const std::size_t base_offset_;  ///< this field's base within the chunk region
-  ByteSink& sink_;
-  ThreadPool& pool_;  ///< the build's pool; outlives this pipeline
-  const unsigned workers_;
-  const std::size_t window_;
-  const bool try_rate_fallback_;
-  const double overhead_;
-
-  Mutex mutex_;
-  CondVar space_cv_;  ///< submit waits for window space
-  CondVar idle_cv_;   ///< finish / destruction wait for the last runner
-  std::deque<std::pair<std::size_t, NdArray>> queue_ FRAZ_GUARDED_BY(mutex_);
-  std::vector<Slot> slots_ FRAZ_GUARDED_BY(mutex_);
-  std::vector<Lane> idle_lanes_ FRAZ_GUARDED_BY(mutex_);
-  PipelineOutcome outcome_ FRAZ_GUARDED_BY(mutex_);
-  std::size_t submit_next_ FRAZ_GUARDED_BY(mutex_) = 0;
-  std::size_t write_head_ FRAZ_GUARDED_BY(mutex_) = 0;
-  /// runner tasks queued on or running in the pool
-  unsigned runners_ FRAZ_GUARDED_BY(mutex_) = 0;
-  /// submitted but not yet emitted
-  std::size_t live_chunks_ FRAZ_GUARDED_BY(mutex_) = 0;
-  /// completed-but-unemitted payload bytes
-  std::size_t live_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
-  /// queued + in-compression raw row bytes
-  std::size_t staged_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
-  std::size_t emitted_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
-  /// first compress or sink failure; poisons the pipeline
-  std::exception_ptr failed_ FRAZ_GUARDED_BY(mutex_);
-};
-
-// ---------------------------------------------------------------- assembler
-
 /// One field mid-ingestion: its geometry, the single staged chunk row, and
-/// the pipeline compressing completed rows.
+/// where its chunks start in the build's chunk region.
 struct ArchiveAssembler::OpenField {
   std::string name;
   DType dtype{};
   Shape shape;
   std::size_t extent = 0;
   std::size_t chunk_count = 0;
+  std::size_t first_chunk = 0;      ///< its chunk 0's index in the build
+  double chunk_overhead = 0;        ///< per_chunk_overhead of its geometry
   std::size_t plane_bytes = 0;
   std::size_t stage_row_bytes = 0;  ///< full chunk-row allocation (memory bound)
   std::size_t pushed_planes = 0;    ///< total planes received
@@ -465,26 +170,166 @@ struct ArchiveAssembler::OpenField {
   std::size_t next_chunk = 0;       ///< index of the row being staged
   bool tuned = false;
   NdArray stage;                    ///< the ONE chunk row being assembled
-  std::unique_ptr<ChunkPipeline> pipeline;
-  EngineStats tune_stats_before;    ///< tune-engine counters at open
 };
 
 ArchiveAssembler::ArchiveAssembler(const ArchiveWriteConfig& config,
                                    WriterWarmState& state, ByteSink& sink)
-    : config_(config), state_(state), sink_(sink) {}
+    : config_(config),
+      state_(state),
+      sink_(sink),
+      workers_(resolve_workers(config.threads, SIZE_MAX)),
+      window_(static_cast<std::size_t>(workers_) + 1),
+      tune_stats_at_start_(state.tune_engine.stats()) {
+  idle_lanes_.reserve(workers_);  // at most one lane per concurrent runner
+}
 
-ArchiveAssembler::~ArchiveAssembler() = default;
+ArchiveAssembler::~ArchiveAssembler() {
+  UniqueLock lock(mutex_);
+  fail_locked(std::make_exception_ptr(Error("archive: build abandoned")));
+  while (runners_ > 0) progress_cv_.wait(lock);
+}
 
 template <typename Fn>
 void ArchiveAssembler::poisoning(Fn&& step) {
   if (std::exception_ptr failure = failure_of(step)) {
-    failed_ = failure;
+    LockGuard lock(mutex_);
+    fail_locked(failure);
     std::rethrow_exception(std::move(failure));
   }
 }
 
-void ArchiveAssembler::rethrow_if_failed() const {
+void ArchiveAssembler::rethrow_if_failed() {
+  LockGuard lock(mutex_);
   if (failed_) std::rethrow_exception(failed_);
+}
+
+void ArchiveAssembler::fail_locked(std::exception_ptr failure) {
+  if (!failed_) failed_ = std::move(failure);
+  for (; next_row_ < chunks_.size(); ++next_row_) {  // drop the queue
+    NdArray& row = chunks_[next_row_].row;
+    staged_bytes_ -= row.size_bytes();
+    staged_bytes_gauge().sub(static_cast<std::int64_t>(row.size_bytes()));
+    row = NdArray();
+  }
+  progress_cv_.notify_all();
+}
+
+ArchiveAssembler::Lane ArchiveAssembler::take_lane() {
+  {
+    LockGuard lock(mutex_);
+    if (!idle_lanes_.empty()) {
+      Lane lane = std::move(idle_lanes_.back());
+      idle_lanes_.pop_back();
+      return lane;
+    }
+  }
+  Lane lane{Engine(config_.engine), nullptr};
+  lane.engine.adopt_bound_store(state_.bounds);
+  lane.engine.adopt_probe_cache(state_.probes);
+  return lane;
+}
+
+void ArchiveAssembler::run() noexcept {
+  std::optional<Lane> lane;  // taken with the first row
+  std::size_t index = 0;
+  Chunk chunk;
+  while (next_row(lane, index, chunk)) {
+    std::exception_ptr failure = failure_of([&] {
+      if (!lane) lane = take_lane();
+      compress_row(*lane, chunk);
+    });
+    const std::size_t row_bytes = chunk.row.size_bytes();
+    chunk.row = NdArray();  // release the raw input row before taking the lock
+    LockGuard lock(mutex_);
+    staged_bytes_ -= row_bytes;
+    staged_bytes_gauge().sub(static_cast<std::int64_t>(row_bytes));
+    if (failure)
+      fail_locked(std::move(failure));
+    else if (!failed_)
+      emit_locked(index, std::move(chunk));
+  }
+}
+
+bool ArchiveAssembler::next_row(std::optional<Lane>& lane, std::size_t& index,
+                                Chunk& chunk) {
+  LockGuard lock(mutex_);
+  if (!failed_ && next_row_ < chunks_.size()) {
+    index = next_row_++;
+    chunk = std::move(chunks_[index]);
+    return true;
+  }
+  if (lane) idle_lanes_.push_back(std::move(*lane));
+  if (--runners_ == 0) progress_cv_.notify_all();
+  return false;
+}
+
+void ArchiveAssembler::compress_row(Lane& lane, Chunk& chunk) const {
+  const ArrayView slice = chunk.row.view();
+  const double target = config_.engine.tuner.target_ratio;
+  const double epsilon = config_.engine.tuner.epsilon;
+  Timer chunk_timer;
+  CompressOutcome outcome;
+  bool rate_fallback = false;
+  {
+    TELEM_SPAN("pack.compress_us");
+    lane.engine.compress(chunk.key, slice, chunk.bytes, &outcome).throw_if_error();
+    if (config_.zfp_rate_fallback && config_.engine.compressor == "zfp" && !outcome.in_band) {
+      // The rescue backend inherits the user's zfp options; the rate
+      // search overrides only zfp:mode / zfp:rate per probe.
+      if (!lane.rate_backend)
+        lane.rate_backend = pressio::registry().create("zfp", config_.engine.compressor_options);
+      zfp_rate_rescue(*lane.rate_backend, slice, target, epsilon, chunk.overhead, chunk.bytes,
+                      rate_fallback);
+    }
+  }
+  // Checksum and ratio are per-payload and deterministic — computed here so
+  // the lock covers only ordering and emission.
+  ChunkReport& report = chunk.report;
+  report.entry.size = chunk.bytes.size();
+  // A rate-mode payload honours no pointwise bound — record 0 in the
+  // manifest so readers cannot mistake the abandoned accuracy bound for a
+  // guarantee; the tuned bound still seeds the next write.
+  report.entry.error_bound = rate_fallback ? 0 : outcome.error_bound;
+  report.entry.crc = crc32(chunk.bytes.data(), chunk.bytes.size());
+  report.tuned_bound = outcome.error_bound;
+  report.ratio = chunk.bytes.size() > 0 ? static_cast<double>(slice.size_bytes()) /
+                                              static_cast<double>(chunk.bytes.size())
+                                        : 0;
+  report.seconds = chunk_timer.seconds();
+  report.warm = outcome.warm;
+  report.retrained = outcome.retrained;
+  report.rate_fallback = rate_fallback;
+  report.in_band = ratio_acceptable(report.ratio, target, epsilon);
+}
+
+void ArchiveAssembler::emit_locked(std::size_t index, Chunk chunk) {
+  live_bytes_ += chunk.bytes.size();
+  peak_buffered_bytes_ = std::max(peak_buffered_bytes_, live_bytes_);
+  chunks_[index] = std::move(chunk);
+  chunks_[index].ready = true;
+  while (write_head_ < chunks_.size() && chunks_[write_head_].ready) {
+    Chunk& head = chunks_[write_head_];
+    const std::size_t head_size = head.bytes.size();
+    head.report.entry.offset = emitted_bytes_;
+    chunks_counter().add();
+    if (head.report.warm) warm_chunks_counter().add();
+    if (head.report.retrained) retrained_chunks_counter().add();
+    if (head.report.rate_fallback) rate_fallback_counter().add();
+    std::exception_ptr failure;
+    {
+      TELEM_SPAN("pack.emit_us");
+      failure = failure_of([&] { sink_.append(head.bytes.data(), head_size); });
+    }
+    if (failure) {  // under the same lock: no runner emits past a failed append
+      fail_locked(std::move(failure));
+      return;
+    }
+    emitted_bytes_ += head_size;
+    live_bytes_ -= head_size;
+    Buffer().swap(head.bytes);  // release the payload's memory
+    ++write_head_;
+  }
+  progress_cv_.notify_all();
 }
 
 void ArchiveAssembler::open_field(const std::string& name, const FieldDesc& desc) {
@@ -495,10 +340,10 @@ void ArchiveAssembler::open_field(const std::string& name, const FieldDesc& desc
                           "' is still open; close it first");
   if (name.empty() || name.size() > 256)
     throw InvalidArgument("archive: field name must be 1..256 bytes");
-  if (manifest_fields_.size() >= kMaxFields)
+  if (reports_.size() >= kMaxFields)
     throw InvalidArgument("archive: at most " + std::to_string(kMaxFields) +
                           " fields per archive");
-  for (const FieldInfo& field : manifest_fields_)
+  for (const FieldWriteReport& field : reports_)
     if (field.name == name)
       throw InvalidArgument("archive: duplicate field name '" + name + "'");
   if (desc.shape.empty() || desc.shape.size() > 8)
@@ -517,7 +362,12 @@ void ArchiveAssembler::open_field(const std::string& name, const FieldDesc& desc
   field->extent = requested > 0 ? std::min(requested, n0)
                                 : auto_chunk_extent(n0, field->plane_bytes);
   field->chunk_count = (n0 + field->extent - 1) / field->extent;
+  field->chunk_overhead = per_chunk_overhead(desc.shape, field->chunk_count);
   field->stage_row_bytes = std::min(field->extent, n0) * field->plane_bytes;
+  {
+    LockGuard lock(mutex_);
+    field->first_chunk = chunks_.size();
+  }
 
   // A geometry change re-maps chunk indices onto different planes, so the
   // per-chunk warm keys of the previous geometry are meaningless — drop them
@@ -535,9 +385,7 @@ void ArchiveAssembler::open_field(const std::string& name, const FieldDesc& desc
   Shape row_shape = desc.shape;
   row_shape[0] = std::min(field->extent, n0);
   field->stage = NdArray(desc.dtype, std::move(row_shape));
-  field->tune_stats_before = state_.tune_engine.stats();
-  if (!pool_)
-    pool_ = std::make_unique<ThreadPool>(resolve_workers(config_.threads, SIZE_MAX));
+  if (!pool_) pool_ = std::make_unique<ThreadPool>(workers_);
   open_ = std::move(field);
 }
 
@@ -610,13 +458,13 @@ void ArchiveAssembler::submit_stage() {
       if (state_.bounds->get(key, target) <= 0)
         state_.bounds->put(key, target, shared_bound);
     }
-    field.pipeline = std::make_unique<ChunkPipeline>(
-        config_, state_, field.name, field.shape, field.chunk_count,
-        chunk_bytes_emitted_, sink_, *pool_);
     field.tuned = true;
   }
 
-  NdArray row = std::move(field.stage);
+  Chunk chunk;
+  chunk.key = chunk_field_key(field.name, field.next_chunk);
+  chunk.overhead = field.chunk_overhead;
+  chunk.row = std::move(field.stage);
   ++field.next_chunk;
   field.staged_planes = 0;
   if (field.next_chunk < field.chunk_count) {
@@ -627,37 +475,33 @@ void ArchiveAssembler::submit_stage() {
   } else {
     field.stage = NdArray();
   }
-  field.pipeline->submit(std::move(row));
+
+  const std::size_t row_bytes = chunk.row.size_bytes();
+  UniqueLock lock(mutex_);
+  while (!failed_ && chunks_.size() - write_head_ >= window_) progress_cv_.wait(lock);
+  if (failed_) std::rethrow_exception(failed_);
+  if (runners_ < workers_) {
+    // Counted only once queued: a runner cannot reach the lock (and find
+    // the queue) before this submit releases it.
+    pool_->submit([this] { run(); });
+    ++runners_;
+  }
+  chunks_.push_back(std::move(chunk));
+  peak_buffered_chunks_ = std::max(peak_buffered_chunks_, chunks_.size() - write_head_);
+  staged_bytes_ += row_bytes;
+  peak_staged_bytes_ =
+      std::max(peak_staged_bytes_, staged_bytes_ + field.stage_row_bytes);
+  staged_bytes_gauge().add(static_cast<std::int64_t>(row_bytes));
 }
 
 FieldWriteReport ArchiveAssembler::close_field() {
   rethrow_if_failed();
   if (!open_) throw InvalidArgument("archive: no field session is open");
-  OpenField& field = *open_;
+  const OpenField& field = *open_;
   if (field.pushed_planes != field.shape[0])
     throw InvalidArgument("archive: field '" + field.name + "' is incomplete: " +
                           std::to_string(field.pushed_planes) + " of " +
                           std::to_string(field.shape[0]) + " planes pushed");
-
-  PipelineOutcome outcome;
-  poisoning([&] { outcome = field.pipeline->finish(); });
-
-  FieldInfo manifest_field;
-  manifest_field.name = field.name;
-  manifest_field.compressor = config_.engine.compressor;
-  manifest_field.dtype = field.dtype;
-  manifest_field.shape = field.shape;
-  manifest_field.chunk_extent = field.extent;
-  manifest_field.chunk_count = field.chunk_count;
-  manifest_field.target_ratio = config_.engine.tuner.target_ratio;
-  manifest_field.epsilon = config_.engine.tuner.epsilon;
-  manifest_field.raw_bytes = shape_elements(field.shape) * dtype_size(field.dtype);
-  manifest_field.payload_bytes = outcome.region_bytes;
-  manifest_field.payload_ratio = static_cast<double>(manifest_field.raw_bytes) /
-                                 static_cast<double>(manifest_field.payload_bytes);
-  manifest_field.chunks.reserve(outcome.chunks.size());
-  for (const ChunkReport& report : outcome.chunks)
-    manifest_field.chunks.push_back(report.entry);
 
   FieldWriteReport report;
   report.name = field.name;
@@ -665,38 +509,30 @@ FieldWriteReport ArchiveAssembler::close_field() {
   report.shape = field.shape;
   report.chunk_extent = field.extent;
   report.chunk_count = field.chunk_count;
-  report.raw_bytes = manifest_field.raw_bytes;
-  report.payload_bytes = manifest_field.payload_bytes;
-  report.payload_ratio = manifest_field.payload_ratio;
-  report.in_band = ratio_acceptable(report.payload_ratio,
-                                    config_.engine.tuner.target_ratio,
-                                    config_.engine.tuner.epsilon);
-  for (const ChunkReport& chunk : outcome.chunks) {
+  report.raw_bytes = shape_elements(field.shape) * dtype_size(field.dtype);
+  {
+    // The field barrier: wait for the emission head to pass its last chunk.
+    const std::size_t end = field.first_chunk + field.chunk_count;
+    UniqueLock lock(mutex_);
+    while (!failed_ && write_head_ < end) progress_cv_.wait(lock);
+    if (failed_) std::rethrow_exception(failed_);
+    for (std::size_t i = field.first_chunk; i < end; ++i)
+      report.chunks.push_back(chunks_[i].report);
+  }
+  for (const ChunkReport& chunk : report.chunks) {
+    report.payload_bytes += chunk.entry.size;
     report.warm_chunks += chunk.warm;
     report.retrained_chunks += chunk.retrained;
     report.rate_fallback_chunks += chunk.rate_fallback;
   }
-  report.chunks = std::move(outcome.chunks);
-  all_chunks_.insert(all_chunks_.end(), report.chunks.begin(), report.chunks.end());
-
-  const EngineStats& tune_after = state_.tune_engine.stats();
-  tuner_probe_calls_ += outcome.tuner_probe_calls +
-                        (tune_after.tuner_probe_calls -
-                         field.tune_stats_before.tuner_probe_calls);
-  probe_cache_hits_ += outcome.probe_cache_hits +
-                       (tune_after.probe_cache_hits -
-                        field.tune_stats_before.probe_cache_hits);
-  peak_buffered_chunks_ = std::max(peak_buffered_chunks_, outcome.peak_buffered_chunks);
-  peak_buffered_bytes_ = std::max(peak_buffered_bytes_, outcome.peak_buffered_bytes);
-  peak_staged_bytes_ = std::max(peak_staged_bytes_,
-                                outcome.peak_staged_bytes + field.stage_row_bytes);
-  chunk_bytes_emitted_ += manifest_field.payload_bytes;
-  total_raw_bytes_ += manifest_field.raw_bytes;
-
-  manifest_fields_.push_back(std::move(manifest_field));
-  reports_.push_back(std::move(report));
+  report.payload_ratio =
+      static_cast<double>(report.raw_bytes) / static_cast<double>(report.payload_bytes);
+  report.in_band = ratio_acceptable(report.payload_ratio,
+                                    config_.engine.tuner.target_ratio,
+                                    config_.engine.tuner.epsilon);
+  reports_.push_back(report);
   open_.reset();
-  return reports_.back();
+  return report;
 }
 
 ArchiveWriteResult ArchiveAssembler::finish() {
@@ -705,43 +541,70 @@ ArchiveWriteResult ArchiveAssembler::finish() {
   if (open_)
     throw InvalidArgument("archive: field '" + open_->name +
                           "' is still open; close it before finish");
-  if (manifest_fields_.empty()) throw InvalidArgument("archive: build holds no fields");
+  if (reports_.empty()) throw InvalidArgument("archive: build holds no fields");
+
+  ArchiveWriteResult result;
+  std::size_t region_bytes = 0;
+  {
+    // Every chunk is emitted; wait for the runners to park their lanes.
+    UniqueLock lock(mutex_);
+    while (runners_ > 0) progress_cv_.wait(lock);
+    for (const Lane& lane : idle_lanes_) {
+      result.tuner_probe_calls += lane.engine.stats().tuner_probe_calls;
+      result.probe_cache_hits += lane.engine.stats().probe_cache_hits;
+    }
+    for (const Chunk& chunk : chunks_) result.chunks.push_back(chunk.report);
+    result.peak_buffered_chunks = peak_buffered_chunks_;
+    result.peak_buffered_bytes = peak_buffered_bytes_;
+    result.peak_staged_bytes = peak_staged_bytes_;
+    region_bytes = emitted_bytes_;
+  }
+  const EngineStats& tuned = state_.tune_engine.stats();
+  result.tuner_probe_calls += tuned.tuner_probe_calls - tune_stats_at_start_.tuner_probe_calls;
+  result.probe_cache_hits += tuned.probe_cache_hits - tune_stats_at_start_.probe_cache_hits;
+
+  std::vector<FieldInfo> manifest_fields;
+  for (const FieldWriteReport& report : reports_) {
+    FieldInfo field;
+    field.name = report.name;
+    field.compressor = config_.engine.compressor;
+    field.dtype = report.dtype;
+    field.shape = report.shape;
+    field.chunk_extent = report.chunk_extent;
+    field.chunk_count = report.chunk_count;
+    field.target_ratio = config_.engine.tuner.target_ratio;
+    field.epsilon = config_.engine.tuner.epsilon;
+    field.raw_bytes = report.raw_bytes;
+    field.payload_bytes = report.payload_bytes;
+    field.payload_ratio = report.payload_ratio;
+    for (const ChunkReport& chunk : report.chunks) field.chunks.push_back(chunk.entry);
+    manifest_fields.push_back(std::move(field));
+    result.raw_bytes += report.raw_bytes;
+    result.warm_chunks += report.warm_chunks;
+    result.retrained_chunks += report.retrained_chunks;
+    result.rate_fallback_chunks += report.rate_fallback_chunks;
+  }
 
   const auto append = [&](const Buffer& block) {
     poisoning([&] { sink_.append(block.data(), block.size()); });
   };
-
   Buffer manifest;
-  encode_manifest_fields(manifest_fields_, manifest);
+  encode_manifest_fields(manifest_fields, manifest);
   append(manifest);
 
-  ArchiveWriteResult result;
-  const FieldInfo& first = manifest_fields_.front();
-  result.chunk_count = first.chunk_count;
-  result.chunk_extent = first.chunk_extent;
-  result.raw_bytes = total_raw_bytes_;
+  result.chunk_count = reports_.front().chunk_count;
+  result.chunk_extent = reports_.front().chunk_extent;
   result.archive_bytes = sink_.bytes_written() + kFooterBytes;
   result.achieved_ratio = static_cast<double>(result.raw_bytes) /
                           static_cast<double>(result.archive_bytes);
   result.in_band = ratio_acceptable(result.achieved_ratio,
                                     config_.engine.tuner.target_ratio,
                                     config_.engine.tuner.epsilon);
-  for (const FieldWriteReport& report : reports_) {
-    result.warm_chunks += report.warm_chunks;
-    result.retrained_chunks += report.retrained_chunks;
-    result.rate_fallback_chunks += report.rate_fallback_chunks;
-  }
-  result.tuner_probe_calls = tuner_probe_calls_;
-  result.probe_cache_hits = probe_cache_hits_;
-  result.peak_buffered_chunks = peak_buffered_chunks_;
-  result.peak_buffered_bytes = peak_buffered_bytes_;
-  result.peak_staged_bytes = peak_staged_bytes_;
-  result.chunks = std::move(all_chunks_);
   result.fields = std::move(reports_);
 
   Buffer footer;
-  encode_footer(chunk_bytes_emitted_, manifest.size(), result.raw_bytes,
-                result.archive_bytes, result.achieved_ratio, footer);
+  encode_footer(region_bytes, manifest.size(), result.raw_bytes, result.archive_bytes,
+                result.achieved_ratio, footer);
   append(footer);
 
   pool_.reset();  // the build's threads end with the build

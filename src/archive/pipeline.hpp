@@ -10,9 +10,9 @@
 /// The assembler is the engine behind both the push-based FieldSession API
 /// and the single-array `write()`: callers push slabs, the assembler stages
 /// exactly one chunk row per open field and dispatches each completed row
-/// into the parallel chunk pipeline, which admits rows under a bounded
+/// into the build's one chunk pipeline, which admits rows under a bounded
 /// window (submitted-but-unemitted ≤ workers + 1) and emits payloads to the
-/// sink strictly in index order — which is what lets a file be written
+/// sink strictly in chunk order — which is what lets a file be written
 /// append-only while keeping the bytes identical to a Buffer build at any
 /// worker count, and what bounds writer input memory to O(chunk-row ×
 /// workers) however the data arrives.
@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "engine/engine.hpp"
 #include "ndarray/ndarray.hpp"
 #include "util/buffer.hpp"
+#include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
 
 namespace fraz {
@@ -64,14 +66,23 @@ private:
 /// least 1), never more than there are tasks.
 unsigned resolve_workers(unsigned requested, std::size_t tasks);
 
-class ChunkPipeline;
-
 /// Transport-independent build of one complete v3 archive through a
 /// ByteSink.  Fields are ingested one at a time: open_field() declares the
 /// geometry (and invalidates stale per-chunk warm keys), push() stages
 /// planes into the current chunk row and dispatches completed rows to the
-/// parallel pipeline, close_field() drains the field, finish() seals the
-/// field-table manifest + footer.
+/// build's chunk pipeline, close_field() waits until the field's chunks are
+/// emitted, finish() seals the field-table manifest + footer.
+///
+/// A build owns exactly one chunk pipeline: one queue of rows tagged with
+/// their (field, chunk) warm key, in chunk-region order; runner tasks that
+/// compress them, started by a submit while fewer than `workers` are live
+/// and retired once the queue is empty (which frees the pool for the probe
+/// helpers of chunks still searching); and one emission head.  A runner
+/// compresses on a lane, an Engine adopting the warm state's BoundStore and
+/// ProbeCache, parked between runners, so a build makes at most `workers`
+/// lanes.  Chunk i of a field reads and commits only its own (field, i)
+/// key, pre-seeded at chunk 0, so the shared stores never make bytes
+/// scheduling-dependent.
 ///
 /// Every call throws on failure.  Argument misuse leaves the build as it
 /// was; a failed tune, chunk compression or sink append poisons it, and
@@ -84,14 +95,14 @@ class ChunkPipeline;
 /// thread keeps its malloc arena, and later readers would open new ones.
 ///
 /// \p state carries the persistent warm knowledge between builds: the
-/// per-field chunk-0 tuning engine, the shared BoundStore of per-(field,
-/// chunk) warm bounds (every worker engine adopts it, each chunk
-/// reading/writing only its own deterministic key), and the shared probe
-/// dedup cache.  This is the single write path behind ArchiveWriter.
+/// per-field chunk-0 tuning engine, the shared BoundStore and the shared
+/// probe dedup cache.  This is the single write path behind ArchiveWriter.
 class ArchiveAssembler {
 public:
   ArchiveAssembler(const ArchiveWriteConfig& config, WriterWarmState& state,
                    ByteSink& sink);
+  /// Abandoned or finished alike: poison the build so runners drop the
+  /// backlog instead of compressing and emitting it, then wait them out.
   ~ArchiveAssembler();
 
   ArchiveAssembler(const ArchiveAssembler&) = delete;
@@ -107,33 +118,88 @@ public:
 private:
   struct OpenField;
 
+  /// A chunk row on its way to the sink: its raw input until a runner takes
+  /// it, then its payload until the emission head passes it.
+  struct Chunk {
+    std::string key;     ///< the (field, chunk) warm key
+    double overhead = 0; ///< the chunk's share of the archive's non-chunk bytes
+    NdArray row;
+    Buffer bytes;
+    ChunkReport report;  ///< the runner's; the emission adds the offset
+    bool ready = false;  ///< compressed, waiting for the emission head
+  };
+
+  /// A runner's compression state, parked between runners.
+  struct Lane {
+    Engine engine;
+    pressio::CompressorPtr rate_backend;  ///< lazy zfp rescue (not thread-safe)
+  };
+
   /// Dispatch the staged chunk row (tuning + seeding the field first when it
-  /// is chunk 0, on the build pool) and stage the next row.
+  /// is chunk 0, on the build pool) and stage the next row.  Blocks while
+  /// the window is full — this back-pressure is the writer's input-memory
+  /// bound.
   void submit_stage();
   /// Run \p step; a failure it throws poisons the build before propagating.
   template <typename Fn>
   void poisoning(Fn&& step);
-  void rethrow_if_failed() const;
+  void rethrow_if_failed();
+  void fail_locked(std::exception_ptr failure) FRAZ_REQUIRES(mutex_);
+
+  /// One runner task: compress queued rows until the queue is empty (or the
+  /// build failed), then retire.
+  void run() noexcept;
+  /// Hand the runner its next row, or retire it: park its lane and drop
+  /// the runner count.  The emptiness check and the retirement share one
+  /// critical section, so a submit never leaves a row behind a runner that
+  /// is about to exit.
+  bool next_row(std::optional<Lane>& lane, std::size_t& index, Chunk& chunk);
+  /// Reuse a parked lane or build one (throws when the engine cannot be).
+  Lane take_lane();
+  /// Compress \p chunk's row into its bytes and report, outside the lock.
+  void compress_row(Lane& lane, Chunk& chunk) const;
+  /// Park chunk \p index's payload and drain every ready chunk at the
+  /// emission head, strictly in chunk order regardless of completion order.
+  void emit_locked(std::size_t index, Chunk chunk) FRAZ_REQUIRES(mutex_);
 
   const ArchiveWriteConfig config_;
   WriterWarmState& state_;
   ByteSink& sink_;              ///< where the archive lands, chunks first
+  const unsigned workers_;      ///< runner and lane cap; the pool's size
+  const std::size_t window_;    ///< submitted-but-unemitted chunk cap
+  const EngineStats tune_stats_at_start_;  ///< chunk-0 engine, for the delta
   Timer timer_;
 
-  std::unique_ptr<ThreadPool> pool_;  ///< before open_: outlives every pipeline
   std::unique_ptr<OpenField> open_;
-  std::vector<FieldInfo> manifest_fields_;   ///< closed fields, write order
-  std::vector<FieldWriteReport> reports_;
-  std::vector<ChunkReport> all_chunks_;
-  std::size_t chunk_bytes_emitted_ = 0;      ///< absolute base of the next field
-  std::size_t total_raw_bytes_ = 0;
-  std::size_t tuner_probe_calls_ = 0;
-  std::size_t probe_cache_hits_ = 0;
-  std::size_t peak_buffered_chunks_ = 0;
-  std::size_t peak_buffered_bytes_ = 0;
-  std::size_t peak_staged_bytes_ = 0;
+  std::vector<FieldWriteReport> reports_;  ///< closed fields, write order
   bool finished_ = false;
-  std::exception_ptr failed_;   ///< sticky: first failure poisons the build
+
+  Mutex mutex_;
+  /// signalled when a chunk is emitted, the build fails, or the last runner
+  /// retires
+  CondVar progress_cv_;
+  /// every chunk of the build, in chunk-region order; those from write_head_
+  /// on are submitted but not yet emitted
+  std::vector<Chunk> chunks_ FRAZ_GUARDED_BY(mutex_);
+  std::vector<Lane> idle_lanes_ FRAZ_GUARDED_BY(mutex_);
+  /// the queue is chunks_[next_row_, chunks_.size())
+  std::size_t next_row_ FRAZ_GUARDED_BY(mutex_) = 0;
+  std::size_t write_head_ FRAZ_GUARDED_BY(mutex_) = 0;
+  /// runner tasks queued on or running in the pool
+  unsigned runners_ FRAZ_GUARDED_BY(mutex_) = 0;
+  /// completed-but-unemitted payload bytes
+  std::size_t live_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
+  /// queued + in-compression raw row bytes
+  std::size_t staged_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
+  std::size_t emitted_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
+  std::size_t peak_buffered_chunks_ FRAZ_GUARDED_BY(mutex_) = 0;
+  std::size_t peak_buffered_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
+  std::size_t peak_staged_bytes_ FRAZ_GUARDED_BY(mutex_) = 0;
+  /// sticky: the first failure poisons the build
+  std::exception_ptr failed_ FRAZ_GUARDED_BY(mutex_);
+
+  /// Last, so it is joined first: no runner outlives the state above.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace fraz::archive::detail

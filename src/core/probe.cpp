@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <future>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -132,15 +134,58 @@ bool ProbeCache::lookup(std::uint64_t context, double bound, ProbeRecord& out) c
 }
 
 void ProbeCache::insert(std::uint64_t context, double bound, const ProbeRecord& record) {
-  Index::Nodes fresh = Index::stage(slot(context, bound), record, 1);
+  const std::uint64_t key = slot(context, bound);
+  Index::Nodes fresh = Index::stage(key, record, 1);
   Index::Nodes dropped;
   std::size_t evicted = 0;
+  std::optional<Flight> flight;
   {
+    // Cached and landed under one lock: a claim after this finds the record.
     LockGuard lock(mutex_);
     evicted = index_.insert(std::move(fresh), dropped);
     evictions_ += evicted;
+    flight = take_flight(key);
   }
+  if (flight) flight->promise.set_value(record);
   if (evicted != 0) evictions_counter_.add(evicted);
+}
+
+std::optional<ProbeCache::Flight> ProbeCache::take_flight(std::uint64_t key) {
+  const auto it = flights_.find(key);
+  if (it == flights_.end()) return std::nullopt;
+  std::optional<Flight> flight(std::move(it->second));
+  flights_.erase(it);
+  return flight;
+}
+
+ProbeCache::Claim ProbeCache::claim(std::uint64_t context, double bound) {
+  const std::uint64_t key = slot(context, bound);
+  Claim claim;
+  LockGuard lock(mutex_);
+  if (const ProbeRecord* hit = index_.touch(key)) {
+    ++hits_;
+    claim.record = *hit;
+    return claim;
+  }
+  const auto [it, fresh] = flights_.try_emplace(key);
+  if (fresh) {
+    ++misses_;
+    claim.kind = Claim::kOwner;
+  } else {
+    ++hits_;
+    claim.kind = Claim::kWait;
+    claim.pending = it->second.record;
+  }
+  return claim;
+}
+
+void ProbeCache::abandon(std::uint64_t context, double bound, std::exception_ptr failure) {
+  std::optional<Flight> flight;
+  {
+    LockGuard lock(mutex_);
+    flight = take_flight(slot(context, bound));
+  }
+  if (flight) flight->promise.set_exception(std::move(failure));
 }
 
 ProbeCache::Stats ProbeCache::stats() const noexcept {
@@ -221,28 +266,36 @@ std::vector<ProbeOutcome> ProbeExecutor::run(const ArrayView& data, std::uint64_
   std::vector<ProbeOutcome> out(bounds.size());
 
   // Partition the batch: cache hits are answered immediately; the first
-  // occurrence of each novel bound becomes a miss to execute; repeats of a
-  // miss within the batch wait for that execution.
+  // occurrence of each novel bound is claimed, and becomes a miss to execute
+  // here or a wait on the thread already executing it; repeats of either
+  // within the batch take its result.
   struct Miss {
     std::size_t index;
     double bound;
   };
   std::vector<Miss> misses;
-  std::vector<std::pair<std::size_t, std::size_t>> repeats;  // (index, miss slot)
-  std::unordered_map<std::uint64_t, std::size_t> batch_first;  // bound bits -> miss slot
+  std::vector<std::pair<std::size_t, std::shared_future<ProbeRecord>>> waits;
+  std::vector<std::pair<std::size_t, std::size_t>> repeats;  // (index, first index)
+  std::unordered_map<std::uint64_t, std::size_t> batch_first;  // bound bits -> index
   std::size_t hits = 0;
   for (std::size_t i = 0; i < bounds.size(); ++i) {
-    ProbeRecord cached;
-    if (cache_->lookup(key, bounds[i], cached)) {
-      out[i] = ProbeOutcome{cached, true};
+    const auto first = batch_first.find(double_bits(bounds[i]));
+    if (first != batch_first.end()) {
+      repeats.emplace_back(i, first->second);
       ++hits;
       continue;
     }
-    const auto [it, fresh] = batch_first.try_emplace(double_bits(bounds[i]), misses.size());
-    if (fresh) {
+    ProbeCache::Claim claim = cache_->claim(key, bounds[i]);
+    if (claim.kind == ProbeCache::Claim::kHit) {
+      out[i] = ProbeOutcome{claim.record, true};
+      ++hits;
+      continue;
+    }
+    batch_first.emplace(double_bits(bounds[i]), i);
+    if (claim.kind == ProbeCache::Claim::kOwner) {
       misses.push_back(Miss{i, bounds[i]});
     } else {
-      repeats.emplace_back(i, it->second);
+      waits.emplace_back(i, std::move(claim.pending));
       ++hits;
     }
   }
@@ -250,23 +303,30 @@ std::vector<ProbeOutcome> ProbeExecutor::run(const ArrayView& data, std::uint64_
   if (!misses.empty()) {
     // Claim-based fan-out: helpers join from the caller's pool, the caller
     // claims misses too, and each record lands in its own slot — so the
-    // batch completes even when issued from a busy pool thread.
+    // batch completes even when issued from a busy pool thread.  A failure
+    // ends every claim this batch owns before it propagates.
     std::vector<ProbeRecord> records(misses.size());
-    parallel_for_shared(misses.size(), threads_, [&](std::size_t m) {
-      const Lease worker(*this);
-      records[m] = execute(*worker, data, misses[m].bound, metric);
-    });
+    try {
+      parallel_for_shared(misses.size(), threads_, [&](std::size_t m) {
+        const Lease worker(*this);
+        records[m] = execute(*worker, data, misses[m].bound, metric);
+      });
+    } catch (...) {
+      for (const Miss& miss : misses) cache_->abandon(key, miss.bound, std::current_exception());
+      throw;
+    }
     for (std::size_t m = 0; m < misses.size(); ++m) {
       cache_->insert(key, misses[m].bound, records[m]);
       out[misses[m].index] = ProbeOutcome{records[m], false};
     }
   }
-  for (const auto& [index, slot] : repeats)
-    out[index] = ProbeOutcome{out[misses[slot].index].record, true};
+  // Only now, owning nothing, wait for the probes other threads execute.
+  for (auto& [index, pending] : waits) out[index] = ProbeOutcome{pending.get(), true};
+  for (const auto& [index, first] : repeats) out[index] = ProbeOutcome{out[first].record, true};
 
-  // `hits` folds genuine cache hits and in-batch repeats together (that is
-  // the executor's contract); telemetry splits them so dedup savings are
-  // visible separately from cache reuse.
+  // `hits` folds cache hits, waits and in-batch repeats together (that is
+  // the executor's contract); telemetry splits the repeats out so dedup
+  // savings are visible separately from cache reuse.
   probe_cache_hits_counter().add(hits - repeats.size());
   cache_hits_backend_->add(hits - repeats.size());
   probes_deduped_counter().add(repeats.size());

@@ -19,8 +19,12 @@
 /// tuned bound, only the number of compressions spent reaching it.
 
 #include <cstdint>
+#include <exception>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ndarray/ndarray.hpp"
@@ -81,6 +85,13 @@ struct ProbeRecord {
 /// leaves once the floor reaches its rank.  Eviction is deterministic
 /// (driven purely by the lookup/insert sequence) and can never change a
 /// tuned bound, only the number of compressions spent.
+///
+/// A key is executed once however many threads miss it together: the first
+/// claim() of an uncached key makes its caller the owner, and later claims
+/// wait for the owner's record instead of executing the probe again (a wait
+/// counts as a hit).  The owner ends its claim with insert(), or with
+/// abandon() when the probe threw, which hands the failure to every waiter
+/// and caches nothing.
 class ProbeCache {
 public:
   explicit ProbeCache(std::size_t max_entries = 1u << 16);
@@ -88,8 +99,25 @@ public:
   /// Look up the record for (context key, bound[, metric tag]); true on hit.
   /// A hit raises the record's rank.
   bool lookup(std::uint64_t context, double bound, ProbeRecord& out) const noexcept;
-  /// Insert an observation (overwrites an identical key).
+  /// Insert an observation (overwrites an identical key) and hand it to the
+  /// threads waiting on the key's owner.
   void insert(std::uint64_t context, double bound, const ProbeRecord& record);
+
+  /// What claim() found for a key.
+  struct Claim {
+    enum Kind { kHit, kOwner, kWait } kind = kHit;
+    ProbeRecord record;                       ///< kHit: the cached record
+    std::shared_future<ProbeRecord> pending;  ///< kWait: the owner's record
+  };
+  /// lookup(), except that a miss registers its caller as the key's owner
+  /// (kOwner), who must end the claim with insert() or abandon(); a miss
+  /// while another thread owns the key returns that owner's pending record
+  /// (kWait).  Waiting on it blocks nothing the owner needs: owners execute
+  /// without waiting on other claims.
+  Claim claim(std::uint64_t context, double bound);
+  /// End an owned claim whose probe threw: its waiters get \p failure
+  /// rethrown, and nothing is cached.
+  void abandon(std::uint64_t context, double bound, std::exception_ptr failure);
 
   struct Stats {
     std::size_t hits = 0;
@@ -103,7 +131,15 @@ public:
 private:
   using Index = LfuIndex<std::uint64_t, ProbeRecord>;
 
+  /// An owned claim: its promise, and the future its waiters share.
+  struct Flight {
+    std::promise<ProbeRecord> promise;
+    std::shared_future<ProbeRecord> record = promise.get_future().share();
+  };
+
   static std::uint64_t slot(std::uint64_t context, double bound) noexcept;
+  /// Remove and return the flight of \p key, if a thread owns the key.
+  std::optional<Flight> take_flight(std::uint64_t key) FRAZ_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
   // lookup() re-ranks hot records, so the index mutates under a const
@@ -112,6 +148,8 @@ private:
   mutable std::size_t hits_ FRAZ_GUARDED_BY(mutex_) = 0;
   mutable std::size_t misses_ FRAZ_GUARDED_BY(mutex_) = 0;
   std::size_t evictions_ FRAZ_GUARDED_BY(mutex_) = 0;
+  /// keys an owner is executing
+  std::unordered_map<std::uint64_t, Flight> flights_ FRAZ_GUARDED_BY(mutex_);
   /// tune.probe_cache.evictions, summed over every cache in the process.
   telemetry::Counter& evictions_counter_;
 };
@@ -119,7 +157,8 @@ private:
 using ProbeCachePtr = std::shared_ptr<ProbeCache>;
 
 /// One probe's outcome as seen by a search: the observation plus whether the
-/// cache (or an identical probe earlier in the same batch) already paid it.
+/// cache (or an identical probe earlier in the same batch, or another
+/// thread's execution of it) already paid it.
 struct ProbeOutcome {
   ProbeRecord record;
   bool from_cache = false;
@@ -189,9 +228,10 @@ private:
     std::unique_ptr<Context> context_;
   };
 
-  /// The one probe sequence under every entry point: look each bound up
-  /// under \p key, execute the first occurrence of each miss on a leased
-  /// context (concurrently up to the thread cap), insert what ran.  A null
+  /// The one probe sequence under every entry point: claim each bound under
+  /// \p key, execute the first occurrence of each owned miss on a leased
+  /// context (concurrently up to the thread cap), insert what ran, then
+  /// wait for the misses other threads own.  A null
   /// \p metric measures ratio only; otherwise the pass also decodes and
   /// measures that metric.
   std::vector<ProbeOutcome> run(const ArrayView& data, std::uint64_t key,

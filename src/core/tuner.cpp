@@ -31,11 +31,15 @@ Tuner::Tuner(const pressio::Compressor& prototype, TunerConfig config, ProbeCach
       config_(config),
       cache_(std::move(cache)),
       executor_(prototype, cache_, config_.threads) {
-  require(config_.target_ratio > 1.0, "Tuner: target_ratio must exceed 1");
-  require(config_.epsilon > 0 && config_.epsilon < 1, "Tuner: epsilon in (0, 1)");
-  require(config_.regions >= 1, "Tuner: regions must be >= 1");
-  require(config_.overlap >= 0 && config_.overlap < 1, "Tuner: overlap in [0, 1)");
-  require(config_.max_evals_per_region >= 1, "Tuner: max_evals_per_region >= 1");
+  validate(config_);
+}
+
+void Tuner::validate(const TunerConfig& config) {
+  require(config.target_ratio > 1.0, "Tuner: target_ratio must exceed 1");
+  require(config.epsilon > 0 && config.epsilon < 1, "Tuner: epsilon in (0, 1)");
+  require(config.regions >= 1, "Tuner: regions must be >= 1");
+  require(config.overlap >= 0 && config.overlap < 1, "Tuner: overlap in [0, 1)");
+  require(config.max_evals_per_region >= 1, "Tuner: max_evals_per_region >= 1");
 }
 
 Region Tuner::search_range(const ArrayView& data) const {

@@ -114,6 +114,10 @@ public:
   /// paid once.  \p cache must not be null.
   Tuner(const pressio::Compressor& prototype, TunerConfig config, ProbeCachePtr cache);
 
+  /// Throw InvalidArgument on a nonsensical \p config; both constructors
+  /// run it, and a caller can run it without building a Tuner.
+  static void validate(const TunerConfig& config);
+
   const TunerConfig& config() const noexcept { return config_; }
 
   /// The dedup cache this tuner consults and feeds.

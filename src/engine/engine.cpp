@@ -39,9 +39,8 @@ Engine::Engine(EngineConfig config)
       compressor_(pressio::registry().create(config_.compressor, config_.compressor_options)),
       bounds_(std::make_shared<BoundStore>()),
       probe_cache_(std::make_shared<ProbeCache>()) {
-  // Fail construction, not first use, on a nonsensical tuner config: the
-  // Tuner constructor is the validator, so run it once here.
-  (void)Tuner(*compressor_, config_.tuner, probe_cache_);
+  // Fail construction, not first use, on a nonsensical tuner config.
+  Tuner::validate(config_.tuner);
 }
 
 Result<Engine> Engine::create(EngineConfig config) noexcept {

@@ -9,7 +9,7 @@
 /// FRaZ's core guarantees — bit-identical tuned bounds and byte-identical
 /// packs at any worker count — rest on lock discipline spread across eight
 /// concurrent subsystems (ProbeCache, BoundStore, ChunkCache, ReaderPool,
-/// ThreadPool, the telemetry registry, the archive ChunkPipeline, serve
+/// ThreadPool, the telemetry registry, the archive assembler, serve
 /// sessions).  TSan samples executions; these annotations are exhaustive:
 /// `clang++ -Wthread-safety -Werror` (the `tools/lint.sh` / CI lint gate)
 /// turns every future guarded-state access outside its lock into a compile

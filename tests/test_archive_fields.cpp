@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -530,14 +531,17 @@ TEST(ArchiveFields, SessionMisuseSurfacesAsStatuses) {
 }
 
 /// One build of a multi-field campaign step: its bytes, every chunk's report
-/// in write order, how many chunks paid full training and how many probes
-/// the build's tuning executed.
+/// in write order, the per-field reports, how many chunks paid full
+/// training, how many probes the build's tuning executed and how many chunks
+/// it held at once.
 struct CampaignBuild {
   Buffer bytes;
   std::vector<archive::ChunkReport> chunks;
+  std::vector<FieldWriteReport> fields;
   std::vector<double> tuned_bounds;
   std::size_t retrained_chunks = 0;
   std::size_t tuner_probe_calls = 0;
+  std::size_t peak_buffered_chunks = 0;
 };
 
 /// Pack \p steps (each a list of named fields) through one writer of
@@ -564,9 +568,42 @@ void pack_campaign(const std::vector<std::vector<std::pair<std::string, NdArray>
     auto finished = writer.finish();
     ASSERT_TRUE(finished.ok()) << finished.status().to_string();
     build.chunks = finished.value().chunks;
+    build.fields = finished.value().fields;
     for (const archive::ChunkReport& chunk : build.chunks)
       build.tuned_bounds.push_back(chunk.tuned_bound);
     build.tuner_probe_calls = finished.value().tuner_probe_calls;
+    build.peak_buffered_chunks = finished.value().peak_buffered_chunks;
+  }
+}
+
+/// Field reports must match in everything but their chunks' timings.
+void expect_same_field_reports(const std::vector<FieldWriteReport>& got,
+                               const std::vector<FieldWriteReport>& want,
+                               const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t f = 0; f < want.size(); ++f) {
+    const FieldWriteReport& a = got[f];
+    const FieldWriteReport& b = want[f];
+    const std::string at = where + ", field " + b.name;
+    EXPECT_EQ(a.name, b.name) << at;
+    EXPECT_EQ(a.payload_bytes, b.payload_bytes) << at;
+    EXPECT_EQ(a.payload_ratio, b.payload_ratio) << at;
+    EXPECT_EQ(a.in_band, b.in_band) << at;
+    EXPECT_EQ(a.warm_chunks, b.warm_chunks) << at;
+    EXPECT_EQ(a.retrained_chunks, b.retrained_chunks) << at;
+    EXPECT_EQ(a.rate_fallback_chunks, b.rate_fallback_chunks) << at;
+    ASSERT_EQ(a.chunks.size(), b.chunks.size()) << at;
+    for (std::size_t i = 0; i < b.chunks.size(); ++i) {
+      const archive::ChunkReport& x = a.chunks[i];
+      const archive::ChunkReport& y = b.chunks[i];
+      EXPECT_EQ(x.entry.offset, y.entry.offset) << at << ", chunk " << i;
+      EXPECT_EQ(x.entry.size, y.entry.size) << at << ", chunk " << i;
+      EXPECT_EQ(x.entry.crc, y.entry.crc) << at << ", chunk " << i;
+      EXPECT_EQ(x.entry.error_bound, y.entry.error_bound) << at << ", chunk " << i;
+      EXPECT_EQ(x.tuned_bound, y.tuned_bound) << at << ", chunk " << i;
+      EXPECT_EQ(x.warm, y.warm) << at << ", chunk " << i;
+      EXPECT_EQ(x.retrained, y.retrained) << at << ", chunk " << i;
+    }
   }
 }
 
@@ -575,16 +612,18 @@ bool above_band(const archive::ChunkReport& chunk) {
 }
 
 TEST(ArchiveFields, WorkerCountDoesNotChangeRetrainingFieldBytesOrBounds) {
-  // TCf's chunks warm-start from chunk 0's bound; CLOUDf's sparse chunks
-  // miss it and retrain, so their retrain rounds (and chunk-0 training) fan
-  // out over whichever of the build's workers are idle.  Over a cold and two
-  // warm steps, the bytes and every chunk's tuned bound must not depend on
-  // the worker count.  Chunks whose search ends above the band carry their
-  // bound: on the warm steps they stay above it without a search.
+  // TCf's and Uf's chunks warm-start from chunk 0's bound; CLOUDf's sparse
+  // chunks miss it and retrain, so their retrain rounds (and chunk-0
+  // training) fan out over whichever of the build's workers are idle.  Over
+  // a cold and two warm steps of three fields, the bytes, every chunk's
+  // tuned bound and every field's report must not depend on the worker
+  // count, and the build's one window holds at most workers + 1 chunks.
+  // Chunks whose search ends above the band carry their bound: on the warm
+  // steps they stay above it without a search.
   const auto hurricane = data::dataset_by_name("hurricane", data::SuiteScale::kSmall);
   std::vector<std::vector<std::pair<std::string, NdArray>>> steps(3);
   for (std::size_t step = 0; step < steps.size(); ++step)
-    for (const char* name : {"TCf", "CLOUDf"})
+    for (const char* name : {"TCf", "CLOUDf", "Uf"})
       steps[step].emplace_back(
           name, data::generate_field(data::field_by_name(hurricane, name), step));
 
@@ -605,10 +644,15 @@ TEST(ArchiveFields, WorkerCountDoesNotChangeRetrainingFieldBytesOrBounds) {
     EXPECT_LT(build.tuner_probe_calls, serial[0].tuner_probe_calls) << "step " << step;
   }
   EXPECT_GT(kept, 0u) << "the campaign must carry above-band chunks";
+  for (const CampaignBuild& build : serial) EXPECT_LE(build.peak_buffered_chunks, 2u);
   for (const unsigned workers : {2u, 4u}) {
     std::vector<CampaignBuild> parallel;
     ASSERT_NO_FATAL_FAILURE(pack_campaign(steps, workers, parallel));
     for (std::size_t step = 0; step < steps.size(); ++step) {
+      const std::string where =
+          std::to_string(workers) + " workers, step " + std::to_string(step);
+      expect_same_field_reports(parallel[step].fields, serial[step].fields, where);
+      EXPECT_LE(parallel[step].peak_buffered_chunks, workers + 1u) << where;
       const Buffer& want = serial[step].bytes;
       const Buffer& got = parallel[step].bytes;
       ASSERT_EQ(got.size(), want.size()) << workers << " workers, step " << step;
@@ -776,6 +820,144 @@ TEST(ArchiveFields, RunnerFailureIsStickyUntilCancel) {
     auto decoded = reader.value().read_all("x", workers);
     ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
     EXPECT_EQ(decoded.value().shape(), field.shape());
+  }
+}
+
+TEST(ArchiveFields, RunnerFailureInTheSecondFieldIsStickyUntilCancel) {
+  // The build's one pipeline keeps one failure: a runner that fails inside
+  // the second field poisons the whole build after the first field closed
+  // cleanly, and every later call reports it until cancel().
+  if (!pressio::registry().contains("sz-fail-after"))
+    pressio::registry().register_factory(
+        "sz-fail-after", [] { return std::make_unique<SzFailAfterPlugin>(); });
+  const NdArray first = make_field(DType::kFloat32, {16, 12, 10});
+  const NdArray second = make_field(DType::kFloat32, {14, 12, 10}, 20.0);
+  const auto pack_both = [&](ArchiveWriter& writer, Buffer& out, Status& failure,
+                             bool& first_closed) {
+    first_closed = false;
+    ASSERT_TRUE(writer.begin(out).ok());
+    auto x = writer.open_field("x", desc_of(first, 2));
+    ASSERT_TRUE(x.ok()) << x.status().to_string();
+    push_all(x.value(), first, 4);
+    const auto closed = x.value().close();
+    ASSERT_TRUE(closed.ok()) << closed.status().to_string();
+    first_closed = true;
+    auto y = writer.open_field("y", desc_of(second, 2));
+    failure = y.status();
+    if (!failure.ok()) return;
+    for (std::size_t plane = 0; plane < second.shape()[0] && failure.ok(); plane += 2)
+      failure = y.value().push(planes_of(second, plane, 2));
+    if (failure.ok()) failure = y.value().close().status();
+    if (failure.ok()) failure = writer.finish().status();
+  };
+  for (const unsigned workers : {1u, 4u}) {
+    // Every compression of a clean build, then a build whose last two fail:
+    // those are the second field's, which starts only once the first closed.
+    g_fail_after_limit = std::numeric_limits<std::size_t>::max();
+    g_fail_after_calls = 0;
+    {
+      ArchiveWriter counting(writer_config("sz-fail-after", 6.0, 0.2, 2, workers));
+      Buffer clean;
+      Status status;
+      bool first_closed = false;
+      ASSERT_NO_FATAL_FAILURE(pack_both(counting, clean, status, first_closed));
+      ASSERT_TRUE(status.ok()) << status.to_string();
+    }
+    const std::size_t total = g_fail_after_calls;
+    ASSERT_GT(total, 2u);
+    g_fail_after_calls = 0;
+    g_fail_after_limit = total - 2;
+
+    ArchiveWriter writer(writer_config("sz-fail-after", 6.0, 0.2, 2, workers));
+    Buffer out;
+    Status failure;
+    bool first_closed = false;
+    ASSERT_NO_FATAL_FAILURE(pack_both(writer, out, failure, first_closed));
+    ASSERT_TRUE(first_closed) << workers << " workers";
+    ASSERT_FALSE(failure.ok()) << workers << " workers: the injected failure vanished";
+    EXPECT_EQ(failure.code(), StatusCode::kUnsupported) << failure.to_string();
+    EXPECT_NE(failure.message().find("injected"), std::string::npos) << failure.message();
+    const auto expect_same = [&](const Status& later, const char* call) {
+      EXPECT_EQ(later.code(), failure.code()) << workers << " workers, " << call;
+      EXPECT_EQ(later.message(), failure.message()) << workers << " workers, " << call;
+    };
+    expect_same(writer.open_field("z", desc_of(first, 2)).status(), "open_field");
+    expect_same(writer.finish().status(), "finish");
+
+    writer.cancel();
+    g_fail_after_limit = std::numeric_limits<std::size_t>::max();
+    Buffer again;
+    ASSERT_NO_FATAL_FAILURE(pack_both(writer, again, failure, first_closed));
+    ASSERT_TRUE(failure.ok()) << failure.to_string();
+    auto reader = ArchiveReader::open(again.data(), again.size());
+    ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+    auto decoded = reader.value().read_all("y", workers);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+    EXPECT_EQ(decoded.value().shape(), second.shape());
+  }
+}
+
+TEST(ArchiveFields, OneBuildMakesAtMostOneLanePerWorker) {
+  // A build's chunk runners share one set of lane engines: five fields at
+  // four workers create at most four backends from the registry, not a set
+  // per field.  The count is taken in the factory itself.
+  static std::atomic<int> factory_calls{0};
+  if (!pressio::registry().contains("sz-counted"))
+    pressio::registry().register_factory("sz-counted", [] {
+      ++factory_calls;
+      return pressio::registry().create("sz");
+    });
+  ArchiveWriter writer(writer_config("sz-counted", 6.0, 0.2, 2, 4));
+  factory_calls = 0;  // the writer's own chunk-0 engine is not a lane
+  Buffer out;
+  ASSERT_TRUE(writer.begin(out).ok());
+  for (int f = 0; f < 5; ++f) {
+    const NdArray field = make_field(DType::kFloat32, {16, 12, 10}, 10.0 + 10.0 * f);
+    auto session = writer.open_field("f" + std::to_string(f), desc_of(field, 2));
+    ASSERT_TRUE(session.ok()) << session.status().to_string();
+    push_all(session.value(), field, 16);
+    ASSERT_TRUE(session.value().close().ok());
+  }
+  auto finished = writer.finish();
+  ASSERT_TRUE(finished.ok()) << finished.status().to_string();
+  EXPECT_EQ(finished.value().fields.size(), 5u);
+  EXPECT_GE(factory_calls.load(), 1);
+  EXPECT_LE(factory_calls.load(), 4);
+}
+
+TEST(ArchiveFields, IdenticalRetrainingChunksExecuteTheirProbesOnce) {
+  // Planes below 39 are zero, so chunks 0..8 hold identical bytes.  Chunk
+  // 0's training ends above the band and the others retrain from its bound;
+  // at four workers they search concurrently.  The probe cache runs each
+  // identical probe once whoever asks first, so the build executes exactly
+  // the probes a serial build does, and writes the same bytes.
+  const std::size_t n0 = 64, n1 = 48, n2 = 48;
+  NdArray field(DType::kFloat32, {n0, n1, n2});
+  auto* values = static_cast<float*>(field.data());
+  for (std::size_t i = 0; i < n0; ++i)
+    for (std::size_t j = 0; j < n1; ++j)
+      for (std::size_t k = 0; k < n2; ++k)
+        values[(i * n1 + j) * n2 + k] =
+            i < 39 ? 0.0f
+                   : static_cast<float>(std::sin(0.1 * i + 0.05 * j) * std::cos(0.07 * k) * 40);
+  const auto pack_at = [&](unsigned workers, Buffer& out) {
+    ArchiveWriter writer(writer_config("sz", 10.0, 0.1, 4, workers));
+    auto result = writer.write(field.view(), out);
+    EXPECT_TRUE(result.ok()) << result.status().to_string();
+    return result.ok() ? result.value() : ArchiveWriteResult{};
+  };
+  Buffer serial_bytes;
+  const ArchiveWriteResult serial = pack_at(1, serial_bytes);
+  ASSERT_GT(serial.retrained_chunks, 1u) << "the zero chunks must retrain";
+  for (int run = 0; run < 3; ++run) {
+    Buffer bytes;
+    const ArchiveWriteResult parallel = pack_at(4, bytes);
+    EXPECT_EQ(parallel.tuner_probe_calls, serial.tuner_probe_calls) << "run " << run;
+    EXPECT_EQ(parallel.tuner_probe_calls + parallel.probe_cache_hits,
+              serial.tuner_probe_calls + serial.probe_cache_hits)
+        << "run " << run;
+    ASSERT_EQ(bytes.size(), serial_bytes.size()) << "run " << run;
+    EXPECT_EQ(std::memcmp(bytes.data(), serial_bytes.data(), bytes.size()), 0) << "run " << run;
   }
 }
 
