@@ -7,14 +7,13 @@
 /// the writer itself — and the thread-count curve is produced by
 /// list-scheduling those measured chunk tasks at each simulated worker
 /// count, exactly the schedule the writer's shared-counter worker loop
-/// produces.  The serial residue (the warm-start confirmation probe on
-/// chunk 0 plus manifest/footer assembly) is measured per pack and charged
-/// to every worker count unchanged.
+/// produces.  The serial residue (manifest/footer assembly and staging) is
+/// measured per pack and charged to every worker count unchanged.
 ///
 /// Protocol: one untimed warm-up pack (step 0) pays ratio training; the
-/// measured steps exercise the campaign steady state — one probe plus N
-/// chunk compressions per archive (Algorithm 3's reuse, lifted to whole
-/// archives).  Real packs at each worker count additionally assert the
+/// measured steps exercise the campaign steady state — N chunk
+/// compressions per archive, each its own warm-start check (Algorithm 3's
+/// reuse, lifted to whole archives).  Real packs at each worker count additionally assert the
 /// determinism contract: byte-identical archives regardless of threads.
 ///
 /// Expected shape: near-linear speedup to the chunk-count limit; >2x at 4
@@ -106,7 +105,7 @@ int main(int argc, char** argv) {
   }
   std::size_t chunk_count = warmup.value().chunk_count;
   std::vector<std::vector<double>> step_chunk_seconds;  // per step, per chunk
-  std::vector<double> step_overhead;                    // probe + assembly residue
+  std::vector<double> step_overhead;                    // assembly residue
   double measured_serial = 0;
   for (int step = 1; step <= steps; ++step) {
     auto written = writer.write(series[static_cast<std::size_t>(step)].view(), out);

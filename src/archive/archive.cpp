@@ -178,7 +178,10 @@ ArchiveWriter::ArchiveWriter(ArchiveWriteConfig config) : config_(std::move(conf
           "archive: compressor name must be 1..256 bytes to be recorded");
   // One set of threads: tuning fans out over the same workers that compress.
   config_.engine.tuner.threads = config_.threads;
-  state_ = std::make_unique<WriterWarmState>(config_.engine);
+  // Builds make their engines lazily; check the backend, its options and
+  // the tuner config here, where a bad one is the caller's argument.
+  static_cast<void>(Engine(config_.engine));
+  state_ = std::make_unique<WriterWarmState>();
 }
 
 ArchiveWriter::ArchiveWriter(ArchiveWriter&&) noexcept = default;

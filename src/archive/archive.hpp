@@ -44,11 +44,11 @@
 /// flipped bit in chunk i fails exactly the reads that cover chunk i.
 ///
 /// Determinism: chunk boundaries depend only on (shape, dtype, chunk_extent),
-/// every chunk warm-starts from the same chunk-0 bound, and tuning inside the
-/// writer fans its probes out over the build's workers in lockstep rounds
-/// whose bounds do not depend on the worker count — so packing with 1 worker
-/// and N workers yields byte-identical archives, whether the data arrived as
-/// one array or plane by plane.
+/// every chunk warm-starts from its own key (seeded by chunk 0 first), and
+/// tuning inside the writer fans its probes out over the build's workers in
+/// lockstep rounds whose bounds do not depend on the worker count — so
+/// packing with 1 worker and N workers yields byte-identical archives,
+/// whether the data arrived as one array or plane by plane.
 
 #include <cstdint>
 #include <map>
@@ -82,9 +82,8 @@ struct ArchiveWriteConfig {
   /// through FieldDesc::chunk_extent.
   std::size_t chunk_extent = 0;
   /// Workers of one build, capping both chunk compression and tuning
-  /// (chunk-0 training and every chunk's retrain rounds fan out over the
-  /// idle ones); 0 selects hardware concurrency.  Never affects the output
-  /// bytes.
+  /// (every chunk's search rounds fan out over the idle ones); 0 selects
+  /// hardware concurrency.  Never affects the output bytes.
   unsigned threads = 0;
   /// When the backend is "zfp" and a chunk's accuracy-mode ratio misses the
   /// acceptance band (ZFP's bit-plane treads are too coarse on small chunks
@@ -115,8 +114,8 @@ struct ChunkReport {
   double tuned_bound = 0;
   double ratio = 0;           ///< raw/compressed of this chunk alone
   double seconds = 0;         ///< wall time of this chunk's compression task
-  bool warm = false;          ///< served by the shared warm-start bound
-  bool retrained = false;     ///< chunk paid full training
+  bool warm = false;          ///< served by its carried or seeded bound
+  bool retrained = false;     ///< chunk paid a full search (a cold chunk 0 does)
   bool in_band = false;       ///< chunk ratio inside the band (informational)
   bool rate_fallback = false; ///< rescued by the ZFP fixed-rate fallback
 };
@@ -152,8 +151,8 @@ struct ArchiveWriteResult {
   std::size_t warm_chunks = 0;
   std::size_t retrained_chunks = 0;
   std::size_t rate_fallback_chunks = 0;
-  /// Compressor probes actually spent tuning this write (chunk-0 training
-  /// plus every chunk engine's tuning), cache-served probes excluded.
+  /// Compressor probes actually spent tuning this write (every chunk's
+  /// search; a warm chunk spends none), cache-served probes excluded.
   std::size_t tuner_probe_calls = 0;
   /// Tuning probes the writer's shared probe cache served for free.
   std::size_t probe_cache_hits = 0;
@@ -173,20 +172,16 @@ struct ArchiveWriteResult {
 };
 
 /// Warm-start state a writer carries across write() calls and field
-/// sessions, whichever transport each build uses: the persistent
-/// chunk-0 tuning engine plus the thread-safe stores every per-worker chunk
-/// engine adopts — a BoundStore holding the freshest carried bound under a
-/// deterministic per-(field, chunk) key (the time dimension of Algorithm 3;
-/// one key per chunk so worker scheduling can never change which bound a
-/// chunk sees, one namespace per field so fields warm-start independently),
-/// and the ProbeCache that dedups tuning probes across chunks, fields, and
-/// writes.
+/// sessions, whichever transport each build uses: the thread-safe stores
+/// every per-worker chunk engine adopts — a BoundStore holding the freshest
+/// carried bound under a deterministic per-(field, chunk) key (the time
+/// dimension of Algorithm 3; one key per chunk so worker scheduling can
+/// never change which bound a chunk sees, one namespace per field so fields
+/// warm-start independently), and the ProbeCache that dedups tuning probes
+/// across chunks, fields, and writes.
 struct WriterWarmState {
-  explicit WriterWarmState(const EngineConfig& engine_config);
-
-  Engine tune_engine;   ///< persistent per-field chunk-0 warm start
-  BoundStorePtr bounds;
-  ProbeCachePtr probes;
+  BoundStorePtr bounds = std::make_shared<BoundStore>();
+  ProbeCachePtr probes = std::make_shared<ProbeCache>();
 
   /// Chunk-grid geometry a field's per-chunk warm keys were minted for; an
   /// ingest of the same field with a different geometry invalidates them
@@ -240,17 +235,18 @@ private:
 
 /// Shards fields along their slowest dimension and compresses the chunks in
 /// parallel, one Engine per worker, into a Buffer or a file.  Warm-starting
-/// is Algorithm 3's reuse applied twice: within a field, every chunk starts
-/// from the bound tuned on that field's chunk 0; across builds for the same
-/// field name (a time series packed through one writer), each chunk starts
-/// from the bound *it* used last step.  Both seeds depend only on (field,
+/// is Algorithm 3's reuse applied twice, both through Engine::compress on
+/// each chunk's own key: across builds for the same field name (a time
+/// series packed through one writer), each chunk starts from the bound *it*
+/// carried last step; within a field, a chunk with none starts from the
+/// bound chunk 0 settled on, which seeds it.  Both depend only on (field,
 /// chunk) identity — never on which worker handles a chunk — so a whole
 /// campaign pays full ratio training roughly once per field and the archives
 /// stay byte-identical at any worker count and on either transport.
 class ArchiveWriter {
 public:
-  /// Non-throwing factory; unknown backends / invalid tuner configs come
-  /// back as a Status.
+  /// Non-throwing factory; unknown backends, invalid backend options and
+  /// invalid tuner configs come back as a Status.
   static Result<ArchiveWriter> create(ArchiveWriteConfig config) noexcept;
 
   /// Throwing convenience constructor (setup code, tests).

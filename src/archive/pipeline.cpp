@@ -56,17 +56,12 @@ telemetry::Gauge& staged_bytes_gauge() {
   return g;
 }
 
-/// Field keys inside the writer's shared BoundStore.  The tune key is stable
-/// across builds so the persistent engine warm-starts a whole time series of
-/// the same field, and every chunk gets its OWN key — per-(field, chunk)
-/// keys are what make sharing one store across workers deterministic: a
-/// chunk's warm bound depends only on its field and index, never on which
-/// worker got it — and what lets each field of a multi-field archive
-/// warm-start independently.
-std::string field_tune_key(const std::string& field) {
-  return "archive:" + field + ":chunk0";
-}
-
+/// Per-(field, chunk) keys inside the writer's shared BoundStore.  Every
+/// chunk gets its OWN key, stable across builds so a time series of the same
+/// field warm-starts chunk by chunk: a chunk's warm bound depends only on its
+/// field and index, never on which worker got it, which is what makes
+/// sharing one store across workers deterministic — and what lets each field
+/// of a multi-field archive warm-start independently.
 std::string chunk_field_key(const std::string& field, std::size_t i) {
   return "archive:" + field + ":chunk:" + std::to_string(i);
 }
@@ -168,7 +163,6 @@ struct ArchiveAssembler::OpenField {
   std::size_t pushed_planes = 0;    ///< total planes received
   std::size_t staged_planes = 0;    ///< planes in the current stage row
   std::size_t next_chunk = 0;       ///< index of the row being staged
-  bool tuned = false;
   NdArray stage;                    ///< the ONE chunk row being assembled
 };
 
@@ -178,8 +172,7 @@ ArchiveAssembler::ArchiveAssembler(const ArchiveWriteConfig& config,
       state_(state),
       sink_(sink),
       workers_(resolve_workers(config.threads, SIZE_MAX)),
-      window_(static_cast<std::size_t>(workers_) + 1),
-      tune_stats_at_start_(state.tune_engine.stats()) {
+      window_(static_cast<std::size_t>(workers_) + 1) {
   idle_lanes_.reserve(workers_);  // at most one lane per concurrent runner
 }
 
@@ -273,6 +266,8 @@ void ArchiveAssembler::compress_row(Lane& lane, Chunk& chunk) const {
   {
     TELEM_SPAN("pack.compress_us");
     lane.engine.compress(chunk.key, slice, chunk.bytes, &outcome).throw_if_error();
+    for (const std::string& key : chunk.seeds)
+      lane.engine.seed(key, outcome.error_bound, outcome.achieved_ratio).throw_if_error();
     if (config_.zfp_rate_fallback && config_.engine.compressor == "zfp" && !outcome.in_band) {
       // The rescue backend inherits the user's zfp options; the rate
       // search overrides only zfp:mode / zfp:rate per probe.
@@ -370,8 +365,7 @@ void ArchiveAssembler::open_field(const std::string& name, const FieldDesc& desc
   }
 
   // A geometry change re-maps chunk indices onto different planes, so the
-  // per-chunk warm keys of the previous geometry are meaningless — drop them
-  // (the chunk-0 tune key survives: it tracks the field, not a chunk).
+  // per-chunk warm keys of the previous geometry are meaningless — drop them.
   const double target = config_.engine.tuner.target_ratio;
   WriterWarmState::FieldGeometry& geometry = state_.fields[name];
   if (geometry.shape != desc.shape || geometry.extent != field->extent) {
@@ -416,7 +410,7 @@ void ArchiveAssembler::push(const ArrayView& slab) {
     const std::size_t room = field.stage.shape()[0] - field.staged_planes;
     const std::size_t take = std::min(room, remaining);
     {
-      // Only the staging copy — submit_stage (tuning + pipeline hand-off) is
+      // Only the staging copy — submit_stage (the pipeline hand-off) is
       // accounted by the compress/emit spans downstream.
       TELEM_SPAN("pack.stage_us");
       std::memcpy(static_cast<std::uint8_t*>(field.stage.data()) +
@@ -433,38 +427,21 @@ void ArchiveAssembler::push(const ArrayView& slab) {
 
 void ArchiveAssembler::submit_stage() {
   OpenField& field = *open_;
-  if (!field.tuned) {
-    // Chunk 0 is complete: run the field's shared ratio training (or its
-    // warm confirmation) and seed every chunk key BEFORE any worker
-    // compresses.  Deterministic per-chunk snapshot: each key holds
-    // exactly the bound its compression will warm-start from — its own
-    // previous-build bound when one is stored (the time dimension of
-    // Algorithm 3), else the fresh chunk-0 bound.  Seeds depend only on
-    // (field, chunk index), so the bytes a chunk compresses to cannot
-    // depend on which worker handled it or on how many workers ran.  The
-    // training is a pool task so its probe batches fan out over the
-    // build's idle workers; the tuned bound is the same at any count.
-    const double shared_bound =
-        pool_->submit([&] {
-               return state_.tune_engine.tune(field_tune_key(field.name),
-                                              field.stage.view());
-             })
-            .get()
-            .value()
-            .error_bound;
-    const double target = config_.engine.tuner.target_ratio;
-    for (std::size_t i = 0; i < field.chunk_count; ++i) {
-      const std::string key = chunk_field_key(field.name, i);
-      if (state_.bounds->get(key, target) <= 0)
-        state_.bounds->put(key, target, shared_bound);
-    }
-    field.tuned = true;
-  }
-
   Chunk chunk;
   chunk.key = chunk_field_key(field.name, field.next_chunk);
   chunk.overhead = field.chunk_overhead;
   chunk.row = std::move(field.stage);
+  if (field.next_chunk == 0) {
+    // Chunk 0's compression is the field's search (or its warm hit).  Its
+    // outcome seeds each other chunk key with no bound yet; a key that a
+    // previous build left keeps its own bound (Algorithm 3's time axis).
+    const double target = config_.engine.tuner.target_ratio;
+    for (std::size_t i = 1; i < field.chunk_count; ++i) {
+      std::string key = chunk_field_key(field.name, i);
+      if (state_.bounds->get(key, target) <= 0) chunk.seeds.push_back(std::move(key));
+    }
+  }
+  const bool seeds = !chunk.seeds.empty();
   ++field.next_chunk;
   field.staged_planes = 0;
   if (field.next_chunk < field.chunk_count) {
@@ -492,6 +469,13 @@ void ArchiveAssembler::submit_stage() {
   peak_staged_bytes_ =
       std::max(peak_staged_bytes_, staged_bytes_ + field.stage_row_bytes);
   staged_bytes_gauge().add(static_cast<std::int64_t>(row_bytes));
+  if (seeds) {
+    // No later chunk of the field starts before chunk 0's seeds are
+    // written, so every chunk warm-starts from a bound fixed by (field,
+    // chunk) alone, whatever the worker count.
+    while (!failed_ && write_head_ <= field.first_chunk) progress_cv_.wait(lock);
+    if (failed_) std::rethrow_exception(failed_);
+  }
 }
 
 FieldWriteReport ArchiveAssembler::close_field() {
@@ -559,9 +543,6 @@ ArchiveWriteResult ArchiveAssembler::finish() {
     result.peak_staged_bytes = peak_staged_bytes_;
     region_bytes = emitted_bytes_;
   }
-  const EngineStats& tuned = state_.tune_engine.stats();
-  result.tuner_probe_calls += tuned.tuner_probe_calls - tune_stats_at_start_.tuner_probe_calls;
-  result.probe_cache_hits += tuned.probe_cache_hits - tune_stats_at_start_.probe_cache_hits;
 
   std::vector<FieldInfo> manifest_fields;
   for (const FieldWriteReport& report : reports_) {
@@ -614,16 +595,3 @@ ArchiveWriteResult ArchiveAssembler::finish() {
 }
 
 }  // namespace fraz::archive::detail
-
-namespace fraz::archive {
-
-WriterWarmState::WriterWarmState(const EngineConfig& engine_config)
-    : tune_engine(engine_config),
-      bounds(std::make_shared<BoundStore>()),
-      probes(std::make_shared<ProbeCache>()) {
-  tune_engine.adopt_bound_store(bounds);
-  tune_engine.adopt_probe_cache(probes);
-}
-
-}  // namespace fraz::archive
-

@@ -81,22 +81,25 @@ unsigned resolve_workers(unsigned requested, std::size_t tasks);
 /// compresses on a lane, an Engine adopting the warm state's BoundStore and
 /// ProbeCache, parked between runners, so a build makes at most `workers`
 /// lanes.  Chunk i of a field reads and commits only its own (field, i)
-/// key, pre-seeded at chunk 0, so the shared stores never make bytes
-/// scheduling-dependent.
+/// key.  Chunk 0 is an ordinary row whose compression is the field's only
+/// search; its outcome seeds the keys that carried no bound when it was
+/// queued (through Engine::seed, flagged when above the band), and its
+/// submit waits for it to be emitted before any later chunk of the field is
+/// queued.  So the shared stores never make bytes scheduling-dependent.
 ///
 /// Every call throws on failure.  Argument misuse leaves the build as it
-/// was; a failed tune, chunk compression or sink append poisons it, and
-/// every later call rethrows that first failure until the build is dropped.
+/// was; a failed chunk compression or sink append poisons it, and every
+/// later call rethrows that first failure until the build is dropped.
 ///
 /// A build runs on one pool of `threads` workers, made at the first field
-/// and joined with the build: chunk-0 training (the caller waits), chunk
-/// runners, and the probe helpers inside both, so idle workers join any
-/// search still running.  It must not outlive the build: a long-lived
-/// thread keeps its malloc arena, and later readers would open new ones.
+/// and joined with the build: chunk runners and the probe helpers inside
+/// their searches, so idle workers join any search still running.  It must
+/// not outlive the build: a long-lived thread keeps its malloc arena, and
+/// later readers would open new ones.
 ///
 /// \p state carries the persistent warm knowledge between builds: the
-/// per-field chunk-0 tuning engine, the shared BoundStore and the shared
-/// probe dedup cache.  This is the single write path behind ArchiveWriter.
+/// shared BoundStore, the shared probe dedup cache and each field's chunk
+/// geometry.  This is the single write path behind ArchiveWriter.
 class ArchiveAssembler {
 public:
   ArchiveAssembler(const ArchiveWriteConfig& config, WriterWarmState& state,
@@ -122,6 +125,8 @@ private:
   /// it, then its payload until the emission head passes it.
   struct Chunk {
     std::string key;     ///< the (field, chunk) warm key
+    /// keys this chunk's outcome seeds (chunk 0's: those without a bound)
+    std::vector<std::string> seeds;
     double overhead = 0; ///< the chunk's share of the archive's non-chunk bytes
     NdArray row;
     Buffer bytes;
@@ -135,10 +140,9 @@ private:
     pressio::CompressorPtr rate_backend;  ///< lazy zfp rescue (not thread-safe)
   };
 
-  /// Dispatch the staged chunk row (tuning + seeding the field first when it
-  /// is chunk 0, on the build pool) and stage the next row.  Blocks while
+  /// Dispatch the staged chunk row and stage the next row.  Blocks while
   /// the window is full — this back-pressure is the writer's input-memory
-  /// bound.
+  /// bound — and, after a chunk 0 that seeds keys, until it is emitted.
   void submit_stage();
   /// Run \p step; a failure it throws poisons the build before propagating.
   template <typename Fn>
@@ -167,7 +171,6 @@ private:
   ByteSink& sink_;              ///< where the archive lands, chunks first
   const unsigned workers_;      ///< runner and lane cap; the pool's size
   const std::size_t window_;    ///< submitted-but-unemitted chunk cap
-  const EngineStats tune_stats_at_start_;  ///< chunk-0 engine, for the delta
   Timer timer_;
 
   std::unique_ptr<OpenField> open_;

@@ -204,7 +204,6 @@ void ProbeCache::clear() noexcept {
 ProbeExecutor::ProbeExecutor(const pressio::Compressor& prototype, ProbeCachePtr cache,
                              unsigned threads)
     : prototype_(prototype.clone()),
-      config_fingerprint_(compressor_fingerprint(prototype)),
       cache_(std::move(cache)),
       threads_(threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads),
       probe_hist_backend_(&telemetry::global().histogram("tune.probe_us." + prototype.name())),
@@ -213,6 +212,11 @@ ProbeExecutor::ProbeExecutor(const pressio::Compressor& prototype, ProbeCachePtr
       cache_hits_backend_(
           &telemetry::global().counter("tune.probe_cache_hits." + prototype.name())) {
   require(cache_ != nullptr, "ProbeExecutor: cache must not be null");
+  // Every probe sets the bound, which the cache keys apart: fingerprint at
+  // one fixed bound, so the bound the caller's compressor last held cannot
+  // split the cache between two searches of the same data.
+  prototype_->set_error_bound(1.0);
+  config_fingerprint_ = compressor_fingerprint(*prototype_);
 }
 
 std::uint64_t ProbeExecutor::context_key(const ArrayView& data) const noexcept {

@@ -65,8 +65,8 @@ inline constexpr std::size_t kFingerprintWindowBytes = 256;
 std::uint64_t data_fingerprint(const ArrayView& data) noexcept;
 
 /// Fingerprint of a compressor's identity and configuration (name plus the
-/// full option map).  The probe axis — the error bound — is keyed
-/// separately, so a prototype's current bound setting does not matter.
+/// full option map, its current error bound included: ProbeExecutor fixes
+/// that bound first, since probes key the bound separately).
 std::uint64_t compressor_fingerprint(const pressio::Compressor& compressor);
 
 /// One cached probe observation.
@@ -241,7 +241,7 @@ private:
                       const QualityMetric* metric);
 
   pressio::CompressorPtr prototype_;
-  std::uint64_t config_fingerprint_;
+  std::uint64_t config_fingerprint_ = 0;
   ProbeCachePtr cache_;
   unsigned threads_;
 

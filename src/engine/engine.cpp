@@ -9,9 +9,9 @@ namespace fraz {
 
 namespace {
 
-// EngineStats stays a plain per-instance struct — its deltas are functional
-// (the archive pipeline accounts warm/retrained chunks from them) — so the
-// registry gets parallel process-wide totals bumped at the same sites.
+// EngineStats stays a plain per-instance struct — an archive build reports
+// the probe counters of its own lanes from it — so the registry gets
+// parallel process-wide totals bumped at the same sites.
 telemetry::Counter& tunes_counter() {
   static telemetry::Counter& c = telemetry::global().counter("engine.tunes");
   return c;
@@ -168,6 +168,15 @@ TuneResult Engine::settle(const std::string& field, double target, const Carried
     retrains_counter().add();
   }
   return result;
+}
+
+Status Engine::seed(const std::string& field, double bound, double achieved_ratio) noexcept {
+  return guarded([&] {
+    const double target = config_.tuner.target_ratio;
+    if (bounds_->get(field, target) > 0) return;
+    bounds_->put(field, target, bound,
+                 ratio_above_band(achieved_ratio, target, config_.tuner.epsilon));
+  });
 }
 
 Status Engine::compress_at(double error_bound, const ArrayView& data, Buffer& out) noexcept {

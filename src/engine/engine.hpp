@@ -138,6 +138,13 @@ public:
   Status compress(const std::string& field, const ArrayView& data, Buffer& out,
                   CompressOutcome* outcome = nullptr) noexcept;
 
+  /// Seed \p field with \p bound unless it already carries one.
+  /// \p achieved_ratio is what \p bound measured on data like the field's;
+  /// the seed is flagged above-band when that landed above the band, as a
+  /// search ending there would be.  The archive writer seeds a field's chunk
+  /// keys from its chunk 0's outcome.
+  Status seed(const std::string& field, double bound, double achieved_ratio) noexcept;
+
   /// Compress at an explicit error bound, bypassing tuning and cache.
   Status compress_at(double error_bound, const ArrayView& data, Buffer& out) noexcept;
 

@@ -321,8 +321,10 @@ TEST(Archive, SingleChunkAndOddShapes) {
 }
 
 TEST(Archive, WriterWarmStartsAcrossWrites) {
-  // Packing a time series: the writer's persistent engine carries the
-  // chunk-0 bound, so later steps skip full training and chunks stay warm.
+  // Packing a time series: the writer's bound store carries every chunk's
+  // bound, so later steps skip training and chunks stay warm.  A step whose
+  // chunks are all warm spends no tuning probe at all, not even a cached
+  // one: each chunk's archive is its own measurement.
   const auto hurricane = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
   const auto spec = data::field_by_name(hurricane, "TCf");
   ArchiveWriter writer(writer_config("sz", 8.0, 0.2));
@@ -334,6 +336,7 @@ TEST(Archive, WriterWarmStartsAcrossWrites) {
   EXPECT_EQ(second.value().retrained_chunks, 0u)
       << "a mildly drifting step should reuse the carried bound";
   EXPECT_EQ(second.value().warm_chunks, second.value().chunk_count);
+  EXPECT_EQ(second.value().tuner_probe_calls + second.value().probe_cache_hits, 0u);
 }
 
 TEST(Archive, InvalidRequestsAreStatuses) {

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -767,7 +768,8 @@ TEST(ArchiveFields, RunnerFailureIsStickyUntilCancel) {
   const NdArray field = make_field(DType::kFloat32, {16, 12, 10});
   for (const unsigned workers : {1u, 4u}) {
     // A clean build counts the compressions; the failing build lets all but
-    // the last two succeed, so chunk-0 training passes and a runner fails.
+    // the last two succeed, so chunk 0's search passes and a later runner
+    // fails.
     g_fail_after_limit = std::numeric_limits<std::size_t>::max();
     g_fail_after_calls = 0;
     {
@@ -908,7 +910,7 @@ TEST(ArchiveFields, OneBuildMakesAtMostOneLanePerWorker) {
       return pressio::registry().create("sz");
     });
   ArchiveWriter writer(writer_config("sz-counted", 6.0, 0.2, 2, 4));
-  factory_calls = 0;  // the writer's own chunk-0 engine is not a lane
+  factory_calls = 0;  // the construction check's engine is not a lane
   Buffer out;
   ASSERT_TRUE(writer.begin(out).ok());
   for (int f = 0; f < 5; ++f) {
@@ -925,12 +927,12 @@ TEST(ArchiveFields, OneBuildMakesAtMostOneLanePerWorker) {
   EXPECT_LE(factory_calls.load(), 4);
 }
 
-TEST(ArchiveFields, IdenticalRetrainingChunksExecuteTheirProbesOnce) {
-  // Planes below 39 are zero, so chunks 0..8 hold identical bytes.  Chunk
-  // 0's training ends above the band and the others retrain from its bound;
-  // at four workers they search concurrently.  The probe cache runs each
-  // identical probe once whoever asks first, so the build executes exactly
-  // the probes a serial build does, and writes the same bytes.
+/// Planes of a 64×48×48 test field: a smooth wave, except that planes in
+/// [first_copy, end_copy) repeat planes 0..3 of \p copied every four planes,
+/// so at a chunk extent of 4 the chunks in that range hold identical bytes.
+NdArray wave_with_repeated_chunks(std::size_t first_copy, std::size_t end_copy,
+                                  const std::function<float(std::size_t, std::size_t,
+                                                            std::size_t)>& copied) {
   const std::size_t n0 = 64, n1 = 48, n2 = 48;
   NdArray field(DType::kFloat32, {n0, n1, n2});
   auto* values = static_cast<float*>(field.data());
@@ -938,8 +940,50 @@ TEST(ArchiveFields, IdenticalRetrainingChunksExecuteTheirProbesOnce) {
     for (std::size_t j = 0; j < n1; ++j)
       for (std::size_t k = 0; k < n2; ++k)
         values[(i * n1 + j) * n2 + k] =
-            i < 39 ? 0.0f
-                   : static_cast<float>(std::sin(0.1 * i + 0.05 * j) * std::cos(0.07 * k) * 40);
+            i >= first_copy && i < end_copy
+                ? copied(i % 4, j, k)
+                : static_cast<float>(std::sin(0.1 * i + 0.05 * j) * std::cos(0.07 * k) * 40);
+  return field;
+}
+
+TEST(ArchiveFields, ChunksIdenticalToAnAboveBandChunkZeroKeepItsSeed) {
+  // Planes below 39 are zero, so chunks 0..8 hold identical bytes.  Chunk
+  // 0's search ends above the band (zeros compress past any bound), and its
+  // outcome seeds the other chunks flagged above-band.  Chunks 1..8 land
+  // above the band at that seed again, so they keep it without a search.
+  const NdArray field = wave_with_repeated_chunks(0, 39, [](auto, auto, auto) { return 0.0f; });
+  for (const unsigned workers : {1u, 4u}) {
+    ArchiveWriter writer(writer_config("sz", 10.0, 0.1, 4, workers));
+    Buffer bytes;
+    auto result = writer.write(field.view(), bytes);
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    const std::vector<archive::ChunkReport>& chunks = result.value().chunks;
+    ASSERT_EQ(chunks.size(), 16u);
+    ASSERT_TRUE(above_band(chunks[0])) << workers << " workers";
+    EXPECT_TRUE(chunks[0].retrained) << workers << " workers";
+    for (std::size_t i = 1; i <= 8; ++i) {
+      EXPECT_TRUE(chunks[i].warm) << workers << " workers, chunk " << i;
+      EXPECT_FALSE(chunks[i].retrained) << workers << " workers, chunk " << i;
+      EXPECT_EQ(chunks[i].tuned_bound, chunks[0].tuned_bound) << workers << ", chunk " << i;
+    }
+  }
+}
+
+TEST(ArchiveFields, IdenticalRetrainingChunksExecuteTheirProbesOnce) {
+  // Chunks 1..8 repeat one noisy row, so they hold identical bytes and land
+  // below the band at the bound chunk 0's smooth planes seed: all eight
+  // retrain, at four workers concurrently.  The probe cache runs each
+  // identical probe once whoever asks first, so the build executes exactly
+  // the probes a serial build does, and writes the same bytes.
+  const NdArray field = wave_with_repeated_chunks(4, 36, [](std::size_t i, std::size_t j,
+                                                            std::size_t k) {
+    std::uint32_t h = static_cast<std::uint32_t>((i * 48 + j) * 48 + k) * 2654435761u;
+    h ^= h >> 15;
+    h *= 2246822519u;
+    h ^= h >> 13;
+    const double noise = 4.0 * (static_cast<double>(h & 0xffff) / 65536.0 - 0.5);
+    return static_cast<float>(std::sin(0.1 * i + 0.05 * j) * std::cos(0.07 * k) * 40 + noise);
+  });
   const auto pack_at = [&](unsigned workers, Buffer& out) {
     ArchiveWriter writer(writer_config("sz", 10.0, 0.1, 4, workers));
     auto result = writer.write(field.view(), out);
@@ -948,10 +992,15 @@ TEST(ArchiveFields, IdenticalRetrainingChunksExecuteTheirProbesOnce) {
   };
   Buffer serial_bytes;
   const ArchiveWriteResult serial = pack_at(1, serial_bytes);
-  ASSERT_GT(serial.retrained_chunks, 1u) << "the zero chunks must retrain";
+  ASSERT_EQ(serial.chunks.size(), 16u);
+  for (std::size_t i = 1; i <= 8; ++i)
+    EXPECT_TRUE(serial.chunks[i].retrained) << "chunk " << i << " must retrain";
   for (int run = 0; run < 3; ++run) {
     Buffer bytes;
     const ArchiveWriteResult parallel = pack_at(4, bytes);
+    ASSERT_EQ(parallel.chunks.size(), 16u) << "run " << run;
+    for (std::size_t i = 1; i <= 8; ++i)
+      EXPECT_TRUE(parallel.chunks[i].retrained) << "run " << run << ", chunk " << i;
     EXPECT_EQ(parallel.tuner_probe_calls, serial.tuner_probe_calls) << "run " << run;
     EXPECT_EQ(parallel.tuner_probe_calls + parallel.probe_cache_hits,
               serial.tuner_probe_calls + serial.probe_cache_hits)

@@ -322,6 +322,30 @@ TEST(Tuner, SharedCacheMakesARepeatTuneFree) {
   EXPECT_EQ(second.probe_cache()->stats().entries, cache->stats().entries);
 }
 
+TEST(Tuner, SharedCacheIgnoresThePrototypesCurrentBound) {
+  // The bound is the probe axis: every probe sets it.  Two searches of the
+  // same data whose compressors last held different bounds run the same
+  // probes, so through one cache the second executes none of them.
+  const auto ds = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
+  const NdArray field = data::generate_field(data::field_by_name(ds, "TCf"), 0);
+  auto at_1e3 = pressio::registry().create("sz");
+  auto at_2e3 = pressio::registry().create("sz");
+  at_1e3->set_error_bound(1e-3);
+  at_2e3->set_error_bound(2e-3);
+  TunerConfig cfg;
+  cfg.target_ratio = 7.0;
+  cfg.threads = 1;
+
+  const auto cache = std::make_shared<ProbeCache>();
+  const TuneResult a = Tuner(*at_1e3, cfg, cache).tune(field.view());
+  const TuneResult b = Tuner(*at_2e3, cfg, cache).tune(field.view());
+  EXPECT_EQ(b.error_bound, a.error_bound);
+  EXPECT_EQ(b.achieved_ratio, a.achieved_ratio);
+  EXPECT_EQ(b.compress_calls, a.compress_calls);
+  EXPECT_GT(b.compress_calls, 1);
+  EXPECT_EQ(b.probe_cache_hits, b.compress_calls);
+}
+
 // ------------------------------------------------------------ BoundStore
 
 TEST(BoundStore, KeyedByFieldAndTarget) {
