@@ -9,6 +9,7 @@
 /// serve_protocol/, varint/, entropy/, szx/, fpc/, sz2/, container/).  The checked-in copy
 /// lives at tests/corpus/ and doubles as the negative-path unit-test input
 /// set.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include "codec/huffman.hpp"
 #include "codec/rans.hpp"
 #include "codec/varint.hpp"
+#include "compressors/container.hpp"
 #include "compressors/fpc/fpc.hpp"
 #include "compressors/sz/sz.hpp"
 #include "compressors/szx/szx.hpp"
@@ -51,7 +53,30 @@ NdArray smooth_field() {
   return field;
 }
 
-/// Writers emit only v3, so this writes archive_v3.fraz and its footer.  The
+/// archive_wrong_shape.fraz: \p archive with chunk 0 replaced by a frame of
+/// the same size, with a valid CRC, that declares 2048^3 f32 elements (32
+/// GiB) where the manifest holds a 3×8×4 chunk.  The manifest's chunk CRC
+/// still matches (every valid frame ends in its own CRC), so only the check
+/// of the frame header against the manifest stops the read, before any
+/// decoder sizes memory from the frame.
+bool emit_wrong_shape_archive(const fs::path& dir, const Buffer& archive) {
+  auto reader = archive::ArchiveReader::open(archive.data(), archive.size());
+  if (!reader.ok()) return false;
+  const archive::ChunkEntry& entry = reader.value().fields().at(0).chunks.at(0);
+  Buffer frame;
+  for (std::size_t payload = entry.size; payload-- > 0 && frame.size() != entry.size;)
+    seal_container_into(CompressorId::kTruncate, DType::kFloat32, Shape{2048, 2048, 2048},
+                        std::vector<std::uint8_t>(payload, 0), frame);
+  if (frame.size() != entry.size) return false;
+  std::vector<std::uint8_t> forged(archive.data(), archive.data() + archive.size());
+  std::copy(frame.data(), frame.data() + frame.size(),
+            forged.begin() + static_cast<std::ptrdiff_t>(reader.value().info().chunk_region +
+                                                         entry.offset));
+  return write_file(dir / "archive_wrong_shape.fraz", forged.data(), forged.size());
+}
+
+/// Writers emit only v3, so this writes archive_v3.fraz and its footer, and
+/// the wrong-shape archive derived from it.  The
 /// older-format seeds in the same directory (archive_v1.fraz,
 /// archive_v2.fraz, footer_v2.bin and the golden_v2_*.fraz archives) are
 /// frozen: they were written while v1/v2 could still be written, tests pin
@@ -75,7 +100,9 @@ bool emit_archives(const fs::path& dir) {
   if (!write_file(dir / "archive_v3.fraz", bytes.data(), bytes.size())) return false;
   // The bare footer is its own seed: the open path's first parse step.
   const std::size_t tail = bytes.size() < 48 ? bytes.size() : 48;
-  return write_file(dir / "footer_v3.bin", bytes.data() + bytes.size() - tail, tail);
+  if (!write_file(dir / "footer_v3.bin", bytes.data() + bytes.size() - tail, tail))
+    return false;
+  return emit_wrong_shape_archive(dir, bytes);
 }
 
 bool emit_bound_store(const fs::path& dir) {

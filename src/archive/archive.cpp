@@ -10,6 +10,7 @@
 #include "archive/archive_file.hpp"
 #include "archive/pipeline.hpp"
 #include "codec/checksum.hpp"
+#include "compressors/container.hpp"
 #include "opt/thread_pool.hpp"
 #include "pressio/registry.hpp"
 #include "telemetry/telemetry.hpp"
@@ -61,8 +62,8 @@ public:
       : compressor_(pressio::registry().create(compressor)),
         span_(&telemetry::global().histogram("decode_us." + compressor)) {}
 
-  /// Validate chunk \p i's CRC and decode it (throwing).  \p chunk_region
-  /// is the archive's chunk-region base offset.
+  /// Validate chunk \p i's CRC and frame header, then decode it
+  /// (throwing).  \p chunk_region is the archive's chunk-region base offset.
   NdArray decode(const detail::ChunkSource& source, const FieldInfo& field,
                  std::size_t chunk_region, std::size_t i) {
     const ChunkEntry& entry = field.chunks[i];
@@ -70,6 +71,14 @@ public:
         source.fetch(chunk_region + entry.offset, entry.size, scratch_);
     if (crc32(chunk, entry.size) != entry.crc)
       throw CorruptStream("archive: chunk " + std::to_string(i) + " failed its checksum");
+    // The backend sizes its output from the frame's header, so the header
+    // must declare what the manifest does before the backend sees it: then
+    // a decode allocates only what the manifest holds.  A header-only parse;
+    // the decoder's own open_container runs the frame's CRC.
+    const FrameHeader header = read_frame_header(chunk, entry.size);
+    if (header.dtype != field.dtype || header.shape != shape_of_chunk(field, i))
+      throw CorruptStream("archive: chunk " + std::to_string(i) +
+                          " frame declares a dtype or shape the manifest does not");
     NdArray decoded;
     const Status s = [&] {
       telemetry::SpanTimer span(*span_);
@@ -77,7 +86,9 @@ public:
     }();
     if (!s.ok())
       throw CorruptStream("archive: chunk " + std::to_string(i) + ": " + s.to_string());
-    if (decoded.dtype() != field.dtype || decoded.shape() != shape_of_chunk(field, i))
+    // Built-in backends decode to their frame's header; a plugin that does
+    // not must not reach copy_chunk_planes, which trusts the shape.
+    if (decoded.dtype() != field.dtype || decoded.shape() != header.shape)
       throw CorruptStream("archive: chunk " + std::to_string(i) +
                           " decoded to an unexpected shape");
     return decoded;
@@ -384,7 +395,8 @@ bool ArchiveReader::mapped() const noexcept { return source_->mapped(); }
 
 std::size_t ArchiveReader::field_index(const std::string& name) const {
   const FieldInfo* field = find_field(info_, name);
-  require(field != nullptr, "archive: no field named '" + name + "'");
+  // Not require(): its message would be built on every read, found or not.
+  if (!field) throw InvalidArgument("archive: no field named '" + name + "'");
   return static_cast<std::size_t>(field - info_.fields.data());
 }
 
@@ -444,7 +456,8 @@ Result<NdArray> ArchiveReader::read_range(const std::string& field, std::size_t 
       throw InvalidArgument("archive: plane range out of bounds");
     Shape out_shape = info.shape;
     out_shape[0] = count;
-    NdArray out(info.dtype, std::move(out_shape));
+    // read_planes writes every plane of the range (or throws, dropping out).
+    NdArray out = NdArray::unfilled(info.dtype, std::move(out_shape));
     read_planes(f, first, count, threads, out);
     return out;
   });

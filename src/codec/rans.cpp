@@ -52,6 +52,14 @@ std::vector<std::uint8_t> rans_encode(const std::uint32_t* symbols, std::size_t 
     put_varint(out, 0);  // empty alphabet
     return out;
   }
+  // A stream of one symbol (an sz chunk whose codes are all one value) needs
+  // neither the census nor the state loop; the scan stops at the first
+  // other symbol.
+  const std::uint32_t first = symbols[0];
+  if (std::all_of(symbols + 1, symbols + n, [first](std::uint32_t s) { return s == first; })) {
+    rans_detail::encode_one_symbol_stream<kProbBits>(first, out);
+    return out;
+  }
   require(rans_detail::encode_stream<kProbBits, 1>(symbols, n, out),
           "rans: alphabet exceeds the probability table");
   return out;

@@ -239,6 +239,18 @@ template bool encode_stream<kRansInterleavedProbBits, kRansWays>(const std::uint
                                                                  std::size_t,
                                                                  std::vector<std::uint8_t>&);
 
+template <unsigned ProbBits>
+void encode_one_symbol_stream(std::uint32_t symbol, std::vector<std::uint8_t>& out) {
+  put_varint(out, 1);  // distinct count
+  put_varint(out, symbol);
+  put_varint(out, 1u << ProbBits);
+  put_varint(out, 4);  // payload bytes: the state, big-endian
+  for (int b = 3; b >= 0; --b) out.push_back(static_cast<std::uint8_t>(kStateLow >> (8 * b)));
+}
+
+template void encode_one_symbol_stream<kRansProbBits>(std::uint32_t,
+                                                      std::vector<std::uint8_t>&);
+
 void parse_alphabet(ByteReader& in, unsigned prob_bits, std::vector<SymbolStats>& stats) {
   const std::uint32_t scale = 1u << prob_bits;
   const std::uint64_t distinct = in.varint();

@@ -36,6 +36,15 @@ struct SymbolStats {
 template <unsigned ProbBits, unsigned Ways>
 bool encode_stream(const std::uint32_t* symbols, std::size_t n, std::vector<std::uint8_t>& out);
 
+/// Append exactly what encode_stream<ProbBits, 1> appends for a stream of
+/// n >= 1 copies of \p symbol, without its census or state loop.  The one
+/// symbol owns all 2^ProbBits slots, and an encode step with freq ==
+/// 2^ProbBits maps every state to itself (x_max is 2^31, so no renorm byte;
+/// q * cmpl_freq is 0; cum is 0), so the payload is the initial state
+/// kStateLow alone, whatever n is.
+template <unsigned ProbBits>
+void encode_one_symbol_stream(std::uint32_t symbol, std::vector<std::uint8_t>& out);
+
 /// Read an alphabet section written by encode_stream into \p stats (left
 /// empty when its distinct count is 0), assigning cumulative starts.  Throws
 /// CorruptStream on more than 2^prob_bits symbols, a frequency outside

@@ -43,14 +43,15 @@ void seal_container_into(CompressorId id, DType dtype, const Shape& shape,
 
 namespace {
 
-Container open_container_impl(const std::uint8_t* data, std::size_t size,
-                              const CompressorId* expected) {
-  ByteReader in(data, size, "container");
+/// Check the size floor and the magic; leaves \p in after the magic.
+void check_magic(ByteReader& in, std::size_t size) {
   if (size < 12) in.fail("too small");
   if (in.u32() != kMagic) in.fail("bad magic");
-  const std::uint32_t stored_crc = in.trailer(4).u32();
-  if (crc32(data, size - 4) != stored_crc) in.fail("checksum mismatch");
+}
 
+/// The header fields after the magic, up to (not including) the payload
+/// size.
+FrameHeader read_header_fields(ByteReader& in) {
   const std::uint8_t version = in.u8();
   const std::uint8_t id_tag = in.u8();
   const std::uint8_t dtype_tag = in.u8();
@@ -65,14 +66,15 @@ Container open_container_impl(const std::uint8_t* data, std::size_t size,
       id_tag > static_cast<std::uint8_t>(CompressorId::kFpc))
     in.fail("unknown compressor id");
 
-  Container c;
-  c.id = static_cast<CompressorId>(id_tag);
-  c.dtype = dtype_tag == 0 ? DType::kFloat32 : DType::kFloat64;
+  FrameHeader h;
+  h.id = static_cast<CompressorId>(id_tag);
+  h.dtype = dtype_tag == 0 ? DType::kFloat32 : DType::kFloat64;
+  h.version = version;
   const std::uint64_t ndims = in.varint();
   if (ndims == 0 || ndims > 8) in.fail("bad rank");
-  c.shape.resize(ndims);
+  h.shape.resize(ndims);
   std::size_t elements = 1;
-  for (auto& d : c.shape) {
+  for (auto& d : h.shape) {
     d = in.varint();
     if (d == 0) in.fail("zero extent");
     // Decoders size their output from the shape: its f64 byte count must
@@ -80,10 +82,21 @@ Container open_container_impl(const std::uint8_t* data, std::size_t size,
     if (d > std::numeric_limits<std::size_t>::max() / 8 / elements) in.fail("shape overflows");
     elements *= d;
   }
+  return h;
+}
+
+Container open_container_impl(const std::uint8_t* data, std::size_t size,
+                              const CompressorId* expected) {
+  ByteReader in(data, size, "container");
+  check_magic(in, size);
+  const std::uint32_t stored_crc = in.trailer(4).u32();
+  if (crc32(data, size - 4) != stored_crc) in.fail("checksum mismatch");
+
+  Container c;
+  static_cast<FrameHeader&>(c) = read_header_fields(in);
   c.payload_size = in.varint();
   c.payload = in.take(c.payload_size, "payload size mismatch");
   in.expect_end("payload size mismatch");
-  c.version = version;
   // A frame is corrupt before it is foreign: the producer check comes last.
   if (expected && c.id != *expected)
     throw Unsupported("container: produced by a different compressor");
@@ -98,6 +111,12 @@ Container open_container(const std::uint8_t* data, std::size_t size, CompressorI
 
 Container open_container(const std::uint8_t* data, std::size_t size) {
   return open_container_impl(data, size, nullptr);
+}
+
+FrameHeader read_frame_header(const std::uint8_t* data, std::size_t size) {
+  ByteReader in(data, size, "container");
+  check_magic(in, size);
+  return read_header_fields(in);
 }
 
 }  // namespace fraz

@@ -35,17 +35,21 @@ enum class CompressorId : std::uint8_t {
   kFpc = 6,
 };
 
-/// Parsed container: header fields plus a span of the payload.
-struct Container {
+/// A frame's header fields: what the frame says it holds.
+struct FrameHeader {
   CompressorId id;
   DType dtype;
   Shape shape;
-  const std::uint8_t* payload;
-  std::size_t payload_size;
   /// Format version of the frame.  1 for every backend's classic payload;
   /// 2 only for sz blocked payloads (the payload grammar changes with it,
   /// so the decoder routes on this field).  v1 stays decodable forever.
   std::uint8_t version = 1;
+};
+
+/// Parsed container: header fields plus a span of the payload.
+struct Container : FrameHeader {
+  const std::uint8_t* payload;
+  std::size_t payload_size;
 };
 
 /// Serialize header + payload + checksum into one buffer.
@@ -71,6 +75,13 @@ Container open_container(const std::uint8_t* data, std::size_t size, CompressorI
 /// Same validation without an expected-producer check: accepts any known
 /// CompressorId (the archive reader learns the backend from the frame itself).
 Container open_container(const std::uint8_t* data, std::size_t size);
+
+/// Parse only the header, with the same checks as open_container but
+/// without the CRC pass over the frame or any look at the payload.  A
+/// caller that knows what the frame must hold (an archive reader, from its
+/// manifest) compares it before any decoder sizes memory from the frame.
+/// Throws CorruptStream.
+FrameHeader read_frame_header(const std::uint8_t* data, std::size_t size);
 
 }  // namespace fraz
 

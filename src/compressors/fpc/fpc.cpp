@@ -185,7 +185,8 @@ NdArray fpc_decompress(const std::uint8_t* data, std::size_t size) {
       throw CorruptStream("fpc: implausible shape");
     n *= extent;
   }
-  NdArray out(c.dtype, c.shape);
+  // decode_payload writes elements 0..n-1 in order.
+  NdArray out = NdArray::unfilled(c.dtype, c.shape);
   if (c.dtype == DType::kFloat32)
     decode_payload<float>(c, static_cast<std::size_t>(n), out);
   else

@@ -190,7 +190,8 @@ NdArray decompress_impl(const Container& c) {
 
   const Shape& shape = c.shape;
   const auto stride = strides_of(shape);
-  NdArray out(c.dtype, shape);
+  // Every node's level is in [0, levels], so the level sweep writes each one.
+  NdArray out = NdArray::unfilled(c.dtype, shape);
   Scalar* recon = out.typed<Scalar>();
   if (codes.size() != out.elements()) throw CorruptStream("mgard: code count mismatch");
   const std::vector<std::uint8_t> lvl = node_levels(shape, levels);

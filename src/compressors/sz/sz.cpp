@@ -272,7 +272,8 @@ NdArray decompress_impl(const Container& c) {
 
   const auto stride = szi::strides_of(c.shape);
   const CoeffSteps steps = coeff_steps(e, D);
-  NdArray out(c.dtype, c.shape);
+  // The block walk below writes every element once.
+  NdArray out = NdArray::unfilled(c.dtype, c.shape);
   Scalar* recon = out.typed<Scalar>();
   szi::check_codes(codes);
 

@@ -403,7 +403,8 @@ NdArray blocked_decompress_impl(const Container& c, unsigned threads) {
   for (std::size_t gi = 0; gi < groups.size(); ++gi) blobs.push_back(in.section());
   in.expect_end("trailing payload bytes");
 
-  NdArray out(c.dtype, c.shape);
+  // The groups partition the blocks and each block writes all its elements.
+  NdArray out = NdArray::unfilled(c.dtype, c.shape);
   const auto stride = szi::strides_of(c.shape);
   Scalar* recon = out.typed<Scalar>();
   parallel_for_shared(groups.size(), threads, [&](std::size_t gi) {

@@ -180,7 +180,8 @@ NdArray szx_decompress(const std::uint8_t* data, std::size_t size) {
       throw CorruptStream("szx: implausible shape");
     n *= extent;
   }
-  NdArray out(c.dtype, c.shape);
+  // decode_payload writes each block's elements in every block state.
+  NdArray out = NdArray::unfilled(c.dtype, c.shape);
   if (c.dtype == DType::kFloat32)
     decode_payload<float>(c, static_cast<std::size_t>(n), out);
   else

@@ -70,7 +70,8 @@ void truncate_compress_into(const ArrayView& input, const TruncateOptions& optio
 
 NdArray truncate_decompress(const std::uint8_t* data, std::size_t size) {
   const Container c = open_container(data, size, CompressorId::kTruncate);
-  NdArray out(c.dtype, c.shape);
+  // decompress_impl writes elements 0..n-1 in order.
+  NdArray out = NdArray::unfilled(c.dtype, c.shape);
   if (c.dtype == DType::kFloat32)
     decompress_impl<float, std::uint32_t>(c, out);
   else

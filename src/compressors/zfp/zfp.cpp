@@ -398,7 +398,8 @@ NdArray zfp_decompress(const std::uint8_t* data, std::size_t size) {
   ByteReader in(c.payload, c.payload_size, "zfp");
   const ZfpOptions opt = read_header(in);
   const BitReader planes(in.data(), in.remaining());
-  NdArray out(c.dtype, c.shape);
+  // The 4^d blocks tile the array and each scatters all its in-bounds values.
+  NdArray out = NdArray::unfilled(c.dtype, c.shape);
   if (c.dtype == DType::kFloat32)
     decompress_impl<float>(c, opt, planes, out);
   else

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 namespace fraz {
 
@@ -23,33 +24,68 @@ ArrayView::ArrayView(const void* data, DType dtype, Shape shape)
 
 NdArray::NdArray() : dtype_(DType::kFloat32), elements_(0) {}
 
-NdArray::NdArray(DType dtype, Shape shape)
-    : dtype_(dtype),
-      shape_(std::move(shape)),
-      elements_(shape_elements(shape_)),
-      buffer_(elements_ * dtype_size(dtype), 0) {}
+NdArray::NdArray(DType dtype, Shape shape, Unfilled)
+    : dtype_(dtype), shape_(std::move(shape)), elements_(shape_elements(shape_)) {
+  // new[] of a byte array default-initializes: the bytes are left unset.
+  if (elements_ != 0) buffer_.reset(new std::uint8_t[size_bytes()]);
+}
+
+NdArray::NdArray(DType dtype, Shape shape) : NdArray(dtype, std::move(shape), Unfilled{}) {
+  if (buffer_) std::memset(buffer_.get(), 0, size_bytes());
+}
+
+NdArray NdArray::unfilled(DType dtype, Shape shape) {
+  NdArray out(dtype, std::move(shape), Unfilled{});
+#ifdef FRAZ_POISON_UNFILLED
+  if (out.buffer_) std::memset(out.buffer_.get(), kUnfilledPoison, out.size_bytes());
+#endif
+  return out;
+}
+
+NdArray::NdArray(const NdArray& other) : NdArray(other.dtype_, other.shape_, Unfilled{}) {
+  if (buffer_) std::memcpy(buffer_.get(), other.buffer_.get(), size_bytes());
+}
+
+NdArray& NdArray::operator=(const NdArray& other) {
+  if (this != &other) *this = NdArray(other);
+  return *this;
+}
+
+NdArray::NdArray(NdArray&& other) noexcept
+    : dtype_(other.dtype_),
+      shape_(std::exchange(other.shape_, Shape{})),
+      elements_(std::exchange(other.elements_, 0)),
+      buffer_(std::move(other.buffer_)) {}
+
+NdArray& NdArray::operator=(NdArray&& other) noexcept {
+  dtype_ = other.dtype_;
+  shape_ = std::exchange(other.shape_, Shape{});
+  elements_ = std::exchange(other.elements_, 0);
+  buffer_ = std::move(other.buffer_);
+  return *this;
+}
 
 double NdArray::at_flat(std::size_t i) const {
   require(i < elements_, "NdArray::at_flat: index out of range");
-  if (dtype_ == DType::kFloat32) return reinterpret_cast<const float*>(buffer_.data())[i];
-  return reinterpret_cast<const double*>(buffer_.data())[i];
+  if (dtype_ == DType::kFloat32) return reinterpret_cast<const float*>(buffer_.get())[i];
+  return reinterpret_cast<const double*>(buffer_.get())[i];
 }
 
 void NdArray::set_flat(std::size_t i, double v) {
   require(i < elements_, "NdArray::set_flat: index out of range");
   if (dtype_ == DType::kFloat32)
-    reinterpret_cast<float*>(buffer_.data())[i] = static_cast<float>(v);
+    reinterpret_cast<float*>(buffer_.get())[i] = static_cast<float>(v);
   else
-    reinterpret_cast<double*>(buffer_.data())[i] = v;
+    reinterpret_cast<double*>(buffer_.get())[i] = v;
 }
 
 std::vector<double> NdArray::to_doubles() const {
   std::vector<double> out(elements_);
   if (dtype_ == DType::kFloat32) {
-    const auto* p = reinterpret_cast<const float*>(buffer_.data());
+    const auto* p = reinterpret_cast<const float*>(buffer_.get());
     std::copy(p, p + elements_, out.begin());
   } else {
-    const auto* p = reinterpret_cast<const double*>(buffer_.data());
+    const auto* p = reinterpret_cast<const double*>(buffer_.get());
     std::copy(p, p + elements_, out.begin());
   }
   return out;
@@ -58,16 +94,14 @@ std::vector<double> NdArray::to_doubles() const {
 NdArray NdArray::slice2d(std::size_t plane) const {
   if (dims() == 2) {
     require(plane == 0, "NdArray::slice2d: plane out of range for 2D array");
-    NdArray out(dtype_, shape_);
-    std::memcpy(out.data(), buffer_.data(), buffer_.size());
-    return out;
+    return *this;
   }
   require(dims() == 3, "NdArray::slice2d: requires a 2D or 3D array");
   require(plane < shape_[0], "NdArray::slice2d: plane out of range");
   const std::size_t plane_elems = shape_[1] * shape_[2];
   const std::size_t esize = dtype_size(dtype_);
   NdArray out(dtype_, {shape_[1], shape_[2]});
-  std::memcpy(out.data(), buffer_.data() + plane * plane_elems * esize, plane_elems * esize);
+  std::memcpy(out.data(), buffer_.get() + plane * plane_elems * esize, plane_elems * esize);
   return out;
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ndarray/dtype.hpp"
@@ -61,6 +62,26 @@ public:
   /// Allocate a zero-initialized array.
   NdArray(DType dtype, Shape shape);
 
+  /// Allocate an array whose elements are left unset: only for an output
+  /// the caller then writes completely (a read's plane range, a decoder's
+  /// reconstruction), so its bytes are written once instead of zeroed and
+  /// overwritten.  Builds configured with FRAZ_SANITIZE fill it with
+  /// kUnfilledPoison instead, so an element a caller forgets to write
+  /// breaks value comparisons in the sanitizer job.
+  static NdArray unfilled(DType dtype, Shape shape);
+
+  /// The byte sanitizer builds fill unfilled() arrays with: every f32 and
+  /// f64 made of it is a huge finite value (0x7f7f7f7f ~ 3.4e38), which
+  /// fails error-bound and equality checks alike, where a NaN would slip
+  /// past max-error reductions built on std::max.
+  static constexpr std::uint8_t kUnfilledPoison = 0x7f;
+
+  NdArray(const NdArray& other);
+  NdArray& operator=(const NdArray& other);
+  /// Moves leave \p other empty: no elements, no shape, no buffer.
+  NdArray(NdArray&& other) noexcept;
+  NdArray& operator=(NdArray&& other) noexcept;
+
   /// Build from an existing vector of scalars; shape must match size.
   template <typename T>
   static NdArray from_vector(const std::vector<T>& values, Shape shape) {
@@ -75,27 +96,27 @@ public:
   const Shape& shape() const noexcept { return shape_; }
   std::size_t dims() const noexcept { return shape_.size(); }
   std::size_t elements() const noexcept { return elements_; }
-  std::size_t size_bytes() const noexcept { return buffer_.size(); }
+  std::size_t size_bytes() const noexcept { return elements_ * dtype_size(dtype_); }
 
-  void* data() noexcept { return buffer_.data(); }
-  const void* data() const noexcept { return buffer_.data(); }
+  void* data() noexcept { return buffer_.get(); }
+  const void* data() const noexcept { return buffer_.get(); }
 
   /// Typed mutable pointer; T must match dtype().
   template <typename T>
   T* typed() {
     require(dtype_of<T>::value == dtype_, "NdArray::typed: dtype mismatch");
-    return reinterpret_cast<T*>(buffer_.data());
+    return reinterpret_cast<T*>(buffer_.get());
   }
 
   /// Typed const pointer; T must match dtype().
   template <typename T>
   const T* typed() const {
     require(dtype_of<T>::value == dtype_, "NdArray::typed: dtype mismatch");
-    return reinterpret_cast<const T*>(buffer_.data());
+    return reinterpret_cast<const T*>(buffer_.get());
   }
 
   /// Non-owning view of the whole array.
-  ArrayView view() const { return ArrayView(buffer_.data(), dtype_, shape_); }
+  ArrayView view() const { return ArrayView(buffer_.get(), dtype_, shape_); }
   operator ArrayView() const { return view(); }
 
   /// Element i (flat index) widened to double, regardless of dtype.
@@ -111,10 +132,15 @@ public:
   NdArray slice2d(std::size_t plane) const;
 
 private:
+  struct Unfilled {};
+  NdArray(DType dtype, Shape shape, Unfilled);
+
   DType dtype_;
   Shape shape_;
   std::size_t elements_;
-  std::vector<std::uint8_t> buffer_;
+  /// size_bytes() bytes; null when there are none.  Not a std::vector,
+  /// whose sized construction always value-initializes.
+  std::unique_ptr<std::uint8_t[]> buffer_;
 };
 
 /// Maximum absolute value in the view (0 for empty views).

@@ -204,7 +204,8 @@ Result<NdArray> ReaderHandle::read_range(std::size_t field, std::size_t first,
 
     Shape out_shape = f.shape;
     out_shape[0] = count;
-    NdArray out(f.dtype, std::move(out_shape));
+    // The chunk loop writes every plane of the range, or returns its failure.
+    NdArray out = NdArray::unfilled(f.dtype, std::move(out_shape));
     const std::size_t last_chunk = (first + count - 1) / f.chunk_extent;
     for (std::size_t c = first / f.chunk_extent; c <= last_chunk; ++c) {
       auto chunk = pool_->chunk(field, c);

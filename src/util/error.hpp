@@ -52,6 +52,13 @@ inline void require(bool cond, const std::string& what) {
   if (!cond) detail::throw_invalid(what);
 }
 
+/// The same for a literal message: the string is built only on failure, so
+/// a check that passes allocates nothing (NdArray::typed, shape_elements and
+/// ArrayView run one on every call).
+inline void require(bool cond, const char* what) {
+  if (!cond) detail::throw_invalid(what);
+}
+
 /// Render \p err the way strerror would, but never claim "Success" for a
 /// failure whose errno a C library call did not set.  Capture errno at the
 /// failing call — before any other call can clobber it — and pass it here.

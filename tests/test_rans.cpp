@@ -10,6 +10,7 @@
 
 #include "codec/checksum.hpp"
 #include "codec/lz.hpp"
+#include "codec/rans_table.hpp"
 #include "codec/varint.hpp"
 #include "compressors/container.hpp"
 #include "compressors/sz/sz.hpp"
@@ -277,6 +278,23 @@ TEST(Rans, EncoderBytesArePinned) {
     EXPECT_EQ(rans_decode(encoded), symbols);
     EXPECT_EQ(rans_decode_ref(encoded.data(), encoded.size()), symbols);
   }
+}
+
+TEST(Rans, OneSymbolStreamsMatchTheGeneralEncoder) {
+  // rans_encode codes a one-symbol stream without the census or the state
+  // loop; its bytes must be those of the general table and payload coder.
+  for (const std::uint32_t symbol : {0u, 1u, 32768u, 0xffffffffu})
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4097}, std::size_t{100003}}) {
+      SCOPED_TRACE(std::to_string(symbol) + " x " + std::to_string(n));
+      const std::vector<std::uint32_t> symbols(n, symbol);
+      std::vector<std::uint8_t> general;
+      put_varint(general, n);
+      const bool coded =
+          rans_detail::encode_stream<kRansProbBits, 1>(symbols.data(), n, general);
+      ASSERT_TRUE(coded);
+      EXPECT_EQ(rans_encode(symbols), general);
+    }
 }
 
 /// Symbols with exactly the given counts, deterministically shuffled.  When

@@ -324,6 +324,23 @@ TEST(UntrustedArchive, CorpusArchivesOpenAndTruncationsFail) {
   }
 }
 
+TEST(UntrustedArchive, CorpusWrongShapeFrameFailsItsChunkReadOnly) {
+  // Chunk 0's frame has a valid CRC and declares 2^33 f32 elements where
+  // the manifest holds 3×8×4: the read fails on the header check, before
+  // the backend would size its output from the frame.
+  const auto bytes = read_corpus_file("archive_format/archive_wrong_shape.fraz");
+  auto reader = archive::ArchiveReader::open(bytes.data(), bytes.size());
+  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+  const archive::FieldInfo& field = reader.value().fields().at(0);
+  const auto forged = reader.value().read_chunk(field.name, 0);
+  ASSERT_FALSE(forged.ok());
+  EXPECT_EQ(forged.status().code(), StatusCode::kCorruptStream);
+  EXPECT_NE(forged.status().message().find("manifest"), std::string::npos)
+      << forged.status().to_string();
+  for (std::size_t i = 1; i < field.chunk_count; ++i)
+    EXPECT_TRUE(reader.value().read_chunk(field.name, i).ok()) << "chunk " << i;
+}
+
 // ------------------------------------------ varint / entropy decoder edges
 
 TEST(UntrustedCodecs, VarintTruncationThrowsCorruptStream) {
