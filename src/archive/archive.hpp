@@ -152,9 +152,10 @@ struct ArchiveWriteResult {
   std::size_t retrained_chunks = 0;
   std::size_t rate_fallback_chunks = 0;
   /// Compressor probes actually spent tuning this write (every chunk's
-  /// search; a warm chunk spends none), cache-served probes excluded.
+  /// search; a warm chunk spends none), memo-served probes excluded.
   std::size_t tuner_probe_calls = 0;
-  /// Tuning probes the writer's shared probe cache served for free.
+  /// Tuning probes the chunks' searches served from their memos for free:
+  /// bounds a search proposed again.
   std::size_t probe_cache_hits = 0;
   /// Peak number of chunk payloads the writer held in memory at once
   /// (claimed-but-unemitted); bounded by workers + 1, which is what makes
@@ -172,16 +173,15 @@ struct ArchiveWriteResult {
 };
 
 /// Warm-start state a writer carries across write() calls and field
-/// sessions, whichever transport each build uses: the thread-safe stores
-/// every per-worker chunk engine adopts — a BoundStore holding the freshest
+/// sessions, whichever transport each build uses: the thread-safe
+/// BoundStore every per-worker chunk engine adopts, holding the freshest
 /// carried bound under a deterministic per-(field, chunk) key (the time
 /// dimension of Algorithm 3; one key per chunk so worker scheduling can
 /// never change which bound a chunk sees, one namespace per field so fields
-/// warm-start independently), and the ProbeCache that dedups tuning probes
-/// across chunks, fields, and writes.
+/// warm-start independently).  Probes are not carried: each chunk's search
+/// remembers its own.
 struct WriterWarmState {
   BoundStorePtr bounds = std::make_shared<BoundStore>();
-  ProbeCachePtr probes = std::make_shared<ProbeCache>();
 
   /// Chunk-grid geometry a field's per-chunk warm keys were minted for; an
   /// ingest of the same field with a different geometry invalidates them

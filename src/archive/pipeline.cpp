@@ -218,7 +218,6 @@ ArchiveAssembler::Lane ArchiveAssembler::take_lane() {
   }
   Lane lane{Engine(config_.engine), nullptr};
   lane.engine.adopt_bound_store(state_.bounds);
-  lane.engine.adopt_probe_cache(state_.probes);
   return lane;
 }
 

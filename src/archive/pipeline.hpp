@@ -78,10 +78,10 @@ unsigned resolve_workers(unsigned requested, std::size_t tasks);
 /// compress them, started by a submit while fewer than `workers` are live
 /// and retired once the queue is empty (which frees the pool for the probe
 /// helpers of chunks still searching); and one emission head.  A runner
-/// compresses on a lane, an Engine adopting the warm state's BoundStore and
-/// ProbeCache, parked between runners, so a build makes at most `workers`
-/// lanes.  Chunk i of a field reads and commits only its own (field, i)
-/// key.  Chunk 0 is an ordinary row whose compression is the field's only
+/// compresses on a lane, an Engine adopting the warm state's BoundStore,
+/// parked between runners, so a build makes at most `workers` lanes.
+/// Chunk i of a field reads and commits only its own (field, i) key.
+/// Chunk 0 is an ordinary row whose compression is the field's only
 /// search; its outcome seeds the keys that carried no bound when it was
 /// queued (through Engine::seed, flagged when above the band), and its
 /// submit waits for it to be emitted before any later chunk of the field is

@@ -28,9 +28,10 @@ QualityTuneResult tune_for_quality(const pressio::Compressor& compressor,
 
   QualityTuneResult result;
   // The executor owns worker clone + scratch + decode reuse; quality probes
-  // are serial (each feeds the next proposal) so one context suffices.
-  ProbeExecutor executor(compressor, std::make_shared<ProbeCache>(), 1);
-  const std::uint64_t context = executor.context_key(data);
+  // are serial (each feeds the next proposal) so one context suffices.  The
+  // memo answers a bound the search proposes twice.
+  ProbeExecutor executor(compressor, 1);
+  ProbeMemo memo;
 
   // Quality falls as the bound grows, so the largest acceptable bound sits
   // at the quality ~= floor crossing.  Search log-space for the bound that
@@ -47,7 +48,7 @@ QualityTuneResult tune_for_quality(const pressio::Compressor& compressor,
   double x;
   while (state.ask(x)) {
     const double bound = std::exp(x);
-    const ProbeOutcome probe = executor.probe_quality(data, context, bound, config.metric);
+    const ProbeOutcome probe = executor.probe_quality(data, memo, bound, config.metric);
     const double quality = probe.record.quality;
     ++result.evaluations;
     if (quality >= config.quality_floor && bound > best_bound) {

@@ -10,10 +10,10 @@
 /// The machinery is FRaZ's: a black-box objective over the error bound,
 /// driven through the shared tuning stack — an ask/tell `opt::SearchState`
 /// whose quality probes (compress + decompress + metric) run through the
-/// same `ProbeExecutor`/`ProbeCache` layer the ratio tuner uses.  The tuner
-/// finds the *largest* bound (best ratio) whose quality still clears the
-/// floor.  (`QualityMetric` now lives in core/probe.hpp, next to the probe
-/// that measures it.)
+/// same `ProbeExecutor` and per-search `ProbeMemo` the ratio tuner uses.
+/// The tuner finds the *largest* bound (best ratio) whose quality still
+/// clears the floor.  (`QualityMetric` now lives in core/probe.hpp, next to
+/// the probe that measures it.)
 
 #include <cstdint>
 

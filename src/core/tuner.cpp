@@ -21,16 +21,15 @@ std::uint64_t substream(std::uint64_t seed, std::uint64_t index) {
   return z ^ (z >> 31);
 }
 
+bool all_bytes_zero(const ArrayView& data) {
+  const auto* bytes = static_cast<const std::uint8_t*>(data.data());
+  return std::all_of(bytes, bytes + data.size_bytes(), [](std::uint8_t b) { return b == 0; });
+}
+
 }  // namespace
 
 Tuner::Tuner(const pressio::Compressor& prototype, TunerConfig config)
-    : Tuner(prototype, config, std::make_shared<ProbeCache>()) {}
-
-Tuner::Tuner(const pressio::Compressor& prototype, TunerConfig config, ProbeCachePtr cache)
-    : prototype_(prototype.clone()),
-      config_(config),
-      cache_(std::move(cache)),
-      executor_(prototype, cache_, config_.threads) {
+    : prototype_(prototype.clone()), config_(config), executor_(prototype, config_.threads) {
   validate(config_);
 }
 
@@ -54,31 +53,28 @@ Region Tuner::search_range(const ArrayView& data) const {
   return Region{lo, hi};
 }
 
-TuneResult Tuner::tune(const ArrayView& data) const {
-  return tune(data, executor_.context_key(data));
-}
-
-TuneResult Tuner::tune(const ArrayView& data, std::uint64_t context) const {
+TuneResult Tuner::tune(const ArrayView& data, ProbeMemo memo) const {
   require(prototype_->supports_dims(data.dims()),
           "Tuner: compressor '" + prototype_->name() + "' does not support this rank");
   Timer timer;
-  if (prototype_->capabilities().lossless) {
-    // A lossless backend (fpc) has a flat ratio curve: the bound never
-    // changes the bytes, so one probe reveals the only achievable ratio and
-    // a region search would spend its whole budget learning nothing.
-    const double bound = search_range(data).hi;
-    const ProbeOutcome probe = executor_.probe_ratio(data, context, bound);
+  // A flat ratio curve: the bound never changes the size, so one probe
+  // reveals the only achievable ratio and a region search would spend its
+  // whole budget learning nothing.
+  const auto single_probe = [&](double bound) {
+    const ProbeOutcome probe = executor_.probe_ratio(data, memo, bound);
     TuneResult result;
     result.error_bound = bound;
     result.achieved_ratio = probe.record.ratio;
     result.feasible =
         ratio_acceptable(probe.record.ratio, config_.target_ratio, config_.epsilon);
     result.compress_calls = 1;
-    result.probe_cache_hits = probe.from_cache ? 1 : 0;
+    result.probe_cache_hits = probe.from_memo ? 1 : 0;
     result.seconds = timer.seconds();
     return result;
-  }
+  };
   const Region range = search_range(data);
+  // A lossless backend (fpc) never changes its bytes with the bound.
+  if (prototype_->capabilities().lossless) return single_probe(range.hi);
   // Optionally work in log(bound) space: the region split and the global
   // search then resolve every decade of the bound axis equally well.
   const bool log_scale = config_.log_scale_search;
@@ -91,10 +87,10 @@ TuneResult Tuner::tune(const ArrayView& data, std::uint64_t context) const {
 
   // One ask/tell stepper per region (paper Alg. 2), all advancing in
   // lockstep: each round collects one proposal from every live region,
-  // evaluates the batch through the probe executor (dedup cache, fan-out on
-  // the caller's pool), and feeds the observations back.  The round
-  // structure replaces the seed's one-blocked-thread-per-region layout and
-  // its racy cancellation: the winner's round is the last round,
+  // evaluates the batch through the probe executor (the search's memo,
+  // fan-out on the caller's pool), and feeds the observations back.  The
+  // round structure replaces the seed's one-blocked-thread-per-region layout
+  // and its racy cancellation: the winner's round is the last round,
   // deterministically, so losing regions no longer drain their full budgets.
   std::vector<opt::SearchState> states;
   states.reserve(regions.size());
@@ -108,6 +104,15 @@ TuneResult Tuner::tune(const ArrayView& data, std::uint64_t context) const {
     states.emplace_back(regions[i].lo, regions[i].hi, search);
     // Report the region in bound units even when searching in log space.
     outcomes[i].region = Region{to_bound(regions[i].lo), to_bound(regions[i].hi)};
+  }
+  // All-zero bytes compress to one size at every bound (mgard aside, whose
+  // stream codes bound 1.0 a byte shorter; docs/API.md), so a full search
+  // would settle on region 0's first proposal: the first of its equally
+  // close ratios.
+  if (all_bytes_zero(data)) {
+    double x;
+    states.front().ask(x);
+    return single_probe(to_bound(x));
   }
 
   std::vector<std::size_t> round_region;
@@ -128,14 +133,14 @@ TuneResult Tuner::tune(const ArrayView& data, std::uint64_t context) const {
     if (round_region.empty()) break;  // every region exhausted its budget
 
     const std::vector<ProbeOutcome> probes =
-        executor_.probe_ratios(data, context, round_bounds);
+        executor_.probe_ratios(data, memo, round_bounds);
     for (std::size_t k = 0; k < round_region.size(); ++k) {
       const std::size_t i = round_region[k];
       const double ratio = probes[k].record.ratio;
       states[i].tell(round_x[k], ratio_loss(ratio, config_.target_ratio));
       RegionOutcome& outcome = outcomes[i];
       ++outcome.compress_calls;
-      outcome.cache_hits += probes[k].from_cache;
+      outcome.cache_hits += probes[k].from_memo;
       const double dist = std::abs(ratio - config_.target_ratio);
       if (dist < best_dist[i]) {
         best_dist[i] = dist;

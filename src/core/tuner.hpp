@@ -75,7 +75,7 @@ struct RegionOutcome {
   double best_bound = 0;    ///< e with ratio closest to target in this region
   double best_ratio = 0;    ///< ρr at best_bound
   int compress_calls = 0;   ///< probes this region's search consumed
-  int cache_hits = 0;       ///< of those, served by the probe cache for free
+  int cache_hits = 0;       ///< of those, served by the search's memo for free
   bool hit_cutoff = false;  ///< landed inside the acceptance band
   bool cancelled = false;   ///< stopped early because another region won
 };
@@ -86,8 +86,9 @@ struct TuneResult {
   double achieved_ratio = 0; ///< ρr(e)
   bool feasible = false;     ///< true when inside the acceptance band
   bool from_prediction = false;  ///< settled by the carried bound alone (Engine)
-  int compress_calls = 0;    ///< probes the search consumed (cache hits included)
-  int probe_cache_hits = 0;  ///< probes served without a compressor invocation
+  int compress_calls = 0;    ///< probes the search consumed (memo hits included)
+  int probe_cache_hits = 0;  ///< probes the search's memo served without a
+                             ///< compressor invocation
   double seconds = 0;        ///< wall time of the tuning
   std::vector<RegionOutcome> regions;  ///< per-region detail (empty when
                                        ///< settled by prediction)
@@ -99,8 +100,8 @@ struct TuneResult {
 ///
 /// Since the ask/tell refactor the K region searches (paper Alg. 2) advance
 /// in deterministic lockstep rounds: each round asks every live region for
-/// its next proposal, evaluates the batch through a ProbeExecutor (dedup
-/// cache + fan-out on the caller's pool), tells each region its
+/// its next proposal, evaluates the batch through a ProbeExecutor (the
+/// search's memo + fan-out on the caller's pool), tells each region its
 /// observation, and cancels every region the moment one lands in the
 /// acceptance band.  The
 /// tuned bound is therefore bit-identical at any thread count, and losing
@@ -109,32 +110,27 @@ class Tuner {
 public:
   Tuner(const pressio::Compressor& prototype, TunerConfig config);
 
-  /// Share a probe cache with other consumers (Engines, archive workers):
-  /// identical (data, config, bound) probes anywhere in the process are then
-  /// paid once.  \p cache must not be null.
-  Tuner(const pressio::Compressor& prototype, TunerConfig config, ProbeCachePtr cache);
-
-  /// Throw InvalidArgument on a nonsensical \p config; both constructors
-  /// run it, and a caller can run it without building a Tuner.
+  /// Throw InvalidArgument on a nonsensical \p config; the constructor runs
+  /// it, and a caller can run it without building a Tuner.
   static void validate(const TunerConfig& config);
 
   const TunerConfig& config() const noexcept { return config_; }
 
-  /// The dedup cache this tuner consults and feeds.
-  const ProbeCachePtr& probe_cache() const noexcept { return cache_; }
-
   /// The probe front end the search spends its probes through.  A caller
   /// that probes \p data itself first (Engine's prediction probe) shares it,
-  /// and with it the cache and the worker contexts.
+  /// and with it the worker contexts.
   ProbeExecutor& executor() const noexcept { return executor_; }
 
-  /// Algorithm 2: full parallel training on a single dataset.
-  TuneResult tune(const ArrayView& data) const;
-
-  /// Same, with the probe-cache context of \p data already computed by
-  /// executor().context_key (a context is a pass over the data — a caller
-  /// that probed first hands its own down instead of paying it twice).
-  TuneResult tune(const ArrayView& data, std::uint64_t context) const;
+  /// Algorithm 2: full parallel training on a single dataset.  \p memo holds
+  /// the probes already made on \p data through executor() (Engine's probe
+  /// of the carried bound); the search answers a proposal it holds without
+  /// a compression, and adds its own probes to it.
+  ///
+  /// Data whose bytes are all zero compresses to the same size at every
+  /// bound (mgard aside at 1.0; docs/API.md), so the search is a single
+  /// probe at region 0's first proposal: the bound a full search over that
+  /// flat curve settles on.
+  TuneResult tune(const ArrayView& data, ProbeMemo memo = {}) const;
 
 private:
   /// Resolve the [lo, hi] search range for \p data per config defaults.
@@ -142,10 +138,9 @@ private:
 
   pressio::CompressorPtr prototype_;
   TunerConfig config_;
-  ProbeCachePtr cache_;
   /// Thread-safe probe front end; mutable so const tuning entry points can
   /// spend probes (tune() is logically const: identical inputs, identical
-  /// results, cache state only affects cost).
+  /// results).
   mutable ProbeExecutor executor_;
 };
 

@@ -37,8 +37,7 @@ telemetry::Counter& above_band_keeps_counter() {
 Engine::Engine(EngineConfig config)
     : config_(std::move(config)),
       compressor_(pressio::registry().create(config_.compressor, config_.compressor_options)),
-      bounds_(std::make_shared<BoundStore>()),
-      probe_cache_(std::make_shared<ProbeCache>()) {
+      bounds_(std::make_shared<BoundStore>()) {
   // Fail construction, not first use, on a nonsensical tuner config.
   Tuner::validate(config_.tuner);
 }
@@ -51,29 +50,25 @@ void Engine::adopt_bound_store(BoundStorePtr store) noexcept {
   if (store) bounds_ = std::move(store);
 }
 
-void Engine::adopt_probe_cache(ProbeCachePtr cache) noexcept {
-  if (cache) probe_cache_ = std::move(cache);
-}
-
 Result<TuneResult> Engine::tune(const std::string& field, const ArrayView& data,
                                 double target_ratio) noexcept {
   return guarded([&] {
     Timer timer;
     TunerConfig cfg = config_.tuner;
     cfg.target_ratio = target_ratio;
-    const Tuner tuner(*compressor_, cfg, probe_cache_);
-    const std::uint64_t context = tuner.executor().context_key(data);
+    const Tuner tuner(*compressor_, cfg);
+    // The probe of the carried bound is the first entry of the search's memo.
+    ProbeMemo memo;
     const CarriedBound carried = bounds_->carried(field, target_ratio);
     TuneResult at_carried;
     if (carried.bound > 0) {
-      const ProbeOutcome probe = tuner.executor().probe_ratio(data, context, carried.bound);
       at_carried.error_bound = carried.bound;
-      at_carried.achieved_ratio = probe.record.ratio;
+      at_carried.achieved_ratio =
+          tuner.executor().probe_ratio(data, memo, carried.bound).record.ratio;
       at_carried.compress_calls = 1;
-      at_carried.probe_cache_hits = probe.from_cache ? 1 : 0;
     }
     TuneResult result = settle(field, target_ratio, carried, at_carried,
-                               [&] { return tuner.tune(data, context); });
+                               [&] { return tuner.tune(data, std::move(memo)); });
     result.seconds = timer.seconds();
     return result;
   });
@@ -100,7 +95,7 @@ Status Engine::compress(const std::string& field, const ArrayView& data, Buffer&
   }
   const Result<TuneResult> tuned = guarded([&] {
     return settle(field, target, carried, at_carried, [&] {
-      return Tuner(*compressor_, config_.tuner, probe_cache_).tune(data);
+      return Tuner(*compressor_, config_.tuner).tune(data);
     });
   });
   if (!tuned.ok()) return tuned.status();
@@ -142,7 +137,6 @@ TuneResult Engine::settle(const std::string& field, double target, const Carried
   if (!result.from_prediction) {
     result = train();
     result.compress_calls += at_carried.compress_calls;
-    result.probe_cache_hits += at_carried.probe_cache_hits;
     // Carry an in-band result, or an above-band one flagged as such; a
     // search that ends below the band carries nothing.
     const bool above_band = ratio_above_band(result.achieved_ratio, target, epsilon);

@@ -39,7 +39,6 @@
 #include <string>
 #include <utility>
 
-#include "core/probe.hpp"
 #include "core/tuner.hpp"
 #include "engine/bound_store.hpp"
 #include "pressio/compressor.hpp"
@@ -68,10 +67,11 @@ struct EngineStats {
   std::size_t retrains = 0;         ///< fell back to full training
   std::size_t compress_calls = 0;   ///< archive-producing compressions
   std::size_t decompress_calls = 0;
-  /// Compressor invocations actually spent inside tuning (probes the shared
-  /// cache served for free are excluded — they cost no compression).
+  /// Compressor invocations actually spent inside tuning (probes a search's
+  /// memo served for free are excluded — they cost no compression).
   std::size_t tuner_probe_calls = 0;
-  /// Tuning probes the shared probe cache answered without a compression.
+  /// Tuning probes a search's memo answered without a compression: bounds
+  /// the search had already probed.
   std::size_t probe_cache_hits = 0;
 };
 
@@ -98,11 +98,11 @@ struct CompressOutcome {
 };
 
 /// Facade over registry + tuner + bound cache.  Not thread-safe; give each
-/// worker its own Engine.  The two caches — the warm BoundStore and the
-/// dedup ProbeCache — ARE thread-safe and are meant to be shared: sibling
-/// worker Engines adopt one store so every worker warm-starts from the
-/// freshest carried bounds and identical probes are paid once
-/// (adopt_bound_store / adopt_probe_cache).
+/// worker its own Engine.  The warm BoundStore IS thread-safe and is meant
+/// to be shared: sibling worker Engines adopt one store so every worker
+/// warm-starts from the freshest carried bounds (adopt_bound_store).  Probes
+/// are not shared: each tuning pass remembers its own in a memo that lives
+/// as long as its search.
 class Engine {
 public:
   /// Non-throwing factory: unknown backend names or invalid options come
@@ -172,10 +172,6 @@ public:
   void adopt_bound_store(BoundStorePtr store) noexcept;
   const BoundStorePtr& bound_store() const noexcept { return bounds_; }
 
-  /// Share the probe dedup cache with sibling Engines / tuners (non-null).
-  void adopt_probe_cache(ProbeCachePtr cache) noexcept;
-  const ProbeCachePtr& probe_cache() const noexcept { return probe_cache_; }
-
   const EngineStats& stats() const noexcept { return stats_; }
 
   /// Per-field breakdown of the aggregate counters (empty until a field is
@@ -201,8 +197,7 @@ private:
 
   EngineConfig config_;
   pressio::CompressorPtr compressor_;
-  BoundStorePtr bounds_;        ///< carried bound per (field, target)
-  ProbeCachePtr probe_cache_;   ///< dedup cache fed to every tuning pass
+  BoundStorePtr bounds_;  ///< carried bound per (field, target)
   EngineStats stats_;
   std::map<std::string, EngineFieldStats> field_stats_;
 };

@@ -2,14 +2,13 @@
 #define FRAZ_UTIL_LFU_INDEX_HPP
 
 /// \file lfu_index.hpp
-/// The one eviction policy of the process's caches (serve::ChunkCache,
-/// ProbeCache): a cost-budgeted least-frequently-used index with dynamic
-/// aging.
+/// The eviction policy of serve::ChunkCache: a cost-budgeted
+/// least-frequently-used index with dynamic aging.
 ///
-/// Every entry has a cost (decoded bytes for a chunk, 1 for a probe record)
-/// and a rank: the index's *floor* at admission plus the entry's hits since
-/// then.  Insertion evicts the lowest rank first, and among equal ranks the
-/// least recently touched (inserted or hit), so entries of equal use still
+/// Every entry has a cost (a chunk's decoded bytes) and a rank: the
+/// index's *floor* at admission plus the entry's hits since then.
+/// Insertion evicts the lowest rank first, and among equal ranks the least
+/// recently touched (inserted or hit), so entries of equal use still
 /// leave in LRU order.  Each eviction raises the floor to the victim's rank,
 /// so new entries start level with what was just dropped, and an entry that
 /// stops being hit leaves once the floor reaches its rank.  Hit counts are

@@ -7,10 +7,10 @@
 /// / `fraz::CondVar` wrappers every lock-bearing subsystem uses.
 ///
 /// FRaZ's core guarantees — bit-identical tuned bounds and byte-identical
-/// packs at any worker count — rest on lock discipline spread across eight
-/// concurrent subsystems (ProbeCache, BoundStore, ChunkCache, ReaderPool,
-/// ThreadPool, the telemetry registry, the archive assembler, serve
-/// sessions).  TSan samples executions; these annotations are exhaustive:
+/// packs at any worker count — rest on lock discipline spread across seven
+/// concurrent subsystems (BoundStore, ChunkCache, ReaderPool, ThreadPool,
+/// the telemetry registry, the archive assembler, serve sessions).  TSan
+/// samples executions; these annotations are exhaustive:
 /// `clang++ -Wthread-safety -Werror` (the `tools/lint.sh` / CI lint gate)
 /// turns every future guarded-state access outside its lock into a compile
 /// error.  Under GCC (or any non-Clang compiler) every macro expands to

@@ -642,7 +642,7 @@ TEST(ArchiveFields, WorkerCountDoesNotChangeRetrainingFieldBytesOrBounds) {
       EXPECT_TRUE(build.chunks[i].warm) << "step " << step << ", chunk " << i;
       ++kept;
     }
-    EXPECT_LT(build.tuner_probe_calls, serial[0].tuner_probe_calls) << "step " << step;
+    EXPECT_LT(build.retrained_chunks, serial[0].retrained_chunks) << "step " << step;
   }
   EXPECT_GT(kept, 0u) << "the campaign must carry above-band chunks";
   for (const CampaignBuild& build : serial) EXPECT_LE(build.peak_buffered_chunks, 2u);
@@ -969,12 +969,12 @@ TEST(ArchiveFields, ChunksIdenticalToAnAboveBandChunkZeroKeepItsSeed) {
   }
 }
 
-TEST(ArchiveFields, IdenticalRetrainingChunksExecuteTheirProbesOnce) {
+TEST(ArchiveFields, IdenticalRetrainingChunksSpendTheSameProbesAtAnyWorkerCount) {
   // Chunks 1..8 repeat one noisy row, so they hold identical bytes and land
   // below the band at the bound chunk 0's smooth planes seed: all eight
-  // retrain, at four workers concurrently.  The probe cache runs each
-  // identical probe once whoever asks first, so the build executes exactly
-  // the probes a serial build does, and writes the same bytes.
+  // retrain, at four workers concurrently.  Each search keeps its own probe
+  // memo, so the build executes exactly the probes a serial build does,
+  // whichever worker runs which chunk, and writes the same bytes.
   const NdArray field = wave_with_repeated_chunks(4, 36, [](std::size_t i, std::size_t j,
                                                             std::size_t k) {
     std::uint32_t h = static_cast<std::uint32_t>((i * 48 + j) * 48 + k) * 2654435761u;

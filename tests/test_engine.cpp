@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "data/datasets.hpp"
@@ -572,6 +573,50 @@ TEST(Engine, TuneDropsABoundWhoseRetrainEndsBelowTheBand) {
       }
     }
   }
+}
+
+TEST(Engine, TuneMeasuresEachStepOfALargeFieldOnItsOwnBytes) {
+  // Two steps of a field over 1 MiB that agree in 64 evenly spaced 256-byte
+  // windows (first at offset 0, last flush with the end) and differ
+  // everywhere else.  A probe record keyed by a hash of only those windows
+  // would answer step B's probes with step A's ratios.  Each search must
+  // measure its own data: B's reported ratio is what B compresses to at B's
+  // bound.
+  const Shape shape{300, 1024};
+  const NdArray a = make_field(DType::kFloat32, shape);
+  NdArray b = a;
+  const std::size_t size = a.size_bytes();
+  constexpr std::size_t kWindows = 64, kWindowBytes = 256;
+  ASSERT_GT(size, std::size_t{1} << 20);
+  std::vector<bool> windowed(size, false);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    const std::size_t start = (size - kWindowBytes) * w / (kWindows - 1);
+    std::fill(windowed.begin() + start, windowed.begin() + start + kWindowBytes, true);
+  }
+  float* values = b.typed<float>();
+  std::uint32_t h = 12345;
+  for (std::size_t i = 0; i < b.elements(); ++i) {
+    h = h * 1664525u + 1013904223u;
+    const std::size_t byte = i * sizeof(float);
+    if (std::none_of(windowed.begin() + byte, windowed.begin() + byte + sizeof(float),
+                     [](bool in) { return in; }))
+      values[i] += 8.0f * (static_cast<float>(h >> 8) / 16777216.0f - 0.5f);
+  }
+
+  auto sz = pressio::registry().create("sz");
+  const auto ratio_at = [&](const NdArray& data, double bound) {
+    sz->set_error_bound(bound);
+    return static_cast<double>(data.size_bytes()) /
+           static_cast<double>(sz->compress(data.view()).size());
+  };
+  Engine engine(fast_config("sz", 10.0));
+  const auto step_a = engine.tune("step", a.view());
+  ASSERT_TRUE(step_a.ok()) << step_a.status().to_string();
+  ASSERT_NE(ratio_at(b, step_a.value().error_bound), step_a.value().achieved_ratio)
+      << "the steps must compress differently at A's bound";
+  const auto step_b = engine.tune("step", b.view());
+  ASSERT_TRUE(step_b.ok()) << step_b.status().to_string();
+  EXPECT_EQ(step_b.value().achieved_ratio, ratio_at(b, step_b.value().error_bound));
 }
 
 // ------------------------------------------------ registry config creation

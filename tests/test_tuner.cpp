@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "data/datasets.hpp"
 #include "engine/engine.hpp"
 #include "pressio/registry.hpp"
@@ -57,6 +61,83 @@ TEST_P(TunerBackendSweep, TunedBoundReproducesRatio) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TunerBackendSweep,
                          testing::Values("sz", "zfp", "mgard"));
+
+// ------------------------------------------------------- all-zero data
+
+/// A lossy registry backend under one configuration.
+struct LossyBackend {
+  std::string label;
+  std::string name;
+  pressio::Options options;
+};
+
+/// Every lossy backend the registry holds; sz in both of its modes.
+std::vector<LossyBackend> lossy_backends() {
+  std::vector<LossyBackend> out;
+  for (const std::string& name : pressio::registry().names()) {
+    if (pressio::registry().create(name)->capabilities().lossless) continue;
+    if (name != "sz") {
+      out.push_back({name, name, {}});
+      continue;
+    }
+    for (const char* mode : {"serial", "blocked"})
+      out.push_back({name + "_" + mode, name, pressio::Options{{"sz:mode", std::string(mode)}}});
+  }
+  return out;
+}
+
+class ZeroDataSweep : public testing::TestWithParam<LossyBackend> {};
+
+TEST_P(ZeroDataSweep, SizeIsFlatAcrossBoundsSoTuneSpendsOneProbe) {
+  // The premise of the tuner's one-probe rule for all-zero data: every
+  // lossy backend writes the same size at every bound, so a region search
+  // would learn nothing its first probe did not.  One exception: mgard
+  // stores its tolerance as a raw double inside an LZ-coded stream, and the
+  // zero bytes of 1.0's bit pattern code one byte shorter.  Where zeros
+  // compress above the band, as here, a search keeps the larger size
+  // (closer to the target), so it still settles on its first probe.  Only a
+  // target above mgard's ratio on zeros would make a full search prefer the
+  // top of the range, 1.0.
+  const LossyBackend& backend = GetParam();
+  auto compressor = pressio::registry().create(backend.name, backend.options);
+  for (const DType dtype : {DType::kFloat32, DType::kFloat64}) {
+    const NdArray zeros(dtype, {16, 24, 20});
+    std::size_t size = 0;
+    for (int k = 0; k < 12; ++k) {
+      const double bound = std::pow(10.0, -9.0 + 9.0 * k / 11.0);
+      compressor->set_error_bound(bound);
+      const std::size_t at_bound = compressor->compress(zeros.view()).size();
+      if (k == 0) size = at_bound;
+      const std::size_t expected = backend.name == "mgard" && bound == 1.0 ? size - 1 : size;
+      EXPECT_EQ(at_bound, expected) << dtype_name(dtype) << " at bound " << bound;
+    }
+    const TuneResult r = Tuner(*compressor, fast_config(10.0)).tune(zeros.view());
+    EXPECT_EQ(r.compress_calls, 1) << dtype_name(dtype);
+    EXPECT_EQ(r.probe_cache_hits, 0) << dtype_name(dtype);
+    EXPECT_EQ(r.achieved_ratio, static_cast<double>(zeros.size_bytes()) / size);
+    if (backend.name == "mgard") {
+      EXPECT_TRUE(ratio_above_band(r.achieved_ratio, 10.0, 0.1)) << dtype_name(dtype);
+    }
+
+    // The rule is for zero bytes only: a non-zero constant's size moves with
+    // the bound on some backends (truncate's ratio falls 3.07 -> 1.29 at
+    // 3.7), so it gets the full search.
+    NdArray constant(dtype, zeros.shape());
+    for (std::size_t i = 0; i < constant.elements(); ++i) {
+      if (dtype == DType::kFloat32)
+        constant.typed<float>()[i] = 3.7f;
+      else
+        constant.typed<double>()[i] = 3.7;
+    }
+    EXPECT_GT(Tuner(*compressor, fast_config(10.0)).tune(constant.view()).compress_calls, 1)
+        << dtype_name(dtype);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LossyBackends, ZeroDataSweep, testing::ValuesIn(lossy_backends()),
+                         [](const testing::TestParamInfo<LossyBackend>& info) {
+                           return info.param.label;
+                         });
 
 TEST(Tuner, InfeasiblyHighTargetReportsClosest) {
   // Container/dictionary overhead puts a hard ceiling on the achievable

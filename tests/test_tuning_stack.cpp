@@ -1,6 +1,6 @@
 /// Tests for the unified tuning stack: the ask/tell SearchState (pinned
-/// bit-identical to the historical callback loop), the ProbeExecutor's dedup
-/// cache, the lockstep Tuner's thread-count invariance, the shared
+/// bit-identical to the historical callback loop), the ProbeExecutor and its
+/// per-search memo, the lockstep Tuner's thread-count invariance, the shared
 /// BoundStore, and the probe-budget regression gate on the Fig. 6 workload.
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "opt/global_search.hpp"
 #include "opt/thread_pool.hpp"
 #include "pressio/registry.hpp"
-#include "telemetry/telemetry.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/seed.hpp"
@@ -134,28 +133,7 @@ TEST(SearchState, CutoffFinishesTheSearch) {
   EXPECT_FALSE(state.ask(x));
 }
 
-// ----------------------------------------------------------- probe dedup
-
-TEST(ProbeExecutor, IdenticalBoundsProbedOncePerDataAndConfig) {
-  auto compressor = pressio::registry().create("sz");
-  const NdArray field = make_field(DType::kFloat32, {32, 32});
-  ProbeExecutor executor(*compressor, std::make_shared<ProbeCache>(), 1);
-  const std::uint64_t context = executor.context_key(field.view());
-
-  const ProbeOutcome first = executor.probe_ratio(field.view(), context, 0.5);
-  EXPECT_FALSE(first.from_cache);
-  const ProbeOutcome again = executor.probe_ratio(field.view(), context, 0.5);
-  EXPECT_TRUE(again.from_cache);
-  EXPECT_EQ(again.record.ratio, first.record.ratio);
-  EXPECT_EQ(executor.executed(), 1u);
-  EXPECT_EQ(executor.cache_hits(), 1u);
-
-  // Different data under the same config is a different key: no false hit.
-  const NdArray other = make_field(DType::kFloat32, {32, 32}, 80.0);
-  const std::uint64_t other_context = executor.context_key(other.view());
-  EXPECT_NE(other_context, context);
-  EXPECT_FALSE(executor.probe_ratio(other.view(), other_context, 0.5).from_cache);
-}
+// ------------------------------------------------------------ probe memo
 
 /// Clones every CloneCountingSz instance has made.
 std::atomic<int> g_sz_clones{0};
@@ -195,18 +173,18 @@ private:
 TEST(ProbeExecutor, AThrowingProbeReturnsItsContext) {
   const CloneCountingSz prototype;
   const NdArray field = make_field(DType::kFloat32, {32, 32});
-  ProbeExecutor executor(prototype, std::make_shared<ProbeCache>(), 1);
-  const std::uint64_t context = executor.context_key(field.view());
+  ProbeExecutor executor(prototype, 1);
+  ProbeMemo memo;
 
   g_sz_fail = true;
   const int before = g_sz_clones;
-  EXPECT_ANY_THROW(executor.probe_ratio(field.view(), context, 0.5));
+  EXPECT_ANY_THROW(executor.probe_ratio(field.view(), memo, 0.5));
   EXPECT_EQ(g_sz_clones, before + 1);  // the one worker context
-  EXPECT_ANY_THROW(executor.probe_ratios(field.view(), context, {0.25, 0.125}));
-  EXPECT_ANY_THROW(
-      executor.probe_quality(field.view(), context, 0.5, QualityMetric::kPsnrDb));
+  EXPECT_ANY_THROW(executor.probe_ratios(field.view(), memo, {0.25, 0.125}));
+  EXPECT_ANY_THROW(executor.probe_quality(field.view(), memo, 0.5, QualityMetric::kPsnrDb));
+  EXPECT_TRUE(memo.empty()) << "a failed probe was remembered";
   g_sz_fail = false;
-  EXPECT_FALSE(executor.probe_ratio(field.view(), context, 0.5).from_cache);
+  EXPECT_FALSE(executor.probe_ratio(field.view(), memo, 0.5).from_memo);
   EXPECT_EQ(g_sz_clones, before + 1) << "a failed probe leaked its worker context";
   EXPECT_EQ(executor.executed(), 1u);
 }
@@ -214,18 +192,32 @@ TEST(ProbeExecutor, AThrowingProbeReturnsItsContext) {
 TEST(ProbeExecutor, BatchDeduplicatesAndAlignsResults) {
   auto compressor = pressio::registry().create("sz");
   const NdArray field = make_field(DType::kFloat32, {32, 32});
-  ProbeExecutor executor(*compressor, std::make_shared<ProbeCache>(), 4);
-  const std::uint64_t context = executor.context_key(field.view());
+  ProbeExecutor executor(*compressor, 4);
+  ProbeMemo memo;
 
   const std::vector<double> bounds{0.25, 0.5, 0.25, 1.0, 0.5};
-  const auto outcomes = executor.probe_ratios(field.view(), context, bounds);
+  const auto outcomes = executor.probe_ratios(field.view(), memo, bounds);
   ASSERT_EQ(outcomes.size(), bounds.size());
   EXPECT_EQ(executor.executed(), 3u);  // three unique bounds
+  EXPECT_EQ(memo.size(), 3u);
   EXPECT_EQ(outcomes[0].record.ratio, outcomes[2].record.ratio);
   EXPECT_EQ(outcomes[1].record.ratio, outcomes[4].record.ratio);
-  EXPECT_TRUE(outcomes[2].from_cache);
-  EXPECT_TRUE(outcomes[4].from_cache);
+  EXPECT_FALSE(outcomes[0].from_memo);
+  EXPECT_TRUE(outcomes[2].from_memo);
+  EXPECT_TRUE(outcomes[4].from_memo);
   for (const auto& o : outcomes) EXPECT_GT(o.record.ratio, 0.0);
+
+  // A later round of the same search pays only for the bounds it lacks.
+  const auto next = executor.probe_ratios(field.view(), memo, {1.0, 2.0});
+  EXPECT_TRUE(next[0].from_memo);
+  EXPECT_EQ(next[0].record.ratio, outcomes[3].record.ratio);
+  EXPECT_FALSE(next[1].from_memo);
+  EXPECT_EQ(executor.executed(), 4u);
+
+  // Another search starts from an empty memo: nothing carries over.
+  ProbeMemo other;
+  EXPECT_FALSE(executor.probe_ratio(field.view(), other, 0.25).from_memo);
+  EXPECT_EQ(executor.executed(), 5u);
 }
 
 TEST(ProbeExecutor, BatchesFromEveryThreadOfABusyPoolComplete) {
@@ -236,9 +228,8 @@ TEST(ProbeExecutor, BatchesFromEveryThreadOfABusyPoolComplete) {
   // threads=1 executor's.
   auto compressor = pressio::registry().create("sz");
   const NdArray field = make_field(DType::kFloat32, {32, 32});
-  ProbeExecutor parallel(*compressor, std::make_shared<ProbeCache>(), 4);
-  ProbeExecutor serial(*compressor, std::make_shared<ProbeCache>(), 1);
-  const std::uint64_t context = parallel.context_key(field.view());
+  ProbeExecutor parallel(*compressor, 4);
+  ProbeExecutor serial(*compressor, 1);
   constexpr unsigned kThreads = 3;
   std::vector<std::vector<double>> bounds(kThreads);
   for (unsigned t = 0; t < kThreads; ++t)
@@ -251,30 +242,18 @@ TEST(ProbeExecutor, BatchesFromEveryThreadOfABusyPoolComplete) {
     batches.push_back(pool.submit([&, t] {
       ++started;
       while (started.load() < kThreads) std::this_thread::yield();
-      return parallel.probe_ratios(field.view(), context, bounds[t]);
+      ProbeMemo memo;
+      return parallel.probe_ratios(field.view(), memo, bounds[t]);
     }));
   for (unsigned t = 0; t < kThreads; ++t) {
     const std::vector<ProbeOutcome> got = batches[t].get();
-    const std::vector<ProbeOutcome> want =
-        serial.probe_ratios(field.view(), context, bounds[t]);
+    ProbeMemo memo;
+    const std::vector<ProbeOutcome> want = serial.probe_ratios(field.view(), memo, bounds[t]);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t k = 0; k < got.size(); ++k)
       EXPECT_EQ(got[k].record.ratio, want[k].record.ratio) << "thread " << t << ", probe " << k;
   }
   EXPECT_EQ(parallel.executed(), serial.executed());
-}
-
-TEST(ProbeExecutor, ConfigChangesTheKey) {
-  // Same data, same bound, different compressor options: separate entries —
-  // a cached ratio must never leak across configurations.
-  const NdArray field = make_field(DType::kFloat32, {32, 32});
-  auto a = pressio::registry().create("zfp");
-  auto b = pressio::registry().create(
-      "zfp", pressio::Options{{"zfp:mode", std::string("rate")}, {"zfp:rate", 4.0}});
-  const auto cache = std::make_shared<ProbeCache>();
-  ProbeExecutor exec_a(*a, cache, 1);
-  ProbeExecutor exec_b(*b, cache, 1);
-  EXPECT_NE(exec_a.context_key(field.view()), exec_b.context_key(field.view()));
 }
 
 // ------------------------------------------------- lockstep determinism
@@ -299,51 +278,6 @@ TEST(Tuner, TunedBoundsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(s.achieved_ratio, p.achieved_ratio);
   EXPECT_EQ(s.compress_calls, p.compress_calls);
   EXPECT_TRUE(s.feasible);
-}
-
-TEST(Tuner, SharedCacheMakesARepeatTuneFree) {
-  const auto ds = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
-  const NdArray field = data::generate_field(data::field_by_name(ds, "TCf"), 0);
-  auto compressor = pressio::registry().create("sz");
-  TunerConfig cfg;
-  cfg.target_ratio = 7.0;
-  cfg.threads = 2;
-
-  const auto cache = std::make_shared<ProbeCache>();
-  const Tuner first(*compressor, cfg, cache);
-  const Tuner second(*compressor, cfg, cache);
-  const TuneResult a = first.tune(field.view());
-  const TuneResult b = second.tune(field.view());
-  // Identical trajectory (deterministic), but every probe of the repeat is
-  // served by the shared cache: no compressor invocation at all.
-  EXPECT_EQ(b.error_bound, a.error_bound);
-  EXPECT_EQ(b.compress_calls, a.compress_calls);
-  EXPECT_EQ(b.probe_cache_hits, b.compress_calls);
-  EXPECT_EQ(second.probe_cache()->stats().entries, cache->stats().entries);
-}
-
-TEST(Tuner, SharedCacheIgnoresThePrototypesCurrentBound) {
-  // The bound is the probe axis: every probe sets it.  Two searches of the
-  // same data whose compressors last held different bounds run the same
-  // probes, so through one cache the second executes none of them.
-  const auto ds = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
-  const NdArray field = data::generate_field(data::field_by_name(ds, "TCf"), 0);
-  auto at_1e3 = pressio::registry().create("sz");
-  auto at_2e3 = pressio::registry().create("sz");
-  at_1e3->set_error_bound(1e-3);
-  at_2e3->set_error_bound(2e-3);
-  TunerConfig cfg;
-  cfg.target_ratio = 7.0;
-  cfg.threads = 1;
-
-  const auto cache = std::make_shared<ProbeCache>();
-  const TuneResult a = Tuner(*at_1e3, cfg, cache).tune(field.view());
-  const TuneResult b = Tuner(*at_2e3, cfg, cache).tune(field.view());
-  EXPECT_EQ(b.error_bound, a.error_bound);
-  EXPECT_EQ(b.achieved_ratio, a.achieved_ratio);
-  EXPECT_EQ(b.compress_calls, a.compress_calls);
-  EXPECT_GT(b.compress_calls, 1);
-  EXPECT_EQ(b.probe_cache_hits, b.compress_calls);
 }
 
 // ------------------------------------------------------------ BoundStore
@@ -379,11 +313,8 @@ TEST(BoundStore, SharedAcrossEnginesWarmStartsSiblings) {
   Engine a(config);
   Engine b(config);
   const auto store = std::make_shared<BoundStore>();
-  const auto probes = std::make_shared<ProbeCache>();
   a.adopt_bound_store(store);
   b.adopt_bound_store(store);
-  a.adopt_probe_cache(probes);
-  b.adopt_probe_cache(probes);
 
   const auto trained = a.tune("field", field.view());
   ASSERT_TRUE(trained.ok());
@@ -394,10 +325,7 @@ TEST(BoundStore, SharedAcrossEnginesWarmStartsSiblings) {
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm.value().from_prediction);
   EXPECT_EQ(warm.value().compress_calls, 1);
-  // The sibling's confirmation probe is the very probe `a` already paid —
-  // the shared probe cache serves it without a compression.
-  EXPECT_EQ(b.stats().tuner_probe_calls, 0u);
-  EXPECT_GE(b.stats().probe_cache_hits, 1u);
+  EXPECT_EQ(warm.value().error_bound, trained.value().error_bound);
 }
 
 // ----------------------------------------------- probe budget regression
@@ -406,8 +334,8 @@ TEST(Engine, Fig6WorkloadSpendsNoMoreProbesThanTheSeedImplementation) {
   // Regression gate for the unified stack's headline claim: on the Fig. 6
   // convergence workload (Hurricane CLOUDf series, target 8, 8 regions x 16
   // evals) the seed implementation spent 190 probes serial / ~158 at 4
-  // threads (measured at the refactor).  The lockstep rounds + dedup cache
-  // must never regress past the seed's best case; at the refactor they
+  // threads (measured at the refactor).  The lockstep rounds + per-search
+  // memo must never regress past the seed's best case; at the refactor they
   // spent 79.
   const auto ds = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
   const auto spec = data::field_by_name(ds, "CLOUDf");
@@ -432,97 +360,6 @@ TEST(Engine, Fig6WorkloadSpendsNoMoreProbesThanTheSeedImplementation) {
       << "unified tuning stack spends more probes than the seed implementation";
   EXPECT_GE(engine.stats().warm_hits, arrays.size() / 2)
       << "warm-start reuse regressed on a mildly drifting series";
-}
-
-// ------------------------------------------------- data fingerprint
-
-/// Raw byte buffer viewed as a 1D f32 array for fingerprinting.
-ArrayView bytes_view(const std::vector<std::uint8_t>& bytes) {
-  return ArrayView(bytes.data(), DType::kFloat32, {bytes.size() / sizeof(float)});
-}
-
-TEST(DataFingerprint, SmallBuffersHashEveryByte) {
-  std::vector<std::uint8_t> a(64 * 1024, 0xab);
-  std::vector<std::uint8_t> b = a;
-  EXPECT_EQ(data_fingerprint(bytes_view(a)), data_fingerprint(bytes_view(b)));
-  b[b.size() / 2] ^= 1;  // any single byte matters below the sampling cutoff
-  EXPECT_NE(data_fingerprint(bytes_view(a)), data_fingerprint(bytes_view(b)));
-}
-
-TEST(DataFingerprint, LargeBuffersKeyOnLengthAndSampledWindows) {
-  // The strided contract (probe.hpp): above kFingerprintFullPassBytes only
-  // the length and the evenly spaced windows reach the hash, so buffers
-  // differing ONLY in unsampled bytes key identically — by design — while
-  // length changes and sampled-byte changes still change the key.
-  const std::size_t size = 4u << 20;
-  std::vector<std::uint8_t> a(size, 0x5c);
-  std::vector<std::uint8_t> b = a;
-
-  // Flip a byte squarely between two windows: window w starts at
-  // last_start * w / (windows - 1), so the midpoint of the gap between
-  // windows 0 and 1 is far outside both.
-  const std::size_t last_start = size - kFingerprintWindowBytes;
-  const std::size_t gap_mid = (last_start / (kFingerprintWindows - 1) + kFingerprintWindowBytes) / 2 +
-                              kFingerprintWindowBytes;
-  b[gap_mid] ^= 0xff;
-  EXPECT_EQ(data_fingerprint(bytes_view(a)), data_fingerprint(bytes_view(b)))
-      << "unsampled byte leaked into the key";
-
-  // A sampled byte (offset 0 is always the first window) changes the key.
-  std::vector<std::uint8_t> c = a;
-  c[0] ^= 1;
-  EXPECT_NE(data_fingerprint(bytes_view(a)), data_fingerprint(bytes_view(c)));
-
-  // So does the final byte (the last window ends flush at the buffer end).
-  std::vector<std::uint8_t> d = a;
-  d[size - 1] ^= 1;
-  EXPECT_NE(data_fingerprint(bytes_view(a)), data_fingerprint(bytes_view(d)));
-
-  // And so does the length alone, even with identical sampled content.
-  std::vector<std::uint8_t> e(size + sizeof(float) * 4, 0x5c);
-  EXPECT_NE(data_fingerprint(bytes_view(a)), data_fingerprint(bytes_view(e)));
-}
-
-TEST(ProbeCache, HotEntriesOutliveOneOffInserts) {
-  // A long campaign must keep the probes it keeps hitting while the total
-  // stays bounded: a record hit on every round outranks 200 one-off
-  // records, which evict each other at the floor.
-  const telemetry::Counter& evicted = telemetry::global().counter("tune.probe_cache.evictions");
-  const std::uint64_t evicted_before = evicted.value();
-  ProbeCache cache(8);
-  cache.insert(1, 0.5, ProbeRecord{42.0, 0});
-  ProbeRecord out;
-  for (int i = 0; i < 200; ++i) {
-    cache.insert(1000 + i, 0.5, ProbeRecord{1.0 * i, 0});
-    ASSERT_TRUE(cache.lookup(1, 0.5, out)) << "hot entry evicted after insert " << i;
-    EXPECT_EQ(out.ratio, 42.0);
-  }
-  const ProbeCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 8u);
-  EXPECT_EQ(stats.evictions, 193u);  // 201 inserts into 8 slots
-  if (telemetry::enabled()) {
-    EXPECT_EQ(evicted.value() - evicted_before, 193u);
-  }
-  // A cold early entry aged out; the most recent inserts are still present.
-  EXPECT_FALSE(cache.lookup(1000, 0.5, out));
-  EXPECT_TRUE(cache.lookup(1000 + 199, 0.5, out));
-}
-
-TEST(ProbeCache, OverwriteReplacesTheRecordAfterEvictions) {
-  // An insert must replace the resident record of its key, never sit beside
-  // it: the new ratio is served and the key is counted once.
-  ProbeCache cache(4);
-  cache.insert(7, 1.0, ProbeRecord{1.0, 0});
-  ProbeRecord out;
-  ASSERT_TRUE(cache.lookup(7, 1.0, out));  // hot: survives the inserts below
-  for (int i = 0; i < 6; ++i) cache.insert(100 + i, 1.0, ProbeRecord{0.0, 0});
-  ASSERT_EQ(cache.stats().evictions, 3u);
-  cache.insert(7, 1.0, ProbeRecord{2.0, 0});
-  ASSERT_TRUE(cache.lookup(7, 1.0, out));
-  EXPECT_EQ(out.ratio, 2.0);
-  const ProbeCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 4u);
-  EXPECT_EQ(stats.evictions, 3u);  // a replacement is not an eviction
 }
 
 TEST(BoundStore, SaveLoadRoundTripsBitExactly) {
@@ -665,22 +502,38 @@ TEST(Engine, PerFieldStatsTrackEachStream) {
 }
 
 TEST(Engine, StatsSplitExecutedProbesFromCacheHits) {
-  const NdArray field = make_field(DType::kFloat32, {37, 41});
-  Engine engine([] {
-    EngineConfig config;
-    config.compressor = "sz";
-    config.tuner.target_ratio = 5.0;
-    config.tuner.threads = 2;
-    return config;
-  }());
-  ASSERT_TRUE(engine.tune("f", field.view()).ok());
-  const std::size_t executed = engine.stats().tuner_probe_calls;
-  EXPECT_GT(executed, 0u);
-  // Re-tuning identical data warm-starts AND hits the probe cache: executed
-  // probe spend must not move.
-  ASSERT_TRUE(engine.tune("f", field.view()).ok());
-  EXPECT_EQ(engine.stats().tuner_probe_calls, executed);
-  EXPECT_GE(engine.stats().probe_cache_hits, 1u);
+  // A search for an unreachable ratio spends every region's budget, and its
+  // regions re-propose bounds the search already evaluated; the search's
+  // memo answers those without a compression.  The Engine books executed
+  // probes and memo hits apart; together they are every probe the search
+  // consumed.
+  const auto ds = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
+  const NdArray field = data::generate_field(data::field_by_name(ds, "CLOUDf"), 0);
+  EngineConfig config;
+  config.compressor = "sz";
+  config.tuner.target_ratio = 500.0;
+  config.tuner.regions = 8;
+  config.tuner.max_evals_per_region = 16;
+  config.tuner.threads = 2;
+  Engine engine(config);
+  const auto tuned = engine.tune("f", field.view());
+  ASSERT_TRUE(tuned.ok()) << tuned.status().to_string();
+  const TuneResult& result = tuned.value();
+  ASSERT_FALSE(result.from_prediction);
+  EXPECT_GE(result.probe_cache_hits, 1) << "the search must re-propose a bound";
+  int region_hits = 0;
+  for (const RegionOutcome& region : result.regions) region_hits += region.cache_hits;
+  EXPECT_EQ(region_hits, result.probe_cache_hits);
+  EXPECT_EQ(engine.stats().probe_cache_hits, static_cast<std::size_t>(result.probe_cache_hits));
+  EXPECT_EQ(engine.stats().tuner_probe_calls,
+            static_cast<std::size_t>(result.compress_calls - result.probe_cache_hits));
+
+  // A memo lives for one search: the same search again splits alike, so it
+  // executes every probe it did the first time.
+  auto sz = pressio::registry().create("sz");
+  const TuneResult again = Tuner(*sz, config.tuner).tune(field.view());
+  EXPECT_EQ(again.compress_calls, result.compress_calls);
+  EXPECT_EQ(again.probe_cache_hits, result.probe_cache_hits);
 }
 
 }  // namespace
