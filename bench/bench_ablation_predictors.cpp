@@ -39,10 +39,11 @@ int main(int argc, char** argv) {
       lorenzo.regression = false;
       SzOptions hybrid = lorenzo;
       hybrid.regression = true;
-      const double size_l =
-          static_cast<double>(sz_compress(field.view(), lorenzo).size());
-      const double size_h =
-          static_cast<double>(sz_compress(field.view(), hybrid).size());
+      Buffer frame;
+      sz_compress_into(field.view(), lorenzo, frame);
+      const double size_l = static_cast<double>(frame.size());
+      sz_compress_into(field.view(), hybrid, frame);
+      const double size_h = static_cast<double>(frame.size());
       const double ratio_l = static_cast<double>(field.size_bytes()) / size_l;
       const double ratio_h = static_cast<double>(field.size_bytes()) / size_h;
       t.add_row({ds.name, spec.name, Table::num(frac, 3), Table::num(ratio_l, 2),

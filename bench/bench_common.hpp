@@ -10,7 +10,7 @@
 #include <string>
 
 #include "data/datasets.hpp"
-#include "pressio/evaluate.hpp"
+#include "metrics/error_stats.hpp"
 #include "pressio/registry.hpp"
 #include "util/cli.hpp"
 #include "util/json_writer.hpp"
@@ -50,7 +50,8 @@ inline double ratio_at(const pressio::Compressor& c, const ArrayView& view, doub
   thread_local Buffer scratch;
   auto clone = c.clone();
   clone->set_error_bound(bound);
-  return pressio::probe_ratio(*clone, view, scratch).ratio;
+  clone->compress_into(view, scratch).throw_if_error();
+  return compression_ratio(view.size_bytes(), scratch.size());
 }
 
 }  // namespace fraz::bench

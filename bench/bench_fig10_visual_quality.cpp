@@ -40,8 +40,9 @@ Row measure(const std::string& label, const pressio::Compressor& compressor,
             const ArrayView& view) {
   Row row;
   row.label = label;
-  const auto compressed = compressor.compress(view);
-  row.decoded = compressor.decompress(compressed.data(), compressed.size());
+  Buffer compressed;
+  compressor.compress_into(view, compressed).throw_if_error();
+  compressor.decompress_into(compressed.data(), compressed.size(), row.decoded).throw_if_error();
   const ErrorStats stats = error_stats(view, row.decoded.view());
   row.ratio = compression_ratio(view.size_bytes(), compressed.size());
   row.psnr = stats.psnr_db;

@@ -30,8 +30,9 @@ struct ModePoint {
 };
 
 ModePoint evaluate(const ArrayView& field, const ZfpOptions& opt) {
-  const auto compressed = zfp_compress(field, opt);
-  const NdArray decoded = zfp_decompress(compressed);
+  Buffer compressed;
+  zfp_compress_into(field, opt, compressed);
+  const NdArray decoded = zfp_decompress(compressed.data(), compressed.size());
   const ErrorStats stats = error_stats(field, decoded.view());
   ModePoint p;
   p.bit_rate = bit_rate(field.elements(), compressed.size());

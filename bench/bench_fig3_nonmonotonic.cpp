@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
     const double bound = lo * i;
     SzOptions opt;
     opt.error_bound = bound;
-    const auto compressed = sz_compress(field.view(), opt);
+    Buffer compressed;
+    sz_compress_into(field.view(), opt, compressed);
     const double ratio = compression_ratio(field.size_bytes(), compressed.size());
     curve.emplace_back(bound, ratio);
     t.add_row({Table::num(bound, 4), Table::num(ratio, 2)});

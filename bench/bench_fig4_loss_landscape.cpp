@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
     const double bound = range * i / 64.0;
     ZfpOptions opt;
     opt.tolerance = bound;
-    const auto compressed = zfp_compress(field.view(), opt);
+    Buffer compressed;
+    zfp_compress_into(field.view(), opt, compressed);
     const double ratio = compression_ratio(field.size_bytes(), compressed.size());
     const double loss = ratio_loss(ratio, target);
     const bool in_band = ratio_acceptable(ratio, target, epsilon);

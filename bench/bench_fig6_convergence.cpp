@@ -49,7 +49,7 @@ void run_case(const char* label, double target, const std::vector<NdArray>& step
   }
   t.print(std::cout);
   // "probes executed" is the cost the unified tuning stack minimizes: probes
-  // the searches consumed minus those the dedup cache served for free.
+  // the searches consumed minus those their memos answered for free.
   std::printf("steps in band: %d/%zu, retrains: %d, total compress calls: %d "
               "(%d cache hits, %d probes executed)\n",
               in_band, steps.size(), retrains, calls, hits, calls - hits);

@@ -67,8 +67,9 @@ int main(int argc, char** argv) {
     // bound scaled by call count (the loop outside compression is trivial).
     compressor->set_error_bound(last_bound > 0 ? last_bound
                                                : value_range(steps[0].view()) * 0.01);
+    Buffer archive;
     Timer ctimer;
-    (void)compressor->compress(steps[0].view());
+    compressor->compress_into(steps[0].view(), archive).throw_if_error();
     const double one_compress = ctimer.seconds();
     const double compress_time = one_compress * calls;
 

@@ -154,8 +154,9 @@ FieldProfile profile_field(const pressio::Compressor& proto, const ArrayView& vi
   // Per-region durations: calls x measured single-compression time.
   auto clone = proto.clone();
   clone->set_error_bound(r.error_bound > 0 ? r.error_bound : value_range(view) * 0.01);
+  Buffer archive;
   Timer timer;
-  (void)clone->compress(view);
+  clone->compress_into(view, archive).throw_if_error();
   const double per_call = timer.seconds();
 
   FieldProfile profile;

@@ -44,7 +44,7 @@ Point fraz_point(const std::string& backend, const ArrayView& view, double targe
   const TuneResult r = tuner.tune(view);
   if (r.error_bound <= 0) return p;
   compressor->set_error_bound(r.error_bound);
-  const auto report = pressio::evaluate_fidelity(*compressor, view);
+  const auto report = pressio::evaluate_fidelity(*compressor, view).value();
   p.bit_rate = report.probe.bit_rate;
   p.psnr = report.psnr_db;
   p.valid = true;
@@ -59,7 +59,7 @@ Point fixed_rate_point(const ArrayView& view, double target) {
   o.set("zfp:mode", std::string("rate"));
   o.set("zfp:rate", 32.0 / target);
   compressor->set_options(o);
-  const auto report = pressio::evaluate_fidelity(*compressor, view);
+  const auto report = pressio::evaluate_fidelity(*compressor, view).value();
   p.bit_rate = report.probe.bit_rate;
   p.psnr = report.psnr_db;
   p.valid = true;

@@ -102,15 +102,17 @@ template <typename CompressFn, typename DecompressFn>
 BackendResult run_backend(const NdArray& field, unsigned reps, CompressFn&& compress,
                           DecompressFn&& decompress) {
   const auto mb = static_cast<double>(field.size_bytes()) / 1e6;
-  std::vector<std::uint8_t> sealed = compress(field.view());
+  Buffer sealed;
+  compress(field.view(), sealed);
   BackendResult result;
   result.ratio = static_cast<double>(field.size_bytes()) / static_cast<double>(sealed.size());
   result.compress_mbps = mb / best_seconds(reps, [&] {
-    auto bytes = compress(field.view());
+    Buffer bytes;
+    compress(field.view(), bytes);
     keep(bytes.data());
   });
   result.decompress_mbps = mb / best_seconds(reps, [&] {
-    NdArray out = decompress(sealed);
+    NdArray out = decompress(sealed.data(), sealed.size());
     keep(out.data());
   });
   return result;
@@ -166,42 +168,42 @@ int main(int argc, char** argv) {
     SzOptions opt;
     opt.error_bound = bound;
     backends.push_back({"sz", run_backend(field, reps,
-        [&](const ArrayView& v) { return sz_compress(v, opt); },
-        [](const std::vector<std::uint8_t>& b) { return sz_decompress(b); })});
+        [&](const ArrayView& v, Buffer& out) { sz_compress_into(v, opt, out); },
+        [](const std::uint8_t* data, std::size_t size) { return sz_decompress(data, size); })});
   }
   {
     SzxOptions opt;
     opt.error_bound = bound;
     backends.push_back({"szx", run_backend(field, reps,
-        [&](const ArrayView& v) { return szx_compress(v, opt); },
-        [](const std::vector<std::uint8_t>& b) { return szx_decompress(b); })});
+        [&](const ArrayView& v, Buffer& out) { szx_compress_into(v, opt, out); },
+        [](const std::uint8_t* data, std::size_t size) { return szx_decompress(data, size); })});
   }
   {
     FpcOptions opt;
     backends.push_back({"fpc", run_backend(field, reps,
-        [&](const ArrayView& v) { return fpc_compress(v, opt); },
-        [](const std::vector<std::uint8_t>& b) { return fpc_decompress(b); })});
+        [&](const ArrayView& v, Buffer& out) { fpc_compress_into(v, opt, out); },
+        [](const std::uint8_t* data, std::size_t size) { return fpc_decompress(data, size); })});
   }
   {
     ZfpOptions opt;
     opt.tolerance = bound;
     backends.push_back({"zfp", run_backend(field, reps,
-        [&](const ArrayView& v) { return zfp_compress(v, opt); },
-        [](const std::vector<std::uint8_t>& b) { return zfp_decompress(b); })});
+        [&](const ArrayView& v, Buffer& out) { zfp_compress_into(v, opt, out); },
+        [](const std::uint8_t* data, std::size_t size) { return zfp_decompress(data, size); })});
   }
   {
     MgardOptions opt;
     opt.tolerance = bound;
     backends.push_back({"mgard", run_backend(field, reps,
-        [&](const ArrayView& v) { return mgard_compress(v, opt); },
-        [](const std::vector<std::uint8_t>& b) { return mgard_decompress(b); })});
+        [&](const ArrayView& v, Buffer& out) { mgard_compress_into(v, opt, out); },
+        [](const std::uint8_t* data, std::size_t size) { return mgard_decompress(data, size); })});
   }
   {
     TruncateOptions opt;
     opt.bits = 16;
     backends.push_back({"truncate", run_backend(field, reps,
-        [&](const ArrayView& v) { return truncate_compress(v, opt); },
-        [](const std::vector<std::uint8_t>& b) { return truncate_decompress(b); })});
+        [&](const ArrayView& v, Buffer& out) { truncate_compress_into(v, opt, out); },
+        [](const std::uint8_t* data, std::size_t size) { return truncate_decompress(data, size); })});
   }
 
   std::printf("%-9s %14s %16s %8s\n", "backend", "compress_MB/s", "decompress_MB/s",
@@ -237,12 +239,14 @@ int main(int argc, char** argv) {
   SzOptions blocked_one = blocked_opt;
   blocked_one.threads = 1;
 
-  const auto serial_frame = sz_compress(cube.view(), serial_opt);
-  const auto blocked_frame = sz_compress(cube.view(), blocked_opt);
+  Buffer serial_frame, blocked_frame;
+  sz_compress_into(cube.view(), serial_opt, serial_frame);
+  sz_compress_into(cube.view(), blocked_opt, blocked_frame);
   // Determinism before speed: the N-thread frame must match the 1-thread
   // frame byte for byte, or the speedups below gate nothing.
   {
-    const auto single = sz_compress(cube.view(), blocked_one);
+    Buffer single;
+    sz_compress_into(cube.view(), blocked_one, single);
     if (single.size() != blocked_frame.size() ||
         std::memcmp(single.data(), blocked_frame.data(), single.size()) != 0) {
       std::fprintf(stderr, "FAIL: blocked sz output differs across thread counts\n");
@@ -254,7 +258,8 @@ int main(int argc, char** argv) {
   const unsigned cube_reps = std::max(reps, 9u);
   const auto compress_mbps = [&](const SzOptions& opt) {
     return cube_mb / best_seconds(cube_reps, [&] {
-      auto b = sz_compress(cube.view(), opt);
+      Buffer b;
+      sz_compress_into(cube.view(), opt, b);
       keep(b.data());
     });
   };
@@ -262,11 +267,11 @@ int main(int argc, char** argv) {
   const double blocked1_compress_mbps = compress_mbps(blocked_one);
   const double blocked_compress_mbps = compress_mbps(blocked_opt);
   const double serial_decompress_mbps = cube_mb / best_seconds(cube_reps, [&] {
-    NdArray a = sz_decompress(serial_frame);
+    NdArray a = sz_decompress(serial_frame.data(), serial_frame.size());
     keep(a.data());
   });
   const double blocked_decompress_mbps = cube_mb / best_seconds(cube_reps, [&] {
-    NdArray a = sz_decompress(blocked_frame, blocked_opt.threads);
+    NdArray a = sz_decompress(blocked_frame.data(), blocked_frame.size(), blocked_opt.threads);
     keep(a.data());
   });
   const double algorithmic_speedup =
@@ -305,8 +310,9 @@ int main(int argc, char** argv) {
         for (int b = 0; b < kProbeBounds; ++b) {
           SzOptions opt;
           opt.error_bound = probe_range * std::pow(10.0, -6.0 + 5.0 * b / (kProbeBounds - 1));
-          const auto frame = sz_compress(probe_chunk.view(), opt);
-          probe_crcs[static_cast<std::size_t>(b)] = crc32(frame);
+          Buffer frame;
+          sz_compress_into(probe_chunk.view(), opt, frame);
+          probe_crcs[static_cast<std::size_t>(b)] = crc32(frame.data(), frame.size());
         }
       });
   const std::uint32_t probe_crc =

@@ -52,7 +52,12 @@ int main(int argc, char** argv) {
     const Tuner tuner(*compressor, config);
     const TuneResult tuned = tuner.tune(field.view());
     compressor->set_error_bound(tuned.error_bound);
-    const auto report = pressio::evaluate_fidelity(*compressor, field.view());
+    const auto evaluated = pressio::evaluate_fidelity(*compressor, field.view());
+    if (!evaluated.ok()) {
+      t.add_row({name, "-", "-", "-", "-", "-", evaluated.status().to_string()});
+      continue;
+    }
+    const pressio::FidelityReport& report = evaluated.value();
     t.add_row({name, Table::num(report.probe.ratio, 2), tuned.feasible ? "yes" : "no",
                Table::num(report.psnr_db, 1), Table::num(report.ssim, 3),
                Table::num(report.max_abs_error, 4), Table::num(report.acf_error, 3)});

@@ -185,8 +185,9 @@ bool emit_szx(const fs::path& dir) {
   tight.error_bound = 1e-4;  // packed blocks with wide codes
   SzxOptions loose;
   loose.error_bound = 15.0;  // mostly constant blocks
-  const auto frame_tight = szx_compress(field.view(), tight);
-  const auto frame_loose = szx_compress(field.view(), loose);
+  Buffer frame_tight, frame_loose;
+  szx_compress_into(field.view(), tight, frame_tight);
+  szx_compress_into(field.view(), loose, frame_loose);
 
   // A frame with a raw block: one NaN demotes its whole block.
   NdArray special(DType::kFloat64, Shape{260});
@@ -194,7 +195,8 @@ bool emit_szx(const fs::path& dir) {
   for (std::size_t i = 0; i < special.elements(); ++i)
     p[i] = std::sin(static_cast<double>(i) * 0.02) * 5.0;
   p[7] = std::nan("");
-  const auto frame_raw = szx_compress(special.view(), SzxOptions{1e-3});
+  Buffer frame_raw;
+  szx_compress_into(special.view(), SzxOptions{1e-3}, frame_raw);
 
   return write_file(dir / "tight.szx", frame_tight.data(), frame_tight.size()) &&
          write_file(dir / "loose.szx", frame_loose.data(), frame_loose.size()) &&
@@ -203,7 +205,8 @@ bool emit_szx(const fs::path& dir) {
 
 bool emit_fpc(const fs::path& dir) {
   const NdArray field = smooth_field();
-  const auto frame_f32 = fpc_compress(field.view(), FpcOptions{});
+  Buffer frame_f32;
+  fpc_compress_into(field.view(), FpcOptions{}, frame_f32);
 
   // Rough doubles: residual bytes at every header length.
   NdArray rough(DType::kFloat64, Shape{128});
@@ -217,7 +220,8 @@ bool emit_fpc(const fs::path& dir) {
   }
   FpcOptions small_table;
   small_table.table_bits = 8;  // forces hash collisions -> mispredictions
-  const auto frame_f64 = fpc_compress(rough.view(), small_table);
+  Buffer frame_f64;
+  fpc_compress_into(rough.view(), small_table, frame_f64);
 
   return write_file(dir / "smooth_f32.fpc", frame_f32.data(), frame_f32.size()) &&
          write_file(dir / "rough_f64.fpc", frame_f64.data(), frame_f64.size());
@@ -230,7 +234,8 @@ bool emit_sz2(const fs::path& dir) {
   SzOptions blocked;
   blocked.error_bound = 1e-3;
   blocked.mode = SzMode::kBlocked;
-  const auto frame_3d = sz_compress(field.view(), blocked);
+  Buffer frame_3d;
+  sz_compress_into(field.view(), blocked, frame_3d);
 
   NdArray plane(DType::kFloat64, Shape{40, 36});
   double* pd = static_cast<double*>(plane.data());
@@ -238,7 +243,8 @@ bool emit_sz2(const fs::path& dir) {
     pd[i] = std::cos(static_cast<double>(i) * 0.03) * 7.0;
   SzOptions loose = blocked;
   loose.error_bound = 5.0;  // near-constant codes -> tiny rANS alphabets
-  const auto frame_2d = sz_compress(plane.view(), loose);
+  Buffer frame_2d;
+  sz_compress_into(plane.view(), loose, frame_2d);
 
   // Rough 1D data at a tight bound: most elements escape into the raw
   // section, exercising the flags/raws framing.
@@ -253,11 +259,13 @@ bool emit_sz2(const fs::path& dir) {
   }
   SzOptions tight = blocked;
   tight.error_bound = 1e-6;
-  const auto frame_raws = sz_compress(rough.view(), tight);
+  Buffer frame_raws;
+  sz_compress_into(rough.view(), tight, frame_raws);
 
   SzOptions serial;
   serial.error_bound = 1e-3;
-  const auto frame_v1 = sz_compress(field.view(), serial);
+  Buffer frame_v1;
+  sz_compress_into(field.view(), serial, frame_v1);
 
   return write_file(dir / "blocked_3d.sz2", frame_3d.data(), frame_3d.size()) &&
          write_file(dir / "blocked_2d_loose.sz2", frame_2d.data(), frame_2d.size()) &&

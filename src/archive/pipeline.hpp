@@ -98,8 +98,8 @@ unsigned resolve_workers(unsigned requested, std::size_t tasks);
 /// later readers would open new ones.
 ///
 /// \p state carries the persistent warm knowledge between builds: the
-/// shared BoundStore, the shared probe dedup cache and each field's chunk
-/// geometry.  This is the single write path behind ArchiveWriter.
+/// shared BoundStore and each field's chunk geometry.  This is the single
+/// write path behind ArchiveWriter.
 class ArchiveAssembler {
 public:
   ArchiveAssembler(const ArchiveWriteConfig& config, WriterWarmState& state,

@@ -13,13 +13,6 @@ constexpr std::uint32_t kMagic = 0x5a615246u;  // "FRaZ" little-endian
 constexpr std::uint8_t kVersion = 1;
 }  // namespace
 
-std::vector<std::uint8_t> seal_container(CompressorId id, DType dtype, const Shape& shape,
-                                         const std::vector<std::uint8_t>& payload) {
-  Buffer out;
-  seal_container_into(id, dtype, shape, payload, out);
-  return out.to_vector();
-}
-
 void seal_container_into(CompressorId id, DType dtype, const Shape& shape,
                          const std::uint8_t* payload, std::size_t payload_size, Buffer& out,
                          std::uint8_t version) {

@@ -52,13 +52,9 @@ struct Container : FrameHeader {
   std::size_t payload_size;
 };
 
-/// Serialize header + payload + checksum into one buffer.
-std::vector<std::uint8_t> seal_container(CompressorId id, DType dtype, const Shape& shape,
-                                         const std::vector<std::uint8_t>& payload);
-
-/// Zero-copy variant: seal into a caller-owned, reusable Buffer.  \p out is
-/// cleared first; its capacity is retained across calls, so steady-state
-/// sealing performs no heap allocation.  \p version is the frame format
+/// Serialize header + payload + checksum into a caller-owned, reusable
+/// Buffer.  \p out is cleared first; its capacity is retained across calls,
+/// so steady-state sealing performs no heap allocation.  \p version is the frame format
 /// version to stamp; only sz may seal version 2 (see Container::version).
 void seal_container_into(CompressorId id, DType dtype, const Shape& shape,
                          const std::uint8_t* payload, std::size_t payload_size, Buffer& out,

@@ -158,12 +158,6 @@ void decode_payload(const Container& c, const std::size_t n, NdArray& out) {
 
 }  // namespace
 
-std::vector<std::uint8_t> fpc_compress(const ArrayView& input, const FpcOptions& options) {
-  Buffer out;
-  fpc_compress_into(input, options, out);
-  return out.to_vector();
-}
-
 void fpc_compress_into(const ArrayView& input, const FpcOptions& options, Buffer& out) {
   require(input.dims() >= 1 && input.dims() <= 8, "fpc: supports 1D..8D data");
   require(input.elements() > 0, "fpc: empty input");

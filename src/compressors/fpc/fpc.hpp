@@ -21,7 +21,6 @@
 /// trivially honoured) and ignored.
 
 #include <cstdint>
-#include <vector>
 
 #include "ndarray/ndarray.hpp"
 #include "util/buffer.hpp"
@@ -36,19 +35,12 @@ struct FpcOptions {
   unsigned table_bits = 16;
 };
 
-/// Compress into a sealed container.
-std::vector<std::uint8_t> fpc_compress(const ArrayView& input, const FpcOptions& options);
-
-/// Zero-copy variant: seal into the caller's reusable \p out.
+/// Compress into a sealed container in the caller's reusable \p out.
 void fpc_compress_into(const ArrayView& input, const FpcOptions& options, Buffer& out);
 
 /// Validate and reconstruct (bit-exact).  Throws CorruptStream on malformed
 /// frames.
 NdArray fpc_decompress(const std::uint8_t* data, std::size_t size);
-
-inline NdArray fpc_decompress(const std::vector<std::uint8_t>& data) {
-  return fpc_decompress(data.data(), data.size());
-}
 
 }  // namespace fraz
 

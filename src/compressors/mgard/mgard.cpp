@@ -228,12 +228,6 @@ void validate(const ArrayView& input, const MgardOptions& opt) {
 
 }  // namespace
 
-std::vector<std::uint8_t> mgard_compress(const ArrayView& input, const MgardOptions& options) {
-  Buffer out;
-  mgard_compress_into(input, options, out);
-  return out.to_vector();
-}
-
 void mgard_compress_into(const ArrayView& input, const MgardOptions& options, Buffer& out) {
   validate(input, options);
   if (input.dtype() == DType::kFloat32)

@@ -22,7 +22,6 @@
 /// the multilevel structure while simplifying the linear algebra.
 
 #include <cstdint>
-#include <vector>
 
 #include "ndarray/ndarray.hpp"
 #include "util/buffer.hpp"
@@ -42,19 +41,13 @@ struct MgardOptions {
   double tolerance = 1e-3;
 };
 
-/// Compress \p input (2D/3D, f32/f64).  Throws Unsupported for 1D data.
-std::vector<std::uint8_t> mgard_compress(const ArrayView& input, const MgardOptions& options);
-
-/// Zero-copy variant: write the sealed container into the caller's reusable
-/// \p out (cleared first, capacity retained across calls).
+/// Compress \p input (2D/3D, f32/f64) into a sealed container in the
+/// caller's reusable \p out (cleared first, capacity retained across calls).
+/// Throws Unsupported for 1D data.
 void mgard_compress_into(const ArrayView& input, const MgardOptions& options, Buffer& out);
 
-/// Decompress a container produced by mgard_compress.
+/// Decompress a container produced by mgard_compress_into.
 NdArray mgard_decompress(const std::uint8_t* data, std::size_t size);
-
-inline NdArray mgard_decompress(const std::vector<std::uint8_t>& data) {
-  return mgard_decompress(data.data(), data.size());
-}
 
 }  // namespace fraz
 

@@ -323,12 +323,6 @@ void validate(const ArrayView& input, const SzOptions& opt) {
 
 }  // namespace
 
-std::vector<std::uint8_t> sz_compress(const ArrayView& input, const SzOptions& options) {
-  Buffer out;
-  sz_compress_into(input, options, out);
-  return out.to_vector();
-}
-
 void sz_compress_into(const ArrayView& input, const SzOptions& options, Buffer& out) {
   validate(input, options);
   if (options.mode == SzMode::kBlocked) {

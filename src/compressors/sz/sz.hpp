@@ -25,7 +25,6 @@
 /// (verified at encode time after float rounding; violators are escaped).
 
 #include <cstdint>
-#include <vector>
 
 #include "ndarray/ndarray.hpp"
 #include "util/buffer.hpp"
@@ -62,21 +61,14 @@ struct SzOptions {
   unsigned threads = 0;
 };
 
-/// Compress \p input (1D/2D/3D, f32/f64) into a sealed container.
-std::vector<std::uint8_t> sz_compress(const ArrayView& input, const SzOptions& options);
-
-/// Zero-copy variant: write the sealed container into the caller's reusable
-/// \p out (cleared first, capacity retained across calls).
+/// Compress \p input (1D/2D/3D, f32/f64) into a sealed container in the
+/// caller's reusable \p out (cleared first, capacity retained across calls).
 void sz_compress_into(const ArrayView& input, const SzOptions& options, Buffer& out);
 
-/// Decompress a container produced by sz_compress (either format version;
-/// the frame says which).  \p threads caps intra-chunk decode parallelism
+/// Decompress a container produced by sz_compress_into (either format
+/// version; the frame says which).  \p threads caps intra-chunk decode parallelism
 /// for v2 frames (0 or 1 = inline; v1 frames always decode serially).
 NdArray sz_decompress(const std::uint8_t* data, std::size_t size, unsigned threads = 0);
-
-inline NdArray sz_decompress(const std::vector<std::uint8_t>& data, unsigned threads = 0) {
-  return sz_decompress(data.data(), data.size(), threads);
-}
 
 }  // namespace fraz
 

@@ -153,12 +153,6 @@ void decode_payload(const Container& c, const std::size_t n, NdArray& out) {
 
 }  // namespace
 
-std::vector<std::uint8_t> szx_compress(const ArrayView& input, const SzxOptions& options) {
-  Buffer out;
-  szx_compress_into(input, options, out);
-  return out.to_vector();
-}
-
 void szx_compress_into(const ArrayView& input, const SzxOptions& options, Buffer& out) {
   require(input.dims() >= 1 && input.dims() <= 8, "szx: supports 1D..8D data");
   require(input.elements() > 0, "szx: empty input");

@@ -21,7 +21,6 @@
 /// unconditionally).
 
 #include <cstdint>
-#include <vector>
 
 #include "ndarray/ndarray.hpp"
 #include "util/buffer.hpp"
@@ -34,18 +33,11 @@ struct SzxOptions {
   double error_bound = 1e-3;
 };
 
-/// Compress into a sealed container.
-std::vector<std::uint8_t> szx_compress(const ArrayView& input, const SzxOptions& options);
-
-/// Zero-copy variant: seal into the caller's reusable \p out.
+/// Compress into a sealed container in the caller's reusable \p out.
 void szx_compress_into(const ArrayView& input, const SzxOptions& options, Buffer& out);
 
 /// Validate and reconstruct.  Throws CorruptStream on malformed frames.
 NdArray szx_decompress(const std::uint8_t* data, std::size_t size);
-
-inline NdArray szx_decompress(const std::vector<std::uint8_t>& data) {
-  return szx_decompress(data.data(), data.size());
-}
 
 }  // namespace fraz
 

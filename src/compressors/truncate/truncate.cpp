@@ -48,13 +48,6 @@ void decompress_impl(const Container& c, NdArray& out) {
 
 }  // namespace
 
-std::vector<std::uint8_t> truncate_compress(const ArrayView& input,
-                                            const TruncateOptions& options) {
-  Buffer out;
-  truncate_compress_into(input, options, out);
-  return out.to_vector();
-}
-
 void truncate_compress_into(const ArrayView& input, const TruncateOptions& options,
                             Buffer& out) {
   require(input.dims() >= 1 && input.dims() <= 3, "truncate: supports 1D/2D/3D data");

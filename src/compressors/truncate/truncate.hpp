@@ -14,7 +14,6 @@
 /// what FRaZ's error-bounded tuning buys (quality at equal ratio).
 
 #include <cstdint>
-#include <vector>
 
 #include "ndarray/ndarray.hpp"
 #include "util/buffer.hpp"
@@ -27,22 +26,15 @@ struct TruncateOptions {
   unsigned bits = 16;
 };
 
-/// Compress by keeping the top `bits` of every scalar.
-std::vector<std::uint8_t> truncate_compress(const ArrayView& input,
-                                            const TruncateOptions& options);
-
-/// Zero-copy variant: write the sealed container into the caller's reusable
-/// \p out (cleared first, capacity retained across calls).
+/// Compress by keeping the top `bits` of every scalar, into a sealed
+/// container in the caller's reusable \p out (cleared first, capacity
+/// retained across calls).
 void truncate_compress_into(const ArrayView& input, const TruncateOptions& options,
                             Buffer& out);
 
 /// Reconstruct: kept prefix, dropped bits refilled with the midpoint pattern
 /// (1 followed by zeros) to halve the expected truncation error.
 NdArray truncate_decompress(const std::uint8_t* data, std::size_t size);
-
-inline NdArray truncate_decompress(const std::vector<std::uint8_t>& data) {
-  return truncate_decompress(data.data(), data.size());
-}
 
 }  // namespace fraz
 

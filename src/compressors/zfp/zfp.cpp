@@ -378,12 +378,6 @@ void validate(const ArrayView& input, const ZfpOptions& opt) {
 
 }  // namespace
 
-std::vector<std::uint8_t> zfp_compress(const ArrayView& input, const ZfpOptions& options) {
-  Buffer out;
-  zfp_compress_into(input, options, out);
-  return out.to_vector();
-}
-
 void zfp_compress_into(const ArrayView& input, const ZfpOptions& options, Buffer& out) {
   validate(input, options);
   if (input.dtype() == DType::kFloat32)

@@ -20,7 +20,6 @@
 /// Supports 1D/2D/3D, f32/f64.
 
 #include <cstdint>
-#include <vector>
 
 #include "ndarray/ndarray.hpp"
 #include "util/buffer.hpp"
@@ -42,19 +41,12 @@ struct ZfpOptions {
   double rate = 8.0;
 };
 
-/// Compress \p input (1D/2D/3D) into a sealed container.
-std::vector<std::uint8_t> zfp_compress(const ArrayView& input, const ZfpOptions& options);
-
-/// Zero-copy variant: write the sealed container into the caller's reusable
-/// \p out (cleared first, capacity retained across calls).
+/// Compress \p input (1D/2D/3D) into a sealed container in the caller's
+/// reusable \p out (cleared first, capacity retained across calls).
 void zfp_compress_into(const ArrayView& input, const ZfpOptions& options, Buffer& out);
 
-/// Decompress a container produced by zfp_compress.
+/// Decompress a container produced by zfp_compress_into.
 NdArray zfp_decompress(const std::uint8_t* data, std::size_t size);
-
-inline NdArray zfp_decompress(const std::vector<std::uint8_t>& data) {
-  return zfp_decompress(data.data(), data.size());
-}
 
 }  // namespace fraz
 

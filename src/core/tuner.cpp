@@ -105,14 +105,19 @@ TuneResult Tuner::tune(const ArrayView& data, ProbeMemo memo) const {
     // Report the region in bound units even when searching in log space.
     outcomes[i].region = Region{to_bound(regions[i].lo), to_bound(regions[i].hi)};
   }
-  // All-zero bytes compress to one size at every bound (mgard aside, whose
-  // stream codes bound 1.0 a byte shorter; docs/API.md), so a full search
-  // would settle on region 0's first proposal: the first of its equally
-  // close ratios.
+  // All-zero bytes compress to about one size at every bound, so where that
+  // size lands above the band a full search would settle on region 0's
+  // first proposal: the first of its equally close ratios.  Otherwise the
+  // search runs with that probe in its memo, because mgard codes some
+  // bounds a byte shorter (docs/API.md) and a search below the band picks
+  // the shortest of them.
   if (all_bytes_zero(data)) {
+    opt::SearchState first = states.front();
     double x;
-    states.front().ask(x);
-    return single_probe(to_bound(x));
+    first.ask(x);
+    const TuneResult probe = single_probe(to_bound(x));
+    if (ratio_above_band(probe.achieved_ratio, config_.target_ratio, config_.epsilon))
+      return probe;
   }
 
   std::vector<std::size_t> round_region;

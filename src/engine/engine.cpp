@@ -195,9 +195,11 @@ Result<pressio::FidelityReport> Engine::evaluate(const std::string& field,
   if (!tuned.ok()) return tuned.status();
   return guarded([&] {
     compressor_->set_error_bound(tuned.value().error_bound);
-    pressio::FidelityReport report = pressio::evaluate_fidelity(*compressor_, data);
-    ++stats_.compress_calls;
-    ++stats_.decompress_calls;
+    Result<pressio::FidelityReport> report = pressio::evaluate_fidelity(*compressor_, data);
+    if (report.ok()) {
+      ++stats_.compress_calls;
+      ++stats_.decompress_calls;
+    }
     return report;
   });
 }

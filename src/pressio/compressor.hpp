@@ -18,14 +18,11 @@
 ///    repeated probing performs no per-call heap allocation for the archive;
 ///  - backends publish **capabilities()** so orchestration code (Engine,
 ///    CLI, deployment probes) can introspect dtype/rank support, thread
-///    safety, and determinism without trial-and-error;
-///  - the original throwing, vector-returning methods remain as thin
-///    wrappers over the V2 entry points for existing callers.
+///    safety, and determinism without trial-and-error.
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "ndarray/ndarray.hpp"
 #include "pressio/options.hpp"
@@ -125,26 +122,6 @@ public:
   /// (replaced wholesale).  Never throws.
   virtual Status decompress_into(const std::uint8_t* data, std::size_t size,
                                  NdArray& out) const noexcept = 0;
-
-  /// Legacy wrapper over compress_into; allocates and throws on failure.
-  std::vector<std::uint8_t> compress(const ArrayView& input) const {
-    Buffer out;
-    const Status s = compress_into(input, out);
-    if (!s.ok()) throw_status(s);
-    return out.to_vector();
-  }
-
-  /// Legacy wrapper over decompress_into; throws on failure.
-  NdArray decompress(const std::uint8_t* data, std::size_t size) const {
-    NdArray out;
-    const Status s = decompress_into(data, size, out);
-    if (!s.ok()) throw_status(s);
-    return out;
-  }
-
-  NdArray decompress(const std::vector<std::uint8_t>& data) const {
-    return decompress(data.data(), data.size());
-  }
 
   /// Deep copy with identical configuration (one per worker thread).
   virtual CompressorPtr clone() const = 0;

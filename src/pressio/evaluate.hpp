@@ -2,15 +2,15 @@
 #define FRAZ_PRESSIO_EVALUATE_HPP
 
 /// \file evaluate.hpp
-/// Measurement helpers layered on the compressor interface: the compression-
-/// ratio probe FRaZ's loss function calls, and a full fidelity evaluation
-/// (ratio + distortion metrics) used by the benches and examples.
+/// A full fidelity evaluation (ratio + distortion metrics) layered on the
+/// compressor interface, used by Engine::evaluate, the benches and examples.
+/// The tuner measures ratios through core/probe.hpp's ProbeExecutor.
 
 #include "pressio/compressor.hpp"
 
 namespace fraz::pressio {
 
-/// Result of a compression-only probe.
+/// The compression half of a fidelity evaluation.
 struct RatioProbe {
   std::size_t input_bytes = 0;
   std::size_t compressed_bytes = 0;
@@ -18,14 +18,6 @@ struct RatioProbe {
   double bit_rate = 0;     ///< bits per scalar
   double seconds = 0;      ///< wall time of the compress call
 };
-
-/// Compress once at the compressor's current settings and report the ratio.
-RatioProbe probe_ratio(const Compressor& compressor, const ArrayView& input);
-
-/// Hot-path variant for repeated probing (the tuner's inner loop): compress
-/// into the caller's reusable \p scratch, so the steady state performs no
-/// per-call output allocation.  Throws on compression failure.
-RatioProbe probe_ratio(const Compressor& compressor, const ArrayView& input, Buffer& scratch);
 
 /// Full quality evaluation (compress + decompress + metrics).
 struct FidelityReport {
@@ -38,8 +30,10 @@ struct FidelityReport {
   double seconds_decompress = 0;
 };
 
-/// Run the full pipeline and compute every paper metric.
-FidelityReport evaluate_fidelity(const Compressor& compressor, const ArrayView& input);
+/// Compress and decompress once at the compressor's current settings and
+/// compute every paper metric.  A failing codec comes back as its Status.
+Result<FidelityReport> evaluate_fidelity(const Compressor& compressor,
+                                         const ArrayView& input) noexcept;
 
 }  // namespace fraz::pressio
 

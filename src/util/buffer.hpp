@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace fraz {
 
@@ -59,9 +58,6 @@ public:
   /// Number of times the buffer had to acquire a new allocation.  Stable
   /// across reuse once the high-water capacity is reached.
   std::size_t allocations() const noexcept { return allocations_; }
-
-  /// Copy out as a std::vector (legacy-API bridges only; allocates).
-  std::vector<std::uint8_t> to_vector() const { return {data_, data_ + size_}; }
 
   Buffer(const Buffer&) = delete;
   Buffer& operator=(const Buffer&) = delete;

@@ -17,7 +17,8 @@ std::vector<std::uint8_t> sample_payload() {
 
 TEST(Container, SealAndOpenRoundtrip) {
   const auto payload = sample_payload();
-  const auto sealed = seal_container(CompressorId::kSz, DType::kFloat32, {4, 5, 6}, payload);
+  Buffer sealed;
+  seal_container_into(CompressorId::kSz, DType::kFloat32, {4, 5, 6}, payload, sealed);
   const Container c = open_container(sealed.data(), sealed.size(), CompressorId::kSz);
   EXPECT_EQ(c.dtype, DType::kFloat32);
   EXPECT_EQ(c.shape, (Shape{4, 5, 6}));
@@ -26,7 +27,8 @@ TEST(Container, SealAndOpenRoundtrip) {
 }
 
 TEST(Container, Float64Shape1d) {
-  const auto sealed = seal_container(CompressorId::kZfp, DType::kFloat64, {100}, {});
+  Buffer sealed;
+  seal_container_into(CompressorId::kZfp, DType::kFloat64, {100}, {}, sealed);
   const Container c = open_container(sealed.data(), sealed.size(), CompressorId::kZfp);
   EXPECT_EQ(c.dtype, DType::kFloat64);
   EXPECT_EQ(c.shape, (Shape{100}));
@@ -34,18 +36,21 @@ TEST(Container, Float64Shape1d) {
 }
 
 TEST(Container, WrongCompressorIdThrowsUnsupported) {
-  const auto sealed = seal_container(CompressorId::kSz, DType::kFloat32, {4}, sample_payload());
+  Buffer sealed;
+  seal_container_into(CompressorId::kSz, DType::kFloat32, {4}, sample_payload(), sealed);
   EXPECT_THROW(open_container(sealed.data(), sealed.size(), CompressorId::kZfp), Unsupported);
 }
 
 TEST(Container, BadMagicThrows) {
-  auto sealed = seal_container(CompressorId::kSz, DType::kFloat32, {4}, sample_payload());
-  sealed[0] ^= 0xff;
+  Buffer sealed;
+  seal_container_into(CompressorId::kSz, DType::kFloat32, {4}, sample_payload(), sealed);
+  sealed.data()[0] ^= 0xff;
   EXPECT_THROW(open_container(sealed.data(), sealed.size(), CompressorId::kSz), CorruptStream);
 }
 
 TEST(Container, TruncationThrows) {
-  auto sealed = seal_container(CompressorId::kSz, DType::kFloat32, {4}, sample_payload());
+  Buffer sealed;
+  seal_container_into(CompressorId::kSz, DType::kFloat32, {4}, sample_payload(), sealed);
   sealed.resize(sealed.size() - 5);
   EXPECT_THROW(open_container(sealed.data(), sealed.size(), CompressorId::kSz), CorruptStream);
 }
@@ -56,7 +61,8 @@ TEST(Container, TooSmallBufferThrows) {
 }
 
 TEST(Container, OpenWithoutExpectedIdAcceptsAnyKnownProducer) {
-  const auto sealed = seal_container(CompressorId::kZfp, DType::kFloat64, {3, 4}, sample_payload());
+  Buffer sealed;
+  seal_container_into(CompressorId::kZfp, DType::kFloat64, {3, 4}, sample_payload(), sealed);
   const Container c = open_container(sealed.data(), sealed.size());
   EXPECT_EQ(c.id, CompressorId::kZfp);
   EXPECT_EQ(c.shape, (Shape{3, 4}));
@@ -80,7 +86,8 @@ TEST(Container, TruncationAtEveryBoundaryIsCorruptStreamOnAllBackends) {
   for (const auto& name : pressio::registry().names()) {
     auto compressor = pressio::registry().create(name);
     compressor->set_error_bound(0.05);
-    const std::vector<std::uint8_t> sealed = compressor->compress(field.view());
+    Buffer sealed;
+    ASSERT_TRUE(compressor->compress_into(field.view(), sealed).ok());
     ASSERT_GT(sealed.size(), 16u) << name;
     for (std::size_t cut = 0; cut < sealed.size(); ++cut) {
       NdArray out;
@@ -93,11 +100,11 @@ TEST(Container, TruncationAtEveryBoundaryIsCorruptStreamOnAllBackends) {
 }
 
 TEST(Container, EveryBitFlipIsDetected) {
-  const auto sealed = seal_container(CompressorId::kMgard, DType::kFloat32, {7, 9},
-                                     sample_payload());
+  Buffer sealed;
+  seal_container_into(CompressorId::kMgard, DType::kFloat32, {7, 9}, sample_payload(), sealed);
   Rng rng(17);
   for (int trial = 0; trial < 200; ++trial) {
-    auto corrupted = sealed;
+    std::vector<std::uint8_t> corrupted(sealed.begin(), sealed.end());
     const std::size_t byte = rng.below(corrupted.size());
     corrupted[byte] ^= static_cast<std::uint8_t>(1u << rng.below(8));
     EXPECT_THROW(open_container(corrupted.data(), corrupted.size(), CompressorId::kMgard),

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "data/datasets.hpp"
+#include "metrics/error_stats.hpp"
 #include "pressio/registry.hpp"
 #include "telemetry/telemetry.hpp"
 #include "test_helpers.hpp"
@@ -187,17 +188,17 @@ TEST(ZeroCopy, SteadyStateCompressionAllocatesNothing) {
   EXPECT_EQ(out.capacity(), high_water);
 }
 
-TEST(ZeroCopy, ProbeRatioReusesScratch) {
+TEST(ZeroCopy, TightestBoundSizesZfpScratchForLooserOnes) {
   auto c = pressio::registry().create("zfp");
   const NdArray field = test_field();
   Buffer scratch;
   c->set_error_bound(1e-9);
-  (void)pressio::probe_ratio(*c, field.view(), scratch);
+  ASSERT_TRUE(c->compress_into(field.view(), scratch).ok());
   const std::size_t warm = scratch.allocations();
   for (double bound = 1e-4; bound < 10.0; bound *= 3) {
     c->set_error_bound(bound);
-    const auto probe = pressio::probe_ratio(*c, field.view(), scratch);
-    EXPECT_GT(probe.ratio, 0.0);
+    ASSERT_TRUE(c->compress_into(field.view(), scratch).ok());
+    EXPECT_GT(compression_ratio(field.size_bytes(), scratch.size()), 0.0);
     EXPECT_EQ(scratch.allocations(), warm);
   }
 }
@@ -604,10 +605,11 @@ TEST(Engine, TuneMeasuresEachStepOfALargeFieldOnItsOwnBytes) {
   }
 
   auto sz = pressio::registry().create("sz");
+  Buffer archive;
   const auto ratio_at = [&](const NdArray& data, double bound) {
     sz->set_error_bound(bound);
-    return static_cast<double>(data.size_bytes()) /
-           static_cast<double>(sz->compress(data.view()).size());
+    sz->compress_into(data.view(), archive).throw_if_error();
+    return static_cast<double>(data.size_bytes()) / static_cast<double>(archive.size());
   };
   Engine engine(fast_config("sz", 10.0));
   const auto step_a = engine.tune("step", a.view());

@@ -37,8 +37,10 @@ TEST(QualityTuner, PsnrFloorIsMet) {
 
   // Re-check independently: the returned bound really delivers the quality.
   compressor->set_error_bound(r.error_bound);
-  const auto compressed = compressor->compress(field.view());
-  const NdArray decoded = compressor->decompress(compressed);
+  Buffer compressed;
+  ASSERT_TRUE(compressor->compress_into(field.view(), compressed).ok());
+  NdArray decoded;
+  ASSERT_TRUE(compressor->decompress_into(compressed.data(), compressed.size(), decoded).ok());
   EXPECT_GE(error_stats(field.view(), decoded.view()).psnr_db, 60.0);
 }
 
@@ -52,8 +54,10 @@ TEST(QualityTuner, SsimFloorIsMet) {
   ASSERT_TRUE(r.met_floor);
   EXPECT_GE(r.quality, 0.95);
   compressor->set_error_bound(r.error_bound);
-  const auto compressed = compressor->compress(field.view());
-  const NdArray decoded = compressor->decompress(compressed);
+  Buffer compressed;
+  ASSERT_TRUE(compressor->compress_into(field.view(), compressed).ok());
+  NdArray decoded;
+  ASSERT_TRUE(compressor->decompress_into(compressed.data(), compressed.size(), decoded).ok());
   EXPECT_GE(ssim(field.view(), decoded.view()), 0.95);
 }
 

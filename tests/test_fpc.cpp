@@ -32,8 +32,9 @@ TEST(Fpc, BitExactRoundTripAcrossRanksAndDtypes) {
   for (const DType dt : {DType::kFloat32, DType::kFloat64}) {
     for (const Shape& shape : {Shape{777}, Shape{33, 41}, Shape{9, 11, 13}}) {
       const NdArray field = make_field(dt, shape);
-      FpcOptions opt;
-      expect_bit_exact(field, fpc_decompress(fpc_compress(field.view(), opt)));
+      Buffer frame;
+      fpc_compress_into(field.view(), FpcOptions{}, frame);
+      expect_bit_exact(field, fpc_decompress(frame.data(), frame.size()));
     }
   }
 }
@@ -69,8 +70,9 @@ TEST(Fpc, SpecialValuesSurviveBitExactly) {
       const std::uint32_t payload_nan = 0x7fc0beefu;
       std::memcpy(field.typed<float>() + 6, &payload_nan, 4);
     }
-    FpcOptions opt;
-    expect_bit_exact(field, fpc_decompress(fpc_compress(field.view(), opt)));
+    Buffer frame;
+    fpc_compress_into(field.view(), FpcOptions{}, frame);
+    expect_bit_exact(field, fpc_decompress(frame.data(), frame.size()));
   }
 }
 
@@ -84,8 +86,9 @@ TEST(Fpc, RoughDataStillCompressesLosslessly) {
     std::memcpy(field.typed<double>() + i, &bits, 8);
   }
   FpcOptions opt;
-  const auto compressed = fpc_compress(field.view(), opt);
-  expect_bit_exact(field, fpc_decompress(compressed));
+  Buffer compressed;
+  fpc_compress_into(field.view(), opt, compressed);
+  expect_bit_exact(field, fpc_decompress(compressed.data(), compressed.size()));
 }
 
 TEST(Fpc, TableBitsTradeRatioNotCorrectness) {
@@ -93,22 +96,25 @@ TEST(Fpc, TableBitsTradeRatioNotCorrectness) {
   for (const unsigned bits : {8u, 12u, 20u}) {
     FpcOptions opt;
     opt.table_bits = bits;
-    expect_bit_exact(field, fpc_decompress(fpc_compress(field.view(), opt)));
+    Buffer frame;
+    fpc_compress_into(field.view(), opt, frame);
+    expect_bit_exact(field, fpc_decompress(frame.data(), frame.size()));
   }
 }
 
 TEST(Fpc, RejectsBadArguments) {
   const NdArray field = make_field(DType::kFloat32, {64});
+  Buffer frame;
   for (const unsigned bad : {0u, 7u, 21u, 64u}) {
     FpcOptions opt;
     opt.table_bits = bad;
-    EXPECT_THROW(fpc_compress(field.view(), opt), InvalidArgument) << "bits=" << bad;
+    EXPECT_THROW(fpc_compress_into(field.view(), opt, frame), InvalidArgument) << "bits=" << bad;
   }
 }
 
 TEST(Fpc, RejectsForeignContainer) {
   const std::vector<std::uint8_t> junk(64, 0x33);
-  EXPECT_THROW(fpc_decompress(junk), CorruptStream);
+  EXPECT_THROW(fpc_decompress(junk.data(), junk.size()), CorruptStream);
 }
 
 // --------------------------------------------------------------- plugin
@@ -118,7 +124,10 @@ TEST(FpcPlugin, LosslessAtAnyBound) {
   const NdArray field = make_field(DType::kFloat64, {48, 32});
   for (const double bound : {1e-12, 1.0, 1e6}) {
     c->set_error_bound(bound);  // accepted and trivially honoured
-    const NdArray decoded = c->decompress(c->compress(field.view()));
+    Buffer archive;
+    ASSERT_TRUE(c->compress_into(field.view(), archive).ok());
+    NdArray decoded;
+    ASSERT_TRUE(c->decompress_into(archive.data(), archive.size(), decoded).ok());
     expect_bit_exact(field, decoded);
   }
 }

@@ -96,8 +96,9 @@ TEST_P(MgardBoundSweep, InfinityNormRespected) {
   MgardOptions opt;
   opt.norm = MgardNorm::kInfinity;
   opt.tolerance = bound;
-  const auto compressed = mgard_compress(field.view(), opt);
-  const NdArray decoded = mgard_decompress(compressed);
+  Buffer compressed;
+  mgard_compress_into(field.view(), opt, compressed);
+  const NdArray decoded = mgard_decompress(compressed.data(), compressed.size());
   ASSERT_EQ(decoded.shape(), shape);
   EXPECT_LE(max_error(field, decoded), bound) << "dims=" << dims << " bound=" << bound;
 }
@@ -114,7 +115,9 @@ TEST(Mgard, L2ModeMeetsMseTarget) {
     MgardOptions opt;
     opt.norm = MgardNorm::kL2;
     opt.tolerance = target;
-    const NdArray decoded = mgard_decompress(mgard_compress(field.view(), opt));
+    Buffer frame;
+    mgard_compress_into(field.view(), opt, frame);
+    const NdArray decoded = mgard_decompress(frame.data(), frame.size());
     EXPECT_LE(mean_squared_error(field, decoded), target) << "target=" << target;
   }
 }
@@ -129,27 +132,30 @@ TEST(Mgard, L2ModeCompressesHarderThanEquivalentInfinity) {
   MgardOptions l2_opt;
   l2_opt.norm = MgardNorm::kL2;
   l2_opt.tolerance = 1e-6 / 3.0;  // same half-width
-  EXPECT_EQ(mgard_compress(field.view(), l2_opt).size(),
-            mgard_compress(field.view(), inf_opt).size());
+  Buffer l2, inf;
+  mgard_compress_into(field.view(), l2_opt, l2);
+  mgard_compress_into(field.view(), inf_opt, inf);
+  EXPECT_EQ(l2.size(), inf.size());
 }
 
 TEST(Mgard, Rejects1dAsUnsupported) {
   const NdArray field = make_field(DType::kFloat32, {128});
-  MgardOptions opt;
-  EXPECT_THROW(mgard_compress(field.view(), opt), Unsupported);
+  Buffer frame;
+  EXPECT_THROW(mgard_compress_into(field.view(), MgardOptions{}, frame), Unsupported);
 }
 
 TEST(Mgard, RejectsDegenerateExtent) {
   const NdArray field = make_field(DType::kFloat32, {1, 64});
-  MgardOptions opt;
-  EXPECT_THROW(mgard_compress(field.view(), opt), InvalidArgument);
+  Buffer frame;
+  EXPECT_THROW(mgard_compress_into(field.view(), MgardOptions{}, frame), InvalidArgument);
 }
 
 TEST(Mgard, RejectsBadTolerance) {
   const NdArray field = make_field(DType::kFloat32, {8, 8});
   MgardOptions opt;
   opt.tolerance = 0;
-  EXPECT_THROW(mgard_compress(field.view(), opt), InvalidArgument);
+  Buffer frame;
+  EXPECT_THROW(mgard_compress_into(field.view(), opt, frame), InvalidArgument);
 }
 
 TEST(Mgard, AwkwardShapesRoundtrip) {
@@ -158,7 +164,9 @@ TEST(Mgard, AwkwardShapesRoundtrip) {
     const NdArray field = make_field(DType::kFloat32, shape);
     MgardOptions opt;
     opt.tolerance = 1e-2;
-    const NdArray decoded = mgard_decompress(mgard_compress(field.view(), opt));
+    Buffer frame;
+    mgard_compress_into(field.view(), opt, frame);
+    const NdArray decoded = mgard_decompress(frame.data(), frame.size());
     ASSERT_EQ(decoded.shape(), shape);
     EXPECT_LE(max_error(field, decoded), 1e-2) << "rank " << shape.size();
   }
@@ -168,27 +176,32 @@ TEST(Mgard, SmoothFieldBeatsRawSize) {
   const NdArray field = make_field(DType::kFloat32, {64, 64});
   MgardOptions opt;
   opt.tolerance = 0.1;
-  const auto compressed = mgard_compress(field.view(), opt);
+  Buffer compressed;
+  mgard_compress_into(field.view(), opt, compressed);
   EXPECT_LT(compressed.size(), field.size_bytes() / 4);
 }
 
 TEST(Mgard, RatioGrowsWithTolerance) {
   const NdArray field = make_field(DType::kFloat32, {48, 48, 12});
-  std::size_t tight = mgard_compress(field.view(), {MgardNorm::kInfinity, 1e-4}).size();
-  std::size_t loose = mgard_compress(field.view(), {MgardNorm::kInfinity, 1.0}).size();
-  EXPECT_LT(loose, tight);
+  Buffer tight, loose;
+  mgard_compress_into(field.view(), {MgardNorm::kInfinity, 1e-4}, tight);
+  mgard_compress_into(field.view(), {MgardNorm::kInfinity, 1.0}, loose);
+  EXPECT_LT(loose.size(), tight.size());
 }
 
 TEST(Mgard, DeterministicOutput) {
   const NdArray field = make_field(DType::kFloat64, {21, 23});
   MgardOptions opt;
   opt.tolerance = 1e-3;
-  EXPECT_EQ(mgard_compress(field.view(), opt), mgard_compress(field.view(), opt));
+  Buffer a, b;
+  mgard_compress_into(field.view(), opt, a);
+  mgard_compress_into(field.view(), opt, b);
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
 }
 
 TEST(Mgard, RejectsForeignContainer) {
   const std::vector<std::uint8_t> junk(64, 0x22);
-  EXPECT_THROW(mgard_decompress(junk), CorruptStream);
+  EXPECT_THROW(mgard_decompress(junk.data(), junk.size()), CorruptStream);
 }
 
 }  // namespace

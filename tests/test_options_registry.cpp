@@ -125,8 +125,10 @@ TEST_P(PluginSweep, CompressDecompressRespectsBound) {
   auto c = registry().create(GetParam());
   const NdArray field = make_field(DType::kFloat32, {24, 24});
   c->set_error_bound(0.01);
-  const auto compressed = c->compress(field.view());
-  const NdArray decoded = c->decompress(compressed);
+  Buffer compressed;
+  ASSERT_TRUE(c->compress_into(field.view(), compressed).ok());
+  NdArray decoded;
+  ASSERT_TRUE(c->decompress_into(compressed.data(), compressed.size(), decoded).ok());
   EXPECT_LE(max_error(field, decoded), 0.01);
 }
 
@@ -182,11 +184,13 @@ TEST(Plugins, UnknownNamespacedKeysIgnored) {
 
 // --------------------------------------------------------------- Evaluate
 
-TEST(Evaluate, ProbeRatioConsistent) {
+TEST(Evaluate, RatioProbeConsistent) {
   auto c = registry().create("sz");
   c->set_error_bound(0.1);
   const NdArray field = make_field(DType::kFloat32, {32, 32});
-  const RatioProbe probe = probe_ratio(*c, field.view());
+  const Result<FidelityReport> report = evaluate_fidelity(*c, field.view());
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  const RatioProbe& probe = report.value().probe;
   EXPECT_EQ(probe.input_bytes, field.size_bytes());
   EXPECT_GT(probe.compressed_bytes, 0u);
   EXPECT_NEAR(probe.ratio,
@@ -198,13 +202,21 @@ TEST(Evaluate, FidelityReportSane) {
   auto c = registry().create("zfp");
   c->set_error_bound(0.05);
   const NdArray field = make_field(DType::kFloat32, {24, 40});
-  const FidelityReport report = evaluate_fidelity(*c, field.view());
+  const FidelityReport report = evaluate_fidelity(*c, field.view()).value();
   EXPECT_GT(report.probe.ratio, 1.0);
   EXPECT_GT(report.psnr_db, 20.0);
   EXPECT_LE(report.max_abs_error, 0.05);
   EXPECT_GT(report.ssim, 0.5);
   EXPECT_LE(report.ssim, 1.0);
   EXPECT_GE(report.rmse, 0.0);
+}
+
+TEST(Evaluate, CodecFailureComesBackAsStatus) {
+  auto c = registry().create("mgard");
+  const NdArray field = make_field(DType::kFloat32, {256});  // mgard is 2D/3D only
+  const Result<FidelityReport> report = evaluate_fidelity(*c, field.view());
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kUnsupported) << report.status().to_string();
 }
 
 }  // namespace

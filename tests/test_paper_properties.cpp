@@ -29,10 +29,12 @@ TEST(PaperProperties, ZfpExpressesFewRatios) {
   const NdArray field = make_field(DType::kFloat32, {16, 16, 16});
   std::set<std::size_t> sizes;
   int tolerances = 0;
+  Buffer archive;
   for (double tol = 1e-4; tol < 10.0; tol *= 1.18) {
     ZfpOptions opt;
     opt.tolerance = tol;
-    sizes.insert(zfp_compress(field.view(), opt).size());
+    zfp_compress_into(field.view(), opt, archive);
+    sizes.insert(archive.size());
     ++tolerances;
   }
   EXPECT_GE(tolerances, 60);
@@ -46,11 +48,14 @@ TEST(PaperProperties, SzExpressesManyMoreRatiosThanZfp) {
   std::set<std::size_t> sz_sizes, zfp_sizes;
   auto sz = pressio::registry().create("sz");
   auto zfp = pressio::registry().create("zfp");
+  Buffer archive;
   for (double tol = 1e-4; tol < 10.0; tol *= 1.18) {
     sz->set_error_bound(tol);
     zfp->set_error_bound(tol);
-    sz_sizes.insert(sz->compress(field.view()).size());
-    zfp_sizes.insert(zfp->compress(field.view()).size());
+    ASSERT_TRUE(sz->compress_into(field.view(), archive).ok());
+    sz_sizes.insert(archive.size());
+    ASSERT_TRUE(zfp->compress_into(field.view(), archive).ok());
+    zfp_sizes.insert(archive.size());
   }
   EXPECT_GT(sz_sizes.size(), zfp_sizes.size() * 2);
 }
@@ -91,7 +96,8 @@ TEST(PaperProperties, EarlyTerminationCutoffSavesCalls) {
       const double bound = std::exp(x);
       auto clone = compressor->clone();
       clone->set_error_bound(bound);
-      const auto archive = clone->compress(field.view());
+      Buffer archive;
+      clone->compress_into(field.view(), archive).throw_if_error();
       ++counter;
       const double ratio = static_cast<double>(field.size_bytes()) /
                            static_cast<double>(archive.size());
@@ -172,7 +178,8 @@ TEST(PaperProperties, RandomAccessOfZfpFixedRate) {
   ZfpOptions opt;
   opt.mode = ZfpMode::kFixedRate;
   opt.rate = 6.0;
-  const auto archive = zfp_compress(field.view(), opt);
+  Buffer archive;
+  zfp_compress_into(field.view(), opt, archive);
   const std::size_t blocks = 64;
   const std::size_t bits_per_block = static_cast<std::size_t>(opt.rate * 64);
   const std::size_t payload_bits = blocks * bits_per_block;

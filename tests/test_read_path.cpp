@@ -137,7 +137,7 @@ std::vector<std::uint8_t> forged_frame(CompressorId id, DType dtype, const Shape
   Buffer frame;
   for (std::size_t payload = size; payload-- > 0;) {
     seal_container_into(id, dtype, shape, std::vector<std::uint8_t>(payload, 0), frame);
-    if (frame.size() == size) return frame.to_vector();
+    if (frame.size() == size) return {frame.begin(), frame.end()};
   }
   ADD_FAILURE() << "no frame of " << size << " bytes";
   return {};

@@ -30,8 +30,9 @@ TEST_P(SzBoundSweep, ErrorBoundRespected) {
   SzOptions opt;
   opt.error_bound = bound;
   opt.regression = regression;
-  const auto compressed = sz_compress(field.view(), opt);
-  const NdArray decoded = sz_decompress(compressed);
+  Buffer compressed;
+  sz_compress_into(field.view(), opt, compressed);
+  const NdArray decoded = sz_decompress(compressed.data(), compressed.size());
   ASSERT_EQ(decoded.shape(), shape);
   ASSERT_EQ(decoded.dtype(), dtype);
   EXPECT_LE(max_error(field, decoded), bound)
@@ -53,25 +54,27 @@ TEST(Sz, BoundHoldsOnRealisticFields) {
     const double bound = value_range(field.view()) * 1e-3;
     SzOptions opt;
     opt.error_bound = bound;
-    const NdArray decoded = sz_decompress(sz_compress(field.view(), opt));
+    Buffer frame;
+    sz_compress_into(field.view(), opt, frame);
+    const NdArray decoded = sz_decompress(frame.data(), frame.size());
     EXPECT_LE(max_error(field, decoded), bound) << ds.name;
   }
 }
 
 TEST(Sz, RatioGrowsBroadlyWithBound) {
   const NdArray field = make_field(DType::kFloat32, {16, 32, 32});
-  double tight = 0, loose = 0;
+  Buffer tight, loose;
   {
     SzOptions opt;
     opt.error_bound = 1e-4;
-    tight = static_cast<double>(sz_compress(field.view(), opt).size());
+    sz_compress_into(field.view(), opt, tight);
   }
   {
     SzOptions opt;
     opt.error_bound = 1.0;
-    loose = static_cast<double>(sz_compress(field.view(), opt).size());
+    sz_compress_into(field.view(), opt, loose);
   }
-  EXPECT_LT(loose, tight);
+  EXPECT_LT(loose.size(), tight.size());
 }
 
 TEST(Sz, ConstantFieldCompressesExtremely) {
@@ -79,9 +82,10 @@ TEST(Sz, ConstantFieldCompressesExtremely) {
   for (std::size_t i = 0; i < field.elements(); ++i) field.set_flat(i, -7.5);
   SzOptions opt;
   opt.error_bound = 1e-6;
-  const auto compressed = sz_compress(field.view(), opt);
+  Buffer compressed;
+  sz_compress_into(field.view(), opt, compressed);
   EXPECT_LT(compressed.size(), field.size_bytes() / 20);
-  const NdArray decoded = sz_decompress(compressed);
+  const NdArray decoded = sz_decompress(compressed.data(), compressed.size());
   EXPECT_LE(max_error(field, decoded), 1e-6);
 }
 
@@ -90,7 +94,9 @@ TEST(Sz, SingleElementArray) {
   field.set_flat(0, 123.456);
   SzOptions opt;
   opt.error_bound = 1e-3;
-  const NdArray decoded = sz_decompress(sz_compress(field.view(), opt));
+  Buffer frame;
+  sz_compress_into(field.view(), opt, frame);
+  const NdArray decoded = sz_decompress(frame.data(), frame.size());
   EXPECT_LE(std::abs(decoded.at_flat(0) - 123.456), 1e-3);
 }
 
@@ -103,7 +109,9 @@ TEST(Sz, RandomDataEscapesStillBounded) {
     field.set_flat(i, rng.uniform(-1e6, 1e6));
   SzOptions opt;
   opt.error_bound = 1e-3;
-  const NdArray decoded = sz_decompress(sz_compress(field.view(), opt));
+  Buffer frame;
+  sz_compress_into(field.view(), opt, frame);
+  const NdArray decoded = sz_decompress(frame.data(), frame.size());
   EXPECT_LE(max_error(field, decoded), 1e-3);
 }
 
@@ -114,7 +122,9 @@ TEST(Sz, HugeValuesWithTinyBound) {
     field.set_flat(i, 1e30 * std::sin(static_cast<double>(i)));
   SzOptions opt;
   opt.error_bound = 1e-10;
-  const NdArray decoded = sz_decompress(sz_compress(field.view(), opt));
+  Buffer frame;
+  sz_compress_into(field.view(), opt, frame);
+  const NdArray decoded = sz_decompress(frame.data(), frame.size());
   EXPECT_LE(max_error(field, decoded), 1e-10);
 }
 
@@ -130,31 +140,37 @@ TEST(Sz, RegressionImprovesPlanarData) {
   with.regression = true;
   SzOptions without = with;
   without.regression = false;
-  EXPECT_LE(sz_compress(field.view(), with).size(),
-            sz_compress(field.view(), without).size() + 64);
+  Buffer with_frame, without_frame;
+  sz_compress_into(field.view(), with, with_frame);
+  sz_compress_into(field.view(), without, without_frame);
+  EXPECT_LE(with_frame.size(), without_frame.size() + 64);
 }
 
 TEST(Sz, DeterministicOutput) {
   const NdArray field = make_field(DType::kFloat32, {13, 17, 19});
   SzOptions opt;
   opt.error_bound = 1e-2;
-  EXPECT_EQ(sz_compress(field.view(), opt), sz_compress(field.view(), opt));
+  Buffer a, b;
+  sz_compress_into(field.view(), opt, a);
+  sz_compress_into(field.view(), opt, b);
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
 }
 
 TEST(Sz, RejectsBadArguments) {
   const NdArray field = make_field(DType::kFloat32, {8, 8});
   SzOptions opt;
+  Buffer frame;
   opt.error_bound = 0;
-  EXPECT_THROW(sz_compress(field.view(), opt), InvalidArgument);
+  EXPECT_THROW(sz_compress_into(field.view(), opt, frame), InvalidArgument);
   opt.error_bound = -2;
-  EXPECT_THROW(sz_compress(field.view(), opt), InvalidArgument);
+  EXPECT_THROW(sz_compress_into(field.view(), opt, frame), InvalidArgument);
   opt.error_bound = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(sz_compress(field.view(), opt), InvalidArgument);
+  EXPECT_THROW(sz_compress_into(field.view(), opt, frame), InvalidArgument);
 }
 
 TEST(Sz, RejectsForeignContainer) {
   const std::vector<std::uint8_t> junk(64, 0x11);
-  EXPECT_THROW(sz_decompress(junk), CorruptStream);
+  EXPECT_THROW(sz_decompress(junk.data(), junk.size()), CorruptStream);
 }
 
 TEST(Sz, PartialBlocksAtEveryEdge) {
@@ -163,7 +179,9 @@ TEST(Sz, PartialBlocksAtEveryEdge) {
     const NdArray field = make_field(DType::kFloat32, shape);
     SzOptions opt;
     opt.error_bound = 1e-2;
-    const NdArray decoded = sz_decompress(sz_compress(field.view(), opt));
+    Buffer frame;
+    sz_compress_into(field.view(), opt, frame);
+    const NdArray decoded = sz_decompress(frame.data(), frame.size());
     ASSERT_EQ(decoded.shape(), shape);
     EXPECT_LE(max_error(field, decoded), 1e-2);
   }
@@ -303,8 +321,9 @@ TEST(Sz, V1EncoderBytesArePinned) {
     SzOptions opt;
     opt.error_bound = rel * value_range(pin_field(dtype, shape, false).view());
     opt.regression = regression;
-    const auto frame = sz_compress(field.view(), opt);
-    const NdArray decoded = sz_decompress(frame);
+    Buffer frame;
+    sz_compress_into(field.view(), opt, frame);
+    const NdArray decoded = sz_decompress(frame.data(), frame.size());
     const auto* bytes = static_cast<const std::uint8_t*>(decoded.data());
     const std::uint32_t frame_crc = crc32(frame.data(), frame.size() - 4);
     const std::uint32_t decoded_crc = crc32(bytes, decoded.size_bytes());

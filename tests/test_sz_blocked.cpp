@@ -34,8 +34,8 @@ SzOptions blocked_options(double bound, bool regression = true, unsigned threads
 }
 
 /// Container frame: 4 magic bytes, then the version byte.
-std::uint8_t frame_version(const std::vector<std::uint8_t>& frame) {
-  return frame.size() > 4 ? frame[4] : 0;
+std::uint8_t frame_version(const Buffer& frame) {
+  return frame.size() > 4 ? frame.data()[4] : 0;
 }
 
 /// Shapes big enough to span several prediction blocks and several block
@@ -51,9 +51,10 @@ TEST_P(SzBlockedBoundSweep, ErrorBoundRespected) {
   const auto [dims, dtype, bound, regression] = GetParam();
   const Shape shape = sweep_shape(dims);
   const NdArray field = make_field(dtype, shape);
-  const auto compressed = sz_compress(field.view(), blocked_options(bound, regression));
+  Buffer compressed;
+  sz_compress_into(field.view(), blocked_options(bound, regression), compressed);
   EXPECT_EQ(frame_version(compressed), 2u);
-  const NdArray decoded = sz_decompress(compressed);
+  const NdArray decoded = sz_decompress(compressed.data(), compressed.size());
   ASSERT_EQ(decoded.shape(), shape);
   ASSERT_EQ(decoded.dtype(), dtype);
   EXPECT_LE(max_error(field, decoded), bound)
@@ -75,7 +76,9 @@ TEST(SzBlocked, SmallAndRaggedShapesRoundTrip) {
                                      {2, 2, 2},  {17, 16, 15}, {16, 16, 16}, {1, 1, 50}};
   for (const Shape& shape : shapes) {
     const NdArray field = make_field(DType::kFloat32, shape);
-    const NdArray decoded = sz_decompress(sz_compress(field.view(), blocked_options(1e-3)));
+    Buffer frame;
+    sz_compress_into(field.view(), blocked_options(1e-3), frame);
+    const NdArray decoded = sz_decompress(frame.data(), frame.size());
     ASSERT_EQ(decoded.shape(), shape);
     EXPECT_LE(max_error(field, decoded), 1e-3) << "rank " << shape.size();
   }
@@ -92,25 +95,30 @@ TEST(SzBlocked, RoughDataExercisesEscapes) {
   for (std::size_t i = 0; i < field.elements(); ++i)
     field.set_flat(i, static_cast<double>(gen.next() % 100000) - 50000.0);
   const double bound = 1e-4;
-  const NdArray decoded = sz_decompress(sz_compress(field.view(), blocked_options(bound)));
+  Buffer frame;
+  sz_compress_into(field.view(), blocked_options(bound), frame);
+  const NdArray decoded = sz_decompress(frame.data(), frame.size());
   EXPECT_LE(max_error(field, decoded), bound);
 }
 
 TEST(SzBlocked, ConstantFieldCompressesExtremely) {
   NdArray field(DType::kFloat64, {48, 48});
   for (std::size_t i = 0; i < field.elements(); ++i) field.set_flat(i, 3.25);
-  const auto compressed = sz_compress(field.view(), blocked_options(1e-6));
+  Buffer compressed;
+  sz_compress_into(field.view(), blocked_options(1e-6), compressed);
   EXPECT_LT(compressed.size(), field.size_bytes() / 20);
-  EXPECT_LE(max_error(field, sz_decompress(compressed)), 1e-6);
+  EXPECT_LE(max_error(field, sz_decompress(compressed.data(), compressed.size())), 1e-6);
 }
 
 TEST(SzBlocked, CompressedBytesIdenticalAtEveryThreadCount) {
   // The tentpole determinism contract: grouping is a pure function of the
   // shape, so the payload never depends on how many workers encoded it.
   const NdArray field = make_field(DType::kFloat32, {40, 36, 34});
-  const auto reference = sz_compress(field.view(), blocked_options(1e-3, true, 1));
+  Buffer reference;
+  sz_compress_into(field.view(), blocked_options(1e-3, true, 1), reference);
   for (const unsigned threads : {0u, 2u, 4u, 8u}) {
-    const auto other = sz_compress(field.view(), blocked_options(1e-3, true, threads));
+    Buffer other;
+    sz_compress_into(field.view(), blocked_options(1e-3, true, threads), other);
     ASSERT_EQ(other.size(), reference.size()) << threads << " threads";
     EXPECT_EQ(std::memcmp(other.data(), reference.data(), reference.size()), 0)
         << threads << " threads";
@@ -119,10 +127,11 @@ TEST(SzBlocked, CompressedBytesIdenticalAtEveryThreadCount) {
 
 TEST(SzBlocked, DecodeBytesIdenticalAtEveryThreadCount) {
   const NdArray field = make_field(DType::kFloat64, {150, 300});
-  const auto compressed = sz_compress(field.view(), blocked_options(1e-4));
-  const NdArray reference = sz_decompress(compressed, 1);
+  Buffer compressed;
+  sz_compress_into(field.view(), blocked_options(1e-4), compressed);
+  const NdArray reference = sz_decompress(compressed.data(), compressed.size(), 1);
   for (const unsigned threads : {2u, 4u, 8u}) {
-    const NdArray decoded = sz_decompress(compressed, threads);
+    const NdArray decoded = sz_decompress(compressed.data(), compressed.size(), threads);
     ASSERT_EQ(decoded.shape(), reference.shape());
     EXPECT_EQ(std::memcmp(decoded.data(), reference.data(), reference.size_bytes()), 0)
         << threads << " threads";
@@ -131,9 +140,10 @@ TEST(SzBlocked, DecodeBytesIdenticalAtEveryThreadCount) {
 
 TEST(SzBlocked, DeterministicAcrossInstancesAndRuns) {
   const NdArray field = make_field(DType::kFloat32, {70000});
-  const auto a = sz_compress(field.view(), blocked_options(1e-2));
-  const auto b = sz_compress(field.view(), blocked_options(1e-2));
-  EXPECT_EQ(a, b);
+  Buffer a, b;
+  sz_compress_into(field.view(), blocked_options(1e-2), a);
+  sz_compress_into(field.view(), blocked_options(1e-2), b);
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
 }
 
 TEST(SzBlocked, RatioStaysCloseToSerial) {
@@ -142,9 +152,11 @@ TEST(SzBlocked, RatioStaysCloseToSerial) {
   const NdArray field = make_field(DType::kFloat32, {40, 36, 34});
   SzOptions serial;
   serial.error_bound = 1e-3;
-  const double serial_size = static_cast<double>(sz_compress(field.view(), serial).size());
-  const double blocked_size =
-      static_cast<double>(sz_compress(field.view(), blocked_options(1e-3)).size());
+  Buffer frame;
+  sz_compress_into(field.view(), serial, frame);
+  const double serial_size = static_cast<double>(frame.size());
+  sz_compress_into(field.view(), blocked_options(1e-3), frame);
+  const double blocked_size = static_cast<double>(frame.size());
   EXPECT_LT(blocked_size, field.size_bytes());      // still compresses
   EXPECT_LT(blocked_size, 1.6 * serial_size);       // and not by a token margin
 }
@@ -170,14 +182,15 @@ TEST(SzBlocked, V1GoldenFramesStillDecode) {
     const NdArray field = make_field(g.dtype, g.shape);
     SzOptions opt;
     opt.error_bound = g.bound;
-    const auto frame = sz_compress(field.view(), opt);
+    Buffer frame;
+    sz_compress_into(field.view(), opt, frame);
     EXPECT_EQ(frame_version(frame), 1u);
     ASSERT_EQ(frame.size(), g.size) << "v1 bytes moved";
     // The frame ends with its own crc32, so a whole-frame CRC would collapse
     // to the constant residue — pin the bytes under the trailer instead.
     EXPECT_EQ(crc32(frame.data(), frame.size() - 4), g.crc) << "v1 bytes moved";
     // And the current decoder (which also speaks v2) still reads them.
-    const NdArray decoded = sz_decompress(frame);
+    const NdArray decoded = sz_decompress(frame.data(), frame.size());
     ASSERT_EQ(decoded.shape(), g.shape);
     EXPECT_LE(max_error(field, decoded), g.bound);
   }
@@ -194,13 +207,16 @@ TEST(SzBlocked, PluginRoutesDecodeOnFrameVersion) {
   const auto blocked_plugin = pressio::registry().create("sz", blocked_opts);
   const auto serial_plugin = pressio::registry().create("sz");
 
-  const auto v2 = blocked_plugin->compress(field.view());
-  const auto v1 = serial_plugin->compress(field.view());
-  EXPECT_EQ(v2[4], 2u);
-  EXPECT_EQ(v1[4], 1u);
-  EXPECT_LE(max_error(field, serial_plugin->decompress(v2)), 1e-3);
-  EXPECT_LE(max_error(field, blocked_plugin->decompress(v1)),
-            serial_plugin->error_bound());
+  Buffer v2, v1;
+  ASSERT_TRUE(blocked_plugin->compress_into(field.view(), v2).ok());
+  ASSERT_TRUE(serial_plugin->compress_into(field.view(), v1).ok());
+  EXPECT_EQ(frame_version(v2), 2u);
+  EXPECT_EQ(frame_version(v1), 1u);
+  NdArray decoded;
+  ASSERT_TRUE(serial_plugin->decompress_into(v2.data(), v2.size(), decoded).ok());
+  EXPECT_LE(max_error(field, decoded), 1e-3);
+  ASSERT_TRUE(blocked_plugin->decompress_into(v1.data(), v1.size(), decoded).ok());
+  EXPECT_LE(max_error(field, decoded), serial_plugin->error_bound());
 }
 
 TEST(SzBlocked, PluginAdvertisesBlockedMode) {

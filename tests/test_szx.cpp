@@ -28,7 +28,9 @@ TEST(Szx, ErrorBoundRespectedAcrossRanksAndDtypes) {
       for (const double bound : {1.0, 1e-2, 1e-4}) {
         SzxOptions opt;
         opt.error_bound = bound;
-        const NdArray decoded = szx_decompress(szx_compress(field.view(), opt));
+        Buffer frame;
+        szx_compress_into(field.view(), opt, frame);
+        const NdArray decoded = szx_decompress(frame.data(), frame.size());
         ASSERT_EQ(decoded.dtype(), dt);
         ASSERT_EQ(decoded.shape(), shape);
         EXPECT_LE(max_error(field, decoded), bound)
@@ -44,7 +46,8 @@ TEST(Szx, RatioGrowsWithBound) {
   for (const double bound : {1e-4, 1e-2, 1.0, 20.0}) {
     SzxOptions opt;
     opt.error_bound = bound;
-    const auto compressed = szx_compress(field.view(), opt);
+    Buffer compressed;
+    szx_compress_into(field.view(), opt, compressed);
     const double ratio =
         static_cast<double>(field.size_bytes()) / static_cast<double>(compressed.size());
     EXPECT_GT(ratio, last_ratio) << "bound=" << bound;
@@ -59,10 +62,11 @@ TEST(Szx, ConstantFieldCollapsesToConstantBlocks) {
   for (std::size_t i = 0; i < field.elements(); ++i) field.typed<double>()[i] = 2.75;
   SzxOptions opt;
   opt.error_bound = 1e-6;
-  const auto compressed = szx_compress(field.view(), opt);
+  Buffer compressed;
+  szx_compress_into(field.view(), opt, compressed);
   // 32 blocks of 128 doubles, one scalar each, plus framing.
   EXPECT_LT(compressed.size(), 1000u);
-  const NdArray decoded = szx_decompress(compressed);
+  const NdArray decoded = szx_decompress(compressed.data(), compressed.size());
   EXPECT_EQ(max_error(field, decoded), 0.0);
 }
 
@@ -92,7 +96,9 @@ TEST(Szx, NonFiniteAndSpecialValuesRoundTripBitExactly) {
 
     SzxOptions opt;
     opt.error_bound = 1e-3;
-    const NdArray decoded = szx_decompress(szx_compress(field.view(), opt));
+    Buffer frame;
+    szx_compress_into(field.view(), opt, frame);
+    const NdArray decoded = szx_decompress(frame.data(), frame.size());
     // Blocks containing specials are stored raw, so the whole block is
     // bit-exact; finite blocks honour the bound.
     const auto* in = static_cast<const std::uint8_t*>(field.data());
@@ -107,17 +113,19 @@ TEST(Szx, NonFiniteAndSpecialValuesRoundTripBitExactly) {
 
 TEST(Szx, RejectsBadArguments) {
   const NdArray field = make_field(DType::kFloat32, {64});
+  Buffer frame;
   for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity()}) {
     SzxOptions opt;
     opt.error_bound = bad;
-    EXPECT_THROW(szx_compress(field.view(), opt), InvalidArgument) << "bound=" << bad;
+    EXPECT_THROW(szx_compress_into(field.view(), opt, frame), InvalidArgument)
+        << "bound=" << bad;
   }
 }
 
 TEST(Szx, RejectsForeignContainer) {
   const std::vector<std::uint8_t> junk(64, 0x33);
-  EXPECT_THROW(szx_decompress(junk), CorruptStream);
+  EXPECT_THROW(szx_decompress(junk.data(), junk.size()), CorruptStream);
 }
 
 // --------------------------------------------------------------- plugin
@@ -127,7 +135,10 @@ TEST(SzxPlugin, ErrorBoundRespected) {
   const NdArray field = make_field(DType::kFloat32, {24, 24});
   for (const double bound : {10.0, 0.5, 1e-2}) {
     c->set_error_bound(bound);
-    const NdArray decoded = c->decompress(c->compress(field.view()));
+    Buffer archive;
+    ASSERT_TRUE(c->compress_into(field.view(), archive).ok());
+    NdArray decoded;
+    ASSERT_TRUE(c->decompress_into(archive.data(), archive.size(), decoded).ok());
     EXPECT_LE(max_error(field, decoded), bound) << "bound=" << bound;
   }
 }

@@ -19,7 +19,8 @@ TEST(Truncate, RatioIsExactlyWidthOverBits) {
   for (unsigned bits : {4u, 8u, 16u, 32u}) {
     TruncateOptions opt;
     opt.bits = bits;
-    const auto compressed = truncate_compress(field.view(), opt);
+    Buffer compressed;
+    truncate_compress_into(field.view(), opt, compressed);
     const double ratio =
         static_cast<double>(field.size_bytes()) / static_cast<double>(compressed.size());
     // Container framing adds a small constant; the payload is exact.
@@ -31,7 +32,9 @@ TEST(Truncate, FullWidthIsLossless) {
   const NdArray field = make_field(DType::kFloat32, {17, 23});
   TruncateOptions opt;
   opt.bits = 32;
-  const NdArray decoded = truncate_decompress(truncate_compress(field.view(), opt));
+  Buffer frame;
+  truncate_compress_into(field.view(), opt, frame);
+  const NdArray decoded = truncate_decompress(frame.data(), frame.size());
   EXPECT_EQ(max_error(field, decoded), 0.0);
 }
 
@@ -39,7 +42,9 @@ TEST(Truncate, RelativeErrorBoundedByKeptMantissa) {
   const NdArray field = make_field(DType::kFloat64, {2048});
   TruncateOptions opt;
   opt.bits = 1 + 11 + 10;  // sign + exponent + 10 mantissa bits
-  const NdArray decoded = truncate_decompress(truncate_compress(field.view(), opt));
+  Buffer frame;
+  truncate_compress_into(field.view(), opt, frame);
+  const NdArray decoded = truncate_decompress(frame.data(), frame.size());
   for (std::size_t i = 0; i < field.elements(); ++i) {
     const double v = field.at_flat(i);
     const double err = std::abs(v - decoded.at_flat(i));
@@ -53,7 +58,9 @@ TEST(Truncate, ErrorShrinksWithBits) {
   for (unsigned bits : {10u, 14u, 20u, 28u}) {
     TruncateOptions opt;
     opt.bits = bits;
-    const NdArray decoded = truncate_decompress(truncate_compress(field.view(), opt));
+    Buffer frame;
+    truncate_compress_into(field.view(), opt, frame);
+    const NdArray decoded = truncate_decompress(frame.data(), frame.size());
     const double err = max_error(field, decoded);
     EXPECT_LT(err, last) << "bits=" << bits;
     last = err;
@@ -63,15 +70,16 @@ TEST(Truncate, ErrorShrinksWithBits) {
 TEST(Truncate, RejectsBadArguments) {
   const NdArray field = make_field(DType::kFloat32, {8, 8});
   TruncateOptions opt;
+  Buffer frame;
   opt.bits = 0;
-  EXPECT_THROW(truncate_compress(field.view(), opt), InvalidArgument);
+  EXPECT_THROW(truncate_compress_into(field.view(), opt, frame), InvalidArgument);
   opt.bits = 33;  // beyond f32 width
-  EXPECT_THROW(truncate_compress(field.view(), opt), InvalidArgument);
+  EXPECT_THROW(truncate_compress_into(field.view(), opt, frame), InvalidArgument);
 }
 
 TEST(Truncate, RejectsForeignContainer) {
   const std::vector<std::uint8_t> junk(64, 0x33);
-  EXPECT_THROW(truncate_decompress(junk), CorruptStream);
+  EXPECT_THROW(truncate_decompress(junk.data(), junk.size()), CorruptStream);
 }
 
 // --------------------------------------------------------------- plugin
@@ -81,8 +89,10 @@ TEST(TruncatePlugin, ErrorBoundRespected) {
   const NdArray field = make_field(DType::kFloat32, {24, 24});
   for (double bound : {10.0, 0.5, 1e-2}) {
     c->set_error_bound(bound);
-    const auto compressed = c->compress(field.view());
-    const NdArray decoded = c->decompress(compressed);
+    Buffer compressed;
+    ASSERT_TRUE(c->compress_into(field.view(), compressed).ok());
+    NdArray decoded;
+    ASSERT_TRUE(c->decompress_into(compressed.data(), compressed.size(), decoded).ok());
     EXPECT_LE(max_error(field, decoded), bound) << "bound=" << bound;
   }
 }
@@ -93,7 +103,8 @@ TEST(TruncatePlugin, ExplicitBitsOverrideBound) {
   o.set("truncate:bits", std::int64_t{16});
   c->set_options(o);
   const NdArray field = make_field(DType::kFloat32, {64, 64});
-  const auto compressed = c->compress(field.view());
+  Buffer compressed;
+  ASSERT_TRUE(c->compress_into(field.view(), compressed).ok());
   const double ratio =
       static_cast<double>(field.size_bytes()) / static_cast<double>(compressed.size());
   EXPECT_NEAR(ratio, 2.0, 0.1);
@@ -107,7 +118,10 @@ TEST(TruncatePlugin, QualityFarBelowErrorBoundedPeersAtSameRatio) {
   pressio::Options o;
   o.set("truncate:bits", std::int64_t{8});  // ratio 4
   trunc->set_options(o);
-  const NdArray trunc_out = trunc->decompress(trunc->compress(field.view()));
+  Buffer archive;
+  ASSERT_TRUE(trunc->compress_into(field.view(), archive).ok());
+  NdArray trunc_out;
+  ASSERT_TRUE(trunc->decompress_into(archive.data(), archive.size(), trunc_out).ok());
 
   auto sz = pressio::registry().create("sz");
   // Find an SZ bound with ratio ~4 by direct probing (cheap on this field).
@@ -115,11 +129,14 @@ TEST(TruncatePlugin, QualityFarBelowErrorBoundedPeersAtSameRatio) {
   const double range = value_range(field.view());
   for (double frac = 1e-6; frac < 1; frac *= 2) {
     sz->set_error_bound(range * frac);
-    const auto compressed = sz->compress(field.view());
+    Buffer compressed;
+    ASSERT_TRUE(sz->compress_into(field.view(), compressed).ok());
     const double ratio =
         static_cast<double>(field.size_bytes()) / static_cast<double>(compressed.size());
     if (ratio >= 4.0) {
-      best_err = max_error(field, sz->decompress(compressed));
+      NdArray sz_out;
+      ASSERT_TRUE(sz->decompress_into(compressed.data(), compressed.size(), sz_out).ok());
+      best_err = max_error(field, sz_out);
       break;
     }
   }

@@ -24,8 +24,9 @@ TEST_P(ZfpAccuracySweep, ErrorBoundRespected) {
   ZfpOptions opt;
   opt.mode = ZfpMode::kAccuracy;
   opt.tolerance = tolerance;
-  const auto compressed = zfp_compress(field.view(), opt);
-  const NdArray decoded = zfp_decompress(compressed);
+  Buffer compressed;
+  zfp_compress_into(field.view(), opt, compressed);
+  const NdArray decoded = zfp_decompress(compressed.data(), compressed.size());
   ASSERT_EQ(decoded.shape(), shape);
   ASSERT_EQ(decoded.dtype(), dtype);
   EXPECT_LE(max_error(field, decoded), tolerance)
@@ -44,7 +45,8 @@ TEST(Zfp, RatioGrowsWithTolerance) {
   for (double tol : {1e-5, 1e-3, 1e-1, 10.0}) {
     ZfpOptions opt;
     opt.tolerance = tol;
-    const auto compressed = zfp_compress(field.view(), opt);
+    Buffer compressed;
+    zfp_compress_into(field.view(), opt, compressed);
     EXPECT_LE(compressed.size(), last_size * 1.02) << "tol=" << tol;
     last_size = static_cast<double>(compressed.size());
   }
@@ -59,9 +61,10 @@ TEST(Zfp, ToleranceFlooringCreatesSteps) {
   a.tolerance = 0.130;
   b.tolerance = 0.200;  // same floor(log2): both in [2^-3, 2^-2)
   c.tolerance = 0.300;  // next step: in [2^-2, 2^-1)
-  const auto ca = zfp_compress(field.view(), a);
-  const auto cb = zfp_compress(field.view(), b);
-  const auto cc = zfp_compress(field.view(), c);
+  Buffer ca, cb, cc;
+  zfp_compress_into(field.view(), a, ca);
+  zfp_compress_into(field.view(), b, cb);
+  zfp_compress_into(field.view(), c, cc);
   EXPECT_EQ(ca.size(), cb.size());
   EXPECT_LT(cc.size(), ca.size());
 }
@@ -71,8 +74,9 @@ TEST(Zfp, ConstantFieldNearlyFree) {
   for (std::size_t i = 0; i < field.elements(); ++i) field.set_flat(i, 3.25);
   ZfpOptions opt;
   opt.tolerance = 1e-3;
-  const auto compressed = zfp_compress(field.view(), opt);
-  const NdArray decoded = zfp_decompress(compressed);
+  Buffer compressed;
+  zfp_compress_into(field.view(), opt, compressed);
+  const NdArray decoded = zfp_decompress(compressed.data(), compressed.size());
   EXPECT_LE(max_error(field, decoded), 1e-3);
   EXPECT_LT(compressed.size(), field.size_bytes() / 8);
 }
@@ -81,7 +85,9 @@ TEST(Zfp, AllZeroFieldExact) {
   NdArray field(DType::kFloat64, {4, 8, 12});
   ZfpOptions opt;
   opt.tolerance = 1e-6;
-  const NdArray decoded = zfp_decompress(zfp_compress(field.view(), opt));
+  Buffer frame;
+  zfp_compress_into(field.view(), opt, frame);
+  const NdArray decoded = zfp_decompress(frame.data(), frame.size());
   EXPECT_EQ(max_error(field, decoded), 0.0);
 }
 
@@ -92,7 +98,9 @@ TEST(Zfp, PartialBlocksHandled) {
     const NdArray field = make_field(DType::kFloat32, shape);
     ZfpOptions opt;
     opt.tolerance = 1e-2;
-    const NdArray decoded = zfp_decompress(zfp_compress(field.view(), opt));
+    Buffer frame;
+    zfp_compress_into(field.view(), opt, frame);
+    const NdArray decoded = zfp_decompress(frame.data(), frame.size());
     ASSERT_EQ(decoded.shape(), shape);
     EXPECT_LE(max_error(field, decoded), 1e-2) << "shape rank " << shape.size();
   }
@@ -108,7 +116,8 @@ TEST(Zfp, FixedRateSizeMatchesBudget) {
     ZfpOptions opt;
     opt.mode = ZfpMode::kFixedRate;
     opt.rate = rate;
-    const auto compressed = zfp_compress(field.view(), opt);
+    Buffer compressed;
+    zfp_compress_into(field.view(), opt, compressed);
     const double bits_per_value = 8.0 * static_cast<double>(compressed.size()) /
                                   static_cast<double>(field.elements());
     // Container + mode header amortize to well under half a bit here.
@@ -123,7 +132,9 @@ TEST(Zfp, FixedRateErrorShrinksWithRate) {
     ZfpOptions opt;
     opt.mode = ZfpMode::kFixedRate;
     opt.rate = rate;
-    const NdArray decoded = zfp_decompress(zfp_compress(field.view(), opt));
+    Buffer frame;
+    zfp_compress_into(field.view(), opt, frame);
+    const NdArray decoded = zfp_decompress(frame.data(), frame.size());
     const double err = max_error(field, decoded);
     EXPECT_LT(err, last_err) << "rate=" << rate;
     last_err = err;
@@ -137,15 +148,17 @@ TEST(Zfp, FixedRateWorseThanAccuracyAtSameSize) {
   ZfpOptions acc;
   acc.mode = ZfpMode::kAccuracy;
   acc.tolerance = 0.5;
-  const auto ca = zfp_compress(field.view(), acc);
+  Buffer ca;
+  zfp_compress_into(field.view(), acc, ca);
   const double bits = 8.0 * static_cast<double>(ca.size()) /
                       static_cast<double>(field.elements());
   ZfpOptions rate;
   rate.mode = ZfpMode::kFixedRate;
   rate.rate = bits;  // same budget
-  const auto cr = zfp_compress(field.view(), rate);
-  const double err_acc = max_error(field, zfp_decompress(ca));
-  const double err_rate = max_error(field, zfp_decompress(cr));
+  Buffer cr;
+  zfp_compress_into(field.view(), rate, cr);
+  const double err_acc = max_error(field, zfp_decompress(ca.data(), ca.size()));
+  const double err_rate = max_error(field, zfp_decompress(cr.data(), cr.size()));
   EXPECT_LE(err_acc, err_rate * 1.05);  // allow a hair of slack
 }
 
@@ -154,8 +167,9 @@ TEST(Zfp, FractionalRatesSupported) {
   ZfpOptions opt;
   opt.mode = ZfpMode::kFixedRate;
   opt.rate = 0.32;  // CR 100 for f32
-  const auto compressed = zfp_compress(field.view(), opt);
-  const NdArray decoded = zfp_decompress(compressed);
+  Buffer compressed;
+  zfp_compress_into(field.view(), opt, compressed);
+  const NdArray decoded = zfp_decompress(compressed.data(), compressed.size());
   EXPECT_EQ(decoded.shape(), field.shape());
   const double ratio = static_cast<double>(field.size_bytes()) /
                        static_cast<double>(compressed.size());
@@ -167,26 +181,30 @@ TEST(Zfp, FractionalRatesSupported) {
 TEST(Zfp, RejectsBadArguments) {
   const NdArray field = make_field(DType::kFloat32, {8, 8});
   ZfpOptions opt;
+  Buffer frame;
   opt.tolerance = 0.0;
-  EXPECT_THROW(zfp_compress(field.view(), opt), InvalidArgument);
+  EXPECT_THROW(zfp_compress_into(field.view(), opt, frame), InvalidArgument);
   opt.tolerance = -1;
-  EXPECT_THROW(zfp_compress(field.view(), opt), InvalidArgument);
+  EXPECT_THROW(zfp_compress_into(field.view(), opt, frame), InvalidArgument);
   opt = ZfpOptions{};
   opt.mode = ZfpMode::kFixedRate;
   opt.rate = 0;
-  EXPECT_THROW(zfp_compress(field.view(), opt), InvalidArgument);
+  EXPECT_THROW(zfp_compress_into(field.view(), opt, frame), InvalidArgument);
 }
 
 TEST(Zfp, RejectsForeignContainer) {
   const std::vector<std::uint8_t> junk(64, 0x5a);
-  EXPECT_THROW(zfp_decompress(junk), CorruptStream);
+  EXPECT_THROW(zfp_decompress(junk.data(), junk.size()), CorruptStream);
 }
 
 TEST(Zfp, DeterministicOutput) {
   const NdArray field = make_field(DType::kFloat64, {9, 10, 11});
   ZfpOptions opt;
   opt.tolerance = 1e-3;
-  EXPECT_EQ(zfp_compress(field.view(), opt), zfp_compress(field.view(), opt));
+  Buffer a, b;
+  zfp_compress_into(field.view(), opt, a);
+  zfp_compress_into(field.view(), opt, b);
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
 }
 
 }  // namespace

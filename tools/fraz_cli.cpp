@@ -59,7 +59,6 @@
 #include "engine/engine.hpp"
 #include "metrics/error_stats.hpp"
 #include "ndarray/io.hpp"
-#include "pressio/evaluate.hpp"
 #include "pressio/registry.hpp"
 #include "serve/reader_pool.hpp"
 #include "serve/server.hpp"
@@ -435,7 +434,7 @@ int report_pack(const Cli& cli, const archive::ArchiveWriteResult& r) {
               r.warm_chunks, r.retrained_chunks, r.rate_fallback_chunks,
               r.peak_buffered_chunks, r.peak_buffered_bytes, r.peak_staged_bytes,
               r.seconds);
-  std::printf("tuning: %zu probes executed, %zu served by the probe cache\n",
+  std::printf("tuning: %zu probes executed, %zu answered from the searches' memos\n",
               r.tuner_probe_calls, r.probe_cache_hits);
   return r.in_band ? 0 : 2;
 }

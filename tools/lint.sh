@@ -3,9 +3,9 @@
 # local `tools/lint.sh` reproduces the gate exactly.
 #
 # Stages (default: the two grep gates and all three clang gates):
-#   error-model    the archive, engine and serve layers convert between
-#                  exceptions and Status only through guarded() (plain grep,
-#                  no compiler needed)
+#   error-model    the archive, engine, serve, pressio and compressors
+#                  layers convert between exceptions and Status only through
+#                  guarded() (plain grep, no compiler needed)
 #   layering       archive::detail is named only under src/archive/ (plain
 #                  grep, no compiler needed)
 #   thread-safety  clang build with -Wthread-safety as errors
@@ -34,14 +34,17 @@ need() {
 
 # Internals throw and Status appears only at public entry points, through
 # guarded() (docs/API.md, "The error model").  The archive, engine and serve
-# layers follow the rule, so a hand-written bridge there is a regression.
+# layers follow the rule, and the backend API (src/pressio/, src/compressors/)
+# hands every Status back as a value: no throwing wrapper turns it into an
+# exception again.  A hand-written bridge in any of them is a regression.
 stage_error_model() {
-  echo "== error-model: no hand-written Status bridges under src/archive/, src/engine/ or src/serve/ =="
+  local dirs=(src/archive src/engine src/serve src/pressio src/compressors)
+  echo "== error-model: no hand-written Status bridges under ${dirs[*]} =="
   local found=0
-  grep -rnE 'status_from_current_exception|throw_status' src/archive src/engine src/serve || found=$?
+  grep -rnE 'status_from_current_exception|throw_status' "${dirs[@]}" || found=$?
   case "$found" in
     0)
-      echo "lint: src/archive/, src/engine/ and src/serve/ convert only through guarded(), Result::value() and Status::throw_if_error()" >&2
+      echo "lint: ${dirs[*]} convert only through guarded(), Result::value() and Status::throw_if_error()" >&2
       exit 1
       ;;
     1) ;;  # no match
