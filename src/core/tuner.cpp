@@ -105,19 +105,28 @@ TuneResult Tuner::tune(const ArrayView& data, ProbeMemo memo) const {
     // Report the region in bound units even when searching in log space.
     outcomes[i].region = Region{to_bound(regions[i].lo), to_bound(regions[i].hi)};
   }
-  // All-zero bytes compress to about one size at every bound, so where that
-  // size lands above the band a full search would settle on region 0's
-  // first proposal: the first of its equally close ratios.  Otherwise the
-  // search runs with that probe in its memo, because mgard codes some
-  // bounds a byte shorter (docs/API.md) and a search below the band picks
-  // the shortest of them.
+  // All-zero bytes compress to one size at every bound on a zero_size_flat
+  // backend, so a full search would settle on region 0's first proposal: the
+  // first of its equally close ratios.  On another backend (mgard) a bound
+  // may code a byte shorter; only below the band would a search prefer that,
+  // so there the top of the range gets one more probe, kept only when its
+  // ratio is strictly closer to the target.
   if (all_bytes_zero(data)) {
-    opt::SearchState first = states.front();
     double x;
-    first.ask(x);
-    const TuneResult probe = single_probe(to_bound(x));
-    if (ratio_above_band(probe.achieved_ratio, config_.target_ratio, config_.epsilon))
-      return probe;
+    states.front().ask(x);
+    TuneResult first = single_probe(to_bound(x));
+    if (prototype_->capabilities().zero_size_flat || first.feasible ||
+        ratio_above_band(first.achieved_ratio, config_.target_ratio, config_.epsilon))
+      return first;
+    TuneResult top = single_probe(range.hi);
+    TuneResult& result = std::abs(top.achieved_ratio - config_.target_ratio) <
+                                 std::abs(first.achieved_ratio - config_.target_ratio)
+                             ? top
+                             : first;
+    result.compress_calls = 2;
+    result.probe_cache_hits = first.probe_cache_hits + top.probe_cache_hits;
+    result.seconds = timer.seconds();
+    return result;
   }
 
   std::vector<std::size_t> round_region;

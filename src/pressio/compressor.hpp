@@ -61,6 +61,12 @@ struct Capabilities {
   /// the bound (fpc).  Lossless backends have a flat ratio curve, so the
   /// tuner reports their fixed ratio instead of searching.
   bool lossless = false;
+  /// True when an all-zero input compresses to the same size at every bound.
+  /// The tuner then tunes all-zero data with one probe.  Otherwise, where
+  /// that probe lands below the band, it also probes the top of the range:
+  /// mgard codes its tolerance inside an LZ stream, and bound 1.0's bit
+  /// pattern codes a byte shorter.
+  bool zero_size_flat = false;
   /// True when the backend offers a blocked execution mode (block-local
   /// prediction state, per-group entropy streams) whose encode/decode can
   /// run intra-chunk parallel with thread-count-invariant bytes (sz's

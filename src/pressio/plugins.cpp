@@ -31,6 +31,7 @@ public:
     c.min_dims = 1;
     c.max_dims = 3;
     c.blocked_mode = true;
+    c.zero_size_flat = true;
     return c;
   }
 
@@ -102,6 +103,7 @@ public:
     // Fixed-rate mode bounds the *rate*, not the pointwise error; only the
     // accuracy mode (which FRaZ tunes) is error-bounded.
     c.error_bounded = opt_.mode == ZfpMode::kAccuracy;
+    c.zero_size_flat = true;
     return c;
   }
 
@@ -236,6 +238,7 @@ public:
     // The bound->bits mapping is conservative, but with explicitly fixed
     // bits the coder offers no error control at all (the paper's strawman).
     c.error_bounded = fixed_bits_ == 0;
+    c.zero_size_flat = true;
     return c;
   }
 
@@ -310,6 +313,7 @@ public:
     c.min_dims = 1;
     c.max_dims = 8;  // block layout is rank-agnostic (flat 1D blocks)
     c.thread_safe = true;
+    c.zero_size_flat = true;
     return c;
   }
 
@@ -362,6 +366,7 @@ public:
     c.max_dims = 8;  // predictor stream is rank-agnostic
     c.thread_safe = true;
     c.lossless = true;
+    c.zero_size_flat = true;
     return c;
   }
 

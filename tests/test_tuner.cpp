@@ -90,16 +90,18 @@ std::vector<LossyBackend> lossy_backends() {
 class ZeroDataSweep : public testing::TestWithParam<LossyBackend> {};
 
 TEST_P(ZeroDataSweep, SizeIsFlatAcrossBoundsSoTuneSpendsOneProbe) {
-  // The premise of the tuner's one-probe rule for all-zero data: every
-  // lossy backend writes the same size at every bound, so a region search
-  // would learn nothing its first probe did not.  One exception: mgard
-  // stores its tolerance as a raw double inside an LZ-coded stream, and the
-  // zero bytes of 1.0's bit pattern code one byte shorter.  Where zeros
-  // compress above the band a search keeps the larger size (closer to the
-  // target), so it settles on its first probe.  Below the band a search
-  // prefers the shortest size, so there it runs on from that probe.
+  // The premise of the tuner's one-probe rule for all-zero data: a
+  // zero_size_flat backend writes the same size at every bound, so a region
+  // search would learn nothing its first probe did not.  mgard is the one
+  // built-in that is not flat: it stores its tolerance as a raw double
+  // inside an LZ-coded stream, and the zero bytes of 1.0's bit pattern code
+  // one byte shorter.  Above the band a search keeps the larger size (closer
+  // to the target), so it settles on the first probe; below the band it
+  // prefers the shorter size, which the top of the range (1.0) holds.
   const LossyBackend& backend = GetParam();
   auto compressor = pressio::registry().create(backend.name, backend.options);
+  const bool flat = compressor->capabilities().zero_size_flat;
+  EXPECT_EQ(flat, backend.name != "mgard");
   Buffer archive;
   for (const DType dtype : {DType::kFloat32, DType::kFloat64}) {
     const NdArray zeros(dtype, {16, 24, 20});
@@ -110,31 +112,30 @@ TEST_P(ZeroDataSweep, SizeIsFlatAcrossBoundsSoTuneSpendsOneProbe) {
       ASSERT_TRUE(compressor->compress_into(zeros.view(), archive).ok());
       const std::size_t at_bound = archive.size();
       if (k == 0) size = at_bound;
-      const std::size_t expected = backend.name == "mgard" && bound == 1.0 ? size - 1 : size;
+      const std::size_t expected = !flat && bound == 1.0 ? size - 1 : size;
       EXPECT_EQ(at_bound, expected) << dtype_name(dtype) << " at bound " << bound;
     }
-    // At target 10 zeros land above the band on every backend but truncate,
-    // whose zero ratio (about 3.5) is below it and so takes the path below.
     const double zero_ratio = static_cast<double>(zeros.size_bytes()) / size;
-    ASSERT_EQ(ratio_above_band(zero_ratio, 10.0, 0.1), backend.name != "truncate")
-        << dtype_name(dtype) << " zero ratio " << zero_ratio;
-    if (backend.name != "truncate") {
-      const TuneResult r = Tuner(*compressor, fast_config(10.0)).tune(zeros.view());
-      EXPECT_EQ(r.compress_calls, 1) << dtype_name(dtype);
-      EXPECT_EQ(r.probe_cache_hits, 0) << dtype_name(dtype);
-      EXPECT_EQ(r.achieved_ratio, zero_ratio);
-    }
+    const TuneResult r = Tuner(*compressor, fast_config(10.0)).tune(zeros.view());
+    EXPECT_EQ(r.compress_calls, 1) << dtype_name(dtype);
+    EXPECT_EQ(r.probe_cache_hits, 0) << dtype_name(dtype);
+    EXPECT_EQ(r.achieved_ratio, zero_ratio);
 
-    // Below the band the search goes on, its first probe answered from the
-    // memo, and lands where a full search does: on mgard's shorter size.
+    // Below the band a flat backend still stops at its first probe; mgard
+    // probes the top of the range too and keeps its shorter size, as a full
+    // search does.
     const TuneResult below =
         Tuner(*compressor, fast_config(100.0 * zero_ratio)).tune(zeros.view());
-    EXPECT_GT(below.compress_calls, 1) << dtype_name(dtype);
-    EXPECT_GE(below.probe_cache_hits, 1) << dtype_name(dtype);
+    EXPECT_EQ(below.compress_calls, flat ? 1 : 2) << dtype_name(dtype);
+    EXPECT_EQ(below.probe_cache_hits, 0) << dtype_name(dtype);
     EXPECT_FALSE(below.feasible) << dtype_name(dtype);
-    const std::size_t shortest = backend.name == "mgard" ? size - 1 : size;
+    const std::size_t shortest = flat ? size : size - 1;
     EXPECT_EQ(below.achieved_ratio, static_cast<double>(zeros.size_bytes()) / shortest)
         << dtype_name(dtype);
+    if (flat)
+      EXPECT_EQ(below.error_bound, r.error_bound) << dtype_name(dtype);
+    else
+      EXPECT_EQ(below.error_bound, 1.0) << dtype_name(dtype);
 
     // The rule is for zero bytes only: a non-zero constant's size moves with
     // the bound on some backends (truncate's ratio falls 3.07 -> 1.29 at

@@ -137,6 +137,7 @@ void write_capabilities(JsonWriter& w, const pressio::Compressor& c) {
       .field("error_bounded", caps.error_bounded)
       .field("lossless", caps.lossless)
       .field("blocked_mode", caps.blocked_mode)
+      .field("zero_size_flat", caps.zero_size_flat)
       .key("options")
       .begin_array();
   for (const auto& key : c.get_options().keys()) w.value(key);
