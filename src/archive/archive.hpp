@@ -172,6 +172,10 @@ struct ArchiveWriteResult {
   std::vector<FieldWriteReport> fields;  ///< per-field breakdown, in write order
 };
 
+/// The key under which a writer's bound_store() carries chunk \p i of
+/// \p field.
+std::string chunk_field_key(const std::string& field, std::size_t i);
+
 /// Warm-start state a writer carries across write() calls and field
 /// sessions, whichever transport each build uses: the thread-safe
 /// BoundStore every per-worker chunk engine adopts, holding the freshest

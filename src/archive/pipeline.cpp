@@ -17,6 +17,19 @@
 #include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
 
+namespace fraz::archive {
+
+// Every chunk gets its OWN key, stable across builds so a time series of the
+// same field warm-starts chunk by chunk: a chunk's warm bound depends only on
+// its field and index, never on which worker got it, which is what makes
+// sharing one store across workers deterministic — and what lets each field
+// of a multi-field archive warm-start independently.
+std::string chunk_field_key(const std::string& field, std::size_t i) {
+  return "archive:" + field + ":chunk:" + std::to_string(i);
+}
+
+}  // namespace fraz::archive
+
 namespace fraz::archive::detail {
 
 unsigned resolve_workers(unsigned requested, std::size_t tasks) {
@@ -54,16 +67,6 @@ telemetry::Counter& rate_fallback_counter() {
 telemetry::Gauge& staged_bytes_gauge() {
   static telemetry::Gauge& g = telemetry::global().gauge("pack.staged_bytes");
   return g;
-}
-
-/// Per-(field, chunk) keys inside the writer's shared BoundStore.  Every
-/// chunk gets its OWN key, stable across builds so a time series of the same
-/// field warm-starts chunk by chunk: a chunk's warm bound depends only on its
-/// field and index, never on which worker got it, which is what makes
-/// sharing one store across workers deterministic — and what lets each field
-/// of a multi-field archive warm-start independently.
-std::string chunk_field_key(const std::string& field, std::size_t i) {
-  return "archive:" + field + ":chunk:" + std::to_string(i);
 }
 
 /// Chunk boundaries must depend on the data geometry only (never on worker

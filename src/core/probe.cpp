@@ -1,7 +1,6 @@
 #include "core/probe.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <thread>
 
 #include "metrics/error_stats.hpp"
@@ -22,12 +21,6 @@ telemetry::Counter& probes_executed_counter() {
 telemetry::Counter& probe_cache_hits_counter() {
   static telemetry::Counter& c = telemetry::global().counter("tune.probe_cache_hits");
   return c;
-}
-
-std::uint64_t bound_bits(double bound) noexcept {
-  std::uint64_t bits;
-  std::memcpy(&bits, &bound, sizeof bits);
-  return bits;
 }
 
 }  // namespace
@@ -90,10 +83,10 @@ std::vector<ProbeOutcome> ProbeExecutor::run(const ArrayView& data, ProbeMemo& m
   std::vector<ProbeOutcome> out(bounds.size());
   std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < bounds.size(); ++i) {
-    const std::uint64_t key = bound_bits(bounds[i]);
+    const std::uint64_t key = memo_key(bounds[i]);
     out[i].from_memo =
         memo.count(key) != 0 || std::any_of(misses.begin(), misses.end(), [&](std::size_t m) {
-          return bound_bits(bounds[m]) == key;
+          return memo_key(bounds[m]) == key;
         });
     if (!out[i].from_memo) misses.push_back(i);
   }
@@ -107,9 +100,9 @@ std::vector<ProbeOutcome> ProbeExecutor::run(const ArrayView& data, ProbeMemo& m
     records[m] = execute(*worker, data, bounds[misses[m]], metric);
   });
   for (std::size_t m = 0; m < misses.size(); ++m)
-    memo.emplace(bound_bits(bounds[misses[m]]), records[m]);
+    memo.emplace(memo_key(bounds[misses[m]]), records[m]);
   for (std::size_t i = 0; i < bounds.size(); ++i)
-    out[i].record = memo.at(bound_bits(bounds[i]));
+    out[i].record = memo.at(memo_key(bounds[i]));
 
   const std::size_t hits = bounds.size() - misses.size();
   probe_cache_hits_counter().add(hits);

@@ -16,6 +16,7 @@
 /// memo lives for one search of one array under one configuration.
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -49,6 +50,13 @@ struct ProbeRecord {
 /// probe it makes, so a bound it proposes again costs no compression.  A
 /// memo holds one kind of probe: ratios, or one metric's quality probes.
 using ProbeMemo = std::unordered_map<std::uint64_t, ProbeRecord>;
+
+/// \p bound's key in a ProbeMemo: its bits.
+inline std::uint64_t memo_key(double bound) noexcept {
+  std::uint64_t bits;
+  std::memcpy(&bits, &bound, sizeof bits);
+  return bits;
+}
 
 /// One probe's outcome as seen by a search: the observation plus whether the
 /// memo (or an identical probe earlier in the same batch) already paid it.

@@ -21,6 +21,13 @@ std::uint64_t substream(std::uint64_t seed, std::uint64_t index) {
   return z ^ (z >> 31);
 }
 
+/// The secant of Tuner::retrain: its first step's slope of ln ρ over ln e
+/// (later steps use their last two points), its probe budget, and its stop
+/// distance from ρt as a fraction of the band's half-width ρt·ε.
+constexpr double kSecantFirstSlope = 0.5;
+constexpr int kSecantProbes = 8;
+constexpr double kSecantStop = 0.25;
+
 bool all_bytes_zero(const ArrayView& data) {
   const auto* bytes = static_cast<const std::uint8_t*>(data.data());
   return std::all_of(bytes, bytes + data.size_bytes(), [](std::uint8_t b) { return b == 0; });
@@ -192,6 +199,60 @@ TuneResult Tuner::tune(const ArrayView& data, ProbeMemo memo) const {
   }
   result.feasible =
       ratio_acceptable(result.achieved_ratio, config_.target_ratio, config_.epsilon);
+  result.seconds = timer.seconds();
+  return result;
+}
+
+TuneResult Tuner::retrain(const ArrayView& data, double bound, double ratio,
+                         ProbeMemo memo) const {
+  if (prototype_->capabilities().lossless || all_bytes_zero(data))
+    return tune(data, std::move(memo));
+  require(prototype_->supports_dims(data.dims()),
+          "Tuner: compressor '" + prototype_->name() + "' does not support this rank");
+  require(bound > 0 && ratio > 0, "Tuner: a retrain's landing needs a positive bound and ratio");
+  Timer timer;
+  const double target = config_.target_ratio;
+  const Region range = search_range(data);
+  const double x_lo = std::log(range.lo);
+  const double x_hi = std::log(range.hi);
+  const double y_target = std::log(target);
+  memo.emplace(memo_key(bound), ProbeRecord{ratio, 0});
+
+  TuneResult result;
+  double best_dist = std::numeric_limits<double>::infinity();
+  double x = std::log(bound);
+  double y = std::log(ratio);
+  double slope = kSecantFirstSlope;
+  while (result.compress_calls < kSecantProbes && slope > 0 && std::isfinite(slope)) {
+    const double next = std::clamp(x + (y_target - y) / slope, x_lo, x_hi);
+    if (next == x) break;  // clamped onto the point it stands on
+    const double next_bound = std::exp(next);
+    const ProbeOutcome probe = executor_.probe_ratio(data, memo, next_bound);
+    ++result.compress_calls;
+    result.probe_cache_hits += probe.from_memo;
+    const double next_ratio = probe.record.ratio;
+    const double dist = std::abs(next_ratio - target);
+    if (ratio_acceptable(next_ratio, target, config_.epsilon) && dist < best_dist) {
+      best_dist = dist;
+      result.error_bound = next_bound;
+      result.achieved_ratio = next_ratio;
+      result.feasible = true;
+    }
+    if (dist <= kSecantStop * config_.epsilon * target) break;
+    const double next_y = std::log(next_ratio);
+    slope = (next_y - y) / (next - x);
+    x = next;
+    y = next_y;
+  }
+  if (!result.feasible) {
+    // No secant probe reached the band: the curve is not monotone here or
+    // the target is infeasible, and Algorithm 2 decides.
+    const int calls = result.compress_calls;
+    const int hits = result.probe_cache_hits;
+    result = tune(data, std::move(memo));
+    result.compress_calls += calls;
+    result.probe_cache_hits += hits;
+  }
   result.seconds = timer.seconds();
   return result;
 }

@@ -15,6 +15,10 @@
 /// soon as any region lands in the acceptance band, and fall back to the
 /// closest observed ratio when the target is infeasible.
 ///
+/// A retrain that starts from a known landing (a carried bound that missed
+/// the band) first steps a secant toward ρt from it, and runs Algorithm 2
+/// only when no secant probe lands in band.
+///
 /// Algorithm 1's prediction (probe a carried bound first and stop when it is
 /// acceptable) and Algorithm 3's carry rule (warm-start each field's time
 /// steps) live in engine/engine.hpp: the Engine is their one home.
@@ -131,6 +135,20 @@ public:
   /// probe at region 0's first proposal: the bound a full search over that
   /// flat curve settles on.
   TuneResult tune(const ArrayView& data, ProbeMemo memo = {}) const;
+
+  /// A retrain from a known landing: \p bound compressed \p data to
+  /// \p ratio, outside the band.  A secant in (ln e, ln ρ) aims at ρt from
+  /// that point, one probe at a time, each step clamped to the search range;
+  /// it stops within ρt·ε/4 of the target, at a slope that is not positive,
+  /// at a clamped step that repeats itself, or after 8 probes, and keeps its
+  /// in-band probe closest to ρt (TuneResult::regions empty).  When no probe
+  /// landed in band, tune() runs with the same memo, so Algorithm 2's global
+  /// search and its closest-ratio fallback still decide non-monotone and
+  /// infeasible data.  Lossless backends and all-zero data go straight to
+  /// tune().  The landing joins \p memo; compress_calls counts the secant's
+  /// probes too.
+  TuneResult retrain(const ArrayView& data, double bound, double ratio,
+                     ProbeMemo memo = {}) const;
 
 private:
   /// Resolve the [lo, hi] search range for \p data per config defaults.

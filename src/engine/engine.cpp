@@ -27,6 +27,11 @@ telemetry::Counter& retrains_counter() {
   return c;
 }
 
+telemetry::Counter& retrain_fallbacks_counter() {
+  static telemetry::Counter& c = telemetry::global().counter("engine.retrain_fallbacks");
+  return c;
+}
+
 telemetry::Counter& above_band_keeps_counter() {
   static telemetry::Counter& c = telemetry::global().counter("engine.above_band_keeps");
   return c;
@@ -67,8 +72,10 @@ Result<TuneResult> Engine::tune(const std::string& field, const ArrayView& data,
           tuner.executor().probe_ratio(data, memo, carried.bound).record.ratio;
       at_carried.compress_calls = 1;
     }
-    TuneResult result = settle(field, target_ratio, carried, at_carried,
-                               [&] { return tuner.tune(data, std::move(memo)); });
+    TuneResult result = settle(field, target_ratio, carried, at_carried, [&] {
+      if (carried.bound <= 0) return tuner.tune(data, std::move(memo));
+      return tuner.retrain(data, carried.bound, at_carried.achieved_ratio, std::move(memo));
+    });
     result.seconds = timer.seconds();
     return result;
   });
@@ -95,7 +102,9 @@ Status Engine::compress(const std::string& field, const ArrayView& data, Buffer&
   }
   const Result<TuneResult> tuned = guarded([&] {
     return settle(field, target, carried, at_carried, [&] {
-      return Tuner(*compressor_, config_.tuner).tune(data);
+      const Tuner tuner(*compressor_, config_.tuner);
+      if (carried.bound <= 0) return tuner.tune(data);
+      return tuner.retrain(data, carried.bound, at_carried.achieved_ratio);
     });
   });
   if (!tuned.ok()) return tuned.status();
@@ -160,6 +169,9 @@ TuneResult Engine::settle(const std::string& field, double target, const Carried
     ++stats_.retrains;
     ++per_field.retrains;
     retrains_counter().add();
+    // Tuner::retrain reports Algorithm 2's regions only when its secant
+    // found no in-band bound.  Adding 0 lists the counter once any search ran.
+    retrain_fallbacks_counter().add(carried.bound > 0 && !result.regions.empty());
   }
   return result;
 }

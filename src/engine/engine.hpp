@@ -25,9 +25,12 @@
 ///   each worker its own Engine over one shared BoundStore (what the archive
 ///   writer does with its chunk workers).
 ///
-/// Tuner is Algorithm 2 (the region search) on one dataset; the Engine holds
-/// Algorithm 1's prediction (measure the carried bound first, search only
-/// when it misses) and Algorithm 3's carry rule, both in one private step.
+/// Tuner is Algorithm 2 (the region search) on one dataset, and the retrain
+/// that starts from where a carried bound landed (Tuner::retrain: a secant
+/// toward ρt, then Algorithm 2 when it finds no in-band bound); the Engine
+/// holds Algorithm 1's prediction (measure the carried bound first, search
+/// only when it misses) and Algorithm 3's carry rule, both in one private
+/// step.
 ///
 /// All entry points are non-throwing (Status / Result), matching the
 /// CompressorV2 contract — an Engine is what a long-running service embeds,
@@ -188,10 +191,10 @@ private:
   /// tuner: one probe for tune(), nothing when compress()'s archive was the
   /// measurement.  In band, the call is a plain warm hit and an above-band
   /// flag is cleared; flagged and still above the band, the bound is kept.
-  /// Otherwise the bound is dropped and \p train searches: an in-band result
-  /// is carried, an above-band one carried flagged, one below carries
-  /// nothing.  Returns the settled result (from_prediction when no search
-  /// ran).
+  /// Otherwise the bound is dropped and \p train searches, from the landing
+  /// when a bound was carried (Tuner::retrain): an in-band result is
+  /// carried, an above-band one carried flagged, one below carries nothing.
+  /// Returns the settled result (from_prediction when no search ran).
   TuneResult settle(const std::string& field, double target, const CarriedBound& carried,
                     const TuneResult& at_carried, const std::function<TuneResult()>& train);
 

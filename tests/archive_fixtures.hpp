@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "archive/archive.hpp"
@@ -71,6 +72,21 @@ inline std::vector<std::uint8_t> chunk_region(const std::uint8_t* bytes,
   for (const archive::FieldInfo& field : info.fields) size += field.payload_bytes;
   const std::uint8_t* begin = bytes + info.chunk_region;
   return std::vector<std::uint8_t>(begin, begin + size);
+}
+
+/// A writer whose bound store carries, for each chunk of \p fixture's single
+/// field, the bound the fixture's manifest records.  Every chunk of the
+/// frozen archives landed in band at its bound, so a write of the fixture's
+/// input compresses each chunk once, at that bound, without a search: the
+/// comparison checks the write path, whatever bounds the tuner picks today.
+inline archive::ArchiveWriter writer_at_bounds(archive::ArchiveWriteConfig config,
+                                               const archive::ArchiveInfo& fixture) {
+  const double target = config.engine.tuner.target_ratio;
+  archive::ArchiveWriter writer(std::move(config));
+  for (std::size_t i = 0; i < fixture.chunks.size(); ++i)
+    writer.bound_store()->put(archive::chunk_field_key(archive::kDefaultFieldName, i), target,
+                              fixture.chunks[i].error_bound);
+  return writer;
 }
 
 }  // namespace fraz::testhelpers

@@ -427,8 +427,8 @@ TEST(Archive, ZfpRateFallbackRescuesSmallChunkBand) {
 
 TEST(Archive, FrozenV1FixtureReadsLikeAFreshV3Write) {
   // v1 is read-only: the frozen fixture must open, and its chunks, bounds
-  // and reconstruction must equal a fresh v3 write of the same input — only
-  // the manifest/footer layout differs.
+  // and reconstruction must equal a fresh v3 write of the same input at the
+  // bounds it records — only the manifest/footer layout differs.
   const std::vector<std::uint8_t> v1_bytes =
       testhelpers::load_frozen(testhelpers::kFrozenV1);
   auto opened = ArchiveReader::open(v1_bytes.data(), v1_bytes.size());
@@ -442,7 +442,11 @@ TEST(Archive, FrozenV1FixtureReadsLikeAFreshV3Write) {
 
   const NdArray field = make_field(DType::kFloat32, {8, 14, 10});
   Buffer v3_bytes;
-  pack(field.view(), writer_config("sz", 6.0, 0.2, 2), v3_bytes);
+  const auto written = testhelpers::writer_at_bounds(writer_config("sz", 6.0, 0.2, 2),
+                                                     reader.info())
+                           .write(field.view(), v3_bytes);
+  ASSERT_TRUE(written.ok()) << written.status().to_string();
+  EXPECT_EQ(written.value().warm_chunks, reader.info().chunks.size());
   ArchiveReader v3_reader = open_ok(v3_bytes);
   EXPECT_EQ(v3_reader.info().version, 3);
   EXPECT_EQ(testhelpers::chunk_region(v1_bytes.data(), reader.info()),
@@ -515,7 +519,8 @@ TEST(Archive, PluginBackendRoundTripsByName) {
   EXPECT_EQ(decoded.value().shape(), field.shape());
 
   // v1 could only name the built-in backends: the frozen v1 fixture records
-  // "sz".  The plugin writes the same chunk bytes under its own name.
+  // "sz".  The plugin writes the same chunk bytes under its own name at the
+  // bounds the fixture records.
   const std::vector<std::uint8_t> v1_bytes =
       testhelpers::load_frozen(testhelpers::kFrozenV1);
   ArchiveReader v1_reader = [&] {
@@ -526,7 +531,10 @@ TEST(Archive, PluginBackendRoundTripsByName) {
   EXPECT_EQ(v1_reader.info().compressor, "sz");
   const NdArray v1_input = make_field(DType::kFloat32, {8, 14, 10});
   Buffer plugin_bytes;
-  pack(v1_input.view(), writer_config("sz-echo", 6.0, 0.2, 2), plugin_bytes);
+  ASSERT_TRUE(testhelpers::writer_at_bounds(writer_config("sz-echo", 6.0, 0.2, 2),
+                                            v1_reader.info())
+                  .write(v1_input.view(), plugin_bytes)
+                  .ok());
   ArchiveReader plugin_reader = open_ok(plugin_bytes);
   EXPECT_EQ(plugin_reader.info().compressor, "sz-echo");
   EXPECT_EQ(testhelpers::chunk_region(plugin_bytes.data(), plugin_reader.info()),

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -106,51 +107,71 @@ void dump(const std::string& path, const std::uint8_t* data, std::size_t size) {
 }
 
 /// One frozen v2 golden and the whole-file CRC a v3 write of the same input
-/// produces (the chunk region must equal the golden's).
+/// produces.
 struct GoldenCase {
   testhelpers::FrozenArchive golden;
   std::uint32_t v3_file_crc;
 };
 
-/// Open \p bytes, returning its chunk region and decoded default field.
-void region_and_values(const std::uint8_t* bytes, std::size_t size,
-                       std::vector<std::uint8_t>& region, NdArray& values) {
-  auto reader = ArchiveReader::open(bytes, size);
-  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
-  region = testhelpers::chunk_region(bytes, reader.value().info());
-  auto decoded = reader.value().read_all(archive::kDefaultFieldName);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  values = std::move(decoded).value();
+/// Chunk \p i's payload bytes in an archive opened by \p reader.
+std::vector<std::uint8_t> chunk_bytes(const std::uint8_t* bytes, const ArchiveReader& reader,
+                                      std::size_t i) {
+  const archive::ChunkEntry& entry = reader.info().chunks[i];
+  const std::uint8_t* begin = bytes + reader.info().chunk_region + entry.offset;
+  return std::vector<std::uint8_t>(begin, begin + entry.size);
 }
 
 TEST(ArchiveFields, V3WritesReproduceTheFrozenV2GoldenChunks) {
   // The regression gate on the write path: writers now emit only v3, and a
   // v3 write of each golden input — through a Buffer and through a path, at
-  // 1, 2 and 4 workers — must reproduce the golden's chunk region byte for
-  // byte and decode to the same values.  The v3 whole-file CRCs are pinned
-  // too, so a manifest or footer change cannot slip through either.
+  // 1, 2 and 4 workers — must reproduce the golden's chunks byte for byte and
+  // decode to the same values.  The exceptions are the sz chunks that land
+  // out of band at chunk 0's seed: they retrain from that landing
+  // (Tuner::retrain), which picks other bounds than the golden's Algorithm 2
+  // search did, and step 1 carries those bounds.  The v3 whole-file CRCs are
+  // pinned, so a manifest, footer or retrain change cannot slip through.
   TempFiles tmp;
   const NdArray sz_step0 = make_field(DType::kFloat32, {24, 16, 12});
   const NdArray sz_step1 = make_field(DType::kFloat32, {24, 16, 12}, 51.0);
   const NdArray zfp_input = make_field(DType::kFloat64, {12, 20, 14});
-  const GoldenCase sz_cases[] = {{testhelpers::kGoldenV2SzStep0, 0x211e6bb9u},
-                                 {testhelpers::kGoldenV2SzStep1, 0x14595347u}};
+  const GoldenCase sz_cases[] = {{testhelpers::kGoldenV2SzStep0, 0xde67ccd8u},
+                                 {testhelpers::kGoldenV2SzStep1, 0xd2c41642u}};
   const GoldenCase zfp_case{testhelpers::kGoldenV2Zfp, 0xed1c46a0u};
 
-  // Check one fresh v3 archive against its golden.
+  // Check one fresh v3 archive against its golden; \p retrained marks the
+  // chunks whose bound a retrain re-chose.
   auto check = [&](const GoldenCase& c, const std::vector<std::uint8_t>& v3,
-                   const std::string& label) {
+                   const std::vector<bool>& retrained, const std::string& label) {
     EXPECT_EQ(crc32(v3.data(), v3.size()), c.v3_file_crc) << label;
     const std::vector<std::uint8_t> golden = testhelpers::load_frozen(c.golden);
-    std::vector<std::uint8_t> golden_region, v3_region;
-    NdArray golden_values, v3_values;
-    region_and_values(golden.data(), golden.size(), golden_region, golden_values);
-    region_and_values(v3.data(), v3.size(), v3_region, v3_values);
-    EXPECT_EQ(v3_region, golden_region) << label;
-    ASSERT_EQ(v3_values.size_bytes(), golden_values.size_bytes()) << label;
-    EXPECT_EQ(std::memcmp(v3_values.data(), golden_values.data(), v3_values.size_bytes()),
-              0)
-        << label;
+    auto golden_reader = ArchiveReader::open(golden.data(), golden.size());
+    auto v3_reader = ArchiveReader::open(v3.data(), v3.size());
+    ASSERT_TRUE(golden_reader.ok()) << golden_reader.status().to_string();
+    ASSERT_TRUE(v3_reader.ok()) << v3_reader.status().to_string();
+    const std::size_t chunks = golden_reader.value().info().chunks.size();
+    ASSERT_EQ(v3_reader.value().info().chunks.size(), chunks) << label;
+    ASSERT_EQ(retrained.size(), chunks) << label;
+    for (std::size_t i = 0; i < chunks; ++i) {
+      const std::string at = label + ", chunk " + std::to_string(i);
+      const double golden_bound = golden_reader.value().info().chunks[i].error_bound;
+      const double v3_bound = v3_reader.value().info().chunks[i].error_bound;
+      if (retrained[i]) {
+        EXPECT_NE(v3_bound, golden_bound) << at;
+        continue;
+      }
+      EXPECT_EQ(v3_bound, golden_bound) << at;
+      EXPECT_EQ(chunk_bytes(v3.data(), v3_reader.value(), i),
+                chunk_bytes(golden.data(), golden_reader.value(), i))
+          << at;
+      const NdArray golden_values =
+          golden_reader.value().read_chunk(archive::kDefaultFieldName, i).value();
+      const NdArray v3_values =
+          v3_reader.value().read_chunk(archive::kDefaultFieldName, i).value();
+      ASSERT_EQ(v3_values.size_bytes(), golden_values.size_bytes()) << at;
+      EXPECT_EQ(std::memcmp(v3_values.data(), golden_values.data(), v3_values.size_bytes()),
+                0)
+          << at;
+    }
   };
 
   for (const unsigned threads : {1u, 2u, 4u}) {
@@ -161,26 +182,38 @@ TEST(ArchiveFields, V3WritesReproduceTheFrozenV2GoldenChunks) {
       ArchiveWriter memory_writer(writer_config("sz", 6.0, 0.2, 2, threads));
       ArchiveWriter path_writer(writer_config("sz", 6.0, 0.2, 2, threads));
       const NdArray* steps[] = {&sz_step0, &sz_step1};
+      std::vector<bool> retrained;
       for (std::size_t step = 0; step < 2; ++step) {
         Buffer out;
-        ASSERT_TRUE(memory_writer.write(steps[step]->view(), out).ok());
+        const auto written = memory_writer.write(steps[step]->view(), out);
+        ASSERT_TRUE(written.ok()) << written.status().to_string();
+        if (step == 0) {
+          // Chunk 0's cold search is Algorithm 2, as the golden's was; the
+          // chunks its seed serves in band stay warm.
+          const std::vector<archive::ChunkReport>& chunks = written.value().chunks;
+          for (std::size_t i = 0; i < chunks.size(); ++i)
+            retrained.push_back(i > 0 && chunks[i].retrained);
+          EXPECT_EQ(std::count(retrained.begin(), retrained.end(), true), 9) << at;
+        }
         const std::string label = "sz step " + std::to_string(step);
-        check(sz_cases[step], std::vector<std::uint8_t>(out.begin(), out.end()),
+        check(sz_cases[step], std::vector<std::uint8_t>(out.begin(), out.end()), retrained,
               label + " (Buffer)" + at);
         const std::string path = tmp.make("golden_sz_" + std::to_string(step));
         ASSERT_TRUE(path_writer.write(path, steps[step]->view()).ok());
-        check(sz_cases[step], slurp(path), label + " (path)" + at);
+        check(sz_cases[step], slurp(path), retrained, label + " (path)" + at);
       }
     }
+    const std::vector<bool> none(4, false);
     ArchiveWriter zfp_writer(writer_config("zfp", 8.0, 0.2, 3, threads));
     Buffer out;
     ASSERT_TRUE(zfp_writer.write(zfp_input.view(), out).ok());
-    check(zfp_case, std::vector<std::uint8_t>(out.begin(), out.end()), "zfp (Buffer)" + at);
+    check(zfp_case, std::vector<std::uint8_t>(out.begin(), out.end()), none,
+          "zfp (Buffer)" + at);
     const std::string path = tmp.make("golden_zfp");
     ASSERT_TRUE(ArchiveWriter(writer_config("zfp", 8.0, 0.2, 3, threads))
                     .write(path, zfp_input.view())
                     .ok());
-    check(zfp_case, slurp(path), "zfp (path)" + at);
+    check(zfp_case, slurp(path), none, "zfp (path)" + at);
   }
 }
 
@@ -1039,7 +1072,7 @@ TEST(ArchiveFields, V2ArchivesPresentOneSynthesizedField) {
   // Old single-field archives surface through the field API under the
   // default name, so multi-field consumers need no version branches.  The
   // frozen v2 golden decodes by that name to what a fresh v3 write of the
-  // same input decodes to.
+  // same input, at the bounds the golden records, decodes to.
   const std::vector<std::uint8_t> bytes =
       testhelpers::load_frozen(testhelpers::kGoldenV2SzStep0);
   auto reader = ArchiveReader::open(bytes.data(), bytes.size());
@@ -1054,7 +1087,9 @@ TEST(ArchiveFields, V2ArchivesPresentOneSynthesizedField) {
   const NdArray by_name = reader.value().read_all(archive::kDefaultFieldName).value();
 
   Buffer v3_bytes;
-  ArchiveWriter(writer_config("sz", 6.0, 0.2, 2)).write(field.view(), v3_bytes).value();
+  testhelpers::writer_at_bounds(writer_config("sz", 6.0, 0.2, 2), reader.value().info())
+      .write(field.view(), v3_bytes)
+      .value();
   auto v3_reader = ArchiveReader::open(v3_bytes.data(), v3_bytes.size());
   ASSERT_TRUE(v3_reader.ok());
   const NdArray fresh = v3_reader.value().read_all(archive::kDefaultFieldName).value();

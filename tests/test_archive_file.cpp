@@ -231,14 +231,19 @@ TEST(ArchiveFile, CorruptChunkFailsOnlyReadsTouchingIt) {
 TEST(ArchiveFile, V1ArchivesReadableThroughTheFileReader) {
   // The frozen v1 fixture opens straight from its file, through both the
   // mmap and the positioned-read paths, and decodes to the same values as a
-  // fresh v3 file write of the same input, whose chunk region it shares.
+  // fresh v3 file write of the same input at the bounds it records, whose
+  // chunk region it shares.
   TempFiles tmp;
   const std::string fixture = testhelpers::corpus_path(testhelpers::kFrozenV1.rel);
   const std::vector<std::uint8_t> v1_bytes =
       testhelpers::load_frozen(testhelpers::kFrozenV1);
   const NdArray field = make_field(DType::kFloat32, {8, 14, 10});
   const std::string v3_path = tmp.make("v1_fresh_v3");
-  pack_file(field.view(), writer_config("sz", 6.0, 0.2, 2), v3_path);
+  const auto written = testhelpers::writer_at_bounds(writer_config("sz", 6.0, 0.2, 2),
+                                                     open_file_ok(fixture).info())
+                           .write(v3_path, field.view());
+  ASSERT_TRUE(written.ok()) << written.status().to_string();
+  EXPECT_EQ(written.value().warm_chunks, written.value().chunk_count);
   const std::vector<std::uint8_t> v3_bytes = slurp(v3_path);
   ArchiveReader v3_reader = open_file_ok(v3_path);
   EXPECT_EQ(v3_reader.info().version, 3);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "data/datasets.hpp"
@@ -515,6 +516,94 @@ TEST(Engine, AboveBandBoundLandingBelowBandRetrainsAndClearsTheFlag) {
   EXPECT_FALSE(tuned.value().from_prediction);
   EXPECT_LT(tuned.value().achieved_ratio, 1000.0 * 0.9);
   EXPECT_EQ(hopeless.cached_bound("f", 1000.0), 0.0);
+}
+
+std::uint64_t retrain_fallbacks() {
+  return telemetry::global().counter("engine.retrain_fallbacks").value();
+}
+
+TEST(Engine, RetrainStartsFromTheLanding) {
+  // A carried bound that misses the band retrains from where it landed,
+  // through tune() and compress() alike: on a smooth field the secant
+  // settles within ρt·ε/4 and Algorithm 2 never runs, so no fallback counts.
+  const EngineConfig config = fast_config("sz");
+  const double target = config.tuner.target_ratio;
+  const double bound = in_band_bound(config);
+  ASSERT_GT(bound, 0.0);
+  for (const bool through_tune : {false, true}) {
+    Engine engine(config);
+    engine.bound_store()->put("f", target, bound * 1e-3);
+    const std::uint64_t fallbacks = retrain_fallbacks();
+    double ratio = 0;
+    if (through_tune) {
+      const auto tuned = engine.tune("f", test_field().view());
+      ASSERT_TRUE(tuned.ok());
+      EXPECT_FALSE(tuned.value().from_prediction);
+      EXPECT_TRUE(tuned.value().regions.empty());
+      // The landing's probe, then at most 8 secant probes.
+      EXPECT_LE(tuned.value().compress_calls, 9);
+      ratio = tuned.value().achieved_ratio;
+    } else {
+      Buffer out;
+      CompressOutcome outcome;
+      ASSERT_TRUE(engine.compress("f", test_field().view(), out, &outcome).ok());
+      EXPECT_TRUE(outcome.retrained);
+      EXPECT_LE(engine.stats().tuner_probe_calls, 8u);
+      ratio = outcome.achieved_ratio;
+    }
+    EXPECT_LE(std::abs(ratio - target), target * config.tuner.epsilon / 4) << through_tune;
+    EXPECT_EQ(engine.stats().retrains, 1u);
+    EXPECT_GT(engine.cached_bound("f"), bound * 1e-3) << through_tune;
+    if (telemetry::enabled()) {
+      EXPECT_EQ(retrain_fallbacks(), fallbacks) << through_tune;
+    }
+  }
+
+  // No bound compresses this field 1000×: the secant finds nothing in band
+  // and the retrain falls back to Algorithm 2, which counts.  A cold search
+  // (nothing carried) is not a fallback.
+  Engine hopeless(fast_config("sz", 1000.0));
+  const std::uint64_t fallbacks = retrain_fallbacks();
+  ASSERT_TRUE(hopeless.tune("g", test_field().view()).ok());
+  hopeless.bound_store()->put("f", 1000.0, bound);
+  const auto tuned = hopeless.tune("f", test_field().view());
+  ASSERT_TRUE(tuned.ok());
+  EXPECT_FALSE(tuned.value().regions.empty());
+  if (telemetry::enabled()) {
+    EXPECT_EQ(retrain_fallbacks(), fallbacks + 1);
+  }
+}
+
+TEST(Engine, FlatRetrainsSpendOneProbe) {
+  // fpc is lossless, and zeros compress to one size at every bound on a
+  // zero_size_flat backend: a retrain after a missed landing spends one
+  // probe, whether the landing came from tune()'s probe or compress()'s
+  // archive.
+  const NdArray zeros(DType::kFloat32, {37, 41});
+  struct Case {
+    const char* backend;
+    const NdArray data;
+  };
+  for (const Case& c : {Case{"fpc", test_field()}, Case{"sz", zeros}}) {
+    for (const bool through_tune : {false, true}) {
+      Engine engine(fast_config(c.backend, 8.0));
+      engine.bound_store()->put("f", 8.0, 1e-3);
+      if (through_tune) {
+        const auto tuned = engine.tune("f", c.data.view());
+        ASSERT_TRUE(tuned.ok());
+        ASSERT_FALSE(tuned.value().from_prediction) << c.backend;
+      } else {
+        Buffer out;
+        CompressOutcome outcome;
+        ASSERT_TRUE(engine.compress("f", c.data.view(), out, &outcome).ok());
+        ASSERT_TRUE(outcome.retrained) << c.backend;
+      }
+      // tune()'s landing is a probe too.
+      EXPECT_EQ(engine.stats().tuner_probe_calls + engine.stats().probe_cache_hits,
+                through_tune ? 2u : 1u)
+          << c.backend << " " << through_tune;
+    }
+  }
 }
 
 TEST(Engine, TuneDropsABoundWhoseRetrainEndsBelowTheBand) {

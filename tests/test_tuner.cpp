@@ -349,12 +349,112 @@ TEST(Algorithm3, FieldsTunedIndependently) {
   EXPECT_EQ(engine.field_stats().size(), 2u);
 }
 
+// ------------------------------------------------ retrain from a landing
+
+/// Ratio \p compressor gives \p data at \p bound.
+double ratio_at(pressio::Compressor& compressor, const ArrayView& data, double bound) {
+  compressor.set_error_bound(bound);
+  Buffer archive;
+  compressor.compress_into(data, archive).throw_if_error();
+  return static_cast<double>(data.size_bytes()) / static_cast<double>(archive.size());
+}
+
+TEST(Retrain, LandingOnEitherSideReachesTheTargetWithinEightProbes) {
+  // A retrain steps a secant from where the carried bound landed toward ρt.
+  // From below the band and from above it, it settles within ρt·ε/4 in at
+  // most 8 probes, on fewer compressions than Algorithm 2 spends on the same
+  // data, and without running Algorithm 2's regions.
+  const NdArray field = hurricane_field();
+  auto sz = pressio::registry().create("sz");
+  const double target = 8.0;
+  const Tuner tuner(*sz, fast_config(target));
+  const TuneResult search = tuner.tune(field.view());
+  ASSERT_TRUE(search.feasible);
+  const int search_executed = search.compress_calls - search.probe_cache_hits;
+  for (const double scale : {1e-3, 1e-1, 1e1, 1e3}) {
+    const double bound = search.error_bound * scale;
+    const double ratio = ratio_at(*sz, field.view(), bound);
+    if (scale < 1)
+      ASSERT_LT(ratio, target * 0.9) << scale;
+    else
+      ASSERT_GT(ratio, target * 1.1) << scale;
+    const TuneResult r = tuner.retrain(field.view(), bound, ratio);
+    EXPECT_TRUE(r.feasible) << scale;
+    EXPECT_TRUE(r.regions.empty()) << scale;
+    EXPECT_LE(std::abs(r.achieved_ratio - target), target * 0.1 / 4) << scale;
+    EXPECT_LE(r.compress_calls, 8) << scale;
+    EXPECT_LT(r.compress_calls - r.probe_cache_hits, search_executed) << scale;
+    EXPECT_EQ(ratio_at(*sz, field.view(), r.error_bound), r.achieved_ratio) << scale;
+  }
+}
+
+TEST(Retrain, InfeasibleTargetFallsBackToAlgorithm2) {
+  // Fig. 6a (bench_fig6_convergence's bad case): step 0's bound lands below
+  // ρt = 15 on CLOUDf's step 4, and no bound under U = 1e-5 reaches the band
+  // there.  The secant's steps are clamped to U, none lands in band, and
+  // Algorithm 2 decides with the same memo: the retrain returns the bound
+  // tune() returns given that memo, and its closest-ratio fallback.
+  const auto ds = data::dataset_by_name("hurricane", data::SuiteScale::kSmall);
+  const auto steps = data::generate_series(data::field_by_name(ds, "CLOUDf"), 5);
+  TunerConfig cfg = fast_config(15.0);
+  cfg.regions = 8;
+  cfg.max_evals_per_region = 16;
+  cfg.max_error_bound = 1.0e-5;
+  auto sz = pressio::registry().create("sz");
+  const Tuner tuner(*sz, cfg);
+  const double bound = tuner.tune(steps[0].view()).error_bound;
+  const ArrayView step4 = steps[4].view();
+  ProbeMemo memo;
+  const double ratio = tuner.executor().probe_ratio(step4, memo, bound).record.ratio;
+  ASSERT_LT(ratio, 15.0 * 0.9);
+
+  const TuneResult r = tuner.retrain(step4, bound, ratio, memo);
+  const TuneResult t = tuner.tune(step4, memo);
+  EXPECT_FALSE(r.regions.empty());
+  EXPECT_FALSE(r.feasible);
+  EXPECT_LE(r.error_bound, cfg.max_error_bound);
+  EXPECT_EQ(r.error_bound, t.error_bound);
+  EXPECT_EQ(r.achieved_ratio, t.achieved_ratio);
+  EXPECT_GE(r.compress_calls, t.compress_calls);
+}
+
+TEST(Retrain, FlatCurvesSpendOneProbe) {
+  // A lossless backend (fpc) and all-zero bytes on a zero_size_flat backend
+  // compress to one size at every bound: a retrain is tune()'s single probe.
+  const NdArray field = hurricane_field();
+  const NdArray zeros(DType::kFloat32, {16, 24, 20});
+  struct Case {
+    const char* backend;
+    const NdArray* data;
+  };
+  for (const Case& c : {Case{"fpc", &field}, Case{"sz", &zeros}}) {
+    auto compressor = pressio::registry().create(c.backend);
+    const Tuner tuner(*compressor, fast_config(8.0));
+    const double bound = 1e-3;
+    const double ratio = ratio_at(*compressor, c.data->view(), bound);
+    ASSERT_FALSE(ratio_acceptable(ratio, 8.0, 0.1)) << c.backend;
+    const TuneResult r = tuner.retrain(c.data->view(), bound, ratio);
+    EXPECT_EQ(r.compress_calls, 1) << c.backend;
+    EXPECT_TRUE(r.regions.empty()) << c.backend;
+    EXPECT_EQ(r.achieved_ratio, ratio) << c.backend;
+  }
+}
+
 TEST(Tuner, RejectsUnsupportedRank) {
   const auto ds = data::dataset_by_name("hacc", data::SuiteScale::kTiny);
   const NdArray field = data::generate_field(ds.fields[0], 0);  // 1D
   auto compressor = pressio::registry().create("mgard");       // 2D/3D only
   const Tuner tuner(*compressor, fast_config(8.0));
   EXPECT_THROW(tuner.tune(field.view()), InvalidArgument);
+  EXPECT_THROW(tuner.retrain(field.view(), 1e-3, 2.0), InvalidArgument);
+}
+
+TEST(Retrain, RejectsALandingThatIsNoCompression) {
+  const NdArray field = hurricane_field();
+  auto compressor = pressio::registry().create("sz");
+  const Tuner tuner(*compressor, fast_config(8.0));
+  EXPECT_THROW(tuner.retrain(field.view(), 0.0, 2.0), InvalidArgument);
+  EXPECT_THROW(tuner.retrain(field.view(), 1e-3, 0.0), InvalidArgument);
 }
 
 TEST(Tuner, ConfigValidation) {
