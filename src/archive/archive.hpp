@@ -118,6 +118,10 @@ struct ChunkReport {
   bool retrained = false;     ///< chunk paid a full search (a cold chunk 0 does)
   bool in_band = false;       ///< chunk ratio inside the band (informational)
   bool rate_fallback = false; ///< rescued by the ZFP fixed-rate fallback
+  /// Compressor probes this chunk's search executed (0 for a warm chunk).
+  std::size_t tuner_probe_calls = 0;
+  /// Probes this chunk's search answered from its memo for free.
+  std::size_t probe_cache_hits = 0;
 };
 
 /// Writer-side outcome of one field's ingestion session.
@@ -134,6 +138,8 @@ struct FieldWriteReport {
   std::size_t warm_chunks = 0;
   std::size_t retrained_chunks = 0;
   std::size_t rate_fallback_chunks = 0;
+  std::size_t tuner_probe_calls = 0;  ///< Σ of the chunks' tuner_probe_calls
+  std::size_t probe_cache_hits = 0;   ///< Σ of the chunks' probe_cache_hits
   std::vector<ChunkReport> chunks;  ///< offsets absolute within the chunk region
 };
 

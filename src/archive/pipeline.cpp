@@ -296,6 +296,8 @@ void ArchiveAssembler::compress_row(Lane& lane, Chunk& chunk) const {
   report.warm = outcome.warm;
   report.retrained = outcome.retrained;
   report.rate_fallback = rate_fallback;
+  report.tuner_probe_calls = outcome.tuner_probe_calls;
+  report.probe_cache_hits = outcome.probe_cache_hits;
   report.in_band = ratio_acceptable(report.ratio, target, epsilon);
 }
 
@@ -510,6 +512,8 @@ FieldWriteReport ArchiveAssembler::close_field() {
     report.warm_chunks += chunk.warm;
     report.retrained_chunks += chunk.retrained;
     report.rate_fallback_chunks += chunk.rate_fallback;
+    report.tuner_probe_calls += chunk.tuner_probe_calls;
+    report.probe_cache_hits += chunk.probe_cache_hits;
   }
   report.payload_ratio =
       static_cast<double>(report.raw_bytes) / static_cast<double>(report.payload_bytes);

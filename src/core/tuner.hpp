@@ -13,7 +13,9 @@
 /// **Algorithm 2 (training)**: split [lo, U] into K overlapping regions,
 /// run the cutoff-modified global search on each, cancel outstanding work as
 /// soon as any region lands in the acceptance band, and fall back to the
-/// closest observed ratio when the target is infeasible.
+/// closest observed ratio when the target is infeasible.  A search whose
+/// probes all miss on one side of the band (none in it) stops its regions
+/// and refines locally around its closest probe instead.
 ///
 /// A retrain that starts from a known landing (a carried bound that missed
 /// the band) first steps a secant toward ρt from it, and runs Algorithm 2
@@ -81,7 +83,8 @@ struct RegionOutcome {
   int compress_calls = 0;   ///< probes this region's search consumed
   int cache_hits = 0;       ///< of those, served by the search's memo for free
   bool hit_cutoff = false;  ///< landed inside the acceptance band
-  bool cancelled = false;   ///< stopped early because another region won
+  bool cancelled = false;   ///< stopped early: another region won, or the
+                            ///< search's probes all missed on one side
 };
 
 /// Result of tuning one dataset.
@@ -107,9 +110,11 @@ struct TuneResult {
 /// its next proposal, evaluates the batch through a ProbeExecutor (the
 /// search's memo + fan-out on the caller's pool), tells each region its
 /// observation, and cancels every region the moment one lands in the
-/// acceptance band.  The
-/// tuned bound is therefore bit-identical at any thread count, and losing
-/// regions stop after the winner's round instead of draining their budgets.
+/// acceptance band, or once a round ends with every probe so far on one
+/// side of the band (a local refine around the closest probe then decides;
+/// see tune()).  The tuned bound is therefore bit-identical at any thread
+/// count, and losing regions stop after the winner's round instead of
+/// draining their budgets.
 class Tuner {
 public:
   Tuner(const pressio::Compressor& prototype, TunerConfig config);
@@ -129,6 +134,14 @@ public:
   /// the probes already made on \p data through executor() (Engine's probe
   /// of the carried bound); the search answers a proposal it holds without
   /// a compression, and adds its own probes to it.
+  ///
+  /// After a round in which no probe landed in band and all fell on one side
+  /// of it, the regions stop and a local refine runs: rounds of points
+  /// around the closest probe, strictly between it and its neighbours, plus
+  /// the end of the search range where a neighbour is missing.  It stops at
+  /// an in-band probe, after a round that got no closer, or after a round
+  /// cap, and keeps the closest probe; its probes count in compress_calls
+  /// and probe_cache_hits.  A bracketed search is Algorithm 2 unchanged.
   ///
   /// Data whose bytes are all zero compresses to the same size at every
   /// bound (mgard aside at 1.0; docs/API.md), so the search is a single

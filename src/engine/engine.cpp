@@ -115,9 +115,15 @@ Status Engine::compress(const std::string& field, const ArrayView& data, Buffer&
     ++field_stats_[field].compress_calls;
   }
   if (outcome) {
+    const TuneResult& t = tuned.value();
     const double ratio = archive_ratio();
-    *outcome = CompressOutcome{tuned.value().error_bound, ratio, warm, !warm,
-                               ratio_acceptable(ratio, target, config_.tuner.epsilon)};
+    *outcome = CompressOutcome{t.error_bound,
+                               ratio,
+                               warm,
+                               !warm,
+                               ratio_acceptable(ratio, target, config_.tuner.epsilon),
+                               static_cast<std::size_t>(t.compress_calls - t.probe_cache_hits),
+                               static_cast<std::size_t>(t.probe_cache_hits)};
   }
   return Status();
 }

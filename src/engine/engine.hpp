@@ -98,6 +98,10 @@ struct CompressOutcome {
                               ///< in band or kept above it
   bool retrained = false;     ///< full training ran for this call
   bool in_band = false;       ///< achieved ratio within the acceptance band
+  /// Compressor probes this call's search executed (0 when warm).
+  std::size_t tuner_probe_calls = 0;
+  /// Probes this call's search answered from its memo without a compression.
+  std::size_t probe_cache_hits = 0;
 };
 
 /// Facade over registry + tuner + bound cache.  Not thread-safe; give each

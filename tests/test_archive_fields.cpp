@@ -626,6 +626,8 @@ void expect_same_field_reports(const std::vector<FieldWriteReport>& got,
     EXPECT_EQ(a.warm_chunks, b.warm_chunks) << at;
     EXPECT_EQ(a.retrained_chunks, b.retrained_chunks) << at;
     EXPECT_EQ(a.rate_fallback_chunks, b.rate_fallback_chunks) << at;
+    EXPECT_EQ(a.tuner_probe_calls, b.tuner_probe_calls) << at;
+    EXPECT_EQ(a.probe_cache_hits, b.probe_cache_hits) << at;
     ASSERT_EQ(a.chunks.size(), b.chunks.size()) << at;
     for (std::size_t i = 0; i < b.chunks.size(); ++i) {
       const archive::ChunkReport& x = a.chunks[i];
@@ -637,6 +639,8 @@ void expect_same_field_reports(const std::vector<FieldWriteReport>& got,
       EXPECT_EQ(x.tuned_bound, y.tuned_bound) << at << ", chunk " << i;
       EXPECT_EQ(x.warm, y.warm) << at << ", chunk " << i;
       EXPECT_EQ(x.retrained, y.retrained) << at << ", chunk " << i;
+      EXPECT_EQ(x.tuner_probe_calls, y.tuner_probe_calls) << at << ", chunk " << i;
+      EXPECT_EQ(x.probe_cache_hits, y.probe_cache_hits) << at << ", chunk " << i;
     }
   }
 }
@@ -1028,6 +1032,27 @@ TEST(ArchiveFields, IdenticalRetrainingChunksSpendTheSameProbesAtAnyWorkerCount)
   ASSERT_EQ(serial.chunks.size(), 16u);
   for (std::size_t i = 1; i <= 8; ++i)
     EXPECT_TRUE(serial.chunks[i].retrained) << "chunk " << i << " must retrain";
+  // Each chunk reports its own search's probes: the eight identical
+  // searches spend alike, a warm chunk spends none, and the chunks' counts
+  // sum to the build's (which ArchiveWriteResult takes from the Engines).
+  std::size_t executed = 0, hits = 0;
+  for (const archive::ChunkReport& chunk : serial.chunks) {
+    executed += chunk.tuner_probe_calls;
+    hits += chunk.probe_cache_hits;
+    if (chunk.warm) {
+      EXPECT_EQ(chunk.tuner_probe_calls + chunk.probe_cache_hits, 0u);
+    }
+  }
+  EXPECT_EQ(executed, serial.tuner_probe_calls);
+  EXPECT_EQ(hits, serial.probe_cache_hits);
+  ASSERT_EQ(serial.fields.size(), 1u);
+  EXPECT_EQ(serial.fields[0].tuner_probe_calls, serial.tuner_probe_calls);
+  EXPECT_EQ(serial.fields[0].probe_cache_hits, serial.probe_cache_hits);
+  EXPECT_GT(serial.chunks[1].tuner_probe_calls, 0u);
+  for (std::size_t i = 2; i <= 8; ++i) {
+    EXPECT_EQ(serial.chunks[i].tuner_probe_calls, serial.chunks[1].tuner_probe_calls) << i;
+    EXPECT_EQ(serial.chunks[i].probe_cache_hits, serial.chunks[1].probe_cache_hits) << i;
+  }
   for (int run = 0; run < 3; ++run) {
     Buffer bytes;
     const ArchiveWriteResult parallel = pack_at(4, bytes);

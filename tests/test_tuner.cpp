@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -438,6 +440,108 @@ TEST(Retrain, FlatCurvesSpendOneProbe) {
     EXPECT_TRUE(r.regions.empty()) << c.backend;
     EXPECT_EQ(r.achieved_ratio, ratio) << c.backend;
   }
+}
+
+// ------------------------------------------------------ one-sided searches
+
+/// Smallest ratio \p compressor reaches over 200 bounds spaced evenly in
+/// log space across the tuner's default search range of \p data.
+double sweep_min_ratio(pressio::Compressor& compressor, const ArrayView& data) {
+  const double hi = value_range(data);
+  double lowest = std::numeric_limits<double>::infinity();
+  for (int k = 0; k < 200; ++k)
+    lowest = std::min(lowest, ratio_at(compressor, data, hi * std::pow(1e-9, 1.0 - k / 199.0)));
+  return lowest;
+}
+
+TEST(OneSided, SparseFieldBelowItsMinimumRatioRefinesNearTheSweepMinimum) {
+  // CLOUDf is sparse: no bound in its search range codes it below ~2.6x, so
+  // every probe of a search for ρt = 2 lands above the band.  The regions
+  // stop after their first round, and a local refine around the closest
+  // probe ends the search in a few rounds instead of Algorithm 2's 288
+  // probes, at a ratio within 1% of the smallest a 200-point sweep finds.
+  const NdArray field = hurricane_field("CLOUDf");
+  auto sz = pressio::registry().create("sz");
+  const double target = 2.0;
+  const double sweep_min = sweep_min_ratio(*sz, field.view());
+  ASSERT_GT(sweep_min, target * 1.1) << "the target must lie below every ratio";
+  TunerConfig cfg = fast_config(target);
+  const TuneResult r = Tuner(*sz, cfg).tune(field.view());
+  EXPECT_FALSE(r.feasible);
+  EXPECT_LE(r.compress_calls, 32);
+  EXPECT_LE(r.achieved_ratio, sweep_min * 1.01);
+  EXPECT_EQ(ratio_at(*sz, field.view(), r.error_bound), r.achieved_ratio);
+  ASSERT_EQ(r.regions.size(), 12u);
+  for (const RegionOutcome& region : r.regions) {
+    EXPECT_EQ(region.compress_calls, 1);
+    EXPECT_TRUE(region.cancelled);
+  }
+  // The refine's rounds are deterministic: the same probes at any thread
+  // count.
+  for (const unsigned threads : {1u, 4u}) {
+    cfg.threads = threads;
+    const TuneResult again = Tuner(*sz, cfg).tune(field.view());
+    EXPECT_EQ(again.error_bound, r.error_bound) << threads;
+    EXPECT_EQ(again.compress_calls, r.compress_calls) << threads;
+    EXPECT_EQ(again.probe_cache_hits, r.probe_cache_hits) << threads;
+  }
+}
+
+TEST(OneSided, ConstantFieldKeepsAlgorithm2sBoundInFewProbes) {
+  // −7.0 everywhere: sz codes it to one size at every bound, far above the
+  // band.  The first round is one-sided and the refine only ties, so the
+  // search keeps region 0's first probe: the bound Algorithm 2 settled on
+  // after 288 probes (pinned from it).
+  NdArray constant(DType::kFloat32, {16, 24, 20});
+  for (std::size_t i = 0; i < constant.elements(); ++i) constant.typed<float>()[i] = -7.0f;
+  auto sz = pressio::registry().create("sz");
+  const TuneResult r = Tuner(*sz, fast_config(10.0)).tune(constant.view());
+  EXPECT_EQ(r.error_bound, 0x1.e48b54f8587b4p-30);
+  EXPECT_EQ(r.achieved_ratio, 480.0);
+  EXPECT_FALSE(r.feasible);
+  EXPECT_LE(r.compress_calls, 17);
+}
+
+TEST(OneSided, BracketedSearchRunsAlgorithm2Unchanged) {
+  // ρt = 20 on CLOUDf: the first round's probes fall on both sides of the
+  // band, so the regions run on as Algorithm 2 until one lands.  The bound,
+  // the probe count and the memo hits are the region search's, pinned from
+  // it before the one-sided stop existed.
+  const NdArray field = hurricane_field("CLOUDf");
+  auto sz = pressio::registry().create("sz");
+  const TuneResult r = Tuner(*sz, fast_config(20.0)).tune(field.view());
+  EXPECT_EQ(r.error_bound, 0x1.9ca2da22f087fp-14);
+  EXPECT_TRUE(r.feasible);
+  EXPECT_EQ(r.compress_calls, 72);
+  EXPECT_EQ(r.probe_cache_hits, 8);
+  int region_calls = 0;
+  for (const RegionOutcome& region : r.regions) region_calls += region.compress_calls;
+  EXPECT_EQ(region_calls, r.compress_calls);
+}
+
+TEST(OneSided, TargetAboveEveryRatioReturnsTheRangeEnd) {
+  // Fig. 6a's step 4: under U = 1e-5 no bound reaches ρt = 15 on CLOUDf,
+  // and the ratio grows with the bound, so every probe lands below the band
+  // and the closest probe of the first round is its outermost.  The refine
+  // probes the missing neighbour, the top of the search range, which holds
+  // the ratio closest to the target, as Algorithm 2's fallback found it.
+  const auto ds = data::dataset_by_name("hurricane", data::SuiteScale::kSmall);
+  const auto steps = data::generate_series(data::field_by_name(ds, "CLOUDf"), 5);
+  const ArrayView step4 = steps[4].view();
+  TunerConfig cfg = fast_config(15.0);
+  cfg.regions = 8;
+  cfg.max_evals_per_region = 16;
+  cfg.max_error_bound = 1.0e-5;
+  auto sz = pressio::registry().create("sz");
+  // The top of the range as the log-space search reaches it.
+  const double top_bound = std::exp(std::log(cfg.max_error_bound));
+  const double top = ratio_at(*sz, step4, top_bound);
+  ASSERT_LT(top, 15.0 * 0.9);
+  const TuneResult r = Tuner(*sz, cfg).tune(step4);
+  EXPECT_FALSE(r.feasible);
+  EXPECT_EQ(r.error_bound, top_bound);
+  EXPECT_EQ(r.achieved_ratio, top);
+  EXPECT_LE(r.compress_calls, 24);
 }
 
 TEST(Tuner, RejectsUnsupportedRank) {

@@ -405,6 +405,8 @@ std::string pack_json(const Cli& cli, const archive::ArchiveWriteResult& r) {
         .field("warm_chunks", f.warm_chunks)
         .field("retrained_chunks", f.retrained_chunks)
         .field("rate_fallback_chunks", f.rate_fallback_chunks)
+        .field("tuner_probe_calls", f.tuner_probe_calls)
+        .field("probe_cache_hits", f.probe_cache_hits)
         .end_object();
   }
   w.end_array()
