@@ -41,12 +41,11 @@ struct Observation {
   double ratio;
 };
 
-/// The local refine of a one-sided search: \p observed holds its probes and
-/// \p result the closest of them.  Each round probes points around the
-/// closest probe, strictly between it and its neighbours, and the end of
-/// [search_lo, search_hi] where a neighbour is missing; it stops at an
-/// in-band probe, after a round that got no closer, or after kRefineRounds.
-/// \p result takes the closest probe and counts every refine probe.
+/// Refine a one-sided search whose probes are \p observed and whose closest
+/// probe \p result holds; the end of [search_lo, search_hi] stands in for a
+/// missing neighbour.  Stops at an in-band probe, after a round that got no
+/// closer, or after kRefineRounds; \p result takes the closest probe and
+/// counts every refine probe.
 void refine(ProbeExecutor& executor, const TunerConfig& config, const ArrayView& data,
             ProbeMemo& memo, double search_lo, double search_hi,
             std::vector<Observation> observed, TuneResult& result) {
