@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "opt/global_search.hpp"
 #include "util/error.hpp"
@@ -28,77 +27,6 @@ std::uint64_t substream(std::uint64_t seed, std::uint64_t index) {
 constexpr double kSecantFirstSlope = 0.5;
 constexpr int kSecantProbes = 8;
 constexpr double kSecantStop = 0.25;
-
-/// The local refine of a one-sided Tuner::tune: its round cap, and the
-/// points each round probes on either side of the closest probe (evenly
-/// spaced, strictly between it and that side's neighbour).
-constexpr int kRefineRounds = 4;
-constexpr int kRefinePointsPerSide = 2;
-
-/// One probe of a search: its point in search space and the ratio it got.
-struct Observation {
-  double x;
-  double ratio;
-};
-
-/// Refine a one-sided search whose probes are \p observed and whose closest
-/// probe \p result holds; the end of [search_lo, search_hi] stands in for a
-/// missing neighbour.  Stops at an in-band probe, after a round that got no
-/// closer, or after kRefineRounds; \p result takes the closest probe and
-/// counts every refine probe.
-void refine(ProbeExecutor& executor, const TunerConfig& config, const ArrayView& data,
-            ProbeMemo& memo, double search_lo, double search_hi,
-            std::vector<Observation> observed, TuneResult& result) {
-  const bool log_scale = config.log_scale_search;
-  const auto to_bound = [log_scale](double x) { return log_scale ? std::exp(x) : x; };
-  const double target = config.target_ratio;
-  Observation closest = observed.front();
-  for (const Observation& o : observed)
-    if (to_bound(o.x) == result.error_bound) closest = o;
-  std::vector<double> xs, bounds;
-  for (int round = 0; round < kRefineRounds; ++round) {
-    // The closest probe's neighbours in search space; the end of the range
-    // stands in for a missing one and is probed with the round.
-    double left = search_lo, right = search_hi;
-    bool left_seen = false, right_seen = false;
-    for (const Observation& o : observed) {
-      if (o.x < closest.x && o.x >= left) {
-        left = o.x;
-        left_seen = true;
-      }
-      if (o.x > closest.x && o.x <= right) {
-        right = o.x;
-        right_seen = true;
-      }
-    }
-    // The round's points in ascending order, so a tie keeps the lower bound.
-    xs.clear();
-    if (!left_seen && left < closest.x) xs.push_back(left);
-    for (const auto& [from, to] : {std::pair{left, closest.x}, std::pair{closest.x, right}})
-      for (int j = 1; j <= kRefinePointsPerSide && from < to; ++j)
-        xs.push_back(from + (to - from) * j / (kRefinePointsPerSide + 1));
-    if (!right_seen && closest.x < right) xs.push_back(right);
-    if (xs.empty()) break;
-    bounds.clear();
-    for (const double x : xs) bounds.push_back(to_bound(x));
-
-    const std::vector<ProbeOutcome> probes = executor.probe_ratios(data, memo, bounds);
-    bool improved = false;
-    for (std::size_t k = 0; k < xs.size(); ++k) {
-      ++result.compress_calls;
-      result.probe_cache_hits += probes[k].from_memo;
-      const Observation o{xs[k], probes[k].record.ratio};
-      observed.push_back(o);
-      if (std::abs(o.ratio - target) < std::abs(closest.ratio - target)) {
-        closest = o;
-        result.error_bound = bounds[k];
-        result.achieved_ratio = o.ratio;
-        improved = true;
-      }
-    }
-    if (!improved || ratio_acceptable(closest.ratio, target, config.epsilon)) break;
-  }
-}
 
 bool all_bytes_zero(const ArrayView& data) {
   const auto* bytes = static_cast<const std::uint8_t*>(data.data());
@@ -210,18 +138,17 @@ TuneResult Tuner::tune(const ArrayView& data, ProbeMemo memo) const {
 
   std::vector<std::size_t> round_region;
   std::vector<double> round_x, round_bounds;
-  // Every region probe in probe order, and the sides of the band they fell
-  // on: a search whose probes all miss on one side stops its regions.
-  std::vector<Observation> observed;
-  bool seen_above = false, seen_below = false, seen_in_band = false;
-  bool any_hit = false, one_sided = false;
-  while (!any_hit && !one_sided) {
+  // The sides of the band the probes so far fell on: a search whose probes
+  // all miss on one side narrows to the regions around its closest probe.
+  bool seen_above = false, seen_below = false, seen_in_band = false, narrowed = false;
+  bool any_hit = false;
+  while (!any_hit) {
     round_region.clear();
     round_x.clear();
     round_bounds.clear();
     for (std::size_t i = 0; i < states.size(); ++i) {
       double x;
-      if (!states[i].done() && states[i].ask(x)) {
+      if (!outcomes[i].cancelled && !states[i].done() && states[i].ask(x)) {
         round_region.push_back(i);
         round_x.push_back(x);
         round_bounds.push_back(to_bound(x));
@@ -238,7 +165,6 @@ TuneResult Tuner::tune(const ArrayView& data, ProbeMemo memo) const {
       RegionOutcome& outcome = outcomes[i];
       ++outcome.compress_calls;
       outcome.cache_hits += probes[k].from_memo;
-      observed.push_back({round_x[k], ratio});
       if (ratio_acceptable(ratio, config_.target_ratio, config_.epsilon))
         seen_in_band = true;
       else if (ratio_above_band(ratio, config_.target_ratio, config_.epsilon))
@@ -256,14 +182,21 @@ TuneResult Tuner::tune(const ArrayView& data, ProbeMemo memo) const {
         any_hit = true;
       }
     }
-    // No bound so far reached the band or crossed it: the regions would
-    // spend their budgets on a curve that has not bracketed the target, so
-    // they stop and a local refine decides.  A bracketed search runs on as
-    // Algorithm 2.
-    one_sided = !any_hit && !seen_in_band && seen_above != seen_below;
+    // Every probe so far missed the band on one side: the target is not
+    // bracketed, and the closest ratio is most likely near the closest probe.
+    // Its region and the two overlapping it run on as Algorithm 2; the
+    // others stop.  A bracketed search keeps every region.
+    if (!narrowed && !seen_in_band && seen_above != seen_below) {
+      const std::size_t keep = static_cast<std::size_t>(
+          std::min_element(best_dist.begin(), best_dist.end()) - best_dist.begin());
+      for (std::size_t i = 0; i < states.size(); ++i)
+        if ((i + 1 < keep || i > keep + 1) && !states[i].done()) outcomes[i].cancelled = true;
+      narrowed = true;
+    }
   }
-  for (std::size_t i = 0; i < states.size(); ++i)
-    if (!states[i].done()) outcomes[i].cancelled = true;
+  if (any_hit)
+    for (std::size_t i = 0; i < states.size(); ++i)
+      if (!states[i].done()) outcomes[i].cancelled = true;
 
   // Result selection: prefer in-band outcomes; otherwise the observation
   // closest to the target ratio across every region (paper Alg. 2 tail).
@@ -284,14 +217,11 @@ TuneResult Tuner::tune(const ArrayView& data, ProbeMemo memo) const {
       result.achieved_ratio = o.best_ratio;
     }
   }
-  if (one_sided)
-    refine(executor_, config_, data, memo, search_lo, search_hi, std::move(observed), result);
   result.feasible =
       ratio_acceptable(result.achieved_ratio, config_.target_ratio, config_.epsilon);
   result.seconds = timer.seconds();
   return result;
 }
-
 
 TuneResult Tuner::retrain(const ArrayView& data, double bound, double ratio,
                          ProbeMemo memo) const {

@@ -14,8 +14,8 @@
 /// run the cutoff-modified global search on each, cancel outstanding work as
 /// soon as any region lands in the acceptance band, and fall back to the
 /// closest observed ratio when the target is infeasible.  A search whose
-/// probes all miss on one side of the band (none in it) stops its regions
-/// and refines locally around its closest probe instead.
+/// probes all miss on one side of the band (none in it) runs on in the
+/// region of its closest probe and that region's two neighbours only.
 ///
 /// A retrain that starts from a known landing (a carried bound that missed
 /// the band) first steps a secant toward ρt from it, and runs Algorithm 2
@@ -84,7 +84,8 @@ struct RegionOutcome {
   int cache_hits = 0;       ///< of those, served by the search's memo for free
   bool hit_cutoff = false;  ///< landed inside the acceptance band
   bool cancelled = false;   ///< stopped early: another region won, or the
-                            ///< search's probes all missed on one side
+                            ///< search's probes all missed on one side and
+                            ///< the closest probe lies in another region
 };
 
 /// Result of tuning one dataset.
@@ -110,9 +111,9 @@ struct TuneResult {
 /// its next proposal, evaluates the batch through a ProbeExecutor (the
 /// search's memo + fan-out on the caller's pool), tells each region its
 /// observation, and cancels every region the moment one lands in the
-/// acceptance band, or once a round ends with every probe so far on one
-/// side of the band (a local refine around the closest probe then decides;
-/// see tune()).  The tuned bound is therefore bit-identical at any thread
+/// acceptance band.  Once a round ends with every probe so far on one side
+/// of the band, only the closest probe's region and its neighbours run on
+/// (see tune()).  The tuned bound is therefore bit-identical at any thread
 /// count, and losing regions stop after the winner's round instead of
 /// draining their budgets.
 class Tuner {
@@ -135,13 +136,13 @@ public:
   /// of the carried bound); the search answers a proposal it holds without
   /// a compression, and adds its own probes to it.
   ///
-  /// After a round in which no probe landed in band and all fell on one side
-  /// of it, the regions stop and a local refine runs: rounds of points
-  /// around the closest probe, strictly between it and its neighbours, plus
-  /// the end of the search range where a neighbour is missing.  It stops at
-  /// an in-band probe, after a round that got no closer, or after a round
-  /// cap, and keeps the closest probe; its probes count in compress_calls
-  /// and probe_cache_hits.  A bracketed search is Algorithm 2 unchanged.
+  /// After the first round in which no probe has landed in band and all fell
+  /// on one side of it, the target is not bracketed: the region holding the
+  /// closest probe and the two regions overlapping it run on to their
+  /// budgets or an in-band hit, and the others stop (cancelled).  Their
+  /// probes are the full search's, so the result is Algorithm 2's whenever
+  /// its closest ratio lies in those regions.  A bracketed search is
+  /// Algorithm 2 unchanged.
   ///
   /// Data whose bytes are all zero compresses to the same size at every
   /// bound (mgard aside at 1.0; docs/API.md), so the search is a single

@@ -454,12 +454,12 @@ double sweep_min_ratio(pressio::Compressor& compressor, const ArrayView& data) {
   return lowest;
 }
 
-TEST(OneSided, SparseFieldBelowItsMinimumRatioRefinesNearTheSweepMinimum) {
+TEST(OneSided, SparseFieldBelowItsMinimumRatioKeepsAlgorithm2sBound) {
   // CLOUDf is sparse: no bound in its search range codes it below ~2.6x, so
-  // every probe of a search for ρt = 2 lands above the band.  The regions
-  // stop after their first round, and a local refine around the closest
-  // probe ends the search in a few rounds instead of Algorithm 2's 288
-  // probes, at a ratio within 1% of the smallest a 200-point sweep finds.
+  // every probe of a search for ρt = 2 lands above the band.  After the
+  // first round only the closest probe's region and its two neighbours run
+  // on; they hold Algorithm 2's closest ratio (bound pinned from its
+  // 288-probe search), within 1% of the smallest a 200-point sweep finds.
   const NdArray field = hurricane_field("CLOUDf");
   auto sz = pressio::registry().create("sz");
   const double target = 2.0;
@@ -468,16 +468,24 @@ TEST(OneSided, SparseFieldBelowItsMinimumRatioRefinesNearTheSweepMinimum) {
   TunerConfig cfg = fast_config(target);
   const TuneResult r = Tuner(*sz, cfg).tune(field.view());
   EXPECT_FALSE(r.feasible);
-  EXPECT_LE(r.compress_calls, 32);
+  EXPECT_EQ(r.error_bound, 0x1.9db41c2ba7347p-30);
+  EXPECT_EQ(r.compress_calls, 12 + 3 * 23);
   EXPECT_LE(r.achieved_ratio, sweep_min * 1.01);
   EXPECT_EQ(ratio_at(*sz, field.view(), r.error_bound), r.achieved_ratio);
   ASSERT_EQ(r.regions.size(), 12u);
-  for (const RegionOutcome& region : r.regions) {
-    EXPECT_EQ(region.compress_calls, 1);
-    EXPECT_TRUE(region.cancelled);
+  std::vector<std::size_t> kept;
+  for (std::size_t i = 0; i < r.regions.size(); ++i) {
+    const RegionOutcome& region = r.regions[i];
+    if (region.cancelled) {
+      EXPECT_EQ(region.compress_calls, 1) << i;
+    } else {
+      EXPECT_EQ(region.compress_calls, cfg.max_evals_per_region) << i;
+      kept.push_back(i);
+    }
   }
-  // The refine's rounds are deterministic: the same probes at any thread
-  // count.
+  ASSERT_EQ(kept.size(), 3u);
+  EXPECT_EQ(kept[2], kept[0] + 2) << "the kept regions are neighbours";
+  // The rounds are deterministic: the same probes at any thread count.
   for (const unsigned threads : {1u, 4u}) {
     cfg.threads = threads;
     const TuneResult again = Tuner(*sz, cfg).tune(field.view());
@@ -488,25 +496,31 @@ TEST(OneSided, SparseFieldBelowItsMinimumRatioRefinesNearTheSweepMinimum) {
 }
 
 TEST(OneSided, ConstantFieldKeepsAlgorithm2sBoundInFewProbes) {
-  // −7.0 everywhere: sz codes it to one size at every bound, far above the
-  // band.  The first round is one-sided and the refine only ties, so the
-  // search keeps region 0's first probe: the bound Algorithm 2 settled on
-  // after 288 probes (pinned from it).
+  // −7.0 everywhere.  At ρt = 10, sz, szx, zfp and mgard code it to one
+  // size at every bound, above the band: the first round is one-sided and
+  // ties, so region 0 and its one neighbour run on.  truncate lands below
+  // the band, closest at the range top, so the top two regions run on.
+  // Each search keeps the bound Algorithm 2 settled on after 288 probes
+  // (pinned from it).
   NdArray constant(DType::kFloat32, {16, 24, 20});
   for (std::size_t i = 0; i < constant.elements(); ++i) constant.typed<float>()[i] = -7.0f;
-  auto sz = pressio::registry().create("sz");
-  const TuneResult r = Tuner(*sz, fast_config(10.0)).tune(constant.view());
-  EXPECT_EQ(r.error_bound, 0x1.e48b54f8587b4p-30);
-  EXPECT_EQ(r.achieved_ratio, 480.0);
-  EXPECT_FALSE(r.feasible);
-  EXPECT_LE(r.compress_calls, 17);
+  for (const auto& [backend, bound] :
+       {std::pair{"sz", 0x1.e48b54f8587b4p-30}, std::pair{"szx", 0x1.e48b54f8587b4p-30},
+        std::pair{"zfp", 0x1.e48b54f8587b4p-30}, std::pair{"mgard", 0x1.e48b54f8587b4p-30},
+        std::pair{"truncate", 0x1p+0}}) {
+    auto compressor = pressio::registry().create(backend);
+    const TuneResult r = Tuner(*compressor, fast_config(10.0)).tune(constant.view());
+    EXPECT_EQ(r.error_bound, bound) << backend;
+    EXPECT_FALSE(r.feasible) << backend;
+    EXPECT_EQ(r.compress_calls, 12 + 2 * 23) << backend;
+  }
 }
 
 TEST(OneSided, BracketedSearchRunsAlgorithm2Unchanged) {
   // ρt = 20 on CLOUDf: the first round's probes fall on both sides of the
-  // band, so the regions run on as Algorithm 2 until one lands.  The bound,
-  // the probe count and the memo hits are the region search's, pinned from
-  // it before the one-sided stop existed.
+  // band, so every region runs on as Algorithm 2 until one lands.  The
+  // bound, the probe count and the memo hits are the region search's,
+  // pinned from it before the one-sided stop existed.
   const NdArray field = hurricane_field("CLOUDf");
   auto sz = pressio::registry().create("sz");
   const TuneResult r = Tuner(*sz, fast_config(20.0)).tune(field.view());
@@ -522,9 +536,10 @@ TEST(OneSided, BracketedSearchRunsAlgorithm2Unchanged) {
 TEST(OneSided, TargetAboveEveryRatioReturnsTheRangeEnd) {
   // Fig. 6a's step 4: under U = 1e-5 no bound reaches ρt = 15 on CLOUDf,
   // and the ratio grows with the bound, so every probe lands below the band
-  // and the closest probe of the first round is its outermost.  The refine
-  // probes the missing neighbour, the top of the search range, which holds
-  // the ratio closest to the target, as Algorithm 2's fallback found it.
+  // and the closest probe of the first round is in the top region.  That
+  // region runs on and probes its upper end, the top of the search range,
+  // which holds the ratio closest to the target, as Algorithm 2's 128-probe
+  // fallback found it.
   const auto ds = data::dataset_by_name("hurricane", data::SuiteScale::kSmall);
   const auto steps = data::generate_series(data::field_by_name(ds, "CLOUDf"), 5);
   const ArrayView step4 = steps[4].view();
@@ -541,7 +556,7 @@ TEST(OneSided, TargetAboveEveryRatioReturnsTheRangeEnd) {
   EXPECT_FALSE(r.feasible);
   EXPECT_EQ(r.error_bound, top_bound);
   EXPECT_EQ(r.achieved_ratio, top);
-  EXPECT_LE(r.compress_calls, 24);
+  EXPECT_EQ(r.compress_calls, 8 + 2 * 15);
 }
 
 TEST(Tuner, RejectsUnsupportedRank) {

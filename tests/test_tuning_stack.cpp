@@ -502,16 +502,16 @@ TEST(Engine, PerFieldStatsTrackEachStream) {
 }
 
 TEST(Engine, StatsSplitExecutedProbesFromCacheHits) {
-  // A search whose first round brackets the target but lands only after
-  // many rounds (ρt = 15 on CLOUDf: 96 probes at these knobs) has regions
-  // that re-propose bounds the search already evaluated; the search's memo
-  // answers those without a compression.  The Engine books executed probes
-  // and memo hits apart; together they are every probe the search consumed.
+  // A search for an unreachable ratio spends the budgets of the regions
+  // around its closest probe, and they re-propose bounds the search already
+  // evaluated; the search's memo answers those without a compression.  The Engine books executed
+  // probes and memo hits apart; together they are every probe the search
+  // consumed.
   const auto ds = data::dataset_by_name("hurricane", data::SuiteScale::kTiny);
   const NdArray field = data::generate_field(data::field_by_name(ds, "CLOUDf"), 0);
   EngineConfig config;
   config.compressor = "sz";
-  config.tuner.target_ratio = 15.0;
+  config.tuner.target_ratio = 500.0;
   config.tuner.regions = 8;
   config.tuner.max_evals_per_region = 16;
   config.tuner.threads = 2;
